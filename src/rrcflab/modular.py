@@ -19,12 +19,11 @@ from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
                        differentiate, expand_bracket, find_root)
 from .quadrature import (AlgebraicDecay, ExponentialDecay, integrate_finite,
                          integrate_to_infinity)
-from .report import FLAGGED, PASS, CheckResult, compare, residuals
-from .special import (BetaBase, appell_f1, beta_sqrt, elliptic_k,
-                      elliptic_k_complementary, gamma, gauss_2f1,
-                      incomplete_beta)
+from .report import CheckResult, compare, residuals
+from .special import (BetaBase, appell_f1, elliptic_k, elliptic_k_complementary,
+                      gauss_2f1, incomplete_beta)
 from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta,
-                      eta_quarter_integrand, rrcf, u_of_q, u_of_q_log)
+                      eta_quarter_integrand, u_of_q, u_of_q_log)
 
 
 class ConsistencyError(KernelError):
@@ -273,11 +272,14 @@ def _quarter_modulus_roots(j: float, ctx: PrecisionContext) -> list[float]:
     def gap(t: float) -> float:
         return math.log(klein_j_from_quarter_modulus(t)) - target
 
+    # The small root falls to ~6e-6 by j ~ 3e6, so an absolute tolerance in t
+    # of eps_abs would stop short of relative accuracy: judge t relatively.
+    root_ctx = ctx.with_eps(ctx.eps_rel, 1e-300)
     roots = []
     if gap(1e-15) > 0.0 > gap(_T_RIDGE):
-        roots.append(find_root(gap, 1e-15, _T_RIDGE, ctx))
+        roots.append(find_root(gap, 1e-15, _T_RIDGE, root_ctx))
     if gap(1.0 - 1e-12) > 0.0 > gap(_T_RIDGE):
-        roots.append(find_root(gap, _T_RIDGE, 1.0 - 1e-12, ctx))
+        roots.append(find_root(gap, _T_RIDGE, 1.0 - 1e-12, root_ctx))
     return roots or [_T_RIDGE]
 
 

@@ -203,7 +203,12 @@ def differentiate(f: Callable[[float], float], x: float,
     correction plus a roundoff floor).
     """
     h = ctx.fd_step * max(1.0, abs(x))
-    samples = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]
+    try:
+        samples = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]
+    except KernelError:
+        raise
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"f raised {exc!r} while differentiating near x={x}") from exc
     if not all(math.isfinite(v) for v in samples):
         raise DomainError(f"non-finite sample while differentiating near x={x}")
     d1 = (samples[0] - samples[1]) / (2.0 * h)

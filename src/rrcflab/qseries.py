@@ -3,8 +3,8 @@ Dedekind eta function on the imaginary axis, the Rogers-Ramanujan continued
 fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5, and the
 closed-form derivative of R.
 
-All products are evaluated as log sums (numpy-vectorised) so values near
-q -> 1 degrade gracefully instead of underflowing mid-product.
+All products are evaluated as log sums, plain loops of math.log1p, so values
+near q -> 1 degrade gracefully instead of underflowing mid-product.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .special import elliptic_k
@@ -66,25 +64,30 @@ def _as_q(q: "Nome | float") -> float:
 def _log_qpochhammer(q: float) -> float:
     """ln prod_{n>=1} (1 - q^n).
 
-    Direct truncated sum (cut once q^N / (1-q) < 1e-17) for q <= 0.7; for
-    q -> 1 the product is pushed through the eta modular inversion
+    Direct truncated sum (cut once q^N / (1-q) < 1e-17), at most 25 terms,
+    for q <= 0.2; above that the product is pushed through the eta modular
+    inversion
     ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)),
-    whose image nome is tiny, so every q in (0, 1) costs a short sum.
+    whose image nome is below 3e-11, so every q in (0, 1) costs a short sum.
     """
     if q == 0.0:
         return 0.0  # empty product; reached when a power of q underflows
     if q >= 1.0:
         return -math.inf  # nome rounded onto 1; the product vanishes there
-    if q > 0.7:
+    if q > 0.2:
         y = -math.log(q) / (2.0 * math.pi)
         image = math.exp(-2.0 * math.pi / y)
         return (math.pi * y / 12.0 - 0.5 * math.log(y)
                 - math.pi / (12.0 * y) + _log_qpochhammer(image))
-    n_terms = int(math.ceil(math.log(1e-17 * (1.0 - q)) / math.log(q)))
-    n_terms = max(n_terms, 1)
-    n = np.arange(1, n_terms + 1, dtype=np.float64)
-    powers = np.exp(n * math.log(q))
-    return float(np.log1p(-powers).sum())
+    n_terms = max(int(math.ceil(math.log(1e-17 * (1.0 - q)) / math.log(q))), 1)
+    # q^n by repeated products: exp(n ln q) would carry the rounding of ln q,
+    # |ln q| ulps, into the leading term, 1e-14 relative at q = 1e-100.
+    total = 0.0
+    power = q
+    for _ in range(n_terms):
+        total += math.log1p(-power)
+        power *= q
+    return total
 
 
 def ramanujan_f(q: "Nome | float") -> float:
@@ -115,9 +118,13 @@ def eta_quarter_integrand(t: float) -> float:
 
 @lru_cache(maxsize=65536)
 def _rrcf_cached(q: float) -> float:
+    # The float 0.2 exceeds 1/5 by 1.1e-17, so q ** 0.2 is |ln q| * 1.1e-17
+    # off in relative terms (8e-15 at q = 1e-300): one Newton step on
+    # x^5 = q removes that.  Dividing by q^(1/5), not subtracting its log,
+    # keeps the rounding of ln q^(1/5) out of kappa ~ q^(-1/5).
     fifth = q ** 0.2
-    log_kappa = _log_qpochhammer(fifth) - math.log(fifth) - _log_qpochhammer(q ** 5)
-    kappa = math.exp(log_kappa)
+    fifth -= (fifth - q / fifth ** 4) / 5.0
+    kappa = math.exp(_log_qpochhammer(fifth) - _log_qpochhammer(q ** 5)) / fifth
     # Positive root of R^2 + (kappa + 1) R - 1 = 0; the conjugate root is
     # negative, so this is the branch with R in (0, (sqrt(5)-1)/2).
     s = kappa + 1.0

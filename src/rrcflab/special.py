@@ -10,7 +10,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext, SeriesSum,
                        sum_series)

@@ -148,6 +148,12 @@ class TestSexticSolver:
         assert sol.residual <= 1e-6
         assert abs(sol.x - sol.x_alt) <= 1e-6 * sol.x
 
+    def test_large_j_root_resolved_relatively(self):
+        # the small quarter-modulus root is ~5.7e-6 here, below what an
+        # absolute tolerance of 1e-15 in t resolves to full precision
+        sol = solve_sextic(SexticInstance(1.0, 250.0, 2.8e6 ** (1.0 / 3.0)))
+        assert sol.residual <= 1e-13
+
     def test_solution_depends_only_on_b_over_a_and_j(self):
         c1 = (4000.0 * 3.0 / 250.0) ** (1.0 / 3.0)
         sol1 = solve_sextic(SexticInstance(1.0, 3.0, c1))

@@ -1,7 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.numerics import DomainError, differentiate
@@ -18,6 +21,94 @@ PENTAGONAL_AT_01 = 0.89001009999899894
 SILVER = 3.0 - 2.0 * math.sqrt(2.0)   # modulus with quarter-period ratio 2
 Q_E2PI = math.exp(-2.0 * math.pi)
 RRCF_E2PI = -(1.0 + math.sqrt(5.0)) / 2.0 + math.sqrt((5.0 + math.sqrt(5.0)) / 2.0)
+
+
+# The direct sums stop at q = 0.2; above it the modular inversion takes over.
+BRANCH_SWITCH = 0.2
+NEAR_SWITCH = (0.19, BRANCH_SWITCH, math.nextafter(BRANCH_SWITCH, 1.0), 0.21)
+NOMES = st.floats(min_value=0.0, max_value=0.9999, exclude_min=True,
+                  exclude_max=True)
+ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def _mp_log_f(mp, q):
+    """ln f(-q) for an mpf q at the working precision.  qp's pentagonal
+    sum slows past q = 0.99, so there the eta inversion
+    eta(-1/tau) = sqrt(-i tau) eta(tau) is taken in mpmath to a tiny nome."""
+    if q <= 0.99:
+        return mp.log(mp.qp(q))
+    y = -mp.log(q) / (2 * mp.pi)
+    return (mp.pi * y / 12 - mp.log(y) / 2 - mp.pi / (12 * y)
+            + mp.log(mp.qp(mp.exp(-2 * mp.pi / y))))
+
+
+def _mp_rrcf(mp, q):
+    """R(q) from the product q^(1/5) (q;q^5)(q^4;q^5) / ((q^2;q^5)(q^3;q^5));
+    past q = 0.99 through Ramanujan's relation
+    (phi + R(e^(-2 pi a))) (phi + R(e^(-2 pi / a))) = sqrt5 phi."""
+    def product(q):
+        q5 = q ** 5
+        return (mp.root(q, 5) * mp.qp(q, q5) * mp.qp(q ** 4, q5)
+                / (mp.qp(q ** 2, q5) * mp.qp(q ** 3, q5)))
+    if q <= 0.99:
+        return product(q)
+    a = -mp.log(q) / (2 * mp.pi)
+    phi = (1 + mp.sqrt(5)) / 2
+    return mp.sqrt(5) * phi / (phi + product(mp.exp(-2 * mp.pi / a))) - phi
+
+
+class TestAgainstMpmath:
+    """The q-product kernels against mpmath at 30 digits (more for tiny q,
+    where ln f(-q) ~ -q needs the extra digits to resolve)."""
+
+    @ORACLE_SETTINGS
+    @given(NOMES)
+    @example(1e-300)
+    @example(0.9998)
+    def test_ramanujan_f_log(self, q):
+        mp = pytest.importorskip("mpmath")
+        for q in (q,) + NEAR_SWITCH:
+            with mp.workdps(30 + max(0, int(-math.log10(q)))):
+                ref = _mp_log_f(mp, mp.mpf(q))
+                assert abs(ramanujan_f_log(q) - ref) <= 4e-15 * abs(ref)
+
+    @ORACLE_SETTINGS
+    @given(NOMES)
+    @example(1e-300)
+    @example(3.6e-320)
+    @example(0.9998)
+    def test_rrcf(self, q):
+        mp = pytest.importorskip("mpmath")
+        for q in (q,) + NEAR_SWITCH:
+            with mp.workdps(30):
+                ref = _mp_rrcf(mp, mp.mpf(q))
+                assert abs(rrcf(q) - ref) <= 4e-15 * ref
+
+    @ORACLE_SETTINGS
+    @given(st.floats(min_value=0.0, max_value=0.997, exclude_min=True))
+    @example(1e-300)
+    def test_dedekind_eta(self, q):
+        # eta(i t) underflows past q ~ 0.998.  exp turns a rounding of its
+        # argument ln eta into a relative error, and |ln eta| (the condition
+        # number of eta in t at both ends) reaches ~550 here, so the bound
+        # is 4e-15 per unit of |ln eta| beyond 1.
+        mp = pytest.importorskip("mpmath")
+        for q in (q,) + NEAR_SWITCH:
+            t = -math.log(q) / (2.0 * math.pi)
+            with mp.workdps(30):
+                t_mp = mp.mpf(t)
+                log_ref = -mp.pi * t_mp / 12 + _mp_log_f(mp, mp.exp(-2 * mp.pi * t_mp))
+                ref = mp.exp(log_ref)
+                bound = 4e-15 * max(1.0, abs(float(log_ref)))
+                assert abs(dedekind_eta(t) - ref) <= bound * ref
+
+
+def test_import_loads_no_numpy():
+    code = "import sys, rrcflab; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"
 
 
 class TestNome:
@@ -46,8 +137,8 @@ class TestRamanujanF:
         assert ramanujan_f(0.1) == pytest.approx(PENTAGONAL_AT_01, rel=1e-14)
 
     def test_modular_transform_matches_direct_sum(self):
-        # over the branch switch at q = 0.7 both evaluations must agree
-        for q in (0.69, 0.7, 0.71, 0.9):
+        # over the branch switch at q = 0.2 both evaluations must agree
+        for q in (0.19, 0.2, 0.21, 0.69, 0.7, 0.71, 0.9):
             n = int(math.ceil(math.log(1e-20 * (1 - q)) / math.log(q)))
             direct = sum(math.log1p(-q ** i) for i in range(1, n + 1))
             assert ramanujan_f_log(q) == pytest.approx(direct, abs=1e-13)

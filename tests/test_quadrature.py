@@ -2,14 +2,107 @@ import math
 
 import pytest
 
-from rrcflab.numerics import DomainError, PrecisionContext
-from rrcflab.quadrature import (AlgebraicDecay, ExponentialDecay,
-                                QuadratureError, integrate_finite,
+from rrcflab import modular
+from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
+                              PrecisionContext)
+from rrcflab.quadrature import (_TABLES, AlgebraicDecay, ExponentialDecay,
+                                QuadratureError, _level_table,
+                                integrate_complex, integrate_finite,
                                 integrate_to_infinity)
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
 # confirmed by direct quadrature of the defining Gamma integral.
 BETA_16_23 = 6.677476047133825
+
+
+# Reference rule: the node generator and level loop that the precomputed
+# tables replaced, kept to pin the tables and the sums bit for bit.
+def _nodes(h, odd_only):
+    j = 1 if odd_only else 0
+    step = 2 if odd_only else 1
+    while True:
+        t = j * h
+        if t > 5.0:
+            return
+        u = 0.5 * math.pi * math.sinh(t)
+        w = 0.5 * math.pi * math.cosh(t) / math.cosh(u) ** 2
+        x = math.tanh(u)
+        off = 2.0 / (1.0 + math.exp(2.0 * u))
+        yield x, off, w
+        j += step
+
+
+def _reference_integrate(f, a, b, ctx=DEFAULT_CTX, singular_at_a=False,
+                         singular_at_b=False):
+    half = 0.5 * (b - a)
+
+    def sample(off, sign):
+        point = b - half * off if sign > 0 else a + half * off
+        near_singular = singular_at_b if sign > 0 else singular_at_a
+        if point <= a or point >= b:
+            return 0.0
+        v = f(point)
+        if not math.isfinite(v):
+            if near_singular and off < 1e-12:
+                return 0.0
+            raise DomainError(f"integrand not finite at x={point!r}")
+        return v
+
+    def level_sum(h, odd_only):
+        s = 0.0
+        for x, off, w in _nodes(h, odd_only):
+            contrib = w * sample(off, +1)
+            if x != 0.0:
+                contrib += w * sample(off, -1)
+            s += contrib
+        return s
+
+    h = 1.0
+    total = h * level_sum(h, odd_only=False)
+    prev = math.inf
+    for level in range(1, ctx.max_quad_levels + 1):
+        h *= 0.5
+        total = 0.5 * total + h * level_sum(h, odd_only=True)
+        gap = abs(total - prev)
+        prev = total
+        if level >= 3 and gap <= ctx.tol(total):
+            return half * total
+    raise QuadratureError("level cap", best=half * total, gap=half * gap)
+
+
+REFERENCE_PANEL = [
+    (math.exp, 0.0, 1.0, {}),
+    (lambda t: t ** (-5 / 6), 0.0, 1.0, {"singular_at_a": True}),
+    (lambda t: math.log(t) * math.sqrt(1.0 - t), 0.0, 1.0,
+     {"singular_at_a": True, "singular_at_b": True}),
+    (lambda t: 1.0 / (1.0 + t * t), -3.0, 7.0, {}),
+    (modular.rr_integrand, 0.0, 0.5, {"singular_at_a": True}),
+]
+
+
+class TestNodeTables:
+    def test_tables_cover_the_default_levels(self):
+        assert len(_TABLES) == DEFAULT_CTX.max_quad_levels + 1
+        assert _TABLES[0][0] == (1.0, 0.5 * math.pi)   # the centre node
+
+    @pytest.mark.parametrize("level", range(12))
+    def test_entries_match_the_generator_exactly(self, level):
+        table = _TABLES[level] if level < len(_TABLES) else _level_table(level)
+        expected = tuple((off, w) for _, off, w in _nodes(0.5 ** level, level > 0))
+        assert table == expected
+
+    @pytest.mark.parametrize("f, a, b, flags", REFERENCE_PANEL)
+    def test_integrals_bitwise_equal_to_reference(self, f, a, b, flags):
+        assert integrate_finite(f, a, b, **flags) == _reference_integrate(f, a, b, **flags)
+
+    def test_levels_past_the_tables_match_reference(self):
+        ctx = PrecisionContext(eps_rel=1e-300, eps_abs=1e-300, max_quad_levels=11)
+        f = lambda t: t ** -0.9
+        with pytest.raises(QuadratureError) as ours:
+            integrate_finite(f, 0.0, 1.0, ctx, singular_at_a=True)
+        with pytest.raises(QuadratureError) as ref:
+            _reference_integrate(f, 0.0, 1.0, ctx, singular_at_a=True)
+        assert ours.value.best == ref.value.best
 
 
 class TestFinite:
@@ -47,6 +140,54 @@ class TestFinite:
     def test_non_finite_interior_sample(self):
         with pytest.raises(DomainError):
             integrate_finite(lambda t: 1.0 / (t - 0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize("error", [OverflowError, ValueError])
+    def test_raising_integrand_is_a_domain_error(self, error):
+        def f(t):
+            if t > 0.9:
+                raise error("boom")
+            return t
+        with pytest.raises(DomainError, match="at x=") as err:
+            integrate_finite(f, 0.0, 1.0)
+        assert isinstance(err.value.__cause__, error)
+
+    @pytest.mark.parametrize("error", [DomainError("own"), ConvergenceError("inner")])
+    def test_kernel_errors_pass_through_unchanged(self, error):
+        def f(t):
+            raise error
+        with pytest.raises(type(error)) as err:
+            integrate_finite(f, 0.0, 1.0)
+        assert err.value is error
+
+
+class TestComplex:
+    def test_one_evaluation_per_node(self):
+        calls = {"complex": 0, "real": 0}
+
+        def g(t):
+            calls["complex"] += 1
+            return complex(math.exp(t), 0.0)
+
+        def f(t):
+            calls["real"] += 1
+            return math.exp(t)
+
+        # a zero imaginary part leaves the level gaps those of the real rule
+        assert integrate_complex(g, 0.0, 1.0) == integrate_finite(f, 0.0, 1.0)
+        assert calls["complex"] == calls["real"]
+
+    def test_matches_real_and_imaginary_parts(self):
+        val = integrate_complex(lambda t: complex(math.cos(t), math.sin(t)) * t ** -0.5,
+                                0.0, 2.0, singular_at_a=True)
+        re = integrate_finite(lambda t: math.cos(t) * t ** -0.5, 0.0, 2.0, singular_at_a=True)
+        im = integrate_finite(lambda t: math.sin(t) * t ** -0.5, 0.0, 2.0, singular_at_a=True)
+        assert val.real == pytest.approx(re, rel=1e-12)
+        assert val.imag == pytest.approx(im, rel=1e-12)
+
+    def test_non_finite_imaginary_part(self):
+        with pytest.raises(DomainError):
+            integrate_complex(lambda t: complex(1.0, math.inf if t > 0.7 else t),
+                              0.0, 1.0)
 
 
 class TestToInfinity:

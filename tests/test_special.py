@@ -69,6 +69,19 @@ class TestGauss2F1:
         ref = gauss_2f1(0.25, 0.5, 1.5, 0.9, method="integral")
         assert val == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.parametrize("a, b, c, z", [
+        (0.5, 0.75, 1.9, 0.3 + 0.4j),
+        (1 / 3, 1 / 6, 7 / 6, -0.8 + 0.5j),
+        (0.7 + 0.2j, 0.4, 1.3, 0.6 - 0.7j),
+        (0.5, 0.75, 1.9, 2.0 + 1.0j),   # off the cut, outside the unit disk
+    ])
+    def test_integral_route_at_complex_points_against_mpmath(self, a, b, c, z):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        val = gauss_2f1(a, b, c, z, method="integral")
+        assert abs(val - ref) <= 1e-12 * abs(ref)
+
     def test_terminating(self):
         assert gauss_2f1(-2.0, 1.0, 3.0, 2.0) == pytest.approx(
             1.0 - 2.0 * 2.0 / 3.0 + (2.0 / 12.0) * 4.0, rel=1e-13)
