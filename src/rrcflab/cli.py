@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import modular, qseries, special, verify
 from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
@@ -59,11 +60,7 @@ def _context_from(args) -> PrecisionContext:
         ctx = ctx.with_eps(eps)
     max_terms = getattr(args, "max_terms", None)
     if max_terms is not None:
-        ctx = PrecisionContext(eps_rel=ctx.eps_rel, eps_abs=ctx.eps_abs,
-                               max_series_terms=max_terms,
-                               max_quad_levels=ctx.max_quad_levels,
-                               max_root_iters=ctx.max_root_iters,
-                               fd_step=ctx.fd_step)
+        ctx = replace(ctx, max_series_terms=max_terms)
     return ctx
 
 

@@ -11,6 +11,7 @@ nome exp(-2 pi sqrt(r)).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -157,8 +158,8 @@ def eta_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     return integrate_to_infinity(f, lower, ExponentialDecay(math.pi / 6.0), ctx)
 
 
-@lru_cache(maxsize=8)
-def _f_argument_max(eps_key: float) -> float:
+@lru_cache(maxsize=1)
+def _f_argument_max() -> float:
     # Range of the defining integral: sup over upper -> (sqrt5-1)/2, which
     # equals one fifth of the full surd tail from 0.
     return 0.2 * surd_tail_integral(0.0, DEFAULT_CTX)
@@ -169,8 +170,8 @@ def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     of the continued fraction at the nome whose eta-tail integral is 5x."""
     if x == 0.0:
         return 0.0
-    if x < 0.0 or x >= _f_argument_max(0.0):
-        raise DomainError(f"argument {x} outside [0, {_f_argument_max(0.0)})")
+    if x < 0.0 or x >= _f_argument_max():
+        raise DomainError(f"argument {x} outside [0, {_f_argument_max()})")
     hi = GOLDEN_CONJUGATE * (1.0 - 1e-13)
     return find_root(lambda upper: rr_integral(upper, ctx) - x, 1e-250, hi, ctx)
 
@@ -192,8 +193,8 @@ def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Inverse of G -> (1/5) int_G^inf t^(-1/6)(125+22t+t^2)^(-1/2) dt,
     post-verified against F(x)^-5 - 11 - F(x)^5."""
-    if x <= 0.0 or x >= _f_argument_max(0.0):
-        raise DomainError(f"argument {x} outside (0, {_f_argument_max(0.0)})")
+    if x <= 0.0 or x >= _f_argument_max():
+        raise DomainError(f"argument {x} outside (0, {_f_argument_max()})")
 
     def gap(g: float) -> float:
         return 0.2 * surd_tail_integral(g, ctx) - x
@@ -555,7 +556,6 @@ def example4_checks(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> list[Check
     xi-chain itself lands on sin(5 pi/(6r)); both residuals are recorded
     and the record is flagged.
     """
-    import cmath
     if r <= 0.0:
         raise DomainError(f"need r > 0, got {r}")
 
@@ -599,20 +599,19 @@ def pi_formula_partial_sum(R: float, terms: int) -> float:
     """Partial sum of the pi/(R+1) series: the n-th term is
     (1/4)_n (3/4)_{-n} / ((1/2)_{-n} n!) m(R)^(n+1/2) / (n+1/2), negative
     Pochhammer indices read as (a)_{-n} = 1/(a-n)_n."""
-    from .special import pochhammer, pochhammer_negative
     if terms < 1:
         raise DomainError(f"need at least one term, got {terms}")
     m = trig_modular(R)
     total = 0.0
-    # factorials overflow doubles past n = 170; the terms are below 1e-21
-    # well before that for every m in (0, 1) of interest
-    for n in range(min(terms, 170)):
-        coeff = pochhammer(0.25, n) * pochhammer_negative(0.75, n) \
-            / (pochhammer_negative(0.5, n) * math.factorial(n))
+    coeff = 1.0
+    for n in range(terms):
         term = coeff * m ** (n + 0.5) / (n + 0.5)
         total += term
         if abs(term) < 1e-18 * abs(total):
             break
+        # term ratio, unreduced: (1/4)_{n+1} = (1/4)_n (n+1/4), and
+        # (a)_{-n-1} = (a)_{-n} / (a-n-1) for a = 3/4 and 1/2
+        coeff *= (0.25 + n) * (0.5 - n - 1.0) / ((0.75 - n - 1.0) * (n + 1.0))
     return total
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext, SeriesSum,
                        sum_series)
@@ -180,7 +180,9 @@ def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
     """Appell F1(a; b1, b2; c; x, y).
 
     Double series summed along anti-diagonals m+n = s (which matches the
-    (a)_{m+n} coupling), valid for |x|, |y| < 1.  The single-integral route
+    (a)_{m+n} coupling), valid for |x|, |y| < 1, after the Pfaff-type
+    transformation (DLMF 16.16.1) when that moves x, y closer to 0.  The
+    single-integral route
     int_0^1 t^(a-1)(1-t)^(c-a-1)(1-xt)^(-b1)(1-yt)^(-b2) dt needs
     c > a > 0 and serves as the independent oracle.
     """
@@ -194,18 +196,20 @@ def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
     if method == "series":
         if max(abs(xc), abs(yc)) >= 1.0:
             raise DomainError("F1 double series needs |x|, |y| < 1")
-
-        def diag(s: int) -> complex:
-            inner = 0.0 + 0.0j
-            xm = 1.0 + 0.0j
-            for m in range(s + 1):
-                inner += (pochhammer(b1c, m) * pochhammer(b2c, s - m)
-                          / (math.factorial(m) * math.factorial(s - m))
-                          * xm * yc ** (s - m))
-                xm *= xc
-            return pochhammer(ac, s) / pochhammer(cc, s) * inner
-
-        return _maybe_real(sum_series(diag, ctx).value, inputs_real)
+        terminating = _is_nonpositive_int(ac)
+        if _is_nonpositive_int(cc) and not (
+                terminating and round(ac.real) > round(cc.real)):
+            raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
+        pref = 1.0 + 0.0j
+        xt, yt = xc / (xc - 1.0), yc / (yc - 1.0)
+        if not terminating and max(abs(xt), abs(yt)) < max(abs(xc), abs(yc)):
+            # DLMF 16.16.1: a smaller max(|x|, |y|) means fewer terms, and
+            # for x or y near -1 it avoids cancellation between huge terms.
+            # (A polynomial is summed as it stands.)
+            pref = (1.0 - xc) ** (-b1c) * (1.0 - yc) ** (-b2c)
+            ac, xc, yc = cc - ac, xt, yt
+        return _maybe_real(pref * _appell_f1_series(ac, b1c, b2c, cc, xc, yc,
+                                                    ctx), inputs_real)
 
     if method == "integral":
         if not (cc.real > ac.real > 0.0):
@@ -222,6 +226,27 @@ def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
         return _maybe_real(val, inputs_real)
 
     raise DomainError(f"unknown F1 method {method!r}")
+
+
+def _appell_f1_series(a: complex, b1: complex, b2: complex, c: complex,
+                      x: complex, y: complex, ctx: PrecisionContext) -> complex:
+    # The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
+    # are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
+    # gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
+    # anti-diagonal then carries (a)_s/(c)_s.  O(1) per term.
+    xy, lin, bsum = x * y, b1 * x + b2 * y, b1 + b2 - 1.0
+    state = {"g": 1.0 + 0.0j, "g_prev": 0.0 + 0.0j, "r": 1.0 + 0.0j}
+
+    def term(s: int) -> complex:
+        g, r = state["g"], state["r"]
+        state["g_prev"], state["g"] = g, (
+            ((x + y) * s + lin) * g - xy * (s + bsum) * state["g_prev"]) / (s + 1.0)
+        if r:
+            # a terminating series stops before (c)_s reaches a pole
+            state["r"] = r * (a + s) / (c + s)
+        return r * g
+
+    return sum_series(term, ctx).value
 
 
 @dataclass(frozen=True)
@@ -359,11 +384,7 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
         return val
 
     if max_terms is not None:
-        ctx = PrecisionContext(eps_rel=ctx.eps_rel, eps_abs=ctx.eps_abs,
-                               max_series_terms=max_terms,
-                               max_quad_levels=ctx.max_quad_levels,
-                               max_root_iters=ctx.max_root_iters,
-                               fd_step=ctx.fd_step)
+        ctx = replace(ctx, max_series_terms=max_terms)
     s = sum_series(term, ctx)
     return SeriesSum(pref * s.value, s.terms)
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import fnmatch
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import modular, qseries, special
-from .numerics import DEFAULT_CTX, DomainError, PrecisionContext, differentiate, find_root
-from .quadrature import integrate_finite
+from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext,
+                       SeriesDivergenceError, differentiate, find_root)
+from .quadrature import AlgebraicDecay, integrate_finite, integrate_to_infinity
 from .report import FLAGGED, PASS, CheckResult, compare, residuals
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
@@ -85,7 +85,6 @@ def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
 def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
     """Same quantity through the image variable:
     int_0^inf u^(nu-1) (125 + 22u + u^2)^(-1/2) du."""
-    from .quadrature import AlgebraicDecay, integrate_to_infinity
 
     def f(t: float) -> float:
         return t ** (nu - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
@@ -568,23 +567,14 @@ def _eq50_x1(ctx: PrecisionContext) -> CheckResult:
 def _t8_ex1(ctx: PrecisionContext) -> CheckResult:
     target = math.log(1.0 + 2.0 / math.sqrt(3.0))
     terms = 2000
-    series_ctx = PrecisionContext(
-        eps_rel=1e-16, eps_abs=1e-300, max_series_terms=terms,
-        max_quad_levels=ctx.max_quad_levels, max_root_iters=ctx.max_root_iters,
-        fd_step=ctx.fd_step)
+    series_ctx = replace(ctx, eps_rel=1e-16, eps_abs=1e-300,
+                         max_series_terms=terms)
     try:
         val = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0,
                                              series_ctx).value
-    except Exception:
-        val = None
-    if val is None:
+    except SeriesDivergenceError as exc:
         # tail never meets the eps criterion; take the plain partial sum
-        from .numerics import SeriesDivergenceError
-        try:
-            special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0,
-                                           series_ctx)
-        except SeriesDivergenceError as exc:
-            val = exc.best
+        val = exc.best
     s200 = _t8_ex1_partial(200)
     notes = (f"argument sits on the circle of convergence: partial sums "
              f"decay like N^(-3/2); 200-term sum {s200:.12g} is "
@@ -596,7 +586,6 @@ def _t8_ex1(ctx: PrecisionContext) -> CheckResult:
 
 def _t8_ex1_partial(terms: int) -> float:
     ctx = PrecisionContext(eps_rel=1e-18, eps_abs=1e-320, max_series_terms=terms)
-    from .numerics import SeriesDivergenceError
     try:
         val = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0, ctx).value
     except SeriesDivergenceError as exc:
@@ -791,19 +780,14 @@ def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult
     return replace(result, seconds=time.perf_counter() - start)
 
 
-def run_all(pattern: str | None = None, ctx: PrecisionContext = DEFAULT_CTX,
-            workers: int = 1) -> VerificationReport:
+def run_all(pattern: str | None = None,
+            ctx: PrecisionContext = DEFAULT_CTX) -> VerificationReport:
     """Run every check whose id matches the glob pattern (all when None),
-    in deterministic id order.  Checks are pure, so workers > 1 executes
-    them concurrently without changing the report."""
+    in deterministic id order."""
     ids = [cid for cid in check_ids()
            if pattern is None or fnmatch.fnmatchcase(cid, pattern)]
     start = time.perf_counter()
-    if workers > 1 and len(ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda cid: run_check(cid, ctx), ids))
-    else:
-        results = [run_check(cid, ctx) for cid in ids]
+    results = [run_check(cid, ctx) for cid in ids]
     elapsed = time.perf_counter() - start
     status = [r.status for r in results]
     return VerificationReport(

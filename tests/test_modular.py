@@ -9,13 +9,15 @@ from rrcflab.modular import (ConsistencyError, F_of_x, G_of_x, SexticInstance,
                              j_integral_phi_partial_fraction,
                              j_integral_quadrature, klein_j,
                              klein_j_from_lambda, klein_j_from_quarter_modulus,
-                             m_of_x, psi_arcsin_ratio, rr_integral,
+                             m_of_x, pi_formula_partial_sum,
+                             psi_arcsin_ratio, rr_integral,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular,
                              trig_modular_equation_check)
 from rrcflab.numerics import DomainError
 from rrcflab.qseries import u_of_q
-from rrcflab.special import BetaBase, beta_sqrt, elliptic_k, gamma, incomplete_beta
+from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
+                             incomplete_beta, pochhammer, pochhammer_negative)
 
 SQRT5 = math.sqrt(5.0)
 SILVER = 3.0 - 2.0 * math.sqrt(2.0)
@@ -232,6 +234,35 @@ class TestTrigModular:
     def test_root_property(self):
         m = trig_modular(3.0)
         assert psi_arcsin_ratio(m) == pytest.approx(math.sqrt(3.0), rel=1e-12)
+
+
+class TestPiFormula:
+    @staticmethod
+    def _product_form(R, terms):
+        # each coefficient formed afresh from the paper's Pochhammer symbols
+        m = trig_modular(R)
+        total = 0.0
+        for n in range(terms):
+            coeff = pochhammer(0.25, n) * pochhammer_negative(0.75, n) \
+                / (pochhammer_negative(0.5, n) * math.factorial(n))
+            term = coeff * m ** (n + 0.5) / (n + 0.5)
+            total += term
+            if abs(term) < 1e-18 * abs(total):
+                break
+        return total
+
+    @pytest.mark.parametrize("R", [0.05, 0.5, 1.0, 4.0])
+    @pytest.mark.parametrize("terms", [1, 2, 7, 60, 169])
+    def test_term_ratio_matches_product_form(self, R, terms):
+        assert pi_formula_partial_sum(R, terms) == pytest.approx(
+            self._product_form(R, terms), rel=1e-14)
+
+    def test_sums_past_170_terms(self):
+        # m(0.05) = 0.989: the series needs thousands of terms
+        R = 0.05
+        target = math.pi / (R + 1.0)
+        gaps = [target - pi_formula_partial_sum(R, n) for n in (170, 400, 2000)]
+        assert 0.0 < gaps[2] < gaps[1] < gaps[0]
 
 
 class TestJIntegral:

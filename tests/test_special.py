@@ -1,11 +1,13 @@
 import cmath
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrcflab.numerics import DomainError, PrecisionContext
+from rrcflab.numerics import (DomainError, PrecisionContext,
+                              SeriesDivergenceError)
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, PoleError, appell_f1, beta_sqrt,
                              complete_beta, elliptic_k,
@@ -106,6 +108,34 @@ class TestAppellF1:
         b = appell_f1(0.9, 1.0, 1.0, 2.0, 0.3, 0.2j, method="integral")
         assert abs(a - b) < 1e-9 * abs(a)
 
+    def test_reduces_to_2f1_on_the_whole_disk(self):
+        # the series' stopping rule leaves up to ~20 tol behind at |x| = 0.94
+        # (the oracle bound below); the integral route is good to ~1e-15
+        for x in (-0.93, -0.5, 0.2, 0.94, 0.6 - 0.7j):
+            lhs = complex(appell_f1(1.3, -0.7, 2.1, 2.6, x, 0.0))
+            rhs = complex(gauss_2f1(1.3, -0.7, 2.6, x, method="integral"))
+            assert abs(lhs - rhs) <= 30.0 * PrecisionContext().tol(abs(rhs))
+
+    def test_series_past_170_terms_matches_integral(self):
+        # |x| = 0.95 needs hundreds of terms; a factorial-based series
+        # overflows at term 170
+        args = (0.9, 1.0, 1.5, 2.0, 0.95, 0.3)
+        capped = PrecisionContext(max_series_terms=170)
+        with pytest.raises(SeriesDivergenceError):
+            appell_f1(*args, capped, method="series")
+        series = appell_f1(*args, method="series")
+        assert series == pytest.approx(
+            appell_f1(*args, method="integral"), rel=1e-10)
+
+    def test_terminating_with_nonpositive_integer_c(self):
+        # F1(-1; b1, b2; -2; x, y) = 1 + (b1 x + b2 y)/2
+        assert appell_f1(-1.0, 0.5, 3.0, -2.0, -0.9, 0.4) == pytest.approx(
+            1.0 + (0.5 * -0.9 + 3.0 * 0.4) / 2.0, rel=1e-15)
+
+    def test_nonpositive_integer_c(self):
+        with pytest.raises(DomainError):
+            appell_f1(0.5, 1.0, 1.0, -2.0, 0.3, 0.2)
+
     def test_antiderivative_of_quadratic_surd(self):
         # int_0^0.4 x^2 (x^2+x+1)^(1/2) dx against the F1 closed form
         quad = integrate_finite(
@@ -113,6 +143,97 @@ class TestAppellF1:
         closed = quadratic_antiderivative_f1(2.0, 0.5, 1.0, 1.0, 1.0, 0.4)
         assert abs(closed.imag) < 1e-12
         assert closed.real == pytest.approx(quad, rel=1e-9)
+
+
+F1_PARAMS = st.floats(min_value=-3.0, max_value=3.0)
+# c kept 1e-3 away from the poles 0, -1, -2, ...
+F1_LOWER = F1_PARAMS.filter(lambda c: c > 0.5 or abs(c - round(c)) > 1e-3)
+F1_REAL_ARG = st.floats(min_value=-0.95, max_value=0.95)
+F1_COMPLEX_ARG = st.builds(cmath.rect, st.floats(min_value=0.0, max_value=0.95),
+                           st.floats(min_value=-math.pi, max_value=math.pi))
+F1_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def _mp_abs_terms(mp, a, b1, b2, c, x, y):
+    """sum_s |(a)_s/(c)_s g_s|, g_s the anti-diagonal sum of the F1 double
+    series, in mpmath: the scale of the terms a float summation adds."""
+    a, b1, b2, c, x, y = (mp.mpmathify(v) for v in (a, b1, b2, c, x, y))
+    if max(abs(x), abs(y)) >= 1:
+        return mp.inf
+    g_prev, g, r, total = mp.mpf(0), mp.mpf(1), mp.mpf(1), mp.mpf(0)
+    for s in range(20000):
+        t = abs(r * g)
+        total += t
+        if s > 10 and t < mp.mpf(10) ** -25 * total:
+            break
+        g_prev, g = g, (((x + y) * s + b1 * x + b2 * y) * g
+                        - x * y * (s + b1 + b2 - 1) * g_prev) / (s + 1)
+        r *= (a + s) / (c + s)
+    return total
+
+
+def _assert_f1_matches_mpmath(a, b1, b2, c, x, y):
+    """appell_f1 against mpmath.appellf1 at 30 digits.
+
+    Bound: 30 tol(|ref|) + 4 eps S, tol the default context's
+    1e-12 |ref| + 1e-15.  S is sum |terms| of the better-conditioned of the
+    direct series and its DLMF 16.16.1 transform, so 4 eps S is the
+    rounding any float summation of the series meets (measured: at most
+    0.2 eps S, at a complex point with S = 3e7 |ref|).  The series stops on
+    two terms below tol, and with a term ratio up to 0.95 the tail left
+    behind is ~20 tol (measured: 2.0e-11 relative over 500 random points).
+    """
+    mp = pytest.importorskip("mpmath")
+    val = complex(appell_f1(a, b1, b2, c, x, y))
+    with mp.workdps(30):
+        ref = complex(mp.appellf1(a, b1, b2, c, x, y))
+        xm, ym = mp.mpmathify(x), mp.mpmathify(y)
+        pfaff = abs((1 - xm) ** (-b1) * (1 - ym) ** (-b2)) * _mp_abs_terms(
+            mp, c - a, b1, b2, c, xm / (xm - 1), ym / (ym - 1))
+        scale = float(min(_mp_abs_terms(mp, a, b1, b2, c, x, y), pfaff))
+    bound = 30.0 * PrecisionContext().tol(abs(ref)) \
+        + 4.0 * sys.float_info.epsilon * scale
+    assert abs(val - ref) <= bound, (val, ref, scale)
+
+
+class TestAppellF1AgainstMpmath:
+    # The far points of the kernels benchmark panel: at max(|x|, |y|) of
+    # 0.91, 0.90 and 0.80 a factorial-based series overflowed at term 170.
+    # The first has F1 = -0.193 while its direct series has terms of 4.4e5,
+    # so it also needs the DLMF 16.16.1 transform.
+    PANEL = [
+        (2.5577163366399445, -0.3640493728462024, 1.1413737913314455,
+         -1.6846740295935476, -0.3722894639963086, -0.9118364108883198),
+        (-2.7983348561146, 1.7420518624395616, -1.7395575441412756,
+         -2.4649748678508865, -0.8970572537699233, -0.06500436425961353),
+        (2.6988183410239106, -0.40537055699835056, 2.9186223892933008,
+         1.8781418189675403, -0.4470491400211802, -0.7985978247650019),
+    ]
+
+    @pytest.mark.parametrize("args", PANEL)
+    def test_panel_points(self, args):
+        _assert_f1_matches_mpmath(*args)
+
+    def test_transformed_point_meets_relative_bound(self):
+        # the direct series' rounding alone would miss by ~76 x 1e-11
+        mp = pytest.importorskip("mpmath")
+        args = self.PANEL[0]
+        with mp.workdps(30):
+            ref = float(mp.appellf1(*args))
+        assert abs(appell_f1(*args) - ref) <= 1e-11 * abs(ref)
+
+    @F1_SETTINGS
+    @given(F1_PARAMS, F1_PARAMS, F1_PARAMS, F1_LOWER, F1_REAL_ARG, F1_REAL_ARG)
+    @example(0.9, 1.0, 1.5, 2.0, 0.95, 0.3)
+    @example(0.9, 1.0, 1.5, 2.0, -0.95, 0.95)
+    def test_real(self, a, b1, b2, c, x, y):
+        _assert_f1_matches_mpmath(a, b1, b2, c, x, y)
+
+    @F1_SETTINGS
+    @given(F1_PARAMS, F1_PARAMS, F1_PARAMS, F1_LOWER, F1_COMPLEX_ARG,
+           F1_COMPLEX_ARG)
+    def test_complex(self, a, b1, b2, c, x, y):
+        _assert_f1_matches_mpmath(a, b1, b2, c, x, y)
 
 
 class TestIncompleteBeta:

@@ -68,13 +68,6 @@ class TestRegistry:
                              for r in rep.results]
         assert strip(a) == strip(b)
 
-    def test_parallel_matches_serial(self):
-        serial = run_all("T6*")
-        threaded = run_all("T6*", workers=4)
-        strip = lambda rep: [dataclasses.replace(r, seconds=0.0)
-                             for r in rep.results]
-        assert strip(serial) == strip(threaded)
-
 
 class TestFlaggedLedger:
     """Open-question records must carry evidence from two methods and must
