@@ -5,7 +5,7 @@ identities."""
 from .numerics import (BracketError, ConvergenceError, DEFAULT_CTX,
                        DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root,
-                       sum_series)
+                       newton_root, sum_series)
 from .quadrature import (AlgebraicDecay, ExponentialDecay, QuadratureError,
                          integrate_finite, integrate_to_infinity)
 from .special import (BetaBase, appell_f1, beta_sqrt, complete_beta,

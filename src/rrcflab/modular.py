@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
-                       differentiate, expand_bracket, find_root)
-from .quadrature import (AlgebraicDecay, ExponentialDecay, integrate_finite,
-                         integrate_to_infinity)
-from .report import CheckResult, compare, residuals
-from .special import (BetaBase, appell_f1, elliptic_k, elliptic_k_complementary,
-                      gauss_2f1, incomplete_beta)
+                       differentiate, find_root, newton_root)
+from .quadrature import ExponentialDecay, integrate_finite, integrate_to_infinity
+from .report import CheckResult, compare
+from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
+                      elliptic_k_complementary, gauss_2f1, incomplete_beta)
 from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta,
                       eta_quarter_integrand, u_of_q, u_of_q_log)
 
@@ -35,6 +36,19 @@ class ConsistencyError(KernelError):
 # minimum 1728 at t = (3 - 2 sqrt 2)^2; real instances need j > 1728.
 _T_RIDGE = 17.0 - 12.0 * math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_LN2 = math.log(2.0)
+# Bracket of the logit w = ln(x/(1-x)) searches: x from about 4e-322 up to
+# 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
+_LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
+
+
+def _logistic(w: float) -> float:
+    """1/(1 + e^-w), formed from the smaller of x and 1-x so that a root next
+    to 1 rounds to the nearest float as well as one next to 0."""
+    e = math.exp(-abs(w))
+    tail = e / (1.0 + e)
+    return 1.0 - tail if w > 0.0 else tail
 
 
 # ---------------------------------------------------------------------------
@@ -91,24 +105,17 @@ def klein_j_from_lambda(lam: float, one_minus_lam: float | None = None) -> float
 
 
 @lru_cache(maxsize=4096)
-def _klein_j_cached(r: float) -> float:
-    ctx = DEFAULT_CTX
+def _klein_j_cached(r: float, ctx: PrecisionContext) -> float:
     k4r, k4r_p = _singular_modulus_pair(4.0 * r, ctx)
-    value = klein_j_from_quarter_modulus(k4r * k4r, k4r_p * k4r_p)
-    kr, kr_p = _singular_modulus_pair(r, ctx)
-    lam_form = klein_j_from_lambda(kr * kr, kr_p * kr_p)
-    if abs(value - lam_form) > 1e-8 * abs(value):
-        raise ConsistencyError(
-            f"j-invariant forms disagree at r={r}: {value} vs {lam_form}")
-    return value
+    return klein_j_from_quarter_modulus(k4r * k4r, k4r_p * k4r_p)
 
 
 def klein_j(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """j-invariant at index r, from the quarter-modulus form, cross-checked
-    against the lambda-line form on every call."""
+    """j-invariant at index r, from the quarter-modulus form.  The registry
+    checks it against the lambda-line form and the level-5 Hauptmodul."""
     if r <= 0.0:
         raise DomainError(f"klein_j needs r > 0, got {r}")
-    return _klein_j_cached(float(r))
+    return _klein_j_cached(float(r), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -122,28 +129,54 @@ def rr_integrand(x: float) -> float:
     return x ** (-1.0 / 6.0) * (1.0 - 11.0 * x ** 5 - x ** 10) ** (-1.0 / 6.0)
 
 
+def _near_top(upper: float) -> bool:
+    # within 1e-6 of the integrand's (GOLDEN_CONJUGATE - x)^(-1/6) blow-up
+    return upper > GOLDEN_CONJUGATE - 1e-6
+
+
 def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """int_0^upper dx / (x (x^-5 - 11 - x^5)^(1/6)) for upper in the
     continued fraction's range (0, (sqrt5-1)/2)."""
     if not (0.0 < upper < GOLDEN_CONJUGATE):
         raise DomainError(f"upper limit must lie in (0, {GOLDEN_CONJUGATE})")
-    near_top = upper > GOLDEN_CONJUGATE - 1e-6
     return integrate_finite(rr_integrand, 0.0, upper, ctx,
-                            singular_at_a=True, singular_at_b=near_top)
+                            singular_at_a=True, singular_at_b=_near_top(upper))
+
+
+def _surd_weighted(t: float) -> float:
+    """t times the surd integrand: t^(5/6) (125 + 22 t + t^2)^(-1/2), formed
+    past t = 1 as t^(-1/6) (1 + 22/t + 125/t^2)^(-1/2), so that t^2 never
+    overflows and the value underflows only with t^(-1/6)."""
+    if t <= 1.0:
+        return t ** (5.0 / 6.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+    inv = 1.0 / t
+    return t ** (-1.0 / 6.0) * (1.0 + (22.0 + 125.0 * inv) * inv) ** -0.5
+
+
+def surd_integrand(t: float) -> float:
+    """t^(-1/6) (125 + 22 t + t^2)^(-1/2), bounded by t^(-7/6)."""
+    return _surd_weighted(t) / t
 
 
 def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """int_lower^inf t^(-1/6) (125 + 22 t + t^2)^(-1/2) dt; the integrand
-    decays like t^(-7/6), so the far tail is mapped by 1/t onto (0, 1]."""
+    """int_lower^inf t^(-1/6) (125 + 22 t + t^2)^(-1/2) dt.  Past t = 1 the
+    substitution t = w^-6 turns the tail into
+    int_0^(lower^(-1/6)) 6 (1 + 22 w^6 + 125 w^12)^(-1/2) dw: smooth, finite
+    and free of overflow however large lower is."""
     if lower < 0.0:
         raise DomainError(f"lower limit must be >= 0, got {lower}")
 
-    def f(t: float) -> float:
-        return t ** (-1.0 / 6.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+    def far(w: float) -> float:
+        w6 = w ** 6
+        return 6.0 * (1.0 + (22.0 + 125.0 * w6) * w6) ** -0.5
 
-    split = max(2.0 * lower, 500.0)
-    head = integrate_finite(f, lower, split, ctx, singular_at_a=lower == 0.0)
-    return head + integrate_to_infinity(f, split, AlgebraicDecay(7.0 / 6.0), ctx)
+    if lower >= 1.0:
+        return integrate_finite(far, 0.0, lower ** (-1.0 / 6.0), ctx)
+    # the head in its offset variable: on [lower, 1] itself, nodes within an
+    # ulp of 1 would round onto it and drop out when lower is close to 1
+    head = integrate_finite(lambda tau: surd_integrand(lower + tau), 0.0, 1.0 - lower,
+                            ctx, singular_at_a=lower == 0.0)
+    return head + integrate_finite(far, 0.0, 1.0, ctx)
 
 
 def eta_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -158,69 +191,192 @@ def eta_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     return integrate_to_infinity(f, lower, ExponentialDecay(math.pi / 6.0), ctx)
 
 
-@lru_cache(maxsize=1)
-def _f_argument_max() -> float:
-    # Range of the defining integral: sup over upper -> (sqrt5-1)/2, which
-    # equals one fifth of the full surd tail from 0.
-    return 0.2 * surd_tail_integral(0.0, DEFAULT_CTX)
+_SURD_BASE = BetaBase(1.0 / 6.0, 2.0 / 3.0)
+# The surd tail from 0 and pi times the eta tail from 0 both equal
+# 4^(-1/3) B(1/6, 2/3) = 4.2065463159763627...: m's range is all of it, and
+# the range of F and G, whose integrals carry a factor 1/5, is a fifth.
+TAIL_TOTAL = complete_beta(_SURD_BASE) / 4.0 ** (1.0 / 3.0)
+F_ARGUMENT_MAX = 0.2 * TAIL_TOTAL
+# The upper bounds below are asymptotically exact (for small x they meet
+# the root to within rounding), so each is padded to stay above the root
+# as computed.
+_BOUND_PAD = 1e-9
+
+
+def _relative_to(target: float, ctx: PrecisionContext) -> PrecisionContext:
+    """The context for the quadratures of a search that solves
+    ln I = ln target: their absolute tolerance is eps_rel * target, so a
+    tiny target is still resolved relatively."""
+    return ctx.with_eps(ctx.eps_rel, max(ctx.eps_rel * target, sys.float_info.min))
+
+
+def _moving_integral(slope: Callable[[float], float], full: Callable[[float], float],
+                     short: Callable[[float, float], bool], ctx: PrecisionContext,
+                     full_only: Callable[[float], bool] = lambda s: False
+                     ) -> Callable[[float], float]:
+    """s -> I(s) for an integral whose limit moves with the search coordinate
+    s, carried from one root iterate to the next: I(s1) = I(s0) +
+    int_{s0}^{s1} slope, where slope = dI/ds (the integrand times the
+    derivative of the limit, so it does not underflow where the integrand
+    alone would).
+
+    The increment is integrated in its offset variable, int_0^d slope(a + tau),
+    so nodes next to either end keep their offsets however short the step.
+    The full integral is recomputed for the first point, for a step that is
+    not short(a, b), for a decrease of more than half the value (the
+    subtraction would cancel), and where full_only holds.
+    """
+    last: list[float] = []
+
+    def value(s: float) -> float:
+        if last:
+            s0, i0 = last
+            a, b = min(s0, s), max(s0, s)
+            if a == b:
+                return i0
+            if short(a, b) and not full_only(b):
+                inc = integrate_finite(lambda tau: slope(a + tau), 0.0, b - a, ctx)
+                i1 = i0 + (inc if s > s0 else -inc)
+                if i1 >= 0.5 * i0:
+                    last[:] = s, i1
+                    return i1
+        i1 = full(s)
+        last[:] = s, i1
+        return i1
+
+    return value
+
+
+def _within_factor_two(a: float, b: float) -> bool:
+    return b <= 2.0 * a
+
+
+def _log_within_factor_two(a: float, b: float) -> bool:
+    return b - a <= _LN2
 
 
 def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Inverse of upper -> int_0^upper dx/(x (x^-5-11-x^5)^(1/6)): the value
-    of the continued fraction at the nome whose eta-tail integral is 5x."""
+    of the continued fraction at the nome whose eta-tail integral is 5x.
+
+    Newton on ln I = ln x in v = ln(upper).  For upper <= 1/2 the integral
+    lies between 1.2 and 1.3 upper^(5/6), which bounds the root: the start
+    from the lower constant sits above it.
+    """
     if x == 0.0:
         return 0.0
-    if x < 0.0 or x >= _f_argument_max():
-        raise DomainError(f"argument {x} outside [0, {_f_argument_max()})")
-    hi = GOLDEN_CONJUGATE * (1.0 - 1e-13)
-    return find_root(lambda upper: rr_integral(upper, ctx) - x, 1e-250, hi, ctx)
+    if x < 0.0 or x >= F_ARGUMENT_MAX:
+        raise DomainError(f"argument {x} outside [0, {F_ARGUMENT_MAX})")
+    qctx = _relative_to(x, ctx)
+
+    def slope(v: float) -> float:
+        u = math.exp(v)
+        return u * rr_integrand(u)
+
+    integral = _moving_integral(slope, lambda v: rr_integral(math.exp(v), qctx),
+                                _log_within_factor_two, qctx,
+                                lambda v: _near_top(math.exp(v)))
+    log_x = math.log(x)
+
+    def fdf(v: float) -> tuple[float, float]:
+        value = integral(v)
+        return math.log(value) - log_x, slope(v) / value
+
+    # Past the top the bound is no use; start a few ulps below the top
+    # instead, so that Newton still comes down on the convex ln I from the
+    # right, where its steps need no safeguard.
+    top = math.log(GOLDEN_CONJUGATE)
+    lo = min(math.log(0.5), 1.2 * (log_x - math.log(1.3)))
+    start = min(1.2 * (log_x - math.log(1.2)) + _BOUND_PAD, top + math.log1p(-1e-15))
+    return math.exp(newton_root(fdf, lo, top, start, ctx, xtol=ctx.eps_rel))
 
 
 def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Inverse of m -> pi int_sqrt(m)^inf eta(i t/2)^4 dt; strictly
-    decreasing in x."""
-    if x <= 0.0 or x >= math.pi * eta_tail_integral(0.0, ctx):
-        raise DomainError(f"argument {x} outside the eta-tail integral's range")
+    decreasing in x.
 
-    def gap(s: float) -> float:
-        return math.pi * eta_tail_integral(s, ctx) - x
+    Newton on ln(pi tail(s)) = ln x in s = sqrt(m).  The integrand is at
+    most exp(-pi t/6), so s <= (6/pi) ln(6/x): the start, asymptotically
+    exact for small x.
+    """
+    if x <= 0.0 or x >= TAIL_TOTAL:
+        raise DomainError(f"argument {x} outside (0, {TAIL_TOTAL})")
+    qctx = _relative_to(x / math.pi, ctx)
 
-    lo, hi = expand_bracket(gap, 1e-6, 8.0)
-    s = find_root(gap, lo, hi, ctx)
+    def slope(s: float) -> float:
+        return -eta_quarter_integrand(s)
+
+    integral = _moving_integral(slope, lambda s: eta_tail_integral(s, qctx),
+                                _within_factor_two, qctx)
+    log_target = math.log(x / math.pi)
+
+    def fdf(s: float) -> tuple[float, float]:
+        value = integral(s)
+        return log_target - math.log(value), -slope(s) / value
+
+    hi = 6.0 / math.pi * math.log(6.0 / x) + _BOUND_PAD
+    s = newton_root(fdf, 0.0, hi, hi, ctx)
     return s * s
 
 
 def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Inverse of G -> (1/5) int_G^inf t^(-1/6)(125+22t+t^2)^(-1/2) dt,
-    post-verified against F(x)^-5 - 11 - F(x)^5."""
-    if x <= 0.0 or x >= _f_argument_max():
-        raise DomainError(f"argument {x} outside (0, {_f_argument_max()})")
+    """Inverse of G -> (1/5) int_G^inf t^(-1/6)(125+22t+t^2)^(-1/2) dt.
 
-    def gap(g: float) -> float:
-        return 0.2 * surd_tail_integral(g, ctx) - x
+    Newton on ln(tail) = ln(5x) in v = ln G.  The integrand is at most
+    t^(-7/6), so G <= (6/(5x))^6 (the start); it is at least the full tail
+    less 1.2 G^(5/6)/sqrt(125), which bounds G from below.  The registry
+    checks G against F(x)^-5 - 11 - F(x)^5.
+    """
+    if x <= 0.0 or x >= F_ARGUMENT_MAX:
+        raise DomainError(f"argument {x} outside (0, {F_ARGUMENT_MAX})")
+    hi = 6.0 * math.log(1.2 / x) + _BOUND_PAD
+    if hi >= _LOG_FLOAT_MAX:
+        raise DomainError(f"G({x}) overflows a float")
+    qctx = _relative_to(5.0 * x, ctx)
 
-    lo, hi = expand_bracket(gap, 1e-12, 8.0)
-    value = find_root(gap, lo, hi, ctx)
-    f_val = F_of_x(x, ctx)
-    from_f = 1.0 / f_val ** 5 - 11.0 - f_val ** 5
-    if abs(value - from_f) > 1e-6 * abs(value) + 1e-9:
-        raise ConsistencyError(
-            f"G(x) routes disagree at x={x}: {value} vs {from_f}")
-    return value
+    def slope(v: float) -> float:
+        return -_surd_weighted(math.exp(v))
+
+    integral = _moving_integral(slope, lambda v: surd_tail_integral(math.exp(v), qctx),
+                                _log_within_factor_two, qctx)
+    log_target = math.log(5.0 * x)
+
+    def fdf(v: float) -> tuple[float, float]:
+        value = integral(v)
+        return log_target - math.log(value), -slope(v) / value
+
+    lo = 1.2 * math.log(5.0 * (F_ARGUMENT_MAX - x) * math.sqrt(125.0) / 1.2) - _LN2
+    return math.exp(newton_root(fdf, min(lo, hi), hi, hi, ctx, xtol=ctx.eps_rel))
 
 
 def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """b in (0, 1) with 4^(-1/3) B(b, 1/6, 2/3) equal to the surd tail from
-    X; only the defining equation is used, no algebraicity is assumed."""
+    X; only the defining equation is used, no algebraicity is assumed.
+
+    Newton on ln B(b) in w = ln(b/(1-b)), where dB/dw = b^(1/6)(1-b)^(2/3).
+    B(b) >= 6 b^(1/6) puts (target/6)^6 above the root; when that is not
+    below 1/2 the start comes from B(1) - B(b) ~ 1.5 (1-b)^(2/3).
+    """
     if X <= 0.0:
         raise DomainError(f"theta_of_X needs X > 0, got {X}")
     target = 4.0 ** (1.0 / 3.0) * surd_tail_integral(X, ctx)
-    base = BetaBase(1.0 / 6.0, 2.0 / 3.0)
+    log_target = math.log(target)
+    a, b_exp = _SURD_BASE.a, _SURD_BASE.b
 
-    def gap(b: float) -> float:
-        return incomplete_beta(b, base, ctx) - target
+    def fdf(w: float) -> tuple[float, float]:
+        b = _logistic(w)
+        value = incomplete_beta(b, _SURD_BASE, ctx)
+        slope = math.exp(a * math.log(b) + b_exp * math.log1p(-b)) / value
+        return math.log(value) - log_target, slope
 
-    return find_root(gap, 1e-300, 1.0 - 1e-14, ctx)
+    small = 6.0 * (log_target - math.log(6.0))
+    if small < math.log(0.5):
+        start = max(small - math.log1p(-math.exp(small)), _LOGIT_MIN)
+    else:
+        gap = max(complete_beta(_SURD_BASE) - target, 1e-300)
+        start = min(-1.5 * math.log(gap / 1.5), _LOGIT_MAX)
+    return _logistic(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, start, ctx,
+                                 xtol=ctx.eps_rel))
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +495,27 @@ def solve_sextic(inst: SexticInstance,
 def beta_ratio_root(base: BetaBase, r: float,
                     ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """The unique x in (0, 1) with B(1-x, base)/B(x, base) = r (the ratio is
-    strictly decreasing in x)."""
+    strictly decreasing in x).
+
+    Newton on ln B(x) - ln B(1-x) = -ln r in w = ln(x/(1-x)), so a root
+    next to 0 or 1 is resolved relatively; the derivative is
+    x^a (1-x)^b / B(x) + x^b (1-x)^a / B(1-x).
+    """
     if r <= 0.0:
         raise DomainError(f"ratio must be positive, got {r}")
+    a, b = base.a, base.b
+    log_r = math.log(r)
 
-    def gap(x: float) -> float:
-        return incomplete_beta(1.0 - x, base, ctx) / incomplete_beta(x, base, ctx) - r
+    def fdf(w: float) -> tuple[float, float]:
+        x = _logistic(w)
+        lower, upper = incomplete_beta(x, base, ctx), incomplete_beta(1.0 - x, base, ctx)
+        log_x, log_1mx = math.log(x), math.log1p(-x)
+        slope = (math.exp(a * log_x + b * log_1mx) / lower
+                 + math.exp(b * log_x + a * log_1mx) / upper)
+        return math.log(lower) - math.log(upper) + log_r, slope
 
-    return find_root(gap, 1e-12, 1.0 - 1e-12, ctx)
+    return _logistic(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, 0.0, ctx,
+                                 xtol=ctx.eps_rel))
 
 
 def invert_lambda_j(j0: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

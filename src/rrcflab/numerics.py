@@ -111,12 +111,11 @@ def sum_series(term: Callable[[int], complex],
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
               ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Brent-style bracketed root finder.
+    """Brent-style bracketed root finder for callers without a derivative.
 
     Inverse quadratic / secant steps with a bisection fallback, so
-    convergence is guaranteed on any sign-changing bracket.  Never takes a
-    pure Newton step: the target functions have sixth-root singularities
-    where derivatives blow up.
+    convergence is guaranteed on any sign-changing bracket.  Both bracket
+    ends are evaluated; a bracket without a sign change is a BracketError.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -170,6 +169,65 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     raise ConvergenceError(
         f"root finder hit iteration cap ({ctx.max_root_iters})",
         best=b, gap=abs(c - b))
+
+
+def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: float,
+                x0: float, ctx: PrecisionContext = DEFAULT_CTX,
+                xtol: float | None = None) -> float:
+    """Safeguarded Newton iteration on a bracket (Numerical Recipes rtsafe,
+    section 9.4).
+
+    fdf(x) returns (f(x), f'(x)) for an increasing f with f(lo) < 0 < f(hi)
+    known from analysis, so the bracket ends are never evaluated.  The start
+    x0 is evaluated even when it sits on a bracket end.  Each evaluation
+    narrows the bracket; a Newton step that would leave it, or that is not
+    at most half the step before it, becomes a bisection.  Stops when a step
+    is within xtol (default ctx.tol(x), the relative rule; a search in a log
+    coordinate passes an absolute one).  Closing on a bracket end that was
+    never evaluated costs one more evaluation, and a Newton estimate beyond
+    that end means the analysis was wrong: BracketError.  Raises
+    ConvergenceError after ctx.max_root_iters evaluations.
+    """
+    lo, hi, x = float(lo), float(hi), float(x0)
+    if not lo <= x <= hi:
+        raise DomainError(f"start {x0} outside the bracket [{lo}, {hi}]")
+    lo_seen = hi_seen = False
+    step = hi - lo
+    for _ in range(ctx.max_root_iters):
+        f, df = fdf(x)
+        if not math.isfinite(f):
+            raise DomainError(f"f not finite at x={x}")
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo, lo_seen = x, True
+        else:
+            hi, hi_seen = x, True
+        newton = f / df if 0.0 < df < math.inf else math.inf
+        if lo < x - newton < hi and 2.0 * abs(newton) <= abs(step):
+            step = newton
+            x_new = x - step
+        else:
+            step = 0.5 * (hi - lo)
+            x_new = lo + step
+        tol = ctx.tol(x_new) if xtol is None else xtol
+        if abs(step) <= tol or x_new == x:
+            if (not lo_seen and x_new - lo <= tol) or (not hi_seen and hi - x_new <= tol):
+                # closing on an end that was never evaluated: one more
+                # Newton estimate tells a root next to it from one beyond it
+                f, df = fdf(x_new)
+                if 0.0 < df < math.inf:
+                    guess = x_new - f / df
+                else:
+                    guess = x_new - math.copysign(math.inf, f)
+                if f != 0.0 and not lo - tol <= guess <= hi + tol:
+                    raise BracketError(f"no root inside [{lo}, {hi}]: the iteration "
+                                       f"closed on an end that was never evaluated")
+            return x_new
+        x = x_new
+    raise ConvergenceError(
+        f"root finder hit iteration cap ({ctx.max_root_iters})",
+        best=x, gap=abs(step))
 
 
 def expand_bracket(f: Callable[[float], float], lo: float, hi: float,

@@ -148,8 +148,10 @@ def integrate_to_infinity(f: Callable[[float], float], a: float,
 
     Exponential decay: truncate at T with rate*(T-a) >= ln(1/eps_abs) plus a
     margin, then integrate the finite piece.  Algebraic decay t**(-p), p > 1:
-    map t = a + (1-s)/s onto s in (0, 1]; the image integrand has an
-    s**(p-2) endpoint singularity which tanh-sinh absorbs.
+    map t = a + c(1-s)/s onto s in (0, 1] with c = max(|a|, 1); the image
+    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.
+    The scale c keeps the image smooth however far out a is: with c = 1 a
+    t**(-7/6) tail from a = 1e36 would sit in s < 1e-36.
     """
     if isinstance(decay, ExponentialDecay):
         if decay.rate <= 0.0:
@@ -160,8 +162,10 @@ def integrate_to_infinity(f: Callable[[float], float], a: float,
         if decay.p <= 1.0:
             raise DomainError(f"algebraic decay p={decay.p} <= 1 diverges")
 
+        c = max(abs(a), 1.0)
+
         def mapped(s: float) -> float:
-            return f(a + (1.0 - s) / s) / (s * s)
+            return c * f(a + c * (1.0 - s) / s) / (s * s)
 
         return integrate_finite(mapped, 0.0, 1.0, ctx,
                                 singular_at_a=True, singular_at_b=singular_at_a)

@@ -35,8 +35,14 @@ class PoleError(DomainError):
     """Gamma evaluated at a non-positive integer."""
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    return abs(z.imag) < tol and z.real <= 0.5 and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(z: complex) -> bool:
+    """z is a pole 0, -1, -2, ... to within a few ulps of that integer (an
+    absolute tolerance would also swallow small positive z such as 1e-13)."""
+    if z.real > 0.5:
+        return False
+    n = round(z.real)
+    tol = 4.0 * math.ulp(n)
+    return abs(z.imag) <= tol and abs(z.real - n) <= tol
 
 
 def gamma(z: complex | float) -> complex | float:

@@ -368,6 +368,22 @@ def _eq32(ctx: PrecisionContext) -> CheckResult:
                    4.0, 1e-6, notes="closed-form argument returns its own index")
 
 
+def _g_through_f_check(x: float):
+    def build(ctx: PrecisionContext) -> CheckResult:
+        f_val = modular.F_of_x(x, ctx)
+        from_f = 1.0 / f_val ** 5 - 11.0 - f_val ** 5
+        return compare(f"Eq29_32.GF.x={x:g}",
+                       "Eqs (29)-(32) inverses: G(x) = F(x)^-5 - 11 - F(x)^5",
+                       modular.G_of_x(x, ctx), from_f, 10.0 * max(ctx.eps_rel, 1e-12),
+                       notes=f"continued-fraction inverse F(x)={f_val:.15g}; the "
+                             f"eta-quotient sixth power of its nome, through R^-5 - 11 - R^5")
+    return build
+
+
+_register("Eq29_32.GF.x=0.15")(_g_through_f_check(0.15))
+_register("Eq29_32.GF.x=0.6")(_g_through_f_check(0.6))
+
+
 def _sextic_check(check_id: str, ref: str, inst: modular.SexticInstance,
                   expected: float | None = None):
     def build(ctx: PrecisionContext) -> CheckResult:
@@ -402,6 +418,34 @@ def _prop1_c1(ctx: PrecisionContext) -> CheckResult:
     return compare("Prop1.eq43", "Proposition 1 (Eq 43) coefficient",
                    c1_cubed, 1728.0, 1e-9,
                    notes="the index-1 instance has cube 12^3")
+
+
+def _j_lambda_check(r: float):
+    def build(ctx: PrecisionContext) -> CheckResult:
+        k, kp = modular._singular_modulus_pair(r, ctx)
+        lam_form = modular.klein_j_from_lambda(k * k, kp * kp)
+        return compare(f"J.lambda.r={r:g}", "j-invariant, lambda-line form",
+                       modular.klein_j(r, ctx), lam_form, 1e-12,
+                       notes=f"256(l^2-l+1)^3/(l^2(1-l)^2) at l=k_r^2={k * k:.15g} "
+                             f"against the quarter-modulus form at index 4r")
+    return build
+
+
+def _j_level5_check(r: float):
+    def build(ctx: PrecisionContext) -> CheckResult:
+        u = qseries.u_of_q(qseries.Nome.from_r_squared(r))
+        level5 = (u * u + 250.0 * u + 3125.0) ** 3 / u ** 5
+        return compare(f"J.level5.r={r:g}",
+                       "Level-5 relation behind Theorem 5: j = (u^2+250u+3125)^3/u^5",
+                       modular.klein_j(r, ctx), level5, 1e-12,
+                       notes=f"eta-quotient u={u:.15g} at the squared nome "
+                             f"exp(-2 pi sqrt r); no elliptic modulus involved")
+    return build
+
+
+for _r in (0.5, 1.0, 2.0, 4.0, 9.0):
+    _register(f"J.lambda.r={_r:g}")(_j_lambda_check(_r))
+    _register(f"J.level5.r={_r:g}")(_j_level5_check(_r))
 
 
 @_register("Prop1.eq42")

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
-from rrcflab.modular import (ConsistencyError, F_of_x, G_of_x, SexticInstance,
+from rrcflab import modular, quadrature
+from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
+                             F_of_x, G_of_x, SexticInstance,
                              beta_ratio_root, eta_quotient_nome_of,
                              eta_tail_integral, hypergeometric_g_argument,
                              invert_lambda_j, j_integral_f1_form,
@@ -14,7 +16,7 @@ from rrcflab.modular import (ConsistencyError, F_of_x, G_of_x, SexticInstance,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular,
                              trig_modular_equation_check)
-from rrcflab.numerics import DomainError
+from rrcflab.numerics import DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
@@ -79,8 +81,29 @@ class TestKleinJ:
         lam = invert_lambda_j(klein_j_from_lambda(0.2))
         assert lam == pytest.approx(0.2, rel=1e-10)
 
+    def test_context_is_honoured(self, monkeypatch):
+        seen = []
+        original = modular._singular_modulus_pair
+
+        def spy(r, ctx):
+            seen.append(ctx)
+            return original(r, ctx)
+
+        monkeypatch.setattr(modular, "_singular_modulus_pair", spy)
+        modular._klein_j_cached.cache_clear()
+        ctx = PrecisionContext(eps_rel=1e-10)
+        assert klein_j(3.7, ctx) == pytest.approx(klein_j(3.7), rel=1e-12)
+        assert seen[0] is ctx
+
 
 class TestInverseIntegrals:
+    def test_domain_bound_closed_form(self):
+        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 and pi times the eta
+        # tail from 0, both by quadrature
+        assert TAIL_TOTAL == pytest.approx(surd_tail_integral(0.0), rel=1e-14)
+        assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)
+        assert F_ARGUMENT_MAX == 0.2 * TAIL_TOTAL
+
     def test_f_at_zero(self):
         assert F_of_x(0.0) == 0.0
 
@@ -292,3 +315,39 @@ class TestEtaTail:
         lhs = math.pi * eta_tail_integral(2.0)
         rhs = 3.0 * (2.0 * k) ** (1 / 3) * gauss_2f1(1 / 3, 1 / 6, 7 / 6, k * k)
         assert lhs == pytest.approx(rhs, rel=1e-9)
+
+
+class TestWorkCounts:
+    """Quadrature calls and integrand evaluations per inverse.  The counts are
+    deterministic, so this cannot flake; the bounds are about 1.5 times the
+    counts of the Newton search on incremental integrals (3 calls and 263
+    evaluations for G, 2 and 168 for m, 3 and 263 for the sextic), far below
+    one full quadrature per root-finder step (47 and 7,323 for G)."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"calls": 0, "evals": 0}
+        original = quadrature.integrate_finite
+
+        def counting(f, a, b, *args, **kwargs):
+            tally["calls"] += 1
+
+            def counted(x):
+                tally["evals"] += 1
+                return f(x)
+            return original(counted, a, b, *args, **kwargs)
+
+        # modular integrates directly and through integrate_to_infinity
+        monkeypatch.setattr(modular, "integrate_finite", counting)
+        monkeypatch.setattr(quadrature, "integrate_finite", counting)
+        return tally
+
+    @pytest.mark.parametrize("call, max_calls, max_evals", [
+        (lambda: G_of_x(0.3), 5, 400),
+        (lambda: m_of_x(1.0), 3, 250),
+        (lambda: solve_sextic(SexticInstance(1.0, 250.0, 12.0)), 5, 400),
+    ], ids=["G_of_x(0.3)", "m_of_x(1.0)", "solve_sextic(1,250,12)"])
+    def test_bounded(self, counts, call, max_calls, max_evals):
+        call()
+        assert counts["calls"] <= max_calls
+        assert counts["evals"] <= max_evals

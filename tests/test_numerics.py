@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from rrcflab.numerics import (DEFAULT_CTX, BracketError, ConvergenceError,
                               DomainError, PrecisionContext,
                               SeriesDivergenceError, differentiate, find_root,
-                              sum_series)
+                              newton_root, sum_series)
 
 
 class TestPrecisionContext:
@@ -98,6 +98,74 @@ class TestFindRoot:
         tol = DEFAULT_CTX.tol(max(1.0, abs(root)))
         slope = scale * (3 * (root - shift) ** 2 + 1)
         assert abs(f(root)) <= 10.0 * tol * max(1.0, slope)
+
+
+class TestNewtonRoot:
+    @staticmethod
+    def _recording(fdf):
+        seen = []
+
+        def wrapped(x):
+            seen.append(x)
+            return fdf(x)
+        return wrapped, seen
+
+    def test_sqrt2_in_few_evaluations(self):
+        fdf, seen = self._recording(lambda x: (x * x - 2.0, 2.0 * x))
+        assert newton_root(fdf, 0.0, 2.0, 1.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        assert len(seen) <= 5
+
+    def test_bracket_ends_are_not_evaluated(self):
+        def fdf(x):
+            if x in (-1.0, 3.0):
+                raise AssertionError(f"bracket end {x} evaluated")
+            return x - 1.0, 1.0
+        assert newton_root(fdf, -1.0, 3.0, 0.25) == 1.0
+
+    @pytest.mark.parametrize("start", [-10.0, 20.0])
+    def test_start_on_a_bracket_end_is_evaluated(self, start):
+        fdf, seen = self._recording(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)))
+        assert abs(newton_root(fdf, -10.0, 20.0, start)) <= 1e-12
+        assert seen[0] == start
+
+    def test_bisection_when_newton_leaves_the_bracket(self):
+        # from x = 15 the Newton step for atan is -338: the first new point
+        # is the midpoint of [-10, 15], then the iteration still converges
+        fdf, seen = self._recording(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)))
+        assert abs(newton_root(fdf, -10.0, 20.0, 15.0)) <= 1e-12
+        assert seen[:2] == [15.0, 2.5]
+
+    def test_bisection_when_newton_does_not_halve_the_step(self):
+        # from 2.5 the Newton step (-8.6) stays inside [-10, 2.5] but is more
+        # than half of the bisection step before it (12.5)
+        fdf, seen = self._recording(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)))
+        newton_root(fdf, -10.0, 20.0, 15.0)
+        assert seen[2] == -3.75
+
+    def test_convergence_error_at_the_cap(self):
+        with pytest.raises(ConvergenceError) as err:
+            newton_root(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -10.0, 20.0, 15.0,
+                        PrecisionContext(max_root_iters=3))
+        assert err.value.best is not None
+
+    def test_absolute_step_tolerance(self):
+        # a log coordinate: an absolute step of 1e-3 is a relative 1e-3 in e^v
+        fdf, seen = self._recording(lambda v: (math.exp(v) - 1e6, math.exp(v)))
+        v = newton_root(fdf, 0.0, 20.0, 20.0, xtol=1e-3)
+        assert v == pytest.approx(math.log(1e6), abs=1e-3)
+        assert len(seen) < 30
+
+    def test_root_beyond_an_unevaluated_end(self):
+        with pytest.raises(BracketError):
+            newton_root(lambda x: (x - 5.0, 1.0), 0.0, 1.0, 0.5)
+
+    def test_start_outside_the_bracket(self):
+        with pytest.raises(DomainError):
+            newton_root(lambda x: (x, 1.0), 0.0, 1.0, 2.0)
+
+    def test_non_finite_value(self):
+        with pytest.raises(DomainError):
+            newton_root(lambda x: (math.nan, 1.0), 0.0, 1.0, 0.5)
 
 
 class TestDifferentiate:

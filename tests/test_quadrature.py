@@ -207,6 +207,20 @@ class TestToInfinity:
         tail = integrate_to_infinity(f, 500.0, AlgebraicDecay(7.0 / 6.0))
         assert head + tail == pytest.approx(4.0 ** (-1 / 3) * BETA_16_23, rel=1e-9)
 
+    @pytest.mark.parametrize("a", [500.0, 1e36, 1e60])
+    def test_algebraic_tail_far_out(self, a):
+        # the map t = a + c(1-s)/s with c = max(|a|, 1) keeps the image
+        # integrand on the scale of a; with c = 1 the tail from 1e60 was
+        # 1.2e-7 off
+        mp = pytest.importorskip("mpmath")
+        f = lambda t: t ** (-1 / 6) * (125.0 + 22.0 * t + t * t) ** -0.5
+        val = integrate_to_infinity(f, a, AlgebraicDecay(7.0 / 6.0))
+        with mp.workdps(30):
+            w = mp.root(1 / mp.mpf(a), 6)
+            ref = 6 * w * mp.quad(lambda s: (1 + 22 * (w * s) ** 6
+                                             + 125 * (w * s) ** 12) ** -0.5, [0, 1])
+        assert abs(val - ref) <= 4e-15 * ref
+
     def test_divergent_declaration(self):
         with pytest.raises(DomainError):
             integrate_to_infinity(lambda t: 1.0 / t, 1.0, AlgebraicDecay(1.0))

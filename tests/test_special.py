@@ -39,6 +39,11 @@ class TestGamma:
         with pytest.raises(PoleError):
             gamma(-3.0)
 
+    @pytest.mark.parametrize("z", [1e-13, 1e-300])
+    def test_near_zero_is_not_a_pole(self, z):
+        # a pole is judged within a few ulps of the integer, not within 1e-12
+        assert gamma(z) == pytest.approx(1.0 / z - 0.5772156649015329, rel=1e-15)
+
     def test_complex_input_returns_complex(self):
         assert isinstance(gamma(0.5 + 1.0j), complex)
         assert isinstance(gamma(0.5), float)
@@ -135,6 +140,16 @@ class TestAppellF1:
     def test_nonpositive_integer_c(self):
         with pytest.raises(DomainError):
             appell_f1(0.5, 1.0, 1.0, -2.0, 0.3, 0.2)
+
+    def test_tiny_positive_c_is_not_the_pole(self):
+        # hypothesis drew c = 1e-320, which an absolute pole tolerance of
+        # 1e-12 took for c = 0
+        assert appell_f1(0.0, 0.0, 0.0, 1e-320, 0.0, 0.0) == 1.0
+
+    def test_gauss_2f1_at_tiny_c(self):
+        mp = pytest.importorskip("mpmath")
+        ref = mp.hyp2f1(0.5, 0.5, 1e-13, 0.3)
+        assert gauss_2f1(0.5, 0.5, 1e-13, 0.3) == pytest.approx(float(ref), rel=1e-12)
 
     def test_antiderivative_of_quadratic_surd(self):
         # int_0^0.4 x^2 (x^2+x+1)^(1/2) dx against the F1 closed form
