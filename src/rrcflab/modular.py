@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
-from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
-                       differentiate, find_root, newton_root)
+from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, KernelError,
+                       PrecisionContext, differentiate, find_root, newton_root)
 from .quadrature import ExponentialDecay, integrate_finite, integrate_to_infinity
 from .report import CheckResult, compare
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
@@ -33,11 +33,15 @@ class ConsistencyError(KernelError):
 
 
 # The quarter-modulus branch point: j as a function of t = k^2 attains its
-# minimum 1728 at t = (3 - 2 sqrt 2)^2; real instances need j > 1728.
-_T_RIDGE = 17.0 - 12.0 * math.sqrt(2.0)
+# minimum 1728 at t = (3 - 2 sqrt 2)^2 = 1/(17 + 12 sqrt 2) (a sum, where
+# 17 - 12 sqrt 2 would cancel three digits); real instances need j > 1728.
+_T_RIDGE = 1.0 / (17.0 + 12.0 * math.sqrt(2.0))
 SQRT5 = math.sqrt(5.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _LN2 = math.log(2.0)
+# Theta-series terms below an eighth of an ulp of 1 no longer change a sum
+# that starts at 1.
+_THETA_CUT = sys.float_info.epsilon / 8.0
 # Bracket of the logit w = ln(x/(1-x)) searches: x from about 4e-322 up to
 # 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
@@ -54,34 +58,58 @@ def _logistic(w: float) -> float:
 # ---------------------------------------------------------------------------
 # Singular moduli and the j-invariant
 
-def _singular_modulus_pair(r: float, ctx: PrecisionContext) -> tuple[float, float]:
-    """(k_r, k'_r), both to full precision.
+def _theta_sums(q: float) -> tuple[float, float, float]:
+    """(sum_{n>=0} q^(n(n+1)), theta3(q), theta4(q)) for 0 <= q <= e^-pi,
+    where theta3 = 1 + 2 sum_{n>=1} q^(n^2), theta4 = 1 + 2 sum_{n>=1} (-q)^(n^2)
+    and the first sum is theta2(q) / (2 q^(1/4)).
 
-    For r >= 1 the root is bracketed in (0, 1/sqrt2] where k' is
-    well-conditioned; for r < 1 the pair is the swap of the reciprocal
-    index, so neither component is ever formed by a cancelling sqrt(1-k^2).
+    Each term is q^n times the term before it in the other series
+    (q^(n^2) = q^((n-1)n) q^n, q^(n(n+1)) = q^(n^2) q^n); the loop stops
+    once a term is below an eighth of an ulp of 1, after four rounds at
+    q = e^-pi, so every sum reaches full double precision.
     """
-    if r <= 0.0:
+    pairs, theta3, theta4 = 1.0, 1.0, 1.0
+    term, q_n, sign = 1.0, 1.0, 2.0
+    while term > _THETA_CUT:
+        q_n *= q
+        term *= q_n              # q^(n^2)
+        sign = -sign
+        theta3 += 2.0 * term
+        theta4 += sign * term
+        term *= q_n              # q^(n(n+1))
+        pairs += term
+    return pairs, theta3, theta4
+
+
+def _singular_modulus_pair(r: float, ctx: PrecisionContext) -> tuple[float, float]:
+    """(k_r, k'_r) from Jacobi's theta series at the nome q = e^(-pi sqrt r)
+    (DLMF 22.2.2): k = theta2^2/theta3^2 = 4 q^(1/2) (sum q^(n(n+1)) / theta3)^2
+    and k' = theta4^2/theta3^2, both to full double precision whatever ctx
+    asks (ctx is kept for a uniform signature).
+
+    For r < 1 the pair is the swap of the reciprocal index, so the nome is
+    always at most e^-pi, and neither component is ever formed by a
+    cancelling sqrt(1-k^2).  Raises DomainError where the smaller member
+    falls below the normal floats (max(r, 1/r) beyond about 2.0e5), since
+    it has lost its relative precision there.
+    """
+    if not r > 0.0:
         raise DomainError(f"singular modulus needs r > 0, got {r}")
     if r < 1.0:
         k, kp = _singular_modulus_pair(1.0 / r, ctx)
         return kp, k
-    sqrt_r = math.sqrt(r)
-    estimate = min(0.70711, 4.0 * math.exp(-0.5 * math.pi * sqrt_r))
-    lo = max(1e-300, estimate * 1e-3)
-
-    def ratio_gap(k: float) -> float:
-        return elliptic_k_complementary(k) / elliptic_k(k) - sqrt_r
-
-    # Purely relative bracket tolerance: at large r the root sits at
-    # k ~ 4 exp(-pi sqrt(r)/2), far below any fixed absolute floor.
-    tight = ctx.with_eps(min(ctx.eps_rel, 1e-15), 1e-320)
-    k = find_root(ratio_gap, lo, 0.70711, tight)
-    return k, math.sqrt((1.0 - k) * (1.0 + k))
+    root_q = math.exp(-0.5 * math.pi * math.sqrt(r))
+    pairs, theta3, theta4 = _theta_sums(root_q * root_q)
+    k = 4.0 * root_q * (pairs / theta3) ** 2
+    if k < sys.float_info.min:
+        raise DomainError(f"singular modulus at r={r} underflows a float")
+    return k, (theta4 / theta3) ** 2
 
 
 def singular_modulus(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """The unique k in (0, 1) with K(k')/K(k) = sqrt(r)."""
+    """The unique k in (0, 1) with K(k')/K(k) = sqrt(r), as theta2^2/theta3^2
+    at the nome e^(-pi sqrt r) (at the reciprocal index when r < 1): a few
+    terms of each theta series, full double precision, no root finding."""
     return _singular_modulus_pair(r, ctx)[0]
 
 
@@ -106,16 +134,31 @@ def klein_j_from_lambda(lam: float, one_minus_lam: float | None = None) -> float
 
 @lru_cache(maxsize=4096)
 def _klein_j_cached(r: float, ctx: PrecisionContext) -> float:
-    k4r, k4r_p = _singular_modulus_pair(4.0 * r, ctx)
-    return klein_j_from_quarter_modulus(k4r * k4r, k4r_p * k4r_p)
+    # j > e^(2 pi sqrt r), so past this bound j overflows; checked before the
+    # moduli, whose own underflow error only comes past r ~ 5.1e4
+    if 2.0 * math.pi * math.sqrt(r) < _LOG_FLOAT_MAX:
+        k4r, k4r_p = _singular_modulus_pair(4.0 * r, ctx)
+        z = (k4r_p * k4r_p / (4.0 * k4r)) ** 2
+        j = 256.0 * (1.0 + z) * (1.0 + 1.0 / z) ** 2
+        if j < math.inf:
+            return j
+    raise DomainError(f"klein_j overflows a float at max(r, 1/r) = {r}")
 
 
 def klein_j(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """j-invariant at index r, from the quarter-modulus form.  The registry
-    checks it against the lambda-line form and the level-5 Hauptmodul."""
-    if r <= 0.0:
+    """j-invariant at index r (1728 at r = 1), with j(r) = j(1/r) putting
+    the index at r >= 1.  It is the quarter-modulus form at t = k_4r^2,
+    16 (1+14t+t^2)^3 / (t (1-t)^4), written in z = (1-t)^2/(16t) =
+    (k'_4r^2 / (4 k_4r))^2 as 256 (1+z)(1+1/z)^2, which neither cancels nor
+    overflows before j does; solve_sextic inverts the same relation.  The
+    moduli are theta series at the nome e^(-2 pi sqrt r) <= e^(-2 pi), so j
+    has full double precision whatever ctx asks, with no root finding.
+    j ~ e^(2 pi sqrt r) overflows a float past max(r, 1/r) ~ 1.27e4:
+    DomainError.  The registry checks j against the lambda-line form and
+    the level-5 Hauptmodul."""
+    if not r > 0.0:
         raise DomainError(f"klein_j needs r > 0, got {r}")
-    return _klein_j_cached(float(r), ctx)
+    return _klein_j_cached(float(max(r, 1.0 / r)), ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -419,25 +462,47 @@ class SexticSolution:
 
 def _quarter_modulus_roots(j: float, ctx: PrecisionContext) -> list[float]:
     """The t in (0, 1) with 16 (1+14t+t^2)^3 / (t (1-t)^4) = j, smaller
-    first; worked in logs since j spans many decades.  j touches its
-    minimum 1728 at the ridge t = (3-2 sqrt2)^2, where the two branches
-    coincide."""
-    if j <= 1728.0 * (1.0 + 1e-12):
+    first, to full double precision whatever ctx asks.
+
+    With z = (1-t)^2/(16t) the relation is the cubic (1+z)^3 = (j/256) z^2:
+    j touches its minimum 1728 at the ridge z = 2, t = (3-2 sqrt2)^2, and
+    the positive roots z1 < 2 < z2 give the two t.  Each is a bracketed
+    root (find_root) of 3 ln(1+z) - 2 ln z = ln(j/256) in s = ln(z/2), the
+    log form written three ways so that no sum cancels:
+    3 log1p(2 expm1(s)/3) - 2s = ln(j/1728) next to the ridge, and
+    s + 3 log1p(e^-s/2) = ln(j/512), 2s - 3 log1p(2 e^s) = -ln(j/64) on
+    the far sides of z2 and z1.  The far forms also make the bracket ends
+    z = j/256 and z = 16/sqrt(j) (where 3 ln(1+z) - 2 ln z misses ln(j/256)
+    by 3 ln(1+1/z) and 3 ln(1+z)) take their signs exactly.  z maps back by
+    sqrt t = 1/(sqrt(4z+1) + 2 sqrt z), so the larger z gives the smaller
+    t, with no cancellation on either branch.
+    """
+    if j <= 1728.0:
         return [_T_RIDGE]
-    target = math.log(j)
+    excess = math.log1p((j - 1728.0) / 1728.0)       # ln(j/1728)
+    far_z2 = math.log(j / 512.0)                     # s at z = j/256
+    far_z1 = -0.5 * math.log(j / 64.0)               # s at z = 16/sqrt(j)
 
-    def gap(t: float) -> float:
-        return math.log(klein_j_from_quarter_modulus(t)) - target
+    def near(s: float) -> float:
+        return 3.0 * math.log1p(2.0 * math.expm1(s) / 3.0) - 2.0 * s
 
-    # The small root falls to ~6e-6 by j ~ 3e6, so an absolute tolerance in t
-    # of eps_abs would stop short of relative accuracy: judge t relatively.
-    root_ctx = ctx.with_eps(ctx.eps_rel, 1e-300)
+    def rising(s: float) -> float:                   # the z2 branch, s > 0
+        if s <= 1.0:
+            return near(s) - excess
+        return s - far_z2 + 3.0 * math.log1p(0.5 * math.exp(-s))
+
+    def falling(s: float) -> float:                  # the z1 branch, s < 0
+        if s >= -1.0:
+            return excess - near(s)
+        return 2.0 * (s - far_z1) - 3.0 * math.log1p(2.0 * math.exp(s))
+
+    full = ctx.with_eps(MACHINE_EPS, MACHINE_EPS)
     roots = []
-    if gap(1e-15) > 0.0 > gap(_T_RIDGE):
-        roots.append(find_root(gap, 1e-15, _T_RIDGE, root_ctx))
-    if gap(1.0 - 1e-12) > 0.0 > gap(_T_RIDGE):
-        roots.append(find_root(gap, _T_RIDGE, 1.0 - 1e-12, root_ctx))
-    return roots or [_T_RIDGE]
+    for s in (find_root(rising, 0.0, far_z2, full), find_root(falling, far_z1, 0.0, full)):
+        z = 2.0 * math.exp(s)
+        root_t = 1.0 / (math.sqrt(4.0 * z + 1.0) + 2.0 * math.sqrt(z))
+        roots.append(root_t * root_t)
+    return roots
 
 
 def hypergeometric_g_argument(t: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

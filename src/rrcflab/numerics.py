@@ -204,6 +204,11 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
         else:
             hi, hi_seen = x, True
         newton = f / df if 0.0 < df < math.inf else math.inf
+        if x - newton == x:
+            # the Newton step is below half an ulp of x: x is the root to
+            # the last bit (x is also a bracket end now, so the test below
+            # would take the step for one that leaves the bracket)
+            return x
         if lo < x - newton < hi and 2.0 * abs(newton) <= abs(step):
             step = newton
             x_new = x - step

@@ -54,8 +54,13 @@ def gamma(z: complex | float) -> complex | float:
     if _is_nonpositive_int(zc):
         raise PoleError(f"gamma pole at z={z}")
     if zc.real < 0.5:
-        # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z)
-        val = math.pi / (cmath.sin(math.pi * zc) * gamma(1.0 - zc))
+        # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
+        # sin(pi z) = (-1)^n sin(pi (z - n)) for the nearest integer n: z - n
+        # is exact, while the rounded product pi z would lose every digit
+        # of z next to a pole
+        n = round(zc.real)
+        sine = cmath.sin(math.pi * (zc - n))
+        val = math.pi / ((-sine if n % 2 else sine) * gamma(1.0 - zc))
     else:
         w = zc - 1.0
         acc = _LANCZOS[0]

@@ -232,8 +232,10 @@ def _eq20_21(ctx: PrecisionContext) -> CheckResult:
     q = math.exp(-2.0 * math.pi)
     chain = qseries.rrcf_derivative(q) * qseries.dq_dk(k, q, ctx)
     direct = qseries.dr_dk(k, q, ctx)
+    # both sides are formed to full precision whatever ctx asks: 5.0e-16
+    # measured at eps 1e-12..1e-6, so 1e-12 leaves a margin of 2,000
     return compare("Eq20_21.chain.r=4", "Eqs (20)-(21) chain rule",
-                   chain, direct, 1e-8,
+                   chain, direct, 1e-12,
                    notes="R'(q) dq/dk composed against the direct dR/dk form; "
                          "both carry the stated sign convention")
 
@@ -330,7 +332,10 @@ def _rrcf_value(ctx: PrecisionContext) -> CheckResult:
 def _t4(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0, ctx)
     lhs = modular.F_of_x(modular.hypergeometric_g_argument(k * k, ctx), ctx)
-    return compare("T4.r=4", "Theorem 4 (Eq 28)", lhs, RRCF_AT_E2PI, 1e-5,
+    # F_of_x solves to eps_rel: at most 5.5e-4 eps_rel measured at eps
+    # 1e-12..1e-6 (2.0e-16 at the default), a margin of at least 1,800
+    return compare("T4.r=4", "Theorem 4 (Eq 28)", lhs, RRCF_AT_E2PI,
+                   max(ctx.eps_rel, 1e-12),
                    notes="composite inversion vs the continued-fraction value")
 
 
@@ -364,8 +369,11 @@ def _eq32(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0, ctx)
     x = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
         gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
+    # m_of_x solves to eps_rel: at most 8.3e-4 eps_rel measured at eps
+    # 1e-12..1e-6 (4.4e-16 at the default), a margin of at least 1,200
     return compare("Eq32.r=4", "Eq (32) eta-tail inverse", modular.m_of_x(x, ctx),
-                   4.0, 1e-6, notes="closed-form argument returns its own index")
+                   4.0, max(ctx.eps_rel, 1e-12),
+                   notes="closed-form argument returns its own index")
 
 
 def _g_through_f_check(x: float):
@@ -415,8 +423,10 @@ _register("T5.j1730")(_sextic_check(
 def _prop1_c1(ctx: PrecisionContext) -> CheckResult:
     k4, k4p = modular._singular_modulus_pair(4.0, ctx)
     c1_cubed = modular.klein_j_from_quarter_modulus(k4 * k4, k4p * k4p)
+    # the moduli are full precision whatever ctx asks: 2.4e-15 measured at
+    # eps 1e-12..1e-6, so 1e-12 (as for the J.* checks) leaves a margin of 400
     return compare("Prop1.eq43", "Proposition 1 (Eq 43) coefficient",
-                   c1_cubed, 1728.0, 1e-9,
+                   c1_cubed, 1728.0, 1e-12,
                    notes="the index-1 instance has cube 12^3")
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -16,7 +17,7 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular,
                              trig_modular_equation_check)
-from rrcflab.numerics import DomainError, PrecisionContext
+from rrcflab.numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
@@ -57,6 +58,19 @@ class TestSingularModulus:
         with pytest.raises(DomainError):
             singular_modulus(0.0)
 
+    def test_far_index_is_a_normal_float(self):
+        # 4 e^(-pi sqrt r / 2) at r = 2e5 is about 3.3e-305 (a BracketError
+        # under the former root search)
+        k = singular_modulus(2e5)
+        assert sys.float_info.min < k < 1e-300
+        assert k == pytest.approx(4.0 * math.exp(-0.5 * math.pi * math.sqrt(2e5)), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [2.2e5, 1e6, 1e-6, math.inf, math.nan])
+    def test_underflow_is_a_domain_error(self, r):
+        # k_r (or k'_r for r < 1) below the normal floats, instead of 0.0
+        with pytest.raises(DomainError):
+            singular_modulus(r)
+
 
 class TestKleinJ:
     def test_unit_index(self):
@@ -80,6 +94,21 @@ class TestKleinJ:
     def test_lambda_inversion(self):
         lam = invert_lambda_j(klein_j_from_lambda(0.2))
         assert lam == pytest.approx(0.2, rel=1e-10)
+
+    def test_reciprocal_index(self):
+        assert klein_j(0.5) == klein_j(2.0)
+        assert klein_j(0.125) == klein_j(8.0)
+
+    def test_last_indices_below_overflow(self):
+        assert math.isfinite(klein_j(1.27e4))
+        assert klein_j(1.0 / 1.27e4) == pytest.approx(klein_j(1.27e4), rel=1e-12)
+
+    @pytest.mark.parametrize("r", [1.3e4, 1e-5, 1e300, math.nan])
+    def test_overflow_is_a_domain_error(self, r):
+        # j ~ e^(2 pi sqrt r) past r ~ 1.27e4: inf at 1.3e4, and a raw
+        # ZeroDivisionError at 1e-5, under the former code
+        with pytest.raises(DomainError):
+            klein_j(r)
 
     def test_context_is_honoured(self, monkeypatch):
         seen = []
@@ -184,6 +213,15 @@ class TestSexticSolver:
         sol1 = solve_sextic(SexticInstance(1.0, 3.0, c1))
         sol2 = solve_sextic(SexticInstance(2.0, 6.0, 2.0 * c1))
         assert sol1.x == pytest.approx(sol2.x, rel=1e-12)
+
+    def test_next_to_the_ridge(self):
+        # j = 1728 (1 + 1e-12) has two roots 1.7e-6 apart in ln z, one on
+        # each side of the ridge (3 - 2 sqrt2)^2, not the ridge itself
+        low, high = modular._quarter_modulus_roots(1728.0 * (1.0 + 1e-12), DEFAULT_CTX)
+        assert low < SILVER ** 2 < high
+        assert high / low - 1.0 == pytest.approx(2.0 * math.sqrt(3e-12), rel=0.1)
+        assert modular._quarter_modulus_roots(1728.0, DEFAULT_CTX) == [
+            pytest.approx(SILVER ** 2, rel=1e-14)]
 
     def test_rejects_low_j(self):
         with pytest.raises(DomainError):
@@ -351,3 +389,47 @@ class TestWorkCounts:
         call()
         assert counts["calls"] <= max_calls
         assert counts["evals"] <= max_evals
+
+
+class TestNoRootFindingInTheJLayer:
+    """The moduli are theta series and j follows from them in closed form,
+    so none of these calls runs a root search or an AGM; the sextic at j =
+    1728 sits on the ridge.  The counts are deterministic."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"find_root": 0, "elliptic_k": 0}
+
+        def count(name, key):
+            original = getattr(modular, name)
+
+            def counted(*args, **kwargs):
+                tally[key] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(modular, name, counted)
+
+        count("find_root", "find_root")
+        count("elliptic_k", "elliptic_k")
+        count("elliptic_k_complementary", "elliptic_k")
+        modular._klein_j_cached.cache_clear()
+        return tally
+
+    @pytest.mark.parametrize("call", [
+        lambda: singular_modulus(2.0),
+        lambda: klein_j(0.3),
+        lambda: solve_sextic(SexticInstance(1.0, 250.0, 12.0)),
+    ], ids=["singular_modulus(2)", "klein_j(0.3)", "solve_sextic(1,250,12)"])
+    def test_no_find_root(self, counts, call):
+        call()
+        assert counts["find_root"] == 0
+
+    @pytest.mark.parametrize("r", [0.3, 2.0, 50.0])
+    def test_singular_modulus_takes_no_agm(self, counts, r):
+        singular_modulus(r)
+        assert counts["elliptic_k"] == 0
+
+    def test_quarter_modulus_searches_only_the_cubic(self, counts):
+        # above the ridge the two roots of (1+z)^3 = (j/256) z^2 are the only
+        # searches: one find_root per branch on closed-form logarithms
+        modular._quarter_modulus_roots(4000.0, DEFAULT_CTX)
+        assert counts == {"find_root": 2, "elliptic_k": 0}

@@ -115,6 +115,15 @@ class TestNewtonRoot:
         assert newton_root(fdf, 0.0, 2.0, 1.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert len(seen) <= 5
 
+    def test_step_below_an_ulp_ends_the_search(self):
+        # from 4 the steps on x^3 - 10 fall from 2e-12 (above the tolerance)
+        # to below half an ulp: the last point is the root; taking that step
+        # for one that leaves the bracket bisected 40 more times and stopped
+        # 9e-13 away
+        fdf, seen = self._recording(lambda x: (x ** 3 - 10.0, 3.0 * x * x))
+        assert newton_root(fdf, 0.0, 5.0, 4.0) == pytest.approx(10.0 ** (1 / 3), rel=1e-15)
+        assert len(seen) <= 8
+
     def test_bracket_ends_are_not_evaluated(self):
         def fdf(x):
             if x in (-1.0, 3.0):

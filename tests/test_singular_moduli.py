@@ -1,0 +1,97 @@
+"""Singular moduli, the j-invariant and the sextic's quarter modulus against
+mpmath at 30 digits: k_r as theta2^2/theta3^2 at the nome e^(-pi sqrt r)
+(jtheta), j as 1728 kleinj(i sqrt r), and the quarter-modulus roots as
+roots of the defining relation in t (findroot).
+
+The bounds for k and j grow with the index: both depend on r through
+e^(-pi sqrt r), so a relative rounding of the argument pi sqrt r, which no
+float evaluation avoids, moves them by pi sqrt r / 4 and 2 pi sqrt r ulps.
+"""
+
+import math
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rrcflab.modular import (_T_RIDGE, _quarter_modulus_roots, klein_j,
+                             singular_modulus)
+from rrcflab.numerics import DEFAULT_CTX
+
+mp = pytest.importorskip("mpmath")
+
+ORACLE = settings(max_examples=40, deadline=None)
+LOG_INDEX = st.floats(math.log(1e-2), math.log(1e2))
+ULP = 1e-15
+
+
+def _index_examples(test):
+    for r in (1.0, 2.0, 4.0, 1e3, 1e-3):
+        test = example(math.log(r))(test)
+    return test
+
+
+def _modulus(r):
+    with mp.workdps(30):
+        q = mp.exp(-mp.pi * mp.sqrt(r))
+        return (mp.jtheta(2, 0, q) / mp.jtheta(3, 0, q)) ** 2
+
+
+def _j(r):
+    with mp.workdps(30):
+        return (1728 * mp.kleinj(mp.mpc(0, mp.sqrt(r)))).real
+
+
+@ORACLE
+@given(LOG_INDEX)
+@_index_examples
+def test_singular_modulus_against_jtheta(log_r):
+    r = math.exp(log_r)
+    expected = _modulus(r)
+    bound = ULP * (4.0 + math.pi * math.sqrt(max(r, 1.0)))
+    assert abs(singular_modulus(r) - expected) <= bound * expected
+
+
+@ORACLE
+@given(LOG_INDEX)
+@_index_examples
+def test_klein_j_against_kleinj(log_r):
+    r = math.exp(log_r)
+    expected = _j(r)
+    bound = ULP * (4.0 + 4.0 * math.pi * math.sqrt(max(r, 1.0 / r)))
+    assert abs(klein_j(r) - expected) <= bound * expected
+
+
+def _quarter_modulus_reference(j, t):
+    """The root of 16 (1+14t+t^2)^3 / (t (1-t)^4) = j next to t, solved in
+    ln t at 30 digits; the sides of the ridge tell the two branches apart."""
+    with mp.workdps(30):
+        def gap(u):
+            s = mp.exp(u)
+            return mp.log(16 * (1 + 14 * s + s * s) ** 3 / (s * (1 - s) ** 4)) - mp.log(j)
+        return mp.exp(mp.findroot(gap, mp.log(t)))
+
+
+@ORACLE
+@given(st.floats(-1.0, 7.0))
+@example(-1.0)
+@example(7.0)
+def test_quarter_modulus_roots_against_findroot(log_excess):
+    j = 1728.0 + 10.0 ** log_excess
+    _check_quarter_modulus_roots(j)
+
+
+@pytest.mark.parametrize("j", [1728.0 * (1.0 + 1e-12), 1730.0, 1e12, 1e30])
+def test_quarter_modulus_roots_at_the_ends(j):
+    _check_quarter_modulus_roots(j)
+
+
+def _check_quarter_modulus_roots(j):
+    small, large = _quarter_modulus_roots(j, DEFAULT_CTX)
+    with mp.workdps(30):
+        ridge = (3 - 2 * mp.sqrt(2)) ** 2
+        refs = [_quarter_modulus_reference(j, t) for t in (small, large)]
+        assert refs[0] < ridge < refs[1]
+        for got, ref in zip((small, large), refs):
+            assert abs(got - ref) <= 1e-14 * ref
+    assert small < _T_RIDGE < large

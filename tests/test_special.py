@@ -44,6 +44,18 @@ class TestGamma:
         # a pole is judged within a few ulps of the integer, not within 1e-12
         assert gamma(z) == pytest.approx(1.0 / z - 0.5772156649015329, rel=1e-15)
 
+    @pytest.mark.parametrize("z", [
+        -3.0 + 1e-12, -2.0 - 1e-10, -10.000001, -1e-8, -7.3, -20.5,
+        complex(-3.0 + 1e-12, 1e-9), complex(-2.0 - 1e-10, 1e-12),
+        complex(-5.0, 0.5), complex(-0.4, 3.0)])
+    def test_near_negative_poles_against_mpmath(self, z):
+        # the reflection takes sin(pi (z - n)): sin of the rounded product
+        # pi z left gamma(-3 + 1e-12) 2.8e-4 off and gamma(-2 - 1e-10) 5.4e-7
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            expected = complex(mp.gamma(mp.mpc(z)))
+        assert abs(gamma(z) - expected) <= 1e-13 * abs(expected)
+
     def test_complex_input_returns_complex(self):
         assert isinstance(gamma(0.5 + 1.0j), complex)
         assert isinstance(gamma(0.5), float)
