@@ -45,6 +45,10 @@ _THETA_CUT = sys.float_info.epsilon / 8.0
 # Bracket of the logit w = ln(x/(1-x)) searches: x from about 4e-322 up to
 # 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
+# The quarter-modulus search resolves its root to the last bit.
+_FULL_PRECISION = DEFAULT_CTX.with_eps(MACHINE_EPS, MACHINE_EPS)
+# Interior points on which theorem6_base_change tests the base ratio.
+_MONOTONE_GRID = 9
 
 
 def _logistic(w: float) -> float:
@@ -81,11 +85,10 @@ def _theta_sums(q: float) -> tuple[float, float, float]:
     return pairs, theta3, theta4
 
 
-def _singular_modulus_pair(r: float, ctx: PrecisionContext) -> tuple[float, float]:
+def _singular_modulus_pair(r: float) -> tuple[float, float]:
     """(k_r, k'_r) from Jacobi's theta series at the nome q = e^(-pi sqrt r)
     (DLMF 22.2.2): k = theta2^2/theta3^2 = 4 q^(1/2) (sum q^(n(n+1)) / theta3)^2
-    and k' = theta4^2/theta3^2, both to full double precision whatever ctx
-    asks (ctx is kept for a uniform signature).
+    and k' = theta4^2/theta3^2, both to full double precision.
 
     For r < 1 the pair is the swap of the reciprocal index, so the nome is
     always at most e^-pi, and neither component is ever formed by a
@@ -96,7 +99,7 @@ def _singular_modulus_pair(r: float, ctx: PrecisionContext) -> tuple[float, floa
     if not r > 0.0:
         raise DomainError(f"singular modulus needs r > 0, got {r}")
     if r < 1.0:
-        k, kp = _singular_modulus_pair(1.0 / r, ctx)
+        k, kp = _singular_modulus_pair(1.0 / r)
         return kp, k
     root_q = math.exp(-0.5 * math.pi * math.sqrt(r))
     pairs, theta3, theta4 = _theta_sums(root_q * root_q)
@@ -109,8 +112,9 @@ def _singular_modulus_pair(r: float, ctx: PrecisionContext) -> tuple[float, floa
 def singular_modulus(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """The unique k in (0, 1) with K(k')/K(k) = sqrt(r), as theta2^2/theta3^2
     at the nome e^(-pi sqrt r) (at the reciprocal index when r < 1): a few
-    terms of each theta series, full double precision, no root finding."""
-    return _singular_modulus_pair(r, ctx)[0]
+    terms of each theta series, full double precision whatever ctx asks,
+    no root finding."""
+    return _singular_modulus_pair(r)[0]
 
 
 def klein_j_from_quarter_modulus(t: float, one_minus_t: float | None = None) -> float:
@@ -133,11 +137,11 @@ def klein_j_from_lambda(lam: float, one_minus_lam: float | None = None) -> float
 
 
 @lru_cache(maxsize=4096)
-def _klein_j_cached(r: float, ctx: PrecisionContext) -> float:
+def _klein_j_cached(r: float) -> float:
     # j > e^(2 pi sqrt r), so past this bound j overflows; checked before the
     # moduli, whose own underflow error only comes past r ~ 5.1e4
     if 2.0 * math.pi * math.sqrt(r) < _LOG_FLOAT_MAX:
-        k4r, k4r_p = _singular_modulus_pair(4.0 * r, ctx)
+        k4r, k4r_p = _singular_modulus_pair(4.0 * r)
         z = (k4r_p * k4r_p / (4.0 * k4r)) ** 2
         j = 256.0 * (1.0 + z) * (1.0 + 1.0 / z) ** 2
         if j < math.inf:
@@ -150,7 +154,7 @@ def klein_j(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     the index at r >= 1.  It is the quarter-modulus form at t = k_4r^2,
     16 (1+14t+t^2)^3 / (t (1-t)^4), written in z = (1-t)^2/(16t) =
     (k'_4r^2 / (4 k_4r))^2 as 256 (1+z)(1+1/z)^2, which neither cancels nor
-    overflows before j does; solve_sextic inverts the same relation.  The
+    overflows before j does; _quarter_modulus inverts the same relation.  The
     moduli are theta series at the nome e^(-2 pi sqrt r) <= e^(-2 pi), so j
     has full double precision whatever ctx asks, with no root finding.
     j ~ e^(2 pi sqrt r) overflows a float past max(r, 1/r) ~ 1.27e4:
@@ -158,7 +162,7 @@ def klein_j(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     the level-5 Hauptmodul."""
     if not r > 0.0:
         raise DomainError(f"klein_j needs r > 0, got {r}")
-    return _klein_j_cached(float(max(r, 1.0 / r)), ctx)
+    return _klein_j_cached(float(max(r, 1.0 / r)))
 
 
 # ---------------------------------------------------------------------------
@@ -460,49 +464,33 @@ class SexticSolution:
     residual: float   # relative residual of the sextic at x
 
 
-def _quarter_modulus_roots(j: float, ctx: PrecisionContext) -> list[float]:
-    """The t in (0, 1) with 16 (1+14t+t^2)^3 / (t (1-t)^4) = j, smaller
-    first, to full double precision whatever ctx asks.
+def _quarter_modulus(j: float) -> float:
+    """The t = k_4r^2 with 16 (1+14t+t^2)^3 / (t (1-t)^4) = j at the index
+    r >= 1 (the ridge (3-2 sqrt2)^2 for j <= 1728), to full precision.
 
-    With z = (1-t)^2/(16t) the relation is the cubic (1+z)^3 = (j/256) z^2:
-    j touches its minimum 1728 at the ridge z = 2, t = (3-2 sqrt2)^2, and
-    the positive roots z1 < 2 < z2 give the two t.  Each is a bracketed
-    root (find_root) of 3 ln(1+z) - 2 ln z = ln(j/256) in s = ln(z/2), the
-    log form written three ways so that no sum cancels:
-    3 log1p(2 expm1(s)/3) - 2s = ln(j/1728) next to the ridge, and
-    s + 3 log1p(e^-s/2) = ln(j/512), 2s - 3 log1p(2 e^s) = -ln(j/64) on
-    the far sides of z2 and z1.  The far forms also make the bracket ends
-    z = j/256 and z = 16/sqrt(j) (where 3 ln(1+z) - 2 ln z misses ln(j/256)
-    by 3 ln(1+1/z) and 3 ln(1+z)) take their signs exactly.  z maps back by
-    sqrt t = 1/(sqrt(4z+1) + 2 sqrt z), so the larger z gives the smaller
-    t, with no cancellation on either branch.
+    With z = (1-t)^2/(16t) the relation is the cubic (1+z)^3 = (j/256) z^2;
+    its root z >= 2 gives this t (the root z < 2 is the reciprocal index).
+    One find_root solves 3 ln(1+z) - 2 ln z = ln(j/256) in s = ln(z/2),
+    written so that no sum cancels: 3 log1p(2 expm1(s)/3) - 2s = ln(j/1728)
+    next to the ridge and s + 3 log1p(e^-s/2) = ln(j/512) past s = 1, where
+    the bracket end z = j/256 takes its sign exactly and z is read off as
+    (j/256) / (1 + e^-s/2)^3, which the error of s moves by only 3/(z+1) of
+    it.  Then sqrt t = 1/(sqrt(4z+1) + 2 sqrt z), for any j below overflow.
     """
     if j <= 1728.0:
-        return [_T_RIDGE]
+        return _T_RIDGE
     excess = math.log1p((j - 1728.0) / 1728.0)       # ln(j/1728)
-    far_z2 = math.log(j / 512.0)                     # s at z = j/256
-    far_z1 = -0.5 * math.log(j / 64.0)               # s at z = 16/sqrt(j)
+    far = math.log(j / 512.0)                        # s at z = j/256
 
-    def near(s: float) -> float:
-        return 3.0 * math.log1p(2.0 * math.expm1(s) / 3.0) - 2.0 * s
-
-    def rising(s: float) -> float:                   # the z2 branch, s > 0
+    def gap(s: float) -> float:
         if s <= 1.0:
-            return near(s) - excess
-        return s - far_z2 + 3.0 * math.log1p(0.5 * math.exp(-s))
+            return 3.0 * math.log1p(2.0 * math.expm1(s) / 3.0) - 2.0 * s - excess
+        return s - far + 3.0 * math.log1p(0.5 * math.exp(-s))
 
-    def falling(s: float) -> float:                  # the z1 branch, s < 0
-        if s >= -1.0:
-            return excess - near(s)
-        return 2.0 * (s - far_z1) - 3.0 * math.log1p(2.0 * math.exp(s))
-
-    full = ctx.with_eps(MACHINE_EPS, MACHINE_EPS)
-    roots = []
-    for s in (find_root(rising, 0.0, far_z2, full), find_root(falling, far_z1, 0.0, full)):
-        z = 2.0 * math.exp(s)
-        root_t = 1.0 / (math.sqrt(4.0 * z + 1.0) + 2.0 * math.sqrt(z))
-        roots.append(root_t * root_t)
-    return roots
+    s = find_root(gap, 0.0, far, _FULL_PRECISION)
+    z = 2.0 * math.exp(s) if s <= 1.0 else j / 256.0 / (1.0 + 0.5 * math.exp(-s)) ** 3
+    root_t = 1.0 / (math.sqrt(4.0 * z + 1.0) + 2.0 * math.sqrt(z))
+    return root_t * root_t
 
 
 def hypergeometric_g_argument(t: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -520,38 +508,31 @@ def solve_sextic(inst: SexticInstance,
                  ctx: PrecisionContext = DEFAULT_CTX) -> SexticSolution:
     """Solve the sextic by two independent routes and keep both results.
 
-    Path A inverts the surd-tail integral at the hypergeometric argument of
-    the t-root (quadrature + 2F1 only).  Path B recovers the index r from t
-    through the elliptic period ratio and evaluates the eta-quotient at the
-    squared nome.  Real instances need j > 1728; below that the
-    quarter-modulus square leaves (0, 1).
+    Both start from t = _quarter_modulus(j), the preimage at the index
+    r >= 1.  Path A inverts the surd-tail integral at the hypergeometric
+    argument of t (quadrature + 2F1 only).  Path B recovers r from t through
+    the elliptic period ratio and evaluates the eta-quotient at the squared
+    nome; paths that disagree raise ConsistencyError.  Real instances need
+    j > 1728; below that the quarter-modulus square leaves (0, 1).
     """
     j = inst.j
     if j < 1728.0 * (1.0 - 1e-12):
         raise DomainError(
             f"derived j={j:.6g} < 1728: no real quarter-modulus; "
             "complex-modulus instances are rejected")
-    candidates = _quarter_modulus_roots(j, ctx)
-
-    # The j map is two-to-one on (0, 1); every preimage solves the sextic,
-    # so take the smaller-t branch (index r >= 1) when it checks out and
-    # fall back to the other preimage only if it does not.
-    best: SexticSolution | None = None
-    for t in sorted(candidates):
-        x_a = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
-        k = math.sqrt(t)
-        ratio = elliptic_k_complementary(k) / elliptic_k(k)
-        r = ratio * ratio / 4.0
-        x_b = inst.b / (250.0 * inst.a) * u_of_q(Nome.from_r_squared(r))
-        sol = SexticSolution(x=x_a, t=t, r=r, k4r=k, x_alt=x_b,
-                             residual=inst.residual(x_a))
-        if sol.residual <= 1e-6 and abs(sol.x - sol.x_alt) <= 1e-6 * abs(sol.x):
-            return sol
-        if best is None or sol.residual < best.residual:
-            best = sol
+    t = _quarter_modulus(j)
+    x_a = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
+    k = math.sqrt(t)
+    ratio = elliptic_k_complementary(k) / elliptic_k(k)
+    r = ratio * ratio / 4.0
+    x_b = inst.b / (250.0 * inst.a) * u_of_q(Nome.from_r_squared(r))
+    sol = SexticSolution(x=x_a, t=t, r=r, k4r=k, x_alt=x_b,
+                         residual=inst.residual(x_a))
+    if sol.residual <= 1e-6 and abs(sol.x - sol.x_alt) <= 1e-6 * abs(sol.x):
+        return sol
     raise ConsistencyError(
-        f"sextic paths disagree: x={best.x}, x_alt={best.x_alt}, "
-        f"residual={best.residual:.3g}")
+        f"sextic paths disagree: x={sol.x}, x_alt={sol.x_alt}, "
+        f"residual={sol.residual:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -584,28 +565,28 @@ def beta_ratio_root(base: BetaBase, r: float,
 
 
 def invert_lambda_j(j0: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """The root of the lambda-line j form in (0, 1/2]; needs j0 >= 1728."""
+    """The root lam = k_r^2 in (0, 1/2] of the lambda-line j form; needs
+    j0 >= 1728.  Landen's step k_4r = (1 - k'_r)/(1 + k'_r) (DLMF 19.8(ii))
+    turns k_4r = sqrt(_quarter_modulus(j0)) into lam = 4 k_4r / (1 + k_4r)^2:
+    full precision whatever ctx asks, for every j0 below float overflow."""
     if j0 < 1728.0:
         raise DomainError(f"lambda-line j is >= 1728 on (0,1), got {j0}")
     if j0 == 1728.0:
         return 0.5
-
-    def gap(lam: float) -> float:
-        return math.log(klein_j_from_lambda(lam)) - math.log(j0)
-
-    return find_root(gap, 1e-15, 0.5, ctx)
+    k4r = math.sqrt(_quarter_modulus(j0))
+    return 4.0 * k4r / (1.0 + k4r) ** 2
 
 
 def theorem6_base_change(fbase, r: float,
-                         ctx: PrecisionContext = DEFAULT_CTX,
-                         grid_points: int = 9) -> tuple[float, float, float]:
+                         ctx: PrecisionContext = DEFAULT_CTX) -> tuple[float, float, float]:
     """Singular value of an arbitrary base function, then its expression
     through the elliptic machinery.
 
-    Solves fbase(1-x)/fbase(x) = sqrt(r) for alpha, maps it to
-    r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the lambda-line j at
-    alpha, and verifies that inverting that j recovers min(alpha, 1-alpha).
-    Returns (alpha, r0, j0).
+    Checks that fbase(1-x)/fbase(x) is monotone on a grid, solves it equal
+    to sqrt(r) for alpha by one find_root (fbase has no known derivative),
+    and maps alpha to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the
+    lambda-line j0.  Returns (alpha, r0, j0); the J.invert.* checks of the
+    registry test the inversion of j.
     """
     if r <= 0.0:
         raise DomainError(f"need r > 0, got {r}")
@@ -613,7 +594,7 @@ def theorem6_base_change(fbase, r: float,
     def ratio(x: float) -> float:
         return fbase(1.0 - x) / fbase(x)
 
-    samples = [ratio((i + 1) / (grid_points + 1)) for i in range(grid_points)]
+    samples = [ratio((i + 1) / (_MONOTONE_GRID + 1)) for i in range(_MONOTONE_GRID)]
     increasing = all(b >= a for a, b in zip(samples, samples[1:]))
     decreasing = all(b <= a for a, b in zip(samples, samples[1:]))
     if not (increasing or decreasing):
@@ -621,12 +602,7 @@ def theorem6_base_change(fbase, r: float,
 
     alpha = find_root(lambda x: ratio(x) - math.sqrt(r), 1e-12, 1.0 - 1e-12, ctx)
     r0 = (elliptic_k(math.sqrt(1.0 - alpha)) / elliptic_k(math.sqrt(alpha))) ** 2
-    j0 = klein_j_from_lambda(alpha)
-    recovered = invert_lambda_j(j0, ctx)
-    if abs(recovered - min(alpha, 1.0 - alpha)) > 1e-8 * max(alpha, 1e-8):
-        raise ConsistencyError(
-            f"alpha does not re-solve its own j: {recovered} vs {alpha}")
-    return alpha, r0, j0
+    return alpha, r0, klein_j_from_lambda(alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -712,27 +688,24 @@ def eta_quotient_nome_of(w: float, ctx: PrecisionContext = DEFAULT_CTX) -> float
     return find_root(lambda q: u_of_q_log(q) - target, 1e-8, 1.0 - 1e-12, ctx)
 
 
-def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX,
-                          inverse_cube_root: bool = True) -> float:
+def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Direct quadrature of the j-power along the inverse eta-quotient:
-    int_0^x j(Y^(-1)(w))^(+-1/3) dw with Y(q) = u(q^2).
+    int_0^x j(Y^(-1)(w))^(-1/3) dw with Y(q) = u(q^2).
 
-    inverse_cube_root=True uses the exponent -1/3 that the derivative
-    identity requires (the display prints +1/3).  Below w = 1e-10 the cusp
-    asymptotic j^(-1/3) ~ (w/125)^(5/3) stands in for the inversion; its
-    relative error there is O(w).
+    The exponent -1/3 is the one the derivative identity requires (the
+    display prints +1/3).  Below w = 1e-10 the cusp asymptotic
+    j^(-1/3) ~ (w/125)^(5/3) stands in for the inversion; its relative
+    error there is O(w).
     """
     if not (0.0 < x <= 1.0):
         raise DomainError(f"needs 0 < x <= 1, got {x}")
-    expo = -1.0 / 3.0 if inverse_cube_root else 1.0 / 3.0
 
     def integrand(w: float) -> float:
         if w < 1e-10:
-            core = (w / 125.0) ** (5.0 / 3.0)
-            return core if inverse_cube_root else 1.0 / core
+            return (w / 125.0) ** (5.0 / 3.0)
         q_squared = eta_quotient_nome_of(w, ctx)
         r = (math.log(math.sqrt(q_squared)) / math.pi) ** 2
-        return klein_j(r) ** expo
+        return klein_j(r) ** (-1.0 / 3.0)
 
     return integrate_finite(integrand, 0.0, x, ctx, singular_at_a=True)
 

@@ -12,6 +12,9 @@ from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 MACHINE_EPS = math.ulp(1.0)
+# Base step of differentiate's central differences, relative to max(1, |x|):
+# the cube root of the machine epsilon balances truncation and rounding.
+FD_STEP = MACHINE_EPS ** (1.0 / 3.0)
 
 
 class KernelError(Exception):
@@ -48,8 +51,7 @@ class PrecisionContext:
     """Numerical budget threaded through every operation.
 
     eps_rel/eps_abs form the linear tolerance eps_rel*|scale| + eps_abs used
-    by series tails, quadrature level agreement and root brackets.  fd_step
-    is the base step for central differences (relative to |x|).
+    by series tails, quadrature level agreement and root brackets.
     """
 
     eps_rel: float = 1e-12
@@ -57,15 +59,12 @@ class PrecisionContext:
     max_series_terms: int = 2000
     max_quad_levels: int = 10
     max_root_iters: int = 200
-    fd_step: float = MACHINE_EPS ** (1.0 / 3.0)
 
     def __post_init__(self):
         if not (self.eps_rel > 0.0 and self.eps_abs > 0.0):
             raise DomainError("eps_rel and eps_abs must be positive")
         if min(self.max_series_terms, self.max_quad_levels, self.max_root_iters) < 1:
             raise DomainError("iteration caps must be at least 1")
-        if not self.fd_step > 0.0:
-            raise DomainError("fd_step must be positive")
 
     def tol(self, scale: float = 1.0) -> float:
         return self.eps_rel * abs(scale) + self.eps_abs
@@ -260,12 +259,13 @@ class Derivative(NamedTuple):
 
 def differentiate(f: Callable[[float], float], x: float,
                   ctx: PrecisionContext = DEFAULT_CTX) -> Derivative:
-    """Central difference with one Richardson refinement.
+    """Central difference with one Richardson refinement, at the step
+    FD_STEP * max(1, |x|) and its half.
 
     Returns the refined value and an error estimate (the Richardson
     correction plus a roundoff floor).
     """
-    h = ctx.fd_step * max(1.0, abs(x))
+    h = FD_STEP * max(1.0, abs(x))
     try:
         samples = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]
     except KernelError:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext, SeriesSum,
                        sum_series)
@@ -363,8 +363,7 @@ def quadratic_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
 
 
 def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
-                           x: float, ctx: PrecisionContext = DEFAULT_CTX,
-                           max_terms: int | None = None) -> SeriesSum:
+                           x: float, ctx: PrecisionContext = DEFAULT_CTX) -> SeriesSum:
     """Series form of int_0^x t^mu (a t^2 + b t + c)^(-nu) dt:
 
         c^(-nu) x^(mu+1) * sum_n P_n(nu, r1/r2) (nu)_n / n! *
@@ -394,8 +393,6 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
         state["z_pow"] *= z
         return val
 
-    if max_terms is not None:
-        ctx = replace(ctx, max_series_terms=max_terms)
     s = sum_series(term, ctx)
     return SeriesSum(pref * s.value, s.terms)
 

@@ -15,16 +15,18 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 from . import modular, qseries, special
-from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext,
+from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root)
 from .quadrature import AlgebraicDecay, integrate_finite, integrate_to_infinity
-from .report import FLAGGED, PASS, CheckResult, compare, residuals
+from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
 SQRT5 = math.sqrt(5.0)
 _Q_RAMANUJAN = math.exp(-2.0 * math.pi)
 # -(1+sqrt5)/2 + sqrt((5+sqrt5)/2): the continued fraction at exp(-2 pi).
 RRCF_AT_E2PI = -(1.0 + SQRT5) / 2.0 + math.sqrt((5.0 + SQRT5) / 2.0)
+# How the notes of a check whose builder raised a KernelError begin.
+BUILDER_RAISED = "builder raised "
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +106,7 @@ def quintic_surd_denominator_integral(n: float, x_lo: float, x_hi: float,
 def modulus_product_formula(r: float, ctx: PrecisionContext) -> float:
     """2^(1/3) pi^(-1/2) q^(-1/24) k^(1/12) k'^(1/3) K(k)^(1/2) at the
     index-r singular modulus, q = exp(-pi sqrt r)."""
-    k, kp = modular._singular_modulus_pair(r, ctx)
+    k, kp = modular._singular_modulus_pair(r)
     q = math.exp(-math.pi * math.sqrt(r))
     return (2.0 ** (1.0 / 3.0) / math.sqrt(math.pi) * q ** (-1.0 / 24.0)
             * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
@@ -421,7 +423,7 @@ _register("T5.j1730")(_sextic_check(
 
 @_register("Prop1.eq43")
 def _prop1_c1(ctx: PrecisionContext) -> CheckResult:
-    k4, k4p = modular._singular_modulus_pair(4.0, ctx)
+    k4, k4p = modular._singular_modulus_pair(4.0)
     c1_cubed = modular.klein_j_from_quarter_modulus(k4 * k4, k4p * k4p)
     # the moduli are full precision whatever ctx asks: 2.4e-15 measured at
     # eps 1e-12..1e-6, so 1e-12 (as for the J.* checks) leaves a margin of 400
@@ -432,7 +434,7 @@ def _prop1_c1(ctx: PrecisionContext) -> CheckResult:
 
 def _j_lambda_check(r: float):
     def build(ctx: PrecisionContext) -> CheckResult:
-        k, kp = modular._singular_modulus_pair(r, ctx)
+        k, kp = modular._singular_modulus_pair(r)
         lam_form = modular.klein_j_from_lambda(k * k, kp * kp)
         return compare(f"J.lambda.r={r:g}", "j-invariant, lambda-line form",
                        modular.klein_j(r, ctx), lam_form, 1e-12,
@@ -456,6 +458,21 @@ def _j_level5_check(r: float):
 for _r in (0.5, 1.0, 2.0, 4.0, 9.0):
     _register(f"J.lambda.r={_r:g}")(_j_lambda_check(_r))
     _register(f"J.level5.r={_r:g}")(_j_level5_check(_r))
+
+
+def _j_invert_check(r: float):
+    def build(ctx: PrecisionContext) -> CheckResult:
+        j0 = modular.klein_j(r, ctx)
+        k, kp = modular._singular_modulus_pair(r)
+        return compare(f"J.invert.r={r:g}", "Theorem 6, inverting the lambda-line j",
+                       modular.invert_lambda_j(j0, ctx), min(k * k, kp * kp), 1e-12,
+                       notes=f"lambda from the quarter modulus of j={j0:.15g} by "
+                             f"Landen's step, against k_r^2 from theta series")
+    return build
+
+
+for _r in (2.0, 9.0, 1000.0):
+    _register(f"J.invert.r={_r:g}")(_j_invert_check(_r))
 
 
 @_register("Prop1.eq42")
@@ -824,13 +841,19 @@ def check_ids() -> list[str]:
 
 
 def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
-    """Execute one registered check; unknown ids raise DomainError."""
+    """Execute one registered check; unknown ids raise DomainError.  A
+    KernelError from the check is a failed result (never a pass or a flag)
+    whose notes begin with BUILDER_RAISED and name the exception."""
     try:
         builder = _REGISTRY[check_id]
     except KeyError:
         raise DomainError(f"unknown check id {check_id!r}") from None
     start = time.perf_counter()
-    result = builder(ctx)
+    try:
+        result = builder(ctx)
+    except KernelError as exc:
+        result = compare(check_id, "", math.nan, math.nan, math.nan,
+                         notes=f"{BUILDER_RAISED}{type(exc).__name__}: {exc}")
     return replace(result, seconds=time.perf_counter() - start)
 
 
@@ -847,6 +870,6 @@ def run_all(pattern: str | None = None,
     return VerificationReport(
         results=tuple(results),
         passed=status.count(PASS),
-        failed=status.count("fail"),
+        failed=status.count(FAIL),
         flagged=status.count(FLAGGED),
         seconds=elapsed)

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from rrcflab.cli import main
+from rrcflab.verify import check_ids
 
 
 @pytest.fixture(autouse=True)
@@ -71,6 +72,20 @@ class TestVerifyCommand:
     def test_env_eps(self, capsys, monkeypatch):
         monkeypatch.setenv("RRCF_EPS", "1e-8")
         assert main(["verify", "--filter", "RRCF*"]) == 0
+
+    def test_term_cap_fails_without_traceback(self, capsys):
+        # every builder that hits the cap is a failed row, and the run ends
+        # with the summary line
+        assert main(["verify", "--max-terms", "5"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith(f"# {len(check_ids())} checks:")
+        assert " 0 fail" not in out.splitlines()[-1]
+
+    def test_loose_eps_fails_without_traceback(self, capsys):
+        # the T6.* checks fail at this eps: rows of the table, not a crash
+        assert main(["verify", "--eps", "1e-5"]) == 1
+        out = capsys.readouterr().out
+        assert out.splitlines()[-1].startswith(f"# {len(check_ids())} checks:")
 
     def test_bad_env_eps(self, capsys, monkeypatch):
         monkeypatch.setenv("RRCF_EPS", "not-a-number")

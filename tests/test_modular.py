@@ -17,7 +17,7 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular,
                              trig_modular_equation_check)
-from rrcflab.numerics import DEFAULT_CTX, DomainError, PrecisionContext
+from rrcflab.numerics import DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
@@ -110,19 +110,11 @@ class TestKleinJ:
         with pytest.raises(DomainError):
             klein_j(r)
 
-    def test_context_is_honoured(self, monkeypatch):
-        seen = []
-        original = modular._singular_modulus_pair
-
-        def spy(r, ctx):
-            seen.append(ctx)
-            return original(r, ctx)
-
-        monkeypatch.setattr(modular, "_singular_modulus_pair", spy)
+    def test_value_does_not_depend_on_the_context(self):
+        # theta series at the nome give full double precision whatever the
+        # context asks, so a loose context returns the same bits
         modular._klein_j_cached.cache_clear()
-        ctx = PrecisionContext(eps_rel=1e-10)
-        assert klein_j(3.7, ctx) == pytest.approx(klein_j(3.7), rel=1e-12)
-        assert seen[0] is ctx
+        assert klein_j(3.7, PrecisionContext(eps_rel=1e-4)) == klein_j(3.7)
 
 
 class TestInverseIntegrals:
@@ -216,12 +208,20 @@ class TestSexticSolver:
 
     def test_next_to_the_ridge(self):
         # j = 1728 (1 + 1e-12) has two roots 1.7e-6 apart in ln z, one on
-        # each side of the ridge (3 - 2 sqrt2)^2, not the ridge itself
-        low, high = modular._quarter_modulus_roots(1728.0 * (1.0 + 1e-12), DEFAULT_CTX)
-        assert low < SILVER ** 2 < high
-        assert high / low - 1.0 == pytest.approx(2.0 * math.sqrt(3e-12), rel=0.1)
-        assert modular._quarter_modulus_roots(1728.0, DEFAULT_CTX) == [
-            pytest.approx(SILVER ** 2, rel=1e-14)]
+        # each side of the ridge (3 - 2 sqrt2)^2; the one taken is below it,
+        # to full precision against a 30-digit root of the relation in ln t
+        mp = pytest.importorskip("mpmath")
+        j = 1728.0 * (1.0 + 1e-12)
+        t = modular._quarter_modulus(j)
+        with mp.workdps(30):
+            ref = mp.exp(mp.findroot(
+                lambda u: mp.log(16 * (1 + 14 * mp.exp(u) + mp.exp(2 * u)) ** 3
+                                 / (mp.exp(u) * (1 - mp.exp(u)) ** 4)) - mp.log(j),
+                mp.log(t)))
+        assert ref < SILVER ** 2
+        assert abs(t - ref) <= 1e-14 * ref
+        assert SILVER ** 2 / t - 1.0 == pytest.approx(math.sqrt(3e-12), rel=0.1)
+        assert modular._quarter_modulus(1728.0) == pytest.approx(SILVER ** 2, rel=1e-14)
 
     def test_rejects_low_j(self):
         with pytest.raises(DomainError):
@@ -393,8 +393,9 @@ class TestWorkCounts:
 
 class TestNoRootFindingInTheJLayer:
     """The moduli are theta series and j follows from them in closed form,
-    so none of these calls runs a root search or an AGM; the sextic at j =
-    1728 sits on the ridge.  The counts are deterministic."""
+    so the forward maps run no root search and no AGM, the sextic at j =
+    1728 sits on the ridge, and every j inversion is the one search for the
+    quarter modulus.  The counts are deterministic."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -429,7 +430,17 @@ class TestNoRootFindingInTheJLayer:
         assert counts["elliptic_k"] == 0
 
     def test_quarter_modulus_searches_only_the_cubic(self, counts):
-        # above the ridge the two roots of (1+z)^3 = (j/256) z^2 are the only
-        # searches: one find_root per branch on closed-form logarithms
-        modular._quarter_modulus_roots(4000.0, DEFAULT_CTX)
-        assert counts == {"find_root": 2, "elliptic_k": 0}
+        # above the ridge the root z >= 2 of (1+z)^3 = (j/256) z^2 is the
+        # only search: one find_root on closed-form logarithms
+        modular._quarter_modulus(4000.0)
+        assert counts == {"find_root": 1, "elliptic_k": 0}
+
+    def test_lambda_inversion_searches_only_the_cubic(self, counts):
+        # Landen's step from the quarter modulus, with no AGM
+        invert_lambda_j(8000.0)
+        assert counts == {"find_root": 1, "elliptic_k": 0}
+
+    def test_base_change_searches_only_for_alpha(self, counts):
+        # no re-solve of j0: the one search is for the singular value
+        theorem6_base_change(lambda x: math.sqrt(math.asin(math.sqrt(x))), 3.0)
+        assert counts["find_root"] == 1

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcflab.numerics import (DEFAULT_CTX, BracketError, ConvergenceError,
-                              DomainError, PrecisionContext,
+from rrcflab.numerics import (DEFAULT_CTX, FD_STEP, BracketError,
+                              ConvergenceError, DomainError, PrecisionContext,
                               SeriesDivergenceError, differentiate, find_root,
                               newton_root, sum_series)
 
@@ -14,11 +14,11 @@ class TestPrecisionContext:
     def test_defaults(self):
         ctx = PrecisionContext()
         assert ctx.eps_rel == 1e-12
-        assert ctx.fd_step == pytest.approx(math.ulp(1.0) ** (1 / 3))
+        assert FD_STEP == pytest.approx(math.ulp(1.0) ** (1 / 3))
 
     @pytest.mark.parametrize("bad", [
         dict(eps_rel=0.0), dict(eps_abs=-1e-3), dict(max_series_terms=0),
-        dict(max_root_iters=0), dict(fd_step=0.0),
+        dict(max_root_iters=0),
     ])
     def test_rejects_bad_budget(self, bad):
         with pytest.raises(DomainError):

@@ -1,7 +1,7 @@
 """Singular moduli, the j-invariant and the sextic's quarter modulus against
 mpmath at 30 digits: k_r as theta2^2/theta3^2 at the nome e^(-pi sqrt r)
-(jtheta), j as 1728 kleinj(i sqrt r), and the quarter-modulus roots as
-roots of the defining relation in t (findroot).
+(jtheta), j as 1728 kleinj(i sqrt r), and the quarter modulus and the
+lambda-line inversion as roots of their defining relations (findroot).
 
 The bounds for k and j grow with the index: both depend on r through
 e^(-pi sqrt r), so a relative rounding of the argument pi sqrt r, which no
@@ -14,9 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rrcflab.modular import (_T_RIDGE, _quarter_modulus_roots, klein_j,
-                             singular_modulus)
-from rrcflab.numerics import DEFAULT_CTX
+from rrcflab.modular import (_T_RIDGE, _quarter_modulus, invert_lambda_j,
+                             klein_j, singular_modulus)
 
 mp = pytest.importorskip("mpmath")
 
@@ -64,7 +63,7 @@ def test_klein_j_against_kleinj(log_r):
 
 def _quarter_modulus_reference(j, t):
     """The root of 16 (1+14t+t^2)^3 / (t (1-t)^4) = j next to t, solved in
-    ln t at 30 digits; the sides of the ridge tell the two branches apart."""
+    ln t at 30 digits."""
     with mp.workdps(30):
         def gap(u):
             s = mp.exp(u)
@@ -87,11 +86,38 @@ def test_quarter_modulus_roots_at_the_ends(j):
 
 
 def _check_quarter_modulus_roots(j):
-    small, large = _quarter_modulus_roots(j, DEFAULT_CTX)
+    # the one root taken is the smaller t, the index-r >= 1 preimage
+    t = _quarter_modulus(j)
     with mp.workdps(30):
-        ridge = (3 - 2 * mp.sqrt(2)) ** 2
-        refs = [_quarter_modulus_reference(j, t) for t in (small, large)]
-        assert refs[0] < ridge < refs[1]
-        for got, ref in zip((small, large), refs):
-            assert abs(got - ref) <= 1e-14 * ref
-    assert small < _T_RIDGE < large
+        ref = _quarter_modulus_reference(j, t)
+        assert ref < (3 - 2 * mp.sqrt(2)) ** 2
+        assert abs(t - ref) <= 1e-14 * ref
+    assert t < _T_RIDGE
+
+
+def _lambda_reference(j, lam):
+    """The root of 256 (l^2-l+1)^3 / (l^2 (1-l)^2) = j next to lam, solved in
+    ln l at 30 digits."""
+    with mp.workdps(30):
+        def gap(u):
+            s = mp.exp(u)
+            return mp.log(256 * (s * s - s + 1) ** 3 / (s * s * (1 - s) ** 2)) - mp.log(j)
+        return mp.exp(mp.findroot(gap, mp.log(lam)))
+
+
+@ORACLE
+@given(st.floats(-1.0, 300.0))
+@example(-1.0)
+@example(33.0)    # j0 = 1e33, past the former fixed bracket [1e-15, 0.5]
+@example(300.0)
+def test_invert_lambda_j_against_findroot(log_excess):
+    j = 1728.0 + 10.0 ** log_excess
+    lam = invert_lambda_j(j)
+    with mp.workdps(30):
+        ref = _lambda_reference(j, lam)
+        assert ref < 0.5
+        assert abs(lam - ref) <= 1e-14 * ref
+
+
+def test_invert_lambda_j_at_the_ridge():
+    assert invert_lambda_j(1728.0) == 0.5
