@@ -1,8 +1,10 @@
 """Classical special functions built on the series/quadrature kernels:
-Gamma (Lanczos, complex), Gauss 2F1 with dual series/integral routes,
-Appell F1, the incomplete Beta function, the complete elliptic integral K
-via AGM, terminating 2F1 polynomials, the sine-sextuple polynomial, and the
-quadratic-surd integral series engine they feed.
+Gamma (Lanczos, complex); Gauss 2F1, summed on the unit disk at z, z/(z-1)
+or 1-z, whichever takes the fewest terms, and integrated outside it;
+Appell F1; the incomplete Beta function from its continued fraction; the
+complete elliptic integral K via AGM; terminating 2F1 polynomials, the
+sine-sextuple polynomial, and the quadratic-surd integral series engine
+they feed.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .numerics import (DEFAULT_CTX, DomainError, PrecisionContext, SeriesSum,
-                       sum_series)
+from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, PrecisionContext,
+                       SeriesDivergenceError, SeriesSum, sum_series)
 from .quadrature import integrate_complex, integrate_finite
 
 # Lanczos approximation, g = 7, 9 coefficients: ~1e-13 relative on the real
@@ -112,10 +114,38 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
               method: str = "auto") -> complex | float:
     """Gauss hypergeometric 2F1(a, b; c; z).
 
-    method "series": power series, |z| < 1 (Euler-transformed first when
-    0.8 < |z| < 1).  method "integral": the Euler integral, needs
-    Re c > Re b > 0 (or the a/b-swapped variant) and z off [1, inf).
-    "auto" prefers the series and falls back to the integral.
+    method "series": the power series at z itself, |z| < 1 (a polynomial
+    at any z when a or b is a non-positive integer).  method "integral":
+    the Euler integral, needs Re c > Re b > 0 (or the a/b-swapped variant)
+    and z off [1, inf).
+
+    method "auto", by region:
+
+    - |z| <= 1/2, or a or b a non-positive integer: the series at z.
+    - 1/2 < |z| < 1: one series routine, ``_series_2f1``, summed at the
+      argument that needs the fewest terms (``_route_2f1``):
+
+      * 1-z, by the connection formula (A&S 15.3.6).  It sums two series,
+        so it counts at the radius sqrt|1-z|.  It is barred when c-a-b lies
+        within ``_POLE_GAP`` of an integer, where its two terms grow like
+        1/gap and cancel, and for parameters above
+        ``_CONNECTION_PARAMETER_MAX``, where its Gamma products overflow.
+      * z/(z-1), by Pfaff (DLMF 15.8.1), with no Gamma factor.
+      * z itself, or its Euler transform (1-z)^(c-a-b) F(c-a, c-b; c; z),
+        whichever has the faster-falling terms, unless that one cancels.
+
+      Past radius 1/2 the series is summed to a tolerance scaled by
+      (1-r)/r, so that its stopping rule leaves no more than the tolerance
+      behind.  No quadrature runs.
+    - |z| >= 1: the integral (the 1/z map is not implemented).
+
+    Known gaps of auto mode (``_is_slow_2f1``), where every route runs at a
+    radius above ``_SLOW_RADIUS`` and the series can reach its 2000-term
+    cap: z next to 1 with c-a-b within ``_POLE_GAP`` of an integer (the limit
+    forms of A&S 15.3.10-15.3.14 are not implemented), and the band around
+    exp(+-i pi/3) near |z| = 1, where |z|, |z/(z-1)| and |1-z| are all near
+    1.  Elsewhere on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute
+    next to a zero) against mpmath for a, b, c in [-3, 3].
     """
     inputs_real = _all_real(a, b, c, z)
     ac, bc, cc, zc = complex(a), complex(b), complex(c), complex(z)
@@ -126,29 +156,18 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
     if zc == 0:
         return _maybe_real(complex(1.0), inputs_real)
 
+    terminating = _is_nonpositive_int(ac) or _is_nonpositive_int(bc)
     if method == "auto":
-        if _is_nonpositive_int(ac) or _is_nonpositive_int(bc) or abs(zc) <= 0.8:
-            method = "series"
-        elif abs(zc) < 1.0:
-            # Euler transformation improves the tail without leaving the disk
-            val = (1.0 - zc) ** (cc - ac - bc) * gauss_2f1(
-                cc - ac, cc - bc, cc, zc, ctx, method="series")
-            return _maybe_real(val, inputs_real)
-        else:
-            method = "integral"
+        if abs(zc) < 1.0 or terminating:
+            route, _ = _route_2f1(ac, bc, cc, zc)
+            return _maybe_real(_finite(_ROUTES[route](ac, bc, cc, zc, ctx)),
+                               inputs_real)
+        method = "integral"
 
     if method == "series":
-        if _is_nonpositive_int(ac) or _is_nonpositive_int(bc):
-            return _maybe_real(_terminating_2f1(ac, bc, cc, zc), inputs_real)
-        if abs(zc) >= 1.0:
+        if abs(zc) >= 1.0 and not terminating:
             raise DomainError(f"2F1 series needs |z| < 1, got |z|={abs(zc):.4g}")
-
-        def term(n: int, state={"t": 1.0 + 0.0j}):
-            t = state["t"]
-            state["t"] = t * (ac + n) * (bc + n) / ((cc + n) * (n + 1)) * zc
-            return t
-
-        return _maybe_real(sum_series(term, ctx).value, inputs_real)
+        return _maybe_real(_finite(_series_2f1(ac, bc, cc, zc, ctx)), inputs_real)
 
     if method == "integral":
         aa, bb = ac, bc
@@ -172,18 +191,154 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
     raise DomainError(f"unknown 2F1 method {method!r}")
 
 
-def _terminating_2f1(a: complex, b: complex, c: complex, z: complex) -> complex:
-    if _is_nonpositive_int(a):
-        n = int(round(-a.real))
-    else:
-        n = int(round(-b.real))
+def _finite(val: complex) -> complex:
+    if not cmath.isfinite(val):
+        raise DomainError(f"2F1 value overflows a double: {val!r}")
+    return val
+
+
+# Within this distance of a pole a Gamma factor is taken as at the pole: the
+# connection formula is barred where c-a-b is that near an integer (its two
+# terms grow like 1/gap and cancel), and of the series at z and its Euler
+# transform, the one whose value at z = 1 nearly vanishes is not summed.
+_POLE_GAP = 0.01
+# With parameters up to this size every Gamma argument of the connection
+# formula stays within 75 of 0, where its products of two stay far inside
+# the double range; larger ones keep to the series at z or z/(z-1).
+_CONNECTION_PARAMETER_MAX = 25.0
+# Above this radius the series of the shortest route can need more than the
+# default 2000-term cap (its terms may first grow like n^5); below it every
+# route met 1e-11 relative against mpmath over parameters in [-3, 3].
+_SLOW_RADIUS = 0.95
+
+
+def _series_2f1(a: complex, b: complex, c: complex, z: complex,
+                ctx: PrecisionContext) -> complex:
+    """The power series of 2F1 at z, the one summation every route calls;
+    a polynomial when a or b is a non-positive integer."""
+    terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
+    if terminating and not _is_nonpositive_int(a):
         a, b = b, a
-    total = 1.0 + 0.0j
-    t = 1.0 + 0.0j
-    for k in range(n):
-        t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += t
-    return total
+    # Below |c| = 1e-300, a b / c can overflow before z scales it back, and
+    # z / c too for a subnormal c: t_1 = a (b 2^600) (z / (c 2^600)) keeps
+    # every factor a normal double.
+    t1 = a * (b * 2.0 ** 600) * (z / (c * 2.0 ** 600)) if abs(c) < 1e-300 else None
+    if terminating:
+        total = t = 1.0 + 0.0j
+        for k in range(int(round(-a.real))):
+            if k == 0 and t1 is not None:
+                t = t1
+            else:
+                t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+            total += t
+        return total
+
+    state = {"t": 1.0 + 0.0j}
+
+    def term(n: int) -> complex:
+        t = state["t"]
+        state["t"] = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        return t
+
+    if t1 is not None:
+        state["t"], first = t1, term
+
+        def term(n: int) -> complex:
+            return first(n) if n else 1.0 + 0.0j
+
+    if c.real < 0.0:
+        # The factors c + n of (c)_n are smallest next to n = -Re c, and
+        # before that two small terms do not mean the sum has converged: the
+        # terms up to there are summed as one.
+        head, plain = min(round(-c.real) + 2, ctx.max_series_terms), term
+
+        def term(k: int) -> complex:
+            return plain(k + head - 1) if k else sum(map(plain, range(head)))
+
+    r = abs(z)
+    if 0.5 < r < 1.0:
+        # the terms fall by about r per step, so the stopping rule leaves a
+        # tail of about r/(1-r) times its tolerance; scale that back to 1
+        ctx = ctx.with_eps(ctx.eps_rel * (1.0 - r) / r, ctx.eps_abs * (1.0 - r) / r)
+    return sum_series(term, ctx).value
+
+
+def _euler_2f1(a, b, c, z, ctx):
+    # DLMF 15.8.1: the same radius as the series at z
+    return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, ctx)
+
+
+def _pfaff_2f1(a, b, c, z, ctx):
+    # DLMF 15.8.1, with a, b ordered so that the terms fall like
+    # n^(a-b-1) r^n with Re(a-b) <= 0
+    if a.real > b.real:
+        a, b = b, a
+    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0), ctx)
+
+
+def _connection_2f1(a, b, c, z, ctx):
+    # A&S 15.3.6 (DLMF 15.8.4 at z -> 1-z)
+    s, w = c - a - b, 1.0 - z
+    # the two terms grow like 1/gap, gap the distance of s from the nearest
+    # integer (at least _POLE_GAP), and cancel to the sum: sum each series
+    # that much tighter
+    gap = abs(s - round(s.real))
+    ctx = ctx.with_eps(ctx.eps_rel * gap, ctx.eps_abs * gap)
+    near = gamma(s) / (gamma(c - a) * gamma(c - b)) \
+        * _series_2f1(a, b, 1.0 - s, w, ctx)
+    far = w ** s * gamma(-s) / (gamma(a) * gamma(b)) \
+        * _series_2f1(c - a, c - b, 1.0 + s, w, ctx)
+    return gamma(c) * (near + far)
+
+
+_ROUTES = {"series": _series_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
+           "connection": _connection_2f1}
+
+
+def _near_pole(x: complex, any_integer: bool = False) -> bool:
+    """x within _POLE_GAP of a non-positive integer (of any integer when
+    any_integer)."""
+    n = round(x.real)
+    return abs(x - (n if any_integer else min(n, 0))) < _POLE_GAP
+
+
+def _route_2f1(a: complex, b: complex, c: complex,
+               z: complex) -> tuple[str, float]:
+    """The route auto mode takes at |z| < 1, and the radius its series is
+    summed at; the connection formula sums two series at |1-z|, as many
+    terms as one at sqrt|1-z|."""
+    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
+        return "series", 0.0  # a polynomial
+    if abs(z) <= 0.5:
+        return "series", abs(z)
+    radii = {"direct": abs(z), "pfaff": abs(z / (z - 1.0))}
+    if _is_nonpositive_int(c - a) or _is_nonpositive_int(c - b):
+        radii["euler"] = 0.0  # a polynomial
+    elif (not _near_pole(c - a - b, any_integer=True)
+          and max(abs(a), abs(b), abs(c)) <= _CONNECTION_PARAMETER_MAX):
+        radii["connection"] = math.sqrt(abs(1.0 - z))
+    route = min(radii, key=radii.get)
+    if route != "direct":
+        return route, radii[route]
+    # The terms of F(A, B; c; z), (A, B) = (a, b) or the Euler pair
+    # (c-a, c-b), fall like n^(A+B-c-1) r^n, so the pair with
+    # Re(c-A-B) >= 0 is shorter.  That series tends to
+    # Gamma(c) Gamma(c-A-B) / (Gamma(c-A) Gamma(c-B)) at z = 1; where this
+    # nearly vanishes and z lies in the disk |z - 1/2| < 1/2 around
+    # [0, 1], its terms cancel, and the other pair is summed.
+    s = c - a - b
+    shorter, other = ("series", "euler") if s.real >= 0.0 else ("euler", "series")
+    ends = (c - a, c - b) if s.real >= 0.0 else (a, b)
+    if z.real > abs(z) ** 2 and any(_near_pole(e) for e in ends):
+        return other, abs(z)
+    return shorter, abs(z)
+
+
+def _is_slow_2f1(a, b, c, z) -> bool:
+    """True in the known gaps of auto mode at |z| < 1: the route it takes
+    runs at a radius above _SLOW_RADIUS."""
+    _, radius = _route_2f1(complex(a), complex(b), complex(c), complex(z))
+    return radius > _SLOW_RADIUS
 
 
 def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
@@ -280,8 +435,15 @@ def complete_beta(base: BetaBase) -> float:
 
 def incomplete_beta(x: float, base: BetaBase,
                     ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """B(x, a, b) via the power series x^a/a * 2F1(a, 1-b; a+1; x) for
-    x <= 1/2, and the complement B(1,a,b) - B(1-x, b, a) otherwise."""
+    """B(x, a, b) = x^a (1-x)^b / a * CF(x), the continued fraction of
+    DLMF 8.17.22, for x below the integrand's (a+1)/(a+b+2); beyond it the
+    complement B(1, a, b) - B(1-x, b, a), which is then the larger part and
+    does not cancel.
+
+    The fraction is run to full double precision whatever ctx.eps_rel asks
+    (about 8 steps, at most 24 for a, b in [0.1, 10]); ctx.max_series_terms
+    caps its steps, and reaching the cap raises SeriesDivergenceError.
+    """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"incomplete beta needs x in [0, 1], got {x}")
     if x == 0.0:
@@ -289,10 +451,36 @@ def incomplete_beta(x: float, base: BetaBase,
     if x == 1.0:
         return complete_beta(base)
     a, b = base.a, base.b
-    if x <= 0.5:
-        f = gauss_2f1(a, 1.0 - b, a + 1.0, x, ctx, method="series")
-        return x ** a / a * float(f)
-    return complete_beta(base) - incomplete_beta(1.0 - x, BetaBase(b, a), ctx)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return x ** a * (1.0 - x) ** b / a * _beta_cf(x, a, b, ctx)
+    y = 1.0 - x
+    return complete_beta(base) - y ** b * x ** a / b * _beta_cf(y, b, a, ctx)
+
+
+def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
+    """1 / (1 + d_1 / (1 + d_2 / (1 + ...))) by modified Lentz
+    (Numerical Recipes section 5.2 and 6.4), with
+    d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
+    d_2m = m (b-m) x / ((a+2m-1)(a+2m))."""
+    tiny = 1e-300
+
+    def guard(v: float) -> float:
+        return v if abs(v) >= tiny else tiny
+
+    c, d = 1.0, 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, ctx.max_series_terms + 1):
+        m2 = 2.0 * m
+        for coeff in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+                      -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
+            d = 1.0 / guard(1.0 + coeff * d)
+            c = guard(1.0 + coeff / c)
+            h *= d * c
+        if abs(d * c - 1.0) <= 2.0 * MACHINE_EPS:
+            return h
+    raise SeriesDivergenceError(
+        f"incomplete Beta continued fraction did not converge within "
+        f"{ctx.max_series_terms} steps", best=h, gap=abs(d * c - 1.0))
 
 
 def beta_sqrt(x: float, alpha: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:

@@ -35,6 +35,13 @@ class TestEval:
         out = capsys.readouterr().out
         assert "i" in out.split()[0]
 
+    def test_2f1_next_to_one(self, capsys):
+        # summed at 1 - z by the connection formula; the series at z itself
+        # stopped at its 2000-term cap
+        assert main(["eval", "2f1", "0.5", "0.25", "1.5", "0.995"]) == 0
+        value = float(capsys.readouterr().out.split()[0])
+        assert value == pytest.approx(1.1885665682236528, rel=1e-12)
+
     def test_unknown_function(self, capsys):
         assert main(["eval", "frobnicate", "1"]) == 2
 

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from rrcflab import modular, quadrature
+from rrcflab import modular, quadrature, special
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
                              F_of_x, G_of_x, SexticInstance,
                              beta_ratio_root, eta_quotient_nome_of,
@@ -389,6 +389,41 @@ class TestWorkCounts:
         call()
         assert counts["calls"] <= max_calls
         assert counts["evals"] <= max_evals
+
+
+class TestGauss2F1WorkCounts:
+    """Series terms of gauss_2f1(0.5, 0.25, 1.5, z) on the unit disk, and no
+    quadrature.  The counts are deterministic; each bound is twice the
+    count measured (17 at 0.99 and 29 at 0.9 through 1 - z, 34 at -0.99 and
+    65 at 0.99i through z/(z-1)).  The series at z itself raised at its
+    2000-term cap at the first three and took 234 terms at 0.9."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        tally = {"terms": 0, "quadratures": 0}
+        original = special.sum_series
+
+        def counting_series(term, ctx):
+            result = original(term, ctx)
+            tally["terms"] += result.terms
+            return result
+
+        def no_quadrature(*args, **kwargs):
+            tally["quadratures"] += 1
+            raise AssertionError("gauss_2f1 integrated at |z| < 1")
+
+        monkeypatch.setattr(special, "sum_series", counting_series)
+        monkeypatch.setattr(special, "integrate_complex", no_quadrature)
+        monkeypatch.setattr(special, "integrate_finite", no_quadrature)
+        return tally
+
+    @pytest.mark.parametrize("z, max_terms", [
+        (0.99, 34), (-0.99, 68), (0.99j, 130), (0.9, 58),
+    ], ids=["0.99", "-0.99", "0.99i", "0.9"])
+    def test_bounded(self, counts, z, max_terms):
+        special.gauss_2f1(0.5, 0.25, 1.5, z)
+        assert counts["quadratures"] == 0
+        assert 0 < counts["terms"] <= max_terms
 
 
 class TestNoRootFindingInTheJLayer:
