@@ -55,13 +55,8 @@ def _context_from(args) -> PrecisionContext:
                 eps = float(env)
             except ValueError:
                 raise SystemExit(f"invalid {ENV_EPS}={env!r}")
-    ctx = DEFAULT_CTX
-    if eps is not None:
-        ctx = ctx.with_eps(eps)
-    max_terms = getattr(args, "max_terms", None)
-    if max_terms is not None:
-        ctx = replace(ctx, max_series_terms=max_terms)
-    return ctx
+    changes = {"eps_rel": eps, "max_series_terms": getattr(args, "max_terms", None)}
+    return replace(DEFAULT_CTX, **{k: v for k, v in changes.items() if v is not None})
 
 
 def _cmd_verify(args) -> int:
@@ -109,9 +104,9 @@ def _evaluate(name: str, vals: list, ctx: PrecisionContext):
     if name == "K":
         return special.elliptic_k(vals[0])
     if name == "k_r":
-        return modular.singular_modulus(vals[0], ctx)
+        return modular.singular_modulus(vals[0])
     if name == "j":
-        return modular.klein_j(vals[0], ctx)
+        return modular.klein_j(vals[0])
     if name == "2f1":
         return special.gauss_2f1(*vals, ctx)
     if name == "f1":
@@ -151,8 +146,8 @@ def _cmd_eval(args) -> int:
     except (KernelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    err = ctx.eps_rel * abs(complex(value))
-    print(f"{_fmt(value)} (est err {err:.2g})")
+    tol = ctx.eps_rel * abs(complex(value))   # the target, not an estimate
+    print(f"{_fmt(value)} (tol {tol:.2g})")
     return 0
 
 

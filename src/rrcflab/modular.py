@@ -14,7 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -46,7 +46,7 @@ _THETA_CUT = sys.float_info.epsilon / 8.0
 # 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
 # The quarter-modulus search resolves its root to the last bit.
-_FULL_PRECISION = DEFAULT_CTX.with_eps(MACHINE_EPS, MACHINE_EPS)
+_FULL_PRECISION = PrecisionContext(MACHINE_EPS, MACHINE_EPS)
 # Interior points on which theorem6_base_change tests the base ratio.
 _MONOTONE_GRID = 9
 
@@ -109,11 +109,10 @@ def _singular_modulus_pair(r: float) -> tuple[float, float]:
     return k, (theta4 / theta3) ** 2
 
 
-def singular_modulus(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def singular_modulus(r: float) -> float:
     """The unique k in (0, 1) with K(k')/K(k) = sqrt(r), as theta2^2/theta3^2
     at the nome e^(-pi sqrt r) (at the reciprocal index when r < 1): a few
-    terms of each theta series, full double precision whatever ctx asks,
-    no root finding."""
+    terms of each theta series, full double precision, no root finding."""
     return _singular_modulus_pair(r)[0]
 
 
@@ -149,14 +148,14 @@ def _klein_j_cached(r: float) -> float:
     raise DomainError(f"klein_j overflows a float at max(r, 1/r) = {r}")
 
 
-def klein_j(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def klein_j(r: float) -> float:
     """j-invariant at index r (1728 at r = 1), with j(r) = j(1/r) putting
     the index at r >= 1.  It is the quarter-modulus form at t = k_4r^2,
     16 (1+14t+t^2)^3 / (t (1-t)^4), written in z = (1-t)^2/(16t) =
     (k'_4r^2 / (4 k_4r))^2 as 256 (1+z)(1+1/z)^2, which neither cancels nor
     overflows before j does; _quarter_modulus inverts the same relation.  The
     moduli are theta series at the nome e^(-2 pi sqrt r) <= e^(-2 pi), so j
-    has full double precision whatever ctx asks, with no root finding.
+    has full double precision, with no root finding.
     j ~ e^(2 pi sqrt r) overflows a float past max(r, 1/r) ~ 1.27e4:
     DomainError.  The registry checks j against the lambda-line form and
     the level-5 Hauptmodul."""
@@ -186,8 +185,7 @@ def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     continued fraction's range (0, (sqrt5-1)/2)."""
     if not (0.0 < upper < GOLDEN_CONJUGATE):
         raise DomainError(f"upper limit must lie in (0, {GOLDEN_CONJUGATE})")
-    return integrate_finite(rr_integrand, 0.0, upper, ctx,
-                            singular_at_a=True, singular_at_b=_near_top(upper))
+    return integrate_finite(rr_integrand, 0.0, upper, ctx)
 
 
 def _surd_weighted(t: float) -> float:
@@ -222,7 +220,7 @@ def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> flo
     # the head in its offset variable: on [lower, 1] itself, nodes within an
     # ulp of 1 would round onto it and drop out when lower is close to 1
     head = integrate_finite(lambda tau: surd_integrand(lower + tau), 0.0, 1.0 - lower,
-                            ctx, singular_at_a=lower == 0.0)
+                            ctx)
     return head + integrate_finite(far, 0.0, 1.0, ctx)
 
 
@@ -254,7 +252,7 @@ def _relative_to(target: float, ctx: PrecisionContext) -> PrecisionContext:
     """The context for the quadratures of a search that solves
     ln I = ln target: their absolute tolerance is eps_rel * target, so a
     tiny target is still resolved relatively."""
-    return ctx.with_eps(ctx.eps_rel, max(ctx.eps_rel * target, sys.float_info.min))
+    return replace(ctx, eps_abs=max(ctx.eps_rel * target, sys.float_info.min))
 
 
 def _moving_integral(slope: Callable[[float], float], full: Callable[[float], float],
@@ -564,11 +562,11 @@ def beta_ratio_root(base: BetaBase, r: float,
                                  xtol=ctx.eps_rel))
 
 
-def invert_lambda_j(j0: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def invert_lambda_j(j0: float) -> float:
     """The root lam = k_r^2 in (0, 1/2] of the lambda-line j form; needs
     j0 >= 1728.  Landen's step k_4r = (1 - k'_r)/(1 + k'_r) (DLMF 19.8(ii))
     turns k_4r = sqrt(_quarter_modulus(j0)) into lam = 4 k_4r / (1 + k_4r)^2:
-    full precision whatever ctx asks, for every j0 below float overflow."""
+    full precision for every j0 below float overflow."""
     if j0 < 1728.0:
         raise DomainError(f"lambda-line j is >= 1728 on (0,1), got {j0}")
     if j0 == 1728.0:
@@ -614,8 +612,7 @@ def sextic_variable_of_index(r: float) -> float:
     return u_of_q(Nome.from_r_squared(r))
 
 
-def theorem7_derivative_check(r: float,
-                              ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
+def theorem7_derivative_check(r: float) -> CheckResult:
     """Compare dX/dr against pi (eta(i sqrt r)^4 / sqrt r) X^(1/6)
     sqrt(125 + 22 X + X^2).
 
@@ -625,7 +622,7 @@ def theorem7_derivative_check(r: float,
     """
     if r <= 0.0:
         raise DomainError(f"need r > 0, got {r}")
-    fd = differentiate(sextic_variable_of_index, r, ctx)
+    fd = differentiate(sextic_variable_of_index, r)
     x = sextic_variable_of_index(r)
     stated = -math.pi * dedekind_eta(math.sqrt(r)) ** 4 / math.sqrt(r) \
         * x ** (1.0 / 6.0) * math.sqrt(125.0 + 22.0 * x + x * x)
@@ -707,13 +704,13 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
         r = (math.log(math.sqrt(q_squared)) / math.pi) ** 2
         return klein_j(r) ** (-1.0 / 3.0)
 
-    return integrate_finite(integrand, 0.0, x, ctx, singular_at_a=True)
+    return integrate_finite(integrand, 0.0, x, ctx)
 
 
 def j_integral_identity(x: float,
                         ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
     """F1 closed form against the direct j-quadrature at the same x."""
-    loose = ctx.with_eps(max(ctx.eps_rel, 1e-10), 1e-18)
+    loose = replace(ctx, eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
     quad = j_integral_quadrature(x, loose)
     closed = j_integral_f1_form(x, ctx)
     notes = ("quadrature uses the j^(-1/3) integrand fixed by the derivative "
@@ -822,9 +819,9 @@ def pi_formula_partial_sum(R: float, terms: int) -> float:
     return total
 
 
-def pi_formula_check(R: float, terms: int = 200,
-                     ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
-    """Partial sums against pi/(R+1) and the arcsin closed form."""
+def pi_formula_check(R: float) -> CheckResult:
+    """The 200-term partial sum against pi/(R+1) and the arcsin form."""
+    terms = 200
     m = trig_modular(R)
     partial = pi_formula_partial_sum(R, terms)
     target = math.pi / (R + 1.0)

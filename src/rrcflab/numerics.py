@@ -8,13 +8,15 @@ All operations are pure; contexts are immutable and freely shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 MACHINE_EPS = math.ulp(1.0)
 # Base step of differentiate's central differences, relative to max(1, |x|):
-# the cube root of the machine epsilon balances truncation and rounding.
-FD_STEP = MACHINE_EPS ** (1.0 / 3.0)
+# eps^(1/5) balances the O(h^4) truncation after Richardson against rounding.
+FD_STEP = MACHINE_EPS ** (1.0 / 5.0)
+# Evaluations allowed to find_root and newton_root before ConvergenceError.
+MAX_ROOT_ITERS = 200
 
 
 class KernelError(Exception):
@@ -51,27 +53,22 @@ class PrecisionContext:
     """Numerical budget threaded through every operation.
 
     eps_rel/eps_abs form the linear tolerance eps_rel*|scale| + eps_abs used
-    by series tails, quadrature level agreement and root brackets.
+    by series tails, quadrature level agreement and root brackets.  Derive
+    a context with dataclasses.replace, which validates it again.
     """
 
     eps_rel: float = 1e-12
     eps_abs: float = 1e-15
     max_series_terms: int = 2000
-    max_quad_levels: int = 10
-    max_root_iters: int = 200
 
     def __post_init__(self):
         if not (self.eps_rel > 0.0 and self.eps_abs > 0.0):
             raise DomainError("eps_rel and eps_abs must be positive")
-        if min(self.max_series_terms, self.max_quad_levels, self.max_root_iters) < 1:
-            raise DomainError("iteration caps must be at least 1")
+        if self.max_series_terms < 1:
+            raise DomainError("the series term cap must be at least 1")
 
     def tol(self, scale: float = 1.0) -> float:
         return self.eps_rel * abs(scale) + self.eps_abs
-
-    def with_eps(self, eps_rel: float, eps_abs: float | None = None) -> "PrecisionContext":
-        return replace(self, eps_rel=eps_rel,
-                       eps_abs=self.eps_abs if eps_abs is None else eps_abs)
 
 
 DEFAULT_CTX = PrecisionContext()
@@ -129,7 +126,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
 
     c, fc = a, fa
     d = e = b - a
-    for _ in range(ctx.max_root_iters):
+    for _ in range(MAX_ROOT_ITERS):
         if fb * fc > 0.0:
             c, fc = a, fa
             d = e = b - a
@@ -166,7 +163,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         fb = f(b)
     raise ConvergenceError(
-        f"root finder hit iteration cap ({ctx.max_root_iters})",
+        f"root finder hit iteration cap ({MAX_ROOT_ITERS})",
         best=b, gap=abs(c - b))
 
 
@@ -185,14 +182,14 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     coordinate passes an absolute one).  Closing on a bracket end that was
     never evaluated costs one more evaluation, and a Newton estimate beyond
     that end means the analysis was wrong: BracketError.  Raises
-    ConvergenceError after ctx.max_root_iters evaluations.
+    ConvergenceError after MAX_ROOT_ITERS evaluations.
     """
     lo, hi, x = float(lo), float(hi), float(x0)
     if not lo <= x <= hi:
         raise DomainError(f"start {x0} outside the bracket [{lo}, {hi}]")
     lo_seen = hi_seen = False
     step = hi - lo
-    for _ in range(ctx.max_root_iters):
+    for _ in range(MAX_ROOT_ITERS):
         f, df = fdf(x)
         if not math.isfinite(f):
             raise DomainError(f"f not finite at x={x}")
@@ -230,7 +227,7 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
             return x_new
         x = x_new
     raise ConvergenceError(
-        f"root finder hit iteration cap ({ctx.max_root_iters})",
+        f"root finder hit iteration cap ({MAX_ROOT_ITERS})",
         best=x, gap=abs(step))
 
 
@@ -257,8 +254,7 @@ class Derivative(NamedTuple):
     error: float
 
 
-def differentiate(f: Callable[[float], float], x: float,
-                  ctx: PrecisionContext = DEFAULT_CTX) -> Derivative:
+def differentiate(f: Callable[[float], float], x: float) -> Derivative:
     """Central difference with one Richardson refinement, at the step
     FD_STEP * max(1, |x|) and its half.
 

@@ -54,21 +54,21 @@ def _level_table(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(table)
 
 
-# Built once at import (a few ms for ~5k nodes) for every level the default
-# context can reach; a context with more levels builds the rest as it needs
-# them.
-_TABLES = tuple(_level_table(level) for level in range(DEFAULT_CTX.max_quad_levels + 1))
+# Levels past level 0, each halving the step, before QuadratureError; their
+# node tables are built once at import (a few ms for ~5k nodes).
+MAX_QUAD_LEVELS = 10
+_TABLES = tuple(_level_table(level) for level in range(MAX_QUAD_LEVELS + 1))
 
 
 def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
-               ctx: PrecisionContext, singular_at_a: bool, singular_at_b: bool,
+               ctx: PrecisionContext,
                isfinite: Callable[[float | complex], bool]) -> float | complex:
     """The level loop behind integrate_finite and integrate_complex.
 
     isfinite is math.isfinite or cmath.isfinite, so the sums are real or
     complex without a per-node type test.  A node at or past an endpoint
-    (its offset lost to rounding) contributes 0; so does a non-finite
-    sample within 1e-12 of an endpoint declared singular.
+    (its offset lost to rounding) contributes 0; a non-finite sample
+    anywhere is a DomainError.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -83,30 +83,20 @@ def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
         (_, centre_weight), *nodes = _TABLES[0]
         s = centre_weight * v
         prev = math.inf
-        for level in range(ctx.max_quad_levels + 1):
+        for level in range(MAX_QUAD_LEVELS + 1):
             if level:
-                nodes = _TABLES[level] if level < len(_TABLES) else _level_table(level)
+                nodes = _TABLES[level]
                 s = 0.0
             for off, w in nodes:
                 d = half * off
                 x = b - d
-                if x <= a or x >= b:
-                    vb = 0.0
-                else:
-                    vb = f(x)
-                    if not isfinite(vb):
-                        if not (singular_at_b and off < 1e-12):
-                            raise DomainError(f"integrand not finite at x={x!r}")
-                        vb = 0.0
+                vb = 0.0 if x <= a or x >= b else f(x)
+                if not isfinite(vb):
+                    raise DomainError(f"integrand not finite at x={x!r}")
                 x = a + d
-                if x <= a or x >= b:
-                    va = 0.0
-                else:
-                    va = f(x)
-                    if not isfinite(va):
-                        if not (singular_at_a and off < 1e-12):
-                            raise DomainError(f"integrand not finite at x={x!r}")
-                        va = 0.0
+                va = 0.0 if x <= a or x >= b else f(x)
+                if not isfinite(va):
+                    raise DomainError(f"integrand not finite at x={x!r}")
                 s += w * vb + w * va
             if level == 0:
                 total = s
@@ -121,29 +111,26 @@ def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
         raise DomainError(f"integrand raised {exc!r} at x={x!r}") from exc
     raise QuadratureError(
-        f"quadrature level cap ({ctx.max_quad_levels}) reached on [{a}, {b}]",
+        f"quadrature level cap ({MAX_QUAD_LEVELS}) reached on [{a}, {b}]",
         best=half * total, gap=half * gap)
 
 
 def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     ctx: PrecisionContext = DEFAULT_CTX,
-                     singular_at_a: bool = False,
-                     singular_at_b: bool = False) -> float:
+                     ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Integrate f over (a, b) with tanh-sinh levels until two successive
     levels agree within eps_rel*|I| + eps_abs.
 
-    The singular flags assert that an endpoint blow-up is expected and
-    integrable; a non-finite sample elsewhere, or a ZeroDivisionError,
+    An integrable endpoint blow-up needs no declaration: the nodes never
+    reach the endpoints.  A non-finite sample, or a ZeroDivisionError,
     OverflowError or ValueError raised by f, is a DomainError.  Level-cap
     exhaustion raises QuadratureError carrying the best estimate and gap.
     """
-    return _tanh_sinh(f, a, b, ctx, singular_at_a, singular_at_b, math.isfinite)
+    return _tanh_sinh(f, a, b, ctx, math.isfinite)
 
 
 def integrate_to_infinity(f: Callable[[float], float], a: float,
                           decay: ExponentialDecay | AlgebraicDecay,
-                          ctx: PrecisionContext = DEFAULT_CTX,
-                          singular_at_a: bool = False) -> float:
+                          ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Integrate f over (a, inf) given its declared tail behaviour.
 
     Exponential decay: truncate at T with rate*(T-a) >= ln(1/eps_abs) plus a
@@ -157,7 +144,7 @@ def integrate_to_infinity(f: Callable[[float], float], a: float,
         if decay.rate <= 0.0:
             raise DomainError("exponential decay rate must be positive")
         cut = a + (math.log(1.0 / ctx.eps_abs) + 10.0) / decay.rate
-        return integrate_finite(f, a, cut, ctx, singular_at_a=singular_at_a)
+        return integrate_finite(f, a, cut, ctx)
     if isinstance(decay, AlgebraicDecay):
         if decay.p <= 1.0:
             raise DomainError(f"algebraic decay p={decay.p} <= 1 diverges")
@@ -167,15 +154,12 @@ def integrate_to_infinity(f: Callable[[float], float], a: float,
         def mapped(s: float) -> float:
             return c * f(a + c * (1.0 - s) / s) / (s * s)
 
-        return integrate_finite(mapped, 0.0, 1.0, ctx,
-                                singular_at_a=True, singular_at_b=singular_at_a)
+        return integrate_finite(mapped, 0.0, 1.0, ctx)
     raise DomainError(f"unknown decay declaration: {decay!r}")
 
 
 def integrate_complex(f: Callable[[float], complex], a: float, b: float,
-                      ctx: PrecisionContext = DEFAULT_CTX,
-                      singular_at_a: bool = False,
-                      singular_at_b: bool = False) -> complex:
+                      ctx: PrecisionContext = DEFAULT_CTX) -> complex:
     """Complex-valued finite integral: one pass of integrate_finite's rule,
     one evaluation of f per node, converged on the complex level gap."""
-    return complex(_tanh_sinh(f, a, b, ctx, singular_at_a, singular_at_b, cmath.isfinite))
+    return complex(_tanh_sinh(f, a, b, ctx, cmath.isfinite))

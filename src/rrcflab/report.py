@@ -44,8 +44,7 @@ def residuals(lhs: complex | float, rhs: complex | float) -> tuple[float, float]
 
 def compare(check_id: str, paper_ref: str, lhs: complex | float,
             rhs: complex | float, tolerance: float, notes: str = "",
-            flagged: bool = False, relative: bool = True,
-            seconds: float = 0.0) -> CheckResult:
+            flagged: bool = False, relative: bool = True) -> CheckResult:
     """Build a CheckResult from two values and a tolerance.
 
     relative=True judges residual_rel against the tolerance, else
@@ -57,5 +56,4 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     status = PASS if within else (FLAGGED if flagged else FAIL)
     return CheckResult(id=check_id, paper_ref=paper_ref, lhs=lhs, rhs=rhs,
                        residual_abs=res_abs, residual_rel=res_rel,
-                       tolerance=tolerance, status=status, notes=notes,
-                       seconds=seconds)
+                       tolerance=tolerance, status=status, notes=notes)

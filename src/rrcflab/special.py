@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, PrecisionContext,
                        SeriesDivergenceError, SeriesSum, sum_series)
@@ -50,29 +51,63 @@ def _is_nonpositive_int(z: complex) -> bool:
 def gamma(z: complex | float) -> complex | float:
     """Gamma function; complex arguments use the same code path as real ones.
 
-    Raises PoleError at the poles 0, -1, -2, ...
+    Raises PoleError at the poles 0, -1, -2, ..., and DomainError where
+    |gamma| is not a normal double (real z past 171.6, or left of -171 away
+    from the poles) or sin(pi z) overflows (Re z < 1/2, |Im z| > 226).
     """
     zc = complex(z)
     if _is_nonpositive_int(zc):
         raise PoleError(f"gamma pole at z={z}")
-    if zc.real < 0.5:
-        # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
-        # sin(pi z) = (-1)^n sin(pi (z - n)) for the nearest integer n: z - n
-        # is exact, while the rounded product pi z would lose every digit
-        # of z next to a pole
-        n = round(zc.real)
-        sine = cmath.sin(math.pi * (zc - n))
-        val = math.pi / ((-sine if n % 2 else sine) * gamma(1.0 - zc))
-    else:
-        w = zc - 1.0
-        acc = _LANCZOS[0]
-        for i, c in enumerate(_LANCZOS[1:], start=1):
-            acc += c / (w + i)
-        t = w + _LANCZOS_G + 0.5
-        val = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
-    if isinstance(z, complex):
-        return val
-    return val.real
+    try:
+        if zc.real < 0.5:
+            # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
+            # sin(pi z) = (-1)^n sin(pi (z - n)) for the nearest integer n:
+            # z - n is exact, while the rounded product pi z would lose
+            # every digit of z next to a pole
+            n = round(zc.real)
+            sine = cmath.sin(math.pi * (zc - n))
+            val = math.pi / ((-sine if n % 2 else sine) * gamma(1.0 - zc))
+        else:
+            w = zc - 1.0
+            acc, t = _lanczos_sum(w), w + _LANCZOS_G + 0.5
+            val = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
+    except (OverflowError, DomainError):
+        val = math.inf
+    if not cmath.isfinite(val):
+        val = _gamma_halved(zc)
+    return val if isinstance(z, complex) else val.real
+
+
+def _lanczos_sum(w: complex) -> complex:
+    """acc with gamma(w + 1) = sqrt(2 pi) t^(w + 1/2) e^-t acc,
+    t = w + g + 1/2, for Re w >= -1/2."""
+    acc = _LANCZOS[0]
+    for i, c in enumerate(_LANCZOS[1:], start=1):
+        acc += c / (w + i)
+    return acc
+
+
+def _gamma_halved(zc: complex) -> complex:
+    """gamma(z) where the power t^(w + 1/2) of the Lanczos form overflows
+    (from Re z ~ 142, or at 1 - z in the reflection), taken as two halves:
+    finite wherever |gamma(z)| is a normal double, DomainError elsewhere."""
+    reflect = zc.real < 0.5
+    w = -zc if reflect else zc - 1.0
+    t = w + _LANCZOS_G + 0.5
+    try:
+        scale = math.sqrt(2.0 * math.pi) * _lanczos_sum(w) * cmath.exp(-t)
+        half = t ** (0.5 * (w + 0.5))
+        if reflect:
+            n = round(zc.real)
+            sine = cmath.sin(math.pi * (zc - n))
+            val = math.pi / ((-sine if n % 2 else sine) * scale) / half / half
+        else:
+            val = scale * half * half
+    except OverflowError:
+        val = math.inf
+    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
+        raise DomainError(f"|gamma({zc})| is not a normal double")
+    return val
 
 
 def log_gamma_real(x: float) -> float:
@@ -183,10 +218,7 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
                 * (1.0 - zc * t) ** (-aa)
 
         pref = gamma(cc) / (gamma(bb) * gamma(cc - bb))
-        val = pref * integrate_complex(integrand, 0.0, 1.0, ctx,
-                                       singular_at_a=bb.real < 1.0,
-                                       singular_at_b=(cc - bb).real < 1.0)
-        return _maybe_real(val, inputs_real)
+        return _maybe_real(pref * integrate_complex(integrand, 0.0, 1.0, ctx), inputs_real)
 
     raise DomainError(f"unknown 2F1 method {method!r}")
 
@@ -259,7 +291,8 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
     if 0.5 < r < 1.0:
         # the terms fall by about r per step, so the stopping rule leaves a
         # tail of about r/(1-r) times its tolerance; scale that back to 1
-        ctx = ctx.with_eps(ctx.eps_rel * (1.0 - r) / r, ctx.eps_abs * (1.0 - r) / r)
+        ctx = replace(ctx, eps_rel=ctx.eps_rel * (1.0 - r) / r,
+                      eps_abs=ctx.eps_abs * (1.0 - r) / r)
     return sum_series(term, ctx).value
 
 
@@ -283,7 +316,7 @@ def _connection_2f1(a, b, c, z, ctx):
     # integer (at least _POLE_GAP), and cancel to the sum: sum each series
     # that much tighter
     gap = abs(s - round(s.real))
-    ctx = ctx.with_eps(ctx.eps_rel * gap, ctx.eps_abs * gap)
+    ctx = replace(ctx, eps_rel=ctx.eps_rel * gap, eps_abs=ctx.eps_abs * gap)
     near = gamma(s) / (gamma(c - a) * gamma(c - b)) \
         * _series_2f1(a, b, 1.0 - s, w, ctx)
     far = w ** s * gamma(-s) / (gamma(a) * gamma(b)) \
@@ -386,10 +419,7 @@ def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
                 * (1.0 - xc * t) ** (-b1c) * (1.0 - yc * t) ** (-b2c)
 
         pref = gamma(cc) / (gamma(ac) * gamma(cc - ac))
-        val = pref * integrate_complex(integrand, 0.0, 1.0, ctx,
-                                       singular_at_a=ac.real < 1.0,
-                                       singular_at_b=(cc - ac).real < 1.0)
-        return _maybe_real(val, inputs_real)
+        return _maybe_real(pref * integrate_complex(integrand, 0.0, 1.0, ctx), inputs_real)
 
     raise DomainError(f"unknown F1 method {method!r}")
 
@@ -593,7 +623,7 @@ def quadratic_power_quadrature(mu: float, nu: float, a: float, b: float,
     def f(t: float) -> float:
         return t ** mu * (a * t * t + b * t + c) ** (-nu)
 
-    return integrate_finite(f, 0.0, x, ctx, singular_at_a=mu < 0.0)
+    return integrate_finite(f, 0.0, x, ctx)
 
 
 def quadratic_antiderivative_f1(m: float, n: float, a: float, b: float,

@@ -48,7 +48,7 @@ def weighted_power_integral(exponent: float, ctx: PrecisionContext,
     the two routes are this family's anti-typo defence."""
     if not substituted:
         return integrate_finite(lambda q: _weighted_power_integrand(q, exponent),
-                                0.0, 1.0, ctx, singular_at_a=True)
+                                0.0, 1.0, ctx)
 
     def mapped(s: float) -> float:
         q = s ** 6
@@ -81,7 +81,7 @@ def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
                 + 4.0 * qseries.ramanujan_f_log(q) - (5.0 / 6.0) * math.log(q))
         return math.exp(expo) if expo > -700.0 else 0.0
 
-    return integrate_finite(f, 0.0, 1.0, ctx, singular_at_a=True)
+    return integrate_finite(f, 0.0, 1.0, ctx)
 
 
 def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
@@ -91,7 +91,7 @@ def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
     def f(t: float) -> float:
         return t ** (nu - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
 
-    head = integrate_finite(f, 0.0, 50.0, ctx, singular_at_a=nu < 1.0)
+    head = integrate_finite(f, 0.0, 50.0, ctx)
     return head + integrate_to_infinity(f, 50.0, AlgebraicDecay(2.0 - nu), ctx)
 
 
@@ -100,10 +100,10 @@ def quintic_surd_denominator_integral(n: float, x_lo: float, x_hi: float,
     """int_{x_lo}^{x_hi} t^(n-1) (125 + 22 t + t^2)^(-1/2) dt."""
     return integrate_finite(
         lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5,
-        x_lo, x_hi, ctx, singular_at_a=(x_lo == 0.0 and n < 1.0))
+        x_lo, x_hi, ctx)
 
 
-def modulus_product_formula(r: float, ctx: PrecisionContext) -> float:
+def modulus_product_formula(r: float) -> float:
     """2^(1/3) pi^(-1/2) q^(-1/24) k^(1/12) k'^(1/3) K(k)^(1/2) at the
     index-r singular modulus, q = exp(-pi sqrt r)."""
     k, kp = modular._singular_modulus_pair(r)
@@ -218,7 +218,7 @@ def _eta_product_modulus_check(r: float):
     def build(ctx: PrecisionContext) -> CheckResult:
         q = math.exp(-math.pi * math.sqrt(r))
         lhs = qseries.ramanujan_f(q)
-        rhs = modulus_product_formula(r, ctx)
+        rhs = modulus_product_formula(r)
         return compare(f"Eq19.r={r:g}", "Eq (19)", lhs, rhs, 1e-9,
                        notes="q-product vs elliptic-modulus closed form")
     return build
@@ -230,7 +230,7 @@ for _r in (1.0, 2.0, 4.0):
 
 @_register("Eq20_21.chain.r=4")
 def _eq20_21(ctx: PrecisionContext) -> CheckResult:
-    k = modular.singular_modulus(4.0, ctx)
+    k = modular.singular_modulus(4.0)
     q = math.exp(-2.0 * math.pi)
     chain = qseries.rrcf_derivative(q) * qseries.dq_dk(k, q, ctx)
     direct = qseries.dr_dk(k, q, ctx)
@@ -244,14 +244,14 @@ def _eq20_21(ctx: PrecisionContext) -> CheckResult:
 
 @_register("Eq20.sign.r=4")
 def _eq20_sign(ctx: PrecisionContext) -> CheckResult:
-    k = modular.singular_modulus(4.0, ctx)
+    k = modular.singular_modulus(4.0)
     q = math.exp(-2.0 * math.pi)
 
     def nome_of_modulus(kk: float) -> float:
         return math.exp(-math.pi * special.elliptic_k_complementary(kk)
                         / elliptic_k(kk))
 
-    fd = differentiate(nome_of_modulus, k, ctx)
+    fd = differentiate(nome_of_modulus, k)
     stated = qseries.dq_dk(k, q, ctx)
     notes = (f"|finite difference|/|stated| - 1 = "
              f"{abs(fd.value / stated) - 1.0:.2e}; the map k -> q is "
@@ -262,7 +262,7 @@ def _eq20_sign(ctx: PrecisionContext) -> CheckResult:
 
 @_register("Eq22.r=4")
 def _eq22(ctx: PrecisionContext) -> CheckResult:
-    k = modular.singular_modulus(4.0, ctx)
+    k = modular.singular_modulus(4.0)
     lhs = modular.hypergeometric_g_argument(k * k, ctx)
     rhs = modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx)
     return compare("Eq22.r=4", "Eq (22)", lhs, rhs, 1e-7,
@@ -271,7 +271,7 @@ def _eq22(ctx: PrecisionContext) -> CheckResult:
 
 def _triple_equality_check(r: float):
     def build(ctx: PrecisionContext) -> CheckResult:
-        k = modular.singular_modulus(r, ctx)
+        k = modular.singular_modulus(r)
         e1 = math.pi * modular.eta_tail_integral(math.sqrt(r), ctx)
         e2 = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
             gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
@@ -306,7 +306,7 @@ def _app2(ctx: PrecisionContext) -> CheckResult:
         q = find_root(lambda qq: qseries.rrcf(qq) - x, 1e-8, 0.999, ctx)
         return -math.log(q) / math.pi
 
-    fd = differentiate(inverse_tau, x0, ctx)
+    fd = differentiate(inverse_tau, x0)
     radical = math.sqrt((1.0 + 3.0 * SQRT5
                          + 2.0 * math.sqrt(10.0 + 2.0 * SQRT5)) / 10.0)
     tau = inverse_tau(x0)
@@ -332,7 +332,7 @@ def _rrcf_value(ctx: PrecisionContext) -> CheckResult:
 
 @_register("T4.r=4")
 def _t4(ctx: PrecisionContext) -> CheckResult:
-    k = modular.singular_modulus(4.0, ctx)
+    k = modular.singular_modulus(4.0)
     lhs = modular.F_of_x(modular.hypergeometric_g_argument(k * k, ctx), ctx)
     # F_of_x solves to eps_rel: at most 5.5e-4 eps_rel measured at eps
     # 1e-12..1e-6 (2.0e-16 at the default), a margin of at least 1,800
@@ -368,7 +368,7 @@ def _eq31(ctx: PrecisionContext) -> CheckResult:
 
 @_register("Eq32.r=4")
 def _eq32(ctx: PrecisionContext) -> CheckResult:
-    k = modular.singular_modulus(4.0, ctx)
+    k = modular.singular_modulus(4.0)
     x = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
         gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
     # m_of_x solves to eps_rel: at most 8.3e-4 eps_rel measured at eps
@@ -437,7 +437,7 @@ def _j_lambda_check(r: float):
         k, kp = modular._singular_modulus_pair(r)
         lam_form = modular.klein_j_from_lambda(k * k, kp * kp)
         return compare(f"J.lambda.r={r:g}", "j-invariant, lambda-line form",
-                       modular.klein_j(r, ctx), lam_form, 1e-12,
+                       modular.klein_j(r), lam_form, 1e-12,
                        notes=f"256(l^2-l+1)^3/(l^2(1-l)^2) at l=k_r^2={k * k:.15g} "
                              f"against the quarter-modulus form at index 4r")
     return build
@@ -449,7 +449,7 @@ def _j_level5_check(r: float):
         level5 = (u * u + 250.0 * u + 3125.0) ** 3 / u ** 5
         return compare(f"J.level5.r={r:g}",
                        "Level-5 relation behind Theorem 5: j = (u^2+250u+3125)^3/u^5",
-                       modular.klein_j(r, ctx), level5, 1e-12,
+                       modular.klein_j(r), level5, 1e-12,
                        notes=f"eta-quotient u={u:.15g} at the squared nome "
                              f"exp(-2 pi sqrt r); no elliptic modulus involved")
     return build
@@ -462,10 +462,10 @@ for _r in (0.5, 1.0, 2.0, 4.0, 9.0):
 
 def _j_invert_check(r: float):
     def build(ctx: PrecisionContext) -> CheckResult:
-        j0 = modular.klein_j(r, ctx)
+        j0 = modular.klein_j(r)
         k, kp = modular._singular_modulus_pair(r)
         return compare(f"J.invert.r={r:g}", "Theorem 6, inverting the lambda-line j",
-                       modular.invert_lambda_j(j0, ctx), min(k * k, kp * kp), 1e-12,
+                       modular.invert_lambda_j(j0), min(k * k, kp * kp), 1e-12,
                        notes=f"lambda from the quarter modulus of j={j0:.15g} by "
                              f"Landen's step, against k_r^2 from theta series")
     return build
@@ -477,7 +477,7 @@ for _r in (2.0, 9.0, 1000.0):
 
 @_register("Prop1.eq42")
 def _prop1_beta(ctx: PrecisionContext) -> CheckResult:
-    k4 = modular.singular_modulus(4.0, ctx)
+    k4 = modular.singular_modulus(4.0)
     base = BetaBase(1.0 / 6.0, 2.0 / 3.0)
     x1 = qseries.u_of_q(_Q_RAMANUJAN)
     lhs = incomplete_beta(k4 * k4, base, ctx)
@@ -517,7 +517,7 @@ def _eq46_limit(ctx: PrecisionContext) -> CheckResult:
 
 @_register("Eq46.prop1")
 def _eq46_prop1(ctx: PrecisionContext) -> CheckResult:
-    k4 = modular.singular_modulus(4.0, ctx)
+    k4 = modular.singular_modulus(4.0)
     lhs = modular.theta_of_X(qseries.u_of_q(_Q_RAMANUJAN), ctx)
     return compare("Eq46.prop1", "Eq (46) against the Proposition 1 chain",
                    lhs, k4 * k4, 1e-6,
@@ -529,7 +529,7 @@ def _eq46_prop1(ctx: PrecisionContext) -> CheckResult:
 def _t6_k(ctx: PrecisionContext) -> CheckResult:
     alpha, r0, j0 = modular.theorem6_base_change(
         lambda x: elliptic_k(math.sqrt(x)), 2.0, ctx)
-    k2 = modular.singular_modulus(2.0, ctx)
+    k2 = modular.singular_modulus(2.0)
     return compare("T6.baseK.r=2", "Theorem 6, elliptic base", alpha, k2 * k2,
                    1e-9, notes=f"r0={r0:.12g} (self-consistency), j0={j0:.9g}")
 
@@ -563,17 +563,17 @@ def _t6_beta(ctx: PrecisionContext) -> CheckResult:
 
 @_register("T7.r=1")
 def _t7_r1(ctx: PrecisionContext) -> CheckResult:
-    return modular.theorem7_derivative_check(1.0, ctx)
+    return modular.theorem7_derivative_check(1.0)
 
 
 @_register("T7.r=2")
 def _t7_r2(ctx: PrecisionContext) -> CheckResult:
-    return modular.theorem7_derivative_check(2.0, ctx)
+    return modular.theorem7_derivative_check(2.0)
 
 
 @_register("T7.msign")
 def _t7_msign(ctx: PrecisionContext) -> CheckResult:
-    k1 = modular.singular_modulus(1.0, ctx)
+    k1 = modular.singular_modulus(1.0)
     b_val = incomplete_beta(k1 * k1, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
     lhs = math.pi * modular.eta_tail_integral(1.0, ctx)   # x with m(x) = 1
     stated = -(2.0 ** (5.0 / 3.0)) * b_val
@@ -594,7 +594,7 @@ def _eq50_quad(ctx: PrecisionContext) -> CheckResult:
 @_register("Eq50.derivative.x=0.8")
 def _eq50_deriv(ctx: PrecisionContext) -> CheckResult:
     x = 0.8
-    fd = differentiate(lambda xx: modular.j_integral_f1_form(xx, ctx), x, ctx)
+    fd = differentiate(lambda xx: modular.j_integral_f1_form(xx, ctx), x)
     q_sq = modular.eta_quotient_nome_of(x, ctx)
     r = (math.log(math.sqrt(q_sq)) / math.pi) ** 2
     rhs = modular.klein_j(r) ** (-1.0 / 3.0)
@@ -668,8 +668,7 @@ def _t8_ex1_partial(terms: int) -> float:
 def _t8_ex2(ctx: PrecisionContext) -> CheckResult:
     p = 0.6
     quad = integrate_finite(
-        lambda t: (t * (1.0 - t / p) * (1.0 + t / p)) ** -0.5,
-        0.0, p * p, ctx, singular_at_a=True)
+        lambda t: (t * (1.0 - t / p) * (1.0 + t / p)) ** -0.5, 0.0, p * p, ctx)
     hyp = 2.0 * p * float(gauss_2f1(0.5, 0.25, 1.25, p * p, ctx))
     beta_form = math.sqrt(p) / 2.0 * incomplete_beta(p * p, BetaBase(0.25, 0.5), ctx)
     notes = (f"quadrature {quad:.15g} = p * (2F1 member) = sqrt(p)/2 * Beta "
@@ -793,7 +792,7 @@ for _R in (1.0, 2.0, 3.5):
 
 for _R in (1.0, 3.0):
     def _ex6(ctx: PrecisionContext, R=_R) -> CheckResult:
-        return modular.pi_formula_check(R, 200, ctx)
+        return modular.pi_formula_check(R)
     _register(f"Ex6.eq68.R={_R:g}")(_ex6)
 
 

@@ -42,6 +42,13 @@ class TestEval:
         value = float(capsys.readouterr().out.split()[0])
         assert value == pytest.approx(1.1885665682236528, rel=1e-12)
 
+    def test_tolerance_is_not_called_an_estimate(self, capsys):
+        # eps_rel |value| is the target tolerance, not an error estimate
+        assert main(["eval", "K", "0", "--eps", "1e-6"]) == 0
+        value, label, tol = capsys.readouterr().out.split()
+        assert label == "(tol"
+        assert float(tol.rstrip(")")) == pytest.approx(1e-6 * float(value), rel=0.05)
+
     def test_unknown_function(self, capsys):
         assert main(["eval", "frobnicate", "1"]) == 2
 

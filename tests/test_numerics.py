@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rrcflab import numerics
 from rrcflab.numerics import (DEFAULT_CTX, FD_STEP, BracketError,
                               ConvergenceError, DomainError, PrecisionContext,
                               SeriesDivergenceError, differentiate, find_root,
@@ -14,20 +16,24 @@ class TestPrecisionContext:
     def test_defaults(self):
         ctx = PrecisionContext()
         assert ctx.eps_rel == 1e-12
-        assert FD_STEP == pytest.approx(math.ulp(1.0) ** (1 / 3))
+        assert FD_STEP == pytest.approx(math.ulp(1.0) ** (1 / 5))
 
     @pytest.mark.parametrize("bad", [
         dict(eps_rel=0.0), dict(eps_abs=-1e-3), dict(max_series_terms=0),
-        dict(max_root_iters=0),
+        dict(eps_rel=math.nan),
     ])
     def test_rejects_bad_budget(self, bad):
         with pytest.raises(DomainError):
             PrecisionContext(**bad)
 
     def test_with_eps(self):
-        ctx = DEFAULT_CTX.with_eps(1e-4)
+        # dataclasses.replace is the one way to derive a context, and it
+        # validates the result
+        ctx = replace(DEFAULT_CTX, eps_rel=1e-4)
         assert ctx.eps_rel == 1e-4
         assert ctx.eps_abs == DEFAULT_CTX.eps_abs
+        with pytest.raises(DomainError):
+            replace(DEFAULT_CTX, eps_rel=0.0)
 
 
 class TestSumSeries:
@@ -88,6 +94,12 @@ class TestFindRoot:
 
     def test_endpoint_root(self):
         assert find_root(lambda x: x, 0.0, 1.0) == 0.0
+
+    def test_convergence_error_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ROOT_ITERS", 3)
+        with pytest.raises(ConvergenceError) as err:
+            find_root(math.cos, 1.0, 2.0)
+        assert 1.0 <= err.value.best <= 2.0
 
     @given(st.floats(min_value=-5.0, max_value=5.0),
            st.floats(min_value=0.1, max_value=10.0))
@@ -151,10 +163,10 @@ class TestNewtonRoot:
         newton_root(fdf, -10.0, 20.0, 15.0)
         assert seen[2] == -3.75
 
-    def test_convergence_error_at_the_cap(self):
+    def test_convergence_error_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(numerics, "MAX_ROOT_ITERS", 3)
         with pytest.raises(ConvergenceError) as err:
-            newton_root(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -10.0, 20.0, 15.0,
-                        PrecisionContext(max_root_iters=3))
+            newton_root(lambda x: (math.atan(x), 1.0 / (1.0 + x * x)), -10.0, 20.0, 15.0)
         assert err.value.best is not None
 
     def test_absolute_step_tolerance(self):

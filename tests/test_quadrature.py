@@ -5,10 +5,10 @@ import pytest
 from rrcflab import modular
 from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               PrecisionContext)
-from rrcflab.quadrature import (_TABLES, AlgebraicDecay, ExponentialDecay,
-                                QuadratureError, _level_table,
-                                integrate_complex, integrate_finite,
-                                integrate_to_infinity)
+from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, AlgebraicDecay,
+                                ExponentialDecay, QuadratureError,
+                                _level_table, integrate_complex,
+                                integrate_finite, integrate_to_infinity)
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
 # confirmed by direct quadrature of the defining Gamma integral.
@@ -32,19 +32,15 @@ def _nodes(h, odd_only):
         j += step
 
 
-def _reference_integrate(f, a, b, ctx=DEFAULT_CTX, singular_at_a=False,
-                         singular_at_b=False):
+def _reference_integrate(f, a, b, ctx=DEFAULT_CTX):
     half = 0.5 * (b - a)
 
     def sample(off, sign):
         point = b - half * off if sign > 0 else a + half * off
-        near_singular = singular_at_b if sign > 0 else singular_at_a
         if point <= a or point >= b:
             return 0.0
         v = f(point)
         if not math.isfinite(v):
-            if near_singular and off < 1e-12:
-                return 0.0
             raise DomainError(f"integrand not finite at x={point!r}")
         return v
 
@@ -60,7 +56,7 @@ def _reference_integrate(f, a, b, ctx=DEFAULT_CTX, singular_at_a=False,
     h = 1.0
     total = h * level_sum(h, odd_only=False)
     prev = math.inf
-    for level in range(1, ctx.max_quad_levels + 1):
+    for level in range(1, MAX_QUAD_LEVELS + 1):
         h *= 0.5
         total = 0.5 * total + h * level_sum(h, odd_only=True)
         gap = abs(total - prev)
@@ -71,18 +67,18 @@ def _reference_integrate(f, a, b, ctx=DEFAULT_CTX, singular_at_a=False,
 
 
 REFERENCE_PANEL = [
-    (math.exp, 0.0, 1.0, {}),
-    (lambda t: t ** (-5 / 6), 0.0, 1.0, {"singular_at_a": True}),
-    (lambda t: math.log(t) * math.sqrt(1.0 - t), 0.0, 1.0,
-     {"singular_at_a": True, "singular_at_b": True}),
-    (lambda t: 1.0 / (1.0 + t * t), -3.0, 7.0, {}),
-    (modular.rr_integrand, 0.0, 0.5, {"singular_at_a": True}),
+    pytest.param(math.exp, 0.0, 1.0, id="exp"),
+    pytest.param(lambda t: t ** (-5 / 6), 0.0, 1.0, id="power-5/6"),
+    pytest.param(lambda t: math.log(t) * math.sqrt(1.0 - t), 0.0, 1.0,
+                 id="log-sqrt"),
+    pytest.param(lambda t: 1.0 / (1.0 + t * t), -3.0, 7.0, id="lorentzian"),
+    pytest.param(modular.rr_integrand, 0.0, 0.5, id="rr_integrand"),
 ]
 
 
 class TestNodeTables:
     def test_tables_cover_the_default_levels(self):
-        assert len(_TABLES) == DEFAULT_CTX.max_quad_levels + 1
+        assert len(_TABLES) == MAX_QUAD_LEVELS + 1
         assert _TABLES[0][0] == (1.0, 0.5 * math.pi)   # the centre node
 
     @pytest.mark.parametrize("level", range(12))
@@ -91,28 +87,19 @@ class TestNodeTables:
         expected = tuple((off, w) for _, off, w in _nodes(0.5 ** level, level > 0))
         assert table == expected
 
-    @pytest.mark.parametrize("f, a, b, flags", REFERENCE_PANEL)
-    def test_integrals_bitwise_equal_to_reference(self, f, a, b, flags):
-        assert integrate_finite(f, a, b, **flags) == _reference_integrate(f, a, b, **flags)
-
-    def test_levels_past_the_tables_match_reference(self):
-        ctx = PrecisionContext(eps_rel=1e-300, eps_abs=1e-300, max_quad_levels=11)
-        f = lambda t: t ** -0.9
-        with pytest.raises(QuadratureError) as ours:
-            integrate_finite(f, 0.0, 1.0, ctx, singular_at_a=True)
-        with pytest.raises(QuadratureError) as ref:
-            _reference_integrate(f, 0.0, 1.0, ctx, singular_at_a=True)
-        assert ours.value.best == ref.value.best
+    @pytest.mark.parametrize("f, a, b", REFERENCE_PANEL)
+    def test_integrals_bitwise_equal_to_reference(self, f, a, b):
+        assert integrate_finite(f, a, b) == _reference_integrate(f, a, b)
 
 
 class TestFinite:
     def test_inverse_sqrt_singularity(self):
-        val = integrate_finite(lambda t: t ** -0.5, 0.0, 1.0, singular_at_a=True)
+        val = integrate_finite(lambda t: t ** -0.5, 0.0, 1.0)
         assert val == pytest.approx(2.0, rel=1e-12)
 
     def test_beta_with_two_singular_endpoints(self):
         val = integrate_finite(lambda t: t ** (-5 / 6) * (1 - t) ** (-1 / 3),
-                               0.0, 1.0, singular_at_a=True, singular_at_b=True)
+                               0.0, 1.0)
         assert val == pytest.approx(BETA_16_23, rel=1e-10)
 
     @pytest.mark.parametrize("degree", range(7))
@@ -131,15 +118,24 @@ class TestFinite:
             integrate_finite(lambda t: t, 1.0, 1.0)
 
     def test_level_cap_reports_best(self):
-        ctx = PrecisionContext(max_quad_levels=2)
+        ctx = PrecisionContext(eps_rel=1e-300, eps_abs=1e-300)
         with pytest.raises(QuadratureError) as err:
-            integrate_finite(lambda t: t ** -0.9, 0.0, 1.0, ctx,
-                             singular_at_a=True)
+            integrate_finite(lambda t: t ** -0.9, 0.0, 1.0, ctx)
         assert err.value.best == pytest.approx(10.0, rel=0.1)
 
     def test_non_finite_interior_sample(self):
         with pytest.raises(DomainError):
             integrate_finite(lambda t: 1.0 / (t - 0.5), 0.0, 1.0)
+
+    @pytest.mark.parametrize("end", ["a", "b"])
+    def test_non_finite_sample_next_to_an_end(self, end):
+        # no endpoint is exempt: an inf within 1e-15 of either end is a
+        # DomainError like one in the interior
+        def f(t):
+            offset = t if end == "a" else 1.0 - t
+            return math.inf if offset < 1e-15 else 1.0
+        with pytest.raises(DomainError, match="not finite"):
+            integrate_finite(f, 0.0, 1.0)
 
     @pytest.mark.parametrize("error", [OverflowError, ValueError])
     def test_raising_integrand_is_a_domain_error(self, error):
@@ -178,9 +174,9 @@ class TestComplex:
 
     def test_matches_real_and_imaginary_parts(self):
         val = integrate_complex(lambda t: complex(math.cos(t), math.sin(t)) * t ** -0.5,
-                                0.0, 2.0, singular_at_a=True)
-        re = integrate_finite(lambda t: math.cos(t) * t ** -0.5, 0.0, 2.0, singular_at_a=True)
-        im = integrate_finite(lambda t: math.sin(t) * t ** -0.5, 0.0, 2.0, singular_at_a=True)
+                                0.0, 2.0)
+        re = integrate_finite(lambda t: math.cos(t) * t ** -0.5, 0.0, 2.0)
+        im = integrate_finite(lambda t: math.sin(t) * t ** -0.5, 0.0, 2.0)
         assert val.real == pytest.approx(re, rel=1e-12)
         assert val.imag == pytest.approx(im, rel=1e-12)
 
@@ -203,7 +199,7 @@ class TestToInfinity:
     def test_quintic_surd_tail_full_range(self):
         # X -> 0+ limit of the tail integral equals 4^(-1/3) B(1, 1/6, 2/3)
         f = lambda t: t ** (-1 / 6) * (125.0 + 22.0 * t + t * t) ** -0.5
-        head = integrate_finite(f, 0.0, 500.0, singular_at_a=True)
+        head = integrate_finite(f, 0.0, 500.0)
         tail = integrate_to_infinity(f, 500.0, AlgebraicDecay(7.0 / 6.0))
         assert head + tail == pytest.approx(4.0 ** (-1 / 3) * BETA_16_23, rel=1e-9)
 

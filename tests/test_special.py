@@ -3,16 +3,16 @@ import math
 import sys
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.numerics import (DomainError, PrecisionContext,
                               SeriesDivergenceError)
 from rrcflab.quadrature import integrate_finite
-from rrcflab.special import (BetaBase, PoleError, _is_slow_2f1, appell_f1,
-                             beta_sqrt, complete_beta, elliptic_k,
-                             elliptic_k_complementary, gamma, gauss_2f1,
-                             incomplete_beta, pn_poly, pochhammer,
+from rrcflab.special import (BetaBase, PoleError, _is_nonpositive_int,
+                             _is_slow_2f1, appell_f1, beta_sqrt, complete_beta,
+                             elliptic_k, elliptic_k_complementary, gamma,
+                             gauss_2f1, incomplete_beta, pn_poly, pochhammer,
                              pochhammer_negative, quadratic_antiderivative_f1,
                              quadratic_power_quadrature,
                              quadratic_power_series, sin_multiple_p6)
@@ -65,6 +65,49 @@ class TestGamma:
         val = gamma(complex(z)) * gamma(complex(1.0 - z)) \
             * cmath.sin(math.pi * z) / math.pi
         assert abs(val - 1.0) < 1e-11
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=142.0, max_value=171.6))
+    @example(143.0)
+    @example(170.0)
+    @example(171.6)
+    def test_past_142_against_math_gamma(self, x):
+        # from 142 the Lanczos power t^(z - 1/2) alone overflows a double
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=3e-13)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-172.6, max_value=172.6),
+           st.floats(min_value=-20.0, max_value=20.0))
+    @example(-150.5, 0.0)
+    @example(-170.9994, 0.0)   # gamma(1 - z) overflows, gamma(z) does not
+    @example(150.0, 5.0)
+    @example(-150.5, 3.0)
+    def test_normal_doubles_against_mpmath(self, x, y):
+        assume(not _is_nonpositive_int(complex(x, y)))   # the poles
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = complex(mp.gamma(mp.mpc(x, y)))
+        z = complex(x, y) if y else x
+        if abs(ref) > sys.float_info.max:
+            with pytest.raises(DomainError):
+                gamma(z)
+        else:
+            assume(abs(ref) >= sys.float_info.min)
+            assert abs(gamma(z) - ref) <= 5e-13 * abs(ref)
+
+    @pytest.mark.parametrize("z", [171.7, 200.0, 1e300, -171.5, -1000.5,
+                                   complex(200.0, 1.0)])
+    def test_outside_the_normal_doubles_is_a_domain_error(self, z):
+        # past 171.6 gamma overflows; left of -171 it falls below the normal
+        # doubles, as 1 / gamma(1 - z) with gamma(1 - z) past the double range
+        with pytest.raises(DomainError):
+            gamma(z)
+
+    def test_2f1_integral_route_past_the_double_range(self):
+        # its prefactor Gamma(200) / (Gamma(180) Gamma(20)) raised a raw
+        # OverflowError
+        with pytest.raises(DomainError):
+            gauss_2f1(0.5, 180.0, 200.0, 2 + 1j)
 
 
 class TestGauss2F1:
@@ -123,20 +166,25 @@ H_COMPLEX_ARG = st.builds(cmath.rect, st.floats(min_value=0.0, max_value=0.99),
 H_SETTINGS = settings(max_examples=100, deadline=None)
 
 
-def _assert_2f1_matches_mpmath(a, b, c, z):
-    """gauss_2f1 against mpmath.hyp2f1 at 30 digits, at the benchmark's
-    tolerance 1e-11 |ref| + 1e-14."""
+def _mpmath_2f1(a, b, c, z):
+    """mpmath.hyp2f1 at 30 digits, or None where it gives no double
+    reference: hypsum gives up on parameters far below 1e-100, whose terms
+    jump by more than its maximum precision, and a value past 1e300 would
+    overflow a double (the benchmark redraws such a point; so do the
+    property tests)."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         try:
             ref = mp.hyp2f1(a, b, c, z)
         except ValueError:
-            # hypsum gives up on parameters far below 1e-100, whose terms
-            # jump by more than its maximum precision: no reference
-            reject()
-    # as in the benchmark, a draw whose value overflows a double is redrawn
-    assume(abs(ref) <= 1e300)
-    ref = complex(ref)
+            return None
+    return complex(ref) if abs(ref) <= 1e300 else None
+
+
+def _assert_2f1_matches(a, b, c, z, ref):
+    """gauss_2f1 against the reference at the benchmark's tolerance
+    1e-11 |ref| + 1e-14."""
+    assert ref is not None
     val = complex(gauss_2f1(a, b, c, z))
     assert abs(val - ref) <= 1e-11 * abs(ref) + 1e-14, (val, ref)
 
@@ -175,14 +223,18 @@ class TestGauss2F1AgainstMpmath:
     @example(1.3, -0.7, 2.6, 0.94)
     def test_real(self, a, b, c, z):
         assume(not _is_slow_2f1(a, b, c, z))
-        _assert_2f1_matches_mpmath(a, b, c, z)
+        ref = _mpmath_2f1(a, b, c, z)
+        assume(ref is not None)
+        _assert_2f1_matches(a, b, c, z, ref)
 
     @H_SETTINGS
     @given(H_PARAMS, H_PARAMS, H_LOWER, H_COMPLEX_ARG)
     @example(0.5, 0.25, 1.5, 0.99j)
     def test_complex(self, a, b, c, z):
         assume(not _is_slow_2f1(a, b, c, z))
-        _assert_2f1_matches_mpmath(a, b, c, z)
+        ref = _mpmath_2f1(a, b, c, z)
+        assume(ref is not None)
+        _assert_2f1_matches(a, b, c, z, ref)
 
     @pytest.mark.parametrize("a, b, c, z", [
         (0.18741107186997752, 2.969406144143246, 2.149132102013721,
@@ -195,11 +247,11 @@ class TestGauss2F1AgainstMpmath:
         # formula: benchmark misses by 1.7 and 1.3 tolerances of the series
         # at z, before its tolerance scaled with the radius.  The first lies
         # past _SLOW_RADIUS, where the property tests do not draw.
-        _assert_2f1_matches_mpmath(a, b, c, z)
+        _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
 
     @pytest.mark.parametrize("a, b, c, z", KNOWN_GAPS)
     def test_known_gaps(self, a, b, c, z):
-        _assert_2f1_matches_mpmath(a, b, c, z)
+        _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
 
     @pytest.mark.parametrize("a, b, c, z", [p.values for p in KNOWN_GAPS])
     def test_known_gaps_are_the_predicate(self, a, b, c, z):
@@ -370,8 +422,7 @@ class TestIncompleteBeta:
     def test_against_quadrature(self):
         base = BetaBase(1 / 6, 2 / 3)
         direct = integrate_finite(
-            lambda t: t ** (1 / 6 - 1) * (1 - t) ** (2 / 3 - 1), 0.0, 0.8,
-            singular_at_a=True)
+            lambda t: t ** (1 / 6 - 1) * (1 - t) ** (2 / 3 - 1), 0.0, 0.8)
         assert incomplete_beta(0.8, base) == pytest.approx(direct, rel=1e-10)
 
     def test_rejects_outside_unit_interval(self):
@@ -440,6 +491,30 @@ class TestEllipticK:
     def test_domain(self):
         with pytest.raises(DomainError):
             elliptic_k(1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1.0 - 1e-12))
+    @example(0.0)
+    @example(1.0 - 1e-12)
+    def test_against_mpmath(self, k):
+        mp = pytest.importorskip("mpmath")
+        # k^2 of a double is exact in 106 bits, and 1 - k^2 down to 2e-12
+        # keeps 20 more digits at 50
+        with mp.workdps(50):
+            ref = mp.ellipk(mp.mpf(k) ** 2)
+        assert abs(elliptic_k(k) - ref) <= 2e-15 * ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1e-300, max_value=1.0))
+    @example(1e-300)
+    @example(1.0)
+    def test_complementary_against_mpmath(self, k):
+        mp = pytest.importorskip("mpmath")
+        # K'(k) = K(m = 1 - k^2): resolving 1 - k^2 next to 1 takes about
+        # 2 |log10 k| digits beyond the 20 the comparison needs
+        with mp.workdps(20 + int(-2.0 * math.log10(k))):
+            ref = mp.ellipk(1 - mp.mpf(k) ** 2)
+        assert abs(elliptic_k_complementary(k) - ref) <= 2e-15 * ref
 
 
 class TestPnPoly:

@@ -132,7 +132,7 @@ class TestEpsSweep:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_statuses(self, default_status, eps):
-        results = run_all(ctx=DEFAULT_CTX.with_eps(eps)).results
+        results = run_all(ctx=dataclasses.replace(DEFAULT_CTX, eps_rel=eps)).results
         assert [r.id for r in results if r.notes.startswith(BUILDER_RAISED)] == []
         changed = {r.id for r in results if r.status != default_status[r.id]}
         assert changed == self.LOOSE_FAILS.get(eps, set())
