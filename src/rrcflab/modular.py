@@ -1,7 +1,8 @@
 """Singular moduli, the Klein j-invariant, the inverse functions of the
-continued-fraction and eta-tail integrals, Beta-ratio singular-value
-solvers, the sextic solver with its two independent evaluation paths, the
-change-of-base procedure, and the trigonometric modular family.
+continued-fraction and surd integrals (by quadrature) and of the eta tail
+(summed from its q-expansion), Beta-ratio singular-value solvers, the
+sextic solver with its two independent evaluation paths, the change-of-base
+procedure, and the trigonometric modular family.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: `from_r` is
@@ -20,12 +21,12 @@ from typing import Callable
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, KernelError,
                        PrecisionContext, differentiate, find_root, newton_root)
-from .quadrature import ExponentialDecay, integrate_finite, integrate_to_infinity
+from .quadrature import integrate_finite
 from .report import CheckResult, compare
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
                       elliptic_k_complementary, gauss_2f1, incomplete_beta)
-from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta,
-                      eta_quarter_integrand, u_of_q, u_of_q_log)
+from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, eta_tail_log,
+                      u_of_q, u_of_q_log)
 
 
 class ConsistencyError(KernelError):
@@ -224,16 +225,10 @@ def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> flo
     return head + integrate_finite(far, 0.0, 1.0, ctx)
 
 
-def eta_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """int_lower^inf eta(i t/2)^4 dt; the integrand is bounded by
-    exp(-pi t/6), which sets the truncation point."""
-    if lower < 0.0:
-        raise DomainError(f"lower limit must be >= 0, got {lower}")
-
-    def f(t: float) -> float:
-        return eta_quarter_integrand(t) if t > 0.0 else 0.0
-
-    return integrate_to_infinity(f, lower, ExponentialDecay(math.pi / 6.0), ctx)
+def eta_tail_integral(lower: float) -> float:
+    """int_lower^inf eta(i t/2)^4 dt, summed from the q-expansion of the
+    integrand (qseries.eta_tail_log) with no quadrature."""
+    return math.exp(eta_tail_log(lower)[0])
 
 
 _SURD_BASE = BetaBase(1.0 / 6.0, 2.0 / 3.0)
@@ -292,10 +287,6 @@ def _moving_integral(slope: Callable[[float], float], full: Callable[[float], fl
     return value
 
 
-def _within_factor_two(a: float, b: float) -> bool:
-    return b <= 2.0 * a
-
-
 def _log_within_factor_two(a: float, b: float) -> bool:
     return b - a <= _LN2
 
@@ -340,24 +331,18 @@ def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Inverse of m -> pi int_sqrt(m)^inf eta(i t/2)^4 dt; strictly
     decreasing in x.
 
-    Newton on ln(pi tail(s)) = ln x in s = sqrt(m).  The integrand is at
-    most exp(-pi t/6), so s <= (6/pi) ln(6/x): the start, asymptotically
-    exact for small x.
+    Newton on ln(x/pi) - ln tail(s) in s = sqrt(m), both it and its
+    derivative summed by qseries.eta_tail_log.  The integrand is at most
+    exp(-pi t/6), so s <= (6/pi) ln(6/x): the start, asymptotically exact
+    for small x.
     """
     if x <= 0.0 or x >= TAIL_TOTAL:
         raise DomainError(f"argument {x} outside (0, {TAIL_TOTAL})")
-    qctx = _relative_to(x / math.pi, ctx)
-
-    def slope(s: float) -> float:
-        return -eta_quarter_integrand(s)
-
-    integral = _moving_integral(slope, lambda s: eta_tail_integral(s, qctx),
-                                _within_factor_two, qctx)
     log_target = math.log(x / math.pi)
 
     def fdf(s: float) -> tuple[float, float]:
-        value = integral(s)
-        return log_target - math.log(value), -slope(s) / value
+        log_tail, rate = eta_tail_log(s)
+        return log_target - log_tail, rate
 
     hi = 6.0 / math.pi * math.log(6.0 / x) + _BOUND_PAD
     s = newton_root(fdf, 0.0, hi, hi, ctx)

@@ -1,7 +1,8 @@
 """q-side kernels: the q-Pochhammer product f(-q) = prod (1 - q^n), the
 Dedekind eta function on the imaginary axis, the Rogers-Ramanujan continued
-fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5, and the
-closed-form derivative of R.
+fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5, the
+closed-form derivative of R, and the eta tail int_s^inf eta(i t/2)^4 dt
+summed term by term from its q-expansion.
 
 All products are evaluated as log sums, plain loops of math.log1p, so values
 near q -> 1 degrade gracefully instead of underflowing mid-product.
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .special import elliptic_k
@@ -116,6 +117,57 @@ def eta_quarter_integrand(t: float) -> float:
     return math.exp(-math.pi * t / 6.0 + 4.0 * _log_qpochhammer(math.exp(-math.pi * t)))
 
 
+def _fourth_power_coefficients(count: int) -> tuple[int, ...]:
+    """c_0..c_(count-1) of prod_{n>=1} (1 - q^n)^4 = sum c_n q^n."""
+    c = [1] + [0] * (count - 1)
+    for k in range(1, count):
+        for _ in range(4):
+            for n in range(count - 1, k - 1, -1):
+                c[n] -= c[n - k]
+    return tuple(c)
+
+
+def _horner(coefficients: tuple[float, ...], q: float) -> float:
+    return reduce(lambda acc, c: acc * q + c, reversed(coefficients), 0.0)
+
+
+# Every nome of the eta tail below is at most e^(-2 pi) = 0.0019, where the
+# terms from n = 8 on are below 1e-20 of the first.
+_ETA4 = _fourth_power_coefficients(8)
+# int_s^inf eta(i t/2)^4 dt = e^(-pi s/6) sum_n _TAIL_FAR[n] e^(-pi n s).
+_TAIL_FAR = tuple(c / (math.pi * (n + 1.0 / 6.0)) for n, c in enumerate(_ETA4))
+# Below s = 2, eta(i t/2)^4 = (4/t^2) e^(-2 pi/(3t)) f(-e^(-4 pi/t))^4, whose
+# terms integrate in u = 1/t to (4 c_n/alpha_n) e^(-alpha_n u).
+_ALPHA = tuple(2.0 * math.pi / 3.0 + 4.0 * math.pi * n for n in range(len(_ETA4)))
+_TAIL_NEAR = tuple(4.0 * c / a * math.exp(-0.5 * a) for c, a in zip(_ETA4, _ALPHA))
+_FAR_2 = _horner(_TAIL_FAR, math.exp(-2.0 * math.pi))
+_LOG_TAIL_2 = math.log(_FAR_2) - math.pi / 3.0
+_TAIL_2 = math.exp(_LOG_TAIL_2)
+
+
+def eta_tail_log(s: float) -> tuple[float, float]:
+    """(ln T(s), eta(i s/2)^4 / T(s)): the log of the eta tail
+    T(s) = int_s^inf eta(i t/2)^4 dt, s >= 0, and minus its derivative.
+    From s = 2, T(s) = sum c_n e^(-pi (n + 1/6) s) / (pi (n + 1/6)); below,
+    eta(i t/2) = sqrt(2/t) eta(2i/t) gives T(2) plus sum (4 c_n/alpha_n)
+    e^(-alpha_n/2) (1 - e^(-alpha_n (1/s - 1/2))), alpha_n = 2 pi/3 + 4 pi n.
+    Both add a log1p to ln T(2): the log does not increase across s = 2."""
+    if not s >= 0.0:
+        raise DomainError(f"eta tail needs s >= 0, got {s}")
+    if s >= 2.0:
+        q = math.exp(-math.pi * s)
+        far = _horner(_TAIL_FAR, q)
+        # s - 2 is exact up to s = 4, where most of the tail's range lies
+        shift = math.log1p((far - _FAR_2) / _FAR_2) - math.pi * (s - 2.0) / 6.0
+        return _LOG_TAIL_2 + shift, _horner(_ETA4, q) / far
+    u = 1.0 / max(s, 1e-300)   # T and eta^4 are flat to the last bit below 1e-300
+    near = sum(d * -math.expm1(-a * (u - 0.5)) for d, a in zip(_TAIL_NEAR, _ALPHA))
+    log_tail = _LOG_TAIL_2 + math.log1p(near / _TAIL_2)
+    root = u * math.exp(-math.pi * u / 3.0)   # eta^4 = 4 root^2 f(-e^(-4 pi u))^4
+    eta4 = 4.0 * root * root * _horner(_ETA4, math.exp(-4.0 * math.pi * u))
+    return log_tail, eta4 / math.exp(log_tail)
+
+
 @lru_cache(maxsize=65536)
 def _rrcf_cached(q: float) -> float:
     # The float 0.2 exceeds 1/5 by 1.1e-17, so q ** 0.2 is |ln q| * 1.1e-17
@@ -164,14 +216,6 @@ def u_of_q(q: "Nome | float") -> float:
 def u_of_q_log(q: "Nome | float") -> float:
     qf = _as_q(q)
     return 6.0 * _log_qpochhammer(qf) - math.log(qf) - 6.0 * _log_qpochhammer(qf ** 5)
-
-
-def u_from_r_power(q: "Nome | float") -> float:
-    """The R-power side 1/R^5 - 11 - R^5 of the same quantity, used to
-    cross-check the eta-quotient form."""
-    r = rrcf(q)
-    r5 = r ** 5
-    return 1.0 / r5 - 11.0 - r5
 
 
 def rrcf_derivative(q: "Nome | float") -> float:

@@ -1,5 +1,5 @@
 """Numerical integration robust to algebraic endpoint singularities and to
-semi-infinite domains with declared algebraic or exponential decay.
+semi-infinite domains with declared algebraic decay.
 
 The finite-interval engine is a tanh-sinh (double-exponential) transformed
 trapezoid rule whose node offsets and weights are tabulated once per level,
@@ -25,12 +25,6 @@ _T_MAX = 5.0
 
 class QuadratureError(ConvergenceError):
     """Level cap reached without the levels agreeing."""
-
-
-@dataclass(frozen=True)
-class ExponentialDecay:
-    """f(t) ~ exp(-rate*t) for large t."""
-    rate: float
 
 
 @dataclass(frozen=True)
@@ -129,33 +123,25 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 
 
 def integrate_to_infinity(f: Callable[[float], float], a: float,
-                          decay: ExponentialDecay | AlgebraicDecay,
+                          decay: AlgebraicDecay,
                           ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Integrate f over (a, inf) given its declared tail behaviour.
 
-    Exponential decay: truncate at T with rate*(T-a) >= ln(1/eps_abs) plus a
-    margin, then integrate the finite piece.  Algebraic decay t**(-p), p > 1:
-    map t = a + c(1-s)/s onto s in (0, 1] with c = max(|a|, 1); the image
-    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.
-    The scale c keeps the image smooth however far out a is: with c = 1 a
-    t**(-7/6) tail from a = 1e36 would sit in s < 1e-36.
+    Algebraic decay t**(-p), p > 1: map t = a + c(1-s)/s onto s in (0, 1]
+    with c = max(|a|, 1); the image integrand has an s**(p-2) endpoint
+    singularity which tanh-sinh absorbs.  The scale c keeps the image smooth
+    however far out a is: with c = 1 a t**(-7/6) tail from a = 1e36 would
+    sit in s < 1e-36.
     """
-    if isinstance(decay, ExponentialDecay):
-        if decay.rate <= 0.0:
-            raise DomainError("exponential decay rate must be positive")
-        cut = a + (math.log(1.0 / ctx.eps_abs) + 10.0) / decay.rate
-        return integrate_finite(f, a, cut, ctx)
-    if isinstance(decay, AlgebraicDecay):
-        if decay.p <= 1.0:
-            raise DomainError(f"algebraic decay p={decay.p} <= 1 diverges")
+    if decay.p <= 1.0:
+        raise DomainError(f"algebraic decay p={decay.p} <= 1 diverges")
 
-        c = max(abs(a), 1.0)
+    c = max(abs(a), 1.0)
 
-        def mapped(s: float) -> float:
-            return c * f(a + c * (1.0 - s) / s) / (s * s)
+    def mapped(s: float) -> float:
+        return c * f(a + c * (1.0 - s) / s) / (s * s)
 
-        return integrate_finite(mapped, 0.0, 1.0, ctx)
-    raise DomainError(f"unknown decay declaration: {decay!r}")
+    return integrate_finite(mapped, 0.0, 1.0, ctx)
 
 
 def integrate_complex(f: Callable[[float], complex], a: float, b: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, PrecisionContext,
                        SeriesDivergenceError, SeriesSum, sum_series)
-from .quadrature import integrate_complex, integrate_finite
+from .quadrature import integrate_complex
 
 # Lanczos approximation, g = 7, 9 coefficients: ~1e-13 relative on the real
 # axis, reflection handles Re z < 1/2.
@@ -52,8 +52,9 @@ def gamma(z: complex | float) -> complex | float:
     """Gamma function; complex arguments use the same code path as real ones.
 
     Raises PoleError at the poles 0, -1, -2, ..., and DomainError where
-    |gamma| is not a normal double (real z past 171.6, or left of -171 away
-    from the poles) or sin(pi z) overflows (Re z < 1/2, |Im z| > 226).
+    |gamma| is not a normal double: real z past 171.6, left of -171 away
+    from the poles, or far enough off the real axis that |gamma|, which
+    falls like e^(-pi |Im z|/2), underflows.
     """
     zc = complex(z)
     if _is_nonpositive_int(zc):
@@ -73,7 +74,7 @@ def gamma(z: complex | float) -> complex | float:
             val = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
     except (OverflowError, DomainError):
         val = math.inf
-    if not cmath.isfinite(val):
+    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
         val = _gamma_halved(zc)
     return val if isinstance(z, complex) else val.real
 
@@ -88,9 +89,12 @@ def _lanczos_sum(w: complex) -> complex:
 
 
 def _gamma_halved(zc: complex) -> complex:
-    """gamma(z) where the power t^(w + 1/2) of the Lanczos form overflows
-    (from Re z ~ 142, or at 1 - z in the reflection), taken as two halves:
-    finite wherever |gamma(z)| is a normal double, DomainError elsewhere."""
+    """gamma(z) where the plain Lanczos form overflows or underflows (from
+    Re z ~ 142, at 1 - z in the reflection, or where sin(pi z) overflows,
+    |Im z| > 226), with its power t^(w + 1/2) taken as two halves: finite
+    wherever |gamma(z)| is a normal double, DomainError elsewhere.  The
+    reflection divides by e^(-pi |Im z|) sin(pi z), which never overflows,
+    and puts e^(pi |Im z|/2) into each half instead."""
     reflect = zc.real < 0.5
     w = -zc if reflect else zc - 1.0
     t = w + _LANCZOS_G + 0.5
@@ -99,7 +103,13 @@ def _gamma_halved(zc: complex) -> complex:
         half = t ** (0.5 * (w + 0.5))
         if reflect:
             n = round(zc.real)
-            sine = cmath.sin(math.pi * (zc - n))
+            x, y = math.pi * (zc.real - n), math.pi * zc.imag
+            e = math.exp(-2.0 * abs(y))
+            # e^(-|y|) sin(x + iy) = (sin x (1 + e) + i cos x sign(y) (1 - e)) / 2
+            sine = 0.5 * complex(math.sin(x) * (1.0 + e),
+                                 math.cos(x) * math.copysign(1.0 - e, y))
+            grow = math.exp(0.25 * abs(y))   # e^(|y|/2) per half, in two steps
+            half = half * grow * grow
             val = math.pi / ((-sine if n % 2 else sine) * scale) / half / half
         else:
             val = scale * half * half
@@ -614,28 +624,3 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
     s = sum_series(term, ctx)
     return SeriesSum(pref * s.value, s.terms)
 
-
-def quadratic_power_quadrature(mu: float, nu: float, a: float, b: float,
-                               c: float, x: float,
-                               ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Direct quadrature oracle for int_0^x t^mu (a t^2 + b t + c)^(-nu) dt."""
-
-    def f(t: float) -> float:
-        return t ** mu * (a * t * t + b * t + c) ** (-nu)
-
-    return integrate_finite(f, 0.0, x, ctx)
-
-
-def quadratic_antiderivative_f1(m: float, n: float, a: float, b: float,
-                                c: float, x: float,
-                                ctx: PrecisionContext = DEFAULT_CTX) -> complex:
-    """int_0^x t^m (a t^2 + b t + c)^n dt expressed through Appell F1:
-
-        c^n x^(m+1)/(m+1) * F1[m+1, -n, -n, m+2; x/r1, x/r2]
-
-    with r1, r2 the quadratic's roots (so c (1 - t/r1)(1 - t/r2) equals the
-    quadratic identically).
-    """
-    r1, r2 = quadratic_roots(a, b, c)
-    return complex(c) ** n * complex(x) ** (m + 1.0) / (m + 1.0) * complex(
-        appell_f1(m + 1.0, -n, -n, m + 2.0, x / r1, x / r2, ctx))

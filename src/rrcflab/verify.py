@@ -272,7 +272,7 @@ def _eq22(ctx: PrecisionContext) -> CheckResult:
 def _triple_equality_check(r: float):
     def build(ctx: PrecisionContext) -> CheckResult:
         k = modular.singular_modulus(r)
-        e1 = math.pi * modular.eta_tail_integral(math.sqrt(r), ctx)
+        e1 = math.pi * modular.eta_tail_integral(math.sqrt(r))
         e2 = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
             gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
         e3 = 5.0 * modular.rr_integral(
@@ -292,7 +292,7 @@ _register("T3.r=4")(_triple_equality_check(4.0))
 
 @_register("App1.eq24")
 def _app1(ctx: PrecisionContext) -> CheckResult:
-    lhs = modular.eta_tail_integral(2.0, ctx)
+    lhs = modular.eta_tail_integral(2.0)
     rhs = 5.0 / math.pi * modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx)
     return compare("App1.eq24", "Application 1 (Eq 24)", lhs, rhs, 1e-7,
                    notes="eta tail vs continued-fraction integral at index 4")
@@ -371,8 +371,8 @@ def _eq32(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0)
     x = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
         gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
-    # m_of_x solves to eps_rel: at most 8.3e-4 eps_rel measured at eps
-    # 1e-12..1e-6 (4.4e-16 at the default), a margin of at least 1,200
+    # m_of_x solves to eps_rel: at most 1.3e-3 eps_rel measured at eps
+    # 1e-12..1e-6 (1.3e-15 at the default), a margin of at least 750
     return compare("Eq32.r=4", "Eq (32) eta-tail inverse", modular.m_of_x(x, ctx),
                    4.0, max(ctx.eps_rel, 1e-12),
                    notes="closed-form argument returns its own index")
@@ -575,7 +575,7 @@ def _t7_r2(ctx: PrecisionContext) -> CheckResult:
 def _t7_msign(ctx: PrecisionContext) -> CheckResult:
     k1 = modular.singular_modulus(1.0)
     b_val = incomplete_beta(k1 * k1, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
-    lhs = math.pi * modular.eta_tail_integral(1.0, ctx)   # x with m(x) = 1
+    lhs = math.pi * modular.eta_tail_integral(1.0)   # x with m(x) = 1
     stated = -(2.0 ** (5.0 / 3.0)) * b_val
     resolved = 2.0 ** (-2.0 / 3.0) * b_val
     notes = (f"eta-tail inverse at unit index is {lhs:.15g}; the stated "

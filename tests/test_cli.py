@@ -1,9 +1,12 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 from rrcflab.cli import main
+from rrcflab.modular import m_of_x
+from rrcflab.numerics import DEFAULT_CTX
 from rrcflab.verify import check_ids
 
 
@@ -48,6 +51,16 @@ class TestEval:
         value, label, tol = capsys.readouterr().out.split()
         assert label == "(tol"
         assert float(tol.rstrip(")")) == pytest.approx(1e-6 * float(value), rel=0.05)
+
+    @pytest.mark.parametrize("eps", [None, 1e-6], ids=["default", "1e-6"])
+    def test_eta_tail_inverse(self, capsys, eps):
+        # the printed m is the root m_of_x returns under the same context
+        x = 1.5
+        argv = ["eval", "m", repr(x)] + ([] if eps is None else ["--eps", repr(eps)])
+        assert main(argv) == 0
+        value = float(capsys.readouterr().out.split()[0])
+        ctx = DEFAULT_CTX if eps is None else replace(DEFAULT_CTX, eps_rel=eps)
+        assert value == pytest.approx(m_of_x(x, ctx), rel=1e-14)
 
     def test_unknown_function(self, capsys):
         assert main(["eval", "frobnicate", "1"]) == 2

@@ -121,8 +121,8 @@ class TestKleinJ:
 
 class TestInverseIntegrals:
     def test_domain_bound_closed_form(self):
-        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 and pi times the eta
-        # tail from 0, both by quadrature
+        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 by quadrature, and pi
+        # times the eta tail from 0 summed from its q-expansion
         assert TAIL_TOTAL == pytest.approx(surd_tail_integral(0.0), rel=1e-14)
         assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)
         assert F_ARGUMENT_MAX == 0.2 * TAIL_TOTAL
@@ -361,8 +361,9 @@ class TestWorkCounts:
     """Quadrature calls and integrand evaluations per inverse.  The counts are
     deterministic, so this cannot flake; the bounds are about 1.5 times the
     counts of the Newton search on incremental integrals (3 calls and 263
-    evaluations for G, 2 and 168 for m, 3 and 263 for the sextic), far below
-    one full quadrature per root-finder step (47 and 7,323 for G)."""
+    evaluations for G, 3 and 263 for the sextic), far below one full
+    quadrature per root-finder step (47 and 7,323 for G).  The eta tail and
+    m are summed from the q-expansion and take no quadrature at all."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -377,16 +378,19 @@ class TestWorkCounts:
                 return f(x)
             return original(counted, a, b, *args, **kwargs)
 
-        # modular integrates directly and through integrate_to_infinity
+        # modular's own integrals, and any reached through quadrature's
         monkeypatch.setattr(modular, "integrate_finite", counting)
         monkeypatch.setattr(quadrature, "integrate_finite", counting)
         return tally
 
     @pytest.mark.parametrize("call, max_calls, max_evals", [
         (lambda: G_of_x(0.3), 5, 400),
-        (lambda: m_of_x(1.0), 3, 250),
+        (lambda: m_of_x(1.0), 0, 0),
         (lambda: solve_sextic(SexticInstance(1.0, 250.0, 12.0)), 5, 400),
-    ], ids=["G_of_x(0.3)", "m_of_x(1.0)", "solve_sextic(1,250,12)"])
+        *[(lambda s=s: eta_tail_integral(s), 0, 0) for s in (0.0, 1.0, 2.0, 5.0)],
+    ], ids=["G_of_x(0.3)", "m_of_x(1.0)", "solve_sextic(1,250,12)",
+            "eta_tail_integral(0)", "eta_tail_integral(1)",
+            "eta_tail_integral(2)", "eta_tail_integral(5)"])
     def test_bounded(self, counts, call, max_calls, max_evals):
         call()
         assert counts["calls"] <= max_calls
@@ -415,8 +419,8 @@ class TestGauss2F1WorkCounts:
             raise AssertionError("gauss_2f1 integrated at |z| < 1")
 
         monkeypatch.setattr(special, "sum_series", counting_series)
+        # integrate_complex is the one quadrature special calls
         monkeypatch.setattr(special, "integrate_complex", no_quadrature)
-        monkeypatch.setattr(special, "integrate_finite", no_quadrature)
         return tally
 
     @pytest.mark.parametrize("z, max_terms", [

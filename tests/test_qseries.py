@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from rrcflab.numerics import DomainError, differentiate
 from rrcflab.qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, dq_dk,
-                             dr_dk, eta_quarter_integrand, ramanujan_f,
-                             ramanujan_f_log, rrcf, rrcf_cf_oracle,
-                             rrcf_derivative, u_from_r_power, u_of_q,
+                             dr_dk, eta_quarter_integrand, eta_tail_log,
+                             ramanujan_f, ramanujan_f_log, rrcf,
+                             rrcf_cf_oracle, rrcf_derivative, u_of_q,
                              u_of_q_log)
 from rrcflab.special import elliptic_k
 
@@ -29,6 +29,13 @@ NEAR_SWITCH = (0.19, BRANCH_SWITCH, math.nextafter(BRANCH_SWITCH, 1.0), 0.21)
 NOMES = st.floats(min_value=0.0, max_value=0.9999, exclude_min=True,
                   exclude_max=True)
 ORACLE_SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def u_from_r_power(q):
+    """The R-power side 1/R^5 - 11 - R^5 of u(q), to cross-check the
+    eta-quotient form."""
+    r5 = rrcf(q) ** 5
+    return 1.0 / r5 - 11.0 - r5
 
 
 def _mp_log_f(mp, q):
@@ -101,6 +108,65 @@ class TestAgainstMpmath:
                 ref = mp.exp(log_ref)
                 bound = 4e-15 * max(1.0, abs(float(log_ref)))
                 assert abs(dedekind_eta(t) - ref) <= bound * ref
+
+
+def _mp_eta_quarter(mp, t):
+    """eta(i t/2)^4: directly for t >= 1, through eta(i t/2) = sqrt(2/t)
+    eta(2i/t) below."""
+    if t >= 1:
+        return mp.exp(-mp.pi * t / 6) * mp.qp(mp.exp(-mp.pi * t)) ** 4
+    return (2 / t) ** 2 * mp.exp(-2 * mp.pi / (3 * t)) * mp.qp(mp.exp(-4 * mp.pi / t)) ** 4
+
+
+def _mp_log_eta_tail(mp, s):
+    """ln int_s^inf eta(i t/2)^4 dt by quadrature, with exp(-pi s/6) taken
+    out past t = 1 so that mp.quad, which judges an absolute error, sees an
+    O(1) integral."""
+    lower = max(s, mp.mpf(1))
+    scaled = mp.quad(
+        lambda tau: mp.exp(-mp.pi * tau / 6) * mp.qp(mp.exp(-mp.pi * (lower + tau))) ** 4,
+        [0, 6, 30, mp.inf])
+    if s >= 1:
+        return -mp.pi * s / 6 + mp.log(scaled)
+    return mp.log(mp.exp(-mp.pi / 6) * scaled + mp.quad(lambda t: _mp_eta_quarter(mp, t), [s, 1]))
+
+
+class TestEtaTail:
+    """The eta tail summed from its q-expansion against mpmath quadrature.
+    The log carries the rounding of pi s/6 in its argument, so its bound is
+    4 eps per unit of max(1, pi s/6); the worst seen is 1.6."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(st.floats(min_value=0.0, max_value=4.0),
+                     st.floats(min_value=0.0, max_value=2000.0)))
+    @example(0.0)
+    @example(1e-3)
+    @example(math.nextafter(2.0, 0.0))
+    @example(2.0)
+    @example(math.nextafter(2.0, 3.0))
+    @example(2000.0)
+    def test_against_mpmath(self, s):
+        mp = pytest.importorskip("mpmath")
+        log_tail, rate = eta_tail_log(s)
+        with mp.workdps(30):
+            ref = _mp_log_eta_tail(mp, mp.mpf(s))
+            ref_rate = _mp_eta_quarter(mp, mp.mpf(s)) / mp.exp(ref) if s else 0
+        bound = 4.0 * sys.float_info.epsilon * max(1.0, math.pi * s / 6.0)
+        assert abs(log_tail - ref) <= bound
+        assert abs(rate - ref_rate) <= 1e-12 * ref_rate + 1e-300
+
+    def test_log_does_not_increase_across_two(self):
+        grid = [2.0]
+        for _ in range(8):
+            grid.insert(0, math.nextafter(grid[0], 0.0))
+            grid.append(math.nextafter(grid[-1], 3.0))
+        logs = [eta_tail_log(s)[0] for s in grid]
+        assert all(a >= b for a, b in zip(logs, logs[1:]))
+
+    @pytest.mark.parametrize("s", [-1e-300, -1.0, math.nan])
+    def test_domain(self, s):
+        with pytest.raises(DomainError):
+            eta_tail_log(s)
 
 
 def test_import_loads_no_numpy():

@@ -6,9 +6,9 @@ from rrcflab import modular
 from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               PrecisionContext)
 from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, AlgebraicDecay,
-                                ExponentialDecay, QuadratureError,
-                                _level_table, integrate_complex,
-                                integrate_finite, integrate_to_infinity)
+                                QuadratureError, _level_table,
+                                integrate_complex, integrate_finite,
+                                integrate_to_infinity)
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
 # confirmed by direct quadrature of the defining Gamma integral.
@@ -187,11 +187,6 @@ class TestComplex:
 
 
 class TestToInfinity:
-    def test_exponential(self):
-        val = integrate_to_infinity(lambda t: math.exp(-t), 0.0,
-                                    ExponentialDecay(1.0))
-        assert val == pytest.approx(1.0, rel=1e-12)
-
     def test_algebraic(self):
         val = integrate_to_infinity(lambda t: t ** -2.0, 1.0, AlgebraicDecay(2.0))
         assert val == pytest.approx(1.0, rel=1e-12)
@@ -220,10 +215,6 @@ class TestToInfinity:
     def test_divergent_declaration(self):
         with pytest.raises(DomainError):
             integrate_to_infinity(lambda t: 1.0 / t, 1.0, AlgebraicDecay(1.0))
-
-    def test_nonpositive_rate(self):
-        with pytest.raises(DomainError):
-            integrate_to_infinity(math.exp, 0.0, ExponentialDecay(0.0))
 
 
 class TestEtaTailEquality:

@@ -13,12 +13,29 @@ from rrcflab.special import (BetaBase, PoleError, _is_nonpositive_int,
                              _is_slow_2f1, appell_f1, beta_sqrt, complete_beta,
                              elliptic_k, elliptic_k_complementary, gamma,
                              gauss_2f1, incomplete_beta, pn_poly, pochhammer,
-                             pochhammer_negative, quadratic_antiderivative_f1,
-                             quadratic_power_quadrature,
-                             quadratic_power_series, sin_multiple_p6)
+                             pochhammer_negative, quadratic_power_series,
+                             quadratic_roots, sin_multiple_p6)
 
 # int_0^inf e^-t t^(1/6 - 1) dt by tanh-sinh quadrature (independent oracle)
 GAMMA_SIXTH_ORACLE = 5.566316001780237
+
+
+def quadratic_power_quadrature(mu, nu, a, b, c, x):
+    """Direct quadrature oracle for int_0^x t^mu (a t^2 + b t + c)^(-nu) dt."""
+    return integrate_finite(lambda t: t ** mu * (a * t * t + b * t + c) ** (-nu), 0.0, x)
+
+
+def quadratic_antiderivative_f1(m, n, a, b, c, x):
+    """int_0^x t^m (a t^2 + b t + c)^n dt expressed through Appell F1:
+
+        c^n x^(m+1)/(m+1) * F1[m+1, -n, -n, m+2; x/r1, x/r2]
+
+    with r1, r2 the quadratic's roots (so c (1 - t/r1)(1 - t/r2) equals the
+    quadratic identically).
+    """
+    r1, r2 = quadratic_roots(a, b, c)
+    return complex(c) ** n * complex(x) ** (m + 1.0) / (m + 1.0) * complex(
+        appell_f1(m + 1.0, -n, -n, m + 2.0, x / r1, x / r2))
 
 
 class TestGamma:
@@ -95,11 +112,35 @@ class TestGamma:
             assume(abs(ref) >= sys.float_info.min)
             assert abs(gamma(z) - ref) <= 5e-13 * abs(ref)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=-20.0, max_value=0.5, exclude_max=True),
+           st.floats(min_value=200.0, max_value=500.0), st.booleans())
+    @example(-3.18, 271.77, False)   # sin(pi z) overflowed: a DomainError at 1.1e-194
+    @example(-0.2, 226.5, True)
+    @example(0.3, 450.0, False)      # |gamma| = 7.7e-308, next to the normal doubles
+    def test_far_from_the_real_axis_against_mpmath(self, x, y, below):
+        # the phase Im((w + 1/2) ln t) of the Lanczos power is about
+        # |y| ln|y| radians, and its rounding is the error: the worst seen
+        # over 3,000 points is 0.28 of the bound
+        mp = pytest.importorskip("mpmath")
+        z = complex(x, -y if below else y)
+        with mp.workdps(30):
+            exact = mp.gamma(mp.mpc(z))
+            ref, size = complex(exact), float(abs(exact))
+        assume(not 0.5 < size / sys.float_info.min < 2.0)
+        if size < sys.float_info.min:
+            with pytest.raises(DomainError):
+                gamma(z)
+        else:
+            assert abs(gamma(z) - ref) <= 1e-15 * y * math.log(y) * size
+
     @pytest.mark.parametrize("z", [171.7, 200.0, 1e300, -171.5, -1000.5,
-                                   complex(200.0, 1.0)])
+                                   complex(200.0, 1.0), complex(0.7, 600.0),
+                                   complex(-0.2, -500.0)])
     def test_outside_the_normal_doubles_is_a_domain_error(self, z):
         # past 171.6 gamma overflows; left of -171 it falls below the normal
-        # doubles, as 1 / gamma(1 - z) with gamma(1 - z) past the double range
+        # doubles, as 1 / gamma(1 - z) with gamma(1 - z) past the double range,
+        # and so it does far off the real axis (0.7 + 600i returned -0j)
         with pytest.raises(DomainError):
             gamma(z)
 
