@@ -104,10 +104,10 @@ def _gamma_halved(zc: complex) -> complex:
         if reflect:
             n = round(zc.real)
             x, y = math.pi * (zc.real - n), math.pi * zc.imag
-            e = math.exp(-2.0 * abs(y))
-            # e^(-|y|) sin(x + iy) = (sin x (1 + e) + i cos x sign(y) (1 - e)) / 2
-            sine = 0.5 * complex(math.sin(x) * (1.0 + e),
-                                 math.cos(x) * math.copysign(1.0 - e, y))
+            d = -math.expm1(-2.0 * abs(y))   # 1 - e^(-2|y|), not 0 for tiny y
+            # e^(-|y|) sin(x + iy) = (sin x (2 - d) + i cos x sign(y) d) / 2
+            sine = 0.5 * complex(math.sin(x) * (2.0 - d),
+                                 math.cos(x) * math.copysign(d, y))
             grow = math.exp(0.25 * abs(y))   # e^(|y|/2) per half, in two steps
             half = half * grow * grow
             val = math.pi / ((-sine if n % 2 else sine) * scale) / half / half

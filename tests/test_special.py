@@ -99,6 +99,7 @@ class TestGamma:
     @example(-170.9994, 0.0)   # gamma(1 - z) overflows, gamma(z) does not
     @example(150.0, 5.0)
     @example(-150.5, 3.0)
+    @example(0.0, 2.225073858507203e-309)   # |gamma| = 4.5e308: 1 - e^(-2 pi y) is 0
     def test_normal_doubles_against_mpmath(self, x, y):
         assume(not _is_nonpositive_int(complex(x, y)))   # the poles
         mp = pytest.importorskip("mpmath")
