@@ -1,8 +1,9 @@
-"""Singular moduli, the Klein j-invariant, the inverse functions of the
-continued-fraction and surd integrals (by quadrature) and of the eta tail
-(summed from its q-expansion), Beta-ratio singular-value solvers, the
-sextic solver with its two independent evaluation paths, the change-of-base
-procedure, and the trigonometric modular family.
+"""Singular moduli, the Klein j-invariant, the inverses of the eta-tail,
+continued-fraction and surd integrals (m, F and G: one Newton search on the
+eta tail, then q-products at that nome) and of the surd tail (theta, by
+quadrature), the eta-quotient nome inverse, Beta-ratio singular-value
+solvers, the sextic solver with its two independent evaluation paths, the
+change-of-base procedure, and the trigonometric modular family.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: `from_r` is
@@ -17,7 +18,6 @@ import math
 import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, KernelError,
                        PrecisionContext, differentiate, find_root, newton_root)
@@ -26,7 +26,7 @@ from .report import CheckResult, compare
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
                       elliptic_k_complementary, gauss_2f1, incomplete_beta)
 from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, eta_tail_log,
-                      u_of_q, u_of_q_log)
+                      lambert_sum, rrcf_of_log_q, u_log_of_log_q, u_of_q)
 
 
 class ConsistencyError(KernelError):
@@ -39,14 +39,13 @@ class ConsistencyError(KernelError):
 _T_RIDGE = 1.0 / (17.0 + 12.0 * math.sqrt(2.0))
 SQRT5 = math.sqrt(5.0)
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
-_LN2 = math.log(2.0)
 # Theta-series terms below an eighth of an ulp of 1 no longer change a sum
 # that starts at 1.
 _THETA_CUT = sys.float_info.epsilon / 8.0
 # Bracket of the logit w = ln(x/(1-x)) searches: x from about 4e-322 up to
 # 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
-# The quarter-modulus search resolves its root to the last bit.
+# The quarter-modulus and nome searches resolve their roots to the last bit.
 _FULL_PRECISION = PrecisionContext(MACHINE_EPS, MACHINE_EPS)
 # Interior points on which theorem6_base_change tests the base ratio.
 _MONOTONE_GRID = 9
@@ -176,11 +175,6 @@ def rr_integrand(x: float) -> float:
     return x ** (-1.0 / 6.0) * (1.0 - 11.0 * x ** 5 - x ** 10) ** (-1.0 / 6.0)
 
 
-def _near_top(upper: float) -> bool:
-    # within 1e-6 of the integrand's (GOLDEN_CONJUGATE - x)^(-1/6) blow-up
-    return upper > GOLDEN_CONJUGATE - 1e-6
-
-
 def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """int_0^upper dx / (x (x^-5 - 11 - x^5)^(1/6)) for upper in the
     continued fraction's range (0, (sqrt5-1)/2)."""
@@ -189,19 +183,13 @@ def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     return integrate_finite(rr_integrand, 0.0, upper, ctx)
 
 
-def _surd_weighted(t: float) -> float:
-    """t times the surd integrand: t^(5/6) (125 + 22 t + t^2)^(-1/2), formed
-    past t = 1 as t^(-1/6) (1 + 22/t + 125/t^2)^(-1/2), so that t^2 never
-    overflows and the value underflows only with t^(-1/6)."""
-    if t <= 1.0:
-        return t ** (5.0 / 6.0) * (125.0 + 22.0 * t + t * t) ** -0.5
-    inv = 1.0 / t
-    return t ** (-1.0 / 6.0) * (1.0 + (22.0 + 125.0 * inv) * inv) ** -0.5
-
-
 def surd_integrand(t: float) -> float:
-    """t^(-1/6) (125 + 22 t + t^2)^(-1/2), bounded by t^(-7/6)."""
-    return _surd_weighted(t) / t
+    """t^(-1/6) (125 + 22 t + t^2)^(-1/2), bounded by t^(-7/6); past t = 1
+    as t^(-7/6) (1 + 22/t + 125/t^2)^(-1/2), so that t^2 never overflows."""
+    if t <= 1.0:
+        return t ** (-1.0 / 6.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+    inv = 1.0 / t
+    return t ** (-7.0 / 6.0) * (1.0 + (22.0 + 125.0 * inv) * inv) ** -0.5
 
 
 def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -233,150 +221,81 @@ def eta_tail_integral(lower: float) -> float:
 
 _SURD_BASE = BetaBase(1.0 / 6.0, 2.0 / 3.0)
 # The surd tail from 0 and pi times the eta tail from 0 both equal
-# 4^(-1/3) B(1/6, 2/3) = 4.2065463159763627...: m's range is all of it, and
-# the range of F and G, whose integrals carry a factor 1/5, is a fifth.
-TAIL_TOTAL = complete_beta(_SURD_BASE) / 4.0 ** (1.0 / 3.0)
+# 4^(-1/3) B(1/6, 2/3) = 4.20654631597636278...: m's range is all of it, and
+# the range of F and G, whose integrals carry a factor 1/5, is a fifth.  Both
+# are the nearest floats, as the deficits TAIL_TOTAL - x and
+# F_ARGUMENT_MAX - x need (complete_beta lands 3 ulps below).
+TAIL_TOTAL = 4.206546315976363
 F_ARGUMENT_MAX = 0.2 * TAIL_TOTAL
-# The upper bounds below are asymptotically exact (for small x they meet
-# the root to within rounding), so each is padded to stay above the root
-# as computed.
-_BOUND_PAD = 1e-9
 
 
-def _relative_to(target: float, ctx: PrecisionContext) -> PrecisionContext:
-    """The context for the quadratures of a search that solves
-    ln I = ln target: their absolute tolerance is eps_rel * target, so a
-    tiny target is still resolved relatively."""
-    return replace(ctx, eps_abs=max(ctx.eps_rel * target, sys.float_info.min))
-
-
-def _moving_integral(slope: Callable[[float], float], full: Callable[[float], float],
-                     short: Callable[[float, float], bool], ctx: PrecisionContext,
-                     full_only: Callable[[float], bool] = lambda s: False
-                     ) -> Callable[[float], float]:
-    """s -> I(s) for an integral whose limit moves with the search coordinate
-    s, carried from one root iterate to the next: I(s1) = I(s0) +
-    int_{s0}^{s1} slope, where slope = dI/ds (the integrand times the
-    derivative of the limit, so it does not underflow where the integrand
-    alone would).
-
-    The increment is integrated in its offset variable, int_0^d slope(a + tau),
-    so nodes next to either end keep their offsets however short the step.
-    The full integral is recomputed for the first point, for a step that is
-    not short(a, b), for a decrease of more than half the value (the
-    subtraction would cancel), and where full_only holds.
+def _eta_tail_index(target: float, deficit: float, ctx: PrecisionContext) -> float:
+    """The s >= 0 with pi T(s) = target, given deficit = TAIL_TOTAL - target
+    as the caller forms it, top - x, exact by Sterbenz's lemma where it is
+    used.  eta(i t/2)^4 dt is invariant under t -> 4/t, so T(0) - T(s) =
+    sum (4 c_n/alpha_n) e^(-alpha_n/s) (in the notation of
+    qseries.eta_tail_log) is T(4/s): where the deficit is the smaller
+    (s < 2), whose digits the target lost to rounding, s = 4/s' with
+    pi T(s') = deficit.  Newton on ln(target/pi) - ln T(s) by eta_tail_log:
+    the integrand is at most exp(-pi t/6), so s <= (6/pi) ln(6/target), the
+    start, padded since it is asymptotically exact for a small target.
     """
-    last: list[float] = []
-
-    def value(s: float) -> float:
-        if last:
-            s0, i0 = last
-            a, b = min(s0, s), max(s0, s)
-            if a == b:
-                return i0
-            if short(a, b) and not full_only(b):
-                inc = integrate_finite(lambda tau: slope(a + tau), 0.0, b - a, ctx)
-                i1 = i0 + (inc if s > s0 else -inc)
-                if i1 >= 0.5 * i0:
-                    last[:] = s, i1
-                    return i1
-        i1 = full(s)
-        last[:] = s, i1
-        return i1
-
-    return value
-
-
-def _log_within_factor_two(a: float, b: float) -> bool:
-    return b - a <= _LN2
-
-
-def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Inverse of upper -> int_0^upper dx/(x (x^-5-11-x^5)^(1/6)): the value
-    of the continued fraction at the nome whose eta-tail integral is 5x.
-
-    Newton on ln I = ln x in v = ln(upper).  For upper <= 1/2 the integral
-    lies between 1.2 and 1.3 upper^(5/6), which bounds the root: the start
-    from the lower constant sits above it.
-    """
-    if x == 0.0:
-        return 0.0
-    if x < 0.0 or x >= F_ARGUMENT_MAX:
-        raise DomainError(f"argument {x} outside [0, {F_ARGUMENT_MAX})")
-    qctx = _relative_to(x, ctx)
-
-    def slope(v: float) -> float:
-        u = math.exp(v)
-        return u * rr_integrand(u)
-
-    integral = _moving_integral(slope, lambda v: rr_integral(math.exp(v), qctx),
-                                _log_within_factor_two, qctx,
-                                lambda v: _near_top(math.exp(v)))
-    log_x = math.log(x)
-
-    def fdf(v: float) -> tuple[float, float]:
-        value = integral(v)
-        return math.log(value) - log_x, slope(v) / value
-
-    # Past the top the bound is no use; start a few ulps below the top
-    # instead, so that Newton still comes down on the convex ln I from the
-    # right, where its steps need no safeguard.
-    top = math.log(GOLDEN_CONJUGATE)
-    lo = min(math.log(0.5), 1.2 * (log_x - math.log(1.3)))
-    start = min(1.2 * (log_x - math.log(1.2)) + _BOUND_PAD, top + math.log1p(-1e-15))
-    return math.exp(newton_root(fdf, lo, top, start, ctx, xtol=ctx.eps_rel))
-
-
-def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Inverse of m -> pi int_sqrt(m)^inf eta(i t/2)^4 dt; strictly
-    decreasing in x.
-
-    Newton on ln(x/pi) - ln tail(s) in s = sqrt(m), both it and its
-    derivative summed by qseries.eta_tail_log.  The integrand is at most
-    exp(-pi t/6), so s <= (6/pi) ln(6/x): the start, asymptotically exact
-    for small x.
-    """
-    if x <= 0.0 or x >= TAIL_TOTAL:
-        raise DomainError(f"argument {x} outside (0, {TAIL_TOTAL})")
-    log_target = math.log(x / math.pi)
+    if deficit < target:
+        return 4.0 / _eta_tail_index(deficit, target, ctx)
+    log_target = math.log(target / math.pi)
 
     def fdf(s: float) -> tuple[float, float]:
         log_tail, rate = eta_tail_log(s)
         return log_target - log_tail, rate
 
-    hi = 6.0 / math.pi * math.log(6.0 / x) + _BOUND_PAD
-    s = newton_root(fdf, 0.0, hi, hi, ctx)
+    hi = 6.0 / math.pi * math.log(6.0 / target) + 1e-9
+    return newton_root(fdf, 0.0, hi, hi, ctx)
+
+
+def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Inverse of upper -> int_0^upper dx/(x (x^-5-11-x^5)^(1/6)): the value
+    of the continued fraction R(q) at the nome q = e^(-pi s) whose eta tail
+    is 5x, pi T(s) = 5x (Eqs 29-32, App1.eq24).
+
+    One eta-tail inversion and one q-product evaluation, from ln q, with no
+    quadrature.  Next to the top R rounds onto the float below
+    GOLDEN_CONJUGATE, still inside rr_integral's domain.  The registry
+    checks F against the integral it inverts.
+    """
+    if x == 0.0:
+        return 0.0
+    if x < 0.0 or x >= F_ARGUMENT_MAX:
+        raise DomainError(f"argument {x} outside [0, {F_ARGUMENT_MAX})")
+    s = _eta_tail_index(5.0 * x, 5.0 * (F_ARGUMENT_MAX - x), ctx)
+    return rrcf_of_log_q(-math.pi * s)
+
+
+def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Inverse of m -> pi int_sqrt(m)^inf eta(i t/2)^4 dt; strictly
+    decreasing in x.  The square of the eta-tail inverse."""
+    if x <= 0.0 or x >= TAIL_TOTAL:
+        raise DomainError(f"argument {x} outside (0, {TAIL_TOTAL})")
+    s = _eta_tail_index(x, TAIL_TOTAL - x, ctx)
     return s * s
 
 
 def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Inverse of G -> (1/5) int_G^inf t^(-1/6)(125+22t+t^2)^(-1/2) dt.
+    """Inverse of G -> (1/5) int_G^inf t^(-1/6)(125+22t+t^2)^(-1/2) dt: the
+    eta quotient u(q) at the nome of F(x), q = e^(-pi s) with
+    pi T(s) = 5x (Eqs 29-32).
 
-    Newton on ln(tail) = ln(5x) in v = ln G.  The integrand is at most
-    t^(-7/6), so G <= (6/(5x))^6 (the start); it is at least the full tail
-    less 1.2 G^(5/6)/sqrt(125), which bounds G from below.  The registry
-    checks G against F(x)^-5 - 11 - F(x)^5.
+    One eta-tail inversion and one q-product evaluation, from ln q, with no
+    quadrature.  G grows like (6/(5x))^6, so below about x = 5e-52 it
+    overflows a float: DomainError.  The registry checks G against the
+    surd-tail integral it inverts.
     """
     if x <= 0.0 or x >= F_ARGUMENT_MAX:
         raise DomainError(f"argument {x} outside (0, {F_ARGUMENT_MAX})")
-    hi = 6.0 * math.log(1.2 / x) + _BOUND_PAD
-    if hi >= _LOG_FLOAT_MAX:
+    s = _eta_tail_index(5.0 * x, 5.0 * (F_ARGUMENT_MAX - x), ctx)
+    log_g = u_log_of_log_q(-math.pi * s)
+    if log_g >= _LOG_FLOAT_MAX:
         raise DomainError(f"G({x}) overflows a float")
-    qctx = _relative_to(5.0 * x, ctx)
-
-    def slope(v: float) -> float:
-        return -_surd_weighted(math.exp(v))
-
-    integral = _moving_integral(slope, lambda v: surd_tail_integral(math.exp(v), qctx),
-                                _log_within_factor_two, qctx)
-    log_target = math.log(5.0 * x)
-
-    def fdf(v: float) -> tuple[float, float]:
-        value = integral(v)
-        return log_target - math.log(value), -slope(v) / value
-
-    lo = 1.2 * math.log(5.0 * (F_ARGUMENT_MAX - x) * math.sqrt(125.0) / 1.2) - _LN2
-    return math.exp(newton_root(fdf, min(lo, hi), hi, hi, ctx, xtol=ctx.eps_rel))
+    return math.exp(log_g)
 
 
 def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -439,7 +358,7 @@ class SexticInstance:
 
 @dataclass(frozen=True)
 class SexticSolution:
-    x: float          # root of the sextic, hypergeometric/quadrature path
+    x: float          # root of the sextic, hypergeometric/eta-tail path
     t: float          # quarter-modulus square solving the j relation
     r: float          # index recovered from t via the period ratio
     k4r: float        # sqrt(t)
@@ -492,11 +411,12 @@ def solve_sextic(inst: SexticInstance,
     """Solve the sextic by two independent routes and keep both results.
 
     Both start from t = _quarter_modulus(j), the preimage at the index
-    r >= 1.  Path A inverts the surd-tail integral at the hypergeometric
-    argument of t (quadrature + 2F1 only).  Path B recovers r from t through
-    the elliptic period ratio and evaluates the eta-quotient at the squared
-    nome; paths that disagree raise ConsistencyError.  Real instances need
-    j > 1728; below that the quarter-modulus square leaves (0, 1).
+    r >= 1.  Path A takes the hypergeometric argument of t (2F1), inverts
+    the eta tail at it and evaluates the eta quotient at that nome (G_of_x).
+    Path B recovers r from t through the elliptic period ratio (AGM) and
+    evaluates the eta quotient at the squared nome; paths that disagree
+    raise ConsistencyError.  Real instances need j > 1728; below that the
+    quarter-modulus square leaves (0, 1).
     """
     j = inst.j
     if j < 1728.0 * (1.0 - 1e-12):
@@ -662,12 +582,33 @@ def j_integral_phi_partial_fraction(x: float,
         * (_phi(x / rho1, ctx) - ratio * _phi(x / rho2, ctx)) / (1.0 - ratio)
 
 
-def eta_quotient_nome_of(w: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """q in (0, 1) with u(q) = w (the eta-quotient map is decreasing)."""
-    if w <= 0.0:
-        raise DomainError(f"eta-quotient values are positive, got {w}")
-    target = math.log(w)
-    return find_root(lambda q: u_of_q_log(q) - target, 1e-8, 1.0 - 1e-12, ctx)
+def eta_quotient_nome_of(w: float) -> float:
+    """q in (0, 1) with u(q) = w (the eta-quotient map is decreasing), for
+    every positive finite w, to the last bit.
+
+    Newton on ln u(e^(-pi sigma)) - W in sigma >= 2/sqrt5, the fixed point of
+    the Fricke involution u(s) u(4/(5s)) = 125: W = ln w and q = e^(-pi sigma)
+    at w >= sqrt125, and W = ln(125/w), q = e^(-4 pi/(5 sigma)) below.  The
+    slope is pi (1 + 6 L(p) - 30 L(p^5)) at p = e^(-pi sigma) <= 0.06, with
+    the Lambert sum L, and there 6 (ln f(-p) - ln f(-p^5)) lies in
+    (-0.42, 0), so ln u lies within 0.42 below pi sigma: the bracket.
+    """
+    if not 0.0 < w < math.inf:
+        raise DomainError(f"eta-quotient values are positive and finite, got {w}")
+    log_w, log_125 = math.log(w), 3.0 * math.log(5.0)
+    mirrored = 2.0 * log_w < log_125
+    target = log_125 - log_w if mirrored else log_w
+
+    def fdf(sigma: float) -> tuple[float, float]:
+        p = math.exp(-math.pi * sigma)
+        rate = math.pi * (1.0 + 6.0 * lambert_sum(p) - 30.0 * lambert_sum(p ** 5))
+        return u_log_of_log_q(-math.pi * sigma) - target, rate
+
+    # ln u = pi sigma - 6 p + O(p^2): one fixed-point step of that for the start
+    lo, hi = max(target / math.pi, 2.0 / SQRT5), (target + 0.42) / math.pi
+    start = (target + 6.0 * math.exp(-target - 6.0 * math.exp(-target))) / math.pi
+    sigma = newton_root(fdf, lo, hi, min(max(start, lo), hi), _FULL_PRECISION)
+    return math.exp(-math.pi * (0.8 / sigma if mirrored else sigma))
 
 
 def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -685,8 +626,7 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     def integrand(w: float) -> float:
         if w < 1e-10:
             return (w / 125.0) ** (5.0 / 3.0)
-        q_squared = eta_quotient_nome_of(w, ctx)
-        r = (math.log(math.sqrt(q_squared)) / math.pi) ** 2
+        r = (math.log(eta_quotient_nome_of(w)) / (2.0 * math.pi)) ** 2
         return klein_j(r) ** (-1.0 / 3.0)
 
     return integrate_finite(integrand, 0.0, x, ctx)

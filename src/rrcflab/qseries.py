@@ -1,8 +1,8 @@
 """q-side kernels: the q-Pochhammer product f(-q) = prod (1 - q^n), the
 Dedekind eta function on the imaginary axis, the Rogers-Ramanujan continued
-fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5, the
-closed-form derivative of R, and the eta tail int_s^inf eta(i t/2)^4 dt
-summed term by term from its q-expansion.
+fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5 (both
+also at a nome given by its log), the closed-form derivative of R, and the
+eta tail int_s^inf eta(i t/2)^4 dt summed term by term from its q-expansion.
 
 All products are evaluated as log sums, plain loops of math.log1p, so values
 near q -> 1 degrade gracefully instead of underflowing mid-product.
@@ -61,25 +61,23 @@ def _as_q(q: "Nome | float") -> float:
     return qf
 
 
+_LOG_INVERSION_MIN = math.log(0.18)
+
+
 @lru_cache(maxsize=65536)
 def _log_qpochhammer(q: float) -> float:
     """ln prod_{n>=1} (1 - q^n).
 
     Direct truncated sum (cut once q^N / (1-q) < 1e-17), at most 25 terms,
-    for q <= 0.2; above that the product is pushed through the eta modular
-    inversion
-    ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)),
-    whose image nome is below 3e-11, so every q in (0, 1) costs a short sum.
+    for q <= 0.2; above that the eta modular inversion of
+    _log_qpochhammer_at, so every q in (0, 1) costs a short sum.
     """
     if q == 0.0:
         return 0.0  # empty product; reached when a power of q underflows
     if q >= 1.0:
         return -math.inf  # nome rounded onto 1; the product vanishes there
     if q > 0.2:
-        y = -math.log(q) / (2.0 * math.pi)
-        image = math.exp(-2.0 * math.pi / y)
-        return (math.pi * y / 12.0 - 0.5 * math.log(y)
-                - math.pi / (12.0 * y) + _log_qpochhammer(image))
+        return _log_qpochhammer_at(math.log(q))
     n_terms = max(int(math.ceil(math.log(1e-17 * (1.0 - q)) / math.log(q))), 1)
     # q^n by repeated products: exp(n ln q) would carry the rounding of ln q,
     # |ln q| ulps, into the leading term, 1e-14 relative at q = 1e-100.
@@ -89,6 +87,34 @@ def _log_qpochhammer(q: float) -> float:
         total += math.log1p(-power)
         power *= q
     return total
+
+
+def _log_qpochhammer_at(log_q: float) -> float:
+    """ln f(-q) at q = e^log_q.  From q = 0.18 on (below _log_qpochhammer's
+    switch at 0.2, so neither hands a nome next to 0.2 back to the other) it
+    is the eta inversion, taken from ln q with no rounded q:
+    ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)),
+    whose image nome is at most 1e-10."""
+    if log_q < _LOG_INVERSION_MIN:
+        return _log_qpochhammer(math.exp(log_q))
+    y = -log_q / (2.0 * math.pi)
+    return (math.pi * y / 12.0 - 0.5 * math.log(y) - math.pi / (12.0 * y)
+            + _log_qpochhammer(math.exp(-2.0 * math.pi / y)))
+
+
+def lambert_sum(q: float) -> float:
+    """sum_{n>=1} n q^n / (1 - q^n) = -d ln f(-q) / d ln q for 0 <= q <= 0.2,
+    summed until a term is below 1e-17 of the sum (14 terms at q = 0.06)."""
+    if not 0.0 <= q <= 0.2:
+        raise DomainError(f"the Lambert sum is summed directly for 0 <= q <= 0.2, got {q}")
+    total, power, n = 0.0, q, 1
+    while True:
+        term = n * power / (1.0 - power)
+        total += term
+        if term <= 1e-17 * total:
+            return total
+        n += 1
+        power *= q
 
 
 def ramanujan_f(q: "Nome | float") -> float:
@@ -176,9 +202,14 @@ def _rrcf_cached(q: float) -> float:
     # keeps the rounding of ln q^(1/5) out of kappa ~ q^(-1/5).
     fifth = q ** 0.2
     fifth -= (fifth - q / fifth ** 4) / 5.0
-    kappa = math.exp(_log_qpochhammer(fifth) - _log_qpochhammer(q ** 5)) / fifth
+    return _rrcf_of_kappa(
+        math.exp(_log_qpochhammer(fifth) - _log_qpochhammer(q ** 5)) / fifth)
+
+
+def _rrcf_of_kappa(kappa: float) -> float:
     # Positive root of R^2 + (kappa + 1) R - 1 = 0; the conjugate root is
-    # negative, so this is the branch with R in (0, (sqrt(5)-1)/2).
+    # negative, so this is the branch with R in (0, (sqrt(5)-1)/2).  At
+    # kappa = 0 it rounds to the float below GOLDEN_CONJUGATE.
     s = kappa + 1.0
     return 2.0 / (s + math.hypot(s, 2.0))
 
@@ -190,6 +221,24 @@ def rrcf(q: "Nome | float") -> float:
     This is the primary path; rrcf_cf_oracle is the independent check.
     """
     return _rrcf_cached(_as_q(q))
+
+
+def rrcf_of_log_q(log_q: float) -> float:
+    """R(q) at q = e^log_q for log_q <= -1e-300 (closer to 0, pi/(12 y) in
+    the eta inversion overflows), from
+    ln kappa = ln f(-q^(1/5)) - ln f(-q^5) - (ln q)/5, kappa = 1/R - 1 - R,
+    as in rrcf.  q itself is never formed, so R stays normal where q
+    underflows (down to ln q ~ -3540), and the rounding of q, |ln q| ulps,
+    stays out of R."""
+    if not log_q <= -1e-300:
+        raise DomainError(f"log nome must be <= -1e-300, got {log_q}")
+    fifth = 0.2 * log_q
+    log_kappa = _log_qpochhammer_at(fifth) - _log_qpochhammer_at(5.0 * log_q) - fifth
+    if log_kappa <= 0.0:
+        return _rrcf_of_kappa(math.exp(log_kappa))
+    # the same root in r = 1/kappa, which cannot overflow past kappa = 1
+    r = math.exp(-log_kappa)
+    return 2.0 * r / (1.0 + r + math.hypot(1.0 + r, 2.0 * r))
 
 
 def rrcf_cf_oracle(q: "Nome | float", depth: int) -> float:
@@ -216,6 +265,14 @@ def u_of_q(q: "Nome | float") -> float:
 def u_of_q_log(q: "Nome | float") -> float:
     qf = _as_q(q)
     return 6.0 * _log_qpochhammer(qf) - math.log(qf) - 6.0 * _log_qpochhammer(qf ** 5)
+
+
+def u_log_of_log_q(log_q: float) -> float:
+    """ln u(q) = 6 ln f(-q) - ln q - 6 ln f(-q^5) at q = e^log_q, for
+    log_q <= -1e-300 (see rrcf_of_log_q)."""
+    if not log_q <= -1e-300:
+        raise DomainError(f"log nome must be <= -1e-300, got {log_q}")
+    return 6.0 * (_log_qpochhammer_at(log_q) - _log_qpochhammer_at(5.0 * log_q)) - log_q
 
 
 def rrcf_derivative(q: "Nome | float") -> float:

@@ -158,8 +158,8 @@ def _eq13(ctx: PrecisionContext) -> CheckResult:
 def _two_point_eta_quotient_check(n: float):
     def build(ctx: PrecisionContext) -> CheckResult:
         x_hi, x_lo = 5.0, 1.0   # u decreasing: q(x_hi) < q(x_lo)
-        q_hi = modular.eta_quotient_nome_of(x_hi, ctx)
-        q_lo = modular.eta_quotient_nome_of(x_lo, ctx)
+        q_hi = modular.eta_quotient_nome_of(x_hi)
+        q_lo = modular.eta_quotient_nome_of(x_lo)
 
         def f(q: float) -> float:
             return math.exp(n * qseries.u_of_q_log(q)
@@ -335,7 +335,7 @@ def _t4(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0)
     lhs = modular.F_of_x(modular.hypergeometric_g_argument(k * k, ctx), ctx)
     # F_of_x solves to eps_rel: at most 5.5e-4 eps_rel measured at eps
-    # 1e-12..1e-6 (2.0e-16 at the default), a margin of at least 1,800
+    # 1e-12..1e-6 (0 at the default), a margin of at least 1,800
     return compare("T4.r=4", "Theorem 4 (Eq 28)", lhs, RRCF_AT_E2PI,
                    max(ctx.eps_rel, 1e-12),
                    notes="composite inversion vs the continued-fraction value")
@@ -358,12 +358,14 @@ def _eq29(ctx: PrecisionContext) -> CheckResult:
 @_register("Eq31.x=0.2")
 def _eq31(ctx: PrecisionContext) -> CheckResult:
     x = 0.2
-    lhs = modular.F_of_x(x, ctx)
-    rhs = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(5.0 * x, ctx))))
+    f_val = modular.F_of_x(x, ctx)
     printed = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(x, ctx))))
-    notes = (f"same factor-five normalisation as Eqs (29)-(30); the displayed "
-             f"m(x) composite evaluates to {printed:.12g}")
-    return compare("Eq31.x=0.2", "Eq (31) composite", lhs, rhs, 1e-5, notes=notes)
+    notes = (f"F(x)={f_val:.15g}, the composite with the same factor-five "
+             f"normalisation as Eqs (29)-(30), put back into the continued-"
+             f"fraction integral; the displayed m(x) composite evaluates to "
+             f"{printed:.12g}")
+    return compare("Eq31.x=0.2", "Eq (31) composite", modular.rr_integral(f_val, ctx),
+                   x, 10.0 * max(ctx.eps_rel, 1e-12), notes=notes)
 
 
 @_register("Eq32.r=4")
@@ -380,13 +382,13 @@ def _eq32(ctx: PrecisionContext) -> CheckResult:
 
 def _g_through_f_check(x: float):
     def build(ctx: PrecisionContext) -> CheckResult:
-        f_val = modular.F_of_x(x, ctx)
-        from_f = 1.0 / f_val ** 5 - 11.0 - f_val ** 5
+        g_val = modular.G_of_x(x, ctx)
         return compare(f"Eq29_32.GF.x={x:g}",
-                       "Eqs (29)-(32) inverses: G(x) = F(x)^-5 - 11 - F(x)^5",
-                       modular.G_of_x(x, ctx), from_f, 10.0 * max(ctx.eps_rel, 1e-12),
-                       notes=f"continued-fraction inverse F(x)={f_val:.15g}; the "
-                             f"eta-quotient sixth power of its nome, through R^-5 - 11 - R^5")
+                       "Eqs (29)-(32) inverses: the surd tail from G(x) is 5x",
+                       modular.surd_tail_integral(g_val, ctx), 5.0 * x,
+                       10.0 * max(ctx.eps_rel, 1e-12),
+                       notes=f"G(x)={g_val:.15g}, the eta quotient at the nome "
+                             f"of F(x), put back into the surd-tail integral")
     return build
 
 
@@ -595,7 +597,7 @@ def _eq50_quad(ctx: PrecisionContext) -> CheckResult:
 def _eq50_deriv(ctx: PrecisionContext) -> CheckResult:
     x = 0.8
     fd = differentiate(lambda xx: modular.j_integral_f1_form(xx, ctx), x)
-    q_sq = modular.eta_quotient_nome_of(x, ctx)
+    q_sq = modular.eta_quotient_nome_of(x)
     r = (math.log(math.sqrt(q_sq)) / math.pi) ** 2
     rhs = modular.klein_j(r) ** (-1.0 / 3.0)
     return compare("Eq50.derivative.x=0.8", "Eqs (50)-(51) derivative identity",

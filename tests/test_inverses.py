@@ -1,6 +1,7 @@
-"""The integral inverses F, m, G, theta and beta_ratio_root against mpmath at
-30 digits: each returned value is put back into its defining equation,
-evaluated independently, over the inverse's whole domain.
+"""The integral inverses F, m, G, theta and beta_ratio_root, and the
+eta-quotient nome inverse, against mpmath at 30 digits: each returned value
+is put back into its defining equation, evaluated independently, over the
+inverse's whole domain.
 
 The bound is 1e-11 relative to the target plus the change that one ulp of
 the returned float makes in the equation: no float answer can do better than
@@ -15,8 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
-                             beta_ratio_root, m_of_x, theta_of_X)
+                             beta_ratio_root, eta_quotient_nome_of, m_of_x,
+                             theta_of_X)
 from rrcflab.numerics import BracketError, DomainError
+from rrcflab.qseries import GOLDEN_CONJUGATE
 from rrcflab.special import BetaBase
 
 mp = pytest.importorskip("mpmath")
@@ -133,6 +136,33 @@ class TestF:
             F_of_x(F_ARGUMENT_MAX)
 
 
+def _below_top(count):
+    """The count floats just below F_ARGUMENT_MAX, from the top down."""
+    band = [math.nextafter(F_ARGUMENT_MAX, 0.0)]
+    while len(band) < count:
+        band.append(math.nextafter(band[-1], 0.0))
+    return band
+
+
+class TestBelowTheTop:
+    """The 4,000 floats below F_ARGUMENT_MAX, where 5x rounds onto the eta
+    tail's total: F stays inside (0, GOLDEN_CONJUGATE), the domain of the
+    integral it inverts (a search that landed on the golden conjugate raised
+    for 80 of them), and G stays positive."""
+
+    BAND = _below_top(4000)
+
+    def test_every_float_in_range(self):
+        for x in self.BAND:
+            assert 0.0 < F_of_x(x) < GOLDEN_CONJUGATE, x
+            assert G_of_x(x) > 0.0, x
+
+    @pytest.mark.parametrize("x", [*BAND[::200], 0.8413092631952175])
+    def test_defining_equations(self, x):
+        _f_check(x)
+        _g_check(x)
+
+
 class TestG:
     @ORACLE
     @given(st.floats(min_value=1e-45, max_value=1.0, exclude_max=True))
@@ -160,6 +190,32 @@ class TestM:
     @example(0.5)
     def test_defining_equation(self, share):
         _m_check(TAIL_TOTAL * share)
+
+
+class TestEtaQuotientNome:
+    """q with u(q) = w against u = f(-q)^6 / (q f(-q^5)^6) in mpmath, to
+    1e-13 relative plus the change one ulp of q makes in u."""
+
+    @ORACLE
+    @given(st.floats(min_value=-6.0, max_value=12.0))
+    @example(9.0)                 # w = 1e9: no sign change on a fixed bracket
+    @example(0.5 * math.log10(125.0))   # the fixed point of the Fricke involution
+    @example(-6.0)
+    @example(12.0)
+    def test_against_mpmath(self, log10_w):
+        w = 10.0 ** log10_w
+        q = eta_quotient_nome_of(w)
+        with mp.workdps(30):
+            def u(t):
+                return mp.qp(t) ** 6 / (t * mp.qp(t ** 5) ** 6)
+            value = u(mp.mpf(q))
+            slope = mp.diff(u, mp.mpf(q))
+        assert abs(value - w) <= 1e-13 * w + abs(slope) * math.ulp(q), (w, q)
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan])
+    def test_domain(self, w):
+        with pytest.raises(DomainError):
+            eta_quotient_nome_of(w)
 
 
 class TestTheta:

@@ -121,11 +121,17 @@ class TestKleinJ:
 
 class TestInverseIntegrals:
     def test_domain_bound_closed_form(self):
-        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 by quadrature, and pi
-        # times the eta tail from 0 summed from its q-expansion
+        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 by quadrature, pi times
+        # the eta tail from 0 summed from its q-expansion, and the nearest
+        # float to mpmath's value
         assert TAIL_TOTAL == pytest.approx(surd_tail_integral(0.0), rel=1e-14)
         assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)
         assert F_ARGUMENT_MAX == 0.2 * TAIL_TOTAL
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            total = mp.beta(mp.mpf(1) / 6, mp.mpf(2) / 3) / mp.cbrt(4)
+            assert TAIL_TOTAL == float(total)
+            assert F_ARGUMENT_MAX == float(total / 5)
 
     def test_f_at_zero(self):
         assert F_of_x(0.0) == 0.0
@@ -359,11 +365,10 @@ class TestEtaTail:
 
 class TestWorkCounts:
     """Quadrature calls and integrand evaluations per inverse.  The counts are
-    deterministic, so this cannot flake; the bounds are about 1.5 times the
-    counts of the Newton search on incremental integrals (3 calls and 263
-    evaluations for G, 3 and 263 for the sextic), far below one full
-    quadrature per root-finder step (47 and 7,323 for G).  The eta tail and
-    m are summed from the q-expansion and take no quadrature at all."""
+    deterministic, so this cannot flake.  The eta tail and m are summed from
+    the q-expansion, and F, G and the sextic's path A are one eta-tail
+    inversion and one q-product evaluation: none of them integrates.  theta
+    makes exactly the quadrature of its surd-tail target."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
@@ -383,18 +388,26 @@ class TestWorkCounts:
         monkeypatch.setattr(quadrature, "integrate_finite", counting)
         return tally
 
-    @pytest.mark.parametrize("call, max_calls, max_evals", [
-        (lambda: G_of_x(0.3), 5, 400),
-        (lambda: m_of_x(1.0), 0, 0),
-        (lambda: solve_sextic(SexticInstance(1.0, 250.0, 12.0)), 5, 400),
-        *[(lambda s=s: eta_tail_integral(s), 0, 0) for s in (0.0, 1.0, 2.0, 5.0)],
-    ], ids=["G_of_x(0.3)", "m_of_x(1.0)", "solve_sextic(1,250,12)",
+    @pytest.mark.parametrize("call", [
+        lambda: F_of_x(0.2),
+        lambda: G_of_x(0.3),
+        lambda: m_of_x(1.0),
+        lambda: solve_sextic(SexticInstance(1.0, 250.0, 12.0)),
+        *[lambda s=s: eta_tail_integral(s) for s in (0.0, 1.0, 2.0, 5.0)],
+    ], ids=["F_of_x(0.2)", "G_of_x(0.3)", "m_of_x(1.0)", "solve_sextic(1,250,12)",
             "eta_tail_integral(0)", "eta_tail_integral(1)",
             "eta_tail_integral(2)", "eta_tail_integral(5)"])
-    def test_bounded(self, counts, call, max_calls, max_evals):
+    def test_bounded(self, counts, call):
         call()
-        assert counts["calls"] <= max_calls
-        assert counts["evals"] <= max_evals
+        assert counts == {"calls": 0, "evals": 0}
+
+    def test_theta_integrates_its_target_only(self, counts):
+        surd_tail_integral(50.0)
+        target = dict(counts)
+        counts.update(calls=0, evals=0)
+        theta_of_X(50.0)
+        assert target["calls"] == 1
+        assert counts == target
 
 
 class TestGauss2F1WorkCounts:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from rrcflab.numerics import DomainError, differentiate
 from rrcflab.qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, dq_dk,
                              dr_dk, eta_quarter_integrand, eta_tail_log,
-                             ramanujan_f, ramanujan_f_log, rrcf,
-                             rrcf_cf_oracle, rrcf_derivative, u_of_q,
-                             u_of_q_log)
+                             lambert_sum, ramanujan_f, ramanujan_f_log, rrcf,
+                             rrcf_cf_oracle, rrcf_derivative, rrcf_of_log_q,
+                             u_log_of_log_q, u_of_q, u_of_q_log)
 from rrcflab.special import elliptic_k
 
 Q_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -167,6 +167,64 @@ class TestEtaTail:
     def test_domain(self, s):
         with pytest.raises(DomainError):
             eta_tail_log(s)
+
+
+class TestLogNome:
+    """R and ln u at a nome given by its log, against mpmath at q = e^log_q,
+    also where q is below the doubles, and the Lambert sum.  exp turns a
+    rounding of its argument into a relative error, so each bound is 4e-15
+    per unit of the log's magnitude beyond 1."""
+
+    @ORACLE_SETTINGS
+    @given(st.one_of(st.floats(min_value=-3400.0, max_value=-1e-3),
+                     st.floats(min_value=-1.0, max_value=-1e-3)))
+    @example(-3400.0)
+    @example(-2.0 * math.pi)
+    @example(math.log(BRANCH_SWITCH))
+    @example(-1e-3)
+    def test_rrcf(self, log_q):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = _mp_rrcf(mp, mp.exp(mp.mpf(log_q)))
+            bound = 4e-15 * max(1.0, abs(float(mp.log(ref))))
+        assert abs(rrcf_of_log_q(log_q) - ref) <= bound * ref
+
+    @ORACLE_SETTINGS
+    @given(st.one_of(st.floats(min_value=-3400.0, max_value=-1e-3),
+                     st.floats(min_value=-1.0, max_value=-1e-3)))
+    @example(-3400.0)
+    @example(math.log(BRANCH_SWITCH))
+    @example(-1e-3)
+    def test_u_log(self, log_q):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            lq = mp.mpf(log_q)
+            ref = 6 * _mp_log_f(mp, mp.exp(lq)) - lq - 6 * _mp_log_f(mp, mp.exp(5 * lq))
+        assert abs(u_log_of_log_q(log_q) - ref) <= 4e-15 * max(1.0, abs(float(ref)))
+
+    @ORACLE_SETTINGS
+    @given(st.floats(min_value=0.0, max_value=BRANCH_SWITCH))
+    @example(0.0)
+    @example(1e-300)
+    @example(BRANCH_SWITCH)
+    def test_lambert_sum(self, q):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            qm = mp.mpf(q)
+            ref = mp.nsum(lambda n: n * qm ** n / (1 - qm ** n), [1, mp.inf]) if q else 0
+        assert abs(lambert_sum(q) - ref) <= 1e-15 * ref
+
+    @pytest.mark.parametrize("log_q", [0.0, -1e-310, 1.0, math.nan])
+    def test_log_nome_domain(self, log_q):
+        with pytest.raises(DomainError):
+            rrcf_of_log_q(log_q)
+        with pytest.raises(DomainError):
+            u_log_of_log_q(log_q)
+
+    @pytest.mark.parametrize("q", [-1e-300, 0.21, math.nan])
+    def test_lambert_sum_domain(self, q):
+        with pytest.raises(DomainError):
+            lambert_sum(q)
 
 
 def test_import_loads_no_numpy():

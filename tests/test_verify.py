@@ -123,8 +123,7 @@ class TestEpsSweep:
         1e-6: {"Eq16.m1.n0.5", "Ex4.eq63.r=2",
                "T6.baseB16.r=4", "T6.baseK.r=2", "T6.basePsiStar.r=3"},
     }
-    LOOSE_FAILS[1e-4] = LOOSE_FAILS[1e-6] | {
-        "Eq50.quadrature.x=0.5", "T2.n=1", "T2.n=1.5", "T8.example2.p=0.6"}
+    LOOSE_FAILS[1e-4] = LOOSE_FAILS[1e-6] | {"T8.example2.p=0.6"}
 
     @pytest.fixture(scope="class")
     def default_status(self):
