@@ -11,8 +11,8 @@ from .quadrature import (AlgebraicDecay, QuadratureError, integrate_finite,
 from .special import (BetaBase, appell_f1, beta_sqrt, complete_beta,
                       elliptic_k, elliptic_k_complementary, gamma, gauss_2f1,
                       incomplete_beta, pn_poly, sin_multiple_p6)
-from .qseries import (Nome, dedekind_eta, ramanujan_f, rrcf, rrcf_cf_oracle,
-                      rrcf_derivative, u_of_q)
+from .qseries import (Nome, dedekind_eta, ramanujan_f, rrcf, rrcf_derivative,
+                      u_of_q)
 from .modular import (SexticInstance, SexticSolution, F_of_x, G_of_x,
                       beta_ratio_root, klein_j, m_of_x, singular_modulus,
                       solve_sextic, theorem6_base_change, theta_of_X,

@@ -4,8 +4,9 @@ fraction R(q), the sixth-power eta quotient u(q) = R^-5 - 11 - R^5 (both
 also at a nome given by its log), the closed-form derivative of R, and the
 eta tail int_s^inf eta(i t/2)^4 dt summed term by term from its q-expansion.
 
-All products are evaluated as log sums, plain loops of math.log1p, so values
-near q -> 1 degrade gracefully instead of underflowing mid-product.
+Products are evaluated as logs, so values near q -> 1 degrade gracefully
+instead of underflowing: ln f(-q) is the log1p of Euler's pentagonal series
+for q <= 0.2 and the eta inversion of it above.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
-from .special import elliptic_k
+from .numerics import DomainError
+from .special import elliptic_k, elliptic_k_complementary
 
 # R(q) climbs from 0 to (sqrt(5)-1)/2 as q runs over (0, 1).
 GOLDEN_CONJUGATE = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -68,25 +69,29 @@ _LOG_INVERSION_MIN = math.log(0.18)
 def _log_qpochhammer(q: float) -> float:
     """ln prod_{n>=1} (1 - q^n).
 
-    Direct truncated sum (cut once q^N / (1-q) < 1e-17), at most 25 terms,
-    for q <= 0.2; above that the eta modular inversion of
-    _log_qpochhammer_at, so every q in (0, 1) costs a short sum.
+    For q <= 0.2, log1p of Euler's pentagonal series (DLMF 27.14.4)
+    f(-q) = 1 + sum_k (-1)^k (q^(k(3k-1)/2) + q^(k(3k+1)/2)), cut once
+    q^(k(3k+1)/2) < 1e-17: at most 4 pairs.  Above that the eta modular
+    inversion of _log_qpochhammer_at, so every q in (0, 1) costs a short sum.
     """
-    if q == 0.0:
-        return 0.0  # empty product; reached when a power of q underflows
     if q >= 1.0:
         return -math.inf  # nome rounded onto 1; the product vanishes there
     if q > 0.2:
         return _log_qpochhammer_at(math.log(q))
-    n_terms = max(int(math.ceil(math.log(1e-17 * (1.0 - q)) / math.log(q))), 1)
-    # q^n by repeated products: exp(n ln q) would carry the rounding of ln q,
-    # |ln q| ulps, into the leading term, 1e-14 relative at q = 1e-100.
-    total = 0.0
-    power = q
-    for _ in range(n_terms):
-        total += math.log1p(-power)
-        power *= q
-    return total
+    # Powers by repeated products, q^(k(3k+1)/2) = q^(k(3k-1)/2) q^k and
+    # q^((k+1)(3k+2)/2) = q^(k(3k+1)/2) q^k q^(k+1): exp(g ln q) would carry
+    # the rounding of ln q, |ln q| ulps, into the leading term, 1e-14
+    # relative at q = 1e-100.  A q that underflows to 0 gives the empty product.
+    total, sign, step, minus = 0.0, -1.0, q, q
+    while True:
+        plus = minus * step
+        total += sign * (minus + plus)
+        if not plus >= 1e-17:  # a nan q stops here too
+            return math.log1p(total)
+        sign = -sign
+        minus = plus * step
+        step *= q
+        minus *= step
 
 
 def _log_qpochhammer_at(log_q: float) -> float:
@@ -104,17 +109,23 @@ def _log_qpochhammer_at(log_q: float) -> float:
 
 def lambert_sum(q: float) -> float:
     """sum_{n>=1} n q^n / (1 - q^n) = -d ln f(-q) / d ln q for 0 <= q <= 0.2,
-    summed until a term is below 1e-17 of the sum (14 terms at q = 0.06)."""
+    from the pentagonal series of _log_qpochhammer and the same walk of its
+    powers: -(sum_k (-1)^k (g q^g + (g + k) q^(g + k))) / f(-q), g = k(3k-1)/2."""
     if not 0.0 <= q <= 0.2:
         raise DomainError(f"the Lambert sum is summed directly for 0 <= q <= 0.2, got {q}")
-    total, power, n = 0.0, q, 1
+    series, weighted, sign, k, g, step, minus = 0.0, 0.0, 1.0, 1, 1, q, q
     while True:
-        term = n * power / (1.0 - power)
-        total += term
-        if term <= 1e-17 * total:
-            return total
-        n += 1
-        power *= q
+        plus = minus * step
+        series -= sign * (minus + plus)
+        weighted += sign * (g * minus + (g + k) * plus)
+        if plus < 1e-17:
+            return weighted / (1.0 + series)
+        sign = -sign
+        g += 3 * k + 1
+        minus = plus * step
+        step *= q
+        minus *= step
+        k += 1
 
 
 def ramanujan_f(q: "Nome | float") -> float:
@@ -132,7 +143,7 @@ def ramanujan_f_log(q: "Nome | float") -> float:
 
 def dedekind_eta(t: float) -> float:
     """eta(i t) = exp(-pi t / 12) f(-exp(-2 pi t)) for t > 0."""
-    if t <= 0.0:
+    if not t > 0.0:
         raise DomainError(f"dedekind_eta needs t > 0, got {t}")
     return math.exp(-math.pi * t / 12.0 + _log_qpochhammer(math.exp(-2.0 * math.pi * t)))
 
@@ -216,10 +227,7 @@ def _rrcf_of_kappa(kappa: float) -> float:
 
 def rrcf(q: "Nome | float") -> float:
     """Rogers-Ramanujan continued fraction via the eta-quotient relation
-    1/R - 1 - R = f(-q^(1/5)) / (q^(1/5) f(-q^5)).
-
-    This is the primary path; rrcf_cf_oracle is the independent check.
-    """
+    1/R - 1 - R = f(-q^(1/5)) / (q^(1/5) f(-q^5))."""
     return _rrcf_cached(_as_q(q))
 
 
@@ -239,18 +247,6 @@ def rrcf_of_log_q(log_q: float) -> float:
     # the same root in r = 1/kappa, which cannot overflow past kappa = 1
     r = math.exp(-log_kappa)
     return 2.0 * r / (1.0 + r + math.hypot(1.0 + r, 2.0 * r))
-
-
-def rrcf_cf_oracle(q: "Nome | float", depth: int) -> float:
-    """Depth-truncated continued fraction q^(1/5)/(1+ q/(1+ q^2/(1+ ...))),
-    evaluated bottom-up; independent of the eta-quotient path."""
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
-    qf = _as_q(q)
-    acc = 1.0
-    for n in range(depth, 0, -1):
-        acc = 1.0 + qf ** n / acc
-    return qf ** 0.2 / acc
 
 
 def u_of_q(q: "Nome | float") -> float:
@@ -283,31 +279,28 @@ def rrcf_derivative(q: "Nome | float") -> float:
     return 0.2 * math.exp(log_val) * _rrcf_cached(qf)
 
 
-def _check_consistent_pair(k: float, q: float, ctx: PrecisionContext) -> None:
+def _nome_of_modulus(k: float) -> tuple[float, float]:
+    """(q, K(k)) with q = e^(-pi K'(k)/K(k)), for 0 < k < 1."""
     if not (0.0 < k < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    q_from_k = math.exp(-math.pi * elliptic_k(kprime) / elliptic_k(k))
-    if abs(q_from_k - q) > 1e-8 * q + ctx.eps_abs:
-        raise DomainError(
-            f"(k, q) inconsistent: k={k} implies q={q_from_k}, got {q}")
+    kk = elliptic_k(k)
+    return math.exp(-math.pi * elliptic_k_complementary(k) / kk), kk
 
 
-def dq_dk(k: float, q: "Nome | float", ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """-q pi^2 / (2 k k'^2 K(k)^2), as stated; the map k -> q is in fact
-    increasing, so the sign convention is recorded by the harness rather
-    than silently corrected here."""
-    qf = _as_q(q)
-    _check_consistent_pair(k, qf, ctx)
+def dq_dk(k: float) -> float:
+    """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
+    k -> q is in fact increasing, so the sign convention is recorded by the
+    harness rather than silently corrected here."""
+    q, kk = _nome_of_modulus(k)
     kp2 = (1.0 - k) * (1.0 + k)
-    return -qf * math.pi ** 2 / (2.0 * k * kp2 * elliptic_k(k) ** 2)
+    return -q * math.pi ** 2 / (2.0 * k * kp2 * kk ** 2)
 
 
-def dr_dk(k: float, q: "Nome | float", ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6): carries the same sign
-    convention as dq_dk, so the chain rule R'(q) dq/dk = dR/dk closes."""
-    qf = _as_q(q)
-    _check_consistent_pair(k, qf, ctx)
+def dr_dk(k: float) -> float:
+    """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
+    carries the same sign convention as dq_dk, so the chain rule
+    R'(q) dq/dk = dR/dk closes."""
+    q, _ = _nome_of_modulus(k)
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    u6 = math.exp(u_of_q_log(qf) / 6.0)
-    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(qf) * u6
+    u6 = math.exp(u_of_q_log(q) / 6.0)
+    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6

@@ -232,8 +232,8 @@ for _r in (1.0, 2.0, 4.0):
 def _eq20_21(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0)
     q = math.exp(-2.0 * math.pi)
-    chain = qseries.rrcf_derivative(q) * qseries.dq_dk(k, q, ctx)
-    direct = qseries.dr_dk(k, q, ctx)
+    chain = qseries.rrcf_derivative(q) * qseries.dq_dk(k)
+    direct = qseries.dr_dk(k)
     # both sides are formed to full precision whatever ctx asks: 5.0e-16
     # measured at eps 1e-12..1e-6, so 1e-12 leaves a margin of 2,000
     return compare("Eq20_21.chain.r=4", "Eqs (20)-(21) chain rule",
@@ -245,14 +245,13 @@ def _eq20_21(ctx: PrecisionContext) -> CheckResult:
 @_register("Eq20.sign.r=4")
 def _eq20_sign(ctx: PrecisionContext) -> CheckResult:
     k = modular.singular_modulus(4.0)
-    q = math.exp(-2.0 * math.pi)
 
     def nome_of_modulus(kk: float) -> float:
         return math.exp(-math.pi * special.elliptic_k_complementary(kk)
                         / elliptic_k(kk))
 
     fd = differentiate(nome_of_modulus, k)
-    stated = qseries.dq_dk(k, q, ctx)
+    stated = qseries.dq_dk(k)
     notes = (f"|finite difference|/|stated| - 1 = "
              f"{abs(fd.value / stated) - 1.0:.2e}; the map k -> q is "
              f"increasing, the stated form is negative")
