@@ -6,8 +6,7 @@ from .numerics import (BracketError, ConvergenceError, DEFAULT_CTX,
                        DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root,
                        newton_root, sum_series)
-from .quadrature import (AlgebraicDecay, QuadratureError, integrate_finite,
-                         integrate_to_infinity)
+from .quadrature import QuadratureError, integrate_finite, integrate_to_infinity
 from .special import (BetaBase, appell_f1, beta_sqrt, complete_beta,
                       elliptic_k, elliptic_k_complementary, gamma, gauss_2f1,
                       incomplete_beta, pn_poly, sin_multiple_p6)

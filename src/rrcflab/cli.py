@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
+from typing import Callable, NoReturn
 
 from . import modular, qseries, special, verify
 from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
@@ -46,6 +48,11 @@ def result_json_dict(result: CheckResult) -> dict[str, str]:
     }
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"rrcflab: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _context_from(args) -> PrecisionContext:
     eps = getattr(args, "eps", None)
     if eps is None:
@@ -54,9 +61,12 @@ def _context_from(args) -> PrecisionContext:
             try:
                 eps = float(env)
             except ValueError:
-                raise SystemExit(f"invalid {ENV_EPS}={env!r}")
+                _usage_error(f"invalid {ENV_EPS}={env!r}")
     changes = {"eps_rel": eps, "max_series_terms": getattr(args, "max_terms", None)}
-    return replace(DEFAULT_CTX, **{k: v for k, v in changes.items() if v is not None})
+    try:
+        return replace(DEFAULT_CTX, **{k: v for k, v in changes.items() if v is not None})
+    except DomainError as exc:
+        _usage_error(str(exc))
 
 
 def _cmd_verify(args) -> int:
@@ -82,67 +92,50 @@ def _parse_number(text: str) -> complex | float:
     try:
         return complex(text.replace("i", "j"))
     except ValueError:
-        raise SystemExit(2)
+        _usage_error(f"{text!r} is not a number")
 
 
-_EVAL_ARITY = {
-    "rrcf": 1, "f": 1, "eta": 1, "u": 1, "K": 1, "k_r": 1, "j": 1,
-    "2f1": 4, "f1": 6, "beta_inc": 3, "F": 1, "m": 1, "G": 1,
-    "beta_root": 3, "m65": 1,
+# name: (arity, the kernel called with the parsed arguments and the context,
+# whether it takes complex arguments)
+_EVAL: dict[str, tuple[int, Callable, bool]] = {
+    "rrcf": (1, lambda q, ctx: qseries.rrcf(q), False),
+    "f": (1, lambda q, ctx: qseries.ramanujan_f(q), False),
+    "eta": (1, lambda tau, ctx: qseries.dedekind_eta(tau), False),
+    "u": (1, lambda q, ctx: qseries.u_of_q(q), False),
+    "K": (1, lambda k, ctx: special.elliptic_k(k), False),
+    "k_r": (1, lambda r, ctx: modular.singular_modulus(r), False),
+    "j": (1, lambda r, ctx: modular.klein_j(r), False),
+    "2f1": (4, special.gauss_2f1, True),
+    "f1": (6, special.appell_f1, True),
+    "beta_inc": (3, lambda x, a, b, ctx: special.incomplete_beta(
+        x, BetaBase(a, b), ctx), False),
+    "F": (1, modular.F_of_x, False),
+    "m": (1, modular.m_of_x, False),
+    "G": (1, modular.G_of_x, False),
+    "beta_root": (3, lambda a, b, r, ctx: modular.beta_ratio_root(
+        BetaBase(a, b), r, ctx), False),
+    "m65": (1, lambda R, ctx: modular.trig_modular(R), False),
 }
-
-
-def _evaluate(name: str, vals: list, ctx: PrecisionContext):
-    if name == "rrcf":
-        return qseries.rrcf(vals[0])
-    if name == "f":
-        return qseries.ramanujan_f(vals[0])
-    if name == "eta":
-        return qseries.dedekind_eta(vals[0])
-    if name == "u":
-        return qseries.u_of_q(vals[0])
-    if name == "K":
-        return special.elliptic_k(vals[0])
-    if name == "k_r":
-        return modular.singular_modulus(vals[0])
-    if name == "j":
-        return modular.klein_j(vals[0])
-    if name == "2f1":
-        return special.gauss_2f1(*vals, ctx)
-    if name == "f1":
-        return special.appell_f1(*vals, ctx)
-    if name == "beta_inc":
-        return special.incomplete_beta(vals[0], BetaBase(vals[1], vals[2]), ctx)
-    if name == "F":
-        return modular.F_of_x(vals[0], ctx)
-    if name == "m":
-        return modular.m_of_x(vals[0], ctx)
-    if name == "G":
-        return modular.G_of_x(vals[0], ctx)
-    if name == "beta_root":
-        return modular.beta_ratio_root(BetaBase(vals[0], vals[1]), vals[2], ctx)
-    if name == "m65":
-        return modular.trig_modular(vals[0])
-    raise AssertionError(name)
 
 
 def _cmd_eval(args) -> int:
     ctx = _context_from(args)
     name = args.function
-    if name not in _EVAL_ARITY:
+    if name not in _EVAL:
         print(f"unknown function {name!r}; choose from "
-              f"{', '.join(sorted(_EVAL_ARITY))}", file=sys.stderr)
+              f"{', '.join(sorted(_EVAL))}", file=sys.stderr)
         return 2
-    if len(args.args) != _EVAL_ARITY[name]:
-        print(f"{name} takes {_EVAL_ARITY[name]} argument(s), "
+    arity, kernel, takes_complex = _EVAL[name]
+    if len(args.args) != arity:
+        print(f"{name} takes {arity} argument(s), "
               f"got {len(args.args)}", file=sys.stderr)
         return 2
     vals = [_parse_number(a) for a in args.args]
-    if any(isinstance(v, complex) for v in vals) and name not in ("2f1", "f1"):
+    if any(isinstance(v, complex) for v in vals) and not takes_complex:
         print(f"{name} takes real arguments", file=sys.stderr)
         return 2
     try:
-        value = _evaluate(name, vals, ctx)
+        value = kernel(*vals, ctx)
     except (KernelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -160,6 +153,7 @@ def _cmd_solve_sextic(args) -> int:
     try:
         inst = modular.SexticInstance(args.a, args.b, args.c1)
         sol = modular.solve_sextic(inst, ctx)
+        r, x_alt = verify.sextic_period_ratio_root(inst, sol.t)
     except DomainError as exc:
         print(f"error: {exc} (equation (36): b^2/(20a) + bX + aX^2 "
               f"= C1 X^(5/3))", file=sys.stderr)
@@ -169,11 +163,11 @@ def _cmd_solve_sextic(args) -> int:
         return 1
     print(f"X        = {_fmt(sol.x)}")
     print(f"t        = {_fmt(sol.t)}")
-    print(f"r        = {_fmt(sol.r)}")
-    print(f"k4r      = {_fmt(sol.k4r)}")
-    print(f"X_alt    = {_fmt(sol.x_alt)}  (eta-quotient path)")
+    print(f"r        = {_fmt(r)}")
+    print(f"k4r      = {_fmt(math.sqrt(sol.t))}")
+    print(f"X_alt    = {_fmt(x_alt)}  (eta-quotient path)")
     print(f"residual = {_fmt(sol.residual)}")
-    print(f"delta    = {_fmt(abs(sol.x - sol.x_alt))}  (cross-path)")
+    print(f"delta    = {_fmt(abs(sol.x - x_alt))}  (cross-path)")
     return 0
 
 
@@ -196,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one kernel")
-    p_eval.add_argument("function", help=f"one of {', '.join(sorted(_EVAL_ARITY))}")
+    p_eval.add_argument("function", help=f"one of {', '.join(sorted(_EVAL))}")
     p_eval.add_argument("args", nargs="*", help="numeric arguments")
     p_eval.add_argument("--eps", type=float, default=None)
     p_eval.add_argument("--max-terms", type=int, default=None, dest="max_terms")

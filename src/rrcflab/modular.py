@@ -2,8 +2,9 @@
 continued-fraction and surd integrals (m, F and G: one Newton search on the
 eta tail, then q-products at that nome) and of the surd tail (theta, by
 quadrature), the eta-quotient nome inverse, Beta-ratio singular-value
-solvers, the sextic solver with its two independent evaluation paths, the
-change-of-base procedure, and the trigonometric modular family.
+solvers, the sextic solver (the hypergeometric/eta-tail route; the registry
+holds its period-ratio cross-check), the change-of-base procedure, and the
+trigonometric modular family.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: `from_r` is
@@ -13,24 +14,18 @@ nome exp(-2 pi sqrt(r)).
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
-from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, KernelError,
-                       PrecisionContext, differentiate, find_root, newton_root)
+from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
+                       PrecisionContext, find_root, newton_root)
 from .quadrature import integrate_finite
-from .report import CheckResult, compare
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
-                      elliptic_k_complementary, gauss_2f1, incomplete_beta)
-from .qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, eta_tail_log,
-                      lambert_sum, rrcf_of_log_q, u_log_of_log_q, u_of_q)
-
-
-class ConsistencyError(KernelError):
-    """Two supposedly equal internal routes disagreed."""
+                      gauss_2f1, incomplete_beta)
+from .qseries import (GOLDEN_CONJUGATE, Nome, eta_tail_log, lambert_sum,
+                      rrcf_of_log_q, u_log_of_log_q, u_of_q)
 
 
 # The quarter-modulus branch point: j as a function of t = k^2 attains its
@@ -360,9 +355,6 @@ class SexticInstance:
 class SexticSolution:
     x: float          # root of the sextic, hypergeometric/eta-tail path
     t: float          # quarter-modulus square solving the j relation
-    r: float          # index recovered from t via the period ratio
-    k4r: float        # sqrt(t)
-    x_alt: float      # same root from the eta-quotient path
     residual: float   # relative residual of the sextic at x
 
 
@@ -408,15 +400,13 @@ def hypergeometric_g_argument(t: float, ctx: PrecisionContext = DEFAULT_CTX) -> 
 
 def solve_sextic(inst: SexticInstance,
                  ctx: PrecisionContext = DEFAULT_CTX) -> SexticSolution:
-    """Solve the sextic by two independent routes and keep both results.
-
-    Both start from t = _quarter_modulus(j), the preimage at the index
-    r >= 1.  Path A takes the hypergeometric argument of t (2F1), inverts
-    the eta tail at it and evaluates the eta quotient at that nome (G_of_x).
-    Path B recovers r from t through the elliptic period ratio (AGM) and
-    evaluates the eta quotient at the squared nome; paths that disagree
-    raise ConsistencyError.  Real instances need j > 1728; below that the
-    quarter-modulus square leaves (0, 1).
+    """The root X = (b/(250a)) G(x) of the sextic, with x the hypergeometric
+    argument (2F1) of t = _quarter_modulus(j), the quarter-modulus square at
+    the index r >= 1: one eta-tail inversion and one eta quotient at that
+    nome (G_of_x).  A relative residual above 1e-6 raises ConvergenceError
+    carrying X.  Real instances need j > 1728; below that the
+    quarter-modulus square leaves (0, 1).  The registry checks X against
+    the period-ratio route (verify.sextic_period_ratio_root).
     """
     j = inst.j
     if j < 1728.0 * (1.0 - 1e-12):
@@ -424,18 +414,11 @@ def solve_sextic(inst: SexticInstance,
             f"derived j={j:.6g} < 1728: no real quarter-modulus; "
             "complex-modulus instances are rejected")
     t = _quarter_modulus(j)
-    x_a = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
-    k = math.sqrt(t)
-    ratio = elliptic_k_complementary(k) / elliptic_k(k)
-    r = ratio * ratio / 4.0
-    x_b = inst.b / (250.0 * inst.a) * u_of_q(Nome.from_r_squared(r))
-    sol = SexticSolution(x=x_a, t=t, r=r, k4r=k, x_alt=x_b,
-                         residual=inst.residual(x_a))
-    if sol.residual <= 1e-6 and abs(sol.x - sol.x_alt) <= 1e-6 * abs(sol.x):
-        return sol
-    raise ConsistencyError(
-        f"sextic paths disagree: x={sol.x}, x_alt={sol.x_alt}, "
-        f"residual={sol.residual:.3g}")
+    x = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
+    residual = inst.residual(x)
+    if not residual <= 1e-6:
+        raise ConvergenceError(f"sextic residual {residual:.3g} at X={x}", best=x)
+    return SexticSolution(x=x, t=t, residual=residual)
 
 
 # ---------------------------------------------------------------------------
@@ -515,27 +498,6 @@ def sextic_variable_of_index(r: float) -> float:
     """X(r) = u(exp(-2 pi sqrt r)): the eta-quotient sixth power on the
     squared-nome convention; increasing in r."""
     return u_of_q(Nome.from_r_squared(r))
-
-
-def theorem7_derivative_check(r: float) -> CheckResult:
-    """Compare dX/dr against pi (eta(i sqrt r)^4 / sqrt r) X^(1/6)
-    sqrt(125 + 22 X + X^2).
-
-    The magnitudes agree; the stated formula carries a minus sign while the
-    map is increasing, so the signed values are recorded and the check is
-    judged on |.|.
-    """
-    if r <= 0.0:
-        raise DomainError(f"need r > 0, got {r}")
-    fd = differentiate(sextic_variable_of_index, r)
-    x = sextic_variable_of_index(r)
-    stated = -math.pi * dedekind_eta(math.sqrt(r)) ** 4 / math.sqrt(r) \
-        * x ** (1.0 / 6.0) * math.sqrt(125.0 + 22.0 * x + x * x)
-    notes = (f"finite difference {fd.value:.12g} (est err {fd.error:.2g}) vs "
-             f"stated {stated:.12g}; magnitudes compared, signs recorded: "
-             f"fd>0, stated<0 (map is increasing in r)")
-    return compare(f"T7.r={r:g}", "Theorem 7", abs(fd.value), abs(stated),
-                   tolerance=1e-5, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -632,19 +594,6 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     return integrate_finite(integrand, 0.0, x, ctx)
 
 
-def j_integral_identity(x: float,
-                        ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
-    """F1 closed form against the direct j-quadrature at the same x."""
-    loose = replace(ctx, eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
-    quad = j_integral_quadrature(x, loose)
-    closed = j_integral_f1_form(x, ctx)
-    notes = ("quadrature uses the j^(-1/3) integrand fixed by the derivative "
-             "identity; the displayed +1/3 exponent does not integrate to "
-             "the F1 form")
-    return compare(f"Eq50.quadrature.x={x:g}", "Eqs (50)-(51) j-integral",
-                   closed, quad, tolerance=1e-5, notes=notes)
-
-
 # ---------------------------------------------------------------------------
 # Trigonometric modular family
 
@@ -656,69 +605,10 @@ def trig_modular(R: float) -> float:
     return math.sin(math.pi / (2.0 * (R + 1.0))) ** 2
 
 
-def trig_modular_equation_check(R: float) -> CheckResult:
-    """m(R+1) = (1 - sqrt(1 - m(R/2))) / 2."""
-    lhs = trig_modular(R + 1.0)
-    rhs = 0.5 * (1.0 - math.sqrt(1.0 - trig_modular(R / 2.0)))
-    return compare(f"Ex5.eq67.R={R:g}", "Example 5, Eq (67)", lhs, rhs,
-                   tolerance=1e-12,
-                   notes="half-angle consistency of the arcsin base")
-
-
 def psi_arcsin_ratio(x: float) -> float:
     """sqrt(arcsin(sqrt(1-x)) / arcsin(sqrt(x))): the base ratio whose root
     is trig_modular."""
     return math.sqrt(math.asin(math.sqrt(1.0 - x)) / math.asin(math.sqrt(x)))
-
-
-# ---------------------------------------------------------------------------
-# Unit-circle reformulation of the arcsin singular equation
-
-def example4_checks(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> list[CheckResult]:
-    """Two records for the arcsin singular equation at index r.
-
-    (a) Solve arcsin(1-s) = r arcsin(s); with y = i s + sqrt(1-s^2) the
-    combination 2i + 1/y - y + y^-r - y^r must vanish (real and imaginary
-    parts are reported separately in the notes).
-    (b) The displayed construction through xi = (-i - sqrt3)/2: the claim
-    t = sin(pi/(4+2r)) does solve psi(1-2t^2)/psi(t) = sqrt(r), while the
-    xi-chain itself lands on sin(5 pi/(6r)); both residuals are recorded
-    and the record is flagged.
-    """
-    if r <= 0.0:
-        raise DomainError(f"need r > 0, got {r}")
-
-    s = find_root(lambda v: math.asin(1.0 - v) - r * math.asin(v),
-                  1e-15, 1.0 - 1e-15, ctx)
-    y = complex(math.sqrt((1.0 - s) * (1.0 + s)), s)
-    res = 2.0j + 1.0 / y - y + y ** (-r) - y ** r
-    rec_a = compare(
-        f"Ex4.eq63.r={r:g}", "Example 4, Eqs (62)-(63)", res, 0.0,
-        tolerance=1e-10, relative=False,
-        notes=(f"s={s:.15g}; residual parts re={res.real:.3g} "
-               f"im={res.imag:.3g}"))
-
-    def psi(z: complex) -> complex:
-        return cmath.sqrt(2.0 * cmath.asin(z))
-
-    t_claim = math.sin(math.pi / (4.0 + 2.0 * r))
-    claim_res = abs(psi(1.0 - 2.0 * t_claim * t_claim) / psi(t_claim)
-                    - math.sqrt(r))
-    xi = complex(-math.sqrt(3.0) / 2.0, -0.5)
-    inner = (1.0 - 2.0j * xi - xi * xi
-             + cmath.sqrt(1.0 - 4.0j * xi - 2.0 * xi * xi
-                          + 4.0j * xi ** 3 + xi ** 4))
-    x_r = 2.0 ** (-1.0 / r) * (inner / xi) ** (1.0 / r)
-    x_chain = (-1.0j * (1.0 - x_r * x_r) / (2.0 * x_r)).real
-    chain_res = abs(psi(1.0 - 2.0 * x_chain * x_chain) / psi(complex(x_chain, 0))
-                    - math.sqrt(r))
-    rec_b = compare(
-        f"Ex4.tclaim.r={r:g}", "Example 4, xi-construction and final claim",
-        claim_res, 0.0, tolerance=1e-10, relative=False, flagged=True,
-        notes=(f"t=sin(pi/(4+2r)) residual {claim_res:.3g} (holds); "
-               f"xi-chain lands on {x_chain:.12g}=sin(5pi/(6r)) with ratio "
-               f"residual {chain_res:.3g} (does not match the claim)"))
-    return [rec_a, rec_b]
 
 
 # ---------------------------------------------------------------------------
@@ -742,20 +632,3 @@ def pi_formula_partial_sum(R: float, terms: int) -> float:
         # (a)_{-n-1} = (a)_{-n} / (a-n-1) for a = 3/4 and 1/2
         coeff *= (0.25 + n) * (0.5 - n - 1.0) / ((0.75 - n - 1.0) * (n + 1.0))
     return total
-
-
-def pi_formula_check(R: float) -> CheckResult:
-    """The 200-term partial sum against pi/(R+1) and the arcsin form."""
-    terms = 200
-    m = trig_modular(R)
-    partial = pi_formula_partial_sum(R, terms)
-    target = math.pi / (R + 1.0)
-    closed = 2.0 * math.asin(math.sqrt(m))
-    # All coefficients reduce to the positive arcsin coefficients, so the
-    # partial sums increase; the tail is a geometric-dominated arcsin tail.
-    tail = m ** (terms + 0.5) / ((terms + 0.5) * (1.0 - m)) if m < 1.0 else math.inf
-    notes = (f"m(R)={m:.15g}; closed arcsin form {closed:.15g}; "
-             f"{terms}-term tail bound {tail:.3g}")
-    return compare(f"Ex6.eq68.R={R:g}", "Example 6, Eqs (68)-(69)",
-                   partial, target, tolerance=max(1e-10, 2.0 * tail / target),
-                   notes=notes)

@@ -63,9 +63,11 @@ class PrecisionContext:
 
     def __post_init__(self):
         if not (self.eps_rel > 0.0 and self.eps_abs > 0.0):
-            raise DomainError("eps_rel and eps_abs must be positive")
+            raise DomainError(f"eps_rel and eps_abs must be positive, got "
+                              f"{self.eps_rel} and {self.eps_abs}")
         if self.max_series_terms < 1:
-            raise DomainError("the series term cap must be at least 1")
+            raise DomainError(f"the series term cap must be at least 1, got "
+                              f"{self.max_series_terms}")
 
     def tol(self, scale: float = 1.0) -> float:
         return self.eps_rel * abs(scale) + self.eps_abs

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .numerics import (DEFAULT_CTX, ConvergenceError, DomainError, KernelError,
@@ -25,12 +24,6 @@ _T_MAX = 5.0
 
 class QuadratureError(ConvergenceError):
     """Level cap reached without the levels agreeing."""
-
-
-@dataclass(frozen=True)
-class AlgebraicDecay:
-    """f(t) ~ t**(-p) for large t; needs p > 1 to converge."""
-    p: float
 
 
 def _level_table(level: int) -> tuple[tuple[float, float], ...]:
@@ -122,19 +115,18 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     return _tanh_sinh(f, a, b, ctx, math.isfinite)
 
 
-def integrate_to_infinity(f: Callable[[float], float], a: float,
-                          decay: AlgebraicDecay,
+def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
                           ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Integrate f over (a, inf) given its declared tail behaviour.
+    """Integrate f over (a, inf) given its declared algebraic decay
+    f(t) ~ t**(-p) for large t, which needs p > 1 to converge.
 
-    Algebraic decay t**(-p), p > 1: map t = a + c(1-s)/s onto s in (0, 1]
-    with c = max(|a|, 1); the image integrand has an s**(p-2) endpoint
-    singularity which tanh-sinh absorbs.  The scale c keeps the image smooth
+    Map t = a + c(1-s)/s onto s in (0, 1] with c = max(|a|, 1); the image
+    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.  The scale c keeps the image smooth
     however far out a is: with c = 1 a t**(-7/6) tail from a = 1e36 would
     sit in s < 1e-36.
     """
-    if decay.p <= 1.0:
-        raise DomainError(f"algebraic decay p={decay.p} <= 1 diverges")
+    if p <= 1.0:
+        raise DomainError(f"algebraic decay p={p} <= 1 diverges")
 
     c = max(abs(a), 1.0)
 

@@ -1,10 +1,10 @@
 """Classical special functions built on the series/quadrature kernels:
 Gamma (Lanczos, complex); Gauss 2F1, summed on the unit disk at z, z/(z-1)
-or 1-z, whichever takes the fewest terms, and integrated outside it;
-Appell F1; the incomplete Beta function from its continued fraction; the
-complete elliptic integral K via AGM; terminating 2F1 polynomials, the
-sine-sextuple polynomial, and the quadratic-surd integral series engine
-they feed.
+or 1-z, whichever takes the fewest terms, and by its Euler integral outside
+it; Appell F1, summed on the bidisk and integrated beyond it; the incomplete
+Beta function from its continued fraction; the complete elliptic integral K
+via AGM; terminating 2F1 polynomials, the sine-sextuple polynomial, and the
+quadratic-surd integral series engine they feed.
 """
 
 from __future__ import annotations
@@ -155,16 +155,8 @@ def _maybe_real(val: complex, inputs_real: bool):
     return val.real if inputs_real else val
 
 
-def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
-              method: str = "auto") -> complex | float:
-    """Gauss hypergeometric 2F1(a, b; c; z).
-
-    method "series": the power series at z itself, |z| < 1 (a polynomial
-    at any z when a or b is a non-positive integer).  method "integral":
-    the Euler integral, needs Re c > Re b > 0 (or the a/b-swapped variant)
-    and z off [1, inf).
-
-    method "auto", by region:
+def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
+    """Gauss hypergeometric 2F1(a, b; c; z), by region:
 
     - |z| <= 1/2, or a or b a non-positive integer: the series at z.
     - 1/2 < |z| < 1: one series routine, ``_series_2f1``, summed at the
@@ -182,15 +174,17 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
       Past radius 1/2 the series is summed to a tolerance scaled by
       (1-r)/r, so that its stopping rule leaves no more than the tolerance
       behind.  No quadrature runs.
-    - |z| >= 1: the integral (the 1/z map is not implemented).
+    - |z| >= 1: the Euler integral (``_integral_2f1``; the 1/z map is not
+      implemented), which needs Re c > Re b > 0 (or the a/b-swapped
+      variant) and z off [1, inf).
 
-    Known gaps of auto mode (``_is_slow_2f1``), where every route runs at a
-    radius above ``_SLOW_RADIUS`` and the series can reach its 2000-term
-    cap: z next to 1 with c-a-b within ``_POLE_GAP`` of an integer (the limit
-    forms of A&S 15.3.10-15.3.14 are not implemented), and the band around
-    exp(+-i pi/3) near |z| = 1, where |z|, |z/(z-1)| and |1-z| are all near
-    1.  Elsewhere on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute
-    next to a zero) against mpmath for a, b, c in [-3, 3].
+    Known gaps (``_is_slow_2f1``), where every route runs at a radius above
+    ``_SLOW_RADIUS`` and the series can reach its 2000-term cap: z next to 1
+    with c-a-b within ``_POLE_GAP`` of an integer (the limit forms of A&S
+    15.3.10-15.3.14 are not implemented), and the band around exp(+-i pi/3)
+    near |z| = 1, where |z|, |z/(z-1)| and |1-z| are all near 1.  Elsewhere
+    on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute next to a zero)
+    against mpmath for a, b, c in [-3, 3].
     """
     inputs_real = _all_real(a, b, c, z)
     ac, bc, cc, zc = complex(a), complex(b), complex(c), complex(z)
@@ -201,36 +195,29 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX,
     if zc == 0:
         return _maybe_real(complex(1.0), inputs_real)
 
-    terminating = _is_nonpositive_int(ac) or _is_nonpositive_int(bc)
-    if method == "auto":
-        if abs(zc) < 1.0 or terminating:
-            route, _ = _route_2f1(ac, bc, cc, zc)
-            return _maybe_real(_finite(_ROUTES[route](ac, bc, cc, zc, ctx)),
-                               inputs_real)
-        method = "integral"
+    if abs(zc) < 1.0 or _is_nonpositive_int(ac) or _is_nonpositive_int(bc):
+        route, _ = _route_2f1(ac, bc, cc, zc)
+        return _maybe_real(_finite(_ROUTES[route](ac, bc, cc, zc, ctx)), inputs_real)
+    return _maybe_real(_integral_2f1(ac, bc, cc, zc, ctx), inputs_real)
 
-    if method == "series":
-        if abs(zc) >= 1.0 and not terminating:
-            raise DomainError(f"2F1 series needs |z| < 1, got |z|={abs(zc):.4g}")
-        return _maybe_real(_finite(_series_2f1(ac, bc, cc, zc, ctx)), inputs_real)
 
-    if method == "integral":
-        aa, bb = ac, bc
-        if not (cc.real > bb.real > 0.0):
-            aa, bb = bb, aa  # 2F1 is symmetric in a, b
-        if not (cc.real > bb.real > 0.0):
-            raise DomainError("2F1 integral route needs Re c > Re b > 0")
-        if zc.real >= 1.0 and abs(zc.imag) < 1e-300:
-            raise DomainError(f"2F1 integral route: z={z} on the cut [1, inf)")
+def _integral_2f1(a: complex, b: complex, c: complex, z: complex,
+                  ctx: PrecisionContext) -> complex:
+    """The Euler integral Gamma(c) / (Gamma(b) Gamma(c-b))
+    int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt, a and b swapped when only
+    that order has Re c > Re b > 0; z off the cut [1, inf)."""
+    if not (c.real > b.real > 0.0):
+        a, b = b, a  # 2F1 is symmetric in a, b
+    if not (c.real > b.real > 0.0):
+        raise DomainError("2F1 integral route needs Re c > Re b > 0")
+    if z.real >= 1.0 and abs(z.imag) < 1e-300:
+        raise DomainError(f"2F1 integral route: z={z} on the cut [1, inf)")
 
-        def integrand(t: float) -> complex:
-            return t ** (bb.real - 1.0) * (1.0 - t) ** (cc - bb - 1.0) \
-                * (1.0 - zc * t) ** (-aa)
+    def integrand(t: float) -> complex:
+        return t ** (b.real - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - z * t) ** (-a)
 
-        pref = gamma(cc) / (gamma(bb) * gamma(cc - bb))
-        return _maybe_real(pref * integrate_complex(integrand, 0.0, 1.0, ctx), inputs_real)
-
-    raise DomainError(f"unknown 2F1 method {method!r}")
+    pref = gamma(c) / (gamma(b) * gamma(c - b))
+    return pref * integrate_complex(integrand, 0.0, 1.0, ctx)
 
 
 def _finite(val: complex) -> complex:
@@ -347,7 +334,7 @@ def _near_pole(x: complex, any_integer: bool = False) -> bool:
 
 def _route_2f1(a: complex, b: complex, c: complex,
                z: complex) -> tuple[str, float]:
-    """The route auto mode takes at |z| < 1, and the radius its series is
+    """The route gauss_2f1 takes at |z| < 1, and the radius its series is
     summed at; the connection formula sums two series at |1-z|, as many
     terms as one at sqrt|1-z|."""
     if _is_nonpositive_int(a) or _is_nonpositive_int(b):
@@ -378,49 +365,28 @@ def _route_2f1(a: complex, b: complex, c: complex,
 
 
 def _is_slow_2f1(a, b, c, z) -> bool:
-    """True in the known gaps of auto mode at |z| < 1: the route it takes
+    """True in the known gaps of gauss_2f1 at |z| < 1: the route it takes
     runs at a radius above _SLOW_RADIUS."""
     _, radius = _route_2f1(complex(a), complex(b), complex(c), complex(z))
     return radius > _SLOW_RADIUS
 
 
-def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
-              method: str = "auto") -> complex | float:
+def appell_f1(a, b1, b2, c, x, y,
+              ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
     """Appell F1(a; b1, b2; c; x, y).
 
-    Double series summed along anti-diagonals m+n = s (which matches the
-    (a)_{m+n} coupling), valid for |x|, |y| < 1, after the Pfaff-type
-    transformation (DLMF 16.16.1) when that moves x, y closer to 0.  The
-    single-integral route
-    int_0^1 t^(a-1)(1-t)^(c-a-1)(1-xt)^(-b1)(1-yt)^(-b2) dt needs
-    c > a > 0 and serves as the independent oracle.
+    For |x|, |y| < 1 the double series summed along anti-diagonals m+n = s
+    (which matches the (a)_{m+n} coupling), after the Pfaff-type
+    transformation (DLMF 16.16.1) when that moves x, y closer to 0.
+    Beyond that bidisk the single integral
+    int_0^1 t^(a-1)(1-t)^(c-a-1)(1-xt)^(-b1)(1-yt)^(-b2) dt, which needs
+    c > a > 0.
     """
     inputs_real = _all_real(a, b1, b2, c, x, y)
     ac, b1c, b2c, cc = complex(a), complex(b1), complex(b2), complex(c)
     xc, yc = complex(x), complex(y)
 
-    if method == "auto":
-        method = "series" if max(abs(xc), abs(yc)) < 1.0 else "integral"
-
-    if method == "series":
-        if max(abs(xc), abs(yc)) >= 1.0:
-            raise DomainError("F1 double series needs |x|, |y| < 1")
-        terminating = _is_nonpositive_int(ac)
-        if _is_nonpositive_int(cc) and not (
-                terminating and round(ac.real) > round(cc.real)):
-            raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
-        pref = 1.0 + 0.0j
-        xt, yt = xc / (xc - 1.0), yc / (yc - 1.0)
-        if not terminating and max(abs(xt), abs(yt)) < max(abs(xc), abs(yc)):
-            # DLMF 16.16.1: a smaller max(|x|, |y|) means fewer terms, and
-            # for x or y near -1 it avoids cancellation between huge terms.
-            # (A polynomial is summed as it stands.)
-            pref = (1.0 - xc) ** (-b1c) * (1.0 - yc) ** (-b2c)
-            ac, xc, yc = cc - ac, xt, yt
-        return _maybe_real(pref * _appell_f1_series(ac, b1c, b2c, cc, xc, yc,
-                                                    ctx), inputs_real)
-
-    if method == "integral":
+    if max(abs(xc), abs(yc)) >= 1.0:
         if not (cc.real > ac.real > 0.0):
             raise DomainError("F1 integral route needs c > a > 0")
 
@@ -431,7 +397,20 @@ def appell_f1(a, b1, b2, c, x, y, ctx: PrecisionContext = DEFAULT_CTX,
         pref = gamma(cc) / (gamma(ac) * gamma(cc - ac))
         return _maybe_real(pref * integrate_complex(integrand, 0.0, 1.0, ctx), inputs_real)
 
-    raise DomainError(f"unknown F1 method {method!r}")
+    terminating = _is_nonpositive_int(ac)
+    if _is_nonpositive_int(cc) and not (
+            terminating and round(ac.real) > round(cc.real)):
+        raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
+    pref = 1.0 + 0.0j
+    xt, yt = xc / (xc - 1.0), yc / (yc - 1.0)
+    if not terminating and max(abs(xt), abs(yt)) < max(abs(xc), abs(yc)):
+        # DLMF 16.16.1: a smaller max(|x|, |y|) means fewer terms, and
+        # for x or y near -1 it avoids cancellation between huge terms.
+        # (A polynomial is summed as it stands.)
+        pref = (1.0 - xc) ** (-b1c) * (1.0 - yc) ** (-b2c)
+        ac, xc, yc = cc - ac, xt, yt
+    return _maybe_real(pref * _appell_f1_series(ac, b1c, b2c, cc, xc, yc, ctx),
+                       inputs_real)
 
 
 def _appell_f1_series(a: complex, b1: complex, b2: complex, c: complex,

@@ -8,6 +8,7 @@ they report residuals from two independent methods and never fail a run.
 
 from __future__ import annotations
 
+import cmath
 import fnmatch
 import math
 import time
@@ -17,7 +18,7 @@ from typing import Callable
 from . import modular, qseries, special
 from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root)
-from .quadrature import AlgebraicDecay, integrate_finite, integrate_to_infinity
+from .quadrature import integrate_finite, integrate_to_infinity
 from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
@@ -92,7 +93,7 @@ def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
         return t ** (nu - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
 
     head = integrate_finite(f, 0.0, 50.0, ctx)
-    return head + integrate_to_infinity(f, 50.0, AlgebraicDecay(2.0 - nu), ctx)
+    return head + integrate_to_infinity(f, 50.0, 2.0 - nu, ctx)
 
 
 def quintic_surd_denominator_integral(n: float, x_lo: float, x_hi: float,
@@ -395,15 +396,25 @@ _register("Eq29_32.GF.x=0.15")(_g_through_f_check(0.15))
 _register("Eq29_32.GF.x=0.6")(_g_through_f_check(0.6))
 
 
-def _sextic_check(check_id: str, ref: str, inst: modular.SexticInstance,
-                  expected: float | None = None):
+def sextic_period_ratio_root(inst: modular.SexticInstance,
+                             t: float) -> tuple[float, float]:
+    """The sextic's second route from the quarter-modulus square t that
+    solve_sextic returns: the index r = (K'(k)/K(k))^2 / 4 at k = sqrt(t)
+    from the period ratio (AGM), and the root (b/(250a)) u at the squared
+    nome exp(-2 pi sqrt r).  Returns (r, X)."""
+    k = math.sqrt(t)
+    ratio = special.elliptic_k_complementary(k) / elliptic_k(k)
+    r = ratio * ratio / 4.0
+    return r, inst.b / (250.0 * inst.a) * qseries.u_of_q(qseries.Nome.from_r_squared(r))
+
+
+def _sextic_check(check_id: str, ref: str, inst: modular.SexticInstance):
     def build(ctx: PrecisionContext) -> CheckResult:
         sol = modular.solve_sextic(inst, ctx)
-        cross = abs(sol.x - sol.x_alt) / abs(sol.x)
-        notes = (f"t={sol.t:.12g}, index r={sol.r:.12g}, cross-path "
+        r, x_alt = sextic_period_ratio_root(inst, sol.t)
+        cross = abs(sol.x - x_alt) / abs(sol.x)
+        notes = (f"t={sol.t:.12g}, index r={r:.12g}, cross-path "
                  f"delta {cross:.2e}, sextic residual {sol.residual:.2e}")
-        if expected is not None:
-            return compare(check_id, ref, sol.x, expected, 1e-5, notes=notes)
         worst = max(sol.residual, cross)
         return compare(check_id, ref, worst, 0.0, 1e-6, relative=False,
                        notes=notes)
@@ -412,8 +423,7 @@ def _sextic_check(check_id: str, ref: str, inst: modular.SexticInstance,
 
 _register("T5.prop1")(_sextic_check(
     "T5.prop1", "Theorem 5 / Proposition 1 instance",
-    modular.SexticInstance(1.0, 250.0, 12.0),
-    expected=None))
+    modular.SexticInstance(1.0, 250.0, 12.0)))
 _register("T5.j4000")(_sextic_check(
     "T5.j4000", "Theorem 5, synthetic j=4000",
     modular.SexticInstance(1.0, 3.0, (4000.0 * 3.0 / 250.0) ** (1.0 / 3.0))))
@@ -562,14 +572,26 @@ def _t6_beta(ctx: PrecisionContext) -> CheckResult:
                    1e-9, notes=notes)
 
 
-@_register("T7.r=1")
-def _t7_r1(ctx: PrecisionContext) -> CheckResult:
-    return modular.theorem7_derivative_check(1.0)
+def _theorem7_check(r: float):
+    """dX/dr against pi (eta(i sqrt r)^4 / sqrt r) X^(1/6)
+    sqrt(125 + 22 X + X^2).  The magnitudes agree; the stated formula
+    carries a minus sign while the map is increasing, so the signed values
+    are recorded and the check is judged on |.|."""
+    def build(ctx: PrecisionContext) -> CheckResult:
+        fd = differentiate(modular.sextic_variable_of_index, r)
+        x = modular.sextic_variable_of_index(r)
+        stated = -math.pi * qseries.dedekind_eta(math.sqrt(r)) ** 4 / math.sqrt(r) \
+            * x ** (1.0 / 6.0) * math.sqrt(125.0 + 22.0 * x + x * x)
+        notes = (f"finite difference {fd.value:.12g} (est err {fd.error:.2g}) vs "
+                 f"stated {stated:.12g}; magnitudes compared, signs recorded: "
+                 f"fd>0, stated<0 (map is increasing in r)")
+        return compare(f"T7.r={r:g}", "Theorem 7", abs(fd.value), abs(stated),
+                       tolerance=1e-5, notes=notes)
+    return build
 
 
-@_register("T7.r=2")
-def _t7_r2(ctx: PrecisionContext) -> CheckResult:
-    return modular.theorem7_derivative_check(2.0)
+_register("T7.r=1")(_theorem7_check(1.0))
+_register("T7.r=2")(_theorem7_check(2.0))
 
 
 @_register("T7.msign")
@@ -589,7 +611,15 @@ def _t7_msign(ctx: PrecisionContext) -> CheckResult:
 
 @_register("Eq50.quadrature.x=0.5")
 def _eq50_quad(ctx: PrecisionContext) -> CheckResult:
-    return modular.j_integral_identity(0.5, ctx)
+    x = 0.5
+    loose = replace(ctx, eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
+    quad = modular.j_integral_quadrature(x, loose)
+    closed = modular.j_integral_f1_form(x, ctx)
+    notes = ("quadrature uses the j^(-1/3) integrand fixed by the derivative "
+             "identity; the displayed +1/3 exponent does not integrate to "
+             "the F1 form")
+    return compare("Eq50.quadrature.x=0.5", "Eqs (50)-(51) j-integral",
+                   closed, quad, tolerance=1e-5, notes=notes)
 
 
 @_register("Eq50.derivative.x=0.8")
@@ -765,15 +795,55 @@ _register("T9.a=0.166667.r=5")(_t9_check(1.0 / 6.0, 5.0))
 _register("T9.a=0.25.r=3")(_t9_check(1.0 / 4.0, 3.0))
 
 
-def _ex4_part(r: float, index: int):
+def _ex4_unit_circle_check(r: float):
+    """Solve arcsin(1-s) = r arcsin(s); with y = i s + sqrt(1-s^2) the
+    combination 2i + 1/y - y + y^-r - y^r must vanish (real and imaginary
+    parts are reported separately in the notes)."""
     def build(ctx: PrecisionContext) -> CheckResult:
-        return modular.example4_checks(r, ctx)[index]
+        s = find_root(lambda v: math.asin(1.0 - v) - r * math.asin(v),
+                      1e-15, 1.0 - 1e-15, ctx)
+        y = complex(math.sqrt((1.0 - s) * (1.0 + s)), s)
+        res = 2.0j + 1.0 / y - y + y ** (-r) - y ** r
+        return compare(
+            f"Ex4.eq63.r={r:g}", "Example 4, Eqs (62)-(63)", res, 0.0,
+            tolerance=1e-10, relative=False,
+            notes=(f"s={s:.15g}; residual parts re={res.real:.3g} "
+                   f"im={res.imag:.3g}"))
     return build
 
 
-_register("Ex4.eq63.r=1")(_ex4_part(1.0, 0))
-_register("Ex4.eq63.r=2")(_ex4_part(2.0, 0))
-_register("Ex4.tclaim.r=2")(_ex4_part(2.0, 1))
+_register("Ex4.eq63.r=1")(_ex4_unit_circle_check(1.0))
+_register("Ex4.eq63.r=2")(_ex4_unit_circle_check(2.0))
+
+
+@_register("Ex4.tclaim.r=2")
+def _ex4_tclaim(ctx: PrecisionContext) -> CheckResult:
+    """The displayed construction through xi = (-i - sqrt3)/2: the claim
+    t = sin(pi/(4+2r)) does solve psi(1-2t^2)/psi(t) = sqrt(r), while the
+    xi-chain itself lands on sin(5 pi/(6r)); both residuals are recorded
+    and the record is flagged."""
+    r = 2.0
+
+    def psi(z: complex) -> complex:
+        return cmath.sqrt(2.0 * cmath.asin(z))
+
+    t_claim = math.sin(math.pi / (4.0 + 2.0 * r))
+    claim_res = abs(psi(1.0 - 2.0 * t_claim * t_claim) / psi(t_claim)
+                    - math.sqrt(r))
+    xi = complex(-math.sqrt(3.0) / 2.0, -0.5)
+    inner = (1.0 - 2.0j * xi - xi * xi
+             + cmath.sqrt(1.0 - 4.0j * xi - 2.0 * xi * xi
+                          + 4.0j * xi ** 3 + xi ** 4))
+    x_r = 2.0 ** (-1.0 / r) * (inner / xi) ** (1.0 / r)
+    x_chain = (-1.0j * (1.0 - x_r * x_r) / (2.0 * x_r)).real
+    chain_res = abs(psi(1.0 - 2.0 * x_chain * x_chain) / psi(complex(x_chain, 0))
+                    - math.sqrt(r))
+    return compare(
+        "Ex4.tclaim.r=2", "Example 4, xi-construction and final claim",
+        claim_res, 0.0, tolerance=1e-10, relative=False, flagged=True,
+        notes=(f"t=sin(pi/(4+2r)) residual {claim_res:.3g} (holds); "
+               f"xi-chain lands on {x_chain:.12g}=sin(5pi/(6r)) with ratio "
+               f"residual {chain_res:.3g} (does not match the claim)"))
 
 
 @_register("Ex5.eq66.R=3")
@@ -785,16 +855,43 @@ def _ex5_root(ctx: PrecisionContext) -> CheckResult:
                    notes=f"closed trigonometric root m(3)={m:.15g}")
 
 
-for _R in (1.0, 2.0, 3.5):
-    def _ex5_eq67(ctx: PrecisionContext, R=_R) -> CheckResult:
-        return modular.trig_modular_equation_check(R)
-    _register(f"Ex5.eq67.R={_R:g}")(_ex5_eq67)
+def _trig_modular_equation_check(R: float):
+    """m(R+1) = (1 - sqrt(1 - m(R/2))) / 2."""
+    def build(ctx: PrecisionContext) -> CheckResult:
+        lhs = modular.trig_modular(R + 1.0)
+        rhs = 0.5 * (1.0 - math.sqrt(1.0 - modular.trig_modular(R / 2.0)))
+        return compare(f"Ex5.eq67.R={R:g}", "Example 5, Eq (67)", lhs, rhs,
+                       tolerance=1e-12,
+                       notes="half-angle consistency of the arcsin base")
+    return build
 
 
-for _R in (1.0, 3.0):
-    def _ex6(ctx: PrecisionContext, R=_R) -> CheckResult:
-        return modular.pi_formula_check(R)
-    _register(f"Ex6.eq68.R={_R:g}")(_ex6)
+_register("Ex5.eq67.R=1")(_trig_modular_equation_check(1.0))
+_register("Ex5.eq67.R=2")(_trig_modular_equation_check(2.0))
+_register("Ex5.eq67.R=3.5")(_trig_modular_equation_check(3.5))
+
+
+def _pi_formula_check(R: float):
+    """The 200-term partial sum against pi/(R+1) and the arcsin form."""
+    def build(ctx: PrecisionContext) -> CheckResult:
+        terms = 200
+        m = modular.trig_modular(R)
+        partial = modular.pi_formula_partial_sum(R, terms)
+        target = math.pi / (R + 1.0)
+        closed = 2.0 * math.asin(math.sqrt(m))
+        # All coefficients reduce to the positive arcsin coefficients, so the
+        # partial sums increase; the tail is a geometric-dominated arcsin tail.
+        tail = m ** (terms + 0.5) / ((terms + 0.5) * (1.0 - m)) if m < 1.0 else math.inf
+        notes = (f"m(R)={m:.15g}; closed arcsin form {closed:.15g}; "
+                 f"{terms}-term tail bound {tail:.3g}")
+        return compare(f"Ex6.eq68.R={R:g}", "Example 6, Eqs (68)-(69)",
+                       partial, target, tolerance=max(1e-10, 2.0 * tail / target),
+                       notes=notes)
+    return build
+
+
+_register("Ex6.eq68.R=1")(_pi_formula_check(1.0))
+_register("Ex6.eq68.R=3")(_pi_formula_check(3.0))
 
 
 @_register("Ex6.termaudit")

@@ -71,6 +71,12 @@ class TestEval:
     def test_domain_error_exits_one(self, capsys):
         assert main(["eval", "K", "1.5"]) == 1
 
+    def test_argument_that_is_not_a_number_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "K", "abc"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.strip() == "rrcflab: 'abc' is not a number"
+
 
 class TestVerifyCommand:
     def test_json_shape(self, capsys):
@@ -116,8 +122,22 @@ class TestVerifyCommand:
 
     def test_bad_env_eps(self, capsys, monkeypatch):
         monkeypatch.setenv("RRCF_EPS", "not-a-number")
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as info:
             main(["verify", "--filter", "RRCF*"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["verify", "--eps", "-1"], "-1.0"),
+        (["verify", "--eps", "nan"], "nan"),
+        (["eval", "K", "0.5", "--max-terms", "0"], "got 0"),
+    ], ids=["negative-eps", "nan-eps", "zero-term-cap"])
+    def test_bad_context_is_one_line_usage_error(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert bad in err
 
 
 class TestSolveSextic:

@@ -3,10 +3,9 @@ import sys
 
 import pytest
 
-from rrcflab import modular, quadrature, special
-from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
-                             F_of_x, G_of_x, SexticInstance,
-                             beta_ratio_root, eta_quotient_nome_of,
+from rrcflab import modular, qseries, quadrature, special
+from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
+                             SexticInstance, beta_ratio_root, eta_quotient_nome_of,
                              eta_tail_integral, hypergeometric_g_argument,
                              invert_lambda_j, j_integral_f1_form,
                              j_integral_phi_partial_fraction,
@@ -15,13 +14,12 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, ConsistencyError,
                              m_of_x, pi_formula_partial_sum,
                              psi_arcsin_ratio, rr_integral,
                              singular_modulus, solve_sextic, surd_tail_integral,
-                             theorem6_base_change, theta_of_X, trig_modular,
-                             trig_modular_equation_check)
-from rrcflab.numerics import DomainError, PrecisionContext
+                             theorem6_base_change, theta_of_X, trig_modular)
+from rrcflab.numerics import ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
-from rrcflab.verify import run_check
+from rrcflab.verify import run_check, sextic_period_ratio_root
 
 SQRT5 = math.sqrt(5.0)
 SILVER = 3.0 - 2.0 * math.sqrt(2.0)
@@ -189,18 +187,29 @@ class TestInverseIntegrals:
 
 class TestSexticSolver:
     def test_prop1_instance(self):
-        sol = solve_sextic(SexticInstance(1.0, 250.0, 12.0))
+        inst = SexticInstance(1.0, 250.0, 12.0)
+        sol = solve_sextic(inst)
         assert sol.x == pytest.approx(u_of_q(Q_E2PI), rel=1e-6)
         assert sol.residual <= 1e-6
-        assert abs(sol.x - sol.x_alt) <= 1e-6 * sol.x
-        assert sol.r == pytest.approx(1.0, abs=1e-9)
-        assert sol.k4r == pytest.approx(SILVER, abs=1e-9)
+        assert math.sqrt(sol.t) == pytest.approx(SILVER, abs=1e-9)
+        r, x_alt = sextic_period_ratio_root(inst, sol.t)
+        assert abs(sol.x - x_alt) <= 1e-6 * sol.x
+        assert r == pytest.approx(1.0, abs=1e-9)
 
     def test_synthetic_j4000(self):
         c1 = (4000.0 * 3.0 / 250.0) ** (1.0 / 3.0)
-        sol = solve_sextic(SexticInstance(1.0, 3.0, c1))
+        inst = SexticInstance(1.0, 3.0, c1)
+        sol = solve_sextic(inst)
         assert sol.residual <= 1e-6
-        assert abs(sol.x - sol.x_alt) <= 1e-6 * sol.x
+        _, x_alt = sextic_period_ratio_root(inst, sol.t)
+        assert abs(sol.x - x_alt) <= 1e-6 * sol.x
+
+    def test_residual_guard_carries_the_root(self, monkeypatch):
+        # a wrong eta quotient leaves a residual far above 1e-6
+        monkeypatch.setattr(modular, "G_of_x", lambda x, ctx: 1.0)
+        with pytest.raises(ConvergenceError) as info:
+            solve_sextic(SexticInstance(1.0, 250.0, 12.0))
+        assert info.value.best == 1.0
 
     def test_large_j_root_resolved_relatively(self):
         # the small quarter-modulus root is ~5.7e-6 here, below what an
@@ -296,7 +305,7 @@ class TestTrigModular:
 
     @pytest.mark.parametrize("R", [1.0, 2.0, 3.5])
     def test_recursion_check(self, R):
-        rec = trig_modular_equation_check(R)
+        rec = run_check(f"Ex5.eq67.R={R:g}")
         assert rec.status == "pass"
         assert rec.residual_abs <= 1e-12
 
@@ -401,6 +410,18 @@ class TestWorkCounts:
         call()
         assert counts == {"calls": 0, "evals": 0}
 
+    def test_sextic_takes_no_period_ratio_route(self, monkeypatch):
+        # the AGM period ratio and u at the squared nome are the registry's
+        # cross-check of the root, not part of solving for it
+        def second_route(*args, **kwargs):
+            raise AssertionError("solve_sextic ran the period-ratio route")
+
+        for mod in (special, qseries, modular):
+            for name in ("elliptic_k", "elliptic_k_complementary", "u_of_q"):
+                if hasattr(mod, name):
+                    monkeypatch.setattr(mod, name, second_route)
+        solve_sextic(SexticInstance(1.0, 250.0, 12.0))
+
     def test_theta_integrates_its_target_only(self, counts):
         surd_tail_integral(50.0)
         target = dict(counts)
@@ -464,8 +485,8 @@ class TestNoRootFindingInTheJLayer:
             monkeypatch.setattr(modular, name, counted)
 
         count("find_root", "find_root")
+        # modular binds no elliptic_k_complementary: its one AGM is elliptic_k
         count("elliptic_k", "elliptic_k")
-        count("elliptic_k_complementary", "elliptic_k")
         modular._klein_j_cached.cache_clear()
         return tally
 

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from rrcflab.numerics import (DomainError, PrecisionContext,
                               SeriesDivergenceError)
 from rrcflab.quadrature import integrate_finite
-from rrcflab.special import (BetaBase, PoleError, _is_nonpositive_int,
-                             _is_slow_2f1, appell_f1, beta_sqrt, complete_beta,
-                             elliptic_k, elliptic_k_complementary, gamma,
-                             gauss_2f1, incomplete_beta, pn_poly, pochhammer,
+from rrcflab.special import (BetaBase, PoleError, _integral_2f1,
+                             _is_nonpositive_int, _is_slow_2f1, appell_f1,
+                             beta_sqrt, complete_beta, elliptic_k,
+                             elliptic_k_complementary, gamma, gauss_2f1,
+                             incomplete_beta, pn_poly, pochhammer,
                              pochhammer_negative, quadratic_power_series,
                              quadratic_roots, sin_multiple_p6)
 
@@ -161,11 +162,12 @@ class TestGauss2F1:
         assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(
             -math.log(1.0 - z) / z, rel=1e-11)
 
-    def test_series_vs_integral_at_quintic_argument(self):
+    def test_quintic_argument_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
         z = (11.0 - 5.0 * math.sqrt(5.0)) / (11.0 + 5.0 * math.sqrt(5.0))
-        s = gauss_2f1(1 / 6, 7 / 6, 2.0, z, method="series")
-        i = gauss_2f1(1 / 6, 7 / 6, 2.0, z, method="integral")
-        assert s == pytest.approx(i, rel=1e-10)
+        with mp.workdps(30):
+            ref = float(mp.hyp2f1(1 / 6, 7 / 6, 2.0, z))
+        assert gauss_2f1(1 / 6, 7 / 6, 2.0, z) == pytest.approx(ref, rel=1e-10)
 
     def test_connection_formula_window(self):
         # z = 0.9 is summed at 1 - z = 0.1 by the connection formula
@@ -184,7 +186,8 @@ class TestGauss2F1:
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             ref = complex(mpmath.hyp2f1(a, b, c, z))
-        val = gauss_2f1(a, b, c, z, method="integral")
+        val = _integral_2f1(complex(a), complex(b), complex(c), complex(z),
+                            PrecisionContext())
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
     def test_terminating(self):
@@ -310,29 +313,42 @@ class TestAppellF1:
         b = appell_f1(0.9, 1.0, 1.0, 2.0, 0.2j, 0.3)
         assert abs(a - b) < 1e-12 * abs(a)
 
-    def test_series_vs_integral(self):
-        a = appell_f1(0.9, 1.0, 1.0, 2.0, 0.3, 0.2j)
-        b = appell_f1(0.9, 1.0, 1.0, 2.0, 0.3, 0.2j, method="integral")
-        assert abs(a - b) < 1e-9 * abs(a)
+    def test_complex_point_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        args = (0.9, 1.0, 1.0, 2.0, 0.3, 0.2j)
+        with mp.workdps(30):
+            ref = complex(mp.appellf1(*args))
+        assert abs(appell_f1(*args) - ref) < 1e-9 * abs(ref)
+
+    @pytest.mark.parametrize("x", [-1.5, 2.0 + 1.0j])
+    def test_integral_beyond_the_bidisk_against_mpmath(self, x):
+        mp = pytest.importorskip("mpmath")
+        args = (0.9, 1.0, 1.0, 2.0, x, 0.3)
+        with mp.workdps(30):
+            ref = complex(mp.appellf1(*args))
+        assert abs(appell_f1(*args) - ref) <= 1e-12 * abs(ref)
 
     def test_reduces_to_2f1_on_the_whole_disk(self):
         # the series' stopping rule leaves up to ~20 tol behind at |x| = 0.94
-        # (the oracle bound below); the integral route is good to ~1e-15
+        # (the oracle bound below)
+        mp = pytest.importorskip("mpmath")
         for x in (-0.93, -0.5, 0.2, 0.94, 0.6 - 0.7j):
             lhs = complex(appell_f1(1.3, -0.7, 2.1, 2.6, x, 0.0))
-            rhs = complex(gauss_2f1(1.3, -0.7, 2.6, x, method="integral"))
+            with mp.workdps(30):
+                rhs = complex(mp.hyp2f1(1.3, -0.7, 2.6, x))
             assert abs(lhs - rhs) <= 30.0 * PrecisionContext().tol(abs(rhs))
 
-    def test_series_past_170_terms_matches_integral(self):
+    def test_series_past_170_terms_against_mpmath(self):
         # |x| = 0.95 needs hundreds of terms; a factorial-based series
         # overflows at term 170
+        mp = pytest.importorskip("mpmath")
         args = (0.9, 1.0, 1.5, 2.0, 0.95, 0.3)
         capped = PrecisionContext(max_series_terms=170)
         with pytest.raises(SeriesDivergenceError):
-            appell_f1(*args, capped, method="series")
-        series = appell_f1(*args, method="series")
-        assert series == pytest.approx(
-            appell_f1(*args, method="integral"), rel=1e-10)
+            appell_f1(*args, capped)
+        with mp.workdps(30):
+            ref = float(mp.appellf1(*args))
+        assert appell_f1(*args) == pytest.approx(ref, rel=1e-10)
 
     def test_terminating_with_nonpositive_integer_c(self):
         # F1(-1; b1, b2; -2; x, y) = 1 + (b1 x + b2 y)/2
