@@ -1,6 +1,14 @@
 """Numerical kernels and a verification registry for Rogers-Ramanujan
 continued-fraction, eta-product, hypergeometric and singular-value
-identities."""
+identities.
+
+Importing the package loads the kernels only.  The registry (`verify`) and
+its records (`report`) load on first use of `run_all`, `run_check`,
+`check_ids`, `VerificationReport` or `CheckResult`, so that evaluating a
+kernel does not pay for the 82 registered checks.
+"""
+
+from importlib import import_module
 
 from .numerics import (BracketError, ConvergenceError, DEFAULT_CTX,
                        DomainError, KernelError, PrecisionContext,
@@ -16,7 +24,19 @@ from .modular import (SexticInstance, SexticSolution, F_of_x, G_of_x,
                       beta_ratio_root, klein_j, m_of_x, singular_modulus,
                       solve_sextic, theorem6_base_change, theta_of_X,
                       trig_modular)
-from .report import CheckResult
-from .verify import VerificationReport, check_ids, run_all, run_check
 
 __version__ = "0.1.0"
+
+# name: the submodule that defines it, imported on first access (PEP 562)
+_LAZY = {"run_all": "verify", "run_check": "verify", "check_ids": "verify",
+         "VerificationReport": "verify", "CheckResult": "report"}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_LAZY))

@@ -14,12 +14,14 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Callable, NoReturn
+from typing import TYPE_CHECKING, Callable, NoReturn
 
-from . import modular, qseries, special, verify
+from . import modular, qseries, special
 from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
-from .report import CheckResult
 from .special import BetaBase
+
+if TYPE_CHECKING:
+    from .report import CheckResult
 
 ENV_EPS = "RRCF_EPS"
 
@@ -70,6 +72,7 @@ def _context_from(args) -> PrecisionContext:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify   # deliberate: load the registry only when it runs
     ctx = _context_from(args)
     report = verify.run_all(args.filter, ctx)
     if args.json:
@@ -145,6 +148,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve_sextic(args) -> int:
+    from . import verify   # deliberate: path B lives in the registry
     ctx = _context_from(args)
     if args.a == 0.0 or args.b == 0.0:
         print("usage: a and b must be nonzero in "

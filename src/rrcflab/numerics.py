@@ -62,8 +62,8 @@ class PrecisionContext:
     max_series_terms: int = 2000
 
     def __post_init__(self):
-        if not (self.eps_rel > 0.0 and self.eps_abs > 0.0):
-            raise DomainError(f"eps_rel and eps_abs must be positive, got "
+        if not (0.0 < self.eps_rel < math.inf and 0.0 < self.eps_abs < math.inf):
+            raise DomainError(f"eps_rel and eps_abs must be finite and positive, got "
                               f"{self.eps_rel} and {self.eps_abs}")
         if self.max_series_terms < 1:
             raise DomainError(f"the series term cap must be at least 1, got "

@@ -3,9 +3,10 @@ semi-infinite domains with declared algebraic decay.
 
 The finite-interval engine is a tanh-sinh (double-exponential) transformed
 trapezoid rule whose node offsets and weights are tabulated once per level,
-at import.  Abscissas never include the endpoints, and points near an
-endpoint are generated as offsets from that endpoint so that integrands like
-t**(-5/6) keep full precision at x = a + offset.
+the first time an integral reaches that level.  Abscissas never include the
+endpoints, and points near an endpoint are generated as offsets from that
+endpoint so that integrands like t**(-5/6) keep full precision at
+x = a + offset.
 """
 
 from __future__ import annotations
@@ -41,10 +42,21 @@ def _level_table(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(table)
 
 
-# Levels past level 0, each halving the step, before QuadratureError; their
-# node tables are built once at import (a few ms for ~5k nodes).
+# Levels past level 0, each halving the step, before QuadratureError.
 MAX_QUAD_LEVELS = 10
-_TABLES = tuple(_level_table(level) for level in range(MAX_QUAD_LEVELS + 1))
+# The node table of each level, None until an integral first reaches it:
+# all 5,121 nodes take a few ms to build, and most commands never integrate.
+# A plain list filled in place, not an lru_cache, so that clearing the
+# kernels' caches does not throw the tables away.
+_TABLES: list[tuple[tuple[float, float], ...] | None] = [None] * (MAX_QUAD_LEVELS + 1)
+
+
+def _table(level: int) -> tuple[tuple[float, float], ...]:
+    """The node table of one level, built and stored on first use."""
+    table = _TABLES[level]
+    if table is None:
+        table = _TABLES[level] = _level_table(level)
+    return table
 
 
 def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
@@ -67,12 +79,12 @@ def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
         v = 0.0 if x <= a or x >= b else f(x)
         if not isfinite(v):
             raise DomainError(f"integrand not finite at x={x!r}")
-        (_, centre_weight), *nodes = _TABLES[0]
+        (_, centre_weight), *nodes = _TABLES[0] or _table(0)
         s = centre_weight * v
         prev = math.inf
         for level in range(MAX_QUAD_LEVELS + 1):
             if level:
-                nodes = _TABLES[level]
+                nodes = _TABLES[level] or _table(level)
                 s = 0.0
             for off, w in nodes:
                 d = half * off

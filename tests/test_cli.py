@@ -126,11 +126,23 @@ class TestVerifyCommand:
             main(["verify", "--filter", "RRCF*"])
         assert info.value.code == 2
 
+    def test_infinite_env_eps(self, capsys, monkeypatch):
+        monkeypatch.setenv("RRCF_EPS", "inf")
+        with pytest.raises(SystemExit) as info:
+            main(["eval", "K", "0.5"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("rrcflab: ") and "inf" in err
+
     @pytest.mark.parametrize("argv, bad", [
         (["verify", "--eps", "-1"], "-1.0"),
         (["verify", "--eps", "nan"], "nan"),
         (["eval", "K", "0.5", "--max-terms", "0"], "got 0"),
-    ], ids=["negative-eps", "nan-eps", "zero-term-cap"])
+        (["eval", "K", "0.5", "--eps", "inf"], "inf"),
+        (["verify", "--filter", "T3*", "--eps", "inf"], "inf"),
+    ], ids=["negative-eps", "nan-eps", "zero-term-cap", "inf-eps-eval",
+            "inf-eps-verify"])
     def test_bad_context_is_one_line_usage_error(self, capsys, argv, bad):
         with pytest.raises(SystemExit) as info:
             main(argv)

@@ -1,0 +1,115 @@
+"""What an import or a command loads.  `import rrcflab` loads the kernels
+only: the registry and its records load on first use, and the quadrature's
+node tables when an integral first needs them (tests/test_quadrature.py
+checks those).  Each load is checked in a fresh interpreter, since this one
+has loaded everything already."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+import rrcflab
+from rrcflab import report, verify
+
+# Every public name of the package, as it stood when it imported the
+# registry eagerly.
+PUBLIC = (
+    "BracketError", "ConvergenceError", "DEFAULT_CTX", "DomainError",
+    "KernelError", "PrecisionContext", "SeriesDivergenceError",
+    "differentiate", "find_root", "newton_root", "sum_series",
+    "QuadratureError", "integrate_finite", "integrate_to_infinity",
+    "BetaBase", "appell_f1", "beta_sqrt", "complete_beta", "elliptic_k",
+    "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",
+    "pn_poly", "sin_multiple_p6", "Nome", "dedekind_eta", "ramanujan_f",
+    "rrcf", "rrcf_derivative", "u_of_q", "SexticInstance", "SexticSolution",
+    "F_of_x", "G_of_x", "beta_ratio_root", "klein_j", "m_of_x",
+    "singular_modulus", "solve_sextic", "theorem6_base_change", "theta_of_X",
+    "trig_modular", "CheckResult", "VerificationReport", "check_ids",
+    "run_all", "run_check", "__version__",
+)
+LAZY = {"run_all": verify, "run_check": verify, "check_ids": verify,
+        "VerificationReport": verify, "CheckResult": report}
+
+# What the registry loads with it, which a kernel command must not load.
+REGISTRY = ("rrcflab.verify", "rrcflab.report")
+
+# Lines that `rrcflab solve-sextic 1 250 12` and `rrcflab verify --filter
+# 'T3*'` printed before the registry became lazy; the timings are cut from
+# the verify table.
+SEXTIC_OUT = """\
+X        = 529.508497187475
+t        = 0.0294372515228594
+r        = 1
+k4r      = 0.17157287525381
+X_alt    = 529.508497187473  (eta-quotient path)
+residual = 4.19886520828464e-16
+delta    = 1.47792889038101e-12  (cross-path)
+"""
+T3_OUT = """\
+pass     T3.r=1                     residual_rel=1.28065239892982e-16 tol=   1e-07
+pass     T3.r=4                     residual_rel=2.11141956603888e-16 tol=   1e-07
+# 2 checks: 2 pass, 0 fail, 0 flagged
+"""
+
+
+def _fresh(*args: str) -> str:
+    """stdout of a new interpreter run with these arguments."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    env.pop("RRCF_EPS", None)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The rrcflab modules loaded after running code in a new interpreter."""
+    out = _fresh("-c", f"{code}\nimport sys\n"
+                 "print(*(m for m in sys.modules if m.startswith('rrcflab')))")
+    return set(out.splitlines()[-1].split())
+
+
+class TestImportCost:
+    def test_import_loads_the_kernels_only(self):
+        loaded = _loaded_after("import rrcflab")
+        assert "rrcflab.modular" in loaded
+        assert loaded.isdisjoint({*REGISTRY, "rrcflab.cli"})
+
+    def test_eval_loads_no_registry(self):
+        loaded = _loaded_after("from rrcflab.cli import main\n"
+                               "assert main(['eval', 'K', '0.5']) == 0")
+        assert "rrcflab.cli" in loaded
+        assert loaded.isdisjoint(REGISTRY)
+
+    def test_lazy_name_loads_the_registry(self):
+        loaded = _loaded_after("from rrcflab import check_ids")
+        assert set(REGISTRY) <= loaded
+
+    def test_solve_sextic_output_is_unchanged(self):
+        assert _fresh("-m", "rrcflab.cli", "solve-sextic", "1", "250", "12") == SEXTIC_OUT
+
+    def test_verify_output_is_unchanged(self):
+        out = _fresh("-m", "rrcflab.cli", "verify", "--filter", "T3*")
+        lines = [line.rsplit(" [", 1)[0].rsplit(" (", 1)[0]
+                 for line in out.splitlines()]
+        assert "\n".join(lines) + "\n" == T3_OUT
+
+
+class TestLazyNames:
+    @pytest.mark.parametrize("name", PUBLIC)
+    def test_every_public_name_imports(self, name):
+        namespace = {}
+        exec(f"from rrcflab import {name}", namespace)
+        assert namespace[name] is getattr(rrcflab, name)
+        assert name in dir(rrcflab)
+
+    @pytest.mark.parametrize("name", sorted(LAZY))
+    def test_lazy_name_is_the_module_attribute(self, name):
+        assert getattr(rrcflab, name) is getattr(LAZY[name], name)
+
+    def test_unknown_name(self):
+        with pytest.raises(AttributeError,
+                           match="^module 'rrcflab' has no attribute 'no_such_name'$"):
+            rrcflab.no_such_name
+        with pytest.raises(ImportError):
+            exec("from rrcflab import no_such_name", {})

@@ -20,7 +20,8 @@ class TestPrecisionContext:
 
     @pytest.mark.parametrize("bad", [
         dict(eps_rel=0.0), dict(eps_abs=-1e-3), dict(max_series_terms=0),
-        dict(eps_rel=math.nan),
+        dict(eps_rel=math.nan), dict(eps_rel=math.inf), dict(eps_abs=math.inf),
+        dict(eps_abs=math.nan),
     ])
     def test_rejects_bad_budget(self, bad):
         with pytest.raises(DomainError):

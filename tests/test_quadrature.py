@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +9,7 @@ from rrcflab import modular
 from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               PrecisionContext)
 from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, QuadratureError,
-                                _level_table, integrate_complex,
+                                _level_table, _table, integrate_complex,
                                 integrate_finite, integrate_to_infinity)
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
@@ -75,20 +78,50 @@ REFERENCE_PANEL = [
 ]
 
 
+# In a fresh interpreter: which levels have a node table after importing
+# rrcflab, after integrating a constant (it converges at level 3, the first
+# level allowed to stop) and after a quadrature that reaches the level cap.
+_BUILT_LEVELS = """
+import rrcflab
+from rrcflab import quadrature as q
+from rrcflab.numerics import PrecisionContext
+def built():
+    print([level for level, t in enumerate(q._TABLES) if t is not None])
+built()
+q.integrate_finite(lambda t: 1.0, 0.0, 1.0)
+built()
+try:
+    q.integrate_finite(lambda t: t ** -0.9, 0.0, 1.0,
+                       PrecisionContext(eps_rel=1e-300, eps_abs=1e-300))
+except q.QuadratureError:
+    built()
+"""
+
+
 class TestNodeTables:
     def test_tables_cover_the_default_levels(self):
         assert len(_TABLES) == MAX_QUAD_LEVELS + 1
-        assert _TABLES[0][0] == (1.0, 0.5 * math.pi)   # the centre node
+        assert _table(0)[0] == (1.0, 0.5 * math.pi)   # the centre node
 
     @pytest.mark.parametrize("level", range(12))
     def test_entries_match_the_generator_exactly(self, level):
-        table = _TABLES[level] if level < len(_TABLES) else _level_table(level)
+        table = _table(level) if level < len(_TABLES) else _level_table(level)
         expected = tuple((off, w) for _, off, w in _nodes(0.5 ** level, level > 0))
         assert table == expected
 
     @pytest.mark.parametrize("f, a, b", REFERENCE_PANEL)
     def test_integrals_bitwise_equal_to_reference(self, f, a, b):
         assert integrate_finite(f, a, b) == _reference_integrate(f, a, b)
+
+    def test_tables_are_built_on_first_use(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        out = subprocess.run([sys.executable, "-c", _BUILT_LEVELS], check=True,
+                             capture_output=True, text=True, env=env).stdout
+        assert out.splitlines() == [
+            "[]", "[0, 1, 2, 3]", str(list(range(MAX_QUAD_LEVELS + 1)))]
+
+    def test_a_table_is_built_once(self):
+        assert _table(2) is _table(2) is _TABLES[2]
 
 
 class TestFinite:
