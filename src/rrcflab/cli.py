@@ -43,6 +43,7 @@ def result_json_dict(result: CheckResult) -> dict[str, str]:
         "rhs": _fmt(result.rhs),
         "residual_abs": _fmt(result.residual_abs),
         "residual_rel": _fmt(result.residual_rel),
+        "judged": result.judged,
         "tolerance": _fmt(result.tolerance),
         "status": result.status,
         "notes": result.notes,
@@ -79,7 +80,8 @@ def _cmd_verify(args) -> int:
         print(json.dumps([result_json_dict(r) for r in report.results], indent=2))
     else:
         for r in report.results:
-            print(f"{r.status:8s} {r.id:26s} residual_rel={_fmt(r.residual_rel):>12s} "
+            residual = r.residual_rel if r.judged == "rel" else r.residual_abs
+            print(f"{r.status:8s} {r.id:26s} residual_{r.judged}={_fmt(residual):>12s} "
                   f"tol={_fmt(r.tolerance):>8s} [{r.seconds:.3f}s]")
         print(f"# {len(report.results)} checks: {report.passed} pass, "
               f"{report.failed} fail, {report.flagged} flagged "

@@ -25,6 +25,7 @@ class CheckResult:
     rhs: complex | float
     residual_abs: float
     residual_rel: float
+    judged: str          # "rel" or "abs": the residual held to the tolerance
     tolerance: float
     status: str
     notes: str
@@ -48,7 +49,8 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     """Build a CheckResult from two values and a tolerance.
 
     relative=True judges residual_rel against the tolerance, else
-    residual_abs (identities anchored at zero compare absolutely).
+    residual_abs (identities anchored at zero compare absolutely); the
+    result records which as judged ("rel" or "abs").
     """
     res_abs, res_rel = residuals(lhs, rhs)
     measured = res_rel if relative else res_abs
@@ -56,4 +58,5 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     status = PASS if within else (FLAGGED if flagged else FAIL)
     return CheckResult(id=check_id, paper_ref=paper_ref, lhs=lhs, rhs=rhs,
                        residual_abs=res_abs, residual_rel=res_rel,
-                       tolerance=tolerance, status=status, notes=notes)
+                       judged="rel" if relative else "abs", tolerance=tolerance,
+                       status=status, notes=notes)

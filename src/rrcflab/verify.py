@@ -1,9 +1,31 @@
-"""The check registry: one named verification per identity, each comparing
-two independently computed values and producing a CheckResult.
+"""The check registry: each identity of the paper is one record, and one
+runner computes its two independently derived sides and judges them.
 
-Checks marked flagged document readings of the source identities that the
-numerics contradict (sign conventions, argument typos, stray prefactors);
-they report residuals from two independent methods and never fail a run.
+A record (Check) holds:
+
+- id: the check id, or for a family an id template such as "T2.n={:g}"
+  that each parameter tuple formats into one id;
+- ref: where the identity stands in the paper;
+- sides: a function (ctx, *params) -> (lhs, rhs, notes) computing both
+  sides and the notes that record what else was learned on the way;
+- tol: the tolerance on the judged residual;
+- judged: "rel" judges residual_rel, "abs" judges residual_abs (identities
+  anchored at zero compare absolutely);
+- flagged: the record documents a reading of the source identity that the
+  numerics contradict (a sign convention, an argument typo, a stray
+  prefactor); it reports residuals from two independent methods and never
+  fails a run;
+- params: the parameter tuples of a family, ((),) for a single check.
+
+Tolerance policy: a tolerance is a fixed float, chosen with a documented
+margin over the residual the two routes reach.  Where a side is an inverse
+solved to ctx.eps_rel (T4, Eq31, Eq32, Eq29_32.GF) it is a function
+(ctx, *params) -> float, a multiple of max(ctx.eps_rel, 1e-12); Ex6.eq68's
+is twice its own truncation-tail bound relative to the sum, and at least 1e-10.
+
+run_check is the only place that judges a check: it looks up the record,
+computes both sides, turns a KernelError into a failed result, calls
+report.compare and stamps the time taken.
 """
 
 from __future__ import annotations
@@ -26,41 +48,26 @@ SQRT5 = math.sqrt(5.0)
 _Q_RAMANUJAN = math.exp(-2.0 * math.pi)
 # -(1+sqrt5)/2 + sqrt((5+sqrt5)/2): the continued fraction at exp(-2 pi).
 RRCF_AT_E2PI = -(1.0 + SQRT5) / 2.0 + math.sqrt((5.0 + SQRT5) / 2.0)
-# How the notes of a check whose builder raised a KernelError begin.
+# How the notes of a check whose sides raised a KernelError begin.
 BUILDER_RAISED = "builder raised "
 
 
 # ---------------------------------------------------------------------------
 # Integrand wrappers shared by several checks
 
-def _weighted_power_integrand(q: float, exponent: float) -> float:
-    """f(-q)^4 q^(-5/6) R(q)^(5 exponent); vanishes superexponentially as
-    q -> 1, underflowing cleanly through the log form."""
-    log_f4 = 4.0 * qseries.ramanujan_f_log(q)
-    if log_f4 < -700.0:
-        return 0.0
-    return math.exp(log_f4 - (5.0 / 6.0) * math.log(q)) * qseries.rrcf(q) ** (5.0 * exponent)
+def weighted_power_integral(exponent: float, ctx: PrecisionContext) -> float:
+    """int_0^1 f(-q)^4 q^(-5/6) R(q)^(5 exponent) dq by direct tanh-sinh,
+    which absorbs the endpoint singularity.  The integrand vanishes
+    superexponentially as q -> 1, underflowing cleanly through the log form."""
 
-
-def weighted_power_integral(exponent: float, ctx: PrecisionContext,
-                            substituted: bool = False) -> float:
-    """int_0^1 f(-q)^4 q^(-5/6) R(q)^(5 exponent) dq, either by direct
-    tanh-sinh or with q = s^6 (which removes the endpoint singularity);
-    the two routes are this family's anti-typo defence."""
-    if not substituted:
-        return integrate_finite(lambda q: _weighted_power_integrand(q, exponent),
-                                0.0, 1.0, ctx)
-
-    def mapped(s: float) -> float:
-        q = s ** 6
-        if q <= 0.0:
-            return 0.0
+    def f(q: float) -> float:
         log_f4 = 4.0 * qseries.ramanujan_f_log(q)
         if log_f4 < -700.0:
             return 0.0
-        return 6.0 * math.exp(log_f4) * qseries.rrcf(q) ** (5.0 * exponent)
+        return (math.exp(log_f4 - (5.0 / 6.0) * math.log(q))
+                * qseries.rrcf(q) ** (5.0 * exponent))
 
-    return integrate_finite(mapped, 0.0, 1.0, ctx)
+    return integrate_finite(f, 0.0, 1.0, ctx)
 
 
 def weighted_power_rhs(exponent: float, ctx: PrecisionContext) -> float:
@@ -85,23 +92,17 @@ def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
     return integrate_finite(f, 0.0, 1.0, ctx)
 
 
+def _quintic_surd(n: float) -> Callable[[float], float]:
+    """t -> t^(n-1) (125 + 22 t + t^2)^(-1/2)."""
+    return lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+
+
 def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
     """Same quantity through the image variable:
     int_0^inf u^(nu-1) (125 + 22u + u^2)^(-1/2) du."""
-
-    def f(t: float) -> float:
-        return t ** (nu - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
-
+    f = _quintic_surd(nu)
     head = integrate_finite(f, 0.0, 50.0, ctx)
     return head + integrate_to_infinity(f, 50.0, 2.0 - nu, ctx)
-
-
-def quintic_surd_denominator_integral(n: float, x_lo: float, x_hi: float,
-                                      ctx: PrecisionContext) -> float:
-    """int_{x_lo}^{x_hi} t^(n-1) (125 + 22 t + t^2)^(-1/2) dt."""
-    return integrate_finite(
-        lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5,
-        x_lo, x_hi, ctx)
 
 
 def modulus_product_formula(r: float) -> float:
@@ -113,76 +114,56 @@ def modulus_product_formula(r: float) -> float:
             * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
 
 
+def sextic_period_ratio_root(inst: modular.SexticInstance,
+                             t: float) -> tuple[float, float]:
+    """The sextic's second route from the quarter-modulus square t that
+    solve_sextic returns: the index r = (K'(k)/K(k))^2 / 4 at k = sqrt(t)
+    from the period ratio (AGM), and the root (b/(250a)) u at the squared
+    nome exp(-2 pi sqrt r).  Returns (r, X)."""
+    k = math.sqrt(t)
+    ratio = special.elliptic_k_complementary(k) / elliptic_k(k)
+    r = ratio * ratio / 4.0
+    return r, inst.b / (250.0 * inst.a) * qseries.u_of_q(qseries.Nome.from_r_squared(r))
+
+
 # ---------------------------------------------------------------------------
-# Check builders
+# The sides of each check: (ctx, *params) -> (lhs, rhs, notes)
 
-_REGISTRY: dict[str, Callable[[PrecisionContext], CheckResult]] = {}
-
-
-def _register(check_id: str):
-    def wrap(fn):
-        if check_id in _REGISTRY:
-            raise ValueError(f"duplicate check id {check_id}")
-        _REGISTRY[check_id] = fn
-        return fn
-    return wrap
+def _t1(ctx: PrecisionContext, nu: float):
+    return (weighted_power_integral(nu, ctx), weighted_power_rhs(nu, ctx),
+            "direct tanh-sinh quadrature vs the Gamma-2F1 closed form")
 
 
-def _weighted_power_check(nu: float, tol: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        direct = weighted_power_integral(nu, ctx)
-        mapped = weighted_power_integral(nu, ctx, substituted=True)
-        rhs = weighted_power_rhs(nu, ctx)
-        gap = abs(direct - mapped) / abs(rhs)
-        return compare(f"T1.nu={nu:g}", "Theorem 1 (Eq 12)", direct, rhs, tol,
-                       notes=f"independent q=s^6 route differs by {gap:.2e} rel")
-    return build
-
-
-_register("T1.nu=0.5")(_weighted_power_check(0.5, 1e-6))
-_register("T1.nu=1")(_weighted_power_check(1.0, 1e-6))
-
-
-@_register("Eq13.n0")
-def _eq13(ctx: PrecisionContext) -> CheckResult:
+def _eq13(ctx: PrecisionContext):
     lhs = weighted_power_integral(0.5, ctx)
-    alt = weighted_power_integral(0.5, ctx, substituted=True)
+    theorem1 = weighted_power_rhs(0.5, ctx)
     rhs = (27.0 * gamma(5.0 / 6.0) * gamma(8.0 / 3.0)
            * math.sin((2.0 / 3.0) * math.atan(
                math.sqrt((-11.0 + 5.0 * SQRT5) / (11.0 + 5.0 * SQRT5))))
            / (2.0 * math.sqrt(5.0 * math.pi)))
-    return compare("Eq13.n0", "Eq (13), half-integer special case", lhs, rhs,
-                   1e-6, flagged=True,
-                   notes=f"quadrature routes: direct {lhs:.15g}, mapped {alt:.15g}")
+    return lhs, rhs, (f"quadrature {lhs:.15g}; second method, Theorem 1's "
+                      f"2F1 form at nu=1/2: {theorem1:.15g}, "
+                      f"{residuals(lhs, theorem1)[1]:.2e} rel off")
 
 
-def _two_point_eta_quotient_check(n: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        x_hi, x_lo = 5.0, 1.0   # u decreasing: q(x_hi) < q(x_lo)
-        q_hi = modular.eta_quotient_nome_of(x_hi)
-        q_lo = modular.eta_quotient_nome_of(x_lo)
+def _t2(ctx: PrecisionContext, n: float):
+    x_hi, x_lo = 5.0, 1.0   # u decreasing: q(x_hi) < q(x_lo)
+    q_hi = modular.eta_quotient_nome_of(x_hi)
+    q_lo = modular.eta_quotient_nome_of(x_lo)
 
-        def f(q: float) -> float:
-            return math.exp(n * qseries.u_of_q_log(q)
-                            + 5.0 * qseries.ramanujan_f_log(q ** 5)
-                            - qseries.ramanujan_f_log(q))
+    def f(q: float) -> float:
+        return math.exp(n * qseries.u_of_q_log(q)
+                        + 5.0 * qseries.ramanujan_f_log(q ** 5)
+                        - qseries.ramanujan_f_log(q))
 
-        lhs = integrate_finite(f, q_hi, q_lo, ctx)
-        rhs = quintic_surd_denominator_integral(n, x_lo, x_hi, ctx)
-        notes = ("two-point form: the displayed endpoints 0 and x give a "
-                 "divergent left side for n >= 1, so the antiderivative "
-                 "identity is checked between u-values 5 and 1")
-        return compare(f"T2.n={n:g}", "Theorem 2 (Eq 14)", lhs, rhs, 1e-7,
-                       notes=notes)
-    return build
+    return (integrate_finite(f, q_hi, q_lo, ctx),
+            integrate_finite(_quintic_surd(n), x_lo, x_hi, ctx),
+            "two-point form: the displayed endpoints 0 and x give a divergent "
+            "left side for n >= 1, so the antiderivative identity is checked "
+            "between u-values 5 and 1")
 
 
-_register("T2.n=1")(_two_point_eta_quotient_check(1.0))
-_register("T2.n=1.5")(_two_point_eta_quotient_check(1.5))
-
-
-@_register("Eq16.m1.n0.5")
-def _eq16(ctx: PrecisionContext) -> CheckResult:
+def _eq16(ctx: PrecisionContext):
     m, n = 1.0, 0.5
     a, b, c = 1.0, -3.0, 2.0   # roots 1 and 2
     rho1, rho2 = 1.0, 2.0
@@ -191,12 +172,10 @@ def _eq16(ctx: PrecisionContext) -> CheckResult:
     rhs = (c ** n * rho1 ** (m + 1.0) * gamma(m + 1.0) * gamma(n + 1.0)
            / gamma(m + n + 2.0)
            * float(gauss_2f1(m + 1.0, -n, m + n + 2.0, rho1 / rho2, ctx)))
-    return compare("Eq16.m1.n0.5", "Eq (16)", lhs, rhs, 1e-7,
-                   notes="quadratic with roots 1 < 2; quadrature vs 2F1 form")
+    return lhs, rhs, "quadratic with roots 1 < 2; quadrature vs 2F1 form"
 
 
-@_register("Eq17_18.nu=0.5")
-def _eq17_18(ctx: PrecisionContext) -> CheckResult:
+def _eq17_18(ctx: PrecisionContext):
     nu = 0.5
     lhs = eta_quotient_power_integral(nu, ctx)
     mellin = eta_quotient_power_mellin(nu, ctx)
@@ -211,40 +190,22 @@ def _eq17_18(ctx: PrecisionContext) -> CheckResult:
              f"{rhs18:.15g}, stated negative-prefactor form {rhs17:.15g}; with "
              f"the 2F1 parameters reflected (nu -> -nu) the closed form "
              f"{resolved:.15g} matches to {abs(resolved - lhs) / lhs:.2e}")
-    return compare("Eq17_18.nu=0.5", "Eqs (17)-(18) with sign resolution",
-                   lhs, rhs18, 1e-7, flagged=True, notes=notes)
+    return lhs, rhs18, notes
 
 
-def _eta_product_modulus_check(r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        q = math.exp(-math.pi * math.sqrt(r))
-        lhs = qseries.ramanujan_f(q)
-        rhs = modulus_product_formula(r)
-        return compare(f"Eq19.r={r:g}", "Eq (19)", lhs, rhs, 1e-9,
-                       notes="q-product vs elliptic-modulus closed form")
-    return build
+def _eq19(ctx: PrecisionContext, r: float):
+    return (qseries.ramanujan_f(math.exp(-math.pi * math.sqrt(r))),
+            modulus_product_formula(r), "q-product vs elliptic-modulus closed form")
 
 
-for _r in (1.0, 2.0, 4.0):
-    _register(f"Eq19.r={_r:g}")(_eta_product_modulus_check(_r))
-
-
-@_register("Eq20_21.chain.r=4")
-def _eq20_21(ctx: PrecisionContext) -> CheckResult:
+def _eq20_21(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
-    q = math.exp(-2.0 * math.pi)
-    chain = qseries.rrcf_derivative(q) * qseries.dq_dk(k)
-    direct = qseries.dr_dk(k)
-    # both sides are formed to full precision whatever ctx asks: 5.0e-16
-    # measured at eps 1e-12..1e-6, so 1e-12 leaves a margin of 2,000
-    return compare("Eq20_21.chain.r=4", "Eqs (20)-(21) chain rule",
-                   chain, direct, 1e-12,
-                   notes="R'(q) dq/dk composed against the direct dR/dk form; "
-                         "both carry the stated sign convention")
+    return (qseries.rrcf_derivative(_Q_RAMANUJAN) * qseries.dq_dk(k), qseries.dr_dk(k),
+            "R'(q) dq/dk composed against the direct dR/dk form; both carry "
+            "the stated sign convention")
 
 
-@_register("Eq20.sign.r=4")
-def _eq20_sign(ctx: PrecisionContext) -> CheckResult:
+def _eq20_sign(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
 
     def nome_of_modulus(kk: float) -> float:
@@ -253,53 +214,36 @@ def _eq20_sign(ctx: PrecisionContext) -> CheckResult:
 
     fd = differentiate(nome_of_modulus, k)
     stated = qseries.dq_dk(k)
-    notes = (f"|finite difference|/|stated| - 1 = "
-             f"{abs(fd.value / stated) - 1.0:.2e}; the map k -> q is "
-             f"increasing, the stated form is negative")
-    return compare("Eq20.sign.r=4", "Eq (20) sign convention", fd.value,
-                   stated, 1e-6, flagged=True, notes=notes)
+    return fd.value, stated, (f"|finite difference|/|stated| - 1 = "
+                              f"{abs(fd.value / stated) - 1.0:.2e}; the map k -> q "
+                              f"is increasing, the stated form is negative")
 
 
-@_register("Eq22.r=4")
-def _eq22(ctx: PrecisionContext) -> CheckResult:
+def _eq22(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
-    lhs = modular.hypergeometric_g_argument(k * k, ctx)
-    rhs = modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx)
-    return compare("Eq22.r=4", "Eq (22)", lhs, rhs, 1e-7,
-                   notes="hypergeometric closed form vs continued-fraction integral")
+    return (modular.hypergeometric_g_argument(k * k, ctx),
+            modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
+            "hypergeometric closed form vs continued-fraction integral")
 
 
-def _triple_equality_check(r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        k = modular.singular_modulus(r)
-        e1 = math.pi * modular.eta_tail_integral(math.sqrt(r))
-        e2 = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
-            gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
-        e3 = 5.0 * modular.rr_integral(
-            qseries.rrcf(math.exp(-math.pi * math.sqrt(r))), ctx)
-        worst = max(residuals(e1, e2)[1], residuals(e1, e3)[1],
-                    residuals(e2, e3)[1])
-        return compare(f"T3.r={r:g}", "Theorem 3 (Eq 23) triple equality",
-                       e1, e3, 1e-7,
-                       notes=f"middle member {e2:.15g}; worst pairwise "
-                             f"residual {worst:.2e}")
-    return build
+def _t3(ctx: PrecisionContext, r: float):
+    k = modular.singular_modulus(r)
+    e1 = math.pi * modular.eta_tail_integral(math.sqrt(r))
+    e2 = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
+        gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
+    e3 = 5.0 * modular.rr_integral(
+        qseries.rrcf(math.exp(-math.pi * math.sqrt(r))), ctx)
+    worst = max(residuals(e1, e2)[1], residuals(e1, e3)[1], residuals(e2, e3)[1])
+    return e1, e3, f"middle member {e2:.15g}; worst pairwise residual {worst:.2e}"
 
 
-_register("T3.r=1")(_triple_equality_check(1.0))
-_register("T3.r=4")(_triple_equality_check(4.0))
+def _app1(ctx: PrecisionContext):
+    return (modular.eta_tail_integral(2.0),
+            5.0 / math.pi * modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
+            "eta tail vs continued-fraction integral at index 4")
 
 
-@_register("App1.eq24")
-def _app1(ctx: PrecisionContext) -> CheckResult:
-    lhs = modular.eta_tail_integral(2.0)
-    rhs = 5.0 / math.pi * modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx)
-    return compare("App1.eq24", "Application 1 (Eq 24)", lhs, rhs, 1e-7,
-                   notes="eta tail vs continued-fraction integral at index 4")
-
-
-@_register("App2.eq25")
-def _app2(ctx: PrecisionContext) -> CheckResult:
+def _app2(ctx: PrecisionContext):
     x0 = qseries.rrcf(_Q_RAMANUJAN)
 
     def inverse_tau(x: float) -> float:
@@ -318,324 +262,190 @@ def _app2(ctx: PrecisionContext) -> CheckResult:
              f"the displayed eta(2i) variant gives {eta2i_variant:.9g} "
              f"(off by 2^(3/2)); eta at i tau/2 = eta(i) is the consistent "
              f"argument")
-    return compare("App2.eq25", "Application 2 (Eq 25)", fd.value, stated,
-                   1e-5, notes=notes)
+    return fd.value, stated, notes
 
 
-@_register("RRCF.e2pi")
-def _rrcf_value(ctx: PrecisionContext) -> CheckResult:
-    lhs = qseries.rrcf(_Q_RAMANUJAN)
-    return compare("RRCF.e2pi", "Application 1 closed-form value",
-                   lhs, RRCF_AT_E2PI, 1e-10, relative=False,
-                   notes="eta-quotient path vs radical closed form")
+def _rrcf_value(ctx: PrecisionContext):
+    return (qseries.rrcf(_Q_RAMANUJAN), RRCF_AT_E2PI,
+            "eta-quotient path vs radical closed form")
 
 
-@_register("T4.r=4")
-def _t4(ctx: PrecisionContext) -> CheckResult:
+def _t4(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
-    lhs = modular.F_of_x(modular.hypergeometric_g_argument(k * k, ctx), ctx)
-    # F_of_x solves to eps_rel: at most 5.5e-4 eps_rel measured at eps
-    # 1e-12..1e-6 (0 at the default), a margin of at least 1,800
-    return compare("T4.r=4", "Theorem 4 (Eq 28)", lhs, RRCF_AT_E2PI,
-                   max(ctx.eps_rel, 1e-12),
-                   notes="composite inversion vs the continued-fraction value")
+    return (modular.F_of_x(modular.hypergeometric_g_argument(k * k, ctx), ctx),
+            RRCF_AT_E2PI, "composite inversion vs the continued-fraction value")
 
 
-@_register("Eq29_30.roundtrip")
-def _eq29(ctx: PrecisionContext) -> CheckResult:
-    a_val = 0.2
-    y = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(5.0 * a_val, ctx))))
-    lhs = modular.rr_integral(y, ctx)
-    y_printed = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(a_val, ctx))))
-    printed_gap = abs(modular.rr_integral(y_printed, ctx) - a_val) / a_val
-    notes = (f"solution uses the eta-tail inverse at 5A (the triple equality "
-             f"carries the factor five); the displayed m(A) argument leaves "
-             f"residual {printed_gap:.2e}")
-    return compare("Eq29_30.roundtrip", "Eqs (29)-(30)", lhs, a_val, 1e-5,
-                   notes=notes)
-
-
-@_register("Eq31.x=0.2")
-def _eq31(ctx: PrecisionContext) -> CheckResult:
+def _eq31(ctx: PrecisionContext):
     x = 0.2
     f_val = modular.F_of_x(x, ctx)
     printed = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(x, ctx))))
+    printed_gap = abs(modular.rr_integral(printed, ctx) - x) / x
     notes = (f"F(x)={f_val:.15g}, the composite with the same factor-five "
-             f"normalisation as Eqs (29)-(30), put back into the continued-"
-             f"fraction integral; the displayed m(x) composite evaluates to "
-             f"{printed:.12g}")
-    return compare("Eq31.x=0.2", "Eq (31) composite", modular.rr_integral(f_val, ctx),
-                   x, 10.0 * max(ctx.eps_rel, 1e-12), notes=notes)
+             f"normalisation as Eqs (29)-(30) (the eta-tail inverse at 5x), put "
+             f"back into the continued-fraction integral; the displayed m(x) "
+             f"composite evaluates to {printed:.12g} and leaves residual "
+             f"{printed_gap:.2e}")
+    return modular.rr_integral(f_val, ctx), x, notes
 
 
-@_register("Eq32.r=4")
-def _eq32(ctx: PrecisionContext) -> CheckResult:
+def _eq32(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
     x = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
         gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
-    # m_of_x solves to eps_rel: at most 1.3e-3 eps_rel measured at eps
-    # 1e-12..1e-6 (1.3e-15 at the default), a margin of at least 750
-    return compare("Eq32.r=4", "Eq (32) eta-tail inverse", modular.m_of_x(x, ctx),
-                   4.0, max(ctx.eps_rel, 1e-12),
-                   notes="closed-form argument returns its own index")
+    return modular.m_of_x(x, ctx), 4.0, "closed-form argument returns its own index"
 
 
-def _g_through_f_check(x: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        g_val = modular.G_of_x(x, ctx)
-        return compare(f"Eq29_32.GF.x={x:g}",
-                       "Eqs (29)-(32) inverses: the surd tail from G(x) is 5x",
-                       modular.surd_tail_integral(g_val, ctx), 5.0 * x,
-                       10.0 * max(ctx.eps_rel, 1e-12),
-                       notes=f"G(x)={g_val:.15g}, the eta quotient at the nome "
-                             f"of F(x), put back into the surd-tail integral")
-    return build
+def _g_through_f(ctx: PrecisionContext, x: float):
+    g_val = modular.G_of_x(x, ctx)
+    return (modular.surd_tail_integral(g_val, ctx), 5.0 * x,
+            f"G(x)={g_val:.15g}, the eta quotient at the nome of F(x), put back "
+            f"into the surd-tail integral")
 
 
-_register("Eq29_32.GF.x=0.15")(_g_through_f_check(0.15))
-_register("Eq29_32.GF.x=0.6")(_g_through_f_check(0.6))
+def _t5(ctx: PrecisionContext, inst: modular.SexticInstance):
+    sol = modular.solve_sextic(inst, ctx)
+    r, x_alt = sextic_period_ratio_root(inst, sol.t)
+    cross = abs(sol.x - x_alt) / abs(sol.x)
+    return max(sol.residual, cross), 0.0, (
+        f"t={sol.t:.12g}, index r={r:.12g}, cross-path delta {cross:.2e}, "
+        f"sextic residual {sol.residual:.2e}")
 
 
-def sextic_period_ratio_root(inst: modular.SexticInstance,
-                             t: float) -> tuple[float, float]:
-    """The sextic's second route from the quarter-modulus square t that
-    solve_sextic returns: the index r = (K'(k)/K(k))^2 / 4 at k = sqrt(t)
-    from the period ratio (AGM), and the root (b/(250a)) u at the squared
-    nome exp(-2 pi sqrt r).  Returns (r, X)."""
-    k = math.sqrt(t)
-    ratio = special.elliptic_k_complementary(k) / elliptic_k(k)
-    r = ratio * ratio / 4.0
-    return r, inst.b / (250.0 * inst.a) * qseries.u_of_q(qseries.Nome.from_r_squared(r))
-
-
-def _sextic_check(check_id: str, ref: str, inst: modular.SexticInstance):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        sol = modular.solve_sextic(inst, ctx)
-        r, x_alt = sextic_period_ratio_root(inst, sol.t)
-        cross = abs(sol.x - x_alt) / abs(sol.x)
-        notes = (f"t={sol.t:.12g}, index r={r:.12g}, cross-path "
-                 f"delta {cross:.2e}, sextic residual {sol.residual:.2e}")
-        worst = max(sol.residual, cross)
-        return compare(check_id, ref, worst, 0.0, 1e-6, relative=False,
-                       notes=notes)
-    return build
-
-
-_register("T5.prop1")(_sextic_check(
-    "T5.prop1", "Theorem 5 / Proposition 1 instance",
-    modular.SexticInstance(1.0, 250.0, 12.0)))
-_register("T5.j4000")(_sextic_check(
-    "T5.j4000", "Theorem 5, synthetic j=4000",
-    modular.SexticInstance(1.0, 3.0, (4000.0 * 3.0 / 250.0) ** (1.0 / 3.0))))
-_register("T5.j1730")(_sextic_check(
-    "T5.j1730", "Theorem 5, near-minimal j=1730",
-    modular.SexticInstance(1.0, 3.0, (1730.0 * 3.0 / 250.0) ** (1.0 / 3.0))))
-
-
-@_register("Prop1.eq43")
-def _prop1_c1(ctx: PrecisionContext) -> CheckResult:
+def _prop1_c1(ctx: PrecisionContext):
     k4, k4p = modular._singular_modulus_pair(4.0)
-    c1_cubed = modular.klein_j_from_quarter_modulus(k4 * k4, k4p * k4p)
-    # the moduli are full precision whatever ctx asks: 2.4e-15 measured at
-    # eps 1e-12..1e-6, so 1e-12 (as for the J.* checks) leaves a margin of 400
-    return compare("Prop1.eq43", "Proposition 1 (Eq 43) coefficient",
-                   c1_cubed, 1728.0, 1e-12,
-                   notes="the index-1 instance has cube 12^3")
+    return (modular.klein_j_from_quarter_modulus(k4 * k4, k4p * k4p), 1728.0,
+            "the index-1 instance has cube 12^3")
 
 
-def _j_lambda_check(r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        k, kp = modular._singular_modulus_pair(r)
-        lam_form = modular.klein_j_from_lambda(k * k, kp * kp)
-        return compare(f"J.lambda.r={r:g}", "j-invariant, lambda-line form",
-                       modular.klein_j(r), lam_form, 1e-12,
-                       notes=f"256(l^2-l+1)^3/(l^2(1-l)^2) at l=k_r^2={k * k:.15g} "
-                             f"against the quarter-modulus form at index 4r")
-    return build
+def _j_lambda(ctx: PrecisionContext, r: float):
+    k, kp = modular._singular_modulus_pair(r)
+    return (modular.klein_j(r), modular.klein_j_from_lambda(k * k, kp * kp),
+            f"256(l^2-l+1)^3/(l^2(1-l)^2) at l=k_r^2={k * k:.15g} against the "
+            f"quarter-modulus form at index 4r")
 
 
-def _j_level5_check(r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        u = qseries.u_of_q(qseries.Nome.from_r_squared(r))
-        level5 = (u * u + 250.0 * u + 3125.0) ** 3 / u ** 5
-        return compare(f"J.level5.r={r:g}",
-                       "Level-5 relation behind Theorem 5: j = (u^2+250u+3125)^3/u^5",
-                       modular.klein_j(r), level5, 1e-12,
-                       notes=f"eta-quotient u={u:.15g} at the squared nome "
-                             f"exp(-2 pi sqrt r); no elliptic modulus involved")
-    return build
+def _j_level5(ctx: PrecisionContext, r: float):
+    u = qseries.u_of_q(qseries.Nome.from_r_squared(r))
+    return (modular.klein_j(r), (u * u + 250.0 * u + 3125.0) ** 3 / u ** 5,
+            f"eta-quotient u={u:.15g} at the squared nome exp(-2 pi sqrt r); "
+            f"no elliptic modulus involved")
 
 
-for _r in (0.5, 1.0, 2.0, 4.0, 9.0):
-    _register(f"J.lambda.r={_r:g}")(_j_lambda_check(_r))
-    _register(f"J.level5.r={_r:g}")(_j_level5_check(_r))
+def _j_invert(ctx: PrecisionContext, r: float):
+    j0 = modular.klein_j(r)
+    k, kp = modular._singular_modulus_pair(r)
+    return (modular.invert_lambda_j(j0), min(k * k, kp * kp),
+            f"lambda from the quarter modulus of j={j0:.15g} by Landen's step, "
+            f"against k_r^2 from theta series")
 
 
-def _j_invert_check(r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        j0 = modular.klein_j(r)
-        k, kp = modular._singular_modulus_pair(r)
-        return compare(f"J.invert.r={r:g}", "Theorem 6, inverting the lambda-line j",
-                       modular.invert_lambda_j(j0), min(k * k, kp * kp), 1e-12,
-                       notes=f"lambda from the quarter modulus of j={j0:.15g} by "
-                             f"Landen's step, against k_r^2 from theta series")
-    return build
-
-
-for _r in (2.0, 9.0, 1000.0):
-    _register(f"J.invert.r={_r:g}")(_j_invert_check(_r))
-
-
-@_register("Prop1.eq42")
-def _prop1_beta(ctx: PrecisionContext) -> CheckResult:
+def _prop1_beta(ctx: PrecisionContext):
     k4 = modular.singular_modulus(4.0)
     base = BetaBase(1.0 / 6.0, 2.0 / 3.0)
     x1 = qseries.u_of_q(_Q_RAMANUJAN)
     lhs = incomplete_beta(k4 * k4, base, ctx)
     rhs = 4.0 ** (1.0 / 3.0) * modular.surd_tail_integral(x1, ctx)
     ratio = incomplete_beta(1.0 - k4 * k4, base, ctx) / lhs
-    return compare("Prop1.eq42", "Proposition 1 (Eq 42)", lhs, rhs, 1e-7,
-                   notes=f"complement ratio at this argument is {ratio:.12g} "
-                         f"(recorded only)")
+    return lhs, rhs, f"complement ratio at this argument is {ratio:.12g} (recorded only)"
 
 
-@_register("Prop1.eq45")
-def _prop1_x(ctx: PrecisionContext) -> CheckResult:
+def _prop1_x(ctx: PrecisionContext):
     sol = modular.solve_sextic(modular.SexticInstance(1.0, 250.0, 12.0), ctx)
-    rhs = qseries.u_of_q(_Q_RAMANUJAN)
-    return compare("Prop1.eq45", "Proposition 1 (Eq 45)", sol.x, rhs, 1e-5,
-                   notes="sextic root vs eta-quotient value at the unit index")
+    return (sol.x, qseries.u_of_q(_Q_RAMANUJAN),
+            "sextic root vs eta-quotient value at the unit index")
 
 
-@_register("Eq46.roundtrip.X=50")
-def _eq46_roundtrip(ctx: PrecisionContext) -> CheckResult:
+def _eq46_roundtrip(ctx: PrecisionContext):
     b = modular.theta_of_X(50.0, ctx)
     lhs = 4.0 ** (-1.0 / 3.0) * incomplete_beta(b, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
-    rhs = modular.surd_tail_integral(50.0, ctx)
-    return compare("Eq46.roundtrip.X=50", "Eq (46) defining equation",
-                   lhs, rhs, 1e-8, notes=f"solved exponent argument b={b:.15g}")
+    return (lhs, modular.surd_tail_integral(50.0, ctx),
+            f"solved exponent argument b={b:.15g}")
 
 
-@_register("Eq46.limit")
-def _eq46_limit(ctx: PrecisionContext) -> CheckResult:
-    lhs = modular.surd_tail_integral(0.0, ctx)
-    base = BetaBase(1.0 / 6.0, 2.0 / 3.0)
-    rhs = 4.0 ** (-1.0 / 3.0) * special.complete_beta(base)
-    return compare("Eq46.limit", "Eq (46) limit of vanishing lower limit",
-                   lhs, rhs, 1e-8,
-                   notes="full surd tail vs complete Beta closed form")
+def _eq46_limit(ctx: PrecisionContext):
+    rhs = 4.0 ** (-1.0 / 3.0) * special.complete_beta(BetaBase(1.0 / 6.0, 2.0 / 3.0))
+    return (modular.surd_tail_integral(0.0, ctx), rhs,
+            "full surd tail vs complete Beta closed form")
 
 
-@_register("Eq46.prop1")
-def _eq46_prop1(ctx: PrecisionContext) -> CheckResult:
+def _eq46_prop1(ctx: PrecisionContext):
     k4 = modular.singular_modulus(4.0)
-    lhs = modular.theta_of_X(qseries.u_of_q(_Q_RAMANUJAN), ctx)
-    return compare("Eq46.prop1", "Eq (46) against the Proposition 1 chain",
-                   lhs, k4 * k4, 1e-6,
-                   notes="theta at the unit-index sextic root recovers the "
-                         "squared quarter modulus")
+    return (modular.theta_of_X(qseries.u_of_q(_Q_RAMANUJAN), ctx), k4 * k4,
+            "theta at the unit-index sextic root recovers the squared quarter modulus")
 
 
-@_register("T6.baseK.r=2")
-def _t6_k(ctx: PrecisionContext) -> CheckResult:
+def _t6_k(ctx: PrecisionContext):
     alpha, r0, j0 = modular.theorem6_base_change(
         lambda x: elliptic_k(math.sqrt(x)), 2.0, ctx)
     k2 = modular.singular_modulus(2.0)
-    return compare("T6.baseK.r=2", "Theorem 6, elliptic base", alpha, k2 * k2,
-                   1e-9, notes=f"r0={r0:.12g} (self-consistency), j0={j0:.9g}")
+    return alpha, k2 * k2, f"r0={r0:.12g} (self-consistency), j0={j0:.9g}"
 
 
-@_register("T6.basePsiStar.r=3")
-def _t6_psi(ctx: PrecisionContext) -> CheckResult:
+def _t6_psi(ctx: PrecisionContext):
     alpha, r0, j0 = modular.theorem6_base_change(
         lambda x: math.sqrt(math.asin(math.sqrt(x))), 3.0, ctx)
-    rhs = modular.trig_modular(3.0)
     other = modular.trig_modular(math.sqrt(3.0))
-    notes = (f"matches the closed trigonometric value at index r itself; the "
-             f"sqrt(r)-index variant would be {other:.12g}; r0={r0:.12g}, "
-             f"j0={j0:.9g}")
-    return compare("T6.basePsiStar.r=3", "Theorem 6, arcsin base", alpha, rhs,
-                   1e-9, notes=notes)
+    return alpha, modular.trig_modular(3.0), (
+        f"matches the closed trigonometric value at index r itself; the "
+        f"sqrt(r)-index variant would be {other:.12g}; r0={r0:.12g}, j0={j0:.9g}")
 
 
-@_register("T6.baseB16.r=4")
-def _t6_beta(ctx: PrecisionContext) -> CheckResult:
+def _t6_beta(ctx: PrecisionContext):
     alpha, r0, j0 = modular.theorem6_base_change(
         lambda x: beta_sqrt(x, 1.0 / 6.0, ctx), 4.0, ctx)
     base = BetaBase(1.0 / 6.0, 1.0 / 6.0)
     rhs = modular.beta_ratio_root(base, 4.0, ctx)
     other = modular.beta_ratio_root(base, 2.0, ctx)
-    notes = (f"the base-change index maps onto the Beta-ratio index r itself "
-             f"(ratio of squares); the halved-index reading would give "
-             f"{other:.12g}; r0={r0:.12g}, j0={j0:.9g}")
-    return compare("T6.baseB16.r=4", "Theorem 6, sqrt-Beta base", alpha, rhs,
-                   1e-9, notes=notes)
+    return alpha, rhs, (f"the base-change index maps onto the Beta-ratio index r "
+                        f"itself (ratio of squares); the halved-index reading "
+                        f"would give {other:.12g}; r0={r0:.12g}, j0={j0:.9g}")
 
 
-def _theorem7_check(r: float):
+def _t7(ctx: PrecisionContext, r: float):
     """dX/dr against pi (eta(i sqrt r)^4 / sqrt r) X^(1/6)
     sqrt(125 + 22 X + X^2).  The magnitudes agree; the stated formula
     carries a minus sign while the map is increasing, so the signed values
     are recorded and the check is judged on |.|."""
-    def build(ctx: PrecisionContext) -> CheckResult:
-        fd = differentiate(modular.sextic_variable_of_index, r)
-        x = modular.sextic_variable_of_index(r)
-        stated = -math.pi * qseries.dedekind_eta(math.sqrt(r)) ** 4 / math.sqrt(r) \
-            * x ** (1.0 / 6.0) * math.sqrt(125.0 + 22.0 * x + x * x)
-        notes = (f"finite difference {fd.value:.12g} (est err {fd.error:.2g}) vs "
-                 f"stated {stated:.12g}; magnitudes compared, signs recorded: "
-                 f"fd>0, stated<0 (map is increasing in r)")
-        return compare(f"T7.r={r:g}", "Theorem 7", abs(fd.value), abs(stated),
-                       tolerance=1e-5, notes=notes)
-    return build
+    fd = differentiate(modular.sextic_variable_of_index, r)
+    x = modular.sextic_variable_of_index(r)
+    stated = -math.pi * qseries.dedekind_eta(math.sqrt(r)) ** 4 / math.sqrt(r) \
+        * x ** (1.0 / 6.0) * math.sqrt(125.0 + 22.0 * x + x * x)
+    return abs(fd.value), abs(stated), (
+        f"finite difference {fd.value:.12g} (est err {fd.error:.2g}) vs stated "
+        f"{stated:.12g}; magnitudes compared, signs recorded: fd>0, stated<0 "
+        f"(map is increasing in r)")
 
 
-_register("T7.r=1")(_theorem7_check(1.0))
-_register("T7.r=2")(_theorem7_check(2.0))
-
-
-@_register("T7.msign")
-def _t7_msign(ctx: PrecisionContext) -> CheckResult:
+def _t7_msign(ctx: PrecisionContext):
     k1 = modular.singular_modulus(1.0)
     b_val = incomplete_beta(k1 * k1, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
     lhs = math.pi * modular.eta_tail_integral(1.0)   # x with m(x) = 1
     stated = -(2.0 ** (5.0 / 3.0)) * b_val
     resolved = 2.0 ** (-2.0 / 3.0) * b_val
-    notes = (f"eta-tail inverse at unit index is {lhs:.15g}; the stated "
-             f"negative multiple gives {stated:.15g}, while "
-             f"+2^(-2/3) B(k_1^2, 1/6, 2/3) = {resolved:.15g} matches to "
-             f"{abs(resolved - lhs) / lhs:.2e}")
-    return compare("T7.msign", "Theorem 7 proof, eta-tail/Beta normalisation",
-                   lhs, stated, 1e-6, flagged=True, notes=notes)
+    return lhs, stated, (f"eta-tail inverse at unit index is {lhs:.15g}; the "
+                         f"stated negative multiple gives {stated:.15g}, while "
+                         f"+2^(-2/3) B(k_1^2, 1/6, 2/3) = {resolved:.15g} matches "
+                         f"to {abs(resolved - lhs) / lhs:.2e}")
 
 
-@_register("Eq50.quadrature.x=0.5")
-def _eq50_quad(ctx: PrecisionContext) -> CheckResult:
+def _eq50_quad(ctx: PrecisionContext):
     x = 0.5
     loose = replace(ctx, eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
-    quad = modular.j_integral_quadrature(x, loose)
-    closed = modular.j_integral_f1_form(x, ctx)
-    notes = ("quadrature uses the j^(-1/3) integrand fixed by the derivative "
-             "identity; the displayed +1/3 exponent does not integrate to "
-             "the F1 form")
-    return compare("Eq50.quadrature.x=0.5", "Eqs (50)-(51) j-integral",
-                   closed, quad, tolerance=1e-5, notes=notes)
+    return (modular.j_integral_f1_form(x, ctx), modular.j_integral_quadrature(x, loose),
+            "quadrature uses the j^(-1/3) integrand fixed by the derivative "
+            "identity; the displayed +1/3 exponent does not integrate to the F1 form")
 
 
-@_register("Eq50.derivative.x=0.8")
-def _eq50_deriv(ctx: PrecisionContext) -> CheckResult:
+def _eq50_deriv(ctx: PrecisionContext):
     x = 0.8
     fd = differentiate(lambda xx: modular.j_integral_f1_form(xx, ctx), x)
     q_sq = modular.eta_quotient_nome_of(x)
     r = (math.log(math.sqrt(q_sq)) / math.pi) ** 2
-    rhs = modular.klein_j(r) ** (-1.0 / 3.0)
-    return compare("Eq50.derivative.x=0.8", "Eqs (50)-(51) derivative identity",
-                   fd.value, rhs, 1e-5,
-                   notes=f"recovered index r={r:.12g}")
+    return fd.value, modular.klein_j(r) ** (-1.0 / 3.0), f"recovered index r={r:.12g}"
 
 
-@_register("Eq51.phi.x=0.5")
-def _eq51(ctx: PrecisionContext) -> CheckResult:
+def _eq51(ctx: PrecisionContext):
     x = 0.5
     lhs = modular.j_integral_f1_form(x, ctx)
     printed = modular.j_integral_phi_printed(x, ctx, squared_second_arg=True)
@@ -646,48 +456,25 @@ def _eq51(ctx: PrecisionContext) -> CheckResult:
              f"variant {linear:.15g} ({residuals(lhs, linear)[1]:.2e} off); "
              f"the partial-fraction combination {split:.15g} matches to "
              f"{residuals(lhs, split)[1]:.2e}")
-    return compare("Eq51.phi.x=0.5", "Eq (51) phi-combination", lhs, printed,
-                   1e-7, flagged=True, notes=notes)
+    return lhs, printed, notes
 
 
-@_register("Eq50.x1")
-def _eq50_x1(ctx: PrecisionContext) -> CheckResult:
-    lhs = modular.j_integral_f1_form(1.0, ctx)
+def _eq50_x1(ctx: PrecisionContext):
     direct = integrate_finite(
         lambda t: t ** (5.0 / 3.0) / (t * t + 250.0 * t + 3125.0), 0.0, 1.0, ctx)
     a = (5.0 + 2.0 * SQRT5) / 125.0
     stated = 100.0 / 719.0 * (60.0 + SQRT5) - 5.0 * float(
         gauss_2f1(1.0, 8.0 / 3.0, 11.0 / 3.0, a, ctx))
-    notes = (f"closed F1 form and the direct rational-integrand quadrature "
-             f"agree ({direct:.15g}); the stated constant is 25000 times the "
-             f"x->1 limit of the printed phi-combination")
-    return compare("Eq50.x1", "Eqs (50)-(51) unit-argument special value",
-                   lhs, stated, 1e-5, flagged=True, notes=notes)
+    return modular.j_integral_f1_form(1.0, ctx), stated, (
+        f"closed F1 form and the direct rational-integrand quadrature agree "
+        f"({direct:.15g}); the stated constant is 25000 times the x->1 limit "
+        f"of the printed phi-combination")
 
 
-@_register("T8.example1")
-def _t8_ex1(ctx: PrecisionContext) -> CheckResult:
-    target = math.log(1.0 + 2.0 / math.sqrt(3.0))
-    terms = 2000
-    series_ctx = replace(ctx, eps_rel=1e-16, eps_abs=1e-300,
-                         max_series_terms=terms)
-    try:
-        val = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0,
-                                             series_ctx).value
-    except SeriesDivergenceError as exc:
-        # tail never meets the eps criterion; take the plain partial sum
-        val = exc.best
-    s200 = _t8_ex1_partial(200)
-    notes = (f"argument sits on the circle of convergence: partial sums "
-             f"decay like N^(-3/2); 200-term sum {s200:.12g} is "
-             f"{abs(s200 - target):.2e} away, {terms}-term sum reaches "
-             f"the tolerance below")
-    return compare("T8.example1", "Theorem 8, logarithm example (Eq 55)",
-                   complex(val).real, target, 1e-5, notes=notes)
-
-
-def _t8_ex1_partial(terms: int) -> float:
-    ctx = PrecisionContext(eps_rel=1e-18, eps_abs=1e-320, max_series_terms=terms)
+def _t8_ex1_partial(terms: int, ctx: PrecisionContext) -> float:
+    """The Eq (55) series summed to at most `terms` terms; a tail that never
+    meets the eps criterion leaves the plain partial sum."""
+    ctx = replace(ctx, max_series_terms=terms)
     try:
         val = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0, ctx).value
     except SeriesDivergenceError as exc:
@@ -695,129 +482,80 @@ def _t8_ex1_partial(terms: int) -> float:
     return complex(val).real
 
 
-@_register("T8.example2.p=0.6")
-def _t8_ex2(ctx: PrecisionContext) -> CheckResult:
+def _t8_ex1(ctx: PrecisionContext):
+    target = math.log(1.0 + 2.0 / math.sqrt(3.0))
+    val = _t8_ex1_partial(2000, replace(ctx, eps_rel=1e-16, eps_abs=1e-300))
+    s200 = _t8_ex1_partial(200, PrecisionContext(eps_rel=1e-18, eps_abs=1e-320))
+    return val, target, (f"argument sits on the circle of convergence: partial "
+                         f"sums decay like N^(-3/2); 200-term sum {s200:.12g} is "
+                         f"{abs(s200 - target):.2e} away, 2000-term sum reaches "
+                         f"the tolerance below")
+
+
+def _t8_ex2(ctx: PrecisionContext):
     p = 0.6
     quad = integrate_finite(
         lambda t: (t * (1.0 - t / p) * (1.0 + t / p)) ** -0.5, 0.0, p * p, ctx)
     hyp = 2.0 * p * float(gauss_2f1(0.5, 0.25, 1.25, p * p, ctx))
     beta_form = math.sqrt(p) / 2.0 * incomplete_beta(p * p, BetaBase(0.25, 0.5), ctx)
-    notes = (f"quadrature {quad:.15g} = p * (2F1 member) = sqrt(p)/2 * Beta "
-             f"member {beta_form:.15g}; the displayed chain omits one factor "
-             f"p between its first two members, and its series form carries "
-             f"p^-n (divergent) where the engine's x/rho = p converges")
-    return compare("T8.example2.p=0.6", "Theorem 8, Beta example chain",
-                   quad, hyp, 1e-7, notes=notes)
+    return quad, hyp, (f"quadrature {quad:.15g} = p * (2F1 member) = sqrt(p)/2 * "
+                       f"Beta member {beta_form:.15g}; the displayed chain omits "
+                       f"one factor p between its first two members, and its "
+                       f"series form carries p^-n (divergent) where the "
+                       f"engine's x/rho = p converges")
 
 
-_EX3_RADICALS = {
-    2.0: ("beta2", (2.0 - math.sqrt(3.0)) / 4.0, 1e-10),
-    3.0: ("beta3", (2.0 - math.sqrt(3.0 * (3.0 - math.sqrt(3.0)))) / 4.0, 1e-8),
-    1.5: ("beta1.5", (4.0 - math.sqrt(-9.0 + 9.0 * SQRT5
-           - 3.0 * math.sqrt(150.0 - 66.0 * SQRT5))) / 8.0, 1e-8),
-    4.0: ("beta4", (4.0 - math.sqrt(-9.0 + 9.0 * SQRT5
-           + 3.0 * math.sqrt(150.0 - 66.0 * SQRT5))) / 8.0, 1e-8),
-    5.0: ("beta5", (1.0 + 3.0 * 2.0 ** (1.0 / 3.0) - 3.0 * 2.0 ** (2.0 / 3.0))
-          / (8.0 + 4.0 * math.sqrt(3.0 * (1.0 - 2.0 ** (1.0 / 3.0)
-                                          + 2.0 ** (2.0 / 3.0)))), 1e-8),
-}
+def _ex3(ctx: PrecisionContext, name: str, r: float, radical: float):
+    return (modular.beta_ratio_root(BetaBase(1.0 / 6.0, 1.0 / 6.0), r, ctx),
+            radical, f"ratio index {r:g}")
 
 
-def _radical_check(r: float, name: str, radical: float, tol: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        value = modular.beta_ratio_root(BetaBase(1.0 / 6.0, 1.0 / 6.0), r, ctx)
-        return compare(f"Ex3.{name}", "Example 3 radical values", value,
-                       radical, tol, relative=False,
-                       notes=f"ratio index {r:g}")
-    return build
-
-
-for _r, (_name, _radical, _tol) in _EX3_RADICALS.items():
-    _register(f"Ex3.{_name}")(_radical_check(_r, _name, _radical, _tol))
-
-
-@_register("Eq57.ratio")
-def _eq57(ctx: PrecisionContext) -> CheckResult:
+def _eq57(ctx: PrecisionContext):
     base = BetaBase(1.0 / 6.0, 1.0 / 6.0)
     b4 = modular.beta_ratio_root(base, 4.0, ctx)
-    lhs = incomplete_beta(b4, base, ctx) / incomplete_beta(0.5, base, ctx)
-    return compare("Eq57.ratio", "Eq (57) rationality probe", lhs, 0.4, 1e-6,
-                   notes="single probe at indices (n, r) = (2, 1); the "
-                         "closed singular-value formula forces (r+1)/(n^2 r+1)")
+    return (incomplete_beta(b4, base, ctx) / incomplete_beta(0.5, base, ctx), 0.4,
+            "single probe at indices (n, r) = (2, 1); the closed singular-value "
+            "formula forces (r+1)/(n^2 r+1)")
 
 
-def _beta_singular_value_check(alpha: float, r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        base = BetaBase(alpha, alpha)
-        beta_r = modular.beta_ratio_root(base, r, ctx)
-        lhs = beta_sqrt(beta_r, alpha, ctx)
-        rhs = math.sqrt(gamma(alpha) ** 2 / (gamma(2.0 * alpha) * (r + 1.0)))
-        return compare(f"Eq58_59.a={alpha:g}.r={r:g}",
-                       "Eqs (58)-(59) singular value", lhs, rhs, 1e-9,
-                       notes=f"ratio root at {beta_r:.15g}")
-    return build
+def _beta_singular_value(ctx: PrecisionContext, alpha: float, r: float):
+    beta_r = modular.beta_ratio_root(BetaBase(alpha, alpha), r, ctx)
+    return (beta_sqrt(beta_r, alpha, ctx),
+            math.sqrt(gamma(alpha) ** 2 / (gamma(2.0 * alpha) * (r + 1.0))),
+            f"ratio root at {beta_r:.15g}")
 
 
-for _alpha in (1.0 / 6.0, 1.0 / 4.0):
-    for _r in (2.0, 5.0):
-        _register(f"Eq58_59.a={_alpha:g}.r={_r:g}")(
-            _beta_singular_value_check(_alpha, _r))
-
-
-@_register("Eq60.series")
-def _eq60(ctx: PrecisionContext) -> CheckResult:
+def _eq60(ctx: PrecisionContext):
     base = BetaBase(1.0 / 6.0, 1.0 / 6.0)
     beta5 = modular.beta_ratio_root(base, 5.0, ctx)
     series = special.quadratic_power_series(-5.0 / 6.0, 5.0 / 12.0,
                                             1.0, -2.0, 1.0, beta5, ctx)
-    rhs = gamma(1.0 / 6.0) ** 2 / (6.0 * gamma(1.0 / 3.0))
     direct = incomplete_beta(beta5, base, ctx)
-    return compare("Eq60.series", "Eq (60) series constant",
-                   complex(series.value).real, rhs, 1e-9,
-                   notes=f"{series.terms} terms; incomplete-Beta value "
-                         f"{direct:.15g} agrees")
+    return (complex(series.value).real, gamma(1.0 / 6.0) ** 2 / (6.0 * gamma(1.0 / 3.0)),
+            f"{series.terms} terms; incomplete-Beta value {direct:.15g} agrees")
 
 
-def _t9_check(alpha: float, r: float):
-    def build(ctx: PrecisionContext) -> CheckResult:
-        base = BetaBase(alpha, alpha)
-        beta_r = modular.beta_ratio_root(base, r, ctx)
-        series = special.quadratic_power_series(alpha - 1.0, (1.0 - alpha) / 2.0,
-                                                1.0, -2.0, 1.0, beta_r, ctx)
-        rhs = gamma(alpha) ** 2 / ((r + 1.0) * gamma(2.0 * alpha))
-        return compare(f"T9.a={alpha:g}.r={r:g}", "Theorem 9 (Eq 61)",
-                       complex(series.value).real, rhs, 1e-8,
-                       notes=f"{series.terms} terms at root {beta_r:.15g}")
-    return build
+def _t9(ctx: PrecisionContext, alpha: float, r: float):
+    beta_r = modular.beta_ratio_root(BetaBase(alpha, alpha), r, ctx)
+    series = special.quadratic_power_series(alpha - 1.0, (1.0 - alpha) / 2.0,
+                                            1.0, -2.0, 1.0, beta_r, ctx)
+    return (complex(series.value).real,
+            gamma(alpha) ** 2 / ((r + 1.0) * gamma(2.0 * alpha)),
+            f"{series.terms} terms at root {beta_r:.15g}")
 
 
-_register("T9.a=0.166667.r=5")(_t9_check(1.0 / 6.0, 5.0))
-_register("T9.a=0.25.r=3")(_t9_check(1.0 / 4.0, 3.0))
-
-
-def _ex4_unit_circle_check(r: float):
+def _ex4_unit_circle(ctx: PrecisionContext, r: float):
     """Solve arcsin(1-s) = r arcsin(s); with y = i s + sqrt(1-s^2) the
     combination 2i + 1/y - y + y^-r - y^r must vanish (real and imaginary
     parts are reported separately in the notes)."""
-    def build(ctx: PrecisionContext) -> CheckResult:
-        s = find_root(lambda v: math.asin(1.0 - v) - r * math.asin(v),
-                      1e-15, 1.0 - 1e-15, ctx)
-        y = complex(math.sqrt((1.0 - s) * (1.0 + s)), s)
-        res = 2.0j + 1.0 / y - y + y ** (-r) - y ** r
-        return compare(
-            f"Ex4.eq63.r={r:g}", "Example 4, Eqs (62)-(63)", res, 0.0,
-            tolerance=1e-10, relative=False,
-            notes=(f"s={s:.15g}; residual parts re={res.real:.3g} "
-                   f"im={res.imag:.3g}"))
-    return build
+    s = find_root(lambda v: math.asin(1.0 - v) - r * math.asin(v),
+                  1e-15, 1.0 - 1e-15, ctx)
+    y = complex(math.sqrt((1.0 - s) * (1.0 + s)), s)
+    res = 2.0j + 1.0 / y - y + y ** (-r) - y ** r
+    return res, 0.0, f"s={s:.15g}; residual parts re={res.real:.3g} im={res.imag:.3g}"
 
 
-_register("Ex4.eq63.r=1")(_ex4_unit_circle_check(1.0))
-_register("Ex4.eq63.r=2")(_ex4_unit_circle_check(2.0))
-
-
-@_register("Ex4.tclaim.r=2")
-def _ex4_tclaim(ctx: PrecisionContext) -> CheckResult:
+def _ex4_tclaim(ctx: PrecisionContext):
     """The displayed construction through xi = (-i - sqrt3)/2: the claim
     t = sin(pi/(4+2r)) does solve psi(1-2t^2)/psi(t) = sqrt(r), while the
     xi-chain itself lands on sin(5 pi/(6r)); both residuals are recorded
@@ -838,84 +576,189 @@ def _ex4_tclaim(ctx: PrecisionContext) -> CheckResult:
     x_chain = (-1.0j * (1.0 - x_r * x_r) / (2.0 * x_r)).real
     chain_res = abs(psi(1.0 - 2.0 * x_chain * x_chain) / psi(complex(x_chain, 0))
                     - math.sqrt(r))
-    return compare(
-        "Ex4.tclaim.r=2", "Example 4, xi-construction and final claim",
-        claim_res, 0.0, tolerance=1e-10, relative=False, flagged=True,
-        notes=(f"t=sin(pi/(4+2r)) residual {claim_res:.3g} (holds); "
-               f"xi-chain lands on {x_chain:.12g}=sin(5pi/(6r)) with ratio "
-               f"residual {chain_res:.3g} (does not match the claim)"))
+    return claim_res, 0.0, (f"t=sin(pi/(4+2r)) residual {claim_res:.3g} (holds); "
+                            f"xi-chain lands on {x_chain:.12g}=sin(5pi/(6r)) with "
+                            f"ratio residual {chain_res:.3g} (does not match the "
+                            f"claim)")
 
 
-@_register("Ex5.eq66.R=3")
-def _ex5_root(ctx: PrecisionContext) -> CheckResult:
+def _ex5_root(ctx: PrecisionContext):
     m = modular.trig_modular(3.0)
-    lhs = modular.psi_arcsin_ratio(m)
-    return compare("Ex5.eq66.R=3", "Example 5 (Eq 66) root property",
-                   lhs, math.sqrt(3.0), 1e-10,
-                   notes=f"closed trigonometric root m(3)={m:.15g}")
+    return (modular.psi_arcsin_ratio(m), math.sqrt(3.0),
+            f"closed trigonometric root m(3)={m:.15g}")
 
 
-def _trig_modular_equation_check(R: float):
+def _trig_modular_equation(ctx: PrecisionContext, R: float):
     """m(R+1) = (1 - sqrt(1 - m(R/2))) / 2."""
-    def build(ctx: PrecisionContext) -> CheckResult:
-        lhs = modular.trig_modular(R + 1.0)
-        rhs = 0.5 * (1.0 - math.sqrt(1.0 - modular.trig_modular(R / 2.0)))
-        return compare(f"Ex5.eq67.R={R:g}", "Example 5, Eq (67)", lhs, rhs,
-                       tolerance=1e-12,
-                       notes="half-angle consistency of the arcsin base")
-    return build
+    return (modular.trig_modular(R + 1.0),
+            0.5 * (1.0 - math.sqrt(1.0 - modular.trig_modular(R / 2.0))),
+            "half-angle consistency of the arcsin base")
 
 
-_register("Ex5.eq67.R=1")(_trig_modular_equation_check(1.0))
-_register("Ex5.eq67.R=2")(_trig_modular_equation_check(2.0))
-_register("Ex5.eq67.R=3.5")(_trig_modular_equation_check(3.5))
+_PI_TERMS = 200
 
 
-def _pi_formula_check(R: float):
+def _pi_formula_tail(R: float) -> tuple[float, float]:
+    """m(R) and the bound on the tail after _PI_TERMS terms.  All
+    coefficients reduce to the positive arcsin coefficients, so the partial
+    sums increase; the tail is a geometric-dominated arcsin tail."""
+    m = modular.trig_modular(R)
+    n = _PI_TERMS + 0.5
+    return m, m ** n / (n * (1.0 - m)) if m < 1.0 else math.inf
+
+
+def _pi_formula(ctx: PrecisionContext, R: float):
     """The 200-term partial sum against pi/(R+1) and the arcsin form."""
-    def build(ctx: PrecisionContext) -> CheckResult:
-        terms = 200
-        m = modular.trig_modular(R)
-        partial = modular.pi_formula_partial_sum(R, terms)
-        target = math.pi / (R + 1.0)
-        closed = 2.0 * math.asin(math.sqrt(m))
-        # All coefficients reduce to the positive arcsin coefficients, so the
-        # partial sums increase; the tail is a geometric-dominated arcsin tail.
-        tail = m ** (terms + 0.5) / ((terms + 0.5) * (1.0 - m)) if m < 1.0 else math.inf
-        notes = (f"m(R)={m:.15g}; closed arcsin form {closed:.15g}; "
-                 f"{terms}-term tail bound {tail:.3g}")
-        return compare(f"Ex6.eq68.R={R:g}", "Example 6, Eqs (68)-(69)",
-                       partial, target, tolerance=max(1e-10, 2.0 * tail / target),
-                       notes=notes)
-    return build
+    m, tail = _pi_formula_tail(R)
+    closed = 2.0 * math.asin(math.sqrt(m))
+    return (modular.pi_formula_partial_sum(R, _PI_TERMS), math.pi / (R + 1.0),
+            f"m(R)={m:.15g}; closed arcsin form {closed:.15g}; "
+            f"{_PI_TERMS}-term tail bound {tail:.3g}")
 
 
-_register("Ex6.eq68.R=1")(_pi_formula_check(1.0))
-_register("Ex6.eq68.R=3")(_pi_formula_check(3.0))
-
-
-@_register("Ex6.termaudit")
-def _ex6_audit(ctx: PrecisionContext) -> CheckResult:
+def _ex6_audit(ctx: PrecisionContext):
     n = 3
     coeff = (special.pochhammer(0.25, n) * special.pochhammer_negative(0.75, n)
              / (special.pochhammer_negative(0.5, n) * math.factorial(n)))
-    taylor = special.pochhammer(0.5, n) / (math.factorial(n))
-    return compare("Ex6.termaudit", "Eq (68) term definition audit",
-                   coeff, taylor, 1e-12,
-                   notes="negative-index Pochhammers reduce to the arcsin "
-                         "Taylor coefficients")
+    return (coeff, special.pochhammer(0.5, n) / math.factorial(n),
+            "negative-index Pochhammers reduce to the arcsin Taylor coefficients")
 
 
-@_register("Note.p6")
-def _note_p6(ctx: PrecisionContext) -> CheckResult:
+def _note_p6(ctx: PrecisionContext):
     worst = 0.0
     for i in range(10):
         y = -0.99 + 1.98 * i / 9.0
-        worst = max(worst, abs(special.sin_multiple_p6(y)
-                               - math.sin(6.0 * math.asin(y))))
-    return compare("Note.p6", "Closing note, sine-sextuple polynomial",
-                   worst, 0.0, 1e-12, relative=False,
-                   notes="worst residual over 10 points of [-0.99, 0.99]")
+        worst = max(worst, abs(special.sin_multiple_p6(y) - math.sin(6.0 * math.asin(y))))
+    return worst, 0.0, "worst residual over 10 points of [-0.99, 0.99]"
+
+
+# ---------------------------------------------------------------------------
+# The records
+
+@dataclass(frozen=True)
+class Check:
+    """One identity, or one family of identities; see the module docstring."""
+    id: str
+    ref: str
+    sides: Callable[..., tuple]
+    tol: float | Callable[..., float]
+    judged: str = "rel"
+    flagged: bool = False
+    params: tuple[tuple, ...] = ((),)
+
+    def instances(self) -> list[tuple[str, tuple]]:
+        """(check id, parameter tuple) for each check the record stands for."""
+        return [(self.id.format(*args), args) for args in self.params]
+
+
+def _eps_scaled(multiple: float) -> Callable[..., float]:
+    """multiple * max(ctx.eps_rel, 1e-12), for a side solved to ctx.eps_rel."""
+    return lambda ctx, *params: multiple * max(ctx.eps_rel, 1e-12)
+
+
+CHECKS: tuple[Check, ...] = (
+    Check("T1.nu={:g}", "Theorem 1 (Eq 12)", _t1, 1e-6, params=((0.5,), (1.0,))),
+    Check("Eq13.n0", "Eq (13), half-integer special case", _eq13, 1e-6, flagged=True),
+    Check("T2.n={:g}", "Theorem 2 (Eq 14)", _t2, 1e-7, params=((1.0,), (1.5,))),
+    Check("Eq16.m1.n0.5", "Eq (16)", _eq16, 1e-7),
+    Check("Eq17_18.nu=0.5", "Eqs (17)-(18) with sign resolution", _eq17_18, 1e-7,
+          flagged=True),
+    Check("Eq19.r={:g}", "Eq (19)", _eq19, 1e-9, params=((1.0,), (2.0,), (4.0,))),
+    # both sides are formed to full precision whatever ctx asks: 5.0e-16
+    # measured at eps 1e-12..1e-6, so 1e-12 leaves a margin of 2,000
+    Check("Eq20_21.chain.r=4", "Eqs (20)-(21) chain rule", _eq20_21, 1e-12),
+    Check("Eq20.sign.r=4", "Eq (20) sign convention", _eq20_sign, 1e-6, flagged=True),
+    Check("Eq22.r=4", "Eq (22)", _eq22, 1e-7),
+    Check("T3.r={:g}", "Theorem 3 (Eq 23) triple equality", _t3, 1e-7,
+          params=((1.0,), (4.0,))),
+    Check("App1.eq24", "Application 1 (Eq 24)", _app1, 1e-7),
+    Check("App2.eq25", "Application 2 (Eq 25)", _app2, 1e-5),
+    Check("RRCF.e2pi", "Application 1 closed-form value", _rrcf_value, 1e-10,
+          judged="abs"),
+    # F_of_x solves to eps_rel: at most 5.5e-4 eps_rel measured at eps
+    # 1e-12..1e-6 (0 at the default), a margin of at least 1,800
+    Check("T4.r=4", "Theorem 4 (Eq 28)", _t4, _eps_scaled(1.0)),
+    Check("Eq31.x=0.2", "Eq (31) composite", _eq31, _eps_scaled(10.0)),
+    # m_of_x solves to eps_rel: at most 1.3e-3 eps_rel measured at eps
+    # 1e-12..1e-6 (1.3e-15 at the default), a margin of at least 750
+    Check("Eq32.r=4", "Eq (32) eta-tail inverse", _eq32, _eps_scaled(1.0)),
+    Check("Eq29_32.GF.x={:g}", "Eqs (29)-(32) inverses: the surd tail from G(x) is 5x",
+          _g_through_f, _eps_scaled(10.0), params=((0.15,), (0.6,))),
+    Check("T5.prop1", "Theorem 5 / Proposition 1 instance", _t5, 1e-6, judged="abs",
+          params=((modular.SexticInstance(1.0, 250.0, 12.0),),)),
+    Check("T5.j4000", "Theorem 5, synthetic j=4000", _t5, 1e-6, judged="abs",
+          params=((modular.SexticInstance(
+              1.0, 3.0, (4000.0 * 3.0 / 250.0) ** (1.0 / 3.0)),),)),
+    Check("T5.j1730", "Theorem 5, near-minimal j=1730", _t5, 1e-6, judged="abs",
+          params=((modular.SexticInstance(
+              1.0, 3.0, (1730.0 * 3.0 / 250.0) ** (1.0 / 3.0)),),)),
+    # the moduli are full precision whatever ctx asks: 2.4e-15 measured at
+    # eps 1e-12..1e-6, so 1e-12 (as for the J.* checks) leaves a margin of 400
+    Check("Prop1.eq43", "Proposition 1 (Eq 43) coefficient", _prop1_c1, 1e-12),
+    Check("J.lambda.r={:g}", "j-invariant, lambda-line form", _j_lambda, 1e-12,
+          params=((0.5,), (1.0,), (2.0,), (4.0,), (9.0,))),
+    Check("J.level5.r={:g}",
+          "Level-5 relation behind Theorem 5: j = (u^2+250u+3125)^3/u^5",
+          _j_level5, 1e-12, params=((0.5,), (1.0,), (2.0,), (4.0,), (9.0,))),
+    Check("J.invert.r={:g}", "Theorem 6, inverting the lambda-line j", _j_invert,
+          1e-12, params=((2.0,), (9.0,), (1000.0,))),
+    Check("Prop1.eq42", "Proposition 1 (Eq 42)", _prop1_beta, 1e-7),
+    Check("Prop1.eq45", "Proposition 1 (Eq 45)", _prop1_x, 1e-5),
+    Check("Eq46.roundtrip.X=50", "Eq (46) defining equation", _eq46_roundtrip, 1e-8),
+    Check("Eq46.limit", "Eq (46) limit of vanishing lower limit", _eq46_limit, 1e-8),
+    Check("Eq46.prop1", "Eq (46) against the Proposition 1 chain", _eq46_prop1, 1e-6),
+    Check("T6.baseK.r=2", "Theorem 6, elliptic base", _t6_k, 1e-9),
+    Check("T6.basePsiStar.r=3", "Theorem 6, arcsin base", _t6_psi, 1e-9),
+    Check("T6.baseB16.r=4", "Theorem 6, sqrt-Beta base", _t6_beta, 1e-9),
+    Check("T7.r={:g}", "Theorem 7", _t7, 1e-5, params=((1.0,), (2.0,))),
+    Check("T7.msign", "Theorem 7 proof, eta-tail/Beta normalisation", _t7_msign,
+          1e-6, flagged=True),
+    Check("Eq50.quadrature.x=0.5", "Eqs (50)-(51) j-integral", _eq50_quad, 1e-5),
+    Check("Eq50.derivative.x=0.8", "Eqs (50)-(51) derivative identity", _eq50_deriv,
+          1e-5),
+    Check("Eq51.phi.x=0.5", "Eq (51) phi-combination", _eq51, 1e-7, flagged=True),
+    Check("Eq50.x1", "Eqs (50)-(51) unit-argument special value", _eq50_x1, 1e-5,
+          flagged=True),
+    Check("T8.example1", "Theorem 8, logarithm example (Eq 55)", _t8_ex1, 1e-5),
+    Check("T8.example2.p=0.6", "Theorem 8, Beta example chain", _t8_ex2, 1e-7),
+    Check("Ex3.{}", "Example 3 radical values", _ex3, 1e-10, judged="abs",
+          params=(("beta2", 2.0, (2.0 - math.sqrt(3.0)) / 4.0),)),
+    Check("Ex3.{}", "Example 3 radical values", _ex3, 1e-8, judged="abs", params=(
+        ("beta3", 3.0, (2.0 - math.sqrt(3.0 * (3.0 - math.sqrt(3.0)))) / 4.0),
+        ("beta1.5", 1.5, (4.0 - math.sqrt(-9.0 + 9.0 * SQRT5 - 3.0 * math.sqrt(
+            150.0 - 66.0 * SQRT5))) / 8.0),
+        ("beta4", 4.0, (4.0 - math.sqrt(-9.0 + 9.0 * SQRT5 + 3.0 * math.sqrt(
+            150.0 - 66.0 * SQRT5))) / 8.0),
+        ("beta5", 5.0, (1.0 + 3.0 * 2.0 ** (1.0 / 3.0) - 3.0 * 2.0 ** (2.0 / 3.0))
+         / (8.0 + 4.0 * math.sqrt(3.0 * (1.0 - 2.0 ** (1.0 / 3.0)
+                                         + 2.0 ** (2.0 / 3.0))))))),
+    Check("Eq57.ratio", "Eq (57) rationality probe", _eq57, 1e-6),
+    Check("Eq58_59.a={:g}.r={:g}", "Eqs (58)-(59) singular value",
+          _beta_singular_value, 1e-9,
+          params=((1.0 / 6.0, 2.0), (1.0 / 6.0, 5.0), (0.25, 2.0), (0.25, 5.0))),
+    Check("Eq60.series", "Eq (60) series constant", _eq60, 1e-9),
+    Check("T9.a={:g}.r={:g}", "Theorem 9 (Eq 61)", _t9, 1e-8,
+          params=((1.0 / 6.0, 5.0), (0.25, 3.0))),
+    Check("Ex4.eq63.r={:g}", "Example 4, Eqs (62)-(63)", _ex4_unit_circle, 1e-10,
+          judged="abs", params=((1.0,), (2.0,))),
+    Check("Ex4.tclaim.r=2", "Example 4, xi-construction and final claim", _ex4_tclaim,
+          1e-10, judged="abs", flagged=True),
+    Check("Ex5.eq66.R=3", "Example 5 (Eq 66) root property", _ex5_root, 1e-10),
+    Check("Ex5.eq67.R={:g}", "Example 5, Eq (67)", _trig_modular_equation, 1e-12,
+          params=((1.0,), (2.0,), (3.5,))),
+    # twice the tail bound, relative to the sum pi/(R+1)
+    Check("Ex6.eq68.R={:g}", "Example 6, Eqs (68)-(69)", _pi_formula,
+          lambda ctx, R: max(1e-10, 2.0 * _pi_formula_tail(R)[1] / (math.pi / (R + 1.0))),
+          params=((1.0,), (3.0,))),
+    Check("Ex6.termaudit", "Eq (68) term definition audit", _ex6_audit, 1e-12),
+    Check("Note.p6", "Closing note, sine-sextuple polynomial", _note_p6, 1e-12,
+          judged="abs"),
+)
+
+_REGISTRY: dict[str, tuple[Check, tuple]] = {
+    cid: (check, args) for check in CHECKS for cid, args in check.instances()}
+if len(_REGISTRY) != sum(len(check.params) for check in CHECKS):
+    raise ValueError("duplicate check id")
 
 
 # ---------------------------------------------------------------------------
@@ -939,18 +782,22 @@ def check_ids() -> list[str]:
 
 def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
     """Execute one registered check; unknown ids raise DomainError.  A
-    KernelError from the check is a failed result (never a pass or a flag)
+    KernelError from its sides is a failed result (never a pass or a flag)
     whose notes begin with BUILDER_RAISED and name the exception."""
     try:
-        builder = _REGISTRY[check_id]
+        check, args = _REGISTRY[check_id]
     except KeyError:
         raise DomainError(f"unknown check id {check_id!r}") from None
     start = time.perf_counter()
+    flagged = check.flagged
     try:
-        result = builder(ctx)
+        lhs, rhs, notes = check.sides(ctx, *args)
+        tol = check.tol(ctx, *args) if callable(check.tol) else check.tol
     except KernelError as exc:
-        result = compare(check_id, "", math.nan, math.nan, math.nan,
-                         notes=f"{BUILDER_RAISED}{type(exc).__name__}: {exc}")
+        lhs = rhs = tol = math.nan
+        notes, flagged = f"{BUILDER_RAISED}{type(exc).__name__}: {exc}", False
+    result = compare(check_id, check.ref, lhs, rhs, tol, notes=notes,
+                     flagged=flagged, relative=check.judged == "rel")
     return replace(result, seconds=time.perf_counter() - start)
 
 

@@ -84,7 +84,8 @@ class TestVerifyCommand:
         payload = json.loads(capsys.readouterr().out)
         assert [row["id"] for row in payload] == ["T3.r=1", "T3.r=4"]
         required = {"id", "paper_ref", "lhs", "rhs", "residual_abs",
-                    "residual_rel", "tolerance", "status", "notes", "seconds"}
+                    "residual_rel", "judged", "tolerance", "status", "notes",
+                    "seconds"}
         for row in payload:
             assert set(row) == required
             float(row["residual_rel"])  # decimal strings parse back

@@ -1,7 +1,8 @@
 """The kernels' import layers, read from the source with ast: numerics ->
 quadrature -> special -> qseries -> modular, each importing only from the
 layers below it.  The registry (verify), its records (report) and the CLI
-sit above every kernel, so no kernel imports them."""
+sit above every kernel, so no kernel imports them.  In the registry, only
+the runner judges a check: no record builds its own result."""
 
 import ast
 from pathlib import Path
@@ -45,3 +46,16 @@ def test_kernels_do_not_import_the_registry(module):
 def test_kernels_import_only_lower_layers(module):
     imports = _package_imports(PACKAGE / f"{module}.py")
     assert imports <= set(KERNELS[:KERNELS.index(module)])
+
+
+def test_only_the_runner_judges_a_check():
+    """Every call of report.compare or CheckResult in verify, by the
+    top-level definition that makes it: run_check's one compare alone."""
+    calls = []
+    for top in ast.parse((PACKAGE / "verify.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if callee in ("compare", "CheckResult"):
+                    calls.append((getattr(top, "name", "<module>"), callee))
+    assert calls == [("run_check", "compare")]

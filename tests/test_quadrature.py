@@ -263,9 +263,21 @@ class TestEtaTailEquality:
 class TestDualRoute:
     def test_weighted_power_integrand_two_ways(self):
         # direct tanh-sinh with the q^(-5/6) singularity vs the q = s^6
-        # substitution that removes it: the primary anti-typo defence
+        # substitution that removes it: the anti-typo defence of the
+        # integrand that Theorem 1's checks integrate
+        from rrcflab.qseries import ramanujan_f_log, rrcf
         from rrcflab.verify import weighted_power_integral
+
+        def mapped(s):
+            q = s ** 6
+            if q <= 0.0:
+                return 0.0
+            log_f4 = 4.0 * ramanujan_f_log(q)
+            if log_f4 < -700.0:
+                return 0.0
+            return 6.0 * math.exp(log_f4) * rrcf(q) ** 5.0
+
         ctx = PrecisionContext()
         direct = weighted_power_integral(1.0, ctx)
-        mapped = weighted_power_integral(1.0, ctx, substituted=True)
-        assert direct == pytest.approx(mapped, rel=1e-8)
+        assert direct == pytest.approx(integrate_finite(mapped, 0.0, 1.0, ctx),
+                                       rel=1e-8)

@@ -4,7 +4,8 @@ import pytest
 
 from rrcflab.numerics import DEFAULT_CTX, DomainError
 from rrcflab.report import FAIL, FLAGGED, PASS, compare, residuals
-from rrcflab.verify import BUILDER_RAISED, check_ids, run_all, run_check
+from rrcflab.verify import (BUILDER_RAISED, CHECKS, Check, check_ids, run_all,
+                            run_check)
 
 
 class TestCheckResult:
@@ -29,7 +30,7 @@ class TestCheckResult:
 
 class TestRegistry:
     def test_census(self):
-        assert len(check_ids()) >= 40
+        assert len(check_ids()) == 81
 
     def test_ids_sorted_and_unique(self):
         ids = check_ids()
@@ -56,10 +57,7 @@ class TestRegistry:
         assert rep.passed == rep.failed == rep.flagged == 0
 
     def test_paper_refs_nonempty(self):
-        for cid in check_ids():
-            pass  # refs verified on executed subset below to stay fast
-        for r in run_all("Ex5*").results:
-            assert r.paper_ref
+        assert all(check.ref for check in CHECKS)
 
     def test_deterministic_reruns(self):
         a = run_all("Eq19*")
@@ -76,6 +74,11 @@ class TestFlaggedLedger:
     FLAG_POLICY_IDS = ("Eq13.n0", "Eq17_18.nu=0.5", "Eq20.sign.r=4",
                        "Eq50.x1", "Eq51.phi.x=0.5", "T7.msign",
                        "Ex4.tclaim.r=2")
+
+    def test_flagged_records_are_the_policy_ids(self):
+        flagged = {cid for check in CHECKS if check.flagged
+                   for cid, _ in check.instances()}
+        assert flagged == set(self.FLAG_POLICY_IDS)
 
     @pytest.mark.parametrize("cid", FLAG_POLICY_IDS)
     def test_flag_policy_records(self, cid):
@@ -107,7 +110,8 @@ class TestBuilderErrors:
 
         def broken(ctx):
             raise TypeError("a defect in the check itself")
-        monkeypatch.setitem(verify._REGISTRY, "broken", broken)
+        record = Check("broken", "a record whose sides are at fault", broken, 1e-9)
+        monkeypatch.setitem(verify._REGISTRY, "broken", (record, ()))
         with pytest.raises(TypeError):
             run_check("broken")
 
