@@ -89,22 +89,23 @@ def sum_series(term: Callable[[int], complex],
     (two, so that series with interleaved zero terms are not cut early).
     Raises SeriesDivergenceError, carrying the partial sum, at the term cap.
     """
+    eps_rel, eps_abs, cap = ctx.eps_rel, ctx.eps_abs, ctx.max_series_terms
     total = 0.0 + 0.0j
     small_run = 0
-    for n in range(ctx.max_series_terms):
+    for n in range(cap):
         t = complex(term(n))
-        if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+        size = abs(t)   # inf or nan for a term that is not finite
+        if not size < math.inf:
             raise DomainError(f"series term {n} is not finite: {t!r}")
         total += t
-        if abs(t) <= ctx.tol(abs(total)):
+        if size <= eps_rel * abs(total) + eps_abs:
             small_run += 1
             if small_run >= 2:
                 return SeriesSum(total, n + 1)
         else:
             small_run = 0
     raise SeriesDivergenceError(
-        f"series did not converge within {ctx.max_series_terms} terms",
-        best=total, gap=abs(t))
+        f"series did not converge within {cap} terms", best=total, gap=size)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,

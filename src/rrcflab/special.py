@@ -12,7 +12,8 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, PrecisionContext,
                        SeriesDivergenceError, SeriesSum, sum_series)
@@ -178,6 +179,10 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
       implemented), which needs Re c > Re b > 0 (or the a/b-swapped
       variant) and z off [1, inf).
 
+    Every series is summed inline by ``_series_2f1`` under
+    ``sum_series``'s stopping rule, with no call per term; no
+    PrecisionContext is built.
+
     Known gaps (``_is_slow_2f1``), where every route runs at a radius above
     ``_SLOW_RADIUS`` and the series can reach its 2000-term cap: z next to 1
     with c-a-b within ``_POLE_GAP`` of an integer (the limit forms of A&S
@@ -242,9 +247,17 @@ _SLOW_RADIUS = 0.95
 
 
 def _series_2f1(a: complex, b: complex, c: complex, z: complex,
-                ctx: PrecisionContext) -> complex:
-    """The power series of 2F1 at z, the one summation every route calls;
-    a polynomial when a or b is a non-positive integer."""
+                ctx: PrecisionContext, scale: float = 1.0) -> SeriesSum:
+    """The power series of 2F1 at z (DLMF 15.2.1), the one summation every
+    route calls; a polynomial when a or b is a non-positive integer.
+
+    The terms t_0 = 1, t_(n+1) = t_n (a+n)(b+n) / ((c+n)(n+1)) z are summed
+    in one inline loop under ``sum_series``'s rule: it stops on two
+    consecutive terms with |t| <= eps_rel |S| + eps_abs, and raises
+    SeriesDivergenceError at ctx.max_series_terms.  The tolerance is
+    multiplied by ``scale`` (the connection formula sums tighter), and past
+    radius 1/2 by (1-r)/r.  No PrecisionContext is built.
+    """
     terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
     if terminating and not _is_nonpositive_int(a):
         a, b = b, a
@@ -254,48 +267,62 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
     t1 = a * (b * 2.0 ** 600) * (z / (c * 2.0 ** 600)) if abs(c) < 1e-300 else None
     if terminating:
         total = t = 1.0 + 0.0j
-        for k in range(int(round(-a.real))):
+        degree = int(round(-a.real))
+        for k in range(degree):
             if k == 0 and t1 is not None:
                 t = t1
             else:
                 t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
             total += t
-        return total
+        return SeriesSum(total, degree + 1)
 
-    state = {"t": 1.0 + 0.0j}
-
-    def term(n: int) -> complex:
-        t = state["t"]
-        state["t"] = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        return t
-
-    if t1 is not None:
-        state["t"], first = t1, term
-
-        def term(n: int) -> complex:
-            return first(n) if n else 1.0 + 0.0j
-
-    if c.real < 0.0:
-        # The factors c + n of (c)_n are smallest next to n = -Re c, and
-        # before that two small terms do not mean the sum has converged: the
-        # terms up to there are summed as one.
-        head, plain = min(round(-c.real) + 2, ctx.max_series_terms), term
-
-        def term(k: int) -> complex:
-            return plain(k + head - 1) if k else sum(map(plain, range(head)))
-
+    eps_rel, eps_abs = ctx.eps_rel * scale, ctx.eps_abs * scale
     r = abs(z)
     if 0.5 < r < 1.0:
         # the terms fall by about r per step, so the stopping rule leaves a
         # tail of about r/(1-r) times its tolerance; scale that back to 1
-        ctx = replace(ctx, eps_rel=ctx.eps_rel * (1.0 - r) / r,
-                      eps_abs=ctx.eps_abs * (1.0 - r) / r)
-    return sum_series(term, ctx).value
+        eps_rel, eps_abs = eps_rel * (1.0 - r) / r, eps_abs * (1.0 - r) / r
+    if not (eps_rel > 0.0 and eps_abs > 0.0):   # as a PrecisionContext would
+        raise DomainError(f"2F1 series tolerance underflows to 0 from "
+                          f"eps_rel={ctx.eps_rel}, eps_abs={ctx.eps_abs}")
+    cap = ctx.max_series_terms
+    # For c < 0 the factors c + n of (c)_n are smallest next to n = -Re c,
+    # and before that two small terms do not mean the sum has converged:
+    # the terms up to there are summed as one, the series' first term.
+    head = min(round(-c.real) + 2, cap) if c.real < 0.0 else 1
+    t, head_terms = 1.0 + 0.0j, []
+    for n in range(head):
+        head_terms.append(t)
+        if n == 0 and t1 is not None:
+            t = t1
+        else:
+            t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+    term, total, small_run = sum(head_terms), 0.0 + 0.0j, 0
+    for k in range(cap):
+        size = abs(term)
+        if not size < math.inf:
+            raise DomainError(f"series term {k} is not finite: {term!r}")
+        total += term
+        if size <= eps_rel * abs(total) + eps_abs:
+            small_run += 1
+            if small_run >= 2:
+                return SeriesSum(total, k + 1)
+        else:
+            small_run = 0
+        n = k + head   # t is t_n, the term after this one
+        term = t
+        t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+    raise SeriesDivergenceError(f"series did not converge within {cap} terms",
+                                best=total, gap=size)
+
+
+def _direct_2f1(a, b, c, z, ctx):
+    return _series_2f1(a, b, c, z, ctx).value
 
 
 def _euler_2f1(a, b, c, z, ctx):
     # DLMF 15.8.1: the same radius as the series at z
-    return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, ctx)
+    return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, ctx).value
 
 
 def _pfaff_2f1(a, b, c, z, ctx):
@@ -303,7 +330,7 @@ def _pfaff_2f1(a, b, c, z, ctx):
     # n^(a-b-1) r^n with Re(a-b) <= 0
     if a.real > b.real:
         a, b = b, a
-    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0), ctx)
+    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0), ctx).value
 
 
 def _connection_2f1(a, b, c, z, ctx):
@@ -313,15 +340,14 @@ def _connection_2f1(a, b, c, z, ctx):
     # integer (at least _POLE_GAP), and cancel to the sum: sum each series
     # that much tighter
     gap = abs(s - round(s.real))
-    ctx = replace(ctx, eps_rel=ctx.eps_rel * gap, eps_abs=ctx.eps_abs * gap)
     near = gamma(s) / (gamma(c - a) * gamma(c - b)) \
-        * _series_2f1(a, b, 1.0 - s, w, ctx)
+        * _series_2f1(a, b, 1.0 - s, w, ctx, gap).value
     far = w ** s * gamma(-s) / (gamma(a) * gamma(b)) \
-        * _series_2f1(c - a, c - b, 1.0 + s, w, ctx)
+        * _series_2f1(c - a, c - b, 1.0 + s, w, ctx, gap).value
     return gamma(c) * (near + far)
 
 
-_ROUTES = {"series": _series_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
+_ROUTES = {"series": _direct_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
            "connection": _connection_2f1}
 
 
@@ -420,16 +446,16 @@ def _appell_f1_series(a: complex, b1: complex, b2: complex, c: complex,
     # gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
     # anti-diagonal then carries (a)_s/(c)_s.  O(1) per term.
     xy, lin, bsum = x * y, b1 * x + b2 * y, b1 + b2 - 1.0
-    state = {"g": 1.0 + 0.0j, "g_prev": 0.0 + 0.0j, "r": 1.0 + 0.0j}
+    g, g_prev, r = 1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
 
     def term(s: int) -> complex:
-        g, r = state["g"], state["r"]
-        state["g_prev"], state["g"] = g, (
-            ((x + y) * s + lin) * g - xy * (s + bsum) * state["g_prev"]) / (s + 1.0)
+        nonlocal g, g_prev, r
+        val = r * g
+        g_prev, g = g, (((x + y) * s + lin) * g - xy * (s + bsum) * g_prev) / (s + 1.0)
         if r:
             # a terminating series stops before (c)_s reaches a pole
-            state["r"] = r * (a + s) / (c + s)
-        return r * g
+            r = r * (a + s) / (c + s)
+        return val
 
     return sum_series(term, ctx).value
 
@@ -447,7 +473,11 @@ class BetaBase:
             raise DomainError(f"Beta exponents must be positive: {self}")
 
 
+@lru_cache(maxsize=256)
 def complete_beta(base: BetaBase) -> float:
+    """B(1, a, b) = Gamma(a) Gamma(b) / Gamma(a+b).  Cached: a root search
+    over x (theta_of_X, beta_ratio_root) needs it at every step that takes
+    incomplete_beta's complement, and each costs three log-Gamma calls."""
     return math.exp(log_gamma_real(base.a) + log_gamma_real(base.b)
                     - log_gamma_real(base.a + base.b))
 
@@ -481,20 +511,20 @@ def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
     (Numerical Recipes section 5.2 and 6.4), with
     d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
     d_2m = m (b-m) x / ((a+2m-1)(a+2m))."""
-    tiny = 1e-300
-
-    def guard(v: float) -> float:
-        return v if abs(v) >= tiny else tiny
-
-    c, d = 1.0, 1.0 / guard(1.0 - (a + b) * x / (a + 1.0))
+    tiny = 1e-300   # a denominator below it is taken as tiny
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if abs(d) >= tiny else tiny)
     h = d
     for m in range(1, ctx.max_series_terms + 1):
         m2 = 2.0 * m
-        for coeff in (m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
-                      -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))):
-            d = 1.0 / guard(1.0 + coeff * d)
-            c = guard(1.0 + coeff / c)
-            h *= d * c
+        coeff = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        d, c = 1.0 + coeff * d, 1.0 + coeff / c
+        d, c = 1.0 / (d if abs(d) >= tiny else tiny), c if abs(c) >= tiny else tiny
+        h *= d * c
+        coeff = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        d, c = 1.0 + coeff * d, 1.0 + coeff / c
+        d, c = 1.0 / (d if abs(d) >= tiny else tiny), c if abs(c) >= tiny else tiny
+        h *= d * c
         if abs(d * c - 1.0) <= 2.0 * MACHINE_EPS:
             return h
     raise SeriesDivergenceError(
@@ -590,14 +620,14 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
     # The coefficients c_n = (nu)_n P_n(nu, ratio) / n! have the generating
     # function (1-t)^(-nu) (1-ratio*t)^(-nu), hence the three-term recurrence
     # below; O(1) per term instead of re-expanding each P_n.
-    state = {"c": 1.0 + 0.0j, "c_prev": 0.0 + 0.0j, "z_pow": 1.0 + 0.0j}
+    coef, coef_prev, z_pow = 1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
 
     def term(n: int) -> complex:
-        val = state["c"] * state["z_pow"] / (n + mu + 1.0)
-        c_next = ((1.0 + ratio) * (n + nu) * state["c"]
-                  - ratio * (n - 1.0 + 2.0 * nu) * state["c_prev"]) / (n + 1.0)
-        state["c_prev"], state["c"] = state["c"], c_next
-        state["z_pow"] *= z
+        nonlocal coef, coef_prev, z_pow
+        val = coef * z_pow / (n + mu + 1.0)
+        coef_prev, coef = coef, ((1.0 + ratio) * (n + nu) * coef
+                                 - ratio * (n - 1.0 + 2.0 * nu) * coef_prev) / (n + 1.0)
+        z_pow *= z
         return val
 
     s = sum_series(term, ctx)

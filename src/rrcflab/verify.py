@@ -658,7 +658,7 @@ def _eps_scaled(multiple: float) -> Callable[..., float]:
 
 CHECKS: tuple[Check, ...] = (
     Check("T1.nu={:g}", "Theorem 1 (Eq 12)", _t1, 1e-6, params=((0.5,), (1.0,))),
-    Check("Eq13.n0", "Eq (13), half-integer special case", _eq13, 1e-6, flagged=True),
+    Check("Eq13.n0", "Eq (13), half-integer special case", _eq13, 1e-6),
     Check("T2.n={:g}", "Theorem 2 (Eq 14)", _t2, 1e-7, params=((1.0,), (1.5,))),
     Check("Eq16.m1.n0.5", "Eq (16)", _eq16, 1e-7),
     Check("Eq17_18.nu=0.5", "Eqs (17)-(18) with sign resolution", _eq17_18, 1e-7,

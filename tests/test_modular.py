@@ -436,15 +436,16 @@ class TestGauss2F1WorkCounts:
     quadrature.  The counts are deterministic; each bound is twice the
     count measured (17 at 0.99 and 29 at 0.9 through 1 - z, 34 at -0.99 and
     65 at 0.99i through z/(z-1)).  The series at z itself raised at its
-    2000-term cap at the first three and took 234 terms at 0.9."""
+    2000-term cap at the first three and took 234 terms at 0.9.  Every
+    route sums its series in ``_series_2f1``, which reports its terms."""
 
     @pytest.fixture
     def counts(self, monkeypatch):
         tally = {"terms": 0, "quadratures": 0}
-        original = special.sum_series
+        original = special._series_2f1
 
-        def counting_series(term, ctx):
-            result = original(term, ctx)
+        def counting_series(*args):
+            result = original(*args)
             tally["terms"] += result.terms
             return result
 
@@ -452,7 +453,7 @@ class TestGauss2F1WorkCounts:
             tally["quadratures"] += 1
             raise AssertionError("gauss_2f1 integrated at |z| < 1")
 
-        monkeypatch.setattr(special, "sum_series", counting_series)
+        monkeypatch.setattr(special, "_series_2f1", counting_series)
         # integrate_complex is the one quadrature special calls
         monkeypatch.setattr(special, "integrate_complex", no_quadrature)
         return tally
@@ -464,6 +465,30 @@ class TestGauss2F1WorkCounts:
         special.gauss_2f1(0.5, 0.25, 1.5, z)
         assert counts["quadratures"] == 0
         assert 0 < counts["terms"] <= max_terms
+
+
+class TestCompleteBetaOncePerSearch:
+    """A Newton search over x forms B(1, a, b) once, from three log-Gamma
+    calls, however many of its steps take incomplete_beta's complement
+    (uncached, these searches made 21, 9 and 12 calls)."""
+
+    @pytest.mark.parametrize("search", [
+        lambda: beta_ratio_root(BetaBase(0.5, 2.0), 3.0),
+        lambda: beta_ratio_root(BetaBase(2.0, 0.5), 0.2),
+        lambda: theta_of_X(0.01),
+    ], ids=["beta_ratio_root(0.5,2)", "beta_ratio_root(2,0.5)", "theta_of_X(0.01)"])
+    def test_three_log_gammas(self, monkeypatch, search):
+        calls = []
+        original = special.log_gamma_real
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(special, "log_gamma_real", counted)
+        special.complete_beta.cache_clear()
+        search()
+        assert len(calls) == 3
 
 
 class TestNoRootFindingInTheJLayer:

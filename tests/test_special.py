@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 import sys
 
 import pytest
@@ -7,10 +8,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.numerics import (DomainError, PrecisionContext,
-                              SeriesDivergenceError)
+                              SeriesDivergenceError, sum_series)
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, PoleError, _integral_2f1,
-                             _is_nonpositive_int, _is_slow_2f1, appell_f1,
+                             _is_nonpositive_int, _is_slow_2f1, _route_2f1,
+                             _series_2f1, appell_f1,
                              beta_sqrt, complete_beta, elliptic_k,
                              elliptic_k_complementary, gamma, gauss_2f1,
                              incomplete_beta, pn_poly, pochhammer,
@@ -197,6 +199,133 @@ class TestGauss2F1:
     def test_bad_c(self):
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, -1.0, 0.3)
+
+
+def _closure_series_2f1(a, b, c, z, ctx, scale=1.0):
+    """_series_2f1's series summed by sum_series, its term a closure over
+    the same recurrence, head and scaled tolerance.  A polynomial (a a
+    non-positive integer) runs to its trailing zero terms."""
+    terminating = _is_nonpositive_int(a)
+    eps_rel, eps_abs = ctx.eps_rel * scale, ctx.eps_abs * scale
+    r = abs(z)
+    if terminating:
+        eps_rel = eps_abs = 1e-300   # only the exact zeros past the degree stop it
+    elif 0.5 < r < 1.0:
+        eps_rel, eps_abs = eps_rel * (1.0 - r) / r, eps_abs * (1.0 - r) / r
+    ctx = PrecisionContext(eps_rel, eps_abs, ctx.max_series_terms)
+    t1 = a * (b * 2.0 ** 600) * (z / (c * 2.0 ** 600)) if abs(c) < 1e-300 else None
+    t = 1.0 + 0.0j
+
+    def plain(n):
+        nonlocal t
+        value = t
+        if n == 0 and t1 is not None:
+            t = t1
+        elif terminating:   # a polynomial multiplies by the whole ratio
+            t *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        else:
+            t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        return value
+
+    term = plain
+    if c.real < 0.0 and not terminating:
+        head = min(round(-c.real) + 2, ctx.max_series_terms)
+
+        def term(k):
+            return plain(k + head - 1) if k else sum(map(plain, range(head)))
+
+    return sum_series(term, ctx)
+
+
+class TestInline2F1Series:
+    """_series_2f1 sums its series in one inline loop under sum_series's
+    rule; the same recurrence through sum_series gives the same bits."""
+
+    TINY_C = (1e-301, -3e-305, 5e-320, 1e-310j, 2e-302 + 1e-303j)
+
+    @staticmethod
+    def _draws(seed, count):
+        rng = random.Random(seed)
+
+        def param():
+            v = rng.uniform(-3.0, 3.0)
+            return complex(v, rng.uniform(-1.0, 1.0)) if rng.random() < 0.2 else complex(v)
+
+        for i in range(count):
+            a, b, c = param(), param(), param()
+            if i % 5 == 1:
+                c = complex(-rng.uniform(0.0, 6.0))   # a head of several terms
+            elif i % 5 == 2:
+                c = complex(rng.choice(TestInline2F1Series.TINY_C))
+            elif i % 5 == 3:
+                a = complex(-rng.randint(0, 8))        # a polynomial
+            if _is_nonpositive_int(c) or (_is_nonpositive_int(b) and i % 5 != 3):
+                continue
+            radius = rng.uniform(0.0, 0.97)
+            z = complex(rng.choice((-radius, radius))) if rng.random() < 0.5 \
+                else cmath.rect(radius, rng.uniform(-math.pi, math.pi))
+            scale = rng.uniform(0.01, 0.5) if rng.random() < 0.3 else 1.0
+            yield a, b, c, z, scale
+
+    @staticmethod
+    def _outcome(series, *args):
+        """The value and terms, or the error with what it carries."""
+        try:
+            result = series(*args)
+        except SeriesDivergenceError as exc:
+            return "cap", repr(exc.best), exc.gap
+        except DomainError as exc:
+            return "domain", str(exc)
+        except OverflowError:   # |t| of a term past the doubles, in both
+            return ("overflow",)
+        return "value", repr(result.value), result.terms
+
+    def test_same_bits_as_sum_series(self):
+        ctx = PrecisionContext()
+        kinds = set()
+        for a, b, c, z, scale in self._draws(1304, 1000):
+            inline = self._outcome(_series_2f1, a, b, c, z, ctx, scale)
+            closure = self._outcome(_closure_series_2f1, a, b, c, z, ctx, scale)
+            if _is_nonpositive_int(a):
+                # the closure also counts the two zero terms that stop it
+                inline, closure = inline[:2], closure[:2]
+            assert inline == closure, (a, b, c, z, scale)
+            kinds.add(inline[0] if inline[0] != "value" else
+                      "terminating" if _is_nonpositive_int(a) else
+                      "tiny c" if abs(c) < 1e-300 else
+                      "head" if c.real < 0.0 else "complex" if z.imag else "real")
+        assert kinds >= {"terminating", "tiny c", "head", "complex", "real"}
+
+    def test_term_cap_raises_with_the_same_best(self):
+        capped = PrecisionContext(max_series_terms=5)
+        raised = 0
+        for a, b, c, z, scale in self._draws(1305, 200):
+            if _is_nonpositive_int(a):
+                continue   # a polynomial is summed whole, with no cap
+            inline = self._outcome(_series_2f1, a, b, c, z, capped, scale)
+            closure = self._outcome(_closure_series_2f1, a, b, c, z, capped, scale)
+            assert inline == closure, (a, b, c, z, scale)
+            raised += inline[0] == "cap"
+        assert raised > 50
+
+    def test_gauss_2f1_builds_no_context(self, monkeypatch):
+        built = []
+        original = PrecisionContext.__post_init__
+
+        def counted(ctx):
+            built.append(ctx)
+            original(ctx)
+
+        monkeypatch.setattr(PrecisionContext, "__post_init__", counted)
+        PrecisionContext()
+        assert len(built) == 1   # the count sees a context being built
+        built.clear()
+        # connection at 0.9, Pfaff at -0.99, the direct series with a head
+        assert _route_2f1(0.5 + 0j, 0.25 + 0j, 1.5 + 0j, 0.9 + 0j)[0] == "connection"
+        gauss_2f1(0.5, 0.25, 1.5, 0.9)
+        gauss_2f1(0.5, 0.25, 1.5, -0.99)
+        gauss_2f1(0.5, 0.25, -2.5, 0.3 + 0.1j)
+        assert built == []
 
 
 # The kernels benchmark's 2F1 draws: a, b, c in [-3, 3], z real in

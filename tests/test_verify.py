@@ -71,9 +71,8 @@ class TestFlaggedLedger:
     """Open-question records must carry evidence from two methods and must
     never fail a run."""
 
-    FLAG_POLICY_IDS = ("Eq13.n0", "Eq17_18.nu=0.5", "Eq20.sign.r=4",
-                       "Eq50.x1", "Eq51.phi.x=0.5", "T7.msign",
-                       "Ex4.tclaim.r=2")
+    FLAG_POLICY_IDS = ("Eq17_18.nu=0.5", "Eq20.sign.r=4", "Eq50.x1",
+                       "Eq51.phi.x=0.5", "T7.msign", "Ex4.tclaim.r=2")
 
     def test_flagged_records_are_the_policy_ids(self):
         flagged = {cid for check in CHECKS if check.flagged
