@@ -94,7 +94,10 @@ def sum_series(term: Callable[[int], complex],
     small_run = 0
     for n in range(cap):
         t = complex(term(n))
-        size = abs(t)   # inf or nan for a term that is not finite
+        try:
+            size = abs(t)   # inf or nan for a term that is not finite
+        except OverflowError:   # finite parts, a modulus past the doubles
+            size = math.inf
         if not size < math.inf:
             raise DomainError(f"series term {n} is not finite: {t!r}")
         total += t

@@ -1,10 +1,10 @@
 """Classical special functions built on the series/quadrature kernels:
 Gamma (Lanczos, complex); Gauss 2F1, summed on the unit disk at z, z/(z-1)
-or 1-z, whichever takes the fewest terms, and by its Euler integral outside
-it; Appell F1, summed on the bidisk and integrated beyond it; the incomplete
-Beta function from its continued fraction; the complete elliptic integral K
-via AGM; terminating 2F1 polynomials, the sine-sextuple polynomial, and the
-quadratic-surd integral series engine they feed.
+or 1-z, whichever takes the fewest terms; Appell F1, summed on the bidisk
+and beyond it by its Euler integral, which is also 2F1's outside the disk;
+the incomplete Beta function from its continued fraction; the complete
+elliptic integral K via AGM; the sine-sextuple polynomial; P_n, a terminating
+2F1, and the quadratic-surd integral series, an F1 series.
 """
 
 from __future__ import annotations
@@ -175,9 +175,9 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
       Past radius 1/2 the series is summed to a tolerance scaled by
       (1-r)/r, so that its stopping rule leaves no more than the tolerance
       behind.  No quadrature runs.
-    - |z| >= 1: the Euler integral (``_integral_2f1``; the 1/z map is not
-      implemented), which needs Re c > Re b > 0 (or the a/b-swapped
-      variant) and z off [1, inf).
+    - |z| >= 1: F1(b; a, 0; c; z, 0) by ``_euler_integral_f1`` (the 1/z
+      map is not implemented), with a and b ordered so that Re c > Re b > 0
+      where either order allows it; z must lie off the cut [1, inf).
 
     Every series is summed inline by ``_series_2f1`` under
     ``sum_series``'s stopping rule, with no call per term; no
@@ -193,9 +193,10 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     """
     inputs_real = _all_real(a, b, c, z)
     ac, bc, cc, zc = complex(a), complex(b), complex(c), complex(z)
+    # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
     if _is_nonpositive_int(cc) and not (
-            _is_nonpositive_int(ac) and round(ac.real) > round(cc.real)) and not (
-            _is_nonpositive_int(bc) and round(bc.real) > round(cc.real)):
+            _is_nonpositive_int(ac) and round(ac.real) >= round(cc.real)) and not (
+            _is_nonpositive_int(bc) and round(bc.real) >= round(cc.real)):
         raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
     if zc == 0:
         return _maybe_real(complex(1.0), inputs_real)
@@ -203,26 +204,9 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     if abs(zc) < 1.0 or _is_nonpositive_int(ac) or _is_nonpositive_int(bc):
         route, _ = _route_2f1(ac, bc, cc, zc)
         return _maybe_real(_finite(_ROUTES[route](ac, bc, cc, zc, ctx)), inputs_real)
-    return _maybe_real(_integral_2f1(ac, bc, cc, zc, ctx), inputs_real)
-
-
-def _integral_2f1(a: complex, b: complex, c: complex, z: complex,
-                  ctx: PrecisionContext) -> complex:
-    """The Euler integral Gamma(c) / (Gamma(b) Gamma(c-b))
-    int_0^1 t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) dt, a and b swapped when only
-    that order has Re c > Re b > 0; z off the cut [1, inf)."""
-    if not (c.real > b.real > 0.0):
-        a, b = b, a  # 2F1 is symmetric in a, b
-    if not (c.real > b.real > 0.0):
-        raise DomainError("2F1 integral route needs Re c > Re b > 0")
-    if z.real >= 1.0 and abs(z.imag) < 1e-300:
-        raise DomainError(f"2F1 integral route: z={z} on the cut [1, inf)")
-
-    def integrand(t: float) -> complex:
-        return t ** (b.real - 1.0) * (1.0 - t) ** (c - b - 1.0) * (1.0 - z * t) ** (-a)
-
-    pref = gamma(c) / (gamma(b) * gamma(c - b))
-    return pref * integrate_complex(integrand, 0.0, 1.0, ctx)
+    if not (cc.real > bc.real > 0.0):
+        ac, bc = bc, ac  # 2F1 is symmetric in a, b
+    return _maybe_real(_euler_integral_f1(bc, ac, 0j, cc, zc, 0j, ctx), inputs_real)
 
 
 def _finite(val: complex) -> complex:
@@ -258,13 +242,15 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
     multiplied by ``scale`` (the connection formula sums tighter), and past
     radius 1/2 by (1-r)/r.  No PrecisionContext is built.
     """
-    terminating = _is_nonpositive_int(a) or _is_nonpositive_int(b)
-    if terminating and not _is_nonpositive_int(a):
+    # a polynomial ends at its first vanishing numerator: a is made the
+    # non-positive integer with the larger real part
+    if _is_nonpositive_int(b) and not (_is_nonpositive_int(a) and a.real >= b.real):
         a, b = b, a
+    terminating = _is_nonpositive_int(a)
     # Below |c| = 1e-300, a b / c can overflow before z scales it back, and
     # z / c too for a subnormal c: t_1 = a (b 2^600) (z / (c 2^600)) keeps
-    # every factor a normal double.
-    t1 = a * (b * 2.0 ** 600) * (z / (c * 2.0 ** 600)) if abs(c) < 1e-300 else None
+    # every factor a normal double.  (c = 0 comes only with degree 0.)
+    t1 = a * (b * 2.0 ** 600) * (z / (c * 2.0 ** 600)) if 0.0 < abs(c) < 1e-300 else None
     if terminating:
         total = t = 1.0 + 0.0j
         degree = int(round(-a.real))
@@ -299,7 +285,10 @@ def _series_2f1(a: complex, b: complex, c: complex, z: complex,
             t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
     term, total, small_run = sum(head_terms), 0.0 + 0.0j, 0
     for k in range(cap):
-        size = abs(term)
+        try:
+            size = abs(term)
+        except OverflowError:   # finite parts, a modulus past the doubles
+            size = math.inf
         if not size < math.inf:
             raise DomainError(f"series term {k} is not finite: {term!r}")
         total += term
@@ -404,24 +393,16 @@ def appell_f1(a, b1, b2, c, x, y,
     For |x|, |y| < 1 the double series summed along anti-diagonals m+n = s
     (which matches the (a)_{m+n} coupling), after the Pfaff-type
     transformation (DLMF 16.16.1) when that moves x, y closer to 0.
-    Beyond that bidisk the single integral
-    int_0^1 t^(a-1)(1-t)^(c-a-1)(1-xt)^(-b1)(1-yt)^(-b2) dt, which needs
-    c > a > 0.
+    Beyond that bidisk the Euler integral (``_euler_integral_f1``), which
+    needs Re c > Re a > 0.
     """
     inputs_real = _all_real(a, b1, b2, c, x, y)
     ac, b1c, b2c, cc = complex(a), complex(b1), complex(b2), complex(c)
     xc, yc = complex(x), complex(y)
 
     if max(abs(xc), abs(yc)) >= 1.0:
-        if not (cc.real > ac.real > 0.0):
-            raise DomainError("F1 integral route needs c > a > 0")
-
-        def integrand(t: float) -> complex:
-            return t ** (ac.real - 1.0) * (1.0 - t) ** (cc - ac - 1.0) \
-                * (1.0 - xc * t) ** (-b1c) * (1.0 - yc * t) ** (-b2c)
-
-        pref = gamma(cc) / (gamma(ac) * gamma(cc - ac))
-        return _maybe_real(pref * integrate_complex(integrand, 0.0, 1.0, ctx), inputs_real)
+        return _maybe_real(_euler_integral_f1(ac, b1c, b2c, cc, xc, yc, ctx),
+                           inputs_real)
 
     terminating = _is_nonpositive_int(ac)
     if _is_nonpositive_int(cc) and not (
@@ -435,12 +416,43 @@ def appell_f1(a, b1, b2, c, x, y,
         # (A polynomial is summed as it stands.)
         pref = (1.0 - xc) ** (-b1c) * (1.0 - yc) ** (-b2c)
         ac, xc, yc = cc - ac, xt, yt
-    return _maybe_real(pref * _appell_f1_series(ac, b1c, b2c, cc, xc, yc, ctx),
+    return _maybe_real(_scaled_f1_series(pref, ac, b1c, b2c, cc, xc, yc, ctx).value,
                        inputs_real)
 
 
+def _euler_integral_f1(a: complex, b1: complex, b2: complex, c: complex,
+                       x: complex, y: complex, ctx: PrecisionContext) -> complex:
+    """F1 by its Euler integral (DLMF 16.15.1), Gamma(c) / (Gamma(a) Gamma(c-a))
+    int_0^1 t^(a-1) (1-t)^(c-a-1) (1-xt)^(-b1) (1-yt)^(-b2) dt, for
+    Re c > Re a > 0 and x, y off the cut [1, inf) where b1, b2 are nonzero."""
+    if not (c.real > a.real > 0.0):
+        raise DomainError("F1 integral route needs Re c > Re a > 0")
+    for w, b in ((x, b1), (y, b2)):
+        if b != 0 and w.real >= 1.0 and abs(w.imag) < 1e-300:
+            raise DomainError(f"F1 integral route: {w} on the cut [1, inf)")
+    t_power = a.real - 1.0 if a.imag == 0.0 else a - 1.0   # float pow is cheaper
+
+    def integrand(t: float) -> complex:
+        return t ** t_power * (1.0 - t) ** (c - a - 1.0) \
+            * (1.0 - x * t) ** (-b1) * (1.0 - y * t) ** (-b2)
+
+    pref = gamma(c) / (gamma(a) * gamma(c - a))
+    return pref * integrate_complex(integrand, 0.0, 1.0, ctx)
+
+
+def _scaled_f1_series(pref: complex, a, b1, b2, c, x, y, ctx) -> SeriesSum:
+    """pref F1(a; b1, b2; c; x, y) by the series; a SeriesDivergenceError
+    reports its best and gap on that scale too."""
+    try:
+        s = _appell_f1_series(a, b1, b2, c, x, y, ctx)
+    except SeriesDivergenceError as exc:
+        exc.best, exc.gap = pref * exc.best, abs(pref) * exc.gap
+        raise
+    return SeriesSum(pref * s.value, s.terms)
+
+
 def _appell_f1_series(a: complex, b1: complex, b2: complex, c: complex,
-                      x: complex, y: complex, ctx: PrecisionContext) -> complex:
+                      x: complex, y: complex, ctx: PrecisionContext) -> SeriesSum:
     # The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
     # are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
     # gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
@@ -457,7 +469,7 @@ def _appell_f1_series(a: complex, b1: complex, b2: complex, c: complex,
             r = r * (a + s) / (c + s)
         return val
 
-    return sum_series(term, ctx).value
+    return sum_series(term, ctx)
 
 
 @dataclass(frozen=True)
@@ -565,17 +577,11 @@ def _elliptic_k_from_complement(kprime: float) -> float:
 
 
 def pn_poly(n: int, nu: float, x: complex | float) -> complex | float:
-    """Terminating 2F1[-n, nu; 1-n-nu; x]: an (n+1)-term exact sum."""
+    """P_n(nu, x), the terminating 2F1(-n, nu; 1-n-nu; x) of gauss_2f1; a
+    DomainError where it reaches the pole at 1-n-nu (nu = -m with 2m >= n)."""
     if n < 0 or n != int(n):
         raise DomainError(f"pn_poly needs a non-negative integer n, got {n}")
-    inputs_real = _all_real(x)
-    xc = complex(x)
-    total = 1.0 + 0.0j
-    t = 1.0 + 0.0j
-    for k in range(int(n)):
-        t *= (k - n) * (nu + k) / ((1.0 - n - nu + k) * (k + 1)) * xc
-        total += t
-    return _maybe_real(total, inputs_real)
+    return gauss_2f1(-n, nu, 1.0 - n - nu, x)
 
 
 def sin_multiple_p6(y: float) -> float:
@@ -601,35 +607,21 @@ def quadratic_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
 
 def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
                            x: float, ctx: PrecisionContext = DEFAULT_CTX) -> SeriesSum:
-    """Series form of int_0^x t^mu (a t^2 + b t + c)^(-nu) dt:
+    """Series form of int_0^x t^mu (a t^2 + b t + c)^(-nu) dt (Theorem 8),
 
-        c^(-nu) x^(mu+1) * sum_n P_n(nu, r1/r2) (nu)_n / n! *
-                            (x/r1)^n / (n + mu + 1)
+        c^(-nu) x^(mu+1) / (mu+1) * F1(mu+1; nu, nu; mu+2; x/r1, x/r2)
 
-    with r1, r2 the quadratic's roots, |r1| <= |r2|.  Complex roots are fine;
+    (DLMF 16.15.1 with c (1 - t/r1)(1 - t/r2) for the quadratic, |r1| <= |r2|
+    its roots), the F1 series summed as it stands.  Complex roots are fine;
     the sum is real for real data.  Converges for |x| < |r1| and (slowly) on
     parts of the boundary.
     """
+    if _is_nonpositive_int(complex(mu + 1.0)):
+        raise DomainError(f"the series needs mu+1 off 0, -1, ..., got mu={mu}")
     r1, r2 = quadratic_roots(a, b, c)
     if r1 == 0:
         raise DomainError("quadratic has a root at 0")
-    ratio = r1 / r2
     z = x / r1
-    pref = complex(c) ** (-nu) * complex(x) ** (mu + 1.0)
-
-    # The coefficients c_n = (nu)_n P_n(nu, ratio) / n! have the generating
-    # function (1-t)^(-nu) (1-ratio*t)^(-nu), hence the three-term recurrence
-    # below; O(1) per term instead of re-expanding each P_n.
-    coef, coef_prev, z_pow = 1.0 + 0.0j, 0.0 + 0.0j, 1.0 + 0.0j
-
-    def term(n: int) -> complex:
-        nonlocal coef, coef_prev, z_pow
-        val = coef * z_pow / (n + mu + 1.0)
-        coef_prev, coef = coef, ((1.0 + ratio) * (n + nu) * coef
-                                 - ratio * (n - 1.0 + 2.0 * nu) * coef_prev) / (n + 1.0)
-        z_pow *= z
-        return val
-
-    s = sum_series(term, ctx)
-    return SeriesSum(pref * s.value, s.terms)
+    pref = complex(c) ** (-nu) * complex(x) ** (mu + 1.0) / (mu + 1.0)
+    return _scaled_f1_series(pref, mu + 1.0, nu, nu, mu + 2.0, z, r1 / r2 * z, ctx)
 

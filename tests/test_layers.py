@@ -2,7 +2,8 @@
 quadrature -> special -> qseries -> modular, each importing only from the
 layers below it.  The registry (verify), its records (report) and the CLI
 sit above every kernel, so no kernel imports them.  In the registry, only
-the runner judges a check: no record builds its own result."""
+the runner judges a check: no record builds its own result.  In special,
+one function calls each generic engine of the layers below."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,16 @@ def test_only_the_runner_judges_a_check():
                 if callee in ("compare", "CheckResult"):
                     calls.append((getattr(top, "name", "<module>"), callee))
     assert calls == [("run_check", "compare")]
+
+
+@pytest.mark.parametrize("engine", ["integrate_complex", "sum_series"])
+def test_one_special_function_per_engine(engine):
+    """special reaches each generic engine from one function: F1's Euler
+    integral (2F1 outside the unit disk is F1(b; a, 0; c; z, 0)) and F1's
+    anti-diagonal series (the quadratic-surd series is an F1 series)."""
+    callers = []
+    for top in ast.parse((PACKAGE / "special.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == engine:
+                callers.append(top.name)
+    assert len(callers) == 1, callers

@@ -63,6 +63,14 @@ class TestSumSeries:
                        PrecisionContext(max_series_terms=50))
         assert err.value.best.real > 1.0
 
+    @pytest.mark.parametrize("t", [complex(1.5e308, 1.5e308), complex(math.inf, 0.0),
+                                   complex(0.0, math.nan)])
+    def test_term_that_is_not_finite(self, t):
+        # the first has finite parts and a modulus past the largest double,
+        # whose abs() raised a raw OverflowError
+        with pytest.raises(DomainError, match="series term 1 is not finite"):
+            sum_series(lambda n: t if n else 1.0)
+
     def test_interleaved_zero_terms_not_cut(self):
         # odd-only series: zero terms must not trigger the tail test alone
         res = sum_series(lambda n: 0.0 if n % 2 else 0.25 ** (n // 2))

@@ -217,6 +217,14 @@ class TestComplex:
             integrate_complex(lambda t: complex(1.0, math.inf if t > 0.7 else t),
                               0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0),
+                                     complex(0.0, -math.inf)])
+    def test_one_finiteness_test_for_real_and_complex_sums(self, bad):
+        # a level sum s that met a non-finite sample has s - s != 0
+        for integrate in (integrate_finite, integrate_complex):
+            with pytest.raises(DomainError, match=r"not finite on \[0.0, 1.0\]"):
+                integrate(lambda t: bad if t > 0.3 else t, 0.0, 1.0)
+
 
 class TestToInfinity:
     def test_algebraic(self):

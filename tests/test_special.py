@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 from rrcflab.numerics import (DomainError, PrecisionContext,
                               SeriesDivergenceError, sum_series)
 from rrcflab.quadrature import integrate_finite
-from rrcflab.special import (BetaBase, PoleError, _integral_2f1,
+from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
                              _is_nonpositive_int, _is_slow_2f1, _route_2f1,
                              _series_2f1, appell_f1,
-                             beta_sqrt, complete_beta, elliptic_k,
+                             beta_sqrt, elliptic_k,
                              elliptic_k_complementary, gamma, gauss_2f1,
                              incomplete_beta, pn_poly, pochhammer,
                              pochhammer_negative, quadratic_power_series,
@@ -183,14 +183,55 @@ class TestGauss2F1:
         (1 / 3, 1 / 6, 7 / 6, -0.8 + 0.5j),
         (0.7 + 0.2j, 0.4, 1.3, 0.6 - 0.7j),
         (0.5, 0.75, 1.9, 2.0 + 1.0j),   # off the cut, outside the unit disk
+        (0.5, 0.75 + 0.3j, 1.9, 2.0 + 1.0j),   # a complex exponent of t
     ])
     def test_integral_route_at_complex_points_against_mpmath(self, a, b, c, z):
+        # 2F1(a, b; c; z) = F1(b; a, 0; c; z, 0), F1's Euler integral
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(30):
             ref = complex(mpmath.hyp2f1(a, b, c, z))
-        val = _integral_2f1(complex(a), complex(b), complex(c), complex(z),
-                            PrecisionContext())
+        val = _euler_integral_f1(complex(b), complex(a), 0j, complex(c),
+                                 complex(z), 0j, PrecisionContext())
         assert abs(val - ref) <= 1e-12 * abs(ref)
+
+    def test_complex_b_outside_the_disk_against_mpmath(self):
+        # the Euler integral took t^(Re b - 1) and came out 52% off
+        mpmath = pytest.importorskip("mpmath")
+        args = (0.5, 0.75 + 0.3j, 1.9, 2.0 + 1.0j)
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(*args))
+        assert abs(gauss_2f1(*args) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        (-5.0, -1.0, -3.0, 0.5),   # 1/6: b ends it before c + 3 vanishes
+        (-1.0, -5.0, -3.0, 0.5),
+        (-2.0, -4.0, -3.0, 0.3 + 0.4j),
+        (-2.0, -6.0, -3.0, 1.7),
+        (-4.0, 1.0, -4.0, 0.5),    # a = c = -4: 1.9375
+        (-3.0, 0.5 + 0.2j, -3.0, -0.8),
+        (-2.0, -6.0, -2.0, 1.7),
+    ])
+    def test_polynomial_past_a_nonpositive_c_against_mpmath(self, a, b, c, z):
+        # DLMF 15.2(ii): the series ends at the first vanishing numerator,
+        # so c = -m is no pole once a or b is -k with k <= m; two such
+        # points raised ZeroDivisionError, the a = c ones DomainError
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            ref = complex(mpmath.hyp2f1(a, b, c, z))
+        assert abs(gauss_2f1(a, b, c, z) - ref) <= 1e-14 * abs(ref)
+
+    def test_pole_reached_before_the_polynomial_ends(self):
+        # both numerators end below c = -3: mpmath gives inf
+        with pytest.raises(DomainError):
+            gauss_2f1(-5.0, -4.0, -3.0, 0.5)
+
+    def test_term_with_a_modulus_past_the_doubles(self):
+        # the |c| < 1e-300 first term has two finite parts and a modulus
+        # past the largest double: abs() raised a raw OverflowError
+        with pytest.raises(DomainError, match="not finite"):
+            gauss_2f1(-1.546069947376575,
+                      0.8499096435950904 - 0.5722218596451953j, 1e-310j,
+                      0.013548482076156314)
 
     def test_terminating(self):
         assert gauss_2f1(-2.0, 1.0, 3.0, 2.0) == pytest.approx(
@@ -274,10 +315,8 @@ class TestInline2F1Series:
             result = series(*args)
         except SeriesDivergenceError as exc:
             return "cap", repr(exc.best), exc.gap
-        except DomainError as exc:
+        except DomainError as exc:   # also |t| of a term past the doubles
             return "domain", str(exc)
-        except OverflowError:   # |t| of a term past the doubles, in both
-            return ("overflow",)
         return "value", repr(result.value), result.terms
 
     def test_same_bits_as_sum_series(self):
@@ -456,6 +495,34 @@ class TestAppellF1:
         with mp.workdps(30):
             ref = complex(mp.appellf1(*args))
         assert abs(appell_f1(*args) - ref) <= 1e-12 * abs(ref)
+
+    def test_complex_a_beyond_the_bidisk_against_mpmath(self):
+        # t^(Re a - 1) came out 62% off
+        mp = pytest.importorskip("mpmath")
+        args = (0.9 + 0.4j, 1.0, 1.0, 2.0, -1.5, 0.3)
+        with mp.workdps(30):
+            ref = complex(mp.appellf1(*args))
+        assert abs(appell_f1(*args) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize("x, y", [(1.5, 0.3), (0.3, 1.0), (1.0, 2.5)])
+    def test_argument_on_the_cut(self, x, y):
+        # (1.5, 0.3) raised QuadratureError
+        with pytest.raises(DomainError, match="cut"):
+            appell_f1(0.9, 1.0, 1.0, 2.0, x, y)
+
+    def test_zero_exponent_on_the_cut(self):
+        # (1 - xt)^0 has no cut: F1(a; 0, b2; c; x, y) = 2F1(a, b2; c; y)
+        assert appell_f1(0.9, 0.0, 1.0, 2.0, 1.5, 0.3) == pytest.approx(
+            gauss_2f1(0.9, 1.0, 2.0, 0.3), rel=1e-12)
+
+    def test_term_cap_reports_best_on_the_value_scale(self):
+        # x = -0.9 is summed at x/(x-1) after DLMF 16.16.1, whose prefactor
+        # the capped partial sum carries too
+        args = (0.9, 1.0, 1.5, 2.0, -0.9, -0.5)
+        value = appell_f1(*args)
+        with pytest.raises(SeriesDivergenceError) as err:
+            appell_f1(*args, PrecisionContext(max_series_terms=20))
+        assert abs(err.value.best - value) <= 1e-5 * abs(value)
 
     def test_reduces_to_2f1_on_the_whole_disk(self):
         # the series' stopping rule leaves up to ~20 tol behind at |x| = 0.94
@@ -704,7 +771,66 @@ class TestEllipticK:
         assert abs(elliptic_k_complementary(k) - ref) <= 2e-15 * ref
 
 
+def _mpmath_pn(n, nu, x):
+    """mpmath's 2F1(-n, nu; 1-n-nu; x) at 30 digits and the sum of the
+    moduli of its terms up to the first vanishing numerator, or None where
+    mpmath has a pole (at x = 0 too, where mpmath returns 1 and pn_poly
+    raises the pole as at every x).  c = 1-n-nu is the double that pn_poly
+    forms: next to c + k = 0 (nu = 1e-5 puts c + 4 at 1e-5) the rounding of
+    c alone moves a term by 1e-10 relative, which no summation recovers."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        a, b, c = -n, mp.mpf(nu), mp.mpf(1.0 - n - nu)
+        try:
+            ref = mp.hyp2f1(a, b, c, x)
+        except ZeroDivisionError:
+            return None, None
+        if not mp.isfinite(ref):
+            return None, None
+        t = scale = mp.mpf(1)
+        for k in range(n):
+            if (a + k) * (b + k) == 0:
+                break
+            if c + k == 0:
+                return None, None
+            t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * abs(x)
+            scale += abs(t)
+    return complex(ref), float(scale)
+
+
+# nu: the non-positive integers, where 1-n-nu can be a pole of 2F1 that the
+# polynomial may or may not reach, the positive integers (nu = 1 puts c = -n
+# at a = -n), and real values 1e-9 or more away from every integer
+H_PN_NU = st.one_of(
+    st.integers(min_value=-20, max_value=5).map(float),
+    st.floats(min_value=-6.0, max_value=6.0).filter(
+        lambda v: abs(v - round(v)) > 1e-9))
+H_PN_X = st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5),
+    st.builds(complex, st.floats(min_value=-1.0, max_value=1.0),
+              st.floats(min_value=-1.0, max_value=1.0)))
+
+
 class TestPnPoly:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=40), H_PN_NU, H_PN_X)
+    @example(5, -1.0, 0.5)   # 1/6; a raw ZeroDivisionError at c + 3 = 0
+    @example(3, -2.0, 0.7)   # c = 0 before the polynomial ends: a pole
+    @example(4, 1.0, 0.5)    # a = c = -4
+    @example(0, 1.0, 0.3)    # a = c = 0
+    @example(1, 0.0, 0.3)    # b = c = 0
+    def test_against_mpmath(self, n, nu, x):
+        """A DomainError exactly where mpmath has a pole; elsewhere within
+        1e-12 |ref| plus 4 eps times the sum of |terms|, the rounding any
+        float summation of the polynomial meets."""
+        ref, scale = _mpmath_pn(n, nu, x)
+        if ref is None:
+            with pytest.raises(DomainError):
+                pn_poly(n, nu, x)
+            return
+        val = complex(pn_poly(n, nu, x))
+        assert abs(val - ref) <= 1e-12 * abs(ref) + 4.0 * sys.float_info.epsilon * scale
+
     def test_constant(self):
         assert pn_poly(0, 0.7, 0.9) == 1.0
 
@@ -754,6 +880,21 @@ class TestQuadraticPowerSeries:
         quad = quadratic_power_quadrature(*args)
         assert abs(complex(series.value).imag) < 1e-13
         assert complex(series.value).real == pytest.approx(quad, rel=1e-11)
+
+    def test_term_cap_reports_best_on_the_value_scale(self):
+        # the partial sum left out c^(-nu) x^(mu+1): 0.448 for 0.1816
+        args = (1.0, 0.5, 1.0, 1.0, 4.0, 0.9)
+        value = quadratic_power_series(*args).value
+        with pytest.raises(SeriesDivergenceError) as err:
+            quadratic_power_series(*args, PrecisionContext(max_series_terms=8))
+        assert abs(err.value.best - value) <= 1e-3 * abs(value)
+        assert err.value.gap <= 1e-3 * abs(value)
+
+    @pytest.mark.parametrize("mu", [-1.0, -2.0])
+    def test_divergent_power_is_a_domain_error(self, mu):
+        # mu + 1 = 0 divided by zero
+        with pytest.raises(DomainError):
+            quadratic_power_series(mu, 0.5, 1.0, 1.0, 1.0, 0.3)
 
 
 class TestNegativePochhammer:
