@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, NoReturn
 
 from . import modular, qseries, special
@@ -67,7 +66,7 @@ def _context_from(args) -> PrecisionContext:
                 _usage_error(f"invalid {ENV_EPS}={env!r}")
     changes = {"eps_rel": eps, "max_series_terms": getattr(args, "max_terms", None)}
     try:
-        return replace(DEFAULT_CTX, **{k: v for k, v in changes.items() if v is not None})
+        return DEFAULT_CTX.replace(**{k: v for k, v in changes.items() if v is not None})
     except DomainError as exc:
         _usage_error(str(exc))
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
-                       PrecisionContext, find_root, newton_root)
+                       Frozen, PrecisionContext, find_root, newton_root)
 from .quadrature import integrate_finite
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
                       gauss_2f1, incomplete_beta)
@@ -326,16 +325,14 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 # ---------------------------------------------------------------------------
 # Sextic solver
 
-@dataclass(frozen=True)
-class SexticInstance:
+class SexticInstance(Frozen):
     """Coefficients of b^2/(20a) + b X + a X^2 = c1 X^(5/3)."""
 
-    a: float
-    b: float
-    c1: float
+    __slots__ = ("a", "b", "c1")
 
-    def __post_init__(self):
-        if self.a == 0.0 or self.b == 0.0:
+    def __init__(self, a: float, b: float, c1: float):
+        self._set(a, b, c1)
+        if a == 0.0 or b == 0.0:
             raise DomainError("sextic instance needs a != 0 and b != 0")
         if not math.isfinite(self.j):
             raise DomainError(f"derived j-invariant not finite for {self}")
@@ -351,11 +348,15 @@ class SexticInstance:
         return abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)
 
 
-@dataclass(frozen=True)
-class SexticSolution:
-    x: float          # root of the sextic, hypergeometric/eta-tail path
-    t: float          # quarter-modulus square solving the j relation
-    residual: float   # relative residual of the sextic at x
+class SexticSolution(Frozen):
+    """x: the root of the sextic (hypergeometric/eta-tail path); t: the
+    quarter-modulus square solving the j relation; residual: the relative
+    residual of the sextic at x."""
+
+    __slots__ = ("x", "t", "residual")
+
+    def __init__(self, x: float, t: float, residual: float):
+        self._set(x, t, residual)
 
 
 def _quarter_modulus(j: float) -> float:

@@ -8,7 +8,6 @@ All operations are pure; contexts are immutable and freely shareable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 MACHINE_EPS = math.ulp(1.0)
@@ -48,26 +47,65 @@ class SeriesDivergenceError(ConvergenceError):
     """Series failed its tail criterion within the term cap."""
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class Frozen:
+    """Base of the immutable value classes, in place of frozen dataclasses,
+    whose import costs more than the kernels.  A subclass's __init__ sets
+    its __slots__ fields by _set, then validates them; equality, hash and
+    repr go by _key, the tuple of the field values."""
+
+    __slots__ = ("_key",)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_key", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._key))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):   # copy and pickle through __init__, which validates
+        return type(self), self._key
+
+
+class PrecisionContext(Frozen):
     """Numerical budget threaded through every operation.
 
     eps_rel/eps_abs form the linear tolerance eps_rel*|scale| + eps_abs used
     by series tails, quadrature level agreement and root brackets.  Derive
-    a context with dataclasses.replace, which validates it again.
+    a context with replace, which validates it again.
     """
 
-    eps_rel: float = 1e-12
-    eps_abs: float = 1e-15
-    max_series_terms: int = 2000
+    __slots__ = ("eps_rel", "eps_abs", "max_series_terms")
 
-    def __post_init__(self):
-        if not (0.0 < self.eps_rel < math.inf and 0.0 < self.eps_abs < math.inf):
+    def __init__(self, eps_rel: float = 1e-12, eps_abs: float = 1e-15,
+                 max_series_terms: int = 2000):
+        self._set(eps_rel, eps_abs, max_series_terms)
+        if not (0.0 < eps_rel < math.inf and 0.0 < eps_abs < math.inf):
             raise DomainError(f"eps_rel and eps_abs must be finite and positive, got "
-                              f"{self.eps_rel} and {self.eps_abs}")
-        if self.max_series_terms < 1:
+                              f"{eps_rel} and {eps_abs}")
+        if max_series_terms < 1:
             raise DomainError(f"the series term cap must be at least 1, got "
-                              f"{self.max_series_terms}")
+                              f"{max_series_terms}")
+
+    def replace(self, **changes) -> "PrecisionContext":
+        """This context with the named fields changed, validated again."""
+        return PrecisionContext(**{**dict(zip(self.__slots__, self._key)), **changes})
 
     def tol(self, scale: float = 1.0) -> float:
         return self.eps_rel * abs(scale) + self.eps_abs
@@ -77,23 +115,24 @@ DEFAULT_CTX = PrecisionContext()
 
 
 class SeriesSum(NamedTuple):
-    value: complex
+    value: complex | float
     terms: int
 
 
-def sum_series(term: Callable[[int], complex],
+def sum_series(term: Callable[[int], complex | float],
                ctx: PrecisionContext = DEFAULT_CTX) -> SeriesSum:
     """Sum term(0) + term(1) + ... until the tail criterion holds.
 
     Stops once two consecutive terms satisfy |t_n| <= eps_rel*|S| + eps_abs
     (two, so that series with interleaved zero terms are not cut early).
     Raises SeriesDivergenceError, carrying the partial sum, at the term cap.
+    Real terms are summed as floats, complex ones as complex.
     """
     eps_rel, eps_abs, cap = ctx.eps_rel, ctx.eps_abs, ctx.max_series_terms
-    total = 0.0 + 0.0j
+    total = 0.0
     small_run = 0
     for n in range(cap):
-        t = complex(term(n))
+        t = term(n)
         try:
             size = abs(t)   # inf or nan for a term that is not finite
         except OverflowError:   # finite parts, a modulus past the doubles

@@ -12,26 +12,25 @@ for q <= 0.2 and the eta inversion of it above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
-from .numerics import DomainError
+from .numerics import DomainError, Frozen
 from .special import elliptic_k, elliptic_k_complementary
 
 # R(q) climbs from 0 to (sqrt(5)-1)/2 as q runs over (0, 1).
 GOLDEN_CONJUGATE = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-@dataclass(frozen=True)
-class Nome:
+class Nome(Frozen):
     """Real nome q in (0, 1); constructors cover the q = exp(-pi sqrt(r))
     convention and its squared variant exp(-2 pi sqrt(r))."""
 
-    q: float
+    __slots__ = ("q",)
 
-    def __post_init__(self):
-        if not (0.0 < self.q < 1.0):
-            raise DomainError(f"nome must lie in (0, 1), got {self.q}")
+    def __init__(self, q: float):
+        self._set(q)
+        if not (0.0 < q < 1.0):
+            raise DomainError(f"nome must lie in (0, 1), got {q}")
 
     @classmethod
     def from_r(cls, r: float) -> "Nome":

@@ -431,7 +431,7 @@ def _t7_msign(ctx: PrecisionContext):
 
 def _eq50_quad(ctx: PrecisionContext):
     x = 0.5
-    loose = replace(ctx, eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
+    loose = ctx.replace(eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
     return (modular.j_integral_f1_form(x, ctx), modular.j_integral_quadrature(x, loose),
             "quadrature uses the j^(-1/3) integrand fixed by the derivative "
             "identity; the displayed +1/3 exponent does not integrate to the F1 form")
@@ -474,7 +474,7 @@ def _eq50_x1(ctx: PrecisionContext):
 def _t8_ex1_partial(terms: int, ctx: PrecisionContext) -> float:
     """The Eq (55) series summed to at most `terms` terms; a tail that never
     meets the eps criterion leaves the plain partial sum."""
-    ctx = replace(ctx, max_series_terms=terms)
+    ctx = ctx.replace(max_series_terms=terms)
     try:
         val = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0, ctx).value
     except SeriesDivergenceError as exc:
@@ -484,7 +484,7 @@ def _t8_ex1_partial(terms: int, ctx: PrecisionContext) -> float:
 
 def _t8_ex1(ctx: PrecisionContext):
     target = math.log(1.0 + 2.0 / math.sqrt(3.0))
-    val = _t8_ex1_partial(2000, replace(ctx, eps_rel=1e-16, eps_abs=1e-300))
+    val = _t8_ex1_partial(2000, ctx.replace(eps_rel=1e-16, eps_abs=1e-300))
     s200 = _t8_ex1_partial(200, PrecisionContext(eps_rel=1e-18, eps_abs=1e-320))
     return val, target, (f"argument sits on the circle of convergence: partial "
                          f"sums decay like N^(-3/2); 200-term sum {s200:.12g} is "

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -59,7 +58,7 @@ class TestEval:
         argv = ["eval", "m", repr(x)] + ([] if eps is None else ["--eps", repr(eps)])
         assert main(argv) == 0
         value = float(capsys.readouterr().out.split()[0])
-        ctx = DEFAULT_CTX if eps is None else replace(DEFAULT_CTX, eps_rel=eps)
+        ctx = DEFAULT_CTX if eps is None else DEFAULT_CTX.replace(eps_rel=eps)
         assert value == pytest.approx(m_of_x(x, ctx), rel=1e-14)
 
     def test_unknown_function(self, capsys):

@@ -34,6 +34,9 @@ LAZY = {"run_all": verify, "run_check": verify, "check_ids": verify,
 
 # What the registry loads with it, which a kernel command must not load.
 REGISTRY = ("rrcflab.verify", "rrcflab.report")
+# Standard modules that cost more to import than the kernels themselves
+# (dataclasses loads inspect); only the registry may load them.
+HEAVY = ("dataclasses", "inspect")
 
 # Lines that `rrcflab solve-sextic 1 250 12` and `rrcflab verify --filter
 # 'T3*'` printed before the registry became lazy; the timings are cut from
@@ -63,9 +66,8 @@ def _fresh(*args: str) -> str:
 
 
 def _loaded_after(code: str) -> set[str]:
-    """The rrcflab modules loaded after running code in a new interpreter."""
-    out = _fresh("-c", f"{code}\nimport sys\n"
-                 "print(*(m for m in sys.modules if m.startswith('rrcflab')))")
+    """The modules loaded after running code in a new interpreter."""
+    out = _fresh("-c", f"{code}\nimport sys\nprint(*sys.modules)")
     return set(out.splitlines()[-1].split())
 
 
@@ -73,13 +75,13 @@ class TestImportCost:
     def test_import_loads_the_kernels_only(self):
         loaded = _loaded_after("import rrcflab")
         assert "rrcflab.modular" in loaded
-        assert loaded.isdisjoint({*REGISTRY, "rrcflab.cli"})
+        assert loaded.isdisjoint({*REGISTRY, "rrcflab.cli", *HEAVY})
 
     def test_eval_loads_no_registry(self):
         loaded = _loaded_after("from rrcflab.cli import main\n"
                                "assert main(['eval', 'K', '0.5']) == 0")
         assert "rrcflab.cli" in loaded
-        assert loaded.isdisjoint(REGISTRY)
+        assert loaded.isdisjoint({*REGISTRY, *HEAVY})
 
     def test_lazy_name_loads_the_registry(self):
         loaded = _loaded_after("from rrcflab import check_ids")

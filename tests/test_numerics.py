@@ -1,10 +1,12 @@
+import copy
 import math
-from dataclasses import replace
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rrcflab
 from rrcflab import numerics
 from rrcflab.numerics import (DEFAULT_CTX, FD_STEP, BracketError,
                               ConvergenceError, DomainError, PrecisionContext,
@@ -28,13 +30,46 @@ class TestPrecisionContext:
             PrecisionContext(**bad)
 
     def test_with_eps(self):
-        # dataclasses.replace is the one way to derive a context, and it
-        # validates the result
-        ctx = replace(DEFAULT_CTX, eps_rel=1e-4)
+        # replace is the one way to derive a context, and it validates the
+        # result
+        ctx = DEFAULT_CTX.replace(eps_rel=1e-4)
         assert ctx.eps_rel == 1e-4
         assert ctx.eps_abs == DEFAULT_CTX.eps_abs
         with pytest.raises(DomainError):
-            replace(DEFAULT_CTX, eps_rel=0.0)
+            DEFAULT_CTX.replace(eps_rel=0.0)
+
+
+# One instance of each value class, and its repr.
+FROZEN = [
+    (PrecisionContext(1e-10, 1e-14, 50),
+     "PrecisionContext(eps_rel=1e-10, eps_abs=1e-14, max_series_terms=50)"),
+    (rrcflab.BetaBase(0.25, 0.5), "BetaBase(a=0.25, b=0.5)"),
+    (rrcflab.Nome(0.3), "Nome(q=0.3)"),
+    (rrcflab.SexticInstance(1.0, 250.0, 12.0), "SexticInstance(a=1.0, b=250.0, c1=12.0)"),
+    (rrcflab.SexticSolution(1.5, 0.25, 1e-16),
+     "SexticSolution(x=1.5, t=0.25, residual=1e-16)"),
+]
+
+
+class TestFrozenValues:
+    """The value classes behave as the frozen dataclasses they replace."""
+
+    @pytest.mark.parametrize("value, text", FROZEN, ids=lambda v: type(v).__name__)
+    def test_value_semantics(self, value, text):
+        assert repr(value) == text
+        twin = eval(text, vars(rrcflab))
+        assert twin == value and hash(twin) == hash(value) and twin is not value
+        field = value.__slots__[0]
+        assert value != tuple(getattr(value, name) for name in value.__slots__)
+        with pytest.raises(AttributeError):
+            setattr(value, field, 0.5)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+        assert copy.deepcopy(value) == value
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    def test_other_class_with_equal_fields_differs(self):
+        assert PrecisionContext(1e-10, 1e-14, 50) != rrcflab.SexticSolution(1e-10, 1e-14, 50)
 
 
 class TestSumSeries:

@@ -1,4 +1,5 @@
 import cmath
+import collections
 import math
 import random
 import sys
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rrcflab.numerics import (DomainError, PrecisionContext,
+from rrcflab.numerics import (DomainError, KernelError, PrecisionContext,
                               SeriesDivergenceError, sum_series)
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
@@ -15,7 +16,7 @@ from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
                              _series_2f1, appell_f1,
                              beta_sqrt, elliptic_k,
                              elliptic_k_complementary, gamma, gauss_2f1,
-                             incomplete_beta, pn_poly, pochhammer,
+                             incomplete_beta, log_gamma_real, pn_poly, pochhammer,
                              pochhammer_negative, quadratic_power_series,
                              quadratic_roots, sin_multiple_p6)
 
@@ -137,6 +138,55 @@ class TestGamma:
                 gamma(z)
         else:
             assert abs(gamma(z) - ref) <= 1e-15 * y * math.log(y) * size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-172.6, max_value=171.6))
+    @example(-170.9994)
+    @example(171.62437695630271)   # the largest double with a finite gamma
+    @example(-3.0 + 2e-15)
+    @example(1e-300)
+    def test_real_axis_against_mpmath(self, x):
+        # math.gamma: 9.1e-16 relative at worst over 200,000 points of the
+        # interval and 4,000 more next to its poles and 0, so 2e-15 leaves
+        # a margin of 2.2 (the Lanczos sum reached 1.5e-13 next to -128)
+        assume(not _is_nonpositive_int(x))   # the poles
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.gamma(mp.mpf(x))
+        size = abs(ref)
+        # where |gamma| crosses a bound of the normal doubles, either
+        # outcome is a rounding of the true value
+        assume(not (0.5 < size / sys.float_info.min < 2.0
+                    or 0.5 < size / sys.float_info.max < 2.0))
+        if not sys.float_info.min <= size <= sys.float_info.max:
+            with pytest.raises(DomainError):
+                gamma(x)
+        else:
+            val = gamma(x)
+            assert isinstance(val, float)
+            assert abs(val - ref) <= 2e-15 * size
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
+    @example(5e-324)
+    @example(1.0)
+    @example(2.0)
+    @example(2.2063255646445237)   # the worst point measured
+    @example(1e6)
+    def test_log_gamma_real_against_mpmath(self, x):
+        # math.lgamma is accurate to a few ulps of |ref| + 1: absolute next
+        # to its zeros at 1 and 2, relative elsewhere.  The worst over
+        # 200,000 points of (0, 1e6] was 1.26e-15 (|ref| + 1) at 2.206, so
+        # 3e-15 leaves a margin of 2.4
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.loggamma(mp.mpf(x))
+        assert abs(log_gamma_real(x) - ref) <= 3e-15 * (abs(ref) + 1.0)
+
+    def test_log_gamma_real_past_the_doubles(self):
+        # log Gamma(1e306) overflows a double
+        with pytest.raises(DomainError):
+            log_gamma_real(1e306)
 
     @pytest.mark.parametrize("z", [171.7, 200.0, 1e300, -171.5, -1000.5,
                                    complex(200.0, 1.0), complex(0.7, 600.0),
@@ -349,13 +399,13 @@ class TestInline2F1Series:
 
     def test_gauss_2f1_builds_no_context(self, monkeypatch):
         built = []
-        original = PrecisionContext.__post_init__
+        original = PrecisionContext.__init__
 
-        def counted(ctx):
+        def counted(ctx, *args, **kwargs):
             built.append(ctx)
-            original(ctx)
+            original(ctx, *args, **kwargs)
 
-        monkeypatch.setattr(PrecisionContext, "__post_init__", counted)
+        monkeypatch.setattr(PrecisionContext, "__init__", counted)
         PrecisionContext()
         assert len(built) == 1   # the count sees a context being built
         built.clear()
@@ -866,6 +916,19 @@ class TestSinSextuple:
         assert sin_multiple_p6(y) == pytest.approx(
             math.sin(6.0 * math.asin(y)), abs=1e-13)
 
+    @given(st.floats(min_value=-1.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    @example(-0.7974930555309918)   # the worst point measured
+    @example(0.5)
+    @example(math.sqrt(3.0) / 2.0)
+    def test_absolute_bound_against_mpmath(self, y):
+        # the docstring's absolute bound: the worst over 1.2 million points
+        # of [-1, 1] was 1.3e-15
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.sin(6 * mp.asin(mp.mpf(y)))
+        assert abs(sin_multiple_p6(y) - ref) <= 3e-15
+
 
 class TestQuadraticPowerSeries:
     def test_against_quadrature(self):
@@ -895,6 +958,98 @@ class TestQuadraticPowerSeries:
         # mu + 1 = 0 divided by zero
         with pytest.raises(DomainError):
             quadratic_power_series(mu, 0.5, 1.0, 1.0, 1.0, 0.3)
+
+
+def _float_and_complex(f, *args):
+    """f at the float args and at the same values as complex numbers: each
+    outcome is the value, or the name of the KernelError raised."""
+    outcomes = []
+    for call in (args, [complex(v) for v in args]):
+        try:
+            outcomes.append(f(*call))
+        except KernelError as exc:
+            outcomes.append(type(exc).__name__)
+    return outcomes
+
+
+class TestRealPath:
+    """Real inputs are summed in float arithmetic and give a float.  The
+    same call with complex inputs gives the same value: bit for bit where
+    both kinds run the same operations, and to rounding where a Gamma factor
+    (math.gamma against the Lanczos sum) or a power with an integral
+    exponent (which complex ** takes by repeated multiplication) enters."""
+
+    def test_gauss_2f1(self):
+        rng = random.Random(1304)
+        seen = collections.Counter()
+        for i in range(2400):
+            a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+            if i % 6 == 1:
+                a = float(-rng.randint(0, 6))            # a polynomial
+            elif i % 6 == 2:
+                c = a + b + rng.randint(-2, 2)           # no connection formula
+            z = rng.uniform(-0.99, 0.99) if i % 2 else -rng.uniform(1.0, 3.0)
+            real, cplx = _float_and_complex(gauss_2f1, a, b, c, z)
+            if isinstance(real, str):
+                assert real == cplx, (a, b, c, z)
+                seen[real] += 1
+                continue
+            assert type(real) is float, (a, b, c, z)
+            if abs(z) >= 1.0 and not _is_nonpositive_int(a):
+                route = "integral"   # in complex arithmetic for both
+            else:
+                route = _route_2f1(a, b, c, z)[0]
+            exponent = c - a - b if route == "euler" else min(a, b)
+            if route == "connection" or (route in ("euler", "pfaff")
+                                         and exponent.is_integer()):
+                # measured: at most 4.3e-14, where c next to -2 makes the
+                # connection formula's two terms cancel (both kinds are
+                # then about 1e-13 off mpmath)
+                assert abs(real - cplx) <= 1e-13 * abs(cplx), (a, b, c, z)
+            else:
+                assert repr(real) == repr(cplx.real), (a, b, c, z)
+            seen[route] += 1
+        assert seen["connection"] > 100 and seen["integral"] > 100
+        assert min(seen[r] for r in ("series", "euler", "pfaff")) > 20
+
+    def test_appell_f1(self):
+        rng = random.Random(1305)
+        integral_b = 0
+        for i in range(2000):
+            a, b1, b2, c = (rng.uniform(-3.0, 3.0) for _ in range(4))
+            if i % 5 == 1:
+                b1 = float(rng.randint(-2, 2))
+            x, y = rng.uniform(-0.95, 0.95), rng.uniform(-0.95, 0.95)
+            real, cplx = _float_and_complex(appell_f1, a, b1, b2, c, x, y)
+            assert type(real) is float, (a, b1, b2, c, x, y, real)
+            if b1.is_integer():
+                # DLMF 16.16.1's (1-x)^(-b1), which complex ** multiplies
+                # out: measured, 9 of the 400 are one ulp apart
+                integral_b += 1
+                assert abs(real - cplx) <= 4.0 * sys.float_info.epsilon * abs(cplx)
+            else:
+                assert repr(real) == repr(cplx.real), (a, b1, b2, c, x, y)
+        assert integral_b == 400
+
+    def test_quadratic_power_series_with_complex_roots(self):
+        # the two F1 arguments are a conjugate pair, so the series runs in
+        # floats for real and complex-typed data alike: the same bits
+        rng = random.Random(1306)
+        floats = 0
+        for i in range(2000):
+            mu, nu = rng.uniform(-0.95, 3.0), rng.uniform(-3.0, 3.0)
+            qa = rng.uniform(0.1, 3.0) * rng.choice((-1.0, 1.0))
+            qb = rng.uniform(-3.0, 3.0)
+            qc = qb * qb / (4.0 * qa) * rng.uniform(1.05, 4.0)   # b^2 < 4ac
+            x = abs(quadratic_roots(qa, qb, qc)[0]) * rng.uniform(-0.9, 0.9)
+            args = (mu, nu, qa, qb, qc, x)
+            real, cplx = _float_and_complex(quadratic_power_series, *args)
+            assert repr(complex(real.value).real) == repr(cplx.value.real), args
+            assert real.terms == cplx.terms
+            if qc > 0.0 and x >= 0.0:   # every power has a positive base
+                assert type(real.value) is float, args
+                floats += 1
+        assert floats > 400
 
 
 class TestNegativePochhammer:

@@ -91,7 +91,7 @@ class TestBuilderErrors:
     """A KernelError raised inside a check is a failed check that names the
     exception, never a crash, a pass or a flag."""
 
-    CAPPED = dataclasses.replace(DEFAULT_CTX, max_series_terms=5)
+    CAPPED = DEFAULT_CTX.replace(max_series_terms=5)
 
     def test_series_cap_is_a_failed_check(self):
         rec = run_check("T3.r=1", self.CAPPED)
@@ -134,7 +134,7 @@ class TestEpsSweep:
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
     def test_statuses(self, default_status, eps):
-        results = run_all(ctx=dataclasses.replace(DEFAULT_CTX, eps_rel=eps)).results
+        results = run_all(ctx=DEFAULT_CTX.replace(eps_rel=eps)).results
         assert [r.id for r in results if r.notes.startswith(BUILDER_RAISED)] == []
         changed = {r.id for r in results if r.status != default_status[r.id]}
         assert changed == self.LOOSE_FAILS.get(eps, set())
