@@ -60,9 +60,13 @@ def gamma(z: complex | float) -> complex | float:
     Raises PoleError at the poles 0, -1, -2, ..., and DomainError where
     |gamma| is not a normal double: real z past 171.6, left of -171 away
     from the poles, or far enough off the real axis that |gamma|, which
-    falls like e^(-pi |Im z|/2), underflows.
+    falls like e^(-pi |Im z|/2), underflows; and at an inf or nan z.
     """
-    if _is_nonpositive_int(z):
+    try:
+        pole = _is_nonpositive_int(z)
+    except (OverflowError, ValueError):   # round() of an inf or nan real part
+        raise DomainError(f"gamma needs a finite argument, got {z}") from None
+    if pole:
         raise PoleError(f"gamma pole at z={z}")
     if not isinstance(z, complex):
         try:
@@ -72,6 +76,8 @@ def gamma(z: complex | float) -> complex | float:
         if not sys.float_info.min <= abs(val) <= sys.float_info.max:
             raise DomainError(f"|gamma({z})| is not a normal double")
         return val
+    if not cmath.isfinite(z):
+        raise DomainError(f"gamma needs a finite argument, got {z}")
     try:
         if z.real < 0.5:
             # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
@@ -134,10 +140,12 @@ def _gamma_halved(zc: complex) -> complex:
 
 
 def log_gamma_real(x: float) -> float:
-    """log Gamma(x) for x > 0, for products of large Gamma values: the C
-    library's math.lgamma."""
+    """log Gamma(x) for finite x > 0, for products of large Gamma values:
+    the C library's math.lgamma."""
     if x <= 0.0:
         raise PoleError(f"log_gamma_real needs x > 0, got {x}")
+    if not x < math.inf:
+        raise DomainError(f"log_gamma_real needs a finite x, got {x}")
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -214,7 +222,11 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
 
     if abs(z) < 1.0 or _is_nonpositive_int(a) or _is_nonpositive_int(b):
         route, _ = _route_2f1(a, b, c, z)
-        return _finite(_ROUTES[route](a, b, c, z, ctx))
+        try:
+            return _finite(_ROUTES[route](a, b, c, z, ctx))
+        except OverflowError:   # float ** past the doubles, in a transform's power
+            raise DomainError(f"2F1 {route} route overflows a double at "
+                              f"a={a}, b={b}, c={c}, z={z}") from None
     if not (c.real > b.real > 0.0):
         a, b = b, a  # 2F1 is symmetric in a, b
     val = _euler_integral_f1(complex(b), complex(a), 0j, complex(c), complex(z), 0j, ctx)
@@ -637,6 +649,8 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
     """
     if _is_nonpositive_int(mu + 1.0):
         raise DomainError(f"the series needs mu+1 off 0, -1, ..., got mu={mu}")
+    if x == 0.0 and mu < -1.0:
+        raise DomainError(f"the integral diverges at t = 0 for mu={mu} < -1")
     r1, r2 = quadratic_roots(a, b, c)
     if r1 == 0:
         raise DomainError("quadratic has a root at 0")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from rrcflab import modular, qseries, quadrature, special
+from rrcflab import modular, qseries, quadrature, special, verify
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              SexticInstance, beta_ratio_root, eta_quotient_nome_of,
                              eta_tail_integral, hypergeometric_g_argument,
@@ -15,7 +15,7 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              psi_arcsin_ratio, rr_integral,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular)
-from rrcflab.numerics import ConvergenceError, DomainError, PrecisionContext
+from rrcflab.numerics import DEFAULT_CTX, ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
@@ -392,8 +392,10 @@ class TestWorkCounts:
                 return f(x)
             return original(counted, a, b, *args, **kwargs)
 
-        # modular's own integrals, and any reached through quadrature's
+        # modular's and verify's own integrals, and any reached through
+        # quadrature's
         monkeypatch.setattr(modular, "integrate_finite", counting)
+        monkeypatch.setattr(verify, "integrate_finite", counting)
         monkeypatch.setattr(quadrature, "integrate_finite", counting)
         return tally
 
@@ -429,6 +431,19 @@ class TestWorkCounts:
         theta_of_X(50.0)
         assert target["calls"] == 1
         assert counts == target
+
+    # The bounds below only tighten.  Before quadrature stopped on its error
+    # estimate, theta_of_X(0.14) took 393 evaluations and Theorem 1's
+    # integral at nu = 1/2 took 262.
+    def test_theta_evaluations(self, counts):
+        theta_of_X(0.14)
+        assert counts["calls"] == 2
+        assert counts["evals"] <= 201
+
+    def test_weighted_power_integral_evaluations(self, counts):
+        verify.weighted_power_integral(0.5, DEFAULT_CTX)
+        assert counts["calls"] == 1
+        assert counts["evals"] <= 133
 
 
 class TestGauss2F1WorkCounts:

@@ -198,6 +198,21 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(z)
 
+    @pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan,
+                                   complex(math.inf, 0.0), complex(-math.inf, 0.0),
+                                   complex(math.nan, 0.0), complex(2.0, -math.inf)])
+    def test_non_finite_argument_is_a_domain_error(self, z):
+        # round() of the real part raised a raw OverflowError or ValueError,
+        # and an infinite imaginary part a ZeroDivisionError
+        with pytest.raises(DomainError, match="finite|normal double"):
+            gamma(z)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_log_gamma_real_of_a_non_finite_argument(self, x):
+        # math.lgamma returns inf and nan as they are
+        with pytest.raises(DomainError, match="finite"):
+            log_gamma_real(x)
+
     def test_2f1_integral_route_past_the_double_range(self):
         # its prefactor Gamma(200) / (Gamma(180) Gamma(20)) raised a raw
         # OverflowError
@@ -208,6 +223,18 @@ class TestGamma:
 class TestGauss2F1:
     def test_at_zero(self):
         assert gauss_2f1(0.3, 0.7, 1.1, 0.0) == 1.0
+
+    @pytest.mark.parametrize("a, b, c, z", [
+        # the Euler transform's (1-z)^(c-a-b) overflows; the value itself,
+        # 0.99997, is a double that no route reaches yet
+        (0.3, 0.2, -1500.5, 0.7),
+        # Pfaff's (1-z)^(-a) overflows, and so does the value, 4.2e447
+        (-1500.5, 0.3, 0.5, -0.99),
+    ])
+    def test_overflowing_transform_is_a_kernel_error(self, a, b, c, z):
+        # float ** raised a raw OverflowError
+        with pytest.raises(KernelError, match="overflows"):
+            gauss_2f1(a, b, c, z)
 
     def test_log_closed_form(self):
         z = 0.3
@@ -651,8 +678,43 @@ def _mp_abs_terms(mp, a, b1, b2, c, x, y):
     return total
 
 
+def _mp_single_sum(mp, a, b1, b2, c, x, y):
+    """sum_n (a)_n (b2)_n / ((c)_n n!) y^n 2F1(a+n, b1; c+n; x): the F1
+    double series summed over m first ((a)_(m+n) = (a)_n (a+n)_m, and so
+    for c), with mpmath.hyp2f1 at the working precision.  It stops after
+    three terms below 1e-20 of the sum."""
+    total, coef, small, n = mp.mpf(0), mp.mpf(1), 0, 0
+    while coef != 0 and small < 3:   # coef = 0 ends a terminating sum
+        term = coef * mp.hyp2f1(a + n, b1, c + n, x)
+        total += term
+        small = small + 1 if abs(term) <= mp.mpf(10) ** -20 * abs(total) else 0
+        coef *= (a + n) * (b2 + n) / ((c + n) * (n + 1)) * y
+        n += 1
+    return total
+
+
+def _mp_appell_f1(mp, a, b1, b2, c, x, y):
+    """F1 on the bidisk by _mp_single_sum, its outer sum over whichever
+    argument is smallest among y, x (F1 is symmetric under
+    (b1, x) <-> (b2, y)) and, after DLMF 16.16.4 or 16.16.5, (x-y)/(1-y)
+    and (y-x)/(1-x).  The last two keep x next to y cheap: mpmath.hyp2f1
+    is slowest around |x| = 0.9 near exp(+-i pi/3), over ten times its cost
+    at |x| = 0.3, and mpmath.appellf1, itself such a sum, summed hundreds
+    of terms there.
+    """
+    a, b1, b2, c, x, y = (mp.mpmathify(v) for v in (a, b1, b2, c, x, y))
+    forms = [(abs(y), 1, (a, b1, b2, c, x, y)),
+             (abs(x), 1, (a, b2, b1, c, y, x)),
+             (abs((x - y) / (1 - y)), (1 - x) ** (c - a - b1) * (1 - y) ** (-b2),
+              (c - a, c - b1 - b2, b2, c, x, (x - y) / (1 - y))),
+             (abs((y - x) / (1 - x)), (1 - y) ** (c - a - b2) * (1 - x) ** (-b1),
+              (c - a, c - b1 - b2, b1, c, y, (y - x) / (1 - x)))]
+    _, pref, args = min(forms, key=lambda form: form[0])
+    return pref * _mp_single_sum(mp, *args)
+
+
 def _assert_f1_matches_mpmath(a, b1, b2, c, x, y):
-    """appell_f1 against mpmath.appellf1 at 30 digits.
+    """appell_f1 against the single-sum F1 (_mp_appell_f1) at 30 digits.
 
     Bound: 30 tol(|ref|) + 4 eps S, tol the default context's
     1e-12 |ref| + 1e-15.  S is sum |terms| of the better-conditioned of the
@@ -665,7 +727,7 @@ def _assert_f1_matches_mpmath(a, b1, b2, c, x, y):
     mp = pytest.importorskip("mpmath")
     val = complex(appell_f1(a, b1, b2, c, x, y))
     with mp.workdps(30):
-        ref = complex(mp.appellf1(a, b1, b2, c, x, y))
+        ref = complex(_mp_appell_f1(mp, a, b1, b2, c, x, y))
         xm, ym = mp.mpmathify(x), mp.mpmathify(y)
         pfaff = abs((1 - xm) ** (-b1) * (1 - ym) ** (-b2)) * _mp_abs_terms(
             mp, c - a, b1, b2, c, xm / (xm - 1), ym / (ym - 1))
@@ -698,7 +760,7 @@ class TestAppellF1AgainstMpmath:
         mp = pytest.importorskip("mpmath")
         args = self.PANEL[0]
         with mp.workdps(30):
-            ref = float(mp.appellf1(*args))
+            ref = float(_mp_appell_f1(mp, *args))
         assert abs(appell_f1(*args) - ref) <= 1e-11 * abs(ref)
 
     @F1_SETTINGS
@@ -958,6 +1020,11 @@ class TestQuadraticPowerSeries:
         # mu + 1 = 0 divided by zero
         with pytest.raises(DomainError):
             quadratic_power_series(mu, 0.5, 1.0, 1.0, 1.0, 0.3)
+
+    def test_divergent_integral_at_zero_is_a_domain_error(self):
+        # 0 ** (mu + 1) with mu < -1 raised a raw ZeroDivisionError
+        with pytest.raises(DomainError, match="diverges"):
+            quadratic_power_series(-1.5, 0.5, 1.0, 1.0, 1.0, 0.0)
 
 
 def _float_and_complex(f, *args):
