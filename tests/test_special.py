@@ -889,12 +889,15 @@ def _mpmath_pn(n, nu, x):
     mpmath has a pole (at x = 0 too, where mpmath returns 1 and pn_poly
     raises the pole as at every x).  c = 1-n-nu is the double that pn_poly
     forms: next to c + k = 0 (nu = 1e-5 puts c + 4 at 1e-5) the rounding of
-    c alone moves a term by 1e-10 relative, which no summation recovers."""
+    c alone moves a term by 1e-10 relative, which no summation recovers.
+    A polynomial that cancels to zero (n = 1 at x = -1 is 1 + x) never
+    meets mpmath's relative accuracy; zeroprec returns 0 for a sum below
+    2^-412 of its terms, far inside the 4 eps times the terms allowed."""
     mp = pytest.importorskip("mpmath")
     with mp.workdps(30):
         a, b, c = -n, mp.mpf(nu), mp.mpf(1.0 - n - nu)
         try:
-            ref = mp.hyp2f1(a, b, c, x)
+            ref = mp.hyp2f1(a, b, c, x, zeroprec=4 * mp.mp.prec)
         except ZeroDivisionError:
             return None, None
         if not mp.isfinite(ref):
@@ -931,6 +934,7 @@ class TestPnPoly:
     @example(4, 1.0, 0.5)    # a = c = -4
     @example(0, 1.0, 0.3)    # a = c = 0
     @example(1, 0.0, 0.3)    # b = c = 0
+    @example(1, 1.0, -1.0)   # 1 + x = 0: mpmath's sum cancels to zero
     def test_against_mpmath(self, n, nu, x):
         """A DomainError exactly where mpmath has a pole; elsewhere within
         1e-12 |ref| plus 4 eps times the sum of |terms|, the rounding any
