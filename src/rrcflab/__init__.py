@@ -2,34 +2,44 @@
 continued-fraction, eta-product, hypergeometric and singular-value
 identities.
 
-Importing the package loads the kernels only.  The registry (`verify`) and
-its records (`report`) load on first use of `run_all`, `run_check`,
-`check_ids`, `VerificationReport` or `CheckResult`, so that evaluating a
-kernel does not pay for the 82 registered checks.
+Importing the package loads none of its submodules.  Each public name is
+served on first access from the submodule that defines it (PEP 562), which
+loads that submodule and the layers below it: `rrcflab.elliptic_k` loads
+numerics, quadrature and special; `rrcflab.run_all` loads the registry and
+every kernel.  `from rrcflab import *` and `dir(rrcflab)` give every public
+name.
 """
 
 from importlib import import_module
 
-from .numerics import (BracketError, ConvergenceError, DEFAULT_CTX,
-                       DomainError, KernelError, PrecisionContext,
-                       SeriesDivergenceError, differentiate, find_root,
-                       newton_root, sum_series)
-from .quadrature import QuadratureError, integrate_finite, integrate_to_infinity
-from .special import (BetaBase, appell_f1, beta_sqrt, complete_beta,
-                      elliptic_k, elliptic_k_complementary, gamma, gauss_2f1,
-                      incomplete_beta, pn_poly, sin_multiple_p6)
-from .qseries import (Nome, dedekind_eta, ramanujan_f, rrcf, rrcf_derivative,
-                      u_of_q)
-from .modular import (SexticInstance, SexticSolution, F_of_x, G_of_x,
-                      beta_ratio_root, klein_j, m_of_x, singular_modulus,
-                      solve_sextic, theorem6_base_change, theta_of_X,
-                      trig_modular)
-
 __version__ = "0.1.0"
 
 # name: the submodule that defines it, imported on first access (PEP 562)
-_LAZY = {"run_all": "verify", "run_check": "verify", "check_ids": "verify",
-         "VerificationReport": "verify", "CheckResult": "report"}
+_LAZY = {
+    **dict.fromkeys((
+        "BracketError", "ConvergenceError", "DEFAULT_CTX", "DomainError",
+        "KernelError", "PrecisionContext", "SeriesDivergenceError",
+        "differentiate", "find_root", "newton_root", "sum_series"), "numerics"),
+    **dict.fromkeys((
+        "QuadratureError", "integrate_finite", "integrate_to_infinity"),
+        "quadrature"),
+    **dict.fromkeys((
+        "BetaBase", "appell_f1", "beta_sqrt", "complete_beta", "elliptic_k",
+        "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",
+        "pn_poly", "sin_multiple_p6"), "special"),
+    **dict.fromkeys((
+        "Nome", "dedekind_eta", "ramanujan_f", "rrcf", "rrcf_derivative",
+        "u_of_q"), "qseries"),
+    **dict.fromkeys((
+        "SexticInstance", "SexticSolution", "F_of_x", "G_of_x",
+        "beta_ratio_root", "klein_j", "m_of_x", "singular_modulus",
+        "solve_sextic", "theorem6_base_change", "theta_of_X", "trig_modular"),
+        "modular"),
+    **dict.fromkeys(("run_all", "run_check", "check_ids", "VerificationReport"),
+                    "verify"),
+    "CheckResult": "report",
+}
+__all__ = list(_LAZY)
 
 
 def __getattr__(name: str):

@@ -4,20 +4,28 @@ kernel at given arguments, or solve a sextic instance.
 Exit codes: 0 success, 1 check/domain failures, 2 usage errors.  JSON
 reports encode every number as a decimal string so downstream consumers
 never re-round them.
+
+Each command imports only what it runs, on top of numerics, which this
+module needs for the precision context:
+
+- `eval NAME` the kernel module that defines NAME and the layers below it:
+  special for K, 2f1, f1 and beta_inc; qseries for rrcf, f, eta and u;
+  modular for the rest;
+- `solve-sextic` modular and routes, which holds the period-ratio
+  cross-check, and not the registry;
+- `verify` the registry (verify, report, routes) and with it every kernel.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NoReturn
 
-from . import modular, qseries, special
 from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
-from .special import BetaBase
 
 if TYPE_CHECKING:
     from .report import CheckResult
@@ -76,6 +84,7 @@ def _cmd_verify(args) -> int:
     ctx = _context_from(args)
     report = verify.run_all(args.filter, ctx)
     if args.json:
+        import json
         print(json.dumps([result_json_dict(r) for r in report.results], indent=2))
     else:
         for r in report.results:
@@ -99,26 +108,27 @@ def _parse_number(text: str) -> complex | float:
         _usage_error(f"{text!r} is not a number")
 
 
-# name: (arity, the kernel called with the parsed arguments and the context,
-# whether it takes complex arguments)
-_EVAL: dict[str, tuple[int, Callable, bool]] = {
-    "rrcf": (1, lambda q, ctx: qseries.rrcf(q), False),
-    "f": (1, lambda q, ctx: qseries.ramanujan_f(q), False),
-    "eta": (1, lambda tau, ctx: qseries.dedekind_eta(tau), False),
-    "u": (1, lambda q, ctx: qseries.u_of_q(q), False),
-    "K": (1, lambda k, ctx: special.elliptic_k(k), False),
-    "k_r": (1, lambda r, ctx: modular.singular_modulus(r), False),
-    "j": (1, lambda r, ctx: modular.klein_j(r), False),
-    "2f1": (4, special.gauss_2f1, True),
-    "f1": (6, special.appell_f1, True),
-    "beta_inc": (3, lambda x, a, b, ctx: special.incomplete_beta(
-        x, BetaBase(a, b), ctx), False),
-    "F": (1, modular.F_of_x, False),
-    "m": (1, modular.m_of_x, False),
-    "G": (1, modular.G_of_x, False),
-    "beta_root": (3, lambda a, b, r, ctx: modular.beta_ratio_root(
-        BetaBase(a, b), r, ctx), False),
-    "m65": (1, lambda R, ctx: modular.trig_modular(R), False),
+# name: (arity, the kernel module that defines it, the kernel called with
+# that module, the parsed arguments and the context, whether it takes
+# complex arguments)
+_EVAL: dict[str, tuple[int, str, Callable, bool]] = {
+    "rrcf": (1, "qseries", lambda m, q, ctx: m.rrcf(q), False),
+    "f": (1, "qseries", lambda m, q, ctx: m.ramanujan_f(q), False),
+    "eta": (1, "qseries", lambda m, tau, ctx: m.dedekind_eta(tau), False),
+    "u": (1, "qseries", lambda m, q, ctx: m.u_of_q(q), False),
+    "K": (1, "special", lambda m, k, ctx: m.elliptic_k(k), False),
+    "k_r": (1, "modular", lambda m, r, ctx: m.singular_modulus(r), False),
+    "j": (1, "modular", lambda m, r, ctx: m.klein_j(r), False),
+    "2f1": (4, "special", lambda m, *args: m.gauss_2f1(*args), True),
+    "f1": (6, "special", lambda m, *args: m.appell_f1(*args), True),
+    "beta_inc": (3, "special", lambda m, x, a, b, ctx: m.incomplete_beta(
+        x, m.BetaBase(a, b), ctx), False),
+    "F": (1, "modular", lambda m, x, ctx: m.F_of_x(x, ctx), False),
+    "m": (1, "modular", lambda m, x, ctx: m.m_of_x(x, ctx), False),
+    "G": (1, "modular", lambda m, x, ctx: m.G_of_x(x, ctx), False),
+    "beta_root": (3, "modular", lambda m, a, b, r, ctx: m.beta_ratio_root(
+        m.BetaBase(a, b), r, ctx), False),
+    "m65": (1, "modular", lambda m, R, ctx: m.trig_modular(R), False),
 }
 
 
@@ -129,7 +139,7 @@ def _cmd_eval(args) -> int:
         print(f"unknown function {name!r}; choose from "
               f"{', '.join(sorted(_EVAL))}", file=sys.stderr)
         return 2
-    arity, kernel, takes_complex = _EVAL[name]
+    arity, module, kernel, takes_complex = _EVAL[name]
     if len(args.args) != arity:
         print(f"{name} takes {arity} argument(s), "
               f"got {len(args.args)}", file=sys.stderr)
@@ -139,7 +149,7 @@ def _cmd_eval(args) -> int:
         print(f"{name} takes real arguments", file=sys.stderr)
         return 2
     try:
-        value = kernel(*vals, ctx)
+        value = kernel(import_module(f".{module}", __package__), *vals, ctx)
     except (KernelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -149,7 +159,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_solve_sextic(args) -> int:
-    from . import verify   # deliberate: path B lives in the registry
+    from . import modular, routes   # path B, not the registry
     ctx = _context_from(args)
     if args.a == 0.0 or args.b == 0.0:
         print("usage: a and b must be nonzero in "
@@ -158,7 +168,7 @@ def _cmd_solve_sextic(args) -> int:
     try:
         inst = modular.SexticInstance(args.a, args.b, args.c1)
         sol = modular.solve_sextic(inst, ctx)
-        r, x_alt = verify.sextic_period_ratio_root(inst, sol.t)
+        r, x_alt = routes.sextic_period_ratio_root(inst, sol.t)
     except DomainError as exc:
         print(f"error: {exc} (equation (36): b^2/(20a) + bX + aX^2 "
               f"= C1 X^(5/3))", file=sys.stderr)

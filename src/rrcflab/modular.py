@@ -2,9 +2,11 @@
 continued-fraction and surd integrals (m, F and G: one Newton search on the
 eta tail, then q-products at that nome) and of the surd tail (theta, by
 quadrature), the eta-quotient nome inverse, Beta-ratio singular-value
-solvers, the sextic solver (the hypergeometric/eta-tail route; the registry
-holds its period-ratio cross-check), the change-of-base procedure, and the
-trigonometric modular family.
+solvers, the sextic solver (the hypergeometric/eta-tail route; the
+period-ratio cross-check is in routes), the change-of-base procedure, and
+the trigonometric modular family.  The integrals that only the registry
+evaluates, the continued-fraction integral that F inverts and the j-power
+quadrature, are in routes as well.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: `from_r` is
@@ -23,8 +25,8 @@ from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
 from .quadrature import integrate_finite
 from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
                       gauss_2f1, incomplete_beta)
-from .qseries import (GOLDEN_CONJUGATE, Nome, eta_tail_log, lambert_sum,
-                      rrcf_of_log_q, u_log_of_log_q, u_of_q)
+from .qseries import (Nome, eta_tail_log, lambert_sum, rrcf_of_log_q,
+                      u_log_of_log_q, u_of_q)
 
 
 # The quarter-modulus branch point: j as a function of t = k^2 attains its
@@ -161,22 +163,6 @@ def klein_j(r: float) -> float:
 # ---------------------------------------------------------------------------
 # The integrals inverted by F, m, G, theta
 
-def rr_integrand(x: float) -> float:
-    """1 / (x (x^-5 - 11 - x^5)^(1/6)), written as
-    x^(-1/6) (1 - 11 x^5 - x^10)^(-1/6) so x -> 0 never overflows."""
-    if not (0.0 < x < GOLDEN_CONJUGATE):
-        raise DomainError(f"integrand defined on (0, {GOLDEN_CONJUGATE}), got {x}")
-    return x ** (-1.0 / 6.0) * (1.0 - 11.0 * x ** 5 - x ** 10) ** (-1.0 / 6.0)
-
-
-def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """int_0^upper dx / (x (x^-5 - 11 - x^5)^(1/6)) for upper in the
-    continued fraction's range (0, (sqrt5-1)/2)."""
-    if not (0.0 < upper < GOLDEN_CONJUGATE):
-        raise DomainError(f"upper limit must lie in (0, {GOLDEN_CONJUGATE})")
-    return integrate_finite(rr_integrand, 0.0, upper, ctx)
-
-
 def surd_integrand(t: float) -> float:
     """t^(-1/6) (125 + 22 t + t^2)^(-1/2), bounded by t^(-7/6); past t = 1
     as t^(-7/6) (1 + 22/t + 125/t^2)^(-1/2), so that t^2 never overflows."""
@@ -253,7 +239,7 @@ def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 
     One eta-tail inversion and one q-product evaluation, from ln q, with no
     quadrature.  Next to the top R rounds onto the float below
-    GOLDEN_CONJUGATE, still inside rr_integral's domain.  The registry
+    GOLDEN_CONJUGATE, still inside routes.rr_integral's domain.  The registry
     checks F against the integral it inverts.
     """
     if x == 0.0:
@@ -407,7 +393,7 @@ def solve_sextic(inst: SexticInstance,
     nome (G_of_x).  A relative residual above 1e-6 raises ConvergenceError
     carrying X.  Real instances need j > 1728; below that the
     quarter-modulus square leaves (0, 1).  The registry checks X against
-    the period-ratio route (verify.sextic_period_ratio_root).
+    the period-ratio route (routes.sextic_period_ratio_root).
     """
     j = inst.j
     if j < 1728.0 * (1.0 - 1e-12):
@@ -574,34 +560,13 @@ def eta_quotient_nome_of(w: float) -> float:
     return math.exp(-math.pi * (0.8 / sigma if mirrored else sigma))
 
 
-def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Direct quadrature of the j-power along the inverse eta-quotient:
-    int_0^x j(Y^(-1)(w))^(-1/3) dw with Y(q) = u(q^2).
-
-    The exponent -1/3 is the one the derivative identity requires (the
-    display prints +1/3).  Below w = 1e-10 the cusp asymptotic
-    j^(-1/3) ~ (w/125)^(5/3) stands in for the inversion; its relative
-    error there is O(w).
-    """
-    if not (0.0 < x <= 1.0):
-        raise DomainError(f"needs 0 < x <= 1, got {x}")
-
-    def integrand(w: float) -> float:
-        if w < 1e-10:
-            return (w / 125.0) ** (5.0 / 3.0)
-        r = (math.log(eta_quotient_nome_of(w)) / (2.0 * math.pi)) ** 2
-        return klein_j(r) ** (-1.0 / 3.0)
-
-    return integrate_finite(integrand, 0.0, x, ctx)
-
-
 # ---------------------------------------------------------------------------
 # Trigonometric modular family
 
 def trig_modular(R: float) -> float:
     """m(R) = sin^2(pi / (2(R+1))): the singular value of the
     sqrt(arcsin sqrt(x)) base."""
-    if R <= 0.0:
+    if not R > 0.0:
         raise DomainError(f"need R > 0, got {R}")
     return math.sin(math.pi / (2.0 * (R + 1.0))) ** 2
 

@@ -254,7 +254,10 @@ def u_of_q(q: "Nome | float") -> float:
     Strictly decreasing; blows up like 1/q near 0 and vanishes as q -> 1.
     """
     qf = _as_q(q)
-    return math.exp(u_of_q_log(qf))
+    try:
+        return math.exp(u_of_q_log(qf))
+    except OverflowError:
+        raise DomainError(f"u({qf}) overflows a float") from None
 
 
 def u_of_q_log(q: "Nome | float") -> float:
@@ -271,11 +274,17 @@ def u_log_of_log_q(log_q: float) -> float:
 
 
 def rrcf_derivative(q: "Nome | float") -> float:
-    """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1)."""
+    """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1).
+    R'(q) ~ q^(-4/5)/5 as q -> 0 is finite for every float q, but
+    q^(-5/6) u^(1/6) alone overflows below q ~ 1e-308: there ln R joins the
+    exponent."""
     qf = _as_q(q)
     log_val = (-5.0 / 6.0) * math.log(qf) + 4.0 * _log_qpochhammer(qf) \
         + u_of_q_log(qf) / 6.0
-    return 0.2 * math.exp(log_val) * _rrcf_cached(qf)
+    try:
+        return 0.2 * math.exp(log_val) * _rrcf_cached(qf)
+    except OverflowError:
+        return 0.2 * math.exp(log_val + math.log(_rrcf_cached(qf)))
 
 
 def _nome_of_modulus(k: float) -> tuple[float, float]:

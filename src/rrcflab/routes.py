@@ -1,0 +1,142 @@
+"""The registry's second routes: the quadratures, closed forms and the
+sextic's period-ratio path (path B) that the checks hold against the
+kernels' own answers.  No kernel calls them.
+
+The module sits between the kernels and the registry.  It imports kernel
+modules only, and neither the registry's records nor dataclasses, so
+`rrcflab solve-sextic`, which cross-checks its root by path B, loads
+modular and this module and not the registry; `rrcflab verify` loads it
+through the registry, and `rrcflab eval` never loads it.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
+from .quadrature import integrate_finite, integrate_to_infinity
+from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
+from .qseries import (GOLDEN_CONJUGATE, Nome, ramanujan_f_log, rrcf, u_of_q,
+                      u_of_q_log)
+from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
+                      eta_quotient_nome_of, klein_j)
+
+
+# ---------------------------------------------------------------------------
+# The continued-fraction integral
+
+def rr_integrand(x: float) -> float:
+    """1 / (x (x^-5 - 11 - x^5)^(1/6)), written as
+    x^(-1/6) (1 - 11 x^5 - x^10)^(-1/6) so x -> 0 never overflows."""
+    if not (0.0 < x < GOLDEN_CONJUGATE):
+        raise DomainError(f"integrand defined on (0, {GOLDEN_CONJUGATE}), got {x}")
+    return x ** (-1.0 / 6.0) * (1.0 - 11.0 * x ** 5 - x ** 10) ** (-1.0 / 6.0)
+
+
+def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """int_0^upper dx / (x (x^-5 - 11 - x^5)^(1/6)) for upper in the
+    continued fraction's range (0, (sqrt5-1)/2)."""
+    if not (0.0 < upper < GOLDEN_CONJUGATE):
+        raise DomainError(f"upper limit must lie in (0, {GOLDEN_CONJUGATE})")
+    return integrate_finite(rr_integrand, 0.0, upper, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Integrals in the nome and in the image variable
+
+def weighted_power_integral(exponent: float, ctx: PrecisionContext) -> float:
+    """int_0^1 f(-q)^4 q^(-5/6) R(q)^(5 exponent) dq by direct tanh-sinh,
+    which absorbs the endpoint singularity.  The integrand vanishes
+    superexponentially as q -> 1, underflowing cleanly through the log form."""
+
+    def f(q: float) -> float:
+        log_f4 = 4.0 * ramanujan_f_log(q)
+        if log_f4 < -700.0:
+            return 0.0
+        return (math.exp(log_f4 - (5.0 / 6.0) * math.log(q))
+                * rrcf(q) ** (5.0 * exponent))
+
+    return integrate_finite(f, 0.0, 1.0, ctx)
+
+
+def weighted_power_rhs(exponent: float, ctx: PrecisionContext) -> float:
+    """Gamma(5/6) ((11+5 sqrt5)/2)^(-1/6-nu) Gamma(1/6+nu)/Gamma(1+nu)
+    2F1(1/6, 1/6+nu; 1+nu; (11-5 sqrt5)/(11+5 sqrt5))."""
+    nu = exponent
+    big = (11.0 + 5.0 * SQRT5) / 2.0
+    z = (11.0 - 5.0 * SQRT5) / (11.0 + 5.0 * SQRT5)
+    return (gamma(5.0 / 6.0) * big ** (-1.0 / 6.0 - nu)
+            * gamma(1.0 / 6.0 + nu) / gamma(1.0 + nu)
+            * float(gauss_2f1(1.0 / 6.0, 1.0 / 6.0 + nu, 1.0 + nu, z, ctx)))
+
+
+def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
+    """int_0^1 u(q)^(nu-5/6) f(-q)^4 q^(-5/6) dq."""
+
+    def f(q: float) -> float:
+        expo = ((nu - 5.0 / 6.0) * u_of_q_log(q)
+                + 4.0 * ramanujan_f_log(q) - (5.0 / 6.0) * math.log(q))
+        return math.exp(expo) if expo > -700.0 else 0.0
+
+    return integrate_finite(f, 0.0, 1.0, ctx)
+
+
+def quintic_surd(n: float) -> Callable[[float], float]:
+    """t -> t^(n-1) (125 + 22 t + t^2)^(-1/2)."""
+    return lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+
+
+def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
+    """Same quantity through the image variable:
+    int_0^inf u^(nu-1) (125 + 22u + u^2)^(-1/2) du."""
+    f = quintic_surd(nu)
+    head = integrate_finite(f, 0.0, 50.0, ctx)
+    return head + integrate_to_infinity(f, 50.0, 2.0 - nu, ctx)
+
+
+# ---------------------------------------------------------------------------
+# Routes through the singular modulus and the period ratio
+
+def modulus_product_formula(r: float) -> float:
+    """2^(1/3) pi^(-1/2) q^(-1/24) k^(1/12) k'^(1/3) K(k)^(1/2) at the
+    index-r singular modulus, q = exp(-pi sqrt r)."""
+    k, kp = _singular_modulus_pair(r)
+    q = math.exp(-math.pi * math.sqrt(r))
+    return (2.0 ** (1.0 / 3.0) / math.sqrt(math.pi) * q ** (-1.0 / 24.0)
+            * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
+
+
+def sextic_period_ratio_root(inst: SexticInstance, t: float) -> tuple[float, float]:
+    """The sextic's second route from the quarter-modulus square t that
+    solve_sextic returns: the index r = (K'(k)/K(k))^2 / 4 at k = sqrt(t)
+    from the period ratio (AGM), and the root (b/(250a)) u at the squared
+    nome exp(-2 pi sqrt r).  Returns (r, X)."""
+    k = math.sqrt(t)
+    ratio = elliptic_k_complementary(k) / elliptic_k(k)
+    r = ratio * ratio / 4.0
+    return r, inst.b / (250.0 * inst.a) * u_of_q(Nome.from_r_squared(r))
+
+
+# ---------------------------------------------------------------------------
+# The j-integral by quadrature
+
+def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Direct quadrature of the j-power along the inverse eta-quotient:
+    int_0^x j(Y^(-1)(w))^(-1/3) dw with Y(q) = u(q^2).
+
+    The exponent -1/3 is the one the derivative identity requires (the
+    display prints +1/3).  Below w = 1e-10 the cusp asymptotic
+    j^(-1/3) ~ (w/125)^(5/3) stands in for the inversion; its relative
+    error there is O(w).
+    """
+    if not (0.0 < x <= 1.0):
+        raise DomainError(f"needs 0 < x <= 1, got {x}")
+
+    def integrand(w: float) -> float:
+        if w < 1e-10:
+            return (w / 125.0) ** (5.0 / 3.0)
+        r = (math.log(eta_quotient_nome_of(w)) / (2.0 * math.pi)) ** 2
+        return klein_j(r) ** (-1.0 / 3.0)
+
+    return integrate_finite(integrand, 0.0, x, ctx)

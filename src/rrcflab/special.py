@@ -514,8 +514,11 @@ def complete_beta(base: BetaBase) -> float:
     """B(1, a, b) = Gamma(a) Gamma(b) / Gamma(a+b).  Cached: a root search
     over x (theta_of_X, beta_ratio_root) needs it at every step that takes
     incomplete_beta's complement, and each costs three log-Gamma calls."""
-    return math.exp(log_gamma_real(base.a) + log_gamma_real(base.b)
-                    - log_gamma_real(base.a + base.b))
+    try:
+        return math.exp(log_gamma_real(base.a) + log_gamma_real(base.b)
+                        - log_gamma_real(base.a + base.b))
+    except OverflowError:
+        raise DomainError(f"complete Beta of {base} overflows a float") from None
 
 
 def incomplete_beta(x: float, base: BetaBase,
@@ -603,8 +606,10 @@ def _elliptic_k_from_complement(kprime: float) -> float:
 def pn_poly(n: int, nu: float, x: complex | float) -> complex | float:
     """P_n(nu, x), the terminating 2F1(-n, nu; 1-n-nu; x) of gauss_2f1; a
     DomainError where it reaches the pole at 1-n-nu (nu = -m with 2m >= n)."""
-    if n < 0 or n != int(n):
+    if not (n >= 0 and n % 1 == 0):
         raise DomainError(f"pn_poly needs a non-negative integer n, got {n}")
+    if not abs(nu) < math.inf:
+        raise DomainError(f"pn_poly needs a finite nu, got {nu}")
     return gauss_2f1(-n, nu, 1.0 - n - nu, x)
 
 
@@ -617,7 +622,7 @@ def sin_multiple_p6(y: float) -> float:
     promised next to the zeros (y = 0, +-1/2, +-sqrt3/2, +-1), where terms
     of size up to 2.5 cancel to a far smaller value, and the rounding of
     each term stays."""
-    if abs(y) > 1.0:
+    if not abs(y) <= 1.0:
         raise DomainError(f"sin_multiple_p6 needs |y| <= 1, got {y}")
     x = math.sqrt((1.0 - y) * (1.0 + y))
     return 6.0 * x ** 5 * y - 20.0 * x ** 3 * y ** 3 + 6.0 * x * y ** 5

@@ -1,5 +1,7 @@
 """The check registry: each identity of the paper is one record, and one
-runner computes its two independently derived sides and judges them.
+runner computes its two independently derived sides and judges them.  The
+second routes that several checks share, or that a command needs without
+the registry, are in routes.
 
 A record (Check) holds:
 
@@ -40,8 +42,12 @@ from typing import Callable
 from . import modular, qseries, special
 from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root)
-from .quadrature import integrate_finite, integrate_to_infinity
+from .quadrature import integrate_finite
 from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
+from .routes import (eta_quotient_power_integral, eta_quotient_power_mellin,
+                     j_integral_quadrature, modulus_product_formula, quintic_surd,
+                     rr_integral, sextic_period_ratio_root, weighted_power_integral,
+                     weighted_power_rhs)
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
 SQRT5 = math.sqrt(5.0)
@@ -50,80 +56,6 @@ _Q_RAMANUJAN = math.exp(-2.0 * math.pi)
 RRCF_AT_E2PI = -(1.0 + SQRT5) / 2.0 + math.sqrt((5.0 + SQRT5) / 2.0)
 # How the notes of a check whose sides raised a KernelError begin.
 BUILDER_RAISED = "builder raised "
-
-
-# ---------------------------------------------------------------------------
-# Integrand wrappers shared by several checks
-
-def weighted_power_integral(exponent: float, ctx: PrecisionContext) -> float:
-    """int_0^1 f(-q)^4 q^(-5/6) R(q)^(5 exponent) dq by direct tanh-sinh,
-    which absorbs the endpoint singularity.  The integrand vanishes
-    superexponentially as q -> 1, underflowing cleanly through the log form."""
-
-    def f(q: float) -> float:
-        log_f4 = 4.0 * qseries.ramanujan_f_log(q)
-        if log_f4 < -700.0:
-            return 0.0
-        return (math.exp(log_f4 - (5.0 / 6.0) * math.log(q))
-                * qseries.rrcf(q) ** (5.0 * exponent))
-
-    return integrate_finite(f, 0.0, 1.0, ctx)
-
-
-def weighted_power_rhs(exponent: float, ctx: PrecisionContext) -> float:
-    """Gamma(5/6) ((11+5 sqrt5)/2)^(-1/6-nu) Gamma(1/6+nu)/Gamma(1+nu)
-    2F1(1/6, 1/6+nu; 1+nu; (11-5 sqrt5)/(11+5 sqrt5))."""
-    nu = exponent
-    big = (11.0 + 5.0 * SQRT5) / 2.0
-    z = (11.0 - 5.0 * SQRT5) / (11.0 + 5.0 * SQRT5)
-    return (gamma(5.0 / 6.0) * big ** (-1.0 / 6.0 - nu)
-            * gamma(1.0 / 6.0 + nu) / gamma(1.0 + nu)
-            * float(gauss_2f1(1.0 / 6.0, 1.0 / 6.0 + nu, 1.0 + nu, z, ctx)))
-
-
-def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
-    """int_0^1 u(q)^(nu-5/6) f(-q)^4 q^(-5/6) dq."""
-
-    def f(q: float) -> float:
-        expo = ((nu - 5.0 / 6.0) * qseries.u_of_q_log(q)
-                + 4.0 * qseries.ramanujan_f_log(q) - (5.0 / 6.0) * math.log(q))
-        return math.exp(expo) if expo > -700.0 else 0.0
-
-    return integrate_finite(f, 0.0, 1.0, ctx)
-
-
-def _quintic_surd(n: float) -> Callable[[float], float]:
-    """t -> t^(n-1) (125 + 22 t + t^2)^(-1/2)."""
-    return lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
-
-
-def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
-    """Same quantity through the image variable:
-    int_0^inf u^(nu-1) (125 + 22u + u^2)^(-1/2) du."""
-    f = _quintic_surd(nu)
-    head = integrate_finite(f, 0.0, 50.0, ctx)
-    return head + integrate_to_infinity(f, 50.0, 2.0 - nu, ctx)
-
-
-def modulus_product_formula(r: float) -> float:
-    """2^(1/3) pi^(-1/2) q^(-1/24) k^(1/12) k'^(1/3) K(k)^(1/2) at the
-    index-r singular modulus, q = exp(-pi sqrt r)."""
-    k, kp = modular._singular_modulus_pair(r)
-    q = math.exp(-math.pi * math.sqrt(r))
-    return (2.0 ** (1.0 / 3.0) / math.sqrt(math.pi) * q ** (-1.0 / 24.0)
-            * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
-
-
-def sextic_period_ratio_root(inst: modular.SexticInstance,
-                             t: float) -> tuple[float, float]:
-    """The sextic's second route from the quarter-modulus square t that
-    solve_sextic returns: the index r = (K'(k)/K(k))^2 / 4 at k = sqrt(t)
-    from the period ratio (AGM), and the root (b/(250a)) u at the squared
-    nome exp(-2 pi sqrt r).  Returns (r, X)."""
-    k = math.sqrt(t)
-    ratio = special.elliptic_k_complementary(k) / elliptic_k(k)
-    r = ratio * ratio / 4.0
-    return r, inst.b / (250.0 * inst.a) * qseries.u_of_q(qseries.Nome.from_r_squared(r))
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +89,7 @@ def _t2(ctx: PrecisionContext, n: float):
                         - qseries.ramanujan_f_log(q))
 
     return (integrate_finite(f, q_hi, q_lo, ctx),
-            integrate_finite(_quintic_surd(n), x_lo, x_hi, ctx),
+            integrate_finite(quintic_surd(n), x_lo, x_hi, ctx),
             "two-point form: the displayed endpoints 0 and x give a divergent "
             "left side for n >= 1, so the antiderivative identity is checked "
             "between u-values 5 and 1")
@@ -222,7 +154,7 @@ def _eq20_sign(ctx: PrecisionContext):
 def _eq22(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
     return (modular.hypergeometric_g_argument(k * k, ctx),
-            modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
+            rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
             "hypergeometric closed form vs continued-fraction integral")
 
 
@@ -231,7 +163,7 @@ def _t3(ctx: PrecisionContext, r: float):
     e1 = math.pi * modular.eta_tail_integral(math.sqrt(r))
     e2 = 3.0 * (2.0 * k) ** (1.0 / 3.0) * float(
         gauss_2f1(1.0 / 3.0, 1.0 / 6.0, 7.0 / 6.0, k * k, ctx))
-    e3 = 5.0 * modular.rr_integral(
+    e3 = 5.0 * rr_integral(
         qseries.rrcf(math.exp(-math.pi * math.sqrt(r))), ctx)
     worst = max(residuals(e1, e2)[1], residuals(e1, e3)[1], residuals(e2, e3)[1])
     return e1, e3, f"middle member {e2:.15g}; worst pairwise residual {worst:.2e}"
@@ -239,7 +171,7 @@ def _t3(ctx: PrecisionContext, r: float):
 
 def _app1(ctx: PrecisionContext):
     return (modular.eta_tail_integral(2.0),
-            5.0 / math.pi * modular.rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
+            5.0 / math.pi * rr_integral(qseries.rrcf(_Q_RAMANUJAN), ctx),
             "eta tail vs continued-fraction integral at index 4")
 
 
@@ -280,13 +212,13 @@ def _eq31(ctx: PrecisionContext):
     x = 0.2
     f_val = modular.F_of_x(x, ctx)
     printed = qseries.rrcf(math.exp(-math.pi * math.sqrt(modular.m_of_x(x, ctx))))
-    printed_gap = abs(modular.rr_integral(printed, ctx) - x) / x
+    printed_gap = abs(rr_integral(printed, ctx) - x) / x
     notes = (f"F(x)={f_val:.15g}, the composite with the same factor-five "
              f"normalisation as Eqs (29)-(30) (the eta-tail inverse at 5x), put "
              f"back into the continued-fraction integral; the displayed m(x) "
              f"composite evaluates to {printed:.12g} and leaves residual "
              f"{printed_gap:.2e}")
-    return modular.rr_integral(f_val, ctx), x, notes
+    return rr_integral(f_val, ctx), x, notes
 
 
 def _eq32(ctx: PrecisionContext):
@@ -432,7 +364,7 @@ def _t7_msign(ctx: PrecisionContext):
 def _eq50_quad(ctx: PrecisionContext):
     x = 0.5
     loose = ctx.replace(eps_rel=max(ctx.eps_rel, 1e-10), eps_abs=1e-18)
-    return (modular.j_integral_f1_form(x, ctx), modular.j_integral_quadrature(x, loose),
+    return (modular.j_integral_f1_form(x, ctx), j_integral_quadrature(x, loose),
             "quadrature uses the j^(-1/3) integrand fixed by the derivative "
             "identity; the displayed +1/3 exponent does not integrate to the F1 form")
 

@@ -1,12 +1,15 @@
-"""What an import or a command loads.  `import rrcflab` loads the kernels
-only: the registry and its records load on first use, and the quadrature's
-node tables when an integral first needs them (tests/test_quadrature.py
-checks those).  Each load is checked in a fresh interpreter, since this one
-has loaded everything already."""
+"""What an import or a command loads.  `import rrcflab` loads no submodule:
+each public name loads the module that defines it on first use, a command
+loads the modules it runs, and the quadrature's node tables are built when
+an integral first needs them (tests/test_quadrature.py checks those).  Each
+load is checked in a fresh interpreter, since this one has loaded
+everything already."""
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -71,16 +74,33 @@ def _loaded_after(code: str) -> set[str]:
     return set(out.splitlines()[-1].split())
 
 
+def _loaded_by_command(*argv: str) -> set[str]:
+    """The modules loaded after running the CLI with argv, which must
+    succeed, in a new interpreter."""
+    return _loaded_after(f"from rrcflab.cli import main\nassert main({list(argv)!r}) == 0")
+
+
 class TestImportCost:
-    def test_import_loads_the_kernels_only(self):
+    def test_import_loads_no_submodule(self):
         loaded = _loaded_after("import rrcflab")
-        assert "rrcflab.modular" in loaded
-        assert loaded.isdisjoint({*REGISTRY, "rrcflab.cli", *HEAVY})
+        assert "rrcflab" in loaded
+        assert not {name for name in loaded if name.startswith("rrcflab.")}
+        assert loaded.isdisjoint(HEAVY)
 
     def test_eval_loads_no_registry(self):
-        loaded = _loaded_after("from rrcflab.cli import main\n"
-                               "assert main(['eval', 'K', '0.5']) == 0")
-        assert "rrcflab.cli" in loaded
+        # nor the kernel modules above the one that defines K
+        loaded = _loaded_by_command("eval", "K", "0.5")
+        assert {"rrcflab.cli", "rrcflab.special"} <= loaded
+        assert loaded.isdisjoint({*REGISTRY, *HEAVY, "rrcflab.qseries", "rrcflab.modular"})
+
+    def test_eval_of_a_q_kernel_loads_no_modular(self):
+        loaded = _loaded_by_command("eval", "rrcf", "0.1")
+        assert "rrcflab.qseries" in loaded
+        assert "rrcflab.modular" not in loaded
+
+    def test_solve_sextic_loads_no_registry(self):
+        loaded = _loaded_by_command("solve-sextic", "1", "250", "12")
+        assert {"rrcflab.modular", "rrcflab.routes"} <= loaded
         assert loaded.isdisjoint({*REGISTRY, *HEAVY})
 
     def test_lazy_name_loads_the_registry(self):
@@ -97,7 +117,29 @@ class TestImportCost:
         assert "\n".join(lines) + "\n" == T3_OUT
 
 
+def _top_level_names(module: str) -> set[str]:
+    """The names a submodule binds at top level by def, class or
+    assignment, not by import."""
+    source = (Path(rrcflab.__file__).parent / f"{module}.py").read_text()
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
 class TestLazyNames:
+    def test_all_is_every_public_name(self):
+        assert len(set(rrcflab.__all__)) == len(rrcflab.__all__)
+        assert set(rrcflab.__all__) == set(PUBLIC) - {"__version__"}
+
+    @pytest.mark.parametrize("name", sorted(rrcflab._LAZY))
+    def test_lazy_entry_names_the_defining_module(self, name):
+        assert name in _top_level_names(rrcflab._LAZY[name])
+
     @pytest.mark.parametrize("name", PUBLIC)
     def test_every_public_name_imports(self, name):
         namespace = {}

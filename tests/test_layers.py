@@ -1,9 +1,11 @@
 """The kernels' import layers, read from the source with ast: numerics ->
 quadrature -> special -> qseries -> modular, each importing only from the
-layers below it.  The registry (verify), its records (report) and the CLI
-sit above every kernel, so no kernel imports them.  In the registry, only
-the runner judges a check: no record builds its own result.  In special,
-one function calls each generic engine of the layers below."""
+layers below it.  The registry's second routes (routes) sit on the
+kernels and import nothing else of the package.  The registry (verify),
+its records (report) and the CLI sit above them, so no kernel imports
+routes or any of them.  In the registry, only the runner judges a check:
+no record builds its own result.  In special, one function calls each
+generic engine of the layers below."""
 
 import ast
 from pathlib import Path
@@ -14,6 +16,7 @@ import rrcflab
 
 PACKAGE = Path(rrcflab.__file__).parent
 KERNELS = ("numerics", "quadrature", "special", "qseries", "modular")
+ABOVE_KERNELS = {"routes", "report", "verify", "cli"}
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -40,13 +43,19 @@ def _package_imports(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", KERNELS)
 def test_kernels_do_not_import_the_registry(module):
     imports = _package_imports(PACKAGE / f"{module}.py")
-    assert imports.isdisjoint({"report", "verify", "cli"})
+    assert imports.isdisjoint(ABOVE_KERNELS)
 
 
 @pytest.mark.parametrize("module", KERNELS)
 def test_kernels_import_only_lower_layers(module):
     imports = _package_imports(PACKAGE / f"{module}.py")
     assert imports <= set(KERNELS[:KERNELS.index(module)])
+
+
+def test_routes_import_only_kernels():
+    imports = _package_imports(PACKAGE / "routes.py")
+    assert "modular" in imports
+    assert imports <= set(KERNELS)
 
 
 def test_only_the_runner_judges_a_check():

@@ -3,23 +3,23 @@ import sys
 
 import pytest
 
-from rrcflab import modular, qseries, quadrature, special, verify
+from rrcflab import modular, qseries, quadrature, routes, special
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              SexticInstance, beta_ratio_root, eta_quotient_nome_of,
                              eta_tail_integral, hypergeometric_g_argument,
                              invert_lambda_j, j_integral_f1_form,
-                             j_integral_phi_partial_fraction,
-                             j_integral_quadrature, klein_j,
+                             j_integral_phi_partial_fraction, klein_j,
                              klein_j_from_lambda, klein_j_from_quarter_modulus,
                              m_of_x, pi_formula_partial_sum,
-                             psi_arcsin_ratio, rr_integral,
+                             psi_arcsin_ratio,
                              singular_modulus, solve_sextic, surd_tail_integral,
                              theorem6_base_change, theta_of_X, trig_modular)
 from rrcflab.numerics import DEFAULT_CTX, ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
-from rrcflab.verify import run_check, sextic_period_ratio_root
+from rrcflab.routes import j_integral_quadrature, rr_integral, sextic_period_ratio_root
+from rrcflab.verify import run_check
 
 SQRT5 = math.sqrt(5.0)
 SILVER = 3.0 - 2.0 * math.sqrt(2.0)
@@ -298,6 +298,12 @@ class TestTrigModular:
     def test_unit_value(self):
         assert trig_modular(1.0) == pytest.approx(0.5, rel=1e-15)
 
+    @pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+    def test_outside_the_domain_is_a_domain_error(self, R):
+        # nan returned nan
+        with pytest.raises(DomainError):
+            trig_modular(R)
+
     def test_half_angle_recursion_at_one(self):
         assert trig_modular(2.0) == pytest.approx(0.25, rel=1e-14)
         rhs = (1.0 - math.sqrt(1.0 - trig_modular(0.5))) / 2.0
@@ -392,10 +398,10 @@ class TestWorkCounts:
                 return f(x)
             return original(counted, a, b, *args, **kwargs)
 
-        # modular's and verify's own integrals, and any reached through
+        # modular's and routes' own integrals, and any reached through
         # quadrature's
         monkeypatch.setattr(modular, "integrate_finite", counting)
-        monkeypatch.setattr(verify, "integrate_finite", counting)
+        monkeypatch.setattr(routes, "integrate_finite", counting)
         monkeypatch.setattr(quadrature, "integrate_finite", counting)
         return tally
 
@@ -441,7 +447,7 @@ class TestWorkCounts:
         assert counts["evals"] <= 201
 
     def test_weighted_power_integral_evaluations(self, counts):
-        verify.weighted_power_integral(0.5, DEFAULT_CTX)
+        routes.weighted_power_integral(0.5, DEFAULT_CTX)
         assert counts["calls"] == 1
         assert counts["evals"] <= 133
 

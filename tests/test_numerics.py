@@ -57,7 +57,9 @@ class TestFrozenValues:
     @pytest.mark.parametrize("value, text", FROZEN, ids=lambda v: type(v).__name__)
     def test_value_semantics(self, value, text):
         assert repr(value) == text
-        twin = eval(text, vars(rrcflab))
+        namespace = {}
+        exec("from rrcflab import *", namespace)
+        twin = eval(text, namespace)
         assert twin == value and hash(twin) == hash(value) and twin is not value
         field = value.__slots__[0]
         assert value != tuple(getattr(value, name) for name in value.__slots__)

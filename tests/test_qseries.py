@@ -405,6 +405,13 @@ class TestEtaQuotientPower:
     def test_log_form_reaches_extreme_nomes(self):
         assert u_of_q_log(0.999999) < -1e5
 
+    def test_past_the_doubles_is_a_domain_error(self):
+        # u ~ 1/q: finite at q = 1e-300, 1e320 at q = 1e-320 (it raised
+        # OverflowError)
+        assert u_of_q(1e-300) == pytest.approx(1e300, rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            u_of_q(1e-320)
+
 
 class TestDerivative:
     @pytest.mark.parametrize("q", (0.05, 0.2))
@@ -433,6 +440,18 @@ class TestDerivative:
     def test_positive_on_grid(self):
         for q in (0.01, 0.1, 0.2, 0.4, 0.6):
             assert rrcf_derivative(q) > 0.0
+
+    @pytest.mark.parametrize("q", [5e-324, 1e-320, 1e-310, 1e-305, 1e-300, 1e-250])
+    def test_finite_next_to_zero(self, q):
+        # R(q) = q^(1/5) (1 + O(q)), so R'(q) = q^(-4/5)/5 to all digits
+        # here.  Below q ~ 1e-308 the value is finite but q^(-5/6) u^(1/6)
+        # alone is not (it raised OverflowError).  The exponent carries
+        # |ln q| ulps; measured at most 1.4 |ln q| eps over 2,000 q
+        # log-uniform in [5e-324, 1e-250].
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.mpf(q) ** (mp.mpf(-4) / 5) / 5
+        assert abs(rrcf_derivative(q) - ref) <= 4.0 * -math.log(q) * sys.float_info.epsilon * ref
 
 
 class TestModulusDerivatives:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrcflab import modular, quadrature
+from rrcflab import quadrature, routes
 from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               PrecisionContext)
 from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, QuadratureError,
@@ -93,7 +93,7 @@ REFERENCE_PANEL = [
     pytest.param(lambda t: math.log(t) * math.sqrt(1.0 - t), 0.0, 1.0,
                  id="log-sqrt"),
     pytest.param(lambda t: 1.0 / (1.0 + t * t), -3.0, 7.0, id="lorentzian"),
-    pytest.param(modular.rr_integrand, 0.0, 0.5, id="rr_integrand"),
+    pytest.param(routes.rr_integrand, 0.0, 0.5, id="rr_integrand"),
 ]
 
 
@@ -400,7 +400,8 @@ class TestEtaTailEquality:
     def test_index_four_tail_matches_scaled_cf_integral(self):
         # eta tail from 2 against (5/pi) x the continued-fraction integral,
         # both sides computed from scratch by independent kernels
-        from rrcflab.modular import eta_tail_integral, rr_integral
+        from rrcflab.modular import eta_tail_integral
+        from rrcflab.routes import rr_integral
         from rrcflab.qseries import rrcf
         lhs = eta_tail_integral(2.0)
         rhs = 5.0 / math.pi * rr_integral(rrcf(math.exp(-2.0 * math.pi)))
@@ -413,7 +414,7 @@ class TestDualRoute:
         # substitution that removes it: the anti-typo defence of the
         # integrand that Theorem 1's checks integrate
         from rrcflab.qseries import ramanujan_f_log, rrcf
-        from rrcflab.verify import weighted_power_integral
+        from rrcflab.routes import weighted_power_integral
 
         def mapped(s):
             q = s ** 6

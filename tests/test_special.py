@@ -14,7 +14,7 @@ from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
                              _is_nonpositive_int, _is_slow_2f1, _route_2f1,
                              _series_2f1, appell_f1,
-                             beta_sqrt, elliptic_k,
+                             beta_sqrt, complete_beta, elliptic_k,
                              elliptic_k_complementary, gamma, gauss_2f1,
                              incomplete_beta, log_gamma_real, pn_poly, pochhammer,
                              pochhammer_negative, quadratic_power_series,
@@ -795,6 +795,13 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError):
             incomplete_beta(1.5, BetaBase(1.0, 1.0))
 
+    def test_complete_beta_past_the_doubles_is_a_domain_error(self):
+        # B(1/2, b) ~ 1/b = 1e320 as b -> 0; it raised OverflowError
+        with pytest.raises(DomainError, match="overflows"):
+            complete_beta(BetaBase(0.5, 1e-320))
+        with pytest.raises(DomainError, match="overflows"):
+            beta_sqrt(0.9999999999999999, 1e-320)   # through the complement
+
     @given(st.sampled_from([1 / 6, 1 / 4, 1 / 3, 1 / 2]),
            st.sampled_from([0.1, 0.25, 0.5]))
     @settings(max_examples=12, deadline=None)
@@ -966,11 +973,24 @@ class TestPnPoly:
         with pytest.raises(DomainError):
             pn_poly(-1, 0.5, 0.1)
 
+    @pytest.mark.parametrize("n, nu", [(0, math.inf), (0, -math.inf), (0, math.nan),
+                                       (math.inf, 0.5), (math.nan, 0.5)])
+    def test_non_finite_order_or_nu_is_a_domain_error(self, n, nu):
+        # pn_poly(0, inf, 0.5) raised OverflowError, and an infinite n too
+        with pytest.raises(DomainError):
+            pn_poly(n, nu, 0.5)
+
 
 class TestSinSextuple:
     @pytest.mark.parametrize("y", [0.0, 1.0, -1.0])
     def test_vanishes_at_cardinal_points(self, y):
         assert sin_multiple_p6(y) == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf, -math.inf])
+    def test_outside_the_interval_is_a_domain_error(self, y):
+        # nan returned nan
+        with pytest.raises(DomainError):
+            sin_multiple_p6(y)
 
     def test_quarter(self):
         assert sin_multiple_p6(0.25) == pytest.approx(
