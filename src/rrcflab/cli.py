@@ -22,8 +22,9 @@ import argparse
 import math
 import os
 import sys
-from importlib import import_module
 from typing import TYPE_CHECKING, Callable, NoReturn
+
+import rrcflab   # its public names load their kernel module on first use
 
 from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
 
@@ -108,27 +109,26 @@ def _parse_number(text: str) -> complex | float:
         _usage_error(f"{text!r} is not a number")
 
 
-# name: (arity, the kernel module that defines it, the kernel called with
-# that module, the parsed arguments and the context, whether it takes
-# complex arguments)
-_EVAL: dict[str, tuple[int, str, Callable, bool]] = {
-    "rrcf": (1, "qseries", lambda m, q, ctx: m.rrcf(q), False),
-    "f": (1, "qseries", lambda m, q, ctx: m.ramanujan_f(q), False),
-    "eta": (1, "qseries", lambda m, tau, ctx: m.dedekind_eta(tau), False),
-    "u": (1, "qseries", lambda m, q, ctx: m.u_of_q(q), False),
-    "K": (1, "special", lambda m, k, ctx: m.elliptic_k(k), False),
-    "k_r": (1, "modular", lambda m, r, ctx: m.singular_modulus(r), False),
-    "j": (1, "modular", lambda m, r, ctx: m.klein_j(r), False),
-    "2f1": (4, "special", lambda m, *args: m.gauss_2f1(*args), True),
-    "f1": (6, "special", lambda m, *args: m.appell_f1(*args), True),
-    "beta_inc": (3, "special", lambda m, x, a, b, ctx: m.incomplete_beta(
-        x, m.BetaBase(a, b), ctx), False),
-    "F": (1, "modular", lambda m, x, ctx: m.F_of_x(x, ctx), False),
-    "m": (1, "modular", lambda m, x, ctx: m.m_of_x(x, ctx), False),
-    "G": (1, "modular", lambda m, x, ctx: m.G_of_x(x, ctx), False),
-    "beta_root": (3, "modular", lambda m, a, b, r, ctx: m.beta_ratio_root(
-        m.BetaBase(a, b), r, ctx), False),
-    "m65": (1, "modular", lambda m, R, ctx: m.trig_modular(R), False),
+# name: (arity, the public name called with the parsed arguments and the
+# context, whether it takes complex arguments)
+_EVAL: dict[str, tuple[int, Callable, bool]] = {
+    "rrcf": (1, lambda q, ctx: rrcflab.rrcf(q), False),
+    "f": (1, lambda q, ctx: rrcflab.ramanujan_f(q), False),
+    "eta": (1, lambda tau, ctx: rrcflab.dedekind_eta(tau), False),
+    "u": (1, lambda q, ctx: rrcflab.u_of_q(q), False),
+    "K": (1, lambda k, ctx: rrcflab.elliptic_k(k), False),
+    "k_r": (1, lambda r, ctx: rrcflab.singular_modulus(r), False),
+    "j": (1, lambda r, ctx: rrcflab.klein_j(r), False),
+    "2f1": (4, lambda *args: rrcflab.gauss_2f1(*args), True),
+    "f1": (6, lambda *args: rrcflab.appell_f1(*args), True),
+    "beta_inc": (3, lambda x, a, b, ctx: rrcflab.incomplete_beta(
+        x, rrcflab.BetaBase(a, b), ctx), False),
+    "F": (1, lambda x, ctx: rrcflab.F_of_x(x, ctx), False),
+    "m": (1, lambda x, ctx: rrcflab.m_of_x(x, ctx), False),
+    "G": (1, lambda x, ctx: rrcflab.G_of_x(x, ctx), False),
+    "beta_root": (3, lambda a, b, r, ctx: rrcflab.beta_ratio_root(
+        rrcflab.BetaBase(a, b), r, ctx), False),
+    "m65": (1, lambda R, ctx: rrcflab.trig_modular(R), False),
 }
 
 
@@ -139,7 +139,7 @@ def _cmd_eval(args) -> int:
         print(f"unknown function {name!r}; choose from "
               f"{', '.join(sorted(_EVAL))}", file=sys.stderr)
         return 2
-    arity, module, kernel, takes_complex = _EVAL[name]
+    arity, kernel, takes_complex = _EVAL[name]
     if len(args.args) != arity:
         print(f"{name} takes {arity} argument(s), "
               f"got {len(args.args)}", file=sys.stderr)
@@ -149,7 +149,7 @@ def _cmd_eval(args) -> int:
         print(f"{name} takes real arguments", file=sys.stderr)
         return 2
     try:
-        value = kernel(import_module(f".{module}", __package__), *vals, ctx)
+        value = kernel(*vals, ctx)
     except (KernelError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

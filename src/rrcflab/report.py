@@ -49,8 +49,10 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     """Build a CheckResult from two values and a tolerance.
 
     relative=True judges residual_rel against the tolerance, else
-    residual_abs (identities anchored at zero compare absolutely); the
-    result records which as judged ("rel" or "abs").
+    residual_abs; the result records which as judged ("rel" or "abs").
+    The registry's runner passes every check the same rule: the tolerance
+    max(tol, ctx.eps_rel), and relative unless rhs is the constant 0 (an
+    identity anchored at zero).
     """
     res_abs, res_rel = residuals(lhs, rhs)
     measured = res_rel if relative else res_abs

@@ -212,16 +212,19 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     against mpmath for a, b, c in [-3, 3].
     """
     a, b, c, z = _same_kind(a, b, c, z)
-    # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
-    if _is_nonpositive_int(c) and not (
-            _is_nonpositive_int(a) and round(a.real) >= round(c.real)) and not (
-            _is_nonpositive_int(b) and round(b.real) >= round(c.real)):
-        raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
-    if z == 0:
-        return type(z)(1.0)
-
-    if abs(z) < 1.0 or _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        route, _ = _route_2f1(a, b, c, z)
+    try:
+        # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
+        if _is_nonpositive_int(c) and not (
+                _is_nonpositive_int(a) and round(a.real) >= round(c.real)) and not (
+                _is_nonpositive_int(b) and round(b.real) >= round(c.real)):
+            raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
+        if z == 0:
+            return type(z)(1.0)
+        served = abs(z) < 1.0 or _is_nonpositive_int(a) or _is_nonpositive_int(b)
+        route = _route_2f1(a, b, c, z)[0] if served else None
+    except (OverflowError, ValueError):   # round() of an inf or nan parameter
+        raise DomainError(f"2F1 needs finite parameters, got {(a, b, c, z)}") from None
+    if route is not None:
         try:
             return _finite(_ROUTES[route](a, b, c, z, ctx))
         except OverflowError:   # float ** past the doubles, in a transform's power
@@ -422,6 +425,8 @@ def appell_f1(a, b1, b2, c, x, y,
     give a float; only complex ones, and the integral, run in complex.
     """
     a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
+    if not all(map(cmath.isfinite, (a, b1, b2, c, x, y))):
+        raise DomainError(f"F1 needs finite arguments, got {(a, b1, b2, c, x, y)}")
     if max(abs(x), abs(y)) >= 1.0:
         val = _euler_integral_f1(*map(complex, (a, b1, b2, c, x, y)), ctx)
         return val if isinstance(x, complex) else val.real
@@ -540,7 +545,10 @@ def incomplete_beta(x: float, base: BetaBase,
         return complete_beta(base)
     a, b = base.a, base.b
     if x < (a + 1.0) / (a + b + 2.0):
-        return x ** a * (1.0 - x) ** b / a * _beta_cf(x, a, b, ctx)
+        val = x ** a * (1.0 - x) ** b / a * _beta_cf(x, a, b, ctx)
+        if val == math.inf:   # about x^a / a: a tiny a takes it past the doubles
+            raise DomainError(f"incomplete Beta at x={x}, {base} overflows a float")
+        return val
     y = 1.0 - x
     return complete_beta(base) - y ** b * x ** a / b * _beta_cf(y, b, a, ctx)
 
@@ -606,8 +614,9 @@ def _elliptic_k_from_complement(kprime: float) -> float:
 def pn_poly(n: int, nu: float, x: complex | float) -> complex | float:
     """P_n(nu, x), the terminating 2F1(-n, nu; 1-n-nu; x) of gauss_2f1; a
     DomainError where it reaches the pole at 1-n-nu (nu = -m with 2m >= n)."""
-    if not (n >= 0 and n % 1 == 0):
-        raise DomainError(f"pn_poly needs a non-negative integer n, got {n}")
+    if not (0 <= n <= sys.float_info.max and n % 1 == 0):
+        raise DomainError(f"pn_poly needs an integer n in [0, {sys.float_info.max:.4g}], "
+                          f"got {n}")
     if not abs(nu) < math.inf:
         raise DomainError(f"pn_poly needs a finite nu, got {nu}")
     return gauss_2f1(-n, nu, 1.0 - n - nu, x)

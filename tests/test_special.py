@@ -318,6 +318,14 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(0.5, 0.5, -1.0, 0.3)
 
+    @pytest.mark.parametrize("args", [(math.nan, 0.5, 1.0, 0.5),
+                                      (0.5, -math.inf, 1.5, 0.7),
+                                      (0.5, 0.25, math.nan, 0.7)])
+    def test_non_finite_parameter_is_a_domain_error(self, args):
+        # round() of the nan a raised a raw ValueError, of -inf OverflowError
+        with pytest.raises(DomainError, match="finite parameters"):
+            gauss_2f1(*args)
+
 
 def _closure_series_2f1(a, b, c, z, ctx, scale=1.0):
     """_series_2f1's series summed by sum_series, its term a closure over
@@ -549,6 +557,11 @@ class TestGauss2F1AgainstMpmath:
 
 
 class TestAppellF1:
+    def test_non_finite_argument_is_a_domain_error(self):
+        # max(|nan|, 1) is nan, so y = 1 reached the series: ZeroDivisionError
+        with pytest.raises(DomainError, match="finite arguments"):
+            appell_f1(1e-300, 1e-300, -2.5, 1e300, math.nan, 1.0)
+
     def test_reduces_to_2f1_at_zero_second_argument(self):
         lhs = appell_f1(0.9, 1.0, 1.0, 2.0, 0.3, 0.0)
         assert lhs == pytest.approx(gauss_2f1(0.9, 1.0, 2.0, 0.3), rel=1e-11)
@@ -802,6 +815,13 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError, match="overflows"):
             beta_sqrt(0.9999999999999999, 1e-320)   # through the complement
 
+    def test_incomplete_beta_past_the_doubles_is_a_domain_error(self):
+        # x^a (1-x)^b / a ~ 1/a = 1e320 on the series side: it returned inf
+        with pytest.raises(DomainError, match="overflows"):
+            incomplete_beta(1e-17, BetaBase(1e-320, 1e-320))
+        with pytest.raises(DomainError, match="overflows"):
+            beta_sqrt(1e-17, 1e-320)
+
     @given(st.sampled_from([1 / 6, 1 / 4, 1 / 3, 1 / 2]),
            st.sampled_from([0.1, 0.25, 0.5]))
     @settings(max_examples=12, deadline=None)
@@ -979,6 +999,12 @@ class TestPnPoly:
         # pn_poly(0, inf, 0.5) raised OverflowError, and an infinite n too
         with pytest.raises(DomainError):
             pn_poly(n, nu, 0.5)
+
+    def test_order_past_the_doubles_is_a_domain_error(self):
+        # an integer n past the doubles passed n % 1 == 0 and raised a raw
+        # OverflowError converting -n to float
+        with pytest.raises(DomainError, match="needs an integer n in"):
+            pn_poly(10 ** 400, 0.5, 0.5)
 
 
 class TestSinSextuple:
