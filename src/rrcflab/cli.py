@@ -8,9 +8,9 @@ never re-round them.
 Each command imports only what it runs, on top of numerics, which this
 module needs for the precision context:
 
-- `eval NAME` the kernel module that defines NAME and the layers below it:
-  special for K, 2f1, f1 and beta_inc; qseries for rrcf, f, eta and u;
-  modular for the rest;
+- `eval NAME` the kernel module that defines NAME and the modules it
+  imports: special and quadrature for K, 2f1, f1 and beta_inc; qseries
+  alone for rrcf, f, eta and u; modular and every kernel for the rest;
 - `solve-sextic` modular and routes, which holds the period-ratio
   cross-check, and not the registry;
 - `verify` the registry (verify, report, routes) and with it every kernel.

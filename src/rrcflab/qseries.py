@@ -15,7 +15,6 @@ import math
 from functools import lru_cache, reduce
 
 from .numerics import DomainError, Frozen
-from .special import elliptic_k, elliptic_k_complementary
 
 # R(q) climbs from 0 to (sqrt(5)-1)/2 as q runs over (0, 1).
 GOLDEN_CONJUGATE = 0.5 * (math.sqrt(5.0) - 1.0)
@@ -276,39 +275,8 @@ def u_log_of_log_q(log_q: float) -> float:
 def rrcf_derivative(q: "Nome | float") -> float:
     """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1).
     R'(q) ~ q^(-4/5)/5 as q -> 0 is finite for every float q, but
-    q^(-5/6) u^(1/6) alone overflows below q ~ 1e-308: there ln R joins the
+    q^(-5/6) u^(1/6) alone overflows below q ~ 1e-308, so ln R joins the
     exponent."""
     qf = _as_q(q)
-    log_val = (-5.0 / 6.0) * math.log(qf) + 4.0 * _log_qpochhammer(qf) \
-        + u_of_q_log(qf) / 6.0
-    try:
-        return 0.2 * math.exp(log_val) * _rrcf_cached(qf)
-    except OverflowError:
-        return 0.2 * math.exp(log_val + math.log(_rrcf_cached(qf)))
-
-
-def _nome_of_modulus(k: float) -> tuple[float, float]:
-    """(q, K(k)) with q = e^(-pi K'(k)/K(k)), for 0 < k < 1."""
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"modulus must lie in (0, 1), got {k}")
-    kk = elliptic_k(k)
-    return math.exp(-math.pi * elliptic_k_complementary(k) / kk), kk
-
-
-def dq_dk(k: float) -> float:
-    """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
-    k -> q is in fact increasing, so the sign convention is recorded by the
-    harness rather than silently corrected here."""
-    q, kk = _nome_of_modulus(k)
-    kp2 = (1.0 - k) * (1.0 + k)
-    return -q * math.pi ** 2 / (2.0 * k * kp2 * kk ** 2)
-
-
-def dr_dk(k: float) -> float:
-    """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
-    carries the same sign convention as dq_dk, so the chain rule
-    R'(q) dq/dk = dR/dk closes."""
-    q, _ = _nome_of_modulus(k)
-    kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    u6 = math.exp(u_of_q_log(q) / 6.0)
-    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6
+    return 0.2 * math.exp((-5.0 / 6.0) * math.log(qf) + 4.0 * _log_qpochhammer(qf)
+                          + u_of_q_log(qf) / 6.0 + math.log(_rrcf_cached(qf)))

@@ -98,27 +98,37 @@ def _doubled(gap: float, prev_gap: float, total: float | complex) -> bool:
     return gap * math.sqrt(abs(total)) <= prev_gap * math.sqrt(prev_gap)
 
 
-def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
-               ctx: PrecisionContext) -> float | complex:
-    """The level loop behind integrate_finite and integrate_complex, for
-    real and complex integrands alike.
-
-    A node at or past an endpoint (its offset lost to rounding) contributes
-    0.  Each level's sum is tested once: s - s is 0 for a finite sum, real
-    or complex, and nan for one that met an inf or nan sample, which is a
-    DomainError.
+def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
+                     ctx: PrecisionContext = DEFAULT_CTX) -> float | complex:
+    """Integrate f over (a, b) with tanh-sinh levels, to within
+    tol = eps_rel*|I| + eps_abs*(b-a)/2 (the level sums are compared on the
+    scale of (-1, 1)).  f may be real or complex; a complex sum converges on
+    the complex level gap.
 
     Level L >= 3 is returned when its gap g_L = |T_L - T_(L-1)| is within
-    tol, or when three tests all pass: the digits doubled over the last two
+    tol; each level about doubles the correct digits, so its own error is
+    then about tol**2/|I|.  It is also returned, with an error of about
+    tol, when three tests all pass: the digits doubled over the last two
     gaps, g_L sqrt|T_L| <= g_(L-1)^(3/2), and from L = 4 on over the two
     before them too (T_0 is too coarse to compare, so g_1 is taken as
     infinite); the extrapolated error g_L^2 / g_(L-1) is within tol; and
     h_L |w f| at the outermost nodes inside (a, b), the terms the sum stops
-    at, is within tol.  The second doubling test keeps one lucky drop of
-    an integrand that is not analytic inside (a, b), such as |t - 0.3|^2.5,
-    whose gaps fall erratically, from passing as convergence.  The last
-    test costs two evaluations and runs only when the others pass, so the
+    at, is within tol.  That saves the level that would only confirm it.
+    The second doubling test keeps one lucky drop of an integrand that is
+    not analytic inside (a, b), such as |t - 0.3|^2.5, whose gaps fall
+    erratically, from passing as convergence; the doubling still presumes
+    f analytic inside (a, b), as tanh-sinh itself does, and on an interior
+    kink the early return can be off by more than tol.  The last test
+    costs two evaluations and runs only when the others pass, so the
     per-node loop carries no bookkeeping.
+
+    An integrable endpoint blow-up needs no declaration: the nodes never
+    reach the endpoints, and a node whose offset is lost to rounding
+    contributes 0.  Each level's sum is tested once: s - s is 0 for a
+    finite sum, real or complex, and nan for one that met an inf or nan
+    sample, which is a DomainError, as is a ZeroDivisionError,
+    OverflowError or ValueError raised by f.  Level-cap exhaustion raises
+    QuadratureError carrying the best estimate and gap.
     """
     if not (a < b):
         raise DomainError(f"need a < b, got [{a}, {b}]")
@@ -167,30 +177,6 @@ def _tanh_sinh(f: Callable[[float], float | complex], a: float, b: float,
         best=half * total, gap=half * gap)
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Integrate f over (a, b) with tanh-sinh levels, to within
-    tol = eps_rel*|I| + eps_abs*(b-a)/2 (the level sums are compared on the
-    scale of (-1, 1)).
-
-    Level L (L >= 3) is returned when it agrees with level L-1 within tol.
-    Each level about doubles the correct digits, so its own error is then
-    about tol**2/|I|.  Level L is also returned, with an error of about
-    tol, when the last three gaps show that doubling, their extrapolation
-    g_L**2/g_(L-1) is within tol, and h_L |w f| at the outermost nodes
-    inside (a, b) is within tol too; that saves the level that would only
-    confirm it.  The doubling presumes f analytic inside (a, b), as
-    tanh-sinh itself does; on an interior kink the early return can still
-    be off by more than tol.
-
-    An integrable endpoint blow-up needs no declaration: the nodes never
-    reach the endpoints.  A non-finite sample, or a ZeroDivisionError,
-    OverflowError or ValueError raised by f, is a DomainError.  Level-cap
-    exhaustion raises QuadratureError carrying the best estimate and gap.
-    """
-    return _tanh_sinh(f, a, b, ctx)
-
-
 def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
                           ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Integrate f over (a, inf) given its declared algebraic decay
@@ -214,6 +200,5 @@ def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
 
 def integrate_complex(f: Callable[[float], complex], a: float, b: float,
                       ctx: PrecisionContext = DEFAULT_CTX) -> complex:
-    """Complex-valued finite integral: one pass of integrate_finite's rule,
-    one evaluation of f per node, converged on the complex level gap."""
-    return complex(_tanh_sinh(f, a, b, ctx))
+    """integrate_finite of a complex-valued f, returned as a complex."""
+    return complex(integrate_finite(f, a, b, ctx))

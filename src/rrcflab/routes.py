@@ -1,6 +1,7 @@
-"""The registry's second routes: the quadratures, closed forms and the
-sextic's period-ratio path (path B) that the checks hold against the
-kernels' own answers.  No kernel calls them.
+"""The registry's second routes: the quadratures, closed forms (with the
+stated modulus derivatives of Eqs 20-21) and the sextic's period-ratio
+path (path B) that the checks hold against the kernels' own answers.  No
+kernel calls them.
 
 The module sits between the kernels and the registry.  It imports kernel
 modules only, and neither the registry's records nor dataclasses, so
@@ -105,6 +106,33 @@ def modulus_product_formula(r: float) -> float:
     q = math.exp(-math.pi * math.sqrt(r))
     return (2.0 ** (1.0 / 3.0) / math.sqrt(math.pi) * q ** (-1.0 / 24.0)
             * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
+
+
+def _nome_of_modulus(k: float) -> tuple[float, float]:
+    """(q, K(k)) with q = e^(-pi K'(k)/K(k)), for 0 < k < 1."""
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"modulus must lie in (0, 1), got {k}")
+    kk = elliptic_k(k)
+    return math.exp(-math.pi * elliptic_k_complementary(k) / kk), kk
+
+
+def dq_dk(k: float) -> float:
+    """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
+    k -> q is in fact increasing, so the sign convention is recorded by the
+    harness rather than silently corrected here."""
+    q, kk = _nome_of_modulus(k)
+    kp2 = (1.0 - k) * (1.0 + k)
+    return -q * math.pi ** 2 / (2.0 * k * kp2 * kk ** 2)
+
+
+def dr_dk(k: float) -> float:
+    """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
+    carries the same sign convention as dq_dk, so the chain rule
+    R'(q) dq/dk = dR/dk closes."""
+    q, _ = _nome_of_modulus(k)
+    kprime = math.sqrt((1.0 - k) * (1.0 + k))
+    u6 = math.exp(u_of_q_log(q) / 6.0)
+    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6
 
 
 def sextic_period_ratio_root(inst: SexticInstance, t: float) -> tuple[float, float]:

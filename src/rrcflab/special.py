@@ -55,7 +55,7 @@ def gamma(z: complex | float) -> complex | float:
     """Gamma function.  A real argument is a float in and out, by the C
     library's math.gamma (within a few ulps), whose overflow and underflow
     also decide the DomainError; a complex one takes the Lanczos sum, with
-    reflection left of Re z = 1/2.
+    reflection left of Re z = 1/2 (see _gamma_complex).
 
     Raises PoleError at the poles 0, -1, -2, ..., and DomainError where
     |gamma| is not a normal double: real z past 171.6, left of -171 away
@@ -78,64 +78,56 @@ def gamma(z: complex | float) -> complex | float:
         return val
     if not cmath.isfinite(z):
         raise DomainError(f"gamma needs a finite argument, got {z}")
+    return _gamma_complex(z)
+
+
+def _gamma_complex(z: complex) -> complex:
+    """gamma(z) = sqrt(2 pi) t^(w + 1/2) e^-t acc(w) with w = z - 1 and
+    t = w + g + 1/2, and left of Re z = 1/2 by the reflection
+    gamma(z) = pi / (sin(pi z) gamma(1 - z)); DomainError where |gamma(z)|
+    is not a normal double.
+
+    The power t^(w + 1/2) is taken as the square of its half, because it
+    leaves the doubles where gamma does not: from Re z ~ 142 it overflows
+    while e^-t brings the product back, and the reflection divides by the
+    same power of 1 - z left of Re z ~ -141.  Its half is finite wherever
+    |gamma(z)| is a normal double.  Likewise sin(pi z) grows like
+    e^(pi |Im z|) and overflows past |Im z| ~ 226, so the reflection
+    divides by e^(-pi |Im z|) sin(pi z), which stays below 1, and puts
+    e^(pi |Im z|/2) into each half instead.  It divides pi / (scale half)
+    by sin(pi z) half, one half on each side: next to z = 0, where
+    sin(pi z) is as small as z, dividing by sin(pi z) scale first would
+    overflow while |gamma(z)| ~ 1/|z| is still a normal double.
+    """
+    reflect = z.real < 0.5
+    w = -z if reflect else z - 1.0
+    t = w + _LANCZOS_G + 0.5
+    acc = _LANCZOS[0]
+    for i, c in enumerate(_LANCZOS[1:], start=1):
+        acc += c / (w + i)
     try:
-        if z.real < 0.5:
-            # Reflection: gamma(z) gamma(1-z) = pi / sin(pi z), with
+        scale = math.sqrt(2.0 * math.pi) * acc * cmath.exp(-t)
+        half = t ** (0.5 * (w + 0.5))
+        if reflect:
             # sin(pi z) = (-1)^n sin(pi (z - n)) for the nearest integer n:
             # z - n is exact, while the rounded product pi z would lose
             # every digit of z next to a pole
             n = round(z.real)
-            sine = cmath.sin(math.pi * (z - n))
-            val = math.pi / ((-sine if n % 2 else sine) * gamma(1.0 - z))
-        else:
-            w = z - 1.0
-            acc, t = _lanczos_sum(w), w + _LANCZOS_G + 0.5
-            val = math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * cmath.exp(-t) * acc
-    except (OverflowError, DomainError):
-        val = math.inf
-    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
-        val = _gamma_halved(z)
-    return val
-
-
-def _lanczos_sum(w: complex) -> complex:
-    """acc with gamma(w + 1) = sqrt(2 pi) t^(w + 1/2) e^-t acc,
-    t = w + g + 1/2, for Re w >= -1/2."""
-    acc = _LANCZOS[0]
-    for i, c in enumerate(_LANCZOS[1:], start=1):
-        acc += c / (w + i)
-    return acc
-
-
-def _gamma_halved(zc: complex) -> complex:
-    """gamma(z) where the plain Lanczos form overflows or underflows (from
-    Re z ~ 142, at 1 - z in the reflection, or where sin(pi z) overflows,
-    |Im z| > 226), with its power t^(w + 1/2) taken as two halves: finite
-    wherever |gamma(z)| is a normal double, DomainError elsewhere.  The
-    reflection divides by e^(-pi |Im z|) sin(pi z), which never overflows,
-    and puts e^(pi |Im z|/2) into each half instead."""
-    reflect = zc.real < 0.5
-    w = -zc if reflect else zc - 1.0
-    t = w + _LANCZOS_G + 0.5
-    try:
-        scale = math.sqrt(2.0 * math.pi) * _lanczos_sum(w) * cmath.exp(-t)
-        half = t ** (0.5 * (w + 0.5))
-        if reflect:
-            n = round(zc.real)
-            x, y = math.pi * (zc.real - n), math.pi * zc.imag
+            x, y = math.pi * (z.real - n), math.pi * z.imag
             d = -math.expm1(-2.0 * abs(y))   # 1 - e^(-2|y|), not 0 for tiny y
             # e^(-|y|) sin(x + iy) = (sin x (2 - d) + i cos x sign(y) d) / 2
             sine = 0.5 * complex(math.sin(x) * (2.0 - d),
                                  math.cos(x) * math.copysign(d, y))
             grow = math.exp(0.25 * abs(y))   # e^(|y|/2) per half, in two steps
             half = half * grow * grow
-            val = math.pi / ((-sine if n % 2 else sine) * scale) / half / half
+            val = math.pi / (scale * half) / ((-sine if n % 2 else sine) * half)
         else:
             val = scale * half * half
+        size = abs(val)   # OverflowError also where both parts are finite
     except OverflowError:
-        val = math.inf
-    if not (cmath.isfinite(val) and abs(val) >= sys.float_info.min):
-        raise DomainError(f"|gamma({zc})| is not a normal double")
+        size = math.inf
+    if not sys.float_info.min <= size <= sys.float_info.max:   # nan fails too
+        raise DomainError(f"|gamma({z})| is not a normal double")
     return val
 
 

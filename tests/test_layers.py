@@ -52,6 +52,12 @@ def test_kernels_import_only_lower_layers(module):
     assert imports <= set(KERNELS[:KERNELS.index(module)])
 
 
+def test_qseries_imports_only_numerics():
+    # the q-products need neither special nor quadrature; the modulus forms
+    # of Eqs 20-21, which take K, are routes
+    assert _package_imports(PACKAGE / "qseries.py") == {"numerics"}
+
+
 def test_routes_import_only_kernels():
     imports = _package_imports(PACKAGE / "routes.py")
     assert "modular" in imports

@@ -8,11 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.numerics import DomainError, differentiate
-from rrcflab.qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta, dq_dk,
-                             dr_dk, eta_quarter_integrand, eta_tail_log,
-                             lambert_sum, ramanujan_f, ramanujan_f_log, rrcf,
-                             rrcf_derivative, rrcf_of_log_q, u_log_of_log_q,
-                             u_of_q, u_of_q_log)
+from rrcflab.qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta,
+                             eta_quarter_integrand, eta_tail_log, lambert_sum,
+                             ramanujan_f, ramanujan_f_log, rrcf, rrcf_derivative,
+                             rrcf_of_log_q, u_log_of_log_q, u_of_q, u_of_q_log)
+from rrcflab.routes import dq_dk, dr_dk
 from rrcflab.special import elliptic_k
 
 Q_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -452,6 +452,21 @@ class TestDerivative:
         with mp.workdps(30):
             ref = mp.mpf(q) ** (mp.mpf(-4) / 5) / 5
         assert abs(rrcf_derivative(q) - ref) <= 4.0 * -math.log(q) * sys.float_info.epsilon * ref
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=math.log(1e-250), max_value=math.log(1e-8)))
+    @example(math.log(1e-250))
+    @example(math.log(1e-8))
+    def test_against_mpmath_between_zero_and_the_grid(self, log_q):
+        # the range between the two tests above, under the same exponent
+        # bound: measured at most 1.27 |ln q| eps over 1,500 q log-uniform
+        # in [1e-250, 1e-8].  mp.diff of the product form with a step
+        # relative to q, since an absolute step would cross q = 0.
+        mp = pytest.importorskip("mpmath")
+        q = math.exp(log_q)
+        with mp.workdps(30):
+            ref = mp.diff(lambda t: _mp_rrcf(mp, t), mp.mpf(q), h=mp.mpf(q) * mp.mpf("1e-12"))
+        assert abs(rrcf_derivative(q) - ref) <= 4.0 * -log_q * sys.float_info.epsilon * ref
 
 
 class TestModulusDerivatives:

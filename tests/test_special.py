@@ -93,7 +93,7 @@ class TestGamma:
     @example(170.0)
     @example(171.6)
     def test_past_142_against_math_gamma(self, x):
-        # from 142 the Lanczos power t^(z - 1/2) alone overflows a double
+        # a real x takes math.gamma, which stays finite up to 171.6
         assert gamma(x) == pytest.approx(math.gamma(x), rel=3e-13)
 
     @settings(max_examples=200, deadline=None)
@@ -104,6 +104,13 @@ class TestGamma:
     @example(150.0, 5.0)
     @example(-150.5, 3.0)
     @example(0.0, 2.225073858507203e-309)   # |gamma| = 4.5e308: 1 - e^(-2 pi y) is 0
+    # the two doubles on either side of where the whole Lanczos power
+    # t^(w + 1/2) overflows, and where the reflection's power of 1 - z does
+    @example(142.22494181490285, 1.0)
+    @example(142.22494181490288, 1.0)
+    @example(-141.22494181490285, 1.0)
+    @example(-141.22494181490288, 1.0)
+    @example(4.733254832053463e-309, 4.733254832053463e-309)   # |gamma| = 1.5e308
     def test_normal_doubles_against_mpmath(self, x, y):
         assume(not _is_nonpositive_int(complex(x, y)))   # the poles
         mp = pytest.importorskip("mpmath")
@@ -123,6 +130,8 @@ class TestGamma:
     @example(-3.18, 271.77, False)   # sin(pi z) overflowed: a DomainError at 1.1e-194
     @example(-0.2, 226.5, True)
     @example(0.3, 450.0, False)      # |gamma| = 7.7e-308, next to the normal doubles
+    @example(-0.3, 226.21895127535552, False)   # either side of where sin(pi z)
+    @example(-0.3, 226.21895127535555, False)   # overflows a double
     def test_far_from_the_real_axis_against_mpmath(self, x, y, below):
         # the phase Im((w + 1/2) ln t) of the Lanczos power is about
         # |y| ln|y| radians, and its rounding is the error: the worst seen
@@ -190,11 +199,14 @@ class TestGamma:
 
     @pytest.mark.parametrize("z", [171.7, 200.0, 1e300, -171.5, -1000.5,
                                    complex(200.0, 1.0), complex(0.7, 600.0),
-                                   complex(-0.2, -500.0)])
+                                   complex(-0.2, -500.0), complex(171.625, -0.43),
+                                   complex(3e-309, 3e-309)])
     def test_outside_the_normal_doubles_is_a_domain_error(self, z):
         # past 171.6 gamma overflows; left of -171 it falls below the normal
         # doubles, as 1 / gamma(1 - z) with gamma(1 - z) past the double range,
-        # and so it does far off the real axis (0.7 + 600i returned -0j)
+        # and so it does far off the real axis (0.7 + 600i returned -0j).
+        # At 171.625 - 0.43i and 3e-309 + 3e-309i both parts are finite but
+        # |gamma| is not, and abs() raised a raw OverflowError
         with pytest.raises(DomainError):
             gamma(z)
 
