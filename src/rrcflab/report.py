@@ -45,11 +45,13 @@ def residuals(lhs: complex | float, rhs: complex | float) -> tuple[float, float]
 
 def compare(check_id: str, paper_ref: str, lhs: complex | float,
             rhs: complex | float, tolerance: float, notes: str = "",
-            flagged: bool = False, relative: bool = True) -> CheckResult:
+            flagged: bool = False, relative: bool = True,
+            seconds: float = 0.0) -> CheckResult:
     """Build a CheckResult from two values and a tolerance.
 
     relative=True judges residual_rel against the tolerance, else
     residual_abs; the result records which as judged ("rel" or "abs").
+    seconds is the time that computing the two values took.
     The registry's runner passes every check the same rule: the tolerance
     max(tol, ctx.eps_rel), and relative unless rhs is the constant 0 (an
     identity anchored at zero).
@@ -61,4 +63,4 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     return CheckResult(id=check_id, paper_ref=paper_ref, lhs=lhs, rhs=rhs,
                        residual_abs=res_abs, residual_rel=res_rel,
                        judged="rel" if relative else "abs", tolerance=tolerance,
-                       status=status, notes=notes)
+                       status=status, notes=notes, seconds=seconds)

@@ -18,8 +18,8 @@ from typing import Callable
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
-from .qseries import (GOLDEN_CONJUGATE, Nome, ramanujan_f_log, rrcf, u_of_q,
-                      u_of_q_log)
+from .qseries import (GOLDEN_CONJUGATE, Nome, lambert_sum, ramanujan_f_log, rrcf,
+                      u_log_of_log_q, u_of_q, u_of_q_log)
 from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
                       eta_quotient_nome_of, klein_j)
 
@@ -154,17 +154,25 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     int_0^x j(Y^(-1)(w))^(-1/3) dw with Y(q) = u(q^2).
 
     The exponent -1/3 is the one the derivative identity requires (the
-    display prints +1/3).  Below w = 1e-10 the cusp asymptotic
-    j^(-1/3) ~ (w/125)^(5/3) stands in for the inversion; its relative
-    error there is O(w).
+    display prints +1/3).  The variable is the nome P in (0, P_x), so the
+    one inversion is P_x = eta_quotient_nome_of(125/x).  By the Fricke
+    involution u(s) u(4/(5s)) = 125 (q = e^(-pi s)), w = 125/u(P), with
+    dw/dP = 125 (1 + 6 L(P) - 30 L(P^5)) / (P u(P)) by the Lambert sum L
+    (P_x <= 0.06 for x <= 1), and the mirror nome of P has index
+    r = (2 pi/(5 ln P))^2, where klein_j takes max(r, 1/r): j at the nome
+    P^5.  At the cusp, P < 1e-4, j^(-1/3) = P^(5/3) (1 - 248 P^5 + ...)
+    stands in for j, a relative error below 2.5e-18.  The level-5 rational
+    form of j is not used, so the route shares nothing with the F1 form.
     """
     if not (0.0 < x <= 1.0):
         raise DomainError(f"needs 0 < x <= 1, got {x}")
 
-    def integrand(w: float) -> float:
-        if w < 1e-10:
-            return (w / 125.0) ** (5.0 / 3.0)
-        r = (math.log(eta_quotient_nome_of(w)) / (2.0 * math.pi)) ** 2
-        return klein_j(r) ** (-1.0 / 3.0)
+    def integrand(p: float) -> float:
+        log_p = math.log(p)
+        slope = 125.0 * math.exp(-u_log_of_log_q(log_p) - log_p) * (
+            1.0 + 6.0 * lambert_sum(p) - 30.0 * lambert_sum(p ** 5))
+        if p < 1e-4:
+            return p ** (5.0 / 3.0) * slope
+        return klein_j((2.0 * math.pi / (5.0 * log_p)) ** 2) ** (-1.0 / 3.0) * slope
 
-    return integrate_finite(integrand, 0.0, x, ctx)
+    return integrate_finite(integrand, 0.0, eta_quotient_nome_of(125.0 / x), ctx)

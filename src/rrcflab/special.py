@@ -16,6 +16,7 @@ import cmath
 import math
 import sys
 from functools import lru_cache
+from typing import Callable
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, Frozen, PrecisionContext,
                        SeriesDivergenceError, SeriesSum, sum_series)
@@ -435,7 +436,7 @@ def appell_f1(a, b1, b2, c, x, y,
         # (A polynomial is summed as it stands.)
         pref = (1.0 - x) ** (-b1) * (1.0 - y) ** (-b2)
         a, x, y = c - a, xt, yt
-    return _scaled_f1_series(pref, a, b1, b2, c, x, y, ctx).value
+    return _scaled_series(pref, _appell_f1_terms(a, b1, b2, c, x, y), ctx).value
 
 
 def _euler_integral_f1(a: complex, b1: complex, b2: complex, c: complex,
@@ -458,24 +459,29 @@ def _euler_integral_f1(a: complex, b1: complex, b2: complex, c: complex,
     return pref * integrate_complex(integrand, 0.0, 1.0, ctx)
 
 
-def _scaled_f1_series(pref: complex | float, a, b1, b2, c, x, y, ctx) -> SeriesSum:
-    """pref F1(a; b1, b2; c; x, y) by the series; a SeriesDivergenceError
-    reports its best and gap on that scale too."""
+def _scaled_series(pref: complex | float, term: Callable[[int], complex | float],
+                   ctx: PrecisionContext) -> SeriesSum:
+    """pref times the sum of the terms; a SeriesDivergenceError reports its
+    best and gap on that scale too."""
     try:
-        s = _appell_f1_series(a, b1, b2, c, x, y, ctx)
+        s = sum_series(term, ctx)
     except SeriesDivergenceError as exc:
         exc.best, exc.gap = pref * exc.best, abs(pref) * exc.gap
         raise
     return SeriesSum(pref * s.value, s.terms)
 
 
-def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext) -> SeriesSum:
-    # The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
-    # are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
-    # gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
-    # anti-diagonal then carries (a)_s/(c)_s.  O(1) per term.  It takes x
-    # and y only as x+y, xy and b1 x + b2 y: where these, a and c are real
-    # (real x and y, or a conjugate pair with b1 = b2) it runs in floats.
+def _appell_f1_terms(a, b1, b2, c, x, y) -> Callable[[int], complex | float]:
+    """The terms of the F1 series along anti-diagonals, to be taken in order
+    s = 0, 1, 2, ..., once each.
+
+    The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
+    are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
+    gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
+    anti-diagonal then carries (a)_s/(c)_s.  O(1) per term.  It takes x
+    and y only as x+y, xy and b1 x + b2 y: where these, a and c are real
+    (real x and y, or a conjugate pair with b1 = b2) it runs in floats.
+    """
     coeffs = (x + y, x * y, b1 * x + b2 * y, b1 + b2 - 1.0, a, c)
     if not any(v.imag for v in coeffs):
         coeffs = tuple(v.real for v in coeffs)
@@ -491,7 +497,7 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext) -> SeriesSum:
             r = r * (a + s) / (c + s)
         return val
 
-    return sum_series(term, ctx)
+    return term
 
 
 class BetaBase(Frozen):
@@ -653,6 +659,14 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
     in float arithmetic, and the sum is a float where c and x are positive.
     Converges for |x| < |r1| and (slowly) on parts of the boundary.
     """
+    return _scaled_series(*quadratic_power_terms(mu, nu, a, b, c, x), ctx)
+
+
+def quadratic_power_terms(mu: float, nu: float, a: float, b: float, c: float,
+                          x: float) -> tuple[complex | float, Callable[[int], complex | float]]:
+    """(pref, term): quadratic_power_series's value is pref times the sum of
+    term(0), term(1), ... taken in that order, for a caller that transforms
+    the partial sums where the plain series converges too slowly."""
     if _is_nonpositive_int(mu + 1.0):
         raise DomainError(f"the series needs mu+1 off 0, -1, ..., got mu={mu}")
     if x == 0.0 and mu < -1.0:
@@ -665,5 +679,4 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
     w = z.conjugate() if r2 == r1.conjugate() else r1 / r2 * z
     # float ** is complex for a negative base, and then equals complex **
     pref = c ** (-nu) * x ** (mu + 1.0) / (mu + 1.0)
-    return _scaled_f1_series(pref, mu + 1.0, nu, nu, mu + 2.0, z, w, ctx)
-
+    return pref, _appell_f1_terms(mu + 1.0, nu, nu, mu + 2.0, z, w)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              beta_ratio_root, eta_quotient_nome_of, m_of_x,
-                             theta_of_X)
+                             surd_tail_integral, theta_of_X)
 from rrcflab.numerics import BracketError, DomainError
 from rrcflab.qseries import GOLDEN_CONJUGATE
 from rrcflab.special import BetaBase
@@ -216,6 +216,24 @@ class TestEtaQuotientNome:
     def test_domain(self, w):
         with pytest.raises(DomainError):
             eta_quotient_nome_of(w)
+
+
+class TestSurdTail:
+    """theta's target, the surd tail, to 2e-15 relative: one quadrature of a
+    smooth integrand on either side of 1, and below 1 the closed-form total
+    less a head of at most 0.11."""
+
+    @ORACLE
+    @given(st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0 ** e))
+    @example(2.0239101052319723e-07)    # 2.4e-12 off with the head over [X, 1]
+    @example(1.0)
+    @example(1e-12)
+    @example(1e12)
+    def test_against_mpmath(self, big_x):
+        value = surd_tail_integral(big_x)
+        with mp.workdps(30):
+            target = surd_tail(big_x)
+        assert abs(value - target) <= 2e-15 * target, (big_x, value)
 
 
 class TestTheta:

@@ -12,10 +12,12 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              klein_j_from_lambda, klein_j_from_quarter_modulus,
                              m_of_x, pi_formula_partial_sum,
                              psi_arcsin_ratio,
-                             singular_modulus, solve_sextic, surd_tail_integral,
-                             theorem6_base_change, theta_of_X, trig_modular)
+                             singular_modulus, solve_sextic, surd_integrand,
+                             surd_tail_integral, theorem6_base_change, theta_of_X,
+                             trig_modular)
 from rrcflab.numerics import DEFAULT_CTX, ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
+from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
 from rrcflab.routes import j_integral_quadrature, rr_integral, sextic_period_ratio_root
@@ -119,10 +121,13 @@ class TestKleinJ:
 
 class TestInverseIntegrals:
     def test_domain_bound_closed_form(self):
-        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 by quadrature, pi times
-        # the eta tail from 0 summed from its q-expansion, and the nearest
-        # float to mpmath's value
-        assert TAIL_TOTAL == pytest.approx(surd_tail_integral(0.0), rel=1e-14)
+        # 4^(-1/3) B(1/6, 2/3): the surd tail from 0 by quadrature over [0, 1]
+        # and the tail from 1 (surd_tail_integral(0) is TAIL_TOTAL itself),
+        # pi times the eta tail from 0 summed from its q-expansion, and the
+        # nearest float to mpmath's value
+        quadrature_total = (integrate_finite(surd_integrand, 0.0, 1.0)
+                            + surd_tail_integral(1.0))
+        assert TAIL_TOTAL == pytest.approx(quadrature_total, rel=1e-14)
         assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)
         assert F_ARGUMENT_MAX == 0.2 * TAIL_TOTAL
         mp = pytest.importorskip("mpmath")
@@ -360,9 +365,11 @@ class TestJIntegral:
             j_integral_f1_form(x), rel=1e-11)
 
     def test_quadrature_route(self):
-        x = 0.5
-        assert j_integral_quadrature(x) == pytest.approx(
-            j_integral_f1_form(x), rel=1e-5)
+        # from the cusp, where the whole interval in the nome is below 1e-4,
+        # to the top of the domain
+        for x in (1e-6, 1e-3, 0.1, 0.5, 1.0):
+            assert j_integral_quadrature(x) == pytest.approx(
+                j_integral_f1_form(x), rel=1e-12), x
 
     def test_nome_inversion(self):
         q = eta_quotient_nome_of(5.0)
@@ -440,11 +447,12 @@ class TestWorkCounts:
 
     # The bounds below only tighten.  Before quadrature stopped on its error
     # estimate, theta_of_X(0.14) took 393 evaluations and Theorem 1's
-    # integral at nu = 1/2 took 262.
+    # integral at nu = 1/2 took 262; before the surd tail below 1 became one
+    # quadrature of its head, theta_of_X(0.14) took 2 calls and 201.
     def test_theta_evaluations(self, counts):
         theta_of_X(0.14)
-        assert counts["calls"] == 2
-        assert counts["evals"] <= 201
+        assert counts["calls"] == 1
+        assert counts["evals"] <= 68
 
     def test_weighted_power_integral_evaluations(self, counts):
         routes.weighted_power_integral(0.5, DEFAULT_CTX)

@@ -1,11 +1,13 @@
 import dataclasses
+import math
 
 import pytest
 
-from rrcflab.numerics import DEFAULT_CTX, DomainError
+from rrcflab.numerics import DEFAULT_CTX, DomainError, SeriesDivergenceError
 from rrcflab.report import FAIL, FLAGGED, PASS, compare, residuals
-from rrcflab.verify import (BUILDER_RAISED, CHECKS, Check, check_ids, run_all,
-                            run_check)
+from rrcflab.special import quadratic_power_terms
+from rrcflab.verify import (BUILDER_RAISED, CHECKS, Check, _levin_u, check_ids,
+                            run_all, run_check)
 
 
 class TestCheckResult:
@@ -148,6 +150,32 @@ class TestBuilderErrors:
         monkeypatch.setitem(verify._REGISTRY, "broken", (record, ()))
         with pytest.raises(TypeError):
             run_check("broken")
+
+
+class TestLevinTransform:
+    """T8.example1's series, int_0^1 (t^2 + t + 1)^(-1/2) dt, on its circle
+    of convergence, by Levin's u-transform of the sums over blocks of 3."""
+
+    TARGET = math.log(1.0 + 2.0 / math.sqrt(3.0))
+
+    @staticmethod
+    def terms():
+        pref, term = quadratic_power_terms(0.0, 0.5, 1.0, 1.0, 1.0, 1.0)
+        assert pref == 1.0
+        return term
+
+    def test_converges_in_few_terms(self):
+        estimate, used, plain = _levin_u(self.terms(), 3)
+        assert abs(estimate - self.TARGET) <= 1e-11
+        assert used <= 63
+        # the plain partial sum at as many terms is still 1.8e-3 off
+        assert abs(plain - self.TARGET) > 1e-3
+
+    def test_cap_raises_with_the_best_estimate(self):
+        with pytest.raises(SeriesDivergenceError) as info:
+            _levin_u(self.terms(), 3, max_blocks=5)
+        assert abs(info.value.best - self.TARGET) < 1e-4
+        assert 0.0 < info.value.gap < 1e-4
 
 
 class TestEpsSweep:
