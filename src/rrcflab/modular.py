@@ -539,7 +539,9 @@ def j_integral_phi_partial_fraction(x: float,
 
 def eta_quotient_nome_of(w: float) -> float:
     """q in (0, 1) with u(q) = w (the eta-quotient map is decreasing), for
-    every positive finite w, to the last bit.
+    every positive finite w.  Newton resolves sigma to the last bit, and q,
+    an exponential of sigma, carries that rounding times |ln q|: about
+    |ln q| ulps (9.5 ulps at w = 1250, where ln q = -7.1).
 
     Newton on ln u(e^(-pi sigma)) - W in sigma >= 2/sqrt5, the fixed point of
     the Fricke involution u(s) u(4/(5s)) = 125: W = ln w and q = e^(-pi sigma)

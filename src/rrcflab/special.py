@@ -7,7 +7,9 @@ continued fraction; the complete elliptic integral K via AGM; the
 sine-sextuple polynomial; P_n, a terminating 2F1, and the quadratic-surd
 integral series, an F1 series.  Real inputs stay real: the same series
 loops run in float arithmetic, and only complex inputs and the Euler
-integral take complex arithmetic.
+integral take complex arithmetic.  2F1's parameters keep their kind apart
+from z: real a, b and c stay floats with a complex z, so each term's ratio
+and the connection formula's Gamma factors are taken in floats.
 """
 
 from __future__ import annotations
@@ -163,8 +165,12 @@ def pochhammer_negative(a: float, n: int) -> float:
 
 def _same_kind(*vals) -> list:
     """The values as floats when every one is real, else all as complex."""
-    kind = complex if any(isinstance(v, complex) for v in vals) else float
-    return [kind(v) for v in vals]
+    kind = float
+    for v in vals:   # a loop, not any() over a generator: this runs per call
+        if isinstance(v, complex):
+            kind = complex
+            break
+    return list(map(kind, vals))
 
 
 def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
@@ -181,7 +187,8 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
         ``_CONNECTION_PARAMETER_MAX``, where its Gamma products overflow.
       * z/(z-1), by Pfaff (DLMF 15.8.1), with no Gamma factor.
       * z itself, or its Euler transform (1-z)^(c-a-b) F(c-a, c-b; c; z),
-        whichever has the faster-falling terms, unless that one cancels.
+        whichever has the faster-falling terms, unless that one cancels;
+        the series at z where the Euler power would pass the largest double.
 
       Past radius 1/2 the series is summed to a tolerance scaled by
       (1-r)/r, so that its stopping rule leaves no more than the tolerance
@@ -192,9 +199,17 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
 
     Every series is summed inline by ``_series_2f1`` under
     ``sum_series``'s stopping rule, with no call per term; no
-    PrecisionContext is built.  Real a, b, c and z are summed in float
-    arithmetic and give a float: on z < 1 every power in the routes has a
+    PrecisionContext is built.  Each call classifies its parameters once:
+    the pole tests of a, b and c serve the route and its series.
+
+    The parameters keep their kind apart from z.  Real a, b and c stay
+    floats whatever z is: each term's ratio (a+n)(b+n)/((c+n)(n+1)) and
+    the Gamma factors of the connection formula are taken in floats, and
+    a complex z enters each term only as t * ratio * z.  z is complex
+    where it or a parameter is, and so is the value (also at z = 0).  Real
+    a, b, c and z give a float: on z < 1 every power in the routes has a
     positive base.  Only the Euler integral at |z| >= 1 runs in complex.
+    An inf or nan parameter or z is a DomainError.
 
     Known gaps (``_is_slow_2f1``), where every route runs at a radius above
     ``_SLOW_RADIUS`` and the series can reach its 2000-term cap: z next to 1
@@ -204,22 +219,31 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute next to a zero)
     against mpmath for a, b, c in [-3, 3].
     """
-    a, b, c, z = _same_kind(a, b, c, z)
+    a, b, c = _same_kind(a, b, c)
+    z = complex(z) if isinstance(a, complex) or isinstance(z, complex) else float(z)
     try:
-        # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
-        if _is_nonpositive_int(c) and not (
-                _is_nonpositive_int(a) and round(a.real) >= round(c.real)) and not (
-                _is_nonpositive_int(b) and round(b.real) >= round(c.real)):
-            raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
-        if z == 0:
-            return type(z)(1.0)
-        served = abs(z) < 1.0 or _is_nonpositive_int(a) or _is_nonpositive_int(b)
-        route = _route_2f1(a, b, c, z)[0] if served else None
+        r = abs(z)
+    except OverflowError:   # finite parts, a modulus past the doubles
+        r = math.inf
+    if not r < math.inf:   # nan fails too
+        raise DomainError(f"2F1 needs a finite |z|, got z={z}")
+    try:
+        a_pole, b_pole, c_pole = (_is_nonpositive_int(a), _is_nonpositive_int(b),
+                                  _is_nonpositive_int(c))
+        plan = _route_2f1(a, b, c, z, (a_pole, b_pole)) \
+            if r < 1.0 or a_pole or b_pole else None
     except (OverflowError, ValueError):   # round() of an inf or nan parameter
         raise DomainError(f"2F1 needs finite parameters, got {(a, b, c, z)}") from None
-    if route is not None:
+    # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
+    if c_pole and not (a_pole and round(a.real) >= round(c.real)) and not (
+            b_pole and round(b.real) >= round(c.real)):
+        raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
+    if z == 0:
+        return type(z)(1.0)
+    if plan is not None:
+        route, _, poles = plan
         try:
-            return _finite(_ROUTES[route](a, b, c, z, ctx))
+            return _finite(_ROUTES[route](a, b, c, z, ctx, poles))
         except OverflowError:   # float ** past the doubles, in a transform's power
             raise DomainError(f"2F1 {route} route overflows a double at "
                               f"a={a}, b={b}, c={c}, z={z}") from None
@@ -250,23 +274,28 @@ _CONNECTION_PARAMETER_MAX = 25.0
 _SLOW_RADIUS = 0.95
 
 
-def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0) -> SeriesSum:
+def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
+                poles: tuple[bool, bool] | None = None) -> SeriesSum:
     """The power series of 2F1 at z (DLMF 15.2.1), the one summation every
-    route calls; a polynomial when a or b is a non-positive integer.  The
-    arguments are all floats or all complex, and the sum is of their kind.
+    route calls; a polynomial when a or b is a non-positive integer.  a, b
+    and c are all floats or all complex; z is complex where they are, and
+    the sum is of z's kind.  ``poles`` are the pole tests of a and b where
+    the caller has made them; without them the series makes its own.
 
     The terms t_0 = 1, t_(n+1) = t_n (a+n)(b+n) / ((c+n)(n+1)) z are summed
     in one inline loop under ``sum_series``'s rule: it stops on two
     consecutive terms with |t| <= eps_rel |S| + eps_abs, and raises
-    SeriesDivergenceError at ctx.max_series_terms.  The tolerance is
+    SeriesDivergenceError at ctx.max_series_terms.  The ratio is formed in
+    the parameters' kind before t and z multiply it.  The tolerance is
     multiplied by ``scale`` (the connection formula sums tighter), and past
     radius 1/2 by (1-r)/r.  No PrecisionContext is built.
     """
+    a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
     # a polynomial ends at its first vanishing numerator: a is made the
     # non-positive integer with the larger real part
-    if _is_nonpositive_int(b) and not (_is_nonpositive_int(a) and a.real >= b.real):
+    if b_pole and not (a_pole and a.real >= b.real):
         a, b = b, a
-    terminating = _is_nonpositive_int(a)
+    terminating = a_pole or b_pole
     # Below |c| = 1e-300, a b / c can overflow before z scales it back, and
     # z / c too for a subnormal c: t_1 = a (b 2^600) (z / (c 2^600)) keeps
     # every factor a normal double.  (c = 0 comes only with degree 0.)
@@ -303,7 +332,7 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0) -> Series
         if n == 0 and t1 is not None:
             t = t1
         else:
-            t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+            t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
     total, small_run = 0.0, 0
     for k in range(cap):
         try:
@@ -321,29 +350,36 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0) -> Series
             small_run = 0
         n = k + head   # t is t_n, the term after this one
         term = t
-        t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+        t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
     raise SeriesDivergenceError(f"series did not converge within {cap} terms",
                                 best=total, gap=size)
 
 
-def _direct_2f1(a, b, c, z, ctx):
-    return _series_2f1(a, b, c, z, ctx).value
+def _direct_2f1(a, b, c, z, ctx, poles):
+    return _series_2f1(a, b, c, z, ctx, 1.0, poles).value
 
 
-def _euler_2f1(a, b, c, z, ctx):
+def _euler_2f1(a, b, c, z, ctx, poles):
     # DLMF 15.8.1: the same radius as the series at z
-    return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, ctx).value
+    return (1.0 - z) ** (c - a - b) * _series_2f1(c - a, c - b, c, z, ctx, 1.0, poles).value
 
 
-def _pfaff_2f1(a, b, c, z, ctx):
+# The pole tests of a series that is no polynomial: _route_2f1 takes a
+# polynomial at z or in the Euler pair, so Pfaff and the connection formula
+# never sum one.
+_NO_POLES = (False, False)
+
+
+def _pfaff_2f1(a, b, c, z, ctx, poles):
     # DLMF 15.8.1, with a, b ordered so that the terms fall like
     # n^(a-b-1) r^n with Re(a-b) <= 0
     if a.real > b.real:
         a, b = b, a
-    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0), ctx).value
+    return (1.0 - z) ** (-a) * _series_2f1(a, c - b, c, z / (z - 1.0), ctx, 1.0,
+                                           _NO_POLES).value
 
 
-def _connection_2f1(a, b, c, z, ctx):
+def _connection_2f1(a, b, c, z, ctx, poles):
     # A&S 15.3.6 (DLMF 15.8.4 at z -> 1-z)
     s, w = c - a - b, 1.0 - z
     # the two terms grow like 1/gap, gap the distance of s from the nearest
@@ -351,14 +387,18 @@ def _connection_2f1(a, b, c, z, ctx):
     # that much tighter
     gap = abs(s - round(s.real))
     near = gamma(s) / (gamma(c - a) * gamma(c - b)) \
-        * _series_2f1(a, b, 1.0 - s, w, ctx, gap).value
+        * _series_2f1(a, b, 1.0 - s, w, ctx, gap, _NO_POLES).value
     far = w ** s * gamma(-s) / (gamma(a) * gamma(b)) \
-        * _series_2f1(c - a, c - b, 1.0 + s, w, ctx, gap).value
+        * _series_2f1(c - a, c - b, 1.0 + s, w, ctx, gap, _NO_POLES).value
     return gamma(c) * (near + far)
 
 
 _ROUTES = {"series": _direct_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
            "connection": _connection_2f1}
+
+# The log of the largest double: the Euler power (1-z)^(c-a-b) is judged by
+# the log of its modulus before it is formed.
+_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _near_pole(x: complex, any_integer: bool = False) -> bool:
@@ -368,42 +408,58 @@ def _near_pole(x: complex, any_integer: bool = False) -> bool:
     return abs(x - (n if any_integer else min(n, 0))) < _POLE_GAP
 
 
-def _route_2f1(a, b, c, z) -> tuple[str, float]:
-    """The route gauss_2f1 takes at |z| < 1, and the radius its series is
-    summed at; the connection formula sums two series at |1-z|, as many
-    terms as one at sqrt|1-z|."""
-    if _is_nonpositive_int(a) or _is_nonpositive_int(b):
-        return "series", 0.0  # a polynomial
-    if abs(z) <= 0.5:
-        return "series", abs(z)
-    radii = {"direct": abs(z), "pfaff": abs(z / (z - 1.0))}
-    if _is_nonpositive_int(c - a) or _is_nonpositive_int(c - b):
-        radii["euler"] = 0.0  # a polynomial
-    elif (not _near_pole(c - a - b, any_integer=True)
-          and max(abs(a), abs(b), abs(c)) <= _CONNECTION_PARAMETER_MAX):
-        radii["connection"] = math.sqrt(abs(1.0 - z))
-    route = min(radii, key=radii.get)
+def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
+               ) -> tuple[str, float, tuple[bool, bool]]:
+    """The route gauss_2f1 takes at |z| < 1, the radius its series is
+    summed at, and the pole tests of that series' a and b; the connection
+    formula sums two series at |1-z|, as many terms as one at sqrt|1-z|.
+    ``poles`` are the pole tests of a and b where the caller has made them.
+    """
+    a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
+    if a_pole or b_pole:
+        return "series", 0.0, (a_pole, b_pole)  # a polynomial
+    r = abs(z)
+    if r <= 0.5:
+        return "series", r, _NO_POLES
+    euler_poles = _is_nonpositive_int(c - a), _is_nonpositive_int(c - b)
+    if euler_poles[0] or euler_poles[1]:
+        return "euler", 0.0, euler_poles  # a polynomial
+    # the shortest of the series at z, Pfaff and the connection formula;
+    # a tie goes to the one named first
+    route, radius = "direct", r
+    pfaff = abs(z / (z - 1.0))
+    if pfaff < radius:
+        route, radius = "pfaff", pfaff
+    s = c - a - b
+    if (not _near_pole(s, any_integer=True)
+            and max(abs(a), abs(b), abs(c)) <= _CONNECTION_PARAMETER_MAX):
+        connection = math.sqrt(abs(1.0 - z))
+        if connection < radius:
+            route, radius = "connection", connection
     if route != "direct":
-        return route, radii[route]
+        return route, radius, _NO_POLES
     # The terms of F(A, B; c; z), (A, B) = (a, b) or the Euler pair
     # (c-a, c-b), fall like n^(A+B-c-1) r^n, so the pair with
     # Re(c-A-B) >= 0 is shorter.  That series tends to
     # Gamma(c) Gamma(c-A-B) / (Gamma(c-A) Gamma(c-B)) at z = 1; where this
     # nearly vanishes and z lies in the disk |z - 1/2| < 1/2 around
     # [0, 1], its terms cancel, and the other pair is summed.
-    s = c - a - b
     shorter, other = ("series", "euler") if s.real >= 0.0 else ("euler", "series")
     ends = (c - a, c - b) if s.real >= 0.0 else (a, b)
-    if z.real > abs(z) ** 2 and any(_near_pole(e) for e in ends):
-        return other, abs(z)
-    return shorter, abs(z)
+    route = other if z.real > r * r and any(_near_pole(e) for e in ends) else shorter
+    if route == "euler":
+        # |(1-z)^s| = e^(Re s ln|1-z| - Im s arg(1-z)); past the largest
+        # double the series at z is summed instead
+        w = 1.0 - z
+        if s.real * math.log(abs(w)) - s.imag * cmath.phase(w) > _LOG_DOUBLE_MAX:
+            route = "series"
+    return route, r, _NO_POLES
 
 
 def _is_slow_2f1(a, b, c, z) -> bool:
     """True in the known gaps of gauss_2f1 at |z| < 1: the route it takes
     runs at a radius above _SLOW_RADIUS."""
-    _, radius = _route_2f1(complex(a), complex(b), complex(c), complex(z))
-    return radius > _SLOW_RADIUS
+    return _route_2f1(complex(a), complex(b), complex(c), complex(z))[1] > _SLOW_RADIUS
 
 
 def appell_f1(a, b1, b2, c, x, y,
@@ -556,19 +612,22 @@ def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
     (Numerical Recipes section 5.2 and 6.4), with
     d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
     d_2m = m (b-m) x / ((a+2m-1)(a+2m))."""
-    tiny = 1e-300   # a denominator below it is taken as tiny
-    d = 1.0 - (a + b) * x / (a + 1.0)
-    c, d = 1.0, 1.0 / (d if abs(d) >= tiny else tiny)
+    tiny = 1e-300   # a denominator below it is taken as tiny; nan fails both tests
+    ab = a + b
+    d = 1.0 - ab * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if d >= tiny or d <= -tiny else tiny)
     h = d
     for m in range(1, ctx.max_series_terms + 1):
-        m2 = 2.0 * m
-        coeff = m * (b - m) * x / ((a + m2 - 1.0) * (a + m2))
+        p = a + 2.0 * m
+        coeff = m * (b - m) * x / ((p - 1.0) * p)
         d, c = 1.0 + coeff * d, 1.0 + coeff / c
-        d, c = 1.0 / (d if abs(d) >= tiny else tiny), c if abs(c) >= tiny else tiny
+        d = 1.0 / (d if d >= tiny or d <= -tiny else tiny)
+        c = c if c >= tiny or c <= -tiny else tiny
         h *= d * c
-        coeff = -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0))
+        coeff = -(a + m) * (ab + m) * x / (p * (p + 1.0))
         d, c = 1.0 + coeff * d, 1.0 + coeff / c
-        d, c = 1.0 / (d if abs(d) >= tiny else tiny), c if abs(c) >= tiny else tiny
+        d = 1.0 / (d if d >= tiny or d <= -tiny else tiny)
+        c = c if c >= tiny or c <= -tiny else tiny
         h *= d * c
         if abs(d * c - 1.0) <= 2.0 * MACHINE_EPS:
             return h

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from rrcflab import special
 from rrcflab.numerics import (DomainError, KernelError, PrecisionContext,
                               SeriesDivergenceError, sum_series)
 from rrcflab.quadrature import integrate_finite
@@ -237,9 +238,6 @@ class TestGauss2F1:
         assert gauss_2f1(0.3, 0.7, 1.1, 0.0) == 1.0
 
     @pytest.mark.parametrize("a, b, c, z", [
-        # the Euler transform's (1-z)^(c-a-b) overflows; the value itself,
-        # 0.99997, is a double that no route reaches yet
-        (0.3, 0.2, -1500.5, 0.7),
         # Pfaff's (1-z)^(-a) overflows, and so does the value, 4.2e447
         (-1500.5, 0.3, 0.5, -0.99),
     ])
@@ -247,6 +245,16 @@ class TestGauss2F1:
         # float ** raised a raw OverflowError
         with pytest.raises(KernelError, match="overflows"):
             gauss_2f1(a, b, c, z)
+
+    def test_euler_power_past_the_doubles_takes_the_series_at_z(self):
+        # the Euler transform's (1-z)^(c-a-b) = 0.3^-1501 overflows while
+        # the value, 0.99997, is a double: judged by the log of the power's
+        # modulus, the series at z is summed instead (it raised "overflows")
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = float(mp.hyp2f1(0.3, 0.2, -1500.5, 0.7))
+        assert _route_2f1(0.3, 0.2, -1500.5, 0.7)[0] == "series"
+        assert abs(gauss_2f1(0.3, 0.2, -1500.5, 0.7) - ref) <= 1e-14 * abs(ref)
 
     def test_log_closed_form(self):
         z = 0.3
@@ -338,6 +346,29 @@ class TestGauss2F1:
         with pytest.raises(DomainError, match="finite parameters"):
             gauss_2f1(*args)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf,
+                                   complex(0.0, math.nan), complex(0.0, math.inf),
+                                   complex(math.nan, 0.3), complex(1.5e308, 1.5e308)])
+    def test_non_finite_z_is_a_domain_error(self, z):
+        # a nan or inf z reached the Euler integral and failed inside the
+        # quadrature with "integrand not finite"; a modulus past the doubles
+        # read as "needs finite parameters"
+        with pytest.raises(DomainError, match="2F1 needs a finite"):
+            gauss_2f1(0.5, 0.25, 1.5, z)
+
+    def test_pole_of_c_names_the_pole(self):
+        # the undefined-c error was raised inside the parameters' finiteness
+        # test and came out as "needs finite parameters"
+        with pytest.raises(DomainError, match="undefined"):
+            gauss_2f1(0.5, 0.5, -1.0, 0.3)
+
+    @pytest.mark.parametrize("args", [(0.5 + 0j, 0.25, 1.5, 0.0),
+                                      (0.5, 0.25, 1.5, 0j),
+                                      (0.5, 0.25, 1.5, 0.3 + 0.1j),
+                                      (0.5, 0.25 + 0.1j, 1.5, 0.3)])
+    def test_complex_parameter_or_z_gives_a_complex_value(self, args):
+        assert type(gauss_2f1(*args)) is complex
+
 
 def _closure_series_2f1(a, b, c, z, ctx, scale=1.0):
     """_series_2f1's series summed by sum_series, its term a closure over
@@ -362,7 +393,7 @@ def _closure_series_2f1(a, b, c, z, ctx, scale=1.0):
         elif terminating:   # a polynomial multiplies by the whole ratio
             t *= (a + n) * (b + n) / ((c + n) * (n + 1)) * z
         else:
-            t = t * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
+            t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
         return value
 
     term = plain
@@ -397,6 +428,8 @@ class TestInline2F1Series:
                 c = complex(rng.choice(TestInline2F1Series.TINY_C))
             elif i % 5 == 3:
                 a = complex(-rng.randint(0, 8))        # a polynomial
+            elif i % 5 == 4:
+                a, b, c = a.real, b.real, c.real       # floats, with a complex z
             if _is_nonpositive_int(c) or (_is_nonpositive_int(b) and i % 5 != 3):
                 continue
             radius = rng.uniform(0.0, 0.97)
@@ -429,8 +462,11 @@ class TestInline2F1Series:
             kinds.add(inline[0] if inline[0] != "value" else
                       "terminating" if _is_nonpositive_int(a) else
                       "tiny c" if abs(c) < 1e-300 else
-                      "head" if c.real < 0.0 else "complex" if z.imag else "real")
-        assert kinds >= {"terminating", "tiny c", "head", "complex", "real"}
+                      "head" if c.real < 0.0 else
+                      "complex z, real parameters" if z.imag and type(a) is float else
+                      "complex" if z.imag else "real")
+        assert kinds >= {"terminating", "tiny c", "head", "complex z, real parameters",
+                         "complex", "real"}
 
     def test_term_cap_raises_with_the_same_best(self):
         capped = PrecisionContext(max_series_terms=5)
@@ -462,6 +498,27 @@ class TestInline2F1Series:
         gauss_2f1(0.5, 0.25, 1.5, -0.99)
         gauss_2f1(0.5, 0.25, -2.5, 0.3 + 0.1j)
         assert built == []
+
+    @pytest.mark.parametrize("z, route, bound", [
+        (0.3 + 0.2j, "series", 3),     # the pole tests of a, b and c
+        (0.9, "connection", 12),       # and of c-a, c-b, and Gamma's seven
+    ])
+    def test_gauss_2f1_classifies_once(self, monkeypatch, z, route, bound):
+        # each call makes the pole tests of its parameters once, and the
+        # route and its series reuse them; the series used to repeat the
+        # tests of a and b (5 and 16 calls)
+        calls = []
+        original = special._is_nonpositive_int
+
+        def counted(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(special, "_is_nonpositive_int", counted)
+        assert _route_2f1(0.5, 0.25, 1.5, z)[0] == route
+        calls.clear()
+        gauss_2f1(0.5, 0.25, 1.5, z)
+        assert len(calls) <= bound
 
 
 # The kernels benchmark's 2F1 draws: a, b, c in [-3, 3], z real in
@@ -1139,6 +1196,57 @@ class TestRealPath:
                 assert repr(real) == repr(cplx.real), (a, b, c, z)
             seen[route] += 1
         assert seen["connection"] > 100 and seen["integral"] > 100
+        assert min(seen[r] for r in ("series", "euler", "pfaff")) > 20
+
+    def test_gauss_2f1_complex_z_with_real_parameters(self, monkeypatch):
+        # real a, b and c stay floats with a complex z.  Against the same
+        # values as complex parameters: the same route and series terms,
+        # and the same bits except on the connection route, whose Gamma
+        # factors take math.gamma in place of the Lanczos sum
+        sums = []
+        original = special._series_2f1
+
+        def recorded(*args):
+            result = original(*args)
+            sums.append((type(args[0]), type(args[2]), result.terms))
+            return result
+
+        monkeypatch.setattr(special, "_series_2f1", recorded)
+
+        def outcome(*args):
+            sums.clear()
+            try:
+                value = gauss_2f1(*args)
+            except KernelError as exc:
+                value = type(exc).__name__
+            return value, sums[:]
+
+        rng = random.Random(1307)
+        seen = collections.Counter()
+        for i in range(2400):
+            a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+            if i % 6 == 1:
+                a = float(-rng.randint(0, 6))            # a polynomial
+            elif i % 6 == 2:
+                c = a + b + rng.randint(-2, 2)           # no connection formula
+            z = cmath.rect(rng.uniform(0.0, 0.99), rng.uniform(-math.pi, math.pi))
+            real, real_sums = outcome(a, b, c, z)
+            cplx, cplx_sums = outcome(*map(complex, (a, b, c, z)))
+            route = _route_2f1(a, b, c, z)[0]
+            assert route == _route_2f1(*map(complex, (a, b, c, z)))[0], (a, b, c, z)
+            assert [s[2] for s in real_sums] == [s[2] for s in cplx_sums], (a, b, c, z)
+            assert all(s[:2] == (float, float) for s in real_sums), (a, b, c, z)
+            if isinstance(real, str):
+                assert real == cplx, (a, b, c, z)
+                seen[real] += 1
+                continue
+            assert type(real) is complex, (a, b, c, z)
+            if route == "connection":
+                assert abs(real - cplx) <= 1e-13 * abs(cplx), (a, b, c, z)
+            else:
+                assert repr(real) == repr(cplx), (a, b, c, z)
+            seen[route] += 1
+        assert seen["connection"] > 100
         assert min(seen[r] for r in ("series", "euler", "pfaff")) > 20
 
     def test_appell_f1(self):
