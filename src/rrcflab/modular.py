@@ -21,9 +21,10 @@ import sys
 from functools import lru_cache
 
 from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
-                       Frozen, PrecisionContext, find_root, newton_root)
+                       Frozen, KernelError, PrecisionContext, find_root,
+                       newton_root)
 from .quadrature import integrate_finite
-from .special import (BetaBase, appell_f1, complete_beta, elliptic_k,
+from .special import (BetaBase, _beta_cf, appell_f1, complete_beta, elliptic_k,
                       gauss_2f1, incomplete_beta)
 from .qseries import (Nome, eta_tail_log, lambert_sum, rrcf_of_log_q,
                       u_log_of_log_q, u_of_q)
@@ -43,16 +44,22 @@ _THETA_CUT = sys.float_info.epsilon / 8.0
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
 # The quarter-modulus and nome searches resolve their roots to the last bit.
 _FULL_PRECISION = PrecisionContext(MACHINE_EPS, MACHINE_EPS)
-# Interior points on which theorem6_base_change tests the base ratio.
-_MONOTONE_GRID = 9
+# The interior points i/10 on which theorem6_base_change tests the base
+# ratio, symmetric under x -> 1-x, their logits, and the logit of the
+# search's outer ends 1e-12 and 1 - 1e-12.
+_MONOTONE_GRID = tuple(i / 10.0 for i in range(1, 10))
+_GRID_LOGITS = tuple(math.log(x / (1.0 - x)) for x in _MONOTONE_GRID)
+_BASE_LOGIT_END = -math.log(1e-12 / (1.0 - 1e-12))
 
 
-def _logistic(w: float) -> float:
-    """1/(1 + e^-w), formed from the smaller of x and 1-x so that a root next
-    to 1 rounds to the nearest float as well as one next to 0."""
+def _logistic_pair(w: float) -> tuple[float, float]:
+    """(x, 1-x) at x = 1/(1 + e^-w).  The smaller is e/(1+e) with
+    e = e^-|w|, and the larger 1 less it, so that a root next to 1 rounds
+    to the nearest float as well as one next to 0, and the complement of a
+    root next to 1 keeps its digits."""
     e = math.exp(-abs(w))
     tail = e / (1.0 + e)
-    return 1.0 - tail if w > 0.0 else tail
+    return (1.0 - tail, tail) if w > 0.0 else (tail, 1.0 - tail)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +235,15 @@ def _eta_tail_index(target: float, deficit: float, ctx: PrecisionContext) -> flo
     """
     if deficit < target:
         return 4.0 / _eta_tail_index(deficit, target, ctx)
-    log_target = math.log(target / math.pi)
+    # in logs, since target/pi and 6/target leave the floats for a
+    # subnormal target
+    log_target = math.log(target) - math.log(math.pi)
 
     def fdf(s: float) -> tuple[float, float]:
         log_tail, rate = eta_tail_log(s)
         return log_target - log_tail, rate
 
-    hi = 6.0 / math.pi * math.log(6.0 / target) + 1e-9
+    hi = 6.0 / math.pi * (math.log(6.0) - math.log(target)) + 1e-9
     return newton_root(fdf, 0.0, hi, hi, ctx)
 
 
@@ -299,7 +308,7 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     a, b_exp = _SURD_BASE.a, _SURD_BASE.b
 
     def fdf(w: float) -> tuple[float, float]:
-        b = _logistic(w)
+        b = _logistic_pair(w)[0]
         value = incomplete_beta(b, _SURD_BASE, ctx)
         slope = math.exp(a * math.log(b) + b_exp * math.log1p(-b)) / value
         return math.log(value) - log_target, slope
@@ -310,8 +319,8 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     else:
         gap = max(complete_beta(_SURD_BASE) - target, 1e-300)
         start = min(-1.5 * math.log(gap / 1.5), _LOGIT_MAX)
-    return _logistic(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, start, ctx,
-                                 xtol=ctx.eps_rel))
+    return _logistic_pair(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, start, ctx,
+                                      xtol=ctx.eps_rel))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +335,11 @@ class SexticInstance(Frozen):
         self._set(a, b, c1)
         if a == 0.0 or b == 0.0:
             raise DomainError("sextic instance needs a != 0 and b != 0")
-        if not math.isfinite(self.j):
+        try:
+            j = self.j
+        except (ZeroDivisionError, OverflowError):   # a^2 b is 0, or a power overflows
+            j = math.inf
+        if not math.isfinite(j):
             raise DomainError(f"derived j-invariant not finite for {self}")
 
     @property
@@ -424,23 +437,65 @@ def beta_ratio_root(base: BetaBase, r: float,
 
     Newton on ln B(x) - ln B(1-x) = -ln r in w = ln(x/(1-x)), so a root
     next to 0 or 1 is resolved relatively; the derivative is
-    x^a (1-x)^b / B(x) + x^b (1-x)^a / B(1-x).
+    x^a (1-x)^b / B(x) + x^b (1-x)^a / B(1-x).  Both x and 1-x come from w
+    by _logistic_pair, so 1-x never rounds onto 1.  Each Beta value is
+    taken on the small side of incomplete_beta's split, B(1-x; a, b) as
+    B(a, b) - B(x; b, a) where 1-x is the large side.  For a = b that is the continued fraction of B(x)
+    itself, so a symmetric step runs one fraction (DLMF 8.17.4) and any
+    other step two.  The values stay in logs, so no power of x underflows.
+
+    A symmetric search starts where B(x) ~ x^a/a meets B(a, a)/(1+r), at
+    r >= 1, or at its mirror x <-> 1-x below; any other starts at x = 1/2.
+    r outside (0, inf) and a B(a, b) below the normal floats are a
+    DomainError.  A root closer to 0 or 1 than w's bracket reaches (about
+    4e-322 and 1 - 2.3e-16) is a BracketError.
     """
-    if r <= 0.0:
-        raise DomainError(f"ratio must be positive, got {r}")
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"ratio must be positive and finite, got {r}")
     a, b = base.a, base.b
-    log_r = math.log(r)
+    total = complete_beta(base)
+    if not total >= sys.float_info.min:
+        raise DomainError(f"complete Beta of {base} underflows a float")
+    log_r, log_total, log_a = math.log(r), math.log(total), math.log(a)
 
-    def fdf(w: float) -> tuple[float, float]:
-        x = _logistic(w)
-        lower, upper = incomplete_beta(x, base, ctx), incomplete_beta(1.0 - x, base, ctx)
-        log_x, log_1mx = math.log(x), math.log1p(-x)
-        slope = (math.exp(a * log_x + b * log_1mx) / lower
-                 + math.exp(b * log_x + a * log_1mx) / upper)
-        return math.log(lower) - math.log(upper) + log_r, slope
+    if a == b:
+        def fdf(w: float) -> tuple[float, float]:
+            e = math.exp(-abs(w))
+            log_d = -a * (abs(w) + 2.0 * math.log1p(e))   # ln (x (1-x))^a
+            cf = _beta_cf(e / (1.0 + e), a, a, ctx)
+            log_small = log_d - log_a + math.log(cf)   # ln B(min(x, 1-x))
+            log_large = log_total + math.log1p(-math.exp(log_small - log_total))
+            gap = log_small - log_large
+            slope = a / cf + math.exp(log_d - log_large)
+            return (gap if w <= 0.0 else -gap) + log_r, slope
 
-    return _logistic(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, 0.0, ctx,
-                                 xtol=ctx.eps_rel))
+        log_x0 = (log_a + log_total - math.log1p(r) + min(log_r, 0.0)) / a
+        w0 = 0.0
+        if log_x0 < -math.log(2.0):
+            w0 = max(log_x0 - math.log1p(-math.exp(log_x0)), _LOGIT_MIN)
+        start = w0 if r >= 1.0 else min(-w0, _LOGIT_MAX)
+    else:
+        split, log_b = (a + 1.0) / (a + b + 2.0), math.log(b)
+
+        def log_part(u: float, v: float, log_d: float) -> tuple[float, float]:
+            # (ln B(u; a, b), d ln B(u)/d ln(u/v)) with v = 1-u, log_d = ln u^a v^b
+            if u < split:
+                cf = _beta_cf(u, a, b, ctx)
+                return log_d - log_a + math.log(cf), a / cf
+            log_value = log_total + math.log1p(
+                -math.exp(log_d - log_b - log_total) * _beta_cf(v, b, a, ctx))
+            return log_value, math.exp(log_d - log_value)
+
+        def fdf(w: float) -> tuple[float, float]:
+            x, y = _logistic_pair(w)
+            log_x, log_y = math.log(x), math.log(y)
+            log_lower, rate_lower = log_part(x, y, a * log_x + b * log_y)
+            log_upper, rate_upper = log_part(y, x, a * log_y + b * log_x)
+            return log_lower - log_upper + log_r, rate_lower + rate_upper
+
+        start = 0.0
+    return _logistic_pair(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, start, ctx,
+                                      xtol=ctx.eps_rel))[0]
 
 
 def invert_lambda_j(j0: float) -> float:
@@ -461,27 +516,54 @@ def theorem6_base_change(fbase, r: float,
     """Singular value of an arbitrary base function, then its expression
     through the elliptic machinery.
 
-    Checks that fbase(1-x)/fbase(x) is monotone on a grid, solves it equal
-    to sqrt(r) for alpha by one find_root (fbase has no known derivative),
-    and maps alpha to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the
-    lambda-line j0.  Returns (alpha, r0, j0); the J.invert.* checks of the
-    registry test the inversion of j.
+    Checks that fbase(1-x)/fbase(x) is monotone on the grid x = 0.1, ...,
+    0.9, then solves it equal to sqrt(r) for alpha by one find_root (fbase
+    has no known derivative), in the grid cell where the sampled ratio
+    crosses sqrt(r), or in an end cell out to 1e-12 or 1 - 1e-12.  The
+    search runs on ln ratio - (ln r)/2 in w = ln(x/(1-x)), where the paper's
+    base ratios, powers of x near the ends, are nearly linear, and stops
+    within eps_rel in w, which is eps_rel relative in alpha and in 1-alpha.
+    Both x and 1-x are formed from w by _logistic_pair.  alpha
+    maps to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the lambda-line
+    j0.  Returns (alpha, r0, j0); the J.invert.* checks of the registry
+    test the inversion of j.
+
+    Theorem 6 divides by the base, so fbase must be positive and finite on
+    (0, 1); a base that vanishes, or is not finite, on the grid or in the
+    search is the caller's error: DomainError, as is r outside (0, inf).
     """
-    if r <= 0.0:
-        raise DomainError(f"need r > 0, got {r}")
-
-    def ratio(x: float) -> float:
-        return fbase(1.0 - x) / fbase(x)
-
-    samples = [ratio((i + 1) / (_MONOTONE_GRID + 1)) for i in range(_MONOTONE_GRID)]
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"need 0 < r < inf, got {r}")
+    values = [fbase(x) for x in _MONOTONE_GRID]
+    if not all(0.0 < v < math.inf for v in values):
+        raise DomainError(f"base must be positive and finite on (0, 1), got "
+                          f"{values} on the grid {_MONOTONE_GRID}")
+    samples = [v / u for u, v in zip(values, reversed(values))]
     increasing = all(b >= a for a, b in zip(samples, samples[1:]))
     decreasing = all(b <= a for a, b in zip(samples, samples[1:]))
     if not (increasing or decreasing):
         raise DomainError("base ratio is not monotone on the sampled grid")
 
-    alpha = find_root(lambda x: ratio(x) - math.sqrt(r), 1e-12, 1.0 - 1e-12, ctx)
-    r0 = (elliptic_k(math.sqrt(1.0 - alpha)) / elliptic_k(math.sqrt(alpha))) ** 2
-    return alpha, r0, klein_j_from_lambda(alpha)
+    # the samples before the crossing: the root lies in the cell past them
+    target = math.sqrt(r)
+    before = sum(v < target if increasing else v > target for v in samples)
+    ends = (-_BASE_LOGIT_END, *_GRID_LOGITS, _BASE_LOGIT_END)
+    half_log_r = 0.5 * math.log(r)
+
+    def gap(w: float) -> float:
+        x, y = _logistic_pair(w)
+        return math.log(fbase(y) / fbase(x)) - half_log_r
+
+    try:
+        w = find_root(gap, ends[before], ends[before + 1], ctx, xtol=ctx.eps_rel)
+    except KernelError:
+        raise
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"base is not positive and finite in the search: "
+                          f"{exc!r}") from exc
+    alpha, complement = _logistic_pair(w)
+    r0 = (elliptic_k(math.sqrt(complement)) / elliptic_k(math.sqrt(alpha))) ** 2
+    return alpha, r0, klein_j_from_lambda(alpha, complement)
 
 
 # ---------------------------------------------------------------------------

@@ -151,12 +151,17 @@ def sum_series(term: Callable[[int], complex | float],
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,
-              ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Brent-style bracketed root finder for callers without a derivative.
+              ctx: PrecisionContext = DEFAULT_CTX,
+              xtol: float | None = None) -> float:
+    """Brent-style bracketed root finder for callers without a derivative
+    (Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
 
     Inverse quadratic / secant steps with a bisection fallback, so
     convergence is guaranteed on any sign-changing bracket.  Both bracket
     ends are evaluated; a bracket without a sign change is a BracketError.
+    Stops when the bracket around the returned estimate x is at most xtol
+    wide, plus 4 eps |x| (default ctx.tol(x), the relative rule; a search
+    in a log coordinate passes an absolute one).
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
@@ -178,7 +183,10 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol1 = 0.5 * (ctx.eps_rel * abs(b) + ctx.eps_abs) + 2.0 * MACHINE_EPS * abs(b)
+        if xtol is None:
+            tol1 = 0.5 * (ctx.eps_rel * abs(b) + ctx.eps_abs) + 2.0 * MACHINE_EPS * abs(b)
+        else:
+            tol1 = 0.5 * xtol + 2.0 * MACHINE_EPS * abs(b)
         xm = 0.5 * (c - b)
         if abs(xm) <= tol1 or fb == 0.0:
             return b

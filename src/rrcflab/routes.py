@@ -1,7 +1,7 @@
 """The registry's second routes: the quadratures, closed forms (with the
-stated modulus derivatives of Eqs 20-21) and the sextic's period-ratio
-path (path B) that the checks hold against the kernels' own answers.  No
-kernel calls them.
+stated modulus derivatives of Eqs 20-21), the inverse of the continued
+fraction (App 2) and the sextic's period-ratio path (path B) that the
+checks hold against the kernels' own answers.  No kernel calls them.
 
 The module sits between the kernels and the registry.  It imports kernel
 modules only, and neither the registry's records nor dataclasses, so
@@ -15,11 +15,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
+from .numerics import DEFAULT_CTX, DomainError, PrecisionContext, find_root
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
 from .qseries import (GOLDEN_CONJUGATE, Nome, lambert_sum, ramanujan_f_log, rrcf,
-                      u_log_of_log_q, u_of_q, u_of_q_log)
+                      rrcf_of_log_q, u_log_of_log_q, u_of_q, u_of_q_log)
 from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
                       eta_quotient_nome_of, klein_j)
 
@@ -41,6 +41,23 @@ def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     if not (0.0 < upper < GOLDEN_CONJUGATE):
         raise DomainError(f"upper limit must lie in (0, {GOLDEN_CONJUGATE})")
     return integrate_finite(rr_integrand, 0.0, upper, ctx)
+
+
+# ---------------------------------------------------------------------------
+# The inverse of the continued fraction
+
+def tau_of_rrcf(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """The tau = -ln(q)/pi with R(q) = x, for q in [1e-8, 0.999]: App 2's
+    inverse of the continued fraction (Eq 25).  Brent in L = ln q on
+    ln R(e^L) - ln x, nearly linear since R ~ q^(1/5) next to 0, stopping
+    within eps_rel in L: eps_rel relative in q, eps_rel/pi in tau.  Outside
+    (R(1e-8), R(0.999)) there is no sign change: BracketError."""
+    if not 0.0 < x < GOLDEN_CONJUGATE:
+        raise DomainError(f"R takes values in (0, {GOLDEN_CONJUGATE}), got {x}")
+    log_x = math.log(x)
+    log_q = find_root(lambda L: math.log(rrcf_of_log_q(L)) - log_x,
+                      math.log(1e-8), math.log(0.999), ctx, xtol=ctx.eps_rel)
+    return -log_q / math.pi
 
 
 # ---------------------------------------------------------------------------

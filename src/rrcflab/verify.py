@@ -46,8 +46,8 @@ from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .routes import (dq_dk, dr_dk, eta_quotient_power_integral,
                      eta_quotient_power_mellin, j_integral_quadrature,
                      modulus_product_formula, quintic_surd, rr_integral,
-                     sextic_period_ratio_root, weighted_power_integral,
-                     weighted_power_rhs)
+                     sextic_period_ratio_root, tau_of_rrcf,
+                     weighted_power_integral, weighted_power_rhs)
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
 SQRT5 = math.sqrt(5.0)
@@ -179,15 +179,10 @@ def _app1(ctx: PrecisionContext):
 
 def _app2(ctx: PrecisionContext):
     x0 = qseries.rrcf(_Q_RAMANUJAN)
-
-    def inverse_tau(x: float) -> float:
-        q = find_root(lambda qq: qseries.rrcf(qq) - x, 1e-8, 0.999, ctx)
-        return -math.log(q) / math.pi
-
-    fd = differentiate(inverse_tau, x0)
+    fd = differentiate(lambda x: tau_of_rrcf(x, ctx), x0)
     radical = math.sqrt((1.0 + 3.0 * SQRT5
                          + 2.0 * math.sqrt(10.0 + 2.0 * SQRT5)) / 10.0)
-    tau = inverse_tau(x0)
+    tau = tau_of_rrcf(x0, ctx)
     stated = -5.0 / math.pi / qseries.dedekind_eta(tau / 2.0) ** 4 * radical
     u0 = qseries.u_of_q(_Q_RAMANUJAN)
     radical_gap = abs(radical - 1.0 / (x0 * u0 ** (1.0 / 6.0)))

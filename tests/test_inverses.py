@@ -10,9 +10,10 @@ a ~ 0.15) that term dominates.
 """
 
 import math
+import sys
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
@@ -254,6 +255,17 @@ class TestTheta:
         assert ok, (big_x, b, err)
 
 
+def _beta_pair(a, b, x):
+    """(B(x; a, b), B(1-x; a, b)) with each value integrated from 0 up to
+    the smaller of x and 1-x, the other as B(a, b) less it, so that 1 - x
+    is never rounded (at 1e-300 it is 1 in 30 digits, which drops
+    B(x; b, a) from B(1-x))."""
+    if x <= 0.5:
+        return mp.betainc(a, b, 0, x), mp.beta(a, b) - mp.betainc(b, a, 0, x)
+    t = 1 - mp.mpf(x)   # exact: x and 1 - x share their last bit
+    return mp.beta(a, b) - mp.betainc(b, a, 0, t), mp.betainc(a, b, 0, t)
+
+
 class TestBetaRatioRoot:
     @staticmethod
     def _check(a, b, r):
@@ -263,9 +275,9 @@ class TestBetaRatioRoot:
         # 1.4 digits to the cancelling complement B(1) - B(1-x, b, a))
         base = BetaBase(a, b)
         x = beta_ratio_root(base, r)
-        with mp.workdps(30):
+        with mp.workdps(50):
             xm = mp.mpf(x)
-            lower, upper = mp.betainc(a, b, 0, xm), mp.betainc(a, b, 0, 1 - xm)
+            lower, upper = _beta_pair(a, b, xm)
             ratio = upper / lower
             # d/dx of B(1-x)/B(x)
             slope = ((1 - xm) ** (a - 1) * xm ** (b - 1) / lower
@@ -292,6 +304,43 @@ class TestBetaRatioRoot:
         (0.19855224448770423, 0.5781014810150168, 0.15262677786200912),
     ])
     def test_roots_next_to_one(self, a, b, r):
+        self._check(a, b, r)
+
+    # A seeded sample of exponents down to 0.01 and roots down to 1e-300, at
+    # either end: the root is drawn and r is its ratio in mpmath.  A root
+    # within 1e-16 of 1 lies past the search's last float, 1 - 2.2e-16:
+    # BracketError.  Roots from 1 - 1e-15 to 1 - 1e-16, next to that float,
+    # are left out.
+    @settings(max_examples=60, deadline=None)
+    @seed(101)
+    @given(st.floats(min_value=-2.0, max_value=math.log10(3.0)),
+           st.floats(min_value=-2.0, max_value=math.log10(3.0)), st.booleans(),
+           st.floats(min_value=-300.0, max_value=math.log10(0.5)), st.booleans())
+    # B(1-x) at the rounded 1 - x = 1 put this root at 4.29e-17
+    @example(math.log10(0.07354183275938976), 0.0, True,
+             math.log10(2.8106800838092678e-17), False)
+    def test_sampled_roots(self, log10_a, log10_b, symmetric, log10_root, next_to_one):
+        a = 10.0 ** log10_a
+        b = a if symmetric else 10.0 ** log10_b
+        with mp.workdps(50):
+            offset = mp.mpf(10) ** log10_root
+            lower, upper = _beta_pair(a, b, 1 - offset if next_to_one else offset)
+            r = float(upper / lower)
+        assume(sys.float_info.min <= r < math.inf)
+        if next_to_one and log10_root < -16.0:
+            with pytest.raises(BracketError):
+                beta_ratio_root(BetaBase(a, b), r)
+        else:
+            assume(not next_to_one or log10_root > -15.0)
+            self._check(a, b, r)
+
+    @pytest.mark.parametrize("a, b, r", [
+        # 1 - x rounded onto 1 dropped B(x; b, a) from B(1-x), which put
+        # these roots 52% and 1.25e-11 off
+        (0.07354183275938976, 0.07354183275938976, 31.714733296432748),
+        (0.07, 0.5, 40.0),
+    ])
+    def test_roots_next_to_zero(self, a, b, r):
         self._check(a, b, r)
 
     def test_root_past_the_last_float_below_one(self):

@@ -573,3 +573,122 @@ class TestNoRootFindingInTheJLayer:
         # no re-solve of j0: the one search is for the singular value
         theorem6_base_change(lambda x: math.sqrt(math.asin(math.sqrt(x))), 3.0)
         assert counts["find_root"] == 1
+
+
+# The inversions workload's Beta draws (perfbench, seed 101): (a, b, r).
+_INVERSIONS_BETA_DRAWS = [
+    (0.5654736357486723, 1.5636523151043227, 2.4140203031602905),
+    (2.7854078890629963, 0.8618963314241065, 0.7431999123806787),
+    (2.933121761018145, 0.280996816460068, 0.20830381321651564),
+    (1.201341925097447, 0.3292658902252093, 3.606684557441441),
+    (0.9520414294455647, 0.6038120426825743, 6.369772985870714),
+    (0.5389440067800865, 1.019335135828376, 0.8061221541010565),
+    (1.3266177279820488, 2.9348097806384397, 0.36698277420588266),
+    (0.8190874024179128, 0.7611290931195781, 0.17546035396695872),
+    (0.2741991195621796, 0.5385367261161425, 0.31412424195781574),
+    (0.1949388759250044, 0.9440027822477115, 0.5500826087729305),
+    (1.9019899670887626, 0.16755858012905317, 7.782040473455574),
+    (0.2739621650135965, 1.5261328274721544, 0.10139255716156129),
+    (1.380013944592266, 0.3302062907620243, 4.582423353540217),
+    (0.8096596986495619, 0.8191200468586189, 2.0384009803579404),
+    (0.8810290383769873, 1.3513271484368277, 1.409743031710891),
+    (0.45658078854799133, 1.0432657994450796, 1.0817875115548818),
+]
+
+
+class TestRootSearchWorkCounts:
+    """Evaluations of the registry's root searches.  The counts are
+    deterministic, and each bound is twice the count measured unless it says
+    otherwise.  Searched in x, the base changes at K, psi* and B16 took 11,
+    13 and 19 Brent evaluations (now 7, 7 and 8), and App 2's five
+    inversions of R, in q, took 81 (now 44)."""
+
+    @pytest.fixture
+    def evals(self, monkeypatch):
+        tally = {"find_root": 0, "newton_root": 0, "beta_cf": 0}
+
+        def count(mod, name):
+            original = getattr(mod, name)
+
+            def counted(f, *args, **kwargs):
+                def evaluate(x):
+                    tally[name] += 1
+                    return f(x)
+                return original(evaluate, *args, **kwargs)
+            monkeypatch.setattr(mod, name, counted)
+
+        count(modular, "find_root")
+        count(routes, "find_root")
+        count(modular, "newton_root")
+        original_cf = modular._beta_cf
+
+        def counted_cf(*args):
+            tally["beta_cf"] += 1
+            return original_cf(*args)
+        monkeypatch.setattr(modular, "_beta_cf", counted_cf)
+        return tally
+
+    @pytest.mark.parametrize("base, r, max_evals", [
+        (lambda x: elliptic_k(math.sqrt(x)), 2.0, 14),
+        (lambda x: math.sqrt(math.asin(math.sqrt(x))), 3.0, 14),
+        (lambda x: beta_sqrt(x, 1 / 6), 4.0, 16),
+    ], ids=["K", "psi*", "B16"])
+    def test_base_change(self, evals, base, r, max_evals):
+        theorem6_base_change(base, r)
+        assert 0 < evals["find_root"] <= max_evals
+
+    def test_app2_inversions_of_r(self, evals):
+        assert run_check("App2.eq25").status == "pass"
+        assert 0 < evals["find_root"] <= 88
+
+    @pytest.mark.parametrize("alpha, r", [
+        (1 / 6, 2.0), (1 / 6, 5.0), (0.25, 3.0), (1 / 6, 0.2), (2.5, 1e-3),
+        (0.07354183275938976, 31.714733296432748),
+    ])
+    def test_symmetric_step_runs_one_fraction(self, evals, alpha, r):
+        beta_ratio_root(BetaBase(alpha, alpha), r)
+        assert evals["newton_root"] > 0
+        assert evals["beta_cf"] == evals["newton_root"]
+
+    def test_general_bases(self, evals):
+        # two fractions a step; at most the 67 evaluations the search took
+        # from x = 1/2 with 1 - x rounded
+        for a, b, r in _INVERSIONS_BETA_DRAWS:
+            beta_ratio_root(BetaBase(a, b), r)
+        assert 0 < evals["newton_root"] <= 67
+        assert evals["beta_cf"] == 2 * evals["newton_root"]
+
+
+# m at a subnormal eta tail: pi T(s) = 6 e^(-pi s/6) to double precision
+# there, so s = (6/pi) ln(6/x) at x = 2^-1074.
+_M_AT_SUBNORMAL = (6.0 / math.pi * (math.log(6.0) + 1074.0 * math.log(2.0))) ** 2
+
+
+class TestEntryContracts:
+    """Inputs at the edges of the floats: each call returns its value or
+    raises DomainError at its entry, never a ZeroDivisionError, a
+    ValueError or an OverflowError from inside."""
+
+    @pytest.mark.parametrize("call, outcome", [
+        # the root is 1/2 + 1.9e-298, whose nearest float is 1/2
+        (lambda: beta_ratio_root(BetaBase(1e300, 0.5), 5e-324), 0.5),
+        (lambda: beta_ratio_root(BetaBase(1e300, 1e300), 2.0), DomainError),
+        (lambda: beta_ratio_root(BetaBase(0.5, 0.5), math.inf), DomainError),
+        (lambda: beta_ratio_root(BetaBase(0.5, 0.5), math.nan), DomainError),
+        (lambda: theorem6_base_change(lambda x: 0.0, 2.0), DomainError),
+        (lambda: theorem6_base_change(lambda x: x, math.inf), DomainError),
+        (lambda: theorem6_base_change(lambda x: x, math.nan), DomainError),
+        (lambda: m_of_x(5e-324), _M_AT_SUBNORMAL),
+        (lambda: SexticInstance(5e-324, 5e-324, 12.0), DomainError),
+        (lambda: SexticInstance(1e300, 5e-324, 12.0), DomainError),
+    ], ids=["beta_ratio_root(1e300,0.5;5e-324)", "beta_ratio_root(1e300,1e300;2)",
+            "beta_ratio_root(r=inf)", "beta_ratio_root(r=nan)",
+            "theorem6_base_change(0)", "theorem6_base_change(r=inf)",
+            "theorem6_base_change(r=nan)", "m_of_x(5e-324)",
+            "SexticInstance(5e-324,5e-324,12)", "SexticInstance(1e300,5e-324,12)"])
+    def test_value_or_domain_error(self, call, outcome):
+        if isinstance(outcome, float):
+            assert call() == pytest.approx(outcome, rel=1e-13)
+        else:
+            with pytest.raises(outcome):
+                call()

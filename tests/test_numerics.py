@@ -147,6 +147,38 @@ class TestFindRoot:
             find_root(math.cos, 1.0, 2.0)
         assert 1.0 <= err.value.best <= 2.0
 
+    # The relative rule, xtol=None, pinned bit for bit with its evaluations.
+    @pytest.mark.parametrize("f, lo, hi, ctx, root_hex, evals", [
+        (lambda x: math.cos(x) - x, 0.0, 1.0, DEFAULT_CTX, "0x1.7a695dd83ce03p-1", 8),
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, DEFAULT_CTX, "0x1.428a2f98d73cfp+0", 9),
+        (lambda x: math.exp(x) - 3.0, -50.0, 50.0, DEFAULT_CTX, "0x1.193ea7aad01d2p+0", 15),
+        (lambda x: x ** 3 - 2.0, 0.0, 2.0, PrecisionContext(1e-6, 1e-9),
+         "0x1.428a2bae39c36p+0", 8),
+    ], ids=["cos", "cube", "exp", "cube-loose"])
+    def test_relative_rule_by_default(self, f, lo, hi, ctx, root_hex, evals):
+        seen = []
+
+        def recorded(x):
+            seen.append(x)
+            return f(x)
+
+        assert find_root(recorded, lo, hi, ctx, xtol=None) == float.fromhex(root_hex)
+        assert len(seen) == evals
+
+    def test_absolute_step_tolerance(self):
+        # a log coordinate: an absolute xtol in v is a relative one in e^v,
+        # and a looser xtol takes no more evaluations
+        root = math.log(1e6)
+        counts = []
+        for xtol in (1e-12, 1e-6, 1e-2):
+            seen = []
+            v = find_root(lambda t: seen.append(t) or math.exp(t) - 1e6,
+                          -50.0, 50.0, xtol=xtol)
+            assert abs(v - root) <= xtol + 4.0 * numerics.MACHINE_EPS * abs(v)
+            counts.append(len(seen))
+        assert counts == sorted(counts, reverse=True)
+        assert counts[0] > counts[-1]
+
     @given(st.floats(min_value=-5.0, max_value=5.0),
            st.floats(min_value=0.1, max_value=10.0))
     @settings(max_examples=40, deadline=None)

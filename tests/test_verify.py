@@ -182,8 +182,10 @@ class TestEpsSweep:
     """Every check at eps_rel from 1e-4 to 1e-12: no builder raises, and
     every status is the default one.  run_check holds each judged residual
     to max(tol, eps_rel), so a looser context never holds a check tighter
-    than the kernels then resolve; the worst margin over the sweep was 4.0
-    (T6.baseB16.r=4 at eps 1e-4)."""
+    than the kernels then resolve; the worst margin over the sweep is 4.75
+    (Eq16.m1.n0.5 at eps 1e-6).  T6.baseB16.r=4, 4.0 at eps 1e-4 while its
+    base change searched in x, is at 5,900 there since it searches in the
+    logit to an absolute eps_rel."""
 
     @pytest.fixture(scope="class")
     def default_status(self):
