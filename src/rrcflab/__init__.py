@@ -28,7 +28,7 @@ _LAZY = {
         "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",
         "pn_poly", "sin_multiple_p6"), "special"),
     **dict.fromkeys((
-        "Nome", "dedekind_eta", "ramanujan_f", "rrcf", "rrcf_derivative",
+        "dedekind_eta", "ramanujan_f", "rrcf", "rrcf_derivative",
         "u_of_q"), "qseries"),
     **dict.fromkeys((
         "SexticInstance", "SexticSolution", "F_of_x", "G_of_x",

@@ -9,9 +9,9 @@ evaluates, the continued-fraction integral that F inverts and the j-power
 quadrature, are in routes as well.
 
 Nome conventions are the single largest source of silent error in this
-area, so every operation states which one it uses: `from_r` is
-q = exp(-pi sqrt(r)); the sextic/derivative identities live on the squared
-nome exp(-2 pi sqrt(r)).
+area, so every operation states which one it uses: q = exp(-pi sqrt(r)) for
+the moduli and j, and the squared nome exp(-2 pi sqrt(r)) for the
+sextic/derivative identities, each a float formed where it is used.
 """
 
 from __future__ import annotations
@@ -24,10 +24,10 @@ from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
                        Frozen, KernelError, PrecisionContext, find_root,
                        newton_root)
 from .quadrature import integrate_finite
-from .special import (BetaBase, _beta_cf, appell_f1, complete_beta, elliptic_k,
-                      gauss_2f1, incomplete_beta)
-from .qseries import (Nome, eta_tail_log, lambert_sum, rrcf_of_log_q,
-                      u_log_of_log_q, u_of_q)
+from .special import (BetaBase, _beta_cf, _incomplete_beta_log, appell_f1,
+                      complete_beta, elliptic_k, gauss_2f1)
+from .qseries import (eta_tail_log, lambert_sum, rrcf_of_log_q, u_log_of_log_q,
+                      u_of_q)
 
 
 # The quarter-modulus branch point: j as a function of t = k^2 attains its
@@ -170,15 +170,6 @@ def klein_j(r: float) -> float:
 # ---------------------------------------------------------------------------
 # The integrals inverted by F, m, G, theta
 
-def surd_integrand(t: float) -> float:
-    """t^(-1/6) (125 + 22 t + t^2)^(-1/2), bounded by t^(-7/6); past t = 1
-    as t^(-7/6) (1 + 22/t + 125/t^2)^(-1/2), so that t^2 never overflows."""
-    if t <= 1.0:
-        return t ** (-1.0 / 6.0) * (125.0 + 22.0 * t + t * t) ** -0.5
-    inv = 1.0 / t
-    return t ** (-7.0 / 6.0) * (1.0 + (22.0 + 125.0 * inv) * inv) ** -0.5
-
-
 def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """int_lower^inf t^(-1/6) (125 + 22 t + t^2)^(-1/2) dt, by one quadrature
     of a smooth integrand.  From lower = 1 on, t = w^-6 turns the tail into
@@ -247,6 +238,13 @@ def _eta_tail_index(target: float, deficit: float, ctx: PrecisionContext) -> flo
     return newton_root(fdf, 0.0, hi, hi, ctx)
 
 
+def _fifth_tail_index(x: float, ctx: PrecisionContext) -> float:
+    """The s with pi T(s) = 5x, x in (0, F_ARGUMENT_MAX): F's and G's nome e^(-pi s)."""
+    if not 0.0 < x < F_ARGUMENT_MAX:
+        raise DomainError(f"argument {x} outside (0, {F_ARGUMENT_MAX})")
+    return _eta_tail_index(5.0 * x, 5.0 * (F_ARGUMENT_MAX - x), ctx)
+
+
 def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Inverse of upper -> int_0^upper dx/(x (x^-5-11-x^5)^(1/6)): the value
     of the continued fraction R(q) at the nome q = e^(-pi s) whose eta tail
@@ -255,14 +253,11 @@ def F_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     One eta-tail inversion and one q-product evaluation, from ln q, with no
     quadrature.  Next to the top R rounds onto the float below
     GOLDEN_CONJUGATE, still inside routes.rr_integral's domain.  The registry
-    checks F against the integral it inverts.
+    checks F against the integral it inverts.  F(0) = 0.
     """
     if x == 0.0:
         return 0.0
-    if x < 0.0 or x >= F_ARGUMENT_MAX:
-        raise DomainError(f"argument {x} outside [0, {F_ARGUMENT_MAX})")
-    s = _eta_tail_index(5.0 * x, 5.0 * (F_ARGUMENT_MAX - x), ctx)
-    return rrcf_of_log_q(-math.pi * s)
+    return rrcf_of_log_q(-math.pi * _fifth_tail_index(x, ctx))
 
 
 def m_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
@@ -284,10 +279,7 @@ def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     overflows a float: DomainError.  The registry checks G against the
     surd-tail integral it inverts.
     """
-    if x <= 0.0 or x >= F_ARGUMENT_MAX:
-        raise DomainError(f"argument {x} outside (0, {F_ARGUMENT_MAX})")
-    s = _eta_tail_index(5.0 * x, 5.0 * (F_ARGUMENT_MAX - x), ctx)
-    log_g = u_log_of_log_q(-math.pi * s)
+    log_g = u_log_of_log_q(-math.pi * _fifth_tail_index(x, ctx))
     if log_g >= _LOG_FLOAT_MAX:
         raise DomainError(f"G({x}) overflows a float")
     return math.exp(log_g)
@@ -297,7 +289,7 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """b in (0, 1) with 4^(-1/3) B(b, 1/6, 2/3) equal to the surd tail from
     X; only the defining equation is used, no algebraicity is assumed.
 
-    Newton on ln B(b) in w = ln(b/(1-b)), where dB/dw = b^(1/6)(1-b)^(2/3).
+    Newton on ln B(b) in w = ln(b/(1-b)) by special._incomplete_beta_log.
     B(b) >= 6 b^(1/6) puts (target/6)^6 above the root; when that is not
     below 1/2 the start comes from B(1) - B(b) ~ 1.5 (1-b)^(2/3).
     """
@@ -305,13 +297,12 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         raise DomainError(f"theta_of_X needs X > 0, got {X}")
     target = 4.0 ** (1.0 / 3.0) * surd_tail_integral(X, ctx)
     log_target = math.log(target)
-    a, b_exp = _SURD_BASE.a, _SURD_BASE.b
+    log_beta = _incomplete_beta_log(_SURD_BASE, ctx)
 
     def fdf(w: float) -> tuple[float, float]:
-        b = _logistic_pair(w)[0]
-        value = incomplete_beta(b, _SURD_BASE, ctx)
-        slope = math.exp(a * math.log(b) + b_exp * math.log1p(-b)) / value
-        return math.log(value) - log_target, slope
+        x, y = _logistic_pair(w)
+        log_value, slope = log_beta(x, y, math.log(x), math.log(y))
+        return log_value - log_target, slope
 
     small = 6.0 * (log_target - math.log(6.0))
     if small < math.log(0.5):
@@ -440,15 +431,17 @@ def beta_ratio_root(base: BetaBase, r: float,
     x^a (1-x)^b / B(x) + x^b (1-x)^a / B(1-x).  Both x and 1-x come from w
     by _logistic_pair, so 1-x never rounds onto 1.  Each Beta value is
     taken on the small side of incomplete_beta's split, B(1-x; a, b) as
-    B(a, b) - B(x; b, a) where 1-x is the large side.  For a = b that is the continued fraction of B(x)
-    itself, so a symmetric step runs one fraction (DLMF 8.17.4) and any
-    other step two.  The values stay in logs, so no power of x underflows.
+    B(a, b) - B(x; b, a) where 1-x is the large side.  For a = b that is
+    the continued fraction of B(x) itself, so a symmetric step runs one
+    fraction (DLMF 8.17.4); any other runs two, by _incomplete_beta_log.
+    The values stay in logs, so no power of x underflows.
 
     A symmetric search starts where B(x) ~ x^a/a meets B(a, a)/(1+r), at
     r >= 1, or at its mirror x <-> 1-x below; any other starts at x = 1/2.
-    r outside (0, inf) and a B(a, b) below the normal floats are a
-    DomainError.  A root closer to 0 or 1 than w's bracket reaches (about
-    4e-322 and 1 - 2.3e-16) is a BracketError.
+    r outside (0, inf), a B(a, b) below the normal floats and a complement
+    that cancels to nothing (such as at b = 1e-300) are a DomainError.  A root closer
+    to 0 or 1 than w's bracket (about 4e-322 and 1 - 2.3e-16) is a
+    BracketError.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"ratio must be positive and finite, got {r}")
@@ -475,22 +468,13 @@ def beta_ratio_root(base: BetaBase, r: float,
             w0 = max(log_x0 - math.log1p(-math.exp(log_x0)), _LOGIT_MIN)
         start = w0 if r >= 1.0 else min(-w0, _LOGIT_MAX)
     else:
-        split, log_b = (a + 1.0) / (a + b + 2.0), math.log(b)
-
-        def log_part(u: float, v: float, log_d: float) -> tuple[float, float]:
-            # (ln B(u; a, b), d ln B(u)/d ln(u/v)) with v = 1-u, log_d = ln u^a v^b
-            if u < split:
-                cf = _beta_cf(u, a, b, ctx)
-                return log_d - log_a + math.log(cf), a / cf
-            log_value = log_total + math.log1p(
-                -math.exp(log_d - log_b - log_total) * _beta_cf(v, b, a, ctx))
-            return log_value, math.exp(log_d - log_value)
+        log_beta = _incomplete_beta_log(base, ctx)
 
         def fdf(w: float) -> tuple[float, float]:
             x, y = _logistic_pair(w)
             log_x, log_y = math.log(x), math.log(y)
-            log_lower, rate_lower = log_part(x, y, a * log_x + b * log_y)
-            log_upper, rate_upper = log_part(y, x, a * log_y + b * log_x)
+            log_lower, rate_lower = log_beta(x, y, log_x, log_y)
+            log_upper, rate_upper = log_beta(y, x, log_y, log_x)
             return log_lower - log_upper + log_r, rate_lower + rate_upper
 
         start = 0.0
@@ -571,8 +555,10 @@ def theorem6_base_change(fbase, r: float,
 
 def sextic_variable_of_index(r: float) -> float:
     """X(r) = u(exp(-2 pi sqrt r)): the eta-quotient sixth power on the
-    squared-nome convention; increasing in r."""
-    return u_of_q(Nome.from_r_squared(r))
+    squared-nome convention; increasing in r, for r in (0, inf)."""
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"need 0 < r < inf, got {r}")
+    return u_of_q(math.exp(-2.0 * math.pi * math.sqrt(r)))
 
 
 # ---------------------------------------------------------------------------

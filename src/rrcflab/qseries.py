@@ -6,7 +6,8 @@ eta tail int_s^inf eta(i t/2)^4 dt summed term by term from its q-expansion.
 
 Products are evaluated as logs, so values near q -> 1 degrade gracefully
 instead of underflowing: ln f(-q) is the log1p of Euler's pentagonal series
-for q <= 0.2 and the eta inversion of it above.
+for q <= 0.2 and the eta inversion of it above.  A nome is a float q in
+(0, 1), and DomainError outside it.
 """
 
 from __future__ import annotations
@@ -14,46 +15,13 @@ from __future__ import annotations
 import math
 from functools import lru_cache, reduce
 
-from .numerics import DomainError, Frozen
+from .numerics import DomainError
 
 # R(q) climbs from 0 to (sqrt(5)-1)/2 as q runs over (0, 1).
 GOLDEN_CONJUGATE = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
-class Nome(Frozen):
-    """Real nome q in (0, 1); constructors cover the q = exp(-pi sqrt(r))
-    convention and its squared variant exp(-2 pi sqrt(r))."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: float):
-        self._set(q)
-        if not (0.0 < q < 1.0):
-            raise DomainError(f"nome must lie in (0, 1), got {q}")
-
-    @classmethod
-    def from_r(cls, r: float) -> "Nome":
-        if r <= 0.0:
-            raise DomainError(f"need r > 0, got {r}")
-        return cls(math.exp(-math.pi * math.sqrt(r)))
-
-    @classmethod
-    def from_r_squared(cls, r: float) -> "Nome":
-        if r <= 0.0:
-            raise DomainError(f"need r > 0, got {r}")
-        return cls(math.exp(-2.0 * math.pi * math.sqrt(r)))
-
-    @property
-    def r(self) -> float:
-        return (math.log(self.q) / math.pi) ** 2
-
-    def squared(self) -> "Nome":
-        return Nome(self.q * self.q)
-
-
-def _as_q(q: "Nome | float") -> float:
-    if isinstance(q, Nome):
-        return q.q
+def _as_q(q: float) -> float:
     qf = float(q)
     if not (0.0 < qf < 1.0):
         raise DomainError(f"nome must lie in (0, 1), got {q}")
@@ -126,7 +94,7 @@ def lambert_sum(q: float) -> float:
         k += 1
 
 
-def ramanujan_f(q: "Nome | float") -> float:
+def ramanujan_f(q: float) -> float:
     """f(-q) = prod_{n>=1} (1 - q^n); lies in (0, 1) for q in (0, 1).
 
     Underflows to 0.0 for q beyond ~0.998 (the log of the product passes
@@ -135,7 +103,7 @@ def ramanujan_f(q: "Nome | float") -> float:
     return math.exp(ramanujan_f_log(q))
 
 
-def ramanujan_f_log(q: "Nome | float") -> float:
+def ramanujan_f_log(q: float) -> float:
     return _log_qpochhammer(_as_q(q))
 
 
@@ -223,7 +191,7 @@ def _rrcf_of_kappa(kappa: float) -> float:
     return 2.0 / (s + math.hypot(s, 2.0))
 
 
-def rrcf(q: "Nome | float") -> float:
+def rrcf(q: float) -> float:
     """Rogers-Ramanujan continued fraction via the eta-quotient relation
     1/R - 1 - R = f(-q^(1/5)) / (q^(1/5) f(-q^5))."""
     return _rrcf_cached(_as_q(q))
@@ -247,19 +215,18 @@ def rrcf_of_log_q(log_q: float) -> float:
     return 2.0 * r / (1.0 + r + math.hypot(1.0 + r, 2.0 * r))
 
 
-def u_of_q(q: "Nome | float") -> float:
+def u_of_q(q: float) -> float:
     """u(q) = f(-q)^6 / (q f(-q^5)^6) = 1/R^5 - 11 - R^5.
 
     Strictly decreasing; blows up like 1/q near 0 and vanishes as q -> 1.
     """
-    qf = _as_q(q)
     try:
-        return math.exp(u_of_q_log(qf))
+        return math.exp(u_of_q_log(q))   # which checks the nome
     except OverflowError:
-        raise DomainError(f"u({qf}) overflows a float") from None
+        raise DomainError(f"u({q}) overflows a float") from None
 
 
-def u_of_q_log(q: "Nome | float") -> float:
+def u_of_q_log(q: float) -> float:
     qf = _as_q(q)
     return 6.0 * _log_qpochhammer(qf) - math.log(qf) - 6.0 * _log_qpochhammer(qf ** 5)
 
@@ -272,7 +239,7 @@ def u_log_of_log_q(log_q: float) -> float:
     return 6.0 * (_log_qpochhammer_at(log_q) - _log_qpochhammer_at(5.0 * log_q)) - log_q
 
 
-def rrcf_derivative(q: "Nome | float") -> float:
+def rrcf_derivative(q: float) -> float:
     """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1).
     R'(q) ~ q^(-4/5)/5 as q -> 0 is finite for every float q, but
     q^(-5/6) u^(1/6) alone overflows below q ~ 1e-308, so ln R joins the

@@ -18,10 +18,10 @@ from typing import Callable
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext, find_root
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
-from .qseries import (GOLDEN_CONJUGATE, Nome, lambert_sum, ramanujan_f_log, rrcf,
-                      rrcf_of_log_q, u_log_of_log_q, u_of_q, u_of_q_log)
+from .qseries import (GOLDEN_CONJUGATE, lambert_sum, ramanujan_f_log, rrcf,
+                      rrcf_of_log_q, u_log_of_log_q, u_of_q_log)
 from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
-                      eta_quotient_nome_of, klein_j)
+                      eta_quotient_nome_of, klein_j, sextic_variable_of_index)
 
 
 # ---------------------------------------------------------------------------
@@ -125,8 +125,8 @@ def modulus_product_formula(r: float) -> float:
             * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
 
 
-def _nome_of_modulus(k: float) -> tuple[float, float]:
-    """(q, K(k)) with q = e^(-pi K'(k)/K(k)), for 0 < k < 1."""
+def nome_of_modulus(k: float) -> tuple[float, float]:
+    """(q, K(k)): the nome q = e^(-pi K'(k)/K(k)) of the modulus 0 < k < 1."""
     if not (0.0 < k < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     kk = elliptic_k(k)
@@ -137,7 +137,7 @@ def dq_dk(k: float) -> float:
     """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
     k -> q is in fact increasing, so the sign convention is recorded by the
     harness rather than silently corrected here."""
-    q, kk = _nome_of_modulus(k)
+    q, kk = nome_of_modulus(k)
     kp2 = (1.0 - k) * (1.0 + k)
     return -q * math.pi ** 2 / (2.0 * k * kp2 * kk ** 2)
 
@@ -146,7 +146,7 @@ def dr_dk(k: float) -> float:
     """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
     carries the same sign convention as dq_dk, so the chain rule
     R'(q) dq/dk = dR/dk closes."""
-    q, _ = _nome_of_modulus(k)
+    q, _ = nome_of_modulus(k)
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
     u6 = math.exp(u_of_q_log(q) / 6.0)
     return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6
@@ -160,7 +160,7 @@ def sextic_period_ratio_root(inst: SexticInstance, t: float) -> tuple[float, flo
     k = math.sqrt(t)
     ratio = elliptic_k_complementary(k) / elliptic_k(k)
     r = ratio * ratio / 4.0
-    return r, inst.b / (250.0 * inst.a) * u_of_q(Nome.from_r_squared(r))
+    return r, inst.b / (250.0 * inst.a) * sextic_variable_of_index(r)
 
 
 # ---------------------------------------------------------------------------

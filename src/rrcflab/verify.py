@@ -45,8 +45,8 @@ from .quadrature import integrate_finite
 from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .routes import (dq_dk, dr_dk, eta_quotient_power_integral,
                      eta_quotient_power_mellin, j_integral_quadrature,
-                     modulus_product_formula, quintic_surd, rr_integral,
-                     sextic_period_ratio_root, tau_of_rrcf,
+                     modulus_product_formula, nome_of_modulus, quintic_surd,
+                     rr_integral, sextic_period_ratio_root, tau_of_rrcf,
                      weighted_power_integral, weighted_power_rhs)
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
@@ -137,12 +137,7 @@ def _eq20_21(ctx: PrecisionContext):
 
 def _eq20_sign(ctx: PrecisionContext):
     k = modular.singular_modulus(4.0)
-
-    def nome_of_modulus(kk: float) -> float:
-        return math.exp(-math.pi * special.elliptic_k_complementary(kk)
-                        / elliptic_k(kk))
-
-    fd = differentiate(nome_of_modulus, k)
+    fd = differentiate(lambda kk: nome_of_modulus(kk)[0], k)
     stated = dq_dk(k)
     return fd.value, stated, (f"|finite difference|/|stated| - 1 = "
                               f"{abs(fd.value / stated) - 1.0:.2e}; the map k -> q "
@@ -255,7 +250,7 @@ def _j_lambda(ctx: PrecisionContext, r: float):
 
 
 def _j_level5(ctx: PrecisionContext, r: float):
-    u = qseries.u_of_q(qseries.Nome.from_r_squared(r))
+    u = modular.sextic_variable_of_index(r)
     return (modular.klein_j(r), (u * u + 250.0 * u + 3125.0) ** 3 / u ** 5,
             f"eta-quotient u={u:.15g} at the squared nome exp(-2 pi sqrt r); "
             f"no elliptic modulus involved")
@@ -294,7 +289,7 @@ def _eq46_roundtrip(ctx: PrecisionContext):
 
 def _eq46_limit(ctx: PrecisionContext):
     # surd_tail_integral(0) is the constant TAIL_TOTAL, so the lhs integrates
-    lhs = (integrate_finite(modular.surd_integrand, 0.0, 1.0, ctx)
+    lhs = (integrate_finite(quintic_surd(5.0 / 6.0), 0.0, 1.0, ctx)
            + modular.surd_tail_integral(1.0, ctx))
     rhs = 4.0 ** (-1.0 / 3.0) * special.complete_beta(BetaBase(1.0 / 6.0, 2.0 / 3.0))
     return lhs, rhs, ("full surd tail, quadrature over [0, 1] plus the tail "

@@ -5,7 +5,8 @@ kernels and import nothing else of the package.  The registry (verify),
 its records (report) and the CLI sit above them, so no kernel imports
 routes or any of them.  In the registry, only the runner judges a check:
 no record builds its own result.  In special, one function calls each
-generic engine of the layers below."""
+generic engine of the layers below, and modular takes its incomplete-Beta
+logs from special."""
 
 import ast
 from pathlib import Path
@@ -77,14 +78,30 @@ def test_only_the_runner_judges_a_check():
     assert calls == [("run_check", "compare")]
 
 
+def _callers(module: str, callee: str) -> list[str]:
+    """The top-level definition of one source file that makes each call of
+    callee by its bare name."""
+    callers = []
+    for top in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == callee:
+                callers.append(top.name)
+    return callers
+
+
 @pytest.mark.parametrize("engine", ["integrate_complex", "sum_series"])
 def test_one_special_function_per_engine(engine):
     """special reaches each generic engine from one function: F1's Euler
     integral (2F1 outside the unit disk is F1(b; a, 0; c; z, 0)) and F1's
     anti-diagonal series (the quadratic-surd series is an F1 series)."""
-    callers = []
-    for top in ast.parse((PACKAGE / "special.py").read_text()).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == engine:
-                callers.append(top.name)
+    callers = _callers("special", engine)
     assert len(callers) == 1, callers
+
+
+def test_modular_takes_its_log_betas_from_special():
+    """The split and complement rule of the incomplete Beta lives in
+    special: modular runs the continued fraction itself only in
+    beta_ratio_root's symmetric step, where one fraction gives B(x) and
+    B(1-x), and calls no incomplete_beta."""
+    assert _callers("modular", "_beta_cf") == ["beta_ratio_root"]
+    assert _callers("modular", "incomplete_beta") == []

@@ -11,16 +11,16 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              j_integral_phi_partial_fraction, klein_j,
                              klein_j_from_lambda, klein_j_from_quarter_modulus,
                              m_of_x, pi_formula_partial_sum,
-                             psi_arcsin_ratio,
-                             singular_modulus, solve_sextic, surd_integrand,
-                             surd_tail_integral, theorem6_base_change, theta_of_X,
-                             trig_modular)
+                             psi_arcsin_ratio, sextic_variable_of_index,
+                             singular_modulus, solve_sextic, surd_tail_integral,
+                             theorem6_base_change, theta_of_X, trig_modular)
 from rrcflab.numerics import DEFAULT_CTX, ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
-from rrcflab.routes import j_integral_quadrature, rr_integral, sextic_period_ratio_root
+from rrcflab.routes import (j_integral_quadrature, quintic_surd, rr_integral,
+                            sextic_period_ratio_root)
 from rrcflab.verify import run_check
 
 SQRT5 = math.sqrt(5.0)
@@ -125,7 +125,7 @@ class TestInverseIntegrals:
         # and the tail from 1 (surd_tail_integral(0) is TAIL_TOTAL itself),
         # pi times the eta tail from 0 summed from its q-expansion, and the
         # nearest float to mpmath's value
-        quadrature_total = (integrate_finite(surd_integrand, 0.0, 1.0)
+        quadrature_total = (integrate_finite(quintic_surd(5 / 6), 0.0, 1.0)
                             + surd_tail_integral(1.0))
         assert TAIL_TOTAL == pytest.approx(quadrature_total, rel=1e-14)
         assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)
@@ -620,12 +620,15 @@ class TestRootSearchWorkCounts:
         count(modular, "find_root")
         count(routes, "find_root")
         count(modular, "newton_root")
-        original_cf = modular._beta_cf
+        original_cf = special._beta_cf
 
         def counted_cf(*args):
             tally["beta_cf"] += 1
             return original_cf(*args)
+        # the symmetric step calls it from modular, special._incomplete_beta_log
+        # from special
         monkeypatch.setattr(modular, "_beta_cf", counted_cf)
+        monkeypatch.setattr(special, "_beta_cf", counted_cf)
         return tally
 
     @pytest.mark.parametrize("base, r, max_evals", [
@@ -675,6 +678,8 @@ class TestEntryContracts:
         (lambda: beta_ratio_root(BetaBase(1e300, 1e300), 2.0), DomainError),
         (lambda: beta_ratio_root(BetaBase(0.5, 0.5), math.inf), DomainError),
         (lambda: beta_ratio_root(BetaBase(0.5, 0.5), math.nan), DomainError),
+        # B(1, a, b) ~ 1e300 and B(1-x, b, a) cancel to nothing
+        (lambda: beta_ratio_root(BetaBase(0.5, 1e-300), 2.0), DomainError),
         (lambda: theorem6_base_change(lambda x: 0.0, 2.0), DomainError),
         (lambda: theorem6_base_change(lambda x: x, math.inf), DomainError),
         (lambda: theorem6_base_change(lambda x: x, math.nan), DomainError),
@@ -683,6 +688,7 @@ class TestEntryContracts:
         (lambda: SexticInstance(1e300, 5e-324, 12.0), DomainError),
     ], ids=["beta_ratio_root(1e300,0.5;5e-324)", "beta_ratio_root(1e300,1e300;2)",
             "beta_ratio_root(r=inf)", "beta_ratio_root(r=nan)",
+            "beta_ratio_root(0.5,1e-300;2)",
             "theorem6_base_change(0)", "theorem6_base_change(r=inf)",
             "theorem6_base_change(r=nan)", "m_of_x(5e-324)",
             "SexticInstance(5e-324,5e-324,12)", "SexticInstance(1e300,5e-324,12)"])
@@ -692,3 +698,9 @@ class TestEntryContracts:
         else:
             with pytest.raises(outcome):
                 call()
+
+    @pytest.mark.parametrize("r", [0.0, -1.0, math.inf, math.nan])
+    def test_sextic_variable_of_index(self, r):
+        # r is the index of the squared nome exp(-2 pi sqrt r)
+        with pytest.raises(DomainError):
+            sextic_variable_of_index(r)

@@ -44,7 +44,6 @@ FROZEN = [
     (PrecisionContext(1e-10, 1e-14, 50),
      "PrecisionContext(eps_rel=1e-10, eps_abs=1e-14, max_series_terms=50)"),
     (rrcflab.BetaBase(0.25, 0.5), "BetaBase(a=0.25, b=0.5)"),
-    (rrcflab.Nome(0.3), "Nome(q=0.3)"),
     (rrcflab.SexticInstance(1.0, 250.0, 12.0), "SexticInstance(a=1.0, b=250.0, c1=12.0)"),
     (rrcflab.SexticSolution(1.5, 0.25, 1e-16),
      "SexticSolution(x=1.5, t=0.25, residual=1e-16)"),

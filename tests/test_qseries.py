@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab.numerics import DomainError, differentiate
-from rrcflab.qseries import (GOLDEN_CONJUGATE, Nome, dedekind_eta,
+from rrcflab.qseries import (GOLDEN_CONJUGATE, dedekind_eta,
                              eta_quarter_integrand, eta_tail_log, lambert_sum,
                              ramanujan_f, ramanujan_f_log, rrcf, rrcf_derivative,
                              rrcf_of_log_q, u_log_of_log_q, u_of_q, u_of_q_log)
@@ -270,22 +270,19 @@ def test_import_loads_no_numpy():
     assert out.stdout.strip() == "False"
 
 
-class TestNome:
-    def test_validation(self):
+class TestFloatNomes:
+    """A nome is a float in (0, 1): every entry that takes one raises
+    DomainError outside it."""
+
+    ENTRIES = (ramanujan_f, ramanujan_f_log, rrcf, u_of_q, u_of_q_log,
+               rrcf_derivative)
+
+    @pytest.mark.parametrize("q", [0.0, -0.0, 1.0, -0.5, 1.5, -1e-300,
+                                   math.nextafter(1.0, 2.0), math.inf, math.nan])
+    @pytest.mark.parametrize("entry", ENTRIES, ids=lambda f: f.__name__)
+    def test_outside_the_unit_interval(self, entry, q):
         with pytest.raises(DomainError):
-            Nome(1.0)
-        with pytest.raises(DomainError):
-            Nome(0.0)
-
-    def test_from_r(self):
-        assert Nome.from_r(4.0).q == pytest.approx(Q_E2PI, rel=1e-15)
-        assert Nome.from_r_squared(1.0).q == pytest.approx(Q_E2PI, rel=1e-15)
-
-    def test_round_trip_r(self):
-        assert Nome.from_r(2.5).r == pytest.approx(2.5, rel=1e-14)
-
-    def test_squared(self):
-        assert Nome(0.3).squared().q == pytest.approx(0.09)
+            entry(q)
 
 
 class TestRamanujanF:

@@ -935,6 +935,87 @@ class TestIncompleteBeta:
         bound = 1e-13 * ref + sys.float_info.min
         assert abs(incomplete_beta(x, BetaBase(a, b)) - ref) <= bound
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=1e-300, max_value=1.0, exclude_max=True),
+           st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=0.1, max_value=10.0))
+    @example(1e-300, 0.5, 2.0)
+    @example(0.517, 8.28, 0.289)
+    def test_log_in_the_logit_against_mpmath(self, x, a, b):
+        # (ln B(x), d ln B / d ln(x/y)) with y = 1-x given apart: here the
+        # double 1 - x, which mpmath takes as it is
+        mp = pytest.importorskip("mpmath")
+        y = 1.0 - x
+        with mp.workdps(50):
+            value = mp.betainc(a, b, 0, x)
+            log_ref = mp.log(value)
+            slope_ref = mp.mpf(x) ** a * mp.mpf(y) ** b / value
+        log_beta = special._incomplete_beta_log(BetaBase(a, b), PrecisionContext())
+        log_value, slope = log_beta(x, y, math.log(x), math.log(y))
+        assert abs(log_value - log_ref) <= 1e-13 * max(1.0, abs(log_ref))
+        assert abs(slope - slope_ref) <= 1e-13 * slope_ref
+
+    def test_log_complement_that_cancels_to_nothing_is_a_domain_error(self):
+        # B(1, 0.5, 1e-300) ~ 1e300 and B(0.1, 1e-300, 0.5) agree to the last bit
+        log_beta = special._incomplete_beta_log(BetaBase(0.5, 1e-300), PrecisionContext())
+        with pytest.raises(DomainError, match="cancels"):
+            log_beta(0.9, 0.1, math.log(0.9), math.log(0.1))
+
+    @pytest.mark.xfail(strict=True, reason="the complement B(1, a, b) - "
+                       "B(1-x, b, a) cancels for a small b: both are about 1/b")
+    def test_complement_for_a_small_exponent(self):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(50):
+            ref = mp.betainc(0.5, mp.mpf(1e-10), 0, 0.9)
+        assert abs(incomplete_beta(0.9, BetaBase(0.5, 1e-10)) - ref) <= 1e-13 * ref
+
+
+def _mp_beta(a, b):
+    """B(a, b) from mpmath at 60 + log10 max(a, b) digits: at 40 it returns
+    1.77 for B(1e300, 1/2) = 1.77e-150."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60 + int(math.log10(max(a, b, 1.0)))):
+        return mp.beta(mp.mpf(a), mp.mpf(b))
+
+
+def _complete_beta_draws(count):
+    """Seeded exponents, a log-uniform in [1e-3, 1e8] and b in [1e-3, 1e4],
+    where B(a, b) is a normal double."""
+    rng, draws = random.Random(23), []
+    while len(draws) < count:
+        a, b = 10.0 ** rng.uniform(-3.0, 8.0), 10.0 ** rng.uniform(-3.0, 4.0)
+        if sys.float_info.min <= _mp_beta(a, b) <= sys.float_info.max:
+            draws.append((a, b))
+    return draws
+
+
+class TestCompleteBeta:
+    """B(a, b) within 5e-13 of mpmath wherever it is a normal double, also
+    with one exponent large, where three log-Gammas cancel: taken as
+    ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), B(1e17, 1/2) = 5.6e-9 is 1.0."""
+
+    @pytest.mark.parametrize("a, b", [
+        (1e17, 0.5), (1e8, 0.5), (1e4, 3.0), (1e300, 0.5), (0.5, 1e300),
+        (150.0, 250.0), (300.0, 100.0), (8.0, 8.0), (7.99, 8.0), (0.5, 8.0),
+        (1e-3, 1e8), (8.0, 1e-300), (1 / 6, 2 / 3), (30.0, 400.0)])
+    def test_against_mpmath(self, a, b):
+        ref = _mp_beta(a, b)
+        value = complete_beta(BetaBase(a, b))
+        assert complete_beta(BetaBase(b, a)) == value
+        assert abs(value - ref) <= 5e-13 * ref
+
+    def test_seeded_sample_against_mpmath(self):
+        errors = [abs(complete_beta(BetaBase(a, b)) / _mp_beta(a, b) - 1)
+                  for a, b in _complete_beta_draws(300)]
+        assert max(errors) <= 5e-13
+
+    def test_underflow_is_zero(self):
+        assert complete_beta(BetaBase(1e300, 1e300)) == 0.0
+
+    def test_infinite_exponent_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            complete_beta(BetaBase(0.5, math.inf))
+
 
 class TestEllipticK:
     def test_at_zero(self):
