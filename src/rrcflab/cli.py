@@ -3,7 +3,8 @@ kernel at given arguments, or solve a sextic instance.
 
 Exit codes: 0 success, 1 check/domain failures, 2 usage errors.  JSON
 reports encode every number as a decimal string so downstream consumers
-never re-round them.
+never re-round them.  Each command takes --eps, the relative-error target,
+which is the one way to set the precision; a bad one is a usage error.
 
 Each command imports only what it runs, on top of numerics, which this
 module needs for the precision context:
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from typing import TYPE_CHECKING, Callable, NoReturn
 
@@ -31,7 +31,7 @@ from .numerics import DEFAULT_CTX, DomainError, KernelError, PrecisionContext
 if TYPE_CHECKING:
     from .report import CheckResult
 
-ENV_EPS = "RRCF_EPS"
+_EPS_HELP = f"relative-error target (default {DEFAULT_CTX.eps_rel:g})"
 
 
 def _fmt(value) -> str:
@@ -65,17 +65,10 @@ def _usage_error(message: str) -> NoReturn:
 
 
 def _context_from(args) -> PrecisionContext:
-    eps = getattr(args, "eps", None)
-    if eps is None:
-        env = os.environ.get(ENV_EPS)
-        if env:
-            try:
-                eps = float(env)
-            except ValueError:
-                _usage_error(f"invalid {ENV_EPS}={env!r}")
-    changes = {"eps_rel": eps, "max_series_terms": getattr(args, "max_terms", None)}
+    if args.eps is None:
+        return DEFAULT_CTX
     try:
-        return DEFAULT_CTX.replace(**{k: v for k, v in changes.items() if v is not None})
+        return DEFAULT_CTX.replace(eps_rel=args.eps)
     except DomainError as exc:
         _usage_error(str(exc))
 
@@ -122,7 +115,7 @@ _EVAL: dict[str, tuple[int, Callable, bool]] = {
     "2f1": (4, lambda *args: rrcflab.gauss_2f1(*args), True),
     "f1": (6, lambda *args: rrcflab.appell_f1(*args), True),
     "beta_inc": (3, lambda x, a, b, ctx: rrcflab.incomplete_beta(
-        x, rrcflab.BetaBase(a, b), ctx), False),
+        x, rrcflab.BetaBase(a, b)), False),
     "F": (1, lambda x, ctx: rrcflab.F_of_x(x, ctx), False),
     "m": (1, lambda x, ctx: rrcflab.m_of_x(x, ctx), False),
     "G": (1, lambda x, ctx: rrcflab.G_of_x(x, ctx), False),
@@ -198,17 +191,13 @@ def build_parser() -> argparse.ArgumentParser:
                           help="run only check ids matching this glob")
     p_verify.add_argument("--json", action="store_true",
                           help="emit the JSON report")
-    p_verify.add_argument("--eps", type=float, default=None,
-                          help="relative-error target override")
-    p_verify.add_argument("--max-terms", type=int, default=None,
-                          dest="max_terms", help="series term cap override")
+    p_verify.add_argument("--eps", type=float, default=None, help=_EPS_HELP)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one kernel")
     p_eval.add_argument("function", help=f"one of {', '.join(sorted(_EVAL))}")
     p_eval.add_argument("args", nargs="*", help="numeric arguments")
-    p_eval.add_argument("--eps", type=float, default=None)
-    p_eval.add_argument("--max-terms", type=int, default=None, dest="max_terms")
+    p_eval.add_argument("--eps", type=float, default=None, help=_EPS_HELP)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_solve = sub.add_parser("solve-sextic",
@@ -216,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("a", type=float)
     p_solve.add_argument("b", type=float)
     p_solve.add_argument("c1", type=float)
-    p_solve.add_argument("--eps", type=float, default=None)
+    p_solve.add_argument("--eps", type=float, default=None, help=_EPS_HELP)
     p_solve.set_defaults(func=_cmd_solve_sextic)
     return parser
 

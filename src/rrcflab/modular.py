@@ -20,12 +20,12 @@ import math
 import sys
 from functools import lru_cache
 
-from .numerics import (DEFAULT_CTX, MACHINE_EPS, ConvergenceError, DomainError,
-                       Frozen, KernelError, PrecisionContext, find_root,
-                       newton_root)
+from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, ConvergenceError,
+                       DomainError, Frozen, KernelError, PrecisionContext,
+                       find_root, newton_root)
 from .quadrature import integrate_finite
 from .special import (BetaBase, _beta_cf, _incomplete_beta_log, appell_f1,
-                      complete_beta, elliptic_k, gauss_2f1)
+                      complete_beta, elliptic_k_complementary, gauss_2f1)
 from .qseries import (eta_tail_log, lambert_sum, rrcf_of_log_q, u_log_of_log_q,
                       u_of_q)
 
@@ -35,10 +35,9 @@ from .qseries import (eta_tail_log, lambert_sum, rrcf_of_log_q, u_log_of_log_q,
 # 17 - 12 sqrt 2 would cancel three digits); real instances need j > 1728.
 _T_RIDGE = 1.0 / (17.0 + 12.0 * math.sqrt(2.0))
 SQRT5 = math.sqrt(5.0)
-_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Theta-series terms below an eighth of an ulp of 1 no longer change a sum
 # that starts at 1.
-_THETA_CUT = sys.float_info.epsilon / 8.0
+_THETA_CUT = MACHINE_EPS / 8.0
 # Bracket of the logit w = ln(x/(1-x)) searches: x from about 4e-322 up to
 # 1 - 2.3e-16, past which 1/(1 + e^-w) rounds to 1.
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
@@ -119,30 +118,29 @@ def singular_modulus(r: float) -> float:
     return _singular_modulus_pair(r)[0]
 
 
-def klein_j_from_quarter_modulus(t: float, one_minus_t: float | None = None) -> float:
+def klein_j_from_quarter_modulus(t: float, one_minus_t: float) -> float:
     """16 (1 + 14 t + t^2)^3 / (t (1-t)^4) with t the squared modulus at the
-    quadrupled index; pass one_minus_t when t is close to 1 and the
-    complement is known exactly."""
-    omt = (1.0 - t) if one_minus_t is None else one_minus_t
-    if t <= 0.0 or omt <= 0.0:
+    quadrupled index, and 1 - t its complement, formed apart (k'^2) so that
+    it keeps its digits when t is close to 1."""
+    if t <= 0.0 or one_minus_t <= 0.0:
         raise DomainError(f"quarter-modulus argument out of (0, 1): t={t}")
-    return 16.0 * (1.0 + 14.0 * t + t * t) ** 3 / (t * omt ** 4)
+    return 16.0 * (1.0 + 14.0 * t + t * t) ** 3 / (t * one_minus_t ** 4)
 
 
-def klein_j_from_lambda(lam: float, one_minus_lam: float | None = None) -> float:
+def klein_j_from_lambda(lam: float, one_minus_lam: float) -> float:
     """256 (lam^2 - lam + 1)^3 / (lam^2 (1-lam)^2), the lambda-line form at
-    lam = k_r^2; symmetric under lam -> 1 - lam."""
-    oml = (1.0 - lam) if one_minus_lam is None else one_minus_lam
-    if lam <= 0.0 or oml <= 0.0:
+    lam = k_r^2, with 1 - lam formed apart; symmetric under lam -> 1 - lam."""
+    if lam <= 0.0 or one_minus_lam <= 0.0:
         raise DomainError(f"lambda argument out of (0, 1): {lam}")
-    return 256.0 * (lam * lam - lam + 1.0) ** 3 / (lam * lam * oml * oml)
+    return (256.0 * (lam * lam - lam + 1.0) ** 3
+            / (lam * lam * one_minus_lam * one_minus_lam))
 
 
 @lru_cache(maxsize=4096)
 def _klein_j_cached(r: float) -> float:
     # j > e^(2 pi sqrt r), so past this bound j overflows; checked before the
     # moduli, whose own underflow error only comes past r ~ 5.1e4
-    if 2.0 * math.pi * math.sqrt(r) < _LOG_FLOAT_MAX:
+    if 2.0 * math.pi * math.sqrt(r) < LOG_FLOAT_MAX:
         k4r, k4r_p = _singular_modulus_pair(4.0 * r)
         z = (k4r_p * k4r_p / (4.0 * k4r)) ** 2
         j = 256.0 * (1.0 + z) * (1.0 + 1.0 / z) ** 2
@@ -280,7 +278,7 @@ def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     surd-tail integral it inverts.
     """
     log_g = u_log_of_log_q(-math.pi * _fifth_tail_index(x, ctx))
-    if log_g >= _LOG_FLOAT_MAX:
+    if log_g >= LOG_FLOAT_MAX:
         raise DomainError(f"G({x}) overflows a float")
     return math.exp(log_g)
 
@@ -297,7 +295,7 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
         raise DomainError(f"theta_of_X needs X > 0, got {X}")
     target = 4.0 ** (1.0 / 3.0) * surd_tail_integral(X, ctx)
     log_target = math.log(target)
-    log_beta = _incomplete_beta_log(_SURD_BASE, ctx)
+    log_beta = _incomplete_beta_log(_SURD_BASE)
 
     def fdf(w: float) -> tuple[float, float]:
         x, y = _logistic_pair(w)
@@ -455,7 +453,7 @@ def beta_ratio_root(base: BetaBase, r: float,
         def fdf(w: float) -> tuple[float, float]:
             e = math.exp(-abs(w))
             log_d = -a * (abs(w) + 2.0 * math.log1p(e))   # ln (x (1-x))^a
-            cf = _beta_cf(e / (1.0 + e), a, a, ctx)
+            cf = _beta_cf(e / (1.0 + e), a, a)
             log_small = log_d - log_a + math.log(cf)   # ln B(min(x, 1-x))
             log_large = log_total + math.log1p(-math.exp(log_small - log_total))
             gap = log_small - log_large
@@ -468,7 +466,7 @@ def beta_ratio_root(base: BetaBase, r: float,
             w0 = max(log_x0 - math.log1p(-math.exp(log_x0)), _LOGIT_MIN)
         start = w0 if r >= 1.0 else min(-w0, _LOGIT_MAX)
     else:
-        log_beta = _incomplete_beta_log(base, ctx)
+        log_beta = _incomplete_beta_log(base)
 
         def fdf(w: float) -> tuple[float, float]:
             x, y = _logistic_pair(w)
@@ -546,7 +544,11 @@ def theorem6_base_change(fbase, r: float,
         raise DomainError(f"base is not positive and finite in the search: "
                           f"{exc!r}") from exc
     alpha, complement = _logistic_pair(w)
-    r0 = (elliptic_k(math.sqrt(complement)) / elliptic_k(math.sqrt(alpha))) ** 2
+    # K(sqrt(1-alpha)) = K'(sqrt(alpha)) and K(sqrt(alpha)) =
+    # K'(sqrt(1-alpha)): each AGM takes its modulus as it is, so neither
+    # rebuilds a small sqrt(alpha) or sqrt(1-alpha) from the other
+    r0 = (elliptic_k_complementary(math.sqrt(alpha))
+          / elliptic_k_complementary(math.sqrt(complement))) ** 2
     return alpha, r0, klein_j_from_lambda(alpha, complement)
 
 

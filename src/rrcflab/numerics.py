@@ -2,20 +2,30 @@
 summation with tail control, bracketed root finding, and Richardson-refined
 central differences.
 
-All operations are pure; contexts are immutable and freely shareable.
+A context holds only the tolerance; the iteration caps, which no caller
+varies, are the module constants MAX_SERIES_TERMS and MAX_ROOT_ITERS (and
+quadrature's MAX_QUAD_LEVELS).  All operations are pure; contexts are
+immutable and freely shareable.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable, NamedTuple
 
 MACHINE_EPS = math.ulp(1.0)
+# The log of the largest double: a value is judged by its log before it is
+# formed.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 # Base step of differentiate's central differences, relative to max(1, |x|):
 # eps^(1/5) balances the O(h^4) truncation after Richardson against rounding.
 FD_STEP = MACHINE_EPS ** (1.0 / 5.0)
 # Evaluations allowed to find_root and newton_root before ConvergenceError.
 MAX_ROOT_ITERS = 200
+# Terms allowed to sum_series and 2F1's series, and steps to the incomplete
+# Beta's continued fraction, before SeriesDivergenceError.
+MAX_SERIES_TERMS = 2000
 
 
 class KernelError(Exception):
@@ -84,24 +94,20 @@ class Frozen:
 
 
 class PrecisionContext(Frozen):
-    """Numerical budget threaded through every operation.
+    """Tolerance threaded through every operation.
 
     eps_rel/eps_abs form the linear tolerance eps_rel*|scale| + eps_abs used
     by series tails, quadrature level agreement and root brackets.  Derive
     a context with replace, which validates it again.
     """
 
-    __slots__ = ("eps_rel", "eps_abs", "max_series_terms")
+    __slots__ = ("eps_rel", "eps_abs")
 
-    def __init__(self, eps_rel: float = 1e-12, eps_abs: float = 1e-15,
-                 max_series_terms: int = 2000):
-        self._set(eps_rel, eps_abs, max_series_terms)
+    def __init__(self, eps_rel: float = 1e-12, eps_abs: float = 1e-15):
+        self._set(eps_rel, eps_abs)
         if not (0.0 < eps_rel < math.inf and 0.0 < eps_abs < math.inf):
             raise DomainError(f"eps_rel and eps_abs must be finite and positive, got "
                               f"{eps_rel} and {eps_abs}")
-        if max_series_terms < 1:
-            raise DomainError(f"the series term cap must be at least 1, got "
-                              f"{max_series_terms}")
 
     def replace(self, **changes) -> "PrecisionContext":
         """This context with the named fields changed, validated again."""
@@ -125,13 +131,14 @@ def sum_series(term: Callable[[int], complex | float],
 
     Stops once two consecutive terms satisfy |t_n| <= eps_rel*|S| + eps_abs
     (two, so that series with interleaved zero terms are not cut early).
-    Raises SeriesDivergenceError, carrying the partial sum, at the term cap.
-    Real terms are summed as floats, complex ones as complex.
+    Raises SeriesDivergenceError, carrying the partial sum, after
+    MAX_SERIES_TERMS terms.  Real terms are summed as floats, complex ones
+    as complex.
     """
-    eps_rel, eps_abs, cap = ctx.eps_rel, ctx.eps_abs, ctx.max_series_terms
+    eps_rel, eps_abs = ctx.eps_rel, ctx.eps_abs
     total = 0.0
     small_run = 0
-    for n in range(cap):
+    for n in range(MAX_SERIES_TERMS):
         t = term(n)
         try:
             size = abs(t)   # inf or nan for a term that is not finite
@@ -147,7 +154,8 @@ def sum_series(term: Callable[[int], complex | float],
         else:
             small_run = 0
     raise SeriesDivergenceError(
-        f"series did not converge within {cap} terms", best=total, gap=size)
+        f"series did not converge within {MAX_SERIES_TERMS} terms",
+        best=total, gap=size)
 
 
 def find_root(f: Callable[[float], float], lo: float, hi: float,

@@ -20,8 +20,9 @@ import sys
 from functools import lru_cache, reduce
 from typing import Callable
 
-from .numerics import (DEFAULT_CTX, MACHINE_EPS, DomainError, Frozen, PrecisionContext,
-                       SeriesDivergenceError, SeriesSum, sum_series)
+from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, MAX_SERIES_TERMS,
+                       DomainError, Frozen, PrecisionContext, SeriesDivergenceError,
+                       SeriesSum, sum_series)
 from .quadrature import integrate_complex
 
 # Lanczos approximation for complex arguments, g = 7, 9 coefficients: ~1e-13
@@ -212,7 +213,7 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     An inf or nan parameter or z is a DomainError.
 
     Known gaps (``_is_slow_2f1``), where every route runs at a radius above
-    ``_SLOW_RADIUS`` and the series can reach its 2000-term cap: z next to 1
+    ``_SLOW_RADIUS`` and the series can reach MAX_SERIES_TERMS: z next to 1
     with c-a-b within ``_POLE_GAP`` of an integer (the limit forms of A&S
     15.3.10-15.3.14 are not implemented), and the band around exp(+-i pi/3)
     near |z| = 1, where |z|, |z/(z-1)| and |1-z| are all near 1.  Elsewhere
@@ -268,8 +269,8 @@ _POLE_GAP = 0.01
 # formula stays within 75 of 0, where its products of two stay far inside
 # the double range; larger ones keep to the series at z or z/(z-1).
 _CONNECTION_PARAMETER_MAX = 25.0
-# Above this radius the series of the shortest route can need more than the
-# default 2000-term cap (its terms may first grow like n^5); below it every
+# Above this radius the series of the shortest route can need more than
+# MAX_SERIES_TERMS (its terms may first grow like n^5); below it every
 # route met 1e-11 relative against mpmath over parameters in [-3, 3].
 _SLOW_RADIUS = 0.95
 
@@ -285,7 +286,7 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     The terms t_0 = 1, t_(n+1) = t_n (a+n)(b+n) / ((c+n)(n+1)) z are summed
     in one inline loop under ``sum_series``'s rule: it stops on two
     consecutive terms with |t| <= eps_rel |S| + eps_abs, and raises
-    SeriesDivergenceError at ctx.max_series_terms.  The ratio is formed in
+    SeriesDivergenceError after MAX_SERIES_TERMS.  The ratio is formed in
     the parameters' kind before t and z multiply it.  The tolerance is
     multiplied by ``scale`` (the connection formula sums tighter), and past
     radius 1/2 by (1-r)/r.  No PrecisionContext is built.
@@ -321,11 +322,10 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     if not (eps_rel > 0.0 and eps_abs > 0.0):   # as a PrecisionContext would
         raise DomainError(f"2F1 series tolerance underflows to 0 from "
                           f"eps_rel={ctx.eps_rel}, eps_abs={ctx.eps_abs}")
-    cap = ctx.max_series_terms
     # For c < 0 the factors c + n of (c)_n are smallest next to n = -Re c,
     # and before that two small terms do not mean the sum has converged:
     # the terms up to there are summed as one, the series' first term.
-    head = min(round(-c.real) + 2, cap) if c.real < 0.0 else 1
+    head = min(round(-c.real) + 2, MAX_SERIES_TERMS) if c.real < 0.0 else 1
     t, term = one, 0.0
     for n in range(head):
         term += t
@@ -334,7 +334,7 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
         else:
             t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
     total, small_run = 0.0, 0
-    for k in range(cap):
+    for k in range(MAX_SERIES_TERMS):
         try:
             size = abs(term)
         except OverflowError:   # finite parts, a modulus past the doubles
@@ -351,8 +351,8 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
         n = k + head   # t is t_n, the term after this one
         term = t
         t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
-    raise SeriesDivergenceError(f"series did not converge within {cap} terms",
-                                best=total, gap=size)
+    raise SeriesDivergenceError(
+        f"series did not converge within {MAX_SERIES_TERMS} terms", best=total, gap=size)
 
 
 def _direct_2f1(a, b, c, z, ctx, poles):
@@ -395,10 +395,6 @@ def _connection_2f1(a, b, c, z, ctx, poles):
 
 _ROUTES = {"series": _direct_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
            "connection": _connection_2f1}
-
-# The log of the largest double: the Euler power (1-z)^(c-a-b) is judged by
-# the log of its modulus before it is formed.
-_LOG_DOUBLE_MAX = math.log(sys.float_info.max)
 
 
 def _near_pole(x: complex, any_integer: bool = False) -> bool:
@@ -451,7 +447,7 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
         # |(1-z)^s| = e^(Re s ln|1-z| - Im s arg(1-z)); past the largest
         # double the series at z is summed instead
         w = 1.0 - z
-        if s.real * math.log(abs(w)) - s.imag * cmath.phase(w) > _LOG_DOUBLE_MAX:
+        if s.real * math.log(abs(w)) - s.imag * cmath.phase(w) > LOG_FLOAT_MAX:
             route = "series"
     return route, r, _NO_POLES
 
@@ -603,16 +599,15 @@ def complete_beta(base: BetaBase) -> float:
         raise DomainError(f"complete Beta of {base} overflows a float") from None
 
 
-def incomplete_beta(x: float, base: BetaBase,
-                    ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def incomplete_beta(x: float, base: BetaBase) -> float:
     """B(x, a, b) = x^a (1-x)^b / a * CF(x), the continued fraction of
     DLMF 8.17.22, for x below the integrand's (a+1)/(a+b+2); beyond it the
     complement B(1, a, b) - B(1-x, b, a), which cancels for a small b, where
     both are about 1/b (1e-11 relative lost at a = 0.5, x = 0.9, b = 1e-5).
 
-    The fraction is run to full double precision whatever ctx.eps_rel asks
-    (about 8 steps, at most 24 for a, b in [0.1, 10]); ctx.max_series_terms
-    caps its steps, and reaching the cap raises SeriesDivergenceError.
+    The fraction is run to full double precision, so it takes no context
+    (about 8 steps, at most 24 for a, b in [0.1, 10]); MAX_SERIES_TERMS caps
+    its steps, and reaching the cap raises SeriesDivergenceError.
     """
     if not (0.0 <= x <= 1.0):
         raise DomainError(f"incomplete beta needs x in [0, 1], got {x}")
@@ -622,15 +617,15 @@ def incomplete_beta(x: float, base: BetaBase,
         return complete_beta(base)
     a, b = base.a, base.b
     if x < (a + 1.0) / (a + b + 2.0):
-        val = x ** a * (1.0 - x) ** b / a * _beta_cf(x, a, b, ctx)
+        val = x ** a * (1.0 - x) ** b / a * _beta_cf(x, a, b)
         if val == math.inf:   # about x^a / a: a tiny a takes it past the doubles
             raise DomainError(f"incomplete Beta at x={x}, {base} overflows a float")
         return val
     y = 1.0 - x
-    return complete_beta(base) - y ** b * x ** a / b * _beta_cf(y, b, a, ctx)
+    return complete_beta(base) - y ** b * x ** a / b * _beta_cf(y, b, a)
 
 
-def _incomplete_beta_log(base: BetaBase, ctx: PrecisionContext
+def _incomplete_beta_log(base: BetaBase
                          ) -> Callable[[float, float, float, float], tuple[float, float]]:
     """(x, y, ln x, ln y) -> (ln B(x, a, b), d ln B / d ln(x/y)) on
     incomplete_beta's split, for a logit search that forms y = 1 - x and the
@@ -646,11 +641,11 @@ def _incomplete_beta_log(base: BetaBase, ctx: PrecisionContext
         nonlocal log_total
         log_d = a * log_x + b * log_y   # ln x^a y^b
         if x < split:
-            cf = _beta_cf(x, a, b, ctx)
+            cf = _beta_cf(x, a, b)
             return log_d - log_a + math.log(cf), a / cf
         if log_total is None:   # B(1, a, b) only where a complement needs it
             log_total = math.log(complete_beta(base))
-        rest = math.exp(log_d - log_b - log_total) * _beta_cf(y, b, a, ctx)
+        rest = math.exp(log_d - log_b - log_total) * _beta_cf(y, b, a)
         if not rest < 1.0:   # nan fails too
             raise DomainError(f"B(1, a, b) - B({y}, b, a) cancels to nothing for {base}")
         log_value = log_total + math.log1p(-rest)
@@ -658,7 +653,7 @@ def _incomplete_beta_log(base: BetaBase, ctx: PrecisionContext
     return log_beta
 
 
-def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
+def _beta_cf(x: float, a: float, b: float) -> float:
     """1 / (1 + d_1 / (1 + d_2 / (1 + ...))) by modified Lentz
     (Numerical Recipes section 5.2 and 6.4), with
     d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
@@ -668,7 +663,7 @@ def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
     d = 1.0 - ab * x / (a + 1.0)
     c, d = 1.0, 1.0 / (d if d >= tiny or d <= -tiny else tiny)
     h = d
-    for m in range(1, ctx.max_series_terms + 1):
+    for m in range(1, MAX_SERIES_TERMS + 1):
         p = a + 2.0 * m
         coeff = m * (b - m) * x / ((p - 1.0) * p)
         d, c = 1.0 + coeff * d, 1.0 + coeff / c
@@ -684,12 +679,12 @@ def _beta_cf(x: float, a: float, b: float, ctx: PrecisionContext) -> float:
             return h
     raise SeriesDivergenceError(
         f"incomplete Beta continued fraction did not converge within "
-        f"{ctx.max_series_terms} steps", best=h, gap=abs(d * c - 1.0))
+        f"{MAX_SERIES_TERMS} steps", best=h, gap=abs(d * c - 1.0))
 
 
-def beta_sqrt(x: float, alpha: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+def beta_sqrt(x: float, alpha: float) -> float:
     """sqrt(B(x, alpha, alpha)), the symmetric-Beta candidate modular base."""
-    return math.sqrt(incomplete_beta(x, BetaBase(alpha, alpha), ctx))
+    return math.sqrt(incomplete_beta(x, BetaBase(alpha, alpha)))
 
 
 def elliptic_k(k: float) -> float:
@@ -709,13 +704,16 @@ def elliptic_k_complementary(k: float) -> float:
 
 def _elliptic_k_from_complement(kprime: float) -> float:
     # AGM(1, k'); k' passed directly so callers near k = 1 keep precision.
+    # It stops at a fixed point: a == g, or, for about a quarter of the
+    # moduli, g one ulp below an a that the mean rounds back to.
     if kprime <= 0.0:
         raise DomainError("elliptic_k diverges at k = 1")
     a, g = 1.0, kprime
     for _ in range(60):
-        if abs(a - g) <= 1e-17 * a:
+        a_next, g_next = 0.5 * (a + g), math.sqrt(a * g)
+        if a_next == a and g_next == g:
             break
-        a, g = 0.5 * (a + g), math.sqrt(a * g)
+        a, g = a_next, g_next
     return math.pi / (2.0 * a)
 
 

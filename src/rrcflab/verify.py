@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import modular, qseries, special
+from .modular import SQRT5
 from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
                        SeriesDivergenceError, differentiate, find_root)
 from .quadrature import integrate_finite
@@ -50,7 +51,6 @@ from .routes import (dq_dk, dr_dk, eta_quotient_power_integral,
                      weighted_power_integral, weighted_power_rhs)
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
-SQRT5 = math.sqrt(5.0)
 _Q_RAMANUJAN = math.exp(-2.0 * math.pi)
 # -(1+sqrt5)/2 + sqrt((5+sqrt5)/2): the continued fraction at exp(-2 pi).
 RRCF_AT_E2PI = -(1.0 + SQRT5) / 2.0 + math.sqrt((5.0 + SQRT5) / 2.0)
@@ -268,9 +268,9 @@ def _prop1_beta(ctx: PrecisionContext):
     k4 = modular.singular_modulus(4.0)
     base = BetaBase(1.0 / 6.0, 2.0 / 3.0)
     x1 = qseries.u_of_q(_Q_RAMANUJAN)
-    lhs = incomplete_beta(k4 * k4, base, ctx)
+    lhs = incomplete_beta(k4 * k4, base)
     rhs = 4.0 ** (1.0 / 3.0) * modular.surd_tail_integral(x1, ctx)
-    ratio = incomplete_beta(1.0 - k4 * k4, base, ctx) / lhs
+    ratio = incomplete_beta(1.0 - k4 * k4, base) / lhs
     return lhs, rhs, f"complement ratio at this argument is {ratio:.12g} (recorded only)"
 
 
@@ -282,7 +282,7 @@ def _prop1_x(ctx: PrecisionContext):
 
 def _eq46_roundtrip(ctx: PrecisionContext):
     b = modular.theta_of_X(50.0, ctx)
-    lhs = 4.0 ** (-1.0 / 3.0) * incomplete_beta(b, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
+    lhs = 4.0 ** (-1.0 / 3.0) * incomplete_beta(b, BetaBase(1.0 / 6.0, 2.0 / 3.0))
     return (lhs, modular.surd_tail_integral(50.0, ctx),
             f"solved exponent argument b={b:.15g}")
 
@@ -320,7 +320,7 @@ def _t6_psi(ctx: PrecisionContext):
 
 def _t6_beta(ctx: PrecisionContext):
     alpha, r0, j0 = modular.theorem6_base_change(
-        lambda x: beta_sqrt(x, 1.0 / 6.0, ctx), 4.0, ctx)
+        lambda x: beta_sqrt(x, 1.0 / 6.0), 4.0, ctx)
     base = BetaBase(1.0 / 6.0, 1.0 / 6.0)
     rhs = modular.beta_ratio_root(base, 4.0, ctx)
     other = modular.beta_ratio_root(base, 2.0, ctx)
@@ -346,7 +346,7 @@ def _t7(ctx: PrecisionContext, r: float):
 
 def _t7_msign(ctx: PrecisionContext):
     k1 = modular.singular_modulus(1.0)
-    b_val = incomplete_beta(k1 * k1, BetaBase(1.0 / 6.0, 2.0 / 3.0), ctx)
+    b_val = incomplete_beta(k1 * k1, BetaBase(1.0 / 6.0, 2.0 / 3.0))
     lhs = math.pi * modular.eta_tail_integral(1.0)   # x with m(x) = 1
     stated = -(2.0 ** (5.0 / 3.0)) * b_val
     resolved = 2.0 ** (-2.0 / 3.0) * b_val
@@ -451,7 +451,7 @@ def _t8_ex2(ctx: PrecisionContext):
     quad = integrate_finite(
         lambda t: (t * (1.0 - t / p) * (1.0 + t / p)) ** -0.5, 0.0, p * p, ctx)
     hyp = 2.0 * p * float(gauss_2f1(0.5, 0.25, 1.25, p * p, ctx))
-    beta_form = math.sqrt(p) / 2.0 * incomplete_beta(p * p, BetaBase(0.25, 0.5), ctx)
+    beta_form = math.sqrt(p) / 2.0 * incomplete_beta(p * p, BetaBase(0.25, 0.5))
     return quad, hyp, (f"quadrature {quad:.15g} = p * (2F1 member) = sqrt(p)/2 * "
                        f"Beta member {beta_form:.15g}; the displayed chain omits "
                        f"one factor p between its first two members, and its "
@@ -467,14 +467,14 @@ def _ex3(ctx: PrecisionContext, name: str, r: float, radical: float):
 def _eq57(ctx: PrecisionContext):
     base = BetaBase(1.0 / 6.0, 1.0 / 6.0)
     b4 = modular.beta_ratio_root(base, 4.0, ctx)
-    return (incomplete_beta(b4, base, ctx) / incomplete_beta(0.5, base, ctx), 0.4,
+    return (incomplete_beta(b4, base) / incomplete_beta(0.5, base), 0.4,
             "single probe at indices (n, r) = (2, 1); the closed singular-value "
             "formula forces (r+1)/(n^2 r+1)")
 
 
 def _beta_singular_value(ctx: PrecisionContext, alpha: float, r: float):
     beta_r = modular.beta_ratio_root(BetaBase(alpha, alpha), r, ctx)
-    return (beta_sqrt(beta_r, alpha, ctx),
+    return (beta_sqrt(beta_r, alpha),
             math.sqrt(gamma(alpha) ** 2 / (gamma(2.0 * alpha) * (r + 1.0))),
             f"ratio root at {beta_r:.15g}")
 
@@ -484,7 +484,7 @@ def _eq60(ctx: PrecisionContext):
     beta5 = modular.beta_ratio_root(base, 5.0, ctx)
     series = special.quadratic_power_series(-5.0 / 6.0, 5.0 / 12.0,
                                             1.0, -2.0, 1.0, beta5, ctx)
-    direct = incomplete_beta(beta5, base, ctx)
+    direct = incomplete_beta(beta5, base)
     return (complex(series.value).real, gamma(1.0 / 6.0) ** 2 / (6.0 * gamma(1.0 / 3.0)),
             f"{series.terms} terms; incomplete-Beta value {direct:.15g} agrees")
 

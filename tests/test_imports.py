@@ -63,7 +63,6 @@ pass     T3.r=4                     residual_rel=6.33425869811663e-16 tol=   1e-
 def _fresh(*args: str) -> str:
     """stdout of a new interpreter run with these arguments."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    env.pop("RRCF_EPS", None)
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, check=True, env=env).stdout
 

@@ -81,19 +81,19 @@ class TestKleinJ:
         assert klein_j(2.0) == pytest.approx(8000.0, rel=1e-8)
 
     def test_lambda_form_symmetry(self):
-        assert klein_j_from_lambda(0.3) == pytest.approx(
-            klein_j_from_lambda(0.7), rel=1e-14)
+        assert klein_j_from_lambda(0.3, 0.7) == pytest.approx(
+            klein_j_from_lambda(0.7, 0.3), rel=1e-14)
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 3.0])
     def test_two_forms_agree(self, r):
         k4r = singular_modulus(4.0 * r)
         kr = singular_modulus(r)
-        quarter = klein_j_from_quarter_modulus(k4r * k4r)
-        lam = klein_j_from_lambda(kr * kr)
+        quarter = klein_j_from_quarter_modulus(k4r * k4r, 1.0 - k4r * k4r)
+        lam = klein_j_from_lambda(kr * kr, 1.0 - kr * kr)
         assert quarter == pytest.approx(lam, rel=1e-8)
 
     def test_lambda_inversion(self):
-        lam = invert_lambda_j(klein_j_from_lambda(0.2))
+        lam = invert_lambda_j(klein_j_from_lambda(0.2, 0.8))
         assert lam == pytest.approx(0.2, rel=1e-10)
 
     def test_reciprocal_index(self):
@@ -297,6 +297,20 @@ class TestTheorem6:
     def test_non_monotone_base_rejected(self):
         with pytest.raises(DomainError):
             theorem6_base_change(lambda x: math.sin(20.0 * x) + 1.5, 2.0)
+
+    @pytest.mark.parametrize("power, r", [(0.25, 1e2), (0.25, 1e4), (-0.25, 1e4)])
+    def test_period_ratio_next_to_the_ends(self, power, r):
+        # the base x^power puts alpha at 1/(1 + r^2), or its mirror 1 - that:
+        # 1e-4, 1e-8 and 1 - 1e-8.  K(sqrt(1-alpha)) rebuilt from a rounded
+        # sqrt(alpha) was 1.3e-13, 1.3e-10 and 1.3e-10 off
+        mp = pytest.importorskip("mpmath")
+        alpha, r0, _ = theorem6_base_change(lambda x: x ** power, r)
+        with mp.workdps(40):
+            small = 1 / (1 + mp.mpf(r) ** 2)
+            lower, upper = (small, 1 - small) if power > 0 else (1 - small, small)
+            ref = (mp.ellipk(upper) / mp.ellipk(lower)) ** 2
+        assert abs(alpha - lower) <= 1e-14 * lower
+        assert abs(r0 - ref) <= 2e-15 * ref
 
 
 class TestTrigModular:
@@ -528,7 +542,7 @@ class TestNoRootFindingInTheJLayer:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        tally = {"find_root": 0, "elliptic_k": 0}
+        tally = {"find_root": 0, "agm": 0}
 
         def count(name, key):
             original = getattr(modular, name)
@@ -539,8 +553,8 @@ class TestNoRootFindingInTheJLayer:
             monkeypatch.setattr(modular, name, counted)
 
         count("find_root", "find_root")
-        # modular binds no elliptic_k_complementary: its one AGM is elliptic_k
-        count("elliptic_k", "elliptic_k")
+        # modular binds no elliptic_k: its one AGM is elliptic_k_complementary
+        count("elliptic_k_complementary", "agm")
         modular._klein_j_cached.cache_clear()
         return tally
 
@@ -556,18 +570,18 @@ class TestNoRootFindingInTheJLayer:
     @pytest.mark.parametrize("r", [0.3, 2.0, 50.0])
     def test_singular_modulus_takes_no_agm(self, counts, r):
         singular_modulus(r)
-        assert counts["elliptic_k"] == 0
+        assert counts["agm"] == 0
 
     def test_quarter_modulus_searches_only_the_cubic(self, counts):
         # above the ridge the root z >= 2 of (1+z)^3 = (j/256) z^2 is the
         # only search: one find_root on closed-form logarithms
         modular._quarter_modulus(4000.0)
-        assert counts == {"find_root": 1, "elliptic_k": 0}
+        assert counts == {"find_root": 1, "agm": 0}
 
     def test_lambda_inversion_searches_only_the_cubic(self, counts):
         # Landen's step from the quarter modulus, with no AGM
         invert_lambda_j(8000.0)
-        assert counts == {"find_root": 1, "elliptic_k": 0}
+        assert counts == {"find_root": 1, "agm": 0}
 
     def test_base_change_searches_only_for_alpha(self, counts):
         # no re-solve of j0: the one search is for the singular value

@@ -21,7 +21,7 @@ class TestPrecisionContext:
         assert FD_STEP == pytest.approx(math.ulp(1.0) ** (1 / 5))
 
     @pytest.mark.parametrize("bad", [
-        dict(eps_rel=0.0), dict(eps_abs=-1e-3), dict(max_series_terms=0),
+        dict(eps_rel=0.0), dict(eps_abs=-1e-3),
         dict(eps_rel=math.nan), dict(eps_rel=math.inf), dict(eps_abs=math.inf),
         dict(eps_abs=math.nan),
     ])
@@ -41,8 +41,7 @@ class TestPrecisionContext:
 
 # One instance of each value class, and its repr.
 FROZEN = [
-    (PrecisionContext(1e-10, 1e-14, 50),
-     "PrecisionContext(eps_rel=1e-10, eps_abs=1e-14, max_series_terms=50)"),
+    (PrecisionContext(1e-10, 1e-14), "PrecisionContext(eps_rel=1e-10, eps_abs=1e-14)"),
     (rrcflab.BetaBase(0.25, 0.5), "BetaBase(a=0.25, b=0.5)"),
     (rrcflab.SexticInstance(1.0, 250.0, 12.0), "SexticInstance(a=1.0, b=250.0, c1=12.0)"),
     (rrcflab.SexticSolution(1.5, 0.25, 1e-16),
@@ -70,7 +69,7 @@ class TestFrozenValues:
         assert pickle.loads(pickle.dumps(value)) == value
 
     def test_other_class_with_equal_fields_differs(self):
-        assert PrecisionContext(1e-10, 1e-14, 50) != rrcflab.SexticSolution(1e-10, 1e-14, 50)
+        assert PrecisionContext(0.25, 0.5) != rrcflab.BetaBase(0.25, 0.5)
 
 
 class TestSumSeries:
@@ -93,10 +92,10 @@ class TestSumSeries:
         res = sum_series(term)
         assert res.value.real == pytest.approx(2.0, rel=1e-11)
 
-    def test_divergence_carries_partial(self):
+    def test_divergence_carries_partial(self, series_cap):
+        series_cap(50)
         with pytest.raises(SeriesDivergenceError) as err:
-            sum_series(lambda n: 1.0 / (n + 1.0),
-                       PrecisionContext(max_series_terms=50))
+            sum_series(lambda n: 1.0 / (n + 1.0))
         assert err.value.best.real > 1.0
 
     @pytest.mark.parametrize("t", [complex(1.5e308, 1.5e308), complex(math.inf, 0.0),

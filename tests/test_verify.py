@@ -128,18 +128,18 @@ class TestBuilderErrors:
     """A KernelError raised inside a check is a failed check that names the
     exception, never a crash, a pass or a flag."""
 
-    CAPPED = DEFAULT_CTX.replace(max_series_terms=5)
-
-    def test_series_cap_is_a_failed_check(self):
-        rec = run_check("T3.r=1", self.CAPPED)
+    def test_series_cap_is_a_failed_check(self, series_cap):
+        series_cap(5)
+        rec = run_check("T3.r=1")
         assert rec.status == FAIL
         assert rec.notes.startswith(BUILDER_RAISED + "SeriesDivergenceError")
         assert not rec.ok()
 
-    def test_flagged_check_that_raises_is_not_flagged(self):
-        # Eq51.phi.x=0.5 is a flagged record at the default context
+    def test_flagged_check_that_raises_is_not_flagged(self, series_cap):
+        # Eq51.phi.x=0.5 is a flagged record at the default series cap
         assert run_check("Eq51.phi.x=0.5").status == FLAGGED
-        assert run_check("Eq51.phi.x=0.5", self.CAPPED).status == FAIL
+        series_cap(5)
+        assert run_check("Eq51.phi.x=0.5").status == FAIL
 
     def test_other_exceptions_propagate(self, monkeypatch):
         from rrcflab import verify
