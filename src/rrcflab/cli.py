@@ -1,10 +1,11 @@
 """Command-line front door: run the verification registry, evaluate any
 kernel at given arguments, or solve a sextic instance.
 
-Exit codes: 0 success, 1 check/domain failures, 2 usage errors.  JSON
-reports encode every number as a decimal string so downstream consumers
-never re-round them.  Each command takes --eps, the relative-error target,
-which is the one way to set the precision; a bad one is a usage error.
+Exit codes: 0 success, 1 check/domain failures, 2 usage errors, each
+reported as one line that begins "rrcflab: ".  JSON reports encode every
+number as a decimal string so downstream consumers never re-round them.
+Each command takes --eps, the relative-error target, which is the one way
+to set the precision; a bad one is a usage error.
 
 Each command imports only what it runs, on top of numerics, which this
 module needs for the precision context:
@@ -129,18 +130,13 @@ def _cmd_eval(args) -> int:
     ctx = _context_from(args)
     name = args.function
     if name not in _EVAL:
-        print(f"unknown function {name!r}; choose from "
-              f"{', '.join(sorted(_EVAL))}", file=sys.stderr)
-        return 2
+        _usage_error(f"unknown function {name!r}; choose from {', '.join(sorted(_EVAL))}")
     arity, kernel, takes_complex = _EVAL[name]
     if len(args.args) != arity:
-        print(f"{name} takes {arity} argument(s), "
-              f"got {len(args.args)}", file=sys.stderr)
-        return 2
+        _usage_error(f"{name} takes {arity} argument(s), got {len(args.args)}")
     vals = [_parse_number(a) for a in args.args]
     if any(isinstance(v, complex) for v in vals) and not takes_complex:
-        print(f"{name} takes real arguments", file=sys.stderr)
-        return 2
+        _usage_error(f"{name} takes real arguments")
     try:
         value = kernel(*vals, ctx)
     except (KernelError, ValueError) as exc:
@@ -155,9 +151,7 @@ def _cmd_solve_sextic(args) -> int:
     from . import modular, routes   # path B, not the registry
     ctx = _context_from(args)
     if args.a == 0.0 or args.b == 0.0:
-        print("usage: a and b must be nonzero in "
-              "b^2/(20a) + bX + aX^2 = C1 X^(5/3)", file=sys.stderr)
-        return 2
+        _usage_error("a and b must be nonzero in b^2/(20a) + bX + aX^2 = C1 X^(5/3)")
     try:
         inst = modular.SexticInstance(args.a, args.b, args.c1)
         sol = modular.solve_sextic(inst, ctx)

@@ -43,11 +43,12 @@ _THETA_CUT = MACHINE_EPS / 8.0
 _LOGIT_MIN, _LOGIT_MAX = -740.0, 36.0
 # The quarter-modulus and nome searches resolve their roots to the last bit.
 _FULL_PRECISION = PrecisionContext(MACHINE_EPS, MACHINE_EPS)
-# The interior points i/10 on which theorem6_base_change tests the base
-# ratio, symmetric under x -> 1-x, their logits, and the logit of the
-# search's outer ends 1e-12 and 1 - 1e-12.
-_MONOTONE_GRID = tuple(i / 10.0 for i in range(1, 10))
-_GRID_LOGITS = tuple(math.log(x / (1.0 - x)) for x in _MONOTONE_GRID)
+# The logits of the interior points i/10 on which theorem6_base_change
+# tests the base ratio, symmetric in sign so that _logistic_pair gives
+# 1 - x_i as x_(8-i) bit for bit, and the logit of the search's outer ends
+# 1e-12 and 1 - 1e-12.
+_GRID_LOGITS = tuple(math.log(i / (10.0 - i)) if i >= 5 else -math.log((10.0 - i) / i)
+                     for i in range(1, 10))
 _BASE_LOGIT_END = -math.log(1e-12 / (1.0 - 1e-12))
 
 
@@ -59,6 +60,10 @@ def _logistic_pair(w: float) -> tuple[float, float]:
     e = math.exp(-abs(w))
     tail = e / (1.0 + e)
     return (1.0 - tail, tail) if w > 0.0 else (tail, 1.0 - tail)
+
+
+# The grid points x_i themselves: i/10 to the bit, but for 0.1, two ulps below.
+_MONOTONE_GRID = tuple(_logistic_pair(w)[0] for w in _GRID_LOGITS)
 
 
 # ---------------------------------------------------------------------------
@@ -498,17 +503,17 @@ def theorem6_base_change(fbase, r: float,
     """Singular value of an arbitrary base function, then its expression
     through the elliptic machinery.
 
-    Checks that fbase(1-x)/fbase(x) is monotone on the grid x = 0.1, ...,
-    0.9, then solves it equal to sqrt(r) for alpha by one find_root (fbase
-    has no known derivative), in the grid cell where the sampled ratio
-    crosses sqrt(r), or in an end cell out to 1e-12 or 1 - 1e-12.  The
-    search runs on ln ratio - (ln r)/2 in w = ln(x/(1-x)), where the paper's
-    base ratios, powers of x near the ends, are nearly linear, and stops
-    within eps_rel in w, which is eps_rel relative in alpha and in 1-alpha.
-    Both x and 1-x are formed from w by _logistic_pair.  alpha
-    maps to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the lambda-line
-    j0.  Returns (alpha, r0, j0); the J.invert.* checks of the registry
-    test the inversion of j.
+    The search solves fbase(1-x)/fbase(x) = sqrt(r) for alpha by one
+    find_root (fbase has no known derivative) on the gap ln ratio - (ln r)/2
+    in w = ln(x/(1-x)), where the paper's base ratios, powers of x near the
+    ends, are nearly linear, and stops within eps_rel in w, which is
+    eps_rel relative in alpha and in 1-alpha.  Both x and 1-x are formed
+    from w by _logistic_pair.  The gap is first taken at the logits of the
+    grid x = 0.1, ..., 0.9, where it must be monotone; the search runs in
+    the grid cell where it changes sign, or in an end cell out to 1e-12 or
+    1 - 1e-12.  alpha maps to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and
+    to the lambda-line j0.  Returns (alpha, r0, j0); the J.invert.* checks
+    of the registry test the inversion of j.
 
     Theorem 6 divides by the base, so fbase must be positive and finite on
     (0, 1); a base that vanishes, or is not finite, on the grid or in the
@@ -520,16 +525,6 @@ def theorem6_base_change(fbase, r: float,
     if not all(0.0 < v < math.inf for v in values):
         raise DomainError(f"base must be positive and finite on (0, 1), got "
                           f"{values} on the grid {_MONOTONE_GRID}")
-    samples = [v / u for u, v in zip(values, reversed(values))]
-    increasing = all(b >= a for a, b in zip(samples, samples[1:]))
-    decreasing = all(b <= a for a, b in zip(samples, samples[1:]))
-    if not (increasing or decreasing):
-        raise DomainError("base ratio is not monotone on the sampled grid")
-
-    # the samples before the crossing: the root lies in the cell past them
-    target = math.sqrt(r)
-    before = sum(v < target if increasing else v > target for v in samples)
-    ends = (-_BASE_LOGIT_END, *_GRID_LOGITS, _BASE_LOGIT_END)
     half_log_r = 0.5 * math.log(r)
 
     def gap(w: float) -> float:
@@ -537,6 +532,16 @@ def theorem6_base_change(fbase, r: float,
         return math.log(fbase(y) / fbase(x)) - half_log_r
 
     try:
+        # the gap at each grid logit, as the search evaluates it: fbase(1 - x_i)
+        # is the sample at x_(8-i)
+        gaps = [math.log(v / u) - half_log_r for u, v in zip(values, reversed(values))]
+        increasing = all(b >= a for a, b in zip(gaps, gaps[1:]))
+        if not (increasing or all(b <= a for a, b in zip(gaps, gaps[1:]))):
+            raise DomainError("base ratio is not monotone on the sampled grid")
+        # the grid logits before the sign change: the root lies in the cell
+        # past them
+        before = sum(g < 0.0 if increasing else g > 0.0 for g in gaps)
+        ends = (-_BASE_LOGIT_END, *_GRID_LOGITS, _BASE_LOGIT_END)
         w = find_root(gap, ends[before], ends[before + 1], ctx, xtol=ctx.eps_rel)
     except KernelError:
         raise

@@ -125,17 +125,36 @@ class SeriesSum(NamedTuple):
     terms: int
 
 
-def sum_series(term: Callable[[int], complex | float],
-               ctx: PrecisionContext = DEFAULT_CTX) -> SeriesSum:
-    """Sum term(0) + term(1) + ... until the tail criterion holds.
+def series_tolerance(rate: float, ctx: PrecisionContext,
+                     scale: float = 1.0) -> tuple[float, float]:
+    """(eps_rel, eps_abs) to which a series whose terms fall like rate^n is
+    summed: the context's tolerance times scale, and past rate 1/2 also
+    times (1 - rate)/rate.  A stop on a small term leaves a tail of about
+    rate/(1 - rate) times that term, so the tail left is then no more than
+    the context's tolerance.  rate is not checked here: this runs on every
+    2F1 series."""
+    eps_rel, eps_abs = ctx.eps_rel * scale, ctx.eps_abs * scale
+    if rate > 0.5:
+        eps_rel, eps_abs = eps_rel * (1.0 - rate) / rate, eps_abs * (1.0 - rate) / rate
+    return eps_rel, eps_abs
 
-    Stops once two consecutive terms satisfy |t_n| <= eps_rel*|S| + eps_abs
-    (two, so that series with interleaved zero terms are not cut early).
+
+def sum_series(term: Callable[[int], complex | float], rate: float,
+               ctx: PrecisionContext = DEFAULT_CTX) -> SeriesSum:
+    """Sum term(0) + term(1) + ..., whose terms fall like rate^n, until the
+    tail criterion holds.
+
+    Stops once three consecutive terms satisfy |t_n| <= eps_rel*|S| + eps_abs,
+    with (eps_rel, eps_abs) from series_tolerance(rate, ctx): three, so that
+    series with interleaved zero terms, or terms that are sums passing
+    through 0, are not cut early.  A rate outside [0, 1) is a DomainError.
     Raises SeriesDivergenceError, carrying the partial sum, after
     MAX_SERIES_TERMS terms.  Real terms are summed as floats, complex ones
     as complex.
     """
-    eps_rel, eps_abs = ctx.eps_rel, ctx.eps_abs
+    if not 0.0 <= rate < 1.0:   # nan fails too
+        raise DomainError(f"series rate must lie in [0, 1), got {rate}")
+    eps_rel, eps_abs = series_tolerance(rate, ctx)
     total = 0.0
     small_run = 0
     for n in range(MAX_SERIES_TERMS):
@@ -149,7 +168,7 @@ def sum_series(term: Callable[[int], complex | float],
         total += t
         if size <= eps_rel * abs(total) + eps_abs:
             small_run += 1
-            if small_run >= 2:
+            if small_run >= 3:
                 return SeriesSum(total, n + 1)
         else:
             small_run = 0

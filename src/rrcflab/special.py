@@ -22,8 +22,8 @@ from typing import Callable
 
 from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, MAX_SERIES_TERMS,
                        DomainError, Frozen, PrecisionContext, SeriesDivergenceError,
-                       SeriesSum, sum_series)
-from .quadrature import integrate_complex
+                       SeriesSum, series_tolerance, sum_series)
+from .quadrature import integrate_finite
 
 # Lanczos approximation for complex arguments, g = 7, 9 coefficients: ~1e-13
 # relative, reflection handles Re z < 1/2.
@@ -191,17 +191,17 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
         whichever has the faster-falling terms, unless that one cancels;
         the series at z where the Euler power would pass the largest double.
 
-      Past radius 1/2 the series is summed to a tolerance scaled by
-      (1-r)/r, so that its stopping rule leaves no more than the tolerance
-      behind.  No quadrature runs.
+      Each series is summed to ``numerics.series_tolerance`` at its radius,
+      which past 1/2 scales the tolerance by (1-r)/r, so that the stop
+      leaves no more than the tolerance behind.  No quadrature runs.
     - |z| >= 1: F1(b; a, 0; c; z, 0) by ``_euler_integral_f1`` (the 1/z
       map is not implemented), with a and b ordered so that Re c > Re b > 0
       where either order allows it; z must lie off the cut [1, inf).
 
-    Every series is summed inline by ``_series_2f1`` under
-    ``sum_series``'s stopping rule, with no call per term; no
-    PrecisionContext is built.  Each call classifies its parameters once:
-    the pole tests of a, b and c serve the route and its series.
+    Every series is summed inline by ``_series_2f1``, with no call per
+    term; no PrecisionContext is built.  Each call classifies its
+    parameters once: the pole tests of a, b and c serve the route and its
+    series.
 
     The parameters keep their kind apart from z.  Real a, b and c stay
     floats whatever z is: each term's ratio (a+n)(b+n)/((c+n)(n+1)) and
@@ -284,12 +284,14 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     the caller has made them; without them the series makes its own.
 
     The terms t_0 = 1, t_(n+1) = t_n (a+n)(b+n) / ((c+n)(n+1)) z are summed
-    in one inline loop under ``sum_series``'s rule: it stops on two
-    consecutive terms with |t| <= eps_rel |S| + eps_abs, and raises
-    SeriesDivergenceError after MAX_SERIES_TERMS.  The ratio is formed in
-    the parameters' kind before t and z multiply it.  The tolerance is
-    multiplied by ``scale`` (the connection formula sums tighter), and past
-    radius 1/2 by (1-r)/r.  No PrecisionContext is built.
+    in one inline loop, with (eps_rel, eps_abs) from
+    ``numerics.series_tolerance`` at the rate r = |z| and ``scale`` (the
+    connection formula sums tighter).  It stops on two consecutive terms
+    with |t| <= eps_rel |S| + eps_abs: each term is a single product, which
+    reaches 0 only at a polynomial's end, and polynomials are summed apart.
+    It raises SeriesDivergenceError after MAX_SERIES_TERMS.  The ratio is
+    formed in the parameters' kind before t and z multiply it.  No
+    PrecisionContext is built.
     """
     a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
     # a polynomial ends at its first vanishing numerator: a is made the
@@ -313,15 +315,10 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
             total += t
         return SeriesSum(total, degree + 1)
 
-    eps_rel, eps_abs = ctx.eps_rel * scale, ctx.eps_abs * scale
-    r = abs(z)
-    if 0.5 < r < 1.0:
-        # the terms fall by about r per step, so the stopping rule leaves a
-        # tail of about r/(1-r) times its tolerance; scale that back to 1
-        eps_rel, eps_abs = eps_rel * (1.0 - r) / r, eps_abs * (1.0 - r) / r
+    eps_rel, eps_abs = series_tolerance(abs(z), ctx, scale)
     if not (eps_rel > 0.0 and eps_abs > 0.0):   # as a PrecisionContext would
-        raise DomainError(f"2F1 series tolerance underflows to 0 from "
-                          f"eps_rel={ctx.eps_rel}, eps_abs={ctx.eps_abs}")
+        raise DomainError(f"2F1 series tolerance is not positive at |z|={abs(z)} "
+                          f"from eps_rel={ctx.eps_rel}, eps_abs={ctx.eps_abs}")
     # For c < 0 the factors c + n of (c)_n are smallest next to n = -Re c,
     # and before that two small terms do not mean the sum has converged:
     # the terms up to there are summed as one, the series' first term.
@@ -462,12 +459,13 @@ def appell_f1(a, b1, b2, c, x, y,
               ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
     """Appell F1(a; b1, b2; c; x, y).
 
-    For |x|, |y| < 1 the double series summed along anti-diagonals m+n = s
-    (which matches the (a)_{m+n} coupling), after the Pfaff-type
-    transformation (DLMF 16.16.1) when that moves x, y closer to 0.
+    For |x|, |y| < 1 the double series by ``_appell_f1_series``, summed
+    along anti-diagonals after DLMF 16.16.1 where that moves x, y closer
+    to 0, to the tolerance of ``numerics.series_tolerance`` at its rate.
     Beyond that bidisk the Euler integral (``_euler_integral_f1``), which
     needs Re c > Re a > 0.  Real inputs are summed in float arithmetic and
-    give a float; only complex ones, and the integral, run in complex.
+    give a float; complex ones give a complex, and the integral runs in
+    complex.
     """
     a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
     if not all(map(cmath.isfinite, (a, b1, b2, c, x, y))):
@@ -475,20 +473,7 @@ def appell_f1(a, b1, b2, c, x, y,
     if max(abs(x), abs(y)) >= 1.0:
         val = _euler_integral_f1(*map(complex, (a, b1, b2, c, x, y)), ctx)
         return val if isinstance(x, complex) else val.real
-
-    terminating = _is_nonpositive_int(a)
-    if _is_nonpositive_int(c) and not (
-            terminating and round(a.real) > round(c.real)):
-        raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
-    pref = type(x)(1.0)
-    xt, yt = x / (x - 1.0), y / (y - 1.0)
-    if not terminating and max(abs(xt), abs(yt)) < max(abs(x), abs(y)):
-        # DLMF 16.16.1: a smaller max(|x|, |y|) means fewer terms, and
-        # for x or y near -1 it avoids cancellation between huge terms.
-        # (A polynomial is summed as it stands.)
-        pref = (1.0 - x) ** (-b1) * (1.0 - y) ** (-b2)
-        a, x, y = c - a, xt, yt
-    return _scaled_series(pref, _appell_f1_terms(a, b1, b2, c, x, y), ctx).value
+    return type(x)(_appell_f1_series(a, b1, b2, c, x, y, ctx).value)
 
 
 def _euler_integral_f1(a: complex, b1: complex, b2: complex, c: complex,
@@ -508,32 +493,46 @@ def _euler_integral_f1(a: complex, b1: complex, b2: complex, c: complex,
             * (1.0 - x * t) ** (-b1) * (1.0 - y * t) ** (-b2)
 
     pref = gamma(c) / (gamma(a) * gamma(c - a))
-    return pref * integrate_complex(integrand, 0.0, 1.0, ctx)
+    return pref * integrate_finite(integrand, 0.0, 1.0, ctx)
 
 
-def _scaled_series(pref: complex | float, term: Callable[[int], complex | float],
-                   ctx: PrecisionContext) -> SeriesSum:
-    """pref times the sum of the terms; a SeriesDivergenceError reports its
-    best and gap on that scale too."""
-    try:
-        s = sum_series(term, ctx)
-    except SeriesDivergenceError as exc:
-        exc.best, exc.gap = pref * exc.best, abs(pref) * exc.gap
-        raise
-    return SeriesSum(pref * s.value, s.terms)
+def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
+                      pref: complex | float = 1.0) -> SeriesSum:
+    """pref times F1(a; b1, b2; c; x, y) by its double series, summed along
+    anti-diagonals m+n = s (which matches the (a)_(m+n) coupling).  x and
+    y are of one kind, and a, b1, b2 and c floats or of that kind.
 
-
-def _appell_f1_terms(a, b1, b2, c, x, y) -> Callable[[int], complex | float]:
-    """The terms of the F1 series along anti-diagonals, to be taken in order
-    s = 0, 1, 2, ..., once each.
+    Where it makes max(|x|, |y|) smaller, the series is summed after DLMF
+    16.16.1, F1(a; b1, b2; c; x, y) = (1-x)^(-b1) (1-y)^(-b2)
+    F1(c-a; b1, b2; c; x/(x-1), y/(y-1)): fewer terms, no cancellation
+    between huge terms for x or y near -1, and convergence on the arc of
+    |x| = 1 where |1-x| > 1.  A polynomial (a a non-positive integer) is
+    summed as it stands.  For a conjugate pair with b1 = b2 the prefactor
+    is |1-x|^(-2 b1), formed as a float.
 
     The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
     are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
-    gives the three-term recurrence below (g_0 = 1, g_{-1} = 0); the
-    anti-diagonal then carries (a)_s/(c)_s.  O(1) per term.  It takes x
-    and y only as x+y, xy and b1 x + b2 y: where these, a and c are real
-    (real x and y, or a conjugate pair with b1 = b2) it runs in floats.
+    gives a three-term recurrence (g_0 = 1, g_(-1) = 0); the anti-diagonal
+    then carries (a)_s/(c)_s.  O(1) per term.  It takes x and y only as
+    x+y, xy and b1 x + b2 y: where these, a and c are real (real x and y,
+    or a conjugate pair with b1 = b2) it runs in floats.  sum_series sums
+    the terms at the rate max(|x|, |y|), which must be below 1; a
+    SeriesDivergenceError reports its best and gap on the value's scale.
     """
+    terminating = _is_nonpositive_int(a)
+    if _is_nonpositive_int(c) and not (
+            terminating and round(a.real) > round(c.real)):
+        raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
+    rate = max(abs(x), abs(y))
+    if not terminating and 1.0 not in (x, y):   # 1 has no image under 16.16.1
+        xt, yt = x / (x - 1.0), y / (y - 1.0)
+        if max(abs(xt), abs(yt)) < rate:
+            if b1 == b2 and y == x.conjugate():
+                pref *= abs(1.0 - x) ** (-2.0 * b1)
+            else:
+                pref *= (1.0 - x) ** (-b1) * (1.0 - y) ** (-b2)
+            a, x, y, rate = c - a, xt, yt, max(abs(xt), abs(yt))
+
     coeffs = (x + y, x * y, b1 * x + b2 * y, b1 + b2 - 1.0, a, c)
     if not any(v.imag for v in coeffs):
         coeffs = tuple(v.real for v in coeffs)
@@ -549,7 +548,12 @@ def _appell_f1_terms(a, b1, b2, c, x, y) -> Callable[[int], complex | float]:
             r = r * (a + s) / (c + s)
         return val
 
-    return term
+    try:
+        series = sum_series(term, rate, ctx)
+    except SeriesDivergenceError as exc:
+        exc.best, exc.gap = pref * exc.best, abs(pref) * exc.gap
+        raise
+    return SeriesSum(pref * series.value, series.terms)
 
 
 class BetaBase(Frozen):
@@ -762,19 +766,13 @@ def quadratic_power_series(mu: float, nu: float, a: float, b: float, c: float,
         c^(-nu) x^(mu+1) / (mu+1) * F1(mu+1; nu, nu; mu+2; x/r1, x/r2)
 
     (DLMF 16.15.1 with c (1 - t/r1)(1 - t/r2) for the quadratic, |r1| <= |r2|
-    its roots), the F1 series summed as it stands.  Complex roots are a
-    conjugate pair, and so are then the two arguments: real data are summed
-    in float arithmetic, and the sum is a float where c and x are positive.
-    Converges for |x| < |r1| and (slowly) on parts of the boundary.
+    its roots), the F1 series summed by appell_f1's, after DLMF 16.16.1
+    where that brings the arguments closer to 0.  Real roots give real
+    arguments, and complex ones a conjugate pair: real data are summed in
+    float arithmetic, and the sum is a float where c and x are positive.
+    Converges for |x| < |r1|, and on the arc of |x| = |r1| where 16.16.1
+    maps the arguments inside the unit disk; elsewhere it is a DomainError.
     """
-    return _scaled_series(*quadratic_power_terms(mu, nu, a, b, c, x), ctx)
-
-
-def quadratic_power_terms(mu: float, nu: float, a: float, b: float, c: float,
-                          x: float) -> tuple[complex | float, Callable[[int], complex | float]]:
-    """(pref, term): quadratic_power_series's value is pref times the sum of
-    term(0), term(1), ... taken in that order, for a caller that transforms
-    the partial sums where the plain series converges too slowly."""
     if _is_nonpositive_int(mu + 1.0):
         raise DomainError(f"the series needs mu+1 off 0, -1, ..., got mu={mu}")
     if x == 0.0 and mu < -1.0:
@@ -782,9 +780,11 @@ def quadratic_power_terms(mu: float, nu: float, a: float, b: float, c: float,
     r1, r2 = quadratic_roots(a, b, c)
     if r1 == 0:
         raise DomainError("quadratic has a root at 0")
-    z = x / r1
-    # x/r2 is the exact conjugate of x/r1 where r2 is that of r1
-    w = z.conjugate() if r2 == r1.conjugate() else r1 / r2 * z
+    if r1.imag == 0.0:   # and so r2's
+        z, w = x / r1.real, x / r2.real
+    else:   # the roots, and so x/r1 and x/r2, are a conjugate pair
+        z = x / r1
+        w = z.conjugate()
     # float ** is complex for a negative base, and then equals complex **
     pref = c ** (-nu) * x ** (mu + 1.0) / (mu + 1.0)
-    return pref, _appell_f1_terms(mu + 1.0, nu, nu, mu + 2.0, z, w)
+    return _appell_f1_series(mu + 1.0, nu, nu, mu + 2.0, z, w, ctx, pref)

@@ -41,7 +41,7 @@ from typing import Callable
 from . import modular, qseries, special
 from .modular import SQRT5
 from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
-                       SeriesDivergenceError, differentiate, find_root)
+                       differentiate, find_root)
 from .quadrature import integrate_finite
 from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .routes import (dq_dk, dr_dk, eta_quotient_power_integral,
@@ -397,53 +397,12 @@ def _eq50_x1(ctx: PrecisionContext):
         f"of the printed phi-combination")
 
 
-def _levin_u(term: Callable[[int], float], block: int,
-             max_blocks: int = 20) -> tuple[float, int, float]:
-    """Levin's u-transform with beta = 1 (DLMF 3.9.8; Weniger 1989, Sec. 7)
-    of the partial sums of term(0) + term(1) + ... over blocks of `block`
-    terms, for a series whose terms oscillate with that period (a block
-    cancels the oscillation) and decay slowly.  Returns the estimate, the
-    terms used and their plain sum.
-
-    It stops when two successive estimates agree within 1e-10 relative.
-    The transform cancels its own digits at high order, so it runs to that
-    floor whatever eps a context asks.  At max_blocks it raises
-    SeriesDivergenceError carrying the estimate that moved least.
-    """
-    sums: list[float] = []
-    weights: list[float] = []   # 1 / ((1 + j) b_j), the remainder estimates' inverses
-    total, estimate, best, best_gap = 0.0, math.nan, math.nan, math.inf
-    for k in range(max_blocks):
-        b = sum(term(block * k + i) for i in range(block))
-        total += b
-        sums.append(total)
-        weights.append(1.0 / ((1.0 + k) * b))
-        num = den = 0.0
-        for j in range(k + 1):
-            c = (-1) ** j * math.comb(k, j) * ((1.0 + j) / (1.0 + k)) ** (k - 1) * weights[j]
-            num += c * sums[j]
-            den += c
-        estimate, previous = num / den, estimate
-        gap = abs(estimate - previous)
-        if gap <= 1e-10 * abs(estimate):
-            return estimate, block * (k + 1), total
-        if gap < best_gap:
-            best, best_gap = estimate, gap
-    raise SeriesDivergenceError(
-        f"Levin's u-transform did not settle within {max_blocks} blocks",
-        best=best, gap=best_gap)
-
-
 def _t8_ex1(ctx: PrecisionContext):
-    pref, term = special.quadratic_power_terms(0.0, 0.5, 1.0, 1.0, 1.0, 1.0)
-    estimate, used, plain = _levin_u(term, 3)
-    target = math.log(1.0 + 2.0 / math.sqrt(3.0))
-    return pref * estimate, target, (
-        f"argument z = e^(-2 pi i/3) sits on the circle of convergence, where "
-        f"the partial sums approach the value like N^(-3/2); Levin's "
-        f"u-transform of the sums over blocks of 3 terms (one period of z^n) "
-        f"used {used} terms, whose plain partial sum {pref * plain:.12g} is "
-        f"{abs(pref * plain - target):.2e} away")
+    series = special.quadratic_power_series(0.0, 0.5, 1.0, 1.0, 1.0, 1.0, ctx)
+    return series.value, math.log(1.0 + 2.0 / math.sqrt(3.0)), (
+        f"argument z = e^(-2 pi i/3) sits on the circle of convergence; "
+        f"DLMF 16.16.1 maps it to z/(z-1), of modulus 1/sqrt 3, where the "
+        f"series took {series.terms} terms")
 
 
 def _t8_ex2(ctx: PrecisionContext):
@@ -665,8 +624,8 @@ CHECKS: tuple[Check, ...] = (
     Check("Eq51.phi.x=0.5", "Eq (51) phi-combination", _eq51, 1e-7, flagged=True),
     Check("Eq50.x1", "Eqs (50)-(51) unit-argument special value", _eq50_x1, 1e-5,
           flagged=True),
-    # the transform runs to its own floor whatever ctx asks: 2.6e-12 measured
-    # at eps 1e-12..1e-4, so 1e-9 leaves a margin of 390
+    # the series is summed to ctx: 2.4e-13 measured at the default eps, and
+    # at most 0.68 eps_rel over eps 1e-12..1e-4, within max(1e-9, eps_rel)
     Check("T8.example1", "Theorem 8, logarithm example (Eq 55)", _t8_ex1, 1e-9),
     Check("T8.example2.p=0.6", "Theorem 8, Beta example chain", _t8_ex2, 1e-7),
     Check("Ex3.{}", "Example 3 radical values", _ex3, 1e-10,

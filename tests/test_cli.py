@@ -9,6 +9,16 @@ from rrcflab.numerics import DEFAULT_CTX
 from rrcflab.verify import check_ids
 
 
+def _usage_error_of(argv, capsys) -> str:
+    """The one line a usage error prints, after checking it exits with 2."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    return err.strip()
+
+
 class TestEval:
     def test_rrcf_at_ramanujan_nome(self, capsys):
         assert main(["eval", "rrcf", repr(math.exp(-2 * math.pi))]) == 0
@@ -57,10 +67,16 @@ class TestEval:
         assert value == pytest.approx(m_of_x(x, ctx), rel=1e-14)
 
     def test_unknown_function(self, capsys):
-        assert main(["eval", "frobnicate", "1"]) == 2
+        assert _usage_error_of(["eval", "frobnicate", "1"], capsys).startswith(
+            "rrcflab: unknown function 'frobnicate'; choose from ")
 
     def test_wrong_arity(self, capsys):
-        assert main(["eval", "rrcf"]) == 2
+        assert _usage_error_of(["eval", "rrcf"], capsys) == \
+            "rrcflab: rrcf takes 1 argument(s), got 0"
+
+    def test_complex_argument_of_a_real_kernel_is_usage_error(self, capsys):
+        assert _usage_error_of(["eval", "K", "0.5i"], capsys) == \
+            "rrcflab: K takes real arguments"
 
     def test_domain_error_exits_one(self, capsys):
         assert main(["eval", "K", "1.5"]) == 1
@@ -148,7 +164,8 @@ class TestSolveSextic:
         assert residual < 1e-6
 
     def test_zero_a_is_usage_error(self, capsys):
-        assert main(["solve-sextic", "0", "3", "1"]) == 2
+        assert _usage_error_of(["solve-sextic", "0", "3", "1"], capsys) == (
+            "rrcflab: a and b must be nonzero in b^2/(20a) + bX + aX^2 = C1 X^(5/3)")
 
     def test_low_j_is_domain_error(self, capsys):
         assert main(["solve-sextic", "1", "3", "1"]) == 1

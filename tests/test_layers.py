@@ -89,7 +89,7 @@ def _callers(module: str, callee: str) -> list[str]:
     return callers
 
 
-@pytest.mark.parametrize("engine", ["integrate_complex", "sum_series"])
+@pytest.mark.parametrize("engine", ["integrate_finite", "sum_series"])
 def test_one_special_function_per_engine(engine):
     """special reaches each generic engine from one function: F1's Euler
     integral (2F1 outside the unit disk is F1(b; a, 0; c; z, 0)) and F1's

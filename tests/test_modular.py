@@ -298,6 +298,16 @@ class TestTheorem6:
         with pytest.raises(DomainError):
             theorem6_base_change(lambda x: math.sin(20.0 * x) + 1.5, 2.0)
 
+    @pytest.mark.parametrize("power, r, root", [
+        (0.25, 2.0, 0.2), (0.25, 3.0, 0.1), (0.5, 4.0, 0.2), (-0.25, 2.0, 0.8)])
+    def test_root_on_a_grid_point(self, power, r, root):
+        # x^power puts alpha at 1/(1 + r^(1/(2 power))).  At the first, the
+        # sampled ratio at 0.2 equalled sqrt 2 and picked the cell below it,
+        # where the gap the search takes is +5.55e-17 at both ends:
+        # BracketError
+        alpha, _, _ = theorem6_base_change(lambda x: x ** power, r)
+        assert alpha == pytest.approx(root, rel=1e-15)
+
     @pytest.mark.parametrize("power, r", [(0.25, 1e2), (0.25, 1e4), (-0.25, 1e4)])
     def test_period_ratio_next_to_the_ends(self, power, r):
         # the base x^power puts alpha at 1/(1 + r^2), or its mirror 1 - that:
@@ -497,8 +507,8 @@ class TestGauss2F1WorkCounts:
             raise AssertionError("gauss_2f1 integrated at |z| < 1")
 
         monkeypatch.setattr(special, "_series_2f1", counting_series)
-        # integrate_complex is the one quadrature special calls
-        monkeypatch.setattr(special, "integrate_complex", no_quadrature)
+        # integrate_finite is the one quadrature special calls
+        monkeypatch.setattr(special, "integrate_finite", no_quadrature)
         return tally
 
     @pytest.mark.parametrize("z, max_terms", [

@@ -11,7 +11,7 @@ from rrcflab import numerics
 from rrcflab.numerics import (DEFAULT_CTX, FD_STEP, BracketError,
                               ConvergenceError, DomainError, PrecisionContext,
                               SeriesDivergenceError, differentiate, find_root,
-                              newton_root, sum_series)
+                              newton_root, series_tolerance, sum_series)
 
 
 class TestPrecisionContext:
@@ -74,11 +74,11 @@ class TestFrozenValues:
 
 class TestSumSeries:
     def test_geometric(self):
-        res = sum_series(lambda n: 0.5 ** n)
+        res = sum_series(lambda n: 0.5 ** n, 0.5)
         assert res.value.real == pytest.approx(2.0, rel=1e-11)
 
     def test_exponential(self):
-        res = sum_series(lambda n: 1.0 / math.factorial(n))
+        res = sum_series(lambda n: 1.0 / math.factorial(n), 0.0)
         assert res.value.real == pytest.approx(math.e, rel=1e-12)
         assert res.terms < 30
 
@@ -89,14 +89,31 @@ class TestSumSeries:
             state["t"] = t * (1 + n) * (1 + n) / ((1 + n) * (n + 1)) * 0.5
             return t
 
-        res = sum_series(term)
+        res = sum_series(term, 0.5)
         assert res.value.real == pytest.approx(2.0, rel=1e-11)
+
+    @pytest.mark.parametrize("eps_rel", [1e-12, 1.5e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("rate", [0.6, 0.9, 0.97])
+    def test_tail_within_the_tolerance_at_any_rate(self, rate, eps_rel):
+        # a stop on small terms alone left rate/(1-rate) tolerances behind
+        ctx = PrecisionContext(eps_rel=eps_rel)
+        res = sum_series(lambda n: rate ** n, rate, ctx)
+        exact = 1.0 / (1.0 - rate)
+        assert abs(res.value - exact) <= ctx.tol(exact)
+
+    def test_tolerance_rule(self):
+        ctx = PrecisionContext(1e-10, 1e-14)
+        assert series_tolerance(0.5, ctx) == (1e-10, 1e-14)
+        assert series_tolerance(0.25, ctx, 2.0) == (2e-10, 2e-14)
+        assert series_tolerance(0.8, ctx) == pytest.approx((2.5e-11, 2.5e-15), rel=1e-15)
 
     def test_divergence_carries_partial(self, series_cap):
         series_cap(50)
         with pytest.raises(SeriesDivergenceError) as err:
-            sum_series(lambda n: 1.0 / (n + 1.0))
-        assert err.value.best.real > 1.0
+            sum_series(lambda n: 1.0 / (n + 1.0), 0.99)
+        assert err.value.best.real == pytest.approx(
+            math.fsum(1.0 / (n + 1.0) for n in range(50)), rel=1e-15)
+        assert err.value.gap == 1.0 / 50.0
 
     @pytest.mark.parametrize("t", [complex(1.5e308, 1.5e308), complex(math.inf, 0.0),
                                    complex(0.0, math.nan)])
@@ -104,12 +121,24 @@ class TestSumSeries:
         # the first has finite parts and a modulus past the largest double,
         # whose abs() raised a raw OverflowError
         with pytest.raises(DomainError, match="series term 1 is not finite"):
-            sum_series(lambda n: t if n else 1.0)
+            sum_series(lambda n: t if n else 1.0, 0.5)
 
     def test_interleaved_zero_terms_not_cut(self):
         # odd-only series: zero terms must not trigger the tail test alone
-        res = sum_series(lambda n: 0.0 if n % 2 else 0.25 ** (n // 2))
+        res = sum_series(lambda n: 0.0 if n % 2 else 0.25 ** (n // 2), 0.5)
         assert res.value.real == pytest.approx(4.0 / 3.0, rel=1e-11)
+
+    def test_two_small_terms_do_not_stop_it(self):
+        # sums of several terms, as F1's anti-diagonals are, can pass
+        # through 0 twice in a row
+        terms = [1.0, 1e-20, -1e-20, 0.5, 0.25]
+        res = sum_series(lambda n: terms[n] if n < len(terms) else 0.0, 0.5)
+        assert res.value == 1.75 and res.terms == 8
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, 1.5, math.inf, math.nan])
+    def test_rate_outside_the_unit_interval_is_a_domain_error(self, rate):
+        with pytest.raises(DomainError, match="rate"):
+            sum_series(lambda n: 0.5 ** n, rate)
 
 
 class TestFindRoot:
