@@ -439,12 +439,13 @@ def beta_ratio_root(base: BetaBase, r: float,
     fraction (DLMF 8.17.4); any other runs two, by _incomplete_beta_log.
     The values stay in logs, so no power of x underflows.
 
-    A symmetric search starts where B(x) ~ x^a/a meets B(a, a)/(1+r), at
-    r >= 1, or at its mirror x <-> 1-x below; any other starts at x = 1/2.
-    r outside (0, inf), a B(a, b) below the normal floats and a complement
-    that cancels to nothing (such as at b = 1e-300) are a DomainError.  A root closer
-    to 0 or 1 than w's bracket (about 4e-322 and 1 - 2.3e-16) is a
-    BracketError.
+    The smaller of B(x) and B(1-x) is about s^a/a at s = min(x, 1-x) for
+    every base, so the search starts where that is B(a, b)/(1+r), at r >= 1,
+    or at its mirror x <-> 1-x below; at x = 1/2, where the ratio is 1, if
+    that s is past 1/2.  r outside (0, inf), a B(a, b) below the normal
+    floats and a complement that cancels to nothing (such as at b = 1e-300)
+    are a DomainError.  A root closer to 0 or 1 than w's bracket (about
+    4e-322 and 1 - 2.3e-16) is a BracketError.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"ratio must be positive and finite, got {r}")
@@ -453,6 +454,11 @@ def beta_ratio_root(base: BetaBase, r: float,
     if not total >= sys.float_info.min:
         raise DomainError(f"complete Beta of {base} underflows a float")
     log_r, log_total, log_a = math.log(r), math.log(total), math.log(a)
+    log_s0 = (log_a + log_total - math.log1p(r) + min(log_r, 0.0)) / a
+    w0 = 0.0
+    if log_s0 < -math.log(2.0):
+        w0 = max(log_s0 - math.log1p(-math.exp(log_s0)), _LOGIT_MIN)
+    start = w0 if r >= 1.0 else min(-w0, _LOGIT_MAX)
 
     if a == b:
         def fdf(w: float) -> tuple[float, float]:
@@ -464,12 +470,6 @@ def beta_ratio_root(base: BetaBase, r: float,
             gap = log_small - log_large
             slope = a / cf + math.exp(log_d - log_large)
             return (gap if w <= 0.0 else -gap) + log_r, slope
-
-        log_x0 = (log_a + log_total - math.log1p(r) + min(log_r, 0.0)) / a
-        w0 = 0.0
-        if log_x0 < -math.log(2.0):
-            w0 = max(log_x0 - math.log1p(-math.exp(log_x0)), _LOGIT_MIN)
-        start = w0 if r >= 1.0 else min(-w0, _LOGIT_MAX)
     else:
         log_beta = _incomplete_beta_log(base)
 
@@ -480,7 +480,6 @@ def beta_ratio_root(base: BetaBase, r: float,
             log_upper, rate_upper = log_beta(y, x, log_y, log_x)
             return log_lower - log_upper + log_r, rate_lower + rate_upper
 
-        start = 0.0
     return _logistic_pair(newton_root(fdf, _LOGIT_MIN, _LOGIT_MAX, start, ctx,
                                       xtol=ctx.eps_rel))[0]
 
@@ -573,16 +572,25 @@ def sextic_variable_of_index(r: float) -> float:
 
 _J50_ARG_1 = -1.0 / (25.0 * (5.0 - 2.0 * SQRT5))
 _J50_ARG_2 = -1.0 / (25.0 * (5.0 + 2.0 * SQRT5))
+# 3 x^(8/3), every closed form's numerator, is finite for |x| below ~3.9e115
+_J50_X_MAX = 1e115
+
+
+def _j50_numerator(x: float) -> float:
+    if not abs(x) < _J50_X_MAX:
+        raise DomainError(f"x^(8/3) overflows a double at x = {x}")
+    return 3.0 * x ** (8.0 / 3.0)
 
 
 def j_integral_f1_form(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """(3 x^(8/3) / 25000) F1[8/3, 1, 1, 11/3; -x/(25(5-2 sqrt5)),
-    -x/(25(5+2 sqrt5))]."""
+    -x/(25(5+2 sqrt5))], and 0 at x <= 0."""
     if x <= 0.0:
         return 0.0
+    scale = _j50_numerator(x) / 25000.0
     val = appell_f1(8.0 / 3.0, 1.0, 1.0, 11.0 / 3.0,
                     _J50_ARG_1 * x, _J50_ARG_2 * x, ctx)
-    return 3.0 * x ** (8.0 / 3.0) / 25000.0 * complex(val).real
+    return scale * complex(val).real
 
 
 def _phi(z: float, ctx: PrecisionContext) -> float:
@@ -593,10 +601,13 @@ def j_integral_phi_printed(x: float, ctx: PrecisionContext = DEFAULT_CTX,
                            squared_second_arg: bool = True) -> float:
     """The phi-combination exactly as displayed:
     3 x^(8/3) / (25000 (x-1)) [-phi(a x) + x phi(a x^2)], a = (5+2 sqrt5)/125;
-    squared_second_arg=False replaces the suspected x^2 by x."""
+    squared_second_arg=False replaces the suspected x^2 by x.  x = 1, the
+    display's pole, is a DomainError."""
+    if x == 1.0:
+        raise DomainError("the displayed phi-combination has a pole at x = 1")
     a = (5.0 + 2.0 * SQRT5) / 125.0
     second = a * x * x if squared_second_arg else a * x
-    return 3.0 * x ** (8.0 / 3.0) / (25000.0 * (x - 1.0)) \
+    return _j50_numerator(x) / (25000.0 * (x - 1.0)) \
         * (-_phi(a * x, ctx) + x * _phi(second, ctx))
 
 
@@ -608,7 +619,7 @@ def j_integral_phi_partial_fraction(x: float,
     rho1 = -125.0 + 50.0 * SQRT5
     rho2 = -125.0 - 50.0 * SQRT5
     ratio = rho1 / rho2
-    return 3.0 * x ** (8.0 / 3.0) / 25000.0 \
+    return _j50_numerator(x) / 25000.0 \
         * (_phi(x / rho1, ctx) - ratio * _phi(x / rho2, ctx)) / (1.0 - ratio)
 
 
@@ -656,7 +667,9 @@ def trig_modular(R: float) -> float:
 
 def psi_arcsin_ratio(x: float) -> float:
     """sqrt(arcsin(sqrt(1-x)) / arcsin(sqrt(x))): the base ratio whose root
-    is trig_modular."""
+    is trig_modular, for x in (0, 1]."""
+    if not 0.0 < x <= 1.0:
+        raise DomainError(f"need 0 < x <= 1, got {x}")
     return math.sqrt(math.asin(math.sqrt(1.0 - x)) / math.asin(math.sqrt(x)))
 
 

@@ -4,9 +4,9 @@ semi-infinite domains with declared algebraic decay.
 The finite-interval engine is a tanh-sinh (double-exponential) transformed
 trapezoid rule whose node offsets and weights are tabulated once per level,
 the first time an integral reaches that level.  Abscissas never include the
-endpoints, and points near an endpoint are generated as offsets from that
-endpoint so that integrands like t**(-5/6) keep full precision at
-x = a + offset.
+endpoints: a node is x = a + d or b - d, d its offset from the nearer end.
+Only an end at 0 takes d exactly (t**(-5/6) on (0, b) keeps full precision);
+elsewhere x rounds, and a node that rounds onto its end contributes 0.
 
 Each level halves the step and, on an analytic integrand, about doubles the
 correct digits (Takahasi & Mori 1974).  A level is returned once its gap to

@@ -1,7 +1,8 @@
 """The registry's second routes: the quadratures, closed forms (with the
-stated modulus derivatives of Eqs 20-21), the inverse of the continued
-fraction (App 2) and the sextic's period-ratio path (path B) that the
-checks hold against the kernels' own answers.  No kernel calls them.
+stated modulus derivatives of Eqs 20-21), App 2's inverse of the continued
+fraction (the eta-quotient nome inverse: no route searches for a root) and
+the sextic's period-ratio path (path B) that the checks hold against the
+kernels' own answers.  No kernel calls them.
 
 The module sits between the kernels and the registry.  It imports kernel
 modules only, and neither the registry's records nor dataclasses, so
@@ -15,11 +16,11 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .numerics import DEFAULT_CTX, DomainError, PrecisionContext, find_root
+from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
 from .qseries import (GOLDEN_CONJUGATE, lambert_sum, ramanujan_f_log, rrcf,
-                      rrcf_of_log_q, u_log_of_log_q, u_of_q_log)
+                      u_log_of_log_q, u_of_q_log)
 from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
                       eta_quotient_nome_of, klein_j, sextic_variable_of_index)
 
@@ -46,18 +47,19 @@ def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 # ---------------------------------------------------------------------------
 # The inverse of the continued fraction
 
-def tau_of_rrcf(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """The tau = -ln(q)/pi with R(q) = x, for q in [1e-8, 0.999]: App 2's
-    inverse of the continued fraction (Eq 25).  Brent in L = ln q on
-    ln R(e^L) - ln x, nearly linear since R ~ q^(1/5) next to 0, stopping
-    within eps_rel in L: eps_rel relative in q, eps_rel/pi in tau.  Outside
-    (R(1e-8), R(0.999)) there is no sign change: BracketError."""
+def tau_of_rrcf(x: float) -> float:
+    """tau = -ln(q)/pi with R(q) = x, App 2's inverse of the continued
+    fraction (Eq 25): q is eta_quotient_nome_of(u) at the eta quotient
+    u = x^-5 - 11 - x^5 (see u_of_q), to the last bit at every eps.  x
+    outside (0, (sqrt5-1)/2), or where u is not a positive finite double
+    (x below about 2.2e-62, or u rounded to 0 at the top), is a DomainError."""
     if not 0.0 < x < GOLDEN_CONJUGATE:
         raise DomainError(f"R takes values in (0, {GOLDEN_CONJUGATE}), got {x}")
-    log_x = math.log(x)
-    log_q = find_root(lambda L: math.log(rrcf_of_log_q(L)) - log_x,
-                      math.log(1e-8), math.log(0.999), ctx, xtol=ctx.eps_rel)
-    return -log_q / math.pi
+    try:
+        u = x ** -5.0 - 11.0 - x ** 5.0
+    except OverflowError:   # x^-5 past the doubles
+        raise DomainError(f"u = x^-5 - 11 - x^5 overflows at x = {x}") from None
+    return -math.log(eta_quotient_nome_of(u)) / math.pi
 
 
 # ---------------------------------------------------------------------------
@@ -80,12 +82,14 @@ def weighted_power_integral(exponent: float, ctx: PrecisionContext) -> float:
 
 def weighted_power_rhs(exponent: float, ctx: PrecisionContext) -> float:
     """Gamma(5/6) ((11+5 sqrt5)/2)^(-1/6-nu) Gamma(1/6+nu)/Gamma(1+nu)
-    2F1(1/6, 1/6+nu; 1+nu; (11-5 sqrt5)/(11+5 sqrt5))."""
+    2F1(1/6, 1/6+nu; 1+nu; (11-5 sqrt5)/(11+5 sqrt5)).  The Gammas go
+    first: their DomainError comes before the power can overflow."""
     nu = exponent
     big = (11.0 + 5.0 * SQRT5) / 2.0
     z = (11.0 - 5.0 * SQRT5) / (11.0 + 5.0 * SQRT5)
+    gamma_upper, gamma_lower = gamma(1.0 / 6.0 + nu), gamma(1.0 + nu)
     return (gamma(5.0 / 6.0) * big ** (-1.0 / 6.0 - nu)
-            * gamma(1.0 / 6.0 + nu) / gamma(1.0 + nu)
+            * gamma_upper / gamma_lower
             * float(gauss_2f1(1.0 / 6.0, 1.0 / 6.0 + nu, 1.0 + nu, z, ctx)))
 
 

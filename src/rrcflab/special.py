@@ -748,12 +748,13 @@ def sin_multiple_p6(y: float) -> float:
 
 
 def quadratic_roots(a: float, b: float, c: float) -> tuple[complex, complex]:
-    """Roots of a t^2 + b t + c, the smaller-modulus one first."""
+    """Roots of a t^2 + b t + c, the smaller-modulus one first, as c/q and q/a
+    at q = -(b + sgn(Re b) sqrt(b^2 - 4ac))/2 (Numerical Recipes 5.6)."""
     if a == 0.0:
         raise DomainError("quadratic_roots needs a != 0")
     disc = cmath.sqrt(complex(b * b - 4.0 * a * c))
-    r1 = (-b + disc) / (2.0 * a)
-    r2 = (-b - disc) / (2.0 * a)
+    q = -0.5 * (b + math.copysign(1.0, b.real) * disc)
+    r1, r2 = (c / q if q else q), q / a   # q = 0 only where b = c = 0
     if abs(r1) <= abs(r2):
         return r1, r2
     return r2, r1

@@ -174,10 +174,10 @@ def _app1(ctx: PrecisionContext):
 
 def _app2(ctx: PrecisionContext):
     x0 = qseries.rrcf(_Q_RAMANUJAN)
-    fd = differentiate(lambda x: tau_of_rrcf(x, ctx), x0)
+    fd = differentiate(tau_of_rrcf, x0)
     radical = math.sqrt((1.0 + 3.0 * SQRT5
                          + 2.0 * math.sqrt(10.0 + 2.0 * SQRT5)) / 10.0)
-    tau = tau_of_rrcf(x0, ctx)
+    tau = tau_of_rrcf(x0)
     stated = -5.0 / math.pi / qseries.dedekind_eta(tau / 2.0) ** 4 * radical
     u0 = qseries.u_of_q(_Q_RAMANUJAN)
     radical_gap = abs(radical - 1.0 / (x0 * u0 ** (1.0 / 6.0)))

@@ -1,0 +1,106 @@
+"""Entry contracts that the other tests never reach: each call returns its
+stated value or raises its named error at its entry, never a raw
+ZeroDivisionError, ValueError or OverflowError from inside."""
+
+import contextlib
+import io
+import math
+
+import pytest
+
+from rrcflab import modular, routes
+from rrcflab.cli import main
+from rrcflab.modular import TAIL_TOTAL
+from rrcflab.numerics import (DEFAULT_CTX, DomainError, PrecisionContext,
+                              differentiate, find_root)
+from rrcflab.qseries import dedekind_eta
+from rrcflab.special import (BetaBase, PoleError, complete_beta, gauss_2f1,
+                             incomplete_beta, log_gamma_real, pochhammer_negative)
+
+_BASE = BetaBase(0.3, 2.5)
+
+
+def _cli(*argv):
+    """(exit code, what the one output line is): "error" for an error:
+    line on stderr, else "real" or "complex" by the value printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    if err.getvalue():
+        assert err.getvalue().startswith("error: ")
+        return code, "error"
+    return code, "complex" if "j" in out.getvalue().split()[0] else "real"
+
+
+@pytest.mark.parametrize("call, outcome", [
+    (lambda: BetaBase(0.0, 1.0), DomainError),
+    (lambda: BetaBase(math.nan, 1.0), DomainError),
+    (lambda: incomplete_beta(1.0, _BASE), complete_beta(_BASE)),
+    (lambda: log_gamma_real(0.0), PoleError),
+    (lambda: pochhammer_negative(2.0, 3), PoleError),
+    # the polynomial 1 + (ab/c) z with a tiny c: b/c is 1
+    (lambda: gauss_2f1(-1.0, 1e-305, 1e-305, 0.5), 0.5),
+    (lambda: gauss_2f1(0.3, 0.2, 1.5, 0.9, PrecisionContext(5e-324, 5e-324)),
+     DomainError),
+    (lambda: find_root(lambda x: x, -1.0, math.inf), DomainError),
+    (lambda: differentiate(lambda x: math.inf, 1.0), DomainError),
+    (lambda: modular.surd_tail_integral(0.0), TAIL_TOTAL),
+    (lambda: modular.surd_tail_integral(-1.0), DomainError),
+    (lambda: modular.theta_of_X(0.0), DomainError),
+    (lambda: modular.invert_lambda_j(1000.0), DomainError),
+    (lambda: modular.pi_formula_partial_sum(1.0, 0), DomainError),
+    (lambda: modular.klein_j_from_quarter_modulus(0.0, 1.0), DomainError),
+    (lambda: modular.klein_j_from_lambda(0.0, 1.0), DomainError),
+    (lambda: routes.rr_integral(0.0), DomainError),
+    (lambda: routes.j_integral_quadrature(1.5), DomainError),
+    # the nome e^(-2 pi t) rounds to 1, where the product f(-q) is 0
+    (lambda: dedekind_eta(1e-18), 0.0),
+    (lambda: _cli("eval", "K", "1"), (1, "error")),
+    (lambda: _cli("eval", "2f1", "0.5", "0.5", "1", "0.25+0i"), (0, "real")),
+], ids=["BetaBase(0,1)", "BetaBase(nan,1)", "incomplete_beta(1)",
+        "log_gamma_real(0)", "pochhammer_negative(2,3)", "gauss_2f1(tiny c)",
+        "gauss_2f1(eps=5e-324)", "find_root(inf end)", "differentiate(inf)",
+        "surd_tail_integral(0)", "surd_tail_integral(-1)", "theta_of_X(0)",
+        "invert_lambda_j(1000)", "pi_formula_partial_sum(terms=0)",
+        "klein_j_from_quarter_modulus(0)", "klein_j_from_lambda(0)",
+        "rr_integral(0)", "j_integral_quadrature(1.5)", "dedekind_eta(1e-18)",
+        "cli eval K 1", "cli eval 2f1 complex-typed real"])
+def test_entry_contract(call, outcome):
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+    else:
+        assert call() == outcome
+
+
+# A 15-float sweep found each of these raising a raw error from inside.
+@pytest.mark.parametrize("call", [
+    lambda: modular.psi_arcsin_ratio(0.0),     # ZeroDivisionError
+    lambda: modular.psi_arcsin_ratio(-1e-300),     # ValueError
+    lambda: modular.psi_arcsin_ratio(2.0),
+    lambda: modular.psi_arcsin_ratio(math.nan),    # passed through
+    lambda: modular.j_integral_phi_printed(1.0),   # the display's (x - 1) pole
+    # OverflowError from x^(8/3), or from big^(-1/6 - nu)
+    lambda: modular.j_integral_f1_form(1e300),
+    lambda: modular.j_integral_phi_printed(1e300),
+    lambda: modular.j_integral_phi_printed(-1e300),
+    lambda: modular.j_integral_phi_partial_fraction(1e300),
+    lambda: modular.j_integral_phi_partial_fraction(-1e300),
+    lambda: routes.weighted_power_rhs(-1e300, DEFAULT_CTX),
+    lambda: routes.weighted_power_rhs(-300.3, DEFAULT_CTX),
+], ids=["psi(0)", "psi(-1e-300)", "psi(2)", "psi(nan)", "phi_printed(1)",
+        "f1_form(1e300)", "phi_printed(1e300)", "phi_printed(-1e300)",
+        "phi_partial_fraction(1e300)", "phi_partial_fraction(-1e300)",
+        "weighted_power_rhs(-1e300)", "weighted_power_rhs(-300.3)"])
+def test_registry_helpers_raise_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.xfail(strict=True, reason="c - a = -1500 takes the Euler polynomial, "
+                   "whose 1.99^-1500.3 underflows while F(-1500, 0.2; 0.5; -0.99) "
+                   "overflows: 0 * inf is nan, a DomainError")
+def test_gauss_2f1_at_a_large_a():
+    # mpmath: 0.0431765359160180251578469533749
+    assert gauss_2f1(1500.5, 0.3, 0.5, -0.99) == pytest.approx(0.04317653591601802,
+                                                               rel=1e-12)

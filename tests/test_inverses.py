@@ -1,7 +1,8 @@
-"""The integral inverses F, m, G, theta and beta_ratio_root, and the
-eta-quotient nome inverse, against mpmath at 30 digits: each returned value
-is put back into its defining equation, evaluated independently, over the
-inverse's whole domain.
+"""The integral inverses F, m, G, theta and beta_ratio_root, the
+eta-quotient nome inverse and App 2's inverse of the continued fraction,
+against mpmath at 30 digits: each returned value is put back into its
+defining equation, evaluated independently, over the inverse's whole
+domain.
 
 The bound is 1e-11 relative to the target plus the change that one ulp of
 the returned float makes in the equation: no float answer can do better than
@@ -10,6 +11,7 @@ a ~ 0.15) that term dominates.
 """
 
 import math
+import random
 import sys
 
 import pytest
@@ -21,6 +23,7 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              surd_tail_integral, theta_of_X)
 from rrcflab.numerics import BracketError, DomainError
 from rrcflab.qseries import GOLDEN_CONJUGATE
+from rrcflab.routes import tau_of_rrcf
 from rrcflab.special import BetaBase
 
 mp = pytest.importorskip("mpmath")
@@ -217,6 +220,62 @@ class TestEtaQuotientNome:
     def test_domain(self, w):
         with pytest.raises(DomainError):
             eta_quotient_nome_of(w)
+
+
+def _rrcf(q):
+    """R(q) = q^(1/5) (q; q^5) (q^4; q^5) / ((q^2; q^5) (q^3; q^5))."""
+    q5 = q ** 5
+    return (q ** (mp.mpf(1) / 5) * mp.qp(q, q5) * mp.qp(q ** 4, q5)
+            / (mp.qp(q ** 2, q5) * mp.qp(q ** 3, q5)))
+
+
+def _tau_draws():
+    """x = R(q), rounded to a float, at 100 nomes q log-uniform in
+    [1e-8, 0.8]: above q ~ 0.8 R is flat to double precision, so x no
+    longer determines tau."""
+    rng = random.Random(0)
+    with mp.workdps(30):
+        return [(float(_rrcf(mp.mpf(q))), q)
+                for q in (1e-8 * 0.8e8 ** rng.random() for _ in range(100))]
+
+
+class TestTauOfRrcf:
+    """tau = -ln(q)/pi with R(q) = x against the root of ln R(e^L) = ln x in
+    mpmath, within 8 cond eps, where cond = |d ln tau / d ln x| is the
+    condition number of the inverse.  Measured, the worst is 3.2 cond eps;
+    a Brent search in ln q stopping within eps_rel was off by 205."""
+
+    @staticmethod
+    def _error(x, q_near):
+        """(|tau - tau_ref| / tau_ref, cond) with tau_ref = -L/pi at the
+        root L of ln R(e^L) = ln x next to ln q_near."""
+        tau = tau_of_rrcf(x)
+        with mp.workdps(30):
+            def gap(log_q):
+                return mp.log(_rrcf(mp.exp(log_q))) - mp.log(x)
+            log_q = mp.findroot(gap, mp.log(q_near))
+            cond = abs(1 / (log_q * mp.diff(gap, log_q)))
+            return float(abs(tau * mp.pi / log_q + 1)), float(cond)
+
+    @pytest.mark.parametrize("x, q", _tau_draws())
+    def test_against_mpmath(self, x, q):
+        err, cond = self._error(x, q)
+        assert err <= 8 * cond * sys.float_info.epsilon, (x, err, cond)
+
+    @pytest.mark.parametrize("x, q_near", [(1e-3, 1e-15), (1e-60, 1e-300)])
+    def test_below_a_nome_of_1e_8(self, x, q_near):
+        # cond is below 1 here (5/|ln q|), so the rounding of tau itself,
+        # up to one ulp, is allowed besides
+        err, cond = self._error(x, q_near)
+        tau = tau_of_rrcf(x)
+        assert err <= 8 * cond * sys.float_info.epsilon + math.ulp(tau) / tau, (x, err)
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, GOLDEN_CONJUGATE, 1.0, 1e-63,
+                                   math.inf, math.nan])
+    def test_domain(self, x):
+        # below about 2.2e-62, x^-5 overflows a double
+        with pytest.raises(DomainError):
+            tau_of_rrcf(x)
 
 
 class TestSurdTail:

@@ -65,6 +65,59 @@ def test_routes_import_only_kernels():
     assert imports <= set(KERNELS)
 
 
+def test_routes_run_no_root_search():
+    """A second route solves no equation of its own: App 2's inverse of R
+    is the eta-quotient nome inverse, a kernel."""
+    tree = ast.parse((PACKAGE / "routes.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"find_root", "newton_root", "expand_bracket"})
+
+
+def test_find_root_callers():
+    """find_root serves only the functions with no derivative at hand: the
+    quarter modulus, the base change of an arbitrary base and Example 4's
+    unit-circle root."""
+    callers = {(module, caller) for module in (*KERNELS, *ABOVE_KERNELS)
+               for caller in _callers(module, "find_root")}
+    assert callers == {("modular", "_quarter_modulus"),
+                       ("modular", "theorem6_base_change"),
+                       ("verify", "_ex4_unit_circle")}
+
+
+# Top-level functions that nothing in the package calls, each with the reason
+# it stays.
+ORPHANS = {
+    # perfbench/hooks.py wraps these three in its per-layer table, and they
+    # go with their hooks when the benchmark is next refreshed
+    "numerics.expand_bracket", "quadrature.integrate_complex",
+    "qseries.eta_quarter_integrand",
+    # the tests' statement of where 2F1 is slow, kept next to the router
+    "special._is_slow_2f1",
+}
+
+
+def test_no_new_orphan_functions():
+    """Every top-level function of the package is named by another
+    definition (a call, or a reference by name or attribute) or exported in
+    rrcflab.__all__; module dunders such as __getattr__ are not counted."""
+    defined, named = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, ast.FunctionDef) and not (
+                    own.startswith("__") and own.endswith("__")):
+                defined[own] = f"{path.stem}.{own}"
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    named.add(name)
+    orphans = {qualified for name, qualified in defined.items()
+               if name not in named and name not in rrcflab.__all__}
+    assert orphans == ORPHANS
+
+
 def test_only_the_runner_judges_a_check():
     """Every call of report.compare or CheckResult in verify, by the
     top-level definition that makes it: run_check's one compare alone."""

@@ -624,8 +624,9 @@ class TestRootSearchWorkCounts:
     """Evaluations of the registry's root searches.  The counts are
     deterministic, and each bound is twice the count measured unless it says
     otherwise.  Searched in x, the base changes at K, psi* and B16 took 11,
-    13 and 19 Brent evaluations (now 7, 7 and 8), and App 2's five
-    inversions of R, in q, took 81 (now 44)."""
+    13 and 19 Brent evaluations (now 7, 7 and 8).  App 2's five inversions
+    of R took 81 Brent evaluations in q, then 44 in ln q, and now take 15
+    Newton steps of the eta-quotient nome inverse."""
 
     @pytest.fixture
     def evals(self, monkeypatch):
@@ -642,7 +643,6 @@ class TestRootSearchWorkCounts:
             monkeypatch.setattr(mod, name, counted)
 
         count(modular, "find_root")
-        count(routes, "find_root")
         count(modular, "newton_root")
         original_cf = special._beta_cf
 
@@ -665,8 +665,10 @@ class TestRootSearchWorkCounts:
         assert 0 < evals["find_root"] <= max_evals
 
     def test_app2_inversions_of_r(self, evals):
+        # the measured count: tau(R) is the nome inverse at u = R^-5 - 11 - R^5
         assert run_check("App2.eq25").status == "pass"
-        assert 0 < evals["find_root"] <= 88
+        assert evals["find_root"] == 0
+        assert 0 < evals["newton_root"] <= 15
 
     @pytest.mark.parametrize("alpha, r", [
         (1 / 6, 2.0), (1 / 6, 5.0), (0.25, 3.0), (1 / 6, 0.2), (2.5, 1e-3),
@@ -678,11 +680,11 @@ class TestRootSearchWorkCounts:
         assert evals["beta_cf"] == evals["newton_root"]
 
     def test_general_bases(self, evals):
-        # two fractions a step; at most the 67 evaluations the search took
-        # from x = 1/2 with 1 - x rounded
+        # two fractions a step; at most the 63 evaluations measured from the
+        # small-side start (67 from x = 1/2)
         for a, b, r in _INVERSIONS_BETA_DRAWS:
             beta_ratio_root(BetaBase(a, b), r)
-        assert 0 < evals["newton_root"] <= 67
+        assert 0 < evals["newton_root"] <= 63
         assert evals["beta_cf"] == 2 * evals["newton_root"]
 
 

@@ -9,8 +9,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rrcflab import numerics, special
-from rrcflab.numerics import (DomainError, KernelError, PrecisionContext,
-                              SeriesDivergenceError, SeriesSum, series_tolerance)
+from rrcflab.numerics import (DEFAULT_CTX, DomainError, KernelError,
+                              PrecisionContext, SeriesDivergenceError, SeriesSum,
+                              series_tolerance)
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
                              _is_nonpositive_int, _is_slow_2f1, _route_2f1,
@@ -1260,6 +1261,39 @@ class TestSinSextuple:
         with mp.workdps(30):
             ref = mp.sin(6 * mp.asin(mp.mpf(y)))
         assert abs(sin_multiple_p6(y) - ref) <= 3e-15
+
+
+class TestQuadraticRoots:
+    def test_against_mpmath(self):
+        # b up to 1e8 in magnitude: -b + sqrt(b^2 - 4ac) cancelled, and put
+        # the small root of t^2 + 1e8 t + 1 at -7.45e-9 for -1e-8
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(5)
+        for _ in range(500):
+            a, c = (rng.uniform(0.1, 10.0) * rng.choice((-1.0, 1.0)) for _ in range(2))
+            b = 10.0 ** rng.uniform(-2.0, 8.0) * rng.choice((-1.0, 1.0))
+            with mp.workdps(40):
+                disc = mp.sqrt(mp.mpf(b) ** 2 - 4 * mp.mpf(a) * c)
+                exact = ((-b + disc) / (2 * a), (-b - disc) / (2 * a))
+            roots = quadratic_roots(a, b, c)
+            assert abs(roots[0]) <= abs(roots[1])
+            for root in roots:
+                # a conjugate pair has one modulus, so match each to its nearest
+                err = min(abs(root - ref) / abs(ref) for ref in exact)
+                assert err <= 4 * sys.float_info.epsilon, (a, b, c)
+
+    def test_no_cancellation_in_the_series(self):
+        # the small root, c/q, sets the F1 arguments: with it cancelled, these
+        # were 3.1e-11 and 2.8e-10 off
+        mp = pytest.importorskip("mpmath")
+        for b, x in ((1e4, 1e-5), (-1e4, 5e-5)):
+            value = quadratic_power_series(0.5, 0.5, 1.0, b, 1.0, x).value
+            with mp.workdps(30):
+                ref = mp.quad(lambda t: mp.sqrt(t) / mp.sqrt(t * t + b * t + 1), [0, x])
+            assert abs(value - ref) <= DEFAULT_CTX.eps_rel * abs(ref), (b, x)
+
+    def test_double_root_at_zero(self):
+        assert quadratic_roots(2.0, 0.0, 0.0) == (0.0, 0.0)
 
 
 class TestQuadraticPowerSeries:
