@@ -26,7 +26,7 @@ _LAZY = {
     **dict.fromkeys((
         "BetaBase", "appell_f1", "beta_sqrt", "complete_beta", "elliptic_k",
         "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",
-        "pn_poly", "sin_multiple_p6"), "special"),
+        "sin_multiple_p6"), "special"),
     **dict.fromkeys((
         "dedekind_eta", "ramanujan_f", "rrcf", "rrcf_derivative",
         "u_of_q"), "qseries"),

@@ -1,12 +1,13 @@
 """Singular moduli, the Klein j-invariant, the inverses of the eta-tail,
 continued-fraction and surd integrals (m, F and G: one Newton search on the
 eta tail, then q-products at that nome) and of the surd tail (theta, by
-quadrature), the eta-quotient nome inverse, Beta-ratio singular-value
+quadrature), the eta-quotient nome inverse (and its index, which App 2's
+inverse of the continued fraction returns), Beta-ratio singular-value
 solvers, the sextic solver (the hypergeometric/eta-tail route; the
 period-ratio cross-check is in routes), the change-of-base procedure, and
-the trigonometric modular family.  The integrals that only the registry
-evaluates, the continued-fraction integral that F inverts and the j-power
-quadrature, are in routes as well.
+the trigonometric modular family with Example 4's unit-circle root.  The
+integrals that only the registry evaluates, the continued-fraction integral
+that F inverts among them, are in routes.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: q = exp(-pi sqrt(r)) for
@@ -624,21 +625,24 @@ def j_integral_phi_partial_fraction(x: float,
 
 
 def eta_quotient_nome_of(w: float) -> float:
-    """q in (0, 1) with u(q) = w (the eta-quotient map is decreasing), for
-    every positive finite w.  Newton resolves sigma to the last bit, and q,
-    an exponential of sigma, carries that rounding times |ln q|: about
-    |ln q| ulps (9.5 ulps at w = 1250, where ln q = -7.1).
-
-    Newton on ln u(e^(-pi sigma)) - W in sigma >= 2/sqrt5, the fixed point of
-    the Fricke involution u(s) u(4/(5s)) = 125: W = ln w and q = e^(-pi sigma)
-    at w >= sqrt125, and W = ln(125/w), q = e^(-4 pi/(5 sigma)) below.  The
-    slope is pi (1 + 6 L(p) - 30 L(p^5)) at p = e^(-pi sigma) <= 0.06, with
-    the Lambert sum L, and there 6 (ln f(-p) - ln f(-p^5)) lies in
-    (-0.42, 0), so ln u lies within 0.42 below pi sigma: the bracket.
-    """
+    """q in (0, 1) with u(q) = w (u is decreasing), for every positive finite
+    w: e^(-pi s) at s = _eta_quotient_index(ln w), about |ln q| ulps off
+    (9.5 ulps at w = 1250, where ln q = -7.1)."""
     if not 0.0 < w < math.inf:
         raise DomainError(f"eta-quotient values are positive and finite, got {w}")
-    log_w, log_125 = math.log(w), 3.0 * math.log(5.0)
+    return math.exp(-math.pi * _eta_quotient_index(math.log(w)))
+
+
+def _eta_quotient_index(log_w: float) -> float:
+    """s > 0 with ln u(e^(-pi s)) = log_w, to the last bit, for every finite
+    log_w, also where w or q is not a double.  Newton on
+    ln u(e^(-pi sigma)) - W in sigma >= 2/sqrt5, the fixed point of the
+    Fricke involution u(s) u(4/(5s)) = 125: W = log_w and s = sigma at
+    w >= sqrt125, and W = ln(125/w), s = 4/(5 sigma) below.  The slope is
+    pi (1 + 6 L(p) - 30 L(p^5)) at p = e^(-pi sigma) <= 0.06, with the
+    Lambert sum L, and there 6 (ln f(-p) - ln f(-p^5)) lies in (-0.42, 0),
+    so ln u lies within 0.42 below pi sigma: the bracket."""
+    log_125 = 3.0 * math.log(5.0)
     mirrored = 2.0 * log_w < log_125
     target = log_125 - log_w if mirrored else log_w
 
@@ -651,7 +655,7 @@ def eta_quotient_nome_of(w: float) -> float:
     lo, hi = max(target / math.pi, 2.0 / SQRT5), (target + 0.42) / math.pi
     start = (target + 6.0 * math.exp(-target - 6.0 * math.exp(-target))) / math.pi
     sigma = newton_root(fdf, lo, hi, min(max(start, lo), hi), _FULL_PRECISION)
-    return math.exp(-math.pi * (0.8 / sigma if mirrored else sigma))
+    return 0.8 / sigma if mirrored else sigma
 
 
 # ---------------------------------------------------------------------------
@@ -663,6 +667,15 @@ def trig_modular(R: float) -> float:
     if not R > 0.0:
         raise DomainError(f"need R > 0, got {R}")
     return math.sin(math.pi / (2.0 * (R + 1.0))) ** 2
+
+
+def arcsin_ratio_root(r: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Example 4's s in (0, 1) with arcsin(1-s) = r arcsin(s) (Eqs 62-63), by
+    Brent over [1e-15, 1 - 1e-15]; r outside (0, inf) is a DomainError."""
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"need 0 < r < inf, got {r}")
+    return find_root(lambda v: math.asin(1.0 - v) - r * math.asin(v),
+                     1e-15, 1.0 - 1e-15, ctx)
 
 
 def psi_arcsin_ratio(x: float) -> float:

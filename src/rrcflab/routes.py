@@ -1,8 +1,8 @@
-"""The registry's second routes: the quadratures, closed forms (with the
-stated modulus derivatives of Eqs 20-21), App 2's inverse of the continued
-fraction (the eta-quotient nome inverse: no route searches for a root) and
-the sextic's period-ratio path (path B) that the checks hold against the
-kernels' own answers.  No kernel calls them.
+"""The registry's second routes: every quadrature a check runs, closed
+forms (with the stated modulus derivatives of Eqs 20-21), App 2's inverse
+of the continued fraction (the eta-quotient nome inverse's index: no route
+searches for a root) and the sextic's period-ratio path (path B) that the
+checks hold against the kernels' own answers.  No kernel calls them.
 
 The module sits between the kernels and the registry.  It imports kernel
 modules only, and neither the registry's records nor dataclasses, so
@@ -14,15 +14,15 @@ through the registry, and `rrcflab eval` never loads it.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
 from .qseries import (GOLDEN_CONJUGATE, lambert_sum, ramanujan_f_log, rrcf,
                       u_log_of_log_q, u_of_q_log)
-from .modular import (SQRT5, SexticInstance, _singular_modulus_pair,
-                      eta_quotient_nome_of, klein_j, sextic_variable_of_index)
+from .modular import (SQRT5, SexticInstance, _eta_quotient_index,
+                      _singular_modulus_pair, eta_quotient_nome_of, klein_j,
+                      sextic_variable_of_index)
 
 
 # ---------------------------------------------------------------------------
@@ -49,17 +49,17 @@ def rr_integral(upper: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
 
 def tau_of_rrcf(x: float) -> float:
     """tau = -ln(q)/pi with R(q) = x, App 2's inverse of the continued
-    fraction (Eq 25): q is eta_quotient_nome_of(u) at the eta quotient
-    u = x^-5 - 11 - x^5 (see u_of_q), to the last bit at every eps.  x
-    outside (0, (sqrt5-1)/2), or where u is not a positive finite double
-    (x below about 2.2e-62, or u rounded to 0 at the top), is a DomainError."""
+    fraction (Eq 25): the eta-quotient nome inverse's index at ln u,
+    u = x^-5 - 11 - x^5 (see u_of_q), to the last bit at every eps; ln u is
+    -5 ln x + log1p(-11 x^5 - x^10) where x^-5 overflows (x below 2.2e-62).
+    x outside (0, (sqrt5-1)/2) is a DomainError; below it u stays positive."""
     if not 0.0 < x < GOLDEN_CONJUGATE:
         raise DomainError(f"R takes values in (0, {GOLDEN_CONJUGATE}), got {x}")
     try:
-        u = x ** -5.0 - 11.0 - x ** 5.0
+        log_u = math.log(x ** -5.0 - 11.0 - x ** 5.0)
     except OverflowError:   # x^-5 past the doubles
-        raise DomainError(f"u = x^-5 - 11 - x^5 overflows at x = {x}") from None
-    return -math.log(eta_quotient_nome_of(u)) / math.pi
+        log_u = -5.0 * math.log(x) + math.log1p(-11.0 * x ** 5 - x ** 10)
+    return _eta_quotient_index(log_u)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +104,39 @@ def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
     return integrate_finite(f, 0.0, 1.0, ctx)
 
 
-def quintic_surd(n: float) -> Callable[[float], float]:
-    """t -> t^(n-1) (125 + 22 t + t^2)^(-1/2)."""
-    return lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+def quintic_surd_integral(n: float, lo: float, hi: float,
+                          ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """int_lo^hi t^(n-1) (125 + 22 t + t^2)^(-1/2) dt by tanh-sinh; for
+    hi = inf (lo < 50), over [lo, 50] and then the tail, falling like t^(n-2)."""
+
+    def f(t: float) -> float:
+        return t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
+
+    if hi < math.inf:
+        return integrate_finite(f, lo, hi, ctx)
+    head = integrate_finite(f, lo, 50.0, ctx)
+    return head + integrate_to_infinity(f, 50.0, 2.0 - n, ctx)
 
 
-def eta_quotient_power_mellin(nu: float, ctx: PrecisionContext) -> float:
-    """Same quantity through the image variable:
-    int_0^inf u^(nu-1) (125 + 22u + u^2)^(-1/2) du."""
-    f = quintic_surd(nu)
-    head = integrate_finite(f, 0.0, 50.0, ctx)
-    return head + integrate_to_infinity(f, 50.0, 2.0 - nu, ctx)
+def quintic_nome_integral(n: float, w_lo: float, w_hi: float,
+                          ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Theorem 2's nome side, int u(q)^n f(-q^5)^5 / f(-q) dq from the nome
+    where u = w_hi up to the one where u = w_lo: t = u(q) carries it onto
+    quintic_surd_integral(n, w_lo, w_hi)."""
+
+    def f(q: float) -> float:
+        return math.exp(n * u_of_q_log(q) + 5.0 * ramanujan_f_log(q ** 5)
+                        - ramanujan_f_log(q))
+
+    return integrate_finite(f, eta_quotient_nome_of(w_hi), eta_quotient_nome_of(w_lo), ctx)
+
+
+def quadratic_power_integral(mu: float, nu: float, a: float, b: float, c: float,
+                             x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
+    """Theorem 8's int_0^x t^mu (a t^2 + b t + c)^(-nu) dt by tanh-sinh; its
+    series is special.quadratic_power_series."""
+    return integrate_finite(lambda t: t ** mu * (a * t * t + b * t + c) ** (-nu),
+                            0.0, x, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -137,6 +159,11 @@ def nome_of_modulus(k: float) -> tuple[float, float]:
     return math.exp(-math.pi * elliptic_k_complementary(k) / kk), kk
 
 
+def modulus_nome(k: float) -> float:
+    """The nome q = e^(-pi K'(k)/K(k)) of the modulus 0 < k < 1."""
+    return nome_of_modulus(k)[0]
+
+
 def dq_dk(k: float) -> float:
     """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
     k -> q is in fact increasing, so the sign convention is recorded by the
@@ -150,7 +177,7 @@ def dr_dk(k: float) -> float:
     """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
     carries the same sign convention as dq_dk, so the chain rule
     R'(q) dq/dk = dR/dk closes."""
-    q, _ = nome_of_modulus(k)
+    q = modulus_nome(k)
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
     u6 = math.exp(u_of_q_log(q) / 6.0)
     return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6

@@ -4,8 +4,8 @@ on the unit disk at z, z/(z-1) or 1-z, whichever takes the fewest terms;
 Appell F1, summed on the bidisk and beyond it by its Euler integral, which
 is also 2F1's outside the disk; the incomplete Beta function from its
 continued fraction; the complete elliptic integral K via AGM; the
-sine-sextuple polynomial; P_n, a terminating 2F1, and the quadratic-surd
-integral series, an F1 series.  Real inputs stay real: the same series
+sine-sextuple polynomial; and the quadratic-surd integral series, an F1
+series.  Real inputs stay real: the same series
 loops run in float arithmetic, and only complex inputs and the Euler
 integral take complex arithmetic.  2F1's parameters keep their kind apart
 from z: real a, b and c stay floats with a complex z, so each term's ratio
@@ -719,17 +719,6 @@ def _elliptic_k_from_complement(kprime: float) -> float:
             break
         a, g = a_next, g_next
     return math.pi / (2.0 * a)
-
-
-def pn_poly(n: int, nu: float, x: complex | float) -> complex | float:
-    """P_n(nu, x), the terminating 2F1(-n, nu; 1-n-nu; x) of gauss_2f1; a
-    DomainError where it reaches the pole at 1-n-nu (nu = -m with 2m >= n)."""
-    if not (0 <= n <= sys.float_info.max and n % 1 == 0):
-        raise DomainError(f"pn_poly needs an integer n in [0, {sys.float_info.max:.4g}], "
-                          f"got {n}")
-    if not abs(nu) < math.inf:
-        raise DomainError(f"pn_poly needs a finite nu, got {nu}")
-    return gauss_2f1(-n, nu, 1.0 - n - nu, x)
 
 
 def sin_multiple_p6(y: float) -> float:

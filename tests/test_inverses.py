@@ -253,7 +253,7 @@ class TestTauOfRrcf:
         with mp.workdps(30):
             def gap(log_q):
                 return mp.log(_rrcf(mp.exp(log_q))) - mp.log(x)
-            log_q = mp.findroot(gap, mp.log(q_near))
+            log_q = mp.findroot(gap, mp.log(mp.mpf(q_near)))
             cond = abs(1 / (log_q * mp.diff(gap, log_q)))
             return float(abs(tau * mp.pi / log_q + 1)), float(cond)
 
@@ -262,7 +262,10 @@ class TestTauOfRrcf:
         err, cond = self._error(x, q)
         assert err <= 8 * cond * sys.float_info.epsilon, (x, err, cond)
 
-    @pytest.mark.parametrize("x, q_near", [(1e-3, 1e-15), (1e-60, 1e-300)])
+    # below x = 2.2e-62, where x^-5 overflows, q ~ x^5 is not a double either
+    @pytest.mark.parametrize("x, q_near", [(1e-3, 1e-15), (1e-60, 1e-300),
+                                           (1e-63, "1e-315"), (1e-100, "1e-500"),
+                                           (1e-300, "1e-1500")])
     def test_below_a_nome_of_1e_8(self, x, q_near):
         # cond is below 1 here (5/|ln q|), so the rounding of tau itself,
         # up to one ulp, is allowed besides
@@ -270,10 +273,9 @@ class TestTauOfRrcf:
         tau = tau_of_rrcf(x)
         assert err <= 8 * cond * sys.float_info.epsilon + math.ulp(tau) / tau, (x, err)
 
-    @pytest.mark.parametrize("x", [0.0, -0.5, GOLDEN_CONJUGATE, 1.0, 1e-63,
+    @pytest.mark.parametrize("x", [0.0, -0.5, GOLDEN_CONJUGATE, 1.0,
                                    math.inf, math.nan])
     def test_domain(self, x):
-        # below about 2.2e-62, x^-5 overflows a double
         with pytest.raises(DomainError):
             tau_of_rrcf(x)
 

@@ -3,10 +3,10 @@ quadrature -> special -> qseries -> modular, each importing only from the
 layers below it.  The registry's second routes (routes) sit on the
 kernels and import nothing else of the package.  The registry (verify),
 its records (report) and the CLI sit above them, so no kernel imports
-routes or any of them.  In the registry, only the runner judges a check:
-no record builds its own result.  In special, one function calls each
-generic engine of the layers below, and modular takes its incomplete-Beta
-logs from special."""
+routes or any of them.  In the registry, only the runner judges a check,
+and no record builds its own result, integrates or searches for a root.
+In special, one function calls each generic engine of the layers below,
+and modular takes its incomplete-Beta logs from special."""
 
 import ast
 from pathlib import Path
@@ -82,7 +82,21 @@ def test_find_root_callers():
                for caller in _callers(module, "find_root")}
     assert callers == {("modular", "_quarter_modulus"),
                        ("modular", "theorem6_base_change"),
-                       ("verify", "_ex4_unit_circle")}
+                       ("modular", "arcsin_ratio_root")}
+
+
+def test_registry_runs_no_quadrature_or_root_search():
+    """The registry's records combine named kernels and routes: verify
+    imports no name from quadrature and no root finder, and differentiates
+    no function of its own."""
+    tree = ast.parse((PACKAGE / "verify.py").read_text())
+    assert "quadrature" not in _package_imports(PACKAGE / "verify.py")
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported.isdisjoint({"find_root", "newton_root"})
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "differentiate":
+            assert not isinstance(node.args[0], ast.Lambda), ast.unparse(node)
 
 
 # Top-level functions that nothing in the package calls, each with the reason

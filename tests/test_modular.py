@@ -19,8 +19,8 @@ from rrcflab.qseries import u_of_q
 from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
-from rrcflab.routes import (j_integral_quadrature, quintic_surd, rr_integral,
-                            sextic_period_ratio_root)
+from rrcflab.routes import (j_integral_quadrature, quintic_surd_integral,
+                            rr_integral, sextic_period_ratio_root)
 from rrcflab.verify import run_check
 
 SQRT5 = math.sqrt(5.0)
@@ -125,7 +125,7 @@ class TestInverseIntegrals:
         # and the tail from 1 (surd_tail_integral(0) is TAIL_TOTAL itself),
         # pi times the eta tail from 0 summed from its q-expansion, and the
         # nearest float to mpmath's value
-        quadrature_total = (integrate_finite(quintic_surd(5 / 6), 0.0, 1.0)
+        quadrature_total = (quintic_surd_integral(5 / 6, 0.0, 1.0)
                             + surd_tail_integral(1.0))
         assert TAIL_TOTAL == pytest.approx(quadrature_total, rel=1e-14)
         assert TAIL_TOTAL == pytest.approx(math.pi * eta_tail_integral(0.0), rel=1e-14)

@@ -13,22 +13,18 @@ from rrcflab.numerics import (DEFAULT_CTX, DomainError, KernelError,
                               PrecisionContext, SeriesDivergenceError, SeriesSum,
                               series_tolerance)
 from rrcflab.quadrature import integrate_finite
+from rrcflab.routes import quadratic_power_integral
 from rrcflab.special import (BetaBase, PoleError, _euler_integral_f1,
                              _is_nonpositive_int, _is_slow_2f1, _route_2f1,
                              _series_2f1, appell_f1,
                              beta_sqrt, complete_beta, elliptic_k,
                              elliptic_k_complementary, gamma, gauss_2f1,
-                             incomplete_beta, log_gamma_real, pn_poly, pochhammer,
+                             incomplete_beta, log_gamma_real, pochhammer,
                              pochhammer_negative, quadratic_power_series,
                              quadratic_roots, sin_multiple_p6)
 
 # int_0^inf e^-t t^(1/6 - 1) dt by tanh-sinh quadrature (independent oracle)
 GAMMA_SIXTH_ORACLE = 5.566316001780237
-
-
-def quadratic_power_quadrature(mu, nu, a, b, c, x):
-    """Direct quadrature oracle for int_0^x t^mu (a t^2 + b t + c)^(-nu) dt."""
-    return integrate_finite(lambda t: t ** mu * (a * t * t + b * t + c) ** (-nu), 0.0, x)
 
 
 def quadratic_antiderivative_f1(m, n, a, b, c, x):
@@ -1131,103 +1127,6 @@ class TestEllipticK:
         assert len(roots) <= 6
 
 
-def _mpmath_pn(n, nu, x):
-    """mpmath's 2F1(-n, nu; 1-n-nu; x) at 30 digits and the sum of the
-    moduli of its terms up to the first vanishing numerator, or None where
-    mpmath has a pole (at x = 0 too, where mpmath returns 1 and pn_poly
-    raises the pole as at every x).  c = 1-n-nu is the double that pn_poly
-    forms: next to c + k = 0 (nu = 1e-5 puts c + 4 at 1e-5) the rounding of
-    c alone moves a term by 1e-10 relative, which no summation recovers.
-    A polynomial that cancels to zero (n = 1 at x = -1 is 1 + x) never
-    meets mpmath's relative accuracy; zeroprec returns 0 for a sum below
-    2^-412 of its terms, far inside the 4 eps times the terms allowed."""
-    mp = pytest.importorskip("mpmath")
-    with mp.workdps(30):
-        a, b, c = -n, mp.mpf(nu), mp.mpf(1.0 - n - nu)
-        try:
-            ref = mp.hyp2f1(a, b, c, x, zeroprec=4 * mp.mp.prec)
-        except ZeroDivisionError:
-            return None, None
-        if not mp.isfinite(ref):
-            return None, None
-        t = scale = mp.mpf(1)
-        for k in range(n):
-            if (a + k) * (b + k) == 0:
-                break
-            if c + k == 0:
-                return None, None
-            t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * abs(x)
-            scale += abs(t)
-    return complex(ref), float(scale)
-
-
-# nu: the non-positive integers, where 1-n-nu can be a pole of 2F1 that the
-# polynomial may or may not reach, the positive integers (nu = 1 puts c = -n
-# at a = -n), and real values 1e-9 or more away from every integer
-H_PN_NU = st.one_of(
-    st.integers(min_value=-20, max_value=5).map(float),
-    st.floats(min_value=-6.0, max_value=6.0).filter(
-        lambda v: abs(v - round(v)) > 1e-9))
-H_PN_X = st.one_of(
-    st.floats(min_value=-1.5, max_value=1.5),
-    st.builds(complex, st.floats(min_value=-1.0, max_value=1.0),
-              st.floats(min_value=-1.0, max_value=1.0)))
-
-
-class TestPnPoly:
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(min_value=0, max_value=40), H_PN_NU, H_PN_X)
-    @example(5, -1.0, 0.5)   # 1/6; a raw ZeroDivisionError at c + 3 = 0
-    @example(3, -2.0, 0.7)   # c = 0 before the polynomial ends: a pole
-    @example(4, 1.0, 0.5)    # a = c = -4
-    @example(0, 1.0, 0.3)    # a = c = 0
-    @example(1, 0.0, 0.3)    # b = c = 0
-    @example(1, 1.0, -1.0)   # 1 + x = 0: mpmath's sum cancels to zero
-    def test_against_mpmath(self, n, nu, x):
-        """A DomainError exactly where mpmath has a pole; elsewhere within
-        1e-12 |ref| plus 4 eps times the sum of |terms|, the rounding any
-        float summation of the polynomial meets."""
-        ref, scale = _mpmath_pn(n, nu, x)
-        if ref is None:
-            with pytest.raises(DomainError):
-                pn_poly(n, nu, x)
-            return
-        val = complex(pn_poly(n, nu, x))
-        assert abs(val - ref) <= 1e-12 * abs(ref) + 4.0 * sys.float_info.epsilon * scale
-
-    def test_constant(self):
-        assert pn_poly(0, 0.7, 0.9) == 1.0
-
-    def test_geometric_reduction(self):
-        assert pn_poly(4, 1.0, 0.5) == pytest.approx(1.9375, rel=1e-14)
-
-    def test_against_convolution_oracle(self):
-        # n! / (nu)_n * sum_l (nu)_l (nu)_(n-l) x^l / (l! (n-l)!)
-        n, nu, x = 2, 0.5, 0.3
-        conv = sum(pochhammer(nu, l) * pochhammer(nu, n - l) * x ** l
-                   / (math.factorial(l) * math.factorial(n - l))
-                   for l in range(n + 1))
-        oracle = math.factorial(n) * conv / pochhammer(nu, n)
-        assert pn_poly(n, nu, x) == pytest.approx(oracle, rel=1e-13)
-
-    def test_rejects_negative_order(self):
-        with pytest.raises(DomainError):
-            pn_poly(-1, 0.5, 0.1)
-
-    @pytest.mark.parametrize("n, nu", [(0, math.inf), (0, -math.inf), (0, math.nan),
-                                       (math.inf, 0.5), (math.nan, 0.5)])
-    def test_non_finite_order_or_nu_is_a_domain_error(self, n, nu):
-        # pn_poly(0, inf, 0.5) raised OverflowError, and an infinite n too
-        with pytest.raises(DomainError):
-            pn_poly(n, nu, 0.5)
-
-    def test_order_past_the_doubles_is_a_domain_error(self):
-        # an integer n past the doubles passed n % 1 == 0 and raised a raw
-        # OverflowError converting -n to float
-        with pytest.raises(DomainError, match="needs an integer n in"):
-            pn_poly(10 ** 400, 0.5, 0.5)
-
-
 class TestSinSextuple:
     @pytest.mark.parametrize("y", [0.0, 1.0, -1.0])
     def test_vanishes_at_cardinal_points(self, y):
@@ -1300,13 +1199,13 @@ class TestQuadraticPowerSeries:
     def test_against_quadrature(self):
         args = (-5 / 6, 5 / 12, 1.0, -2.0, 1.0, 0.01)
         series = quadratic_power_series(*args)
-        quad = quadratic_power_quadrature(*args)
+        quad = quadratic_power_integral(*args)
         assert complex(series.value).real == pytest.approx(quad, rel=1e-12)
 
     def test_complex_roots_real_result(self):
         args = (0.0, 0.5, 1.0, 1.0, 1.0, 0.4)
         series = quadratic_power_series(*args)
-        quad = quadratic_power_quadrature(*args)
+        quad = quadratic_power_integral(*args)
         assert abs(complex(series.value).imag) < 1e-13
         assert complex(series.value).real == pytest.approx(quad, rel=1e-11)
 
