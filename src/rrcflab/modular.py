@@ -342,8 +342,13 @@ class SexticInstance(Frozen):
         return 250.0 * self.c1 ** 3 / (self.a ** 2 * self.b)
 
     def residual(self, X: float) -> float:
-        lhs = self.b ** 2 / (20.0 * self.a) + self.b * X + self.a * X * X
-        rhs = self.c1 * X ** (5.0 / 3.0)
+        """|lhs - rhs| / max(|lhs|, |rhs|) of the sextic at X, with both sides
+        divided by a X^2: 1 + Y + Y^2/20 against c1/(a X^(1/3)), Y = b/(aX).
+        a X^2 and c1 X^(5/3) overflow from j ~ 1e140; Y is 250/G at the
+        root, and c1/(a X^(1/3)) is (j/G)^(1/3), so these stay finite."""
+        y = self.b / (self.a * X)
+        lhs = 1.0 + y + y * y / 20.0
+        rhs = self.c1 / (self.a * X ** (1.0 / 3.0))
         scale = max(abs(lhs), abs(rhs))
         return abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)
 
@@ -366,23 +371,39 @@ def _quarter_modulus(j: float) -> float:
     With z = (1-t)^2/(16t) the relation is the cubic (1+z)^3 = (j/256) z^2;
     its root z >= 2 gives this t (the root z < 2 is the reciprocal index).
     One find_root solves 3 ln(1+z) - 2 ln z = ln(j/256) in s = ln(z/2),
-    written so that no sum cancels: 3 log1p(2 expm1(s)/3) - 2s = ln(j/1728)
-    next to the ridge and s + 3 log1p(e^-s/2) = ln(j/512) past s = 1, where
-    the bracket end z = j/256 takes its sign exactly and z is read off as
-    (j/256) / (1 + e^-s/2)^3, which the error of s moves by only 3/(z+1) of
-    it.  Then sqrt t = 1/(sqrt(4z+1) + 2 sqrt z), for any j below overflow.
+    written so that no sum cancels: h(s) = 3 log1p(2 expm1(s)/3) - 2s =
+    ln(j/1728) next to the ridge and s = G(s) = ln(j/512) - 3 log1p(e^-s/2)
+    past s = 1, where z is read off as (j/256) / (1 + e^-s/2)^3, which the
+    error of s moves by only 3/(z+1) of it.  Then
+    sqrt t = 1/(sqrt(4z+1) + 2 sqrt z), for any j below overflow.
+
+    The bracket is the narrower of two that the two forms prove, as
+    h(s) - ln(j/1728) = s - G(s) is one function.  G is increasing, with
+    G(0) = ln(j/1728) and G <= ln(j/512), so the root s* = G(s*) lies in
+    [G(ln(j/1728)), G(ln(j/512))].  h(0) = h'(0) = 0 and 0 < h'' <= 2/3 on
+    s >= 0, so h(s) <= s^2/3 puts s* above s0 = sqrt(3 ln(j/1728)), and
+    convexity puts it below the tangent step from s0.  Both ends are
+    padded by 16 eps max(hi, 1) for rounding.
     """
     if j <= 1728.0:
         return _T_RIDGE
     excess = math.log1p((j - 1728.0) / 1728.0)       # ln(j/1728)
     far = math.log(j / 512.0)                        # s at z = j/256
 
+    def image(s: float) -> float:
+        return far - 3.0 * math.log1p(0.5 * math.exp(-s))
+
     def gap(s: float) -> float:
         if s <= 1.0:
             return 3.0 * math.log1p(2.0 * math.expm1(s) / 3.0) - 2.0 * s - excess
         return s - far + 3.0 * math.log1p(0.5 * math.exp(-s))
 
-    s = find_root(gap, 0.0, far, _FULL_PRECISION)
+    start = math.sqrt(3.0 * excess)
+    grow = 2.0 * math.expm1(start)                   # h'(s) = grow / (3 + grow)
+    tangent = start - gap(start) * (3.0 + grow) / grow
+    lo, hi = max(image(excess), start), min(image(far), tangent)
+    pad = 16.0 * MACHINE_EPS * max(hi, 1.0)
+    s = find_root(gap, lo - pad, hi + pad, _FULL_PRECISION)
     z = 2.0 * math.exp(s) if s <= 1.0 else j / 256.0 / (1.0 + 0.5 * math.exp(-s)) ** 3
     root_t = 1.0 / (math.sqrt(4.0 * z + 1.0) + 2.0 * math.sqrt(z))
     return root_t * root_t
@@ -405,9 +426,10 @@ def solve_sextic(inst: SexticInstance,
     argument (2F1) of t = _quarter_modulus(j), the quarter-modulus square at
     the index r >= 1: one eta-tail inversion and one eta quotient at that
     nome (G_of_x).  A relative residual above 1e-6 raises ConvergenceError
-    carrying X.  Real instances need j > 1728; below that the
-    quarter-modulus square leaves (0, 1).  The registry checks X against
-    the period-ratio route (routes.sextic_period_ratio_root).
+    carrying X, and an X that overflows or underflows to 0 a DomainError.
+    Real instances need j > 1728; below that the quarter-modulus square
+    leaves (0, 1).  The registry checks X against the period-ratio route
+    (routes.sextic_period_ratio_root).
     """
     j = inst.j
     if j < 1728.0 * (1.0 - 1e-12):
@@ -416,6 +438,8 @@ def solve_sextic(inst: SexticInstance,
             "complex-modulus instances are rejected")
     t = _quarter_modulus(j)
     x = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
+    if not 0.0 < abs(x) < math.inf:
+        raise DomainError(f"sextic root X = b/(250a) G is not a double for {inst}")
     residual = inst.residual(x)
     if not residual <= 1e-6:
         raise ConvergenceError(f"sextic residual {residual:.3g} at X={x}", best=x)

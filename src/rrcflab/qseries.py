@@ -13,7 +13,7 @@ for q <= 0.2 and the eta inversion of it above.  A nome is a float q in
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .numerics import DomainError
 
@@ -64,13 +64,16 @@ def _log_qpochhammer_at(log_q: float) -> float:
     """ln f(-q) at q = e^log_q.  From q = 0.18 on (below _log_qpochhammer's
     switch at 0.2, so neither hands a nome next to 0.2 back to the other) it
     is the eta inversion, taken from ln q with no rounded q:
-    ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)),
-    whose image nome is at most 1e-10."""
+    ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)).
+    There y <= ln(1/0.18)/(2 pi), so the image nome p = e^(-2 pi/y) is at
+    most e^(-23) = 1e-10: the pentagonal series stops after its first pair,
+    p^2 < 1e-17, and ln f(-p) = log1p(-(p + p^2)) is added inline."""
     if log_q < _LOG_INVERSION_MIN:
         return _log_qpochhammer(math.exp(log_q))
     y = -log_q / (2.0 * math.pi)
+    p = math.exp(-2.0 * math.pi / y)
     return (math.pi * y / 12.0 - 0.5 * math.log(y) - math.pi / (12.0 * y)
-            + _log_qpochhammer(math.exp(-2.0 * math.pi / y)))
+            + math.log1p(-(p + p * p)))
 
 
 def lambert_sum(q: float) -> float:
@@ -131,7 +134,10 @@ def _fourth_power_coefficients(count: int) -> tuple[int, ...]:
 
 
 def _horner(coefficients: tuple[float, ...], q: float) -> float:
-    return reduce(lambda acc, c: acc * q + c, reversed(coefficients), 0.0)
+    acc = 0.0
+    for c in reversed(coefficients):
+        acc = acc * q + c
+    return acc
 
 
 # Every nome of the eta tail below is at most e^(-2 pi) = 0.0019, where the
@@ -164,7 +170,9 @@ def eta_tail_log(s: float) -> tuple[float, float]:
         shift = math.log1p((far - _FAR_2) / _FAR_2) - math.pi * (s - 2.0) / 6.0
         return _LOG_TAIL_2 + shift, _horner(_ETA4, q) / far
     u = 1.0 / max(s, 1e-300)   # T and eta^4 are flat to the last bit below 1e-300
-    near = sum(d * -math.expm1(-a * (u - 0.5)) for d, a in zip(_TAIL_NEAR, _ALPHA))
+    near = 0.0
+    for d, a in zip(_TAIL_NEAR, _ALPHA):
+        near += d * -math.expm1(-a * (u - 0.5))
     log_tail = _LOG_TAIL_2 + math.log1p(near / _TAIL_2)
     root = u * math.exp(-math.pi * u / 3.0)   # eta^4 = 4 root^2 f(-e^(-4 pi u))^4
     eta4 = 4.0 * root * root * _horner(_ETA4, math.exp(-4.0 * math.pi * u))

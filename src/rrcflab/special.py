@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable
 
 from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, MAX_SERIES_TERMS,
@@ -576,7 +576,10 @@ _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360,
 
 def _stirling_remainder(x: float) -> float:
     inv2 = 1.0 / (x * x)
-    return reduce(lambda acc, c: acc * inv2 + c, reversed(_STIRLING), 0.0) / x
+    acc = 0.0
+    for c in reversed(_STIRLING):
+        acc = acc * inv2 + c
+    return acc / x
 
 
 @lru_cache(maxsize=256)

@@ -44,14 +44,16 @@ HEAVY = ("dataclasses", "inspect")
 # Lines that `rrcflab solve-sextic 1 250 12` and `rrcflab verify --filter
 # 'T3*'` printed before the registry became lazy, with T3's residuals those
 # of the worst of its three pairs, its 2F1 member taken as
-# 5 hypergeometric_g_argument(k^2); the timings are cut from the verify table.
+# 5 hypergeometric_g_argument(k^2), and the sextic residual that of the
+# equation divided through by a X^2; the timings are cut from the verify
+# table.
 SEXTIC_OUT = """\
 X        = 529.508497187475
 t        = 0.0294372515228594
 r        = 1
 k4r      = 0.17157287525381
 X_alt    = 529.508497187473  (eta-quotient path)
-residual = 4.19886520828464e-16
+residual = 1.49698215744685e-16
 delta    = 1.47792889038101e-12  (cross-path)
 """
 T3_OUT = """\

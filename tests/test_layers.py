@@ -85,6 +85,18 @@ def test_find_root_callers():
                        ("modular", "arcsin_ratio_root")}
 
 
+@pytest.mark.parametrize("module", ["qseries", "special", "modular"])
+def test_no_reduce_on_the_evaluation_paths(module):
+    """functools.reduce with a lambda makes one Python call per
+    coefficient: the kernels that the inversions evaluate in their inner
+    loops write their polynomials and sums as plain loops."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "reduce" not in imported
+    assert "functools.reduce" not in ast.unparse(tree)
+
+
 def test_registry_runs_no_quadrature_or_root_search():
     """The registry's records combine named kernels and routes: verify
     imports no name from quadrature and no root finder, and differentiates

@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 
 import pytest
@@ -248,6 +249,55 @@ class TestSexticSolver:
     def test_rejects_low_j(self):
         with pytest.raises(DomainError):
             solve_sextic(SexticInstance(1.0, 3.0, 1.0))
+
+    @staticmethod
+    def _probe_draws(count, top):
+        # log10 j uniform in [3.24, top]; a and b log-uniform in [1e-3, 1e3]
+        rng = random.Random(3)
+        for _ in range(count):
+            j = 10.0 ** rng.uniform(3.24, top)
+            a = 10.0 ** rng.uniform(-3.0, 3.0)
+            b = 10.0 ** rng.uniform(-3.0, 3.0)
+            yield SexticInstance(a, b, (j * a * a * b / 250.0) ** (1.0 / 3.0))
+
+    def test_across_the_doubles(self):
+        # a X^2 and c1 X^(5/3) overflowed from j ~ 1e140: 116 of these draws
+        # raised OverflowError and 37 a ConvergenceError on a nan residual.
+        # In Y = aX/b the sextic is 1/20 + Y + Y^2 = (j/250)^(1/3) Y^(5/3);
+        # X = b/(250a) G carries the rounding of ln G through exp (2.0e-13
+        # at worst here)
+        mp = pytest.importorskip("mpmath")
+        for inst in self._probe_draws(300, 300.0):
+            try:
+                sol = solve_sextic(inst)
+            except DomainError:
+                continue
+            log_g = math.log(sol.x * 250.0 * inst.a / inst.b)
+            with mp.workdps(50):
+                third = mp.log(mp.mpf(inst.j) / 250) / 3
+                v = mp.findroot(lambda v: mp.log(mp.mpf(1) / 20 + mp.exp(v) + mp.exp(2 * v))
+                                - third - 5 * v / 3, log_g - mp.log(250))
+                ref = mp.mpf(inst.b) / inst.a * mp.exp(v)
+                assert abs(sol.x - ref) <= 4.0 * abs(log_g) * sys.float_info.epsilon * ref
+
+    def test_residual_divided_through(self):
+        # where a X^2 is a double, the relative residual of the sextic as
+        # written.  The float exponents 5/3 and 1/3 are 7.4e-17 and 1.9e-17
+        # off, so the two powers differ by up to 0.42 eps per unit of |ln X|
+        # (0.37 measured) on top of a few roundings
+        for inst in self._probe_draws(200, 100.0):
+            x = solve_sextic(inst).x
+            lhs = inst.b ** 2 / (20.0 * inst.a) + inst.b * x + inst.a * x * x
+            rhs = inst.c1 * x ** (5.0 / 3.0)
+            old = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
+            bound = (4.0 + 0.5 * abs(math.log(x))) * sys.float_info.epsilon
+            assert abs(inst.residual(x) - old) <= bound
+
+    @pytest.mark.parametrize("a, b, j", [(1e-3, 1e3, 1e306), (1e150, 1e-300, 2000.0)],
+                             ids=["overflow", "underflow"])
+    def test_root_not_a_double(self, a, b, j):
+        with pytest.raises(DomainError):
+            solve_sextic(SexticInstance(a, b, (j * a * a * b / 250.0) ** (1.0 / 3.0)))
 
     def test_rejects_zero_coefficients(self):
         with pytest.raises(DomainError):
@@ -678,6 +728,16 @@ class TestRootSearchWorkCounts:
         beta_ratio_root(BetaBase(alpha, alpha), r)
         assert evals["newton_root"] > 0
         assert evals["beta_cf"] == evals["newton_root"]
+
+    @pytest.mark.parametrize("j, max_evals", [
+        (1728.0 * (1.0 + 1e-12), 10), (1730.0, 18), (4000.0, 14), (1e8, 8), (1e300, 8),
+    ])
+    def test_quarter_modulus(self, evals, j, max_evals):
+        # Brent inside the bracket that the cubic's two forms prove: 5, 9, 7,
+        # 4 and 4 evaluations, where all of [0, ln(j/512)] took 41, 18, 9, 5
+        # and 3
+        modular._quarter_modulus(j)
+        assert 0 < evals["find_root"] <= max_evals
 
     def test_general_bases(self, evals):
         # two fractions a step; at most the 63 evaluations measured from the

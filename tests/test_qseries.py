@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrcflab import qseries
 from rrcflab.numerics import DomainError, differentiate
 from rrcflab.qseries import (GOLDEN_CONJUGATE, dedekind_eta,
                              eta_quarter_integrand, eta_tail_log, lambert_sum,
@@ -260,6 +262,32 @@ class TestLogNome:
     def test_lambert_sum_domain(self, q):
         with pytest.raises(DomainError):
             lambert_sum(q)
+
+
+class TestPlainLoops:
+    """The q-series helpers written as plain loops give the bits of the forms
+    they replaced: functools.reduce over the coefficients, and the cached
+    pentagonal series at the eta inversion's image nome."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=math.log(0.18), max_value=-1e-300))
+    @example(math.log(0.18))
+    @example(math.log(BRANCH_SWITCH))
+    @example(-1e-300)
+    def test_image_product_inline(self, log_q):
+        y = -log_q / (2.0 * math.pi)
+        p = math.exp(-2.0 * math.pi / y)
+        assert p <= math.exp(-23.0) and p * p < 1e-17   # 1.0037e-10 at q = 0.18
+        nested = (math.pi * y / 12.0 - 0.5 * math.log(y) - math.pi / (12.0 * y)
+                  + qseries._log_qpochhammer(p))
+        assert qseries._log_qpochhammer_at(log_q) == nested
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), max_size=12),
+           st.floats(min_value=-1.0, max_value=1.0))
+    def test_horner(self, coefficients, q):
+        folded = functools.reduce(lambda acc, c: acc * q + c, reversed(coefficients), 0.0)
+        assert qseries._horner(tuple(coefficients), q) == folded
 
 
 def test_import_loads_no_numpy():

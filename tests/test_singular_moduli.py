@@ -14,14 +14,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rrcflab import modular
 from rrcflab.modular import (_T_RIDGE, _quarter_modulus, invert_lambda_j,
                              klein_j, singular_modulus)
+from rrcflab.numerics import find_root
 
 mp = pytest.importorskip("mpmath")
 
 ORACLE = settings(max_examples=40, deadline=None)
 LOG_INDEX = st.floats(math.log(1e-2), math.log(1e2))
 ULP = 1e-15
+EPS = 2.0 ** -52
 
 
 def _index_examples(test):
@@ -72,22 +75,37 @@ def _quarter_modulus_reference(j, t):
 
 
 @ORACLE
-@given(st.floats(-1.0, 7.0))
+@given(st.one_of(st.floats(-1.0, 7.0), st.floats(-1.0, 300.0)))
 @example(-1.0)
 @example(7.0)
+@example(300.0)
 def test_quarter_modulus_roots_against_findroot(log_excess):
     j = 1728.0 + 10.0 ** log_excess
     _check_quarter_modulus_roots(j)
 
 
-@pytest.mark.parametrize("j", [1728.0 * (1.0 + 1e-12), 1730.0, 1e12, 1e30])
+# and 1728 (1 + k eps) for k = 1, 3, 100 and 1e8 next to the ridge, where
+# the root s ~ sqrt(3 ln(j/1728)) runs from 2.6e-8 to 2.6e-4
+@pytest.mark.parametrize("j", [1728.0 * (1.0 + 1e-12), 1730.0, 1e12, 1e30,
+                               1728.0 * (1.0 + EPS), 1728.0 * (1.0 + 3 * EPS),
+                               1728.0 * (1.0 + 100 * EPS), 1728.0 * (1.0 + 1e8 * EPS)])
 def test_quarter_modulus_roots_at_the_ends(j):
     _check_quarter_modulus_roots(j)
 
 
 def _check_quarter_modulus_roots(j):
-    # the one root taken is the smaller t, the index-r >= 1 preimage
-    t = _quarter_modulus(j)
+    # the one root taken is the smaller t, the index-r >= 1 preimage, from
+    # a bracket whose ends take opposite signs
+    ends = []
+
+    def recording(f, lo, hi, *args):
+        ends.append((f(lo), f(hi)))
+        return find_root(f, lo, hi, *args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modular, "find_root", recording)
+        t = _quarter_modulus(j)
+    (low, high), = ends
+    assert low <= 0.0 <= high
     with mp.workdps(30):
         ref = _quarter_modulus_reference(j, t)
         assert ref < (3 - 2 * mp.sqrt(2)) ** 2

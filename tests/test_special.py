@@ -1,5 +1,6 @@
 import cmath
 import collections
+import functools
 import math
 import random
 import sys
@@ -919,6 +920,15 @@ class TestIncompleteBeta:
     def test_rejects_outside_unit_interval(self):
         with pytest.raises(DomainError):
             incomplete_beta(1.5, BetaBase(1.0, 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=8.0, max_value=1e300))
+    def test_stirling_remainder_as_a_loop(self, x):
+        # complete_beta's large-exponent terms keep the bits of the reduce form
+        inv2 = 1.0 / (x * x)
+        folded = functools.reduce(lambda acc, c: acc * inv2 + c,
+                                  reversed(special._STIRLING), 0.0) / x
+        assert special._stirling_remainder(x) == folded
 
     def test_complete_beta_past_the_doubles_is_a_domain_error(self):
         # B(1/2, b) ~ 1/b = 1e320 as b -> 0; it raised OverflowError
