@@ -345,10 +345,11 @@ class SexticInstance(Frozen):
         """|lhs - rhs| / max(|lhs|, |rhs|) of the sextic at X, with both sides
         divided by a X^2: 1 + Y + Y^2/20 against c1/(a X^(1/3)), Y = b/(aX).
         a X^2 and c1 X^(5/3) overflow from j ~ 1e140; Y is 250/G at the
-        root, and c1/(a X^(1/3)) is (j/G)^(1/3), so these stay finite."""
+        root, and c1/(a X^(1/3)) is (j/G)^(1/3), so these stay finite.  The
+        cube root is the real one, also where b/a and so X are negative."""
         y = self.b / (self.a * X)
         lhs = 1.0 + y + y * y / 20.0
-        rhs = self.c1 / (self.a * X ** (1.0 / 3.0))
+        rhs = self.c1 / (self.a * math.copysign(abs(X) ** (1.0 / 3.0), X))
         scale = max(abs(lhs), abs(rhs))
         return abs(lhs - rhs) / scale if scale > 0 else abs(lhs - rhs)
 
@@ -437,7 +438,15 @@ def solve_sextic(inst: SexticInstance,
             f"derived j={j:.6g} < 1728: no real quarter-modulus; "
             "complex-modulus instances are rejected")
     t = _quarter_modulus(j)
-    x = inst.b / (250.0 * inst.a) * G_of_x(hypergeometric_g_argument(t, ctx), ctx)
+    g = G_of_x(hypergeometric_g_argument(t, ctx), ctx)
+    # b/(250a) G from the mantissas of a and b, scaled by 2^(eb - ea) last:
+    # no intermediate is subnormal where b/(250a) would be, and where all
+    # are normal the scaling is exact and the bits are the plain product's
+    (ma, ea), (mb, eb) = math.frexp(inst.a), math.frexp(inst.b)
+    try:
+        x = math.ldexp(mb / (250.0 * ma) * g, eb - ea)
+    except OverflowError:
+        x = math.inf
     if not 0.0 < abs(x) < math.inf:
         raise DomainError(f"sextic root X = b/(250a) G is not a double for {inst}")
     residual = inst.residual(x)

@@ -201,7 +201,9 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     Every series is summed inline by ``_series_2f1``, with no call per
     term; no PrecisionContext is built.  Each call classifies its
     parameters once: the pole tests of a, b and c serve the route and its
-    series.
+    series, and past |z| = 1/2 the route also tests c-a and c-b for the
+    Euler transform's polynomial.  Real a, b and c are taken as they are,
+    and z is converted only where its kind differs from theirs.
 
     The parameters keep their kind apart from z.  Real a, b and c stay
     floats whatever z is: each term's ratio (a+n)(b+n)/((c+n)(n+1)) and
@@ -220,8 +222,11 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute next to a zero)
     against mpmath for a, b, c in [-3, 3].
     """
-    a, b, c = _same_kind(a, b, c)
-    z = complex(z) if isinstance(a, complex) or isinstance(z, complex) else float(z)
+    if not (type(a) is type(b) is type(c) is float):
+        a, b, c = _same_kind(a, b, c)
+    kind = complex if type(a) is complex or isinstance(z, complex) else float
+    if type(z) is not kind:
+        z = kind(z)
     try:
         r = abs(z)
     except OverflowError:   # finite parts, a modulus past the doubles
@@ -291,7 +296,8 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     reaches 0 only at a polynomial's end, and polynomials are summed apart.
     It raises SeriesDivergenceError after MAX_SERIES_TERMS.  The ratio is
     formed in the parameters' kind before t and z multiply it.  No
-    PrecisionContext is built.
+    PrecisionContext is built.  The index n is counted as a float, which
+    is exact below 2^53 and keeps int operands out of every step.
     """
     a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
     # a polynomial ends at its first vanishing numerator: a is made the
@@ -319,24 +325,25 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     if not (eps_rel > 0.0 and eps_abs > 0.0):   # as a PrecisionContext would
         raise DomainError(f"2F1 series tolerance is not positive at |z|={abs(z)} "
                           f"from eps_rel={ctx.eps_rel}, eps_abs={ctx.eps_abs}")
+    # t is the term after the one being added, and n is t's index
+    n = 0.0
+    t = t1 if t1 is not None else one * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+    term, n = one, 1.0
     # For c < 0 the factors c + n of (c)_n are smallest next to n = -Re c,
     # and before that two small terms do not mean the sum has converged:
     # the terms up to there are summed as one, the series' first term.
-    head = min(round(-c.real) + 2, MAX_SERIES_TERMS) if c.real < 0.0 else 1
-    t, term = one, 0.0
-    for n in range(head):
-        term += t
-        if n == 0 and t1 is not None:
-            t = t1
-        else:
-            t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
-    total, small_run = 0.0, 0
+    if c.real < 0.0:
+        for _ in range(min(round(-c.real) + 2, MAX_SERIES_TERMS) - 1):
+            term += t
+            t = t * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+            n += 1.0
+    total, small_run, inf = 0.0, 0, math.inf
     for k in range(MAX_SERIES_TERMS):
         try:
             size = abs(term)
         except OverflowError:   # finite parts, a modulus past the doubles
-            size = math.inf
-        if not size < math.inf:
+            size = inf
+        if not size < inf:
             raise DomainError(f"series term {k} is not finite: {term!r}")
         total += term
         if size <= eps_rel * abs(total) + eps_abs:
@@ -345,9 +352,9 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
                 return SeriesSum(total, k + 1)
         else:
             small_run = 0
-        n = k + head   # t is t_n, the term after this one
         term = t
-        t = t * ((a + n) * (b + n) / ((c + n) * (n + 1))) * z
+        t = t * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
+        n += 1.0
     raise SeriesDivergenceError(
         f"series did not converge within {MAX_SERIES_TERMS} terms", best=total, gap=size)
 
@@ -518,6 +525,8 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     or a conjugate pair with b1 = b2) it runs in floats.  sum_series sums
     the terms at the rate max(|x|, |y|), which must be below 1; a
     SeriesDivergenceError reports its best and gap on the value's scale.
+    The term closure counts its own s as a float, which is exact below 2^53
+    and keeps int operands out of every step.
     """
     terminating = _is_nonpositive_int(a)
     if _is_nonpositive_int(c) and not (
@@ -537,15 +546,16 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     if not any(v.imag for v in coeffs):
         coeffs = tuple(v.real for v in coeffs)
     xsum, xy, lin, bsum, a, c = coeffs
-    g, g_prev, r = 1.0, 0.0, 1.0
+    g, g_prev, r, s = 1.0, 0.0, 1.0, 0.0
 
-    def term(s: int) -> complex | float:
-        nonlocal g, g_prev, r
+    def term(_: int) -> complex | float:
+        nonlocal g, g_prev, r, s
         val = r * g
         g_prev, g = g, ((xsum * s + lin) * g - xy * (s + bsum) * g_prev) / (s + 1.0)
         if r:
             # a terminating series stops before (c)_s reaches a pole
             r = r * (a + s) / (c + s)
+        s += 1.0
         return val
 
     try:
@@ -664,13 +674,15 @@ def _beta_cf(x: float, a: float, b: float) -> float:
     """1 / (1 + d_1 / (1 + d_2 / (1 + ...))) by modified Lentz
     (Numerical Recipes section 5.2 and 6.4), with
     d_2m+1 = -(a+m)(a+b+m) x / ((a+2m)(a+2m+1)) and
-    d_2m = m (b-m) x / ((a+2m-1)(a+2m))."""
+    d_2m = m (b-m) x / ((a+2m-1)(a+2m)).  m is counted as a float, which
+    is exact below 2^53 and keeps the arithmetic float-only."""
     tiny = 1e-300   # a denominator below it is taken as tiny; nan fails both tests
     ab = a + b
     d = 1.0 - ab * x / (a + 1.0)
     c, d = 1.0, 1.0 / (d if d >= tiny or d <= -tiny else tiny)
-    h = d
-    for m in range(1, MAX_SERIES_TERMS + 1):
+    h, m = d, 0.0
+    for _ in range(MAX_SERIES_TERMS):
+        m += 1.0
         p = a + 2.0 * m
         coeff = m * (b - m) * x / ((p - 1.0) * p)
         d, c = 1.0 + coeff * d, 1.0 + coeff / c

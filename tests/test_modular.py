@@ -299,6 +299,29 @@ class TestSexticSolver:
         with pytest.raises(DomainError):
             solve_sextic(SexticInstance(a, b, (j * a * a * b / 250.0) ** (1.0 / 3.0)))
 
+    def test_negative_b_over_a(self):
+        # X -> -X, b -> -b, c1 -> -c1 maps the sextic to itself with the
+        # real cube root; X ** (1/3) of a negative X is complex, and the
+        # residual read 1.73 at this root
+        pos = solve_sextic(SexticInstance(1.0, 250.0, 12.0))
+        neg = solve_sextic(SexticInstance(1.0, -250.0, -12.0))
+        assert neg.x == -pos.x == pytest.approx(-529.5085, rel=1e-7)
+        assert neg.residual <= 4.0 * sys.float_info.epsilon
+
+    @pytest.mark.parametrize("a, b, j", [
+        (1e10, 1e-300, 1e50), (1e10, 1e-300, 1e100), (1e10, 1e-300, 1e200),
+        (1e10, -1e-300, 1e50), (1e5, 1e-310, 1e100),
+    ])
+    def test_root_behind_a_subnormal_ratio(self, a, b, j):
+        # b/(250a) is subnormal, X a normal double: as a plain product X
+        # kept only the digits of the subnormal ratio (3.2e-13 at j = 1e50,
+        # 5.4e-9 where b itself is subnormal)
+        c1 = math.copysign(abs(j * a * a * b / 250.0) ** (1.0 / 3.0), b)
+        sol = solve_sextic(SexticInstance(a, b, c1))
+        assert abs(b / (250.0 * a)) < sys.float_info.min <= abs(sol.x)
+        log_g = math.log(sol.x * 250.0 * a / b)
+        assert sol.residual <= 4.0 * abs(log_g) * sys.float_info.epsilon
+
     def test_rejects_zero_coefficients(self):
         with pytest.raises(DomainError):
             SexticInstance(0.0, 1.0, 1.0)

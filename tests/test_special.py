@@ -540,6 +540,157 @@ class TestInline2F1Series:
         assert len(calls) <= bound
 
 
+def _int_indexed_beta_cf(x, a, b):
+    """_beta_cf's modified Lentz steps with m an int."""
+    tiny = 1e-300
+    ab = a + b
+    d = 1.0 - ab * x / (a + 1.0)
+    c, d = 1.0, 1.0 / (d if d >= tiny or d <= -tiny else tiny)
+    h = d
+
+    def step(coeff):
+        nonlocal c, d, h
+        d, c = 1.0 + coeff * d, 1.0 + coeff / c
+        d = 1.0 / (d if d >= tiny or d <= -tiny else tiny)
+        c = c if c >= tiny or c <= -tiny else tiny
+        h *= d * c
+
+    for m in range(1, special.MAX_SERIES_TERMS + 1):
+        p = a + 2.0 * m
+        step(m * (b - m) * x / ((p - 1.0) * p))
+        step(-(a + m) * (ab + m) * x / (p * (p + 1.0)))
+        if abs(d * c - 1.0) <= 2.0 * numerics.MACHINE_EPS:
+            return h
+    raise SeriesDivergenceError("capped", best=h, gap=abs(d * c - 1.0))
+
+
+def _int_indexed_f1_series(a, b1, b2, c, x, y, ctx):
+    """_appell_f1_series with its anti-diagonal index the int that sum_series
+    passes: the same transform, coefficients and recurrence."""
+    terminating = _is_nonpositive_int(a)
+    if _is_nonpositive_int(c) and not (terminating and round(a.real) > round(c.real)):
+        raise DomainError("c is a pole")
+    rate, pref = max(abs(x), abs(y)), 1.0
+    if not terminating and 1.0 not in (x, y):
+        xt, yt = x / (x - 1.0), y / (y - 1.0)
+        if max(abs(xt), abs(yt)) < rate:
+            if b1 == b2 and y == x.conjugate():
+                pref *= abs(1.0 - x) ** (-2.0 * b1)
+            else:
+                pref *= (1.0 - x) ** (-b1) * (1.0 - y) ** (-b2)
+            a, x, y, rate = c - a, xt, yt, max(abs(xt), abs(yt))
+    coeffs = (x + y, x * y, b1 * x + b2 * y, b1 + b2 - 1.0, a, c)
+    if not any(v.imag for v in coeffs):
+        coeffs = tuple(v.real for v in coeffs)
+    xsum, xy, lin, bsum, a, c = coeffs
+    g, g_prev, r = 1.0, 0.0, 1.0
+
+    def term(s):
+        nonlocal g, g_prev, r
+        val = r * g
+        g_prev, g = g, ((xsum * s + lin) * g - xy * (s + bsum) * g_prev) / (s + 1.0)
+        if r:
+            r = r * (a + s) / (c + s)
+        return val
+
+    try:
+        series = numerics.sum_series(term, rate, ctx)
+    except SeriesDivergenceError as exc:
+        exc.best, exc.gap = pref * exc.best, abs(pref) * exc.gap
+        raise
+    return SeriesSum(pref * series.value, series.terms)
+
+
+class TestFloatIndexedLoops:
+    """The continued fraction of the incomplete Beta and F1's anti-diagonal
+    series count their index as a float; the same steps with an int index
+    give the same bits."""
+
+    @staticmethod
+    def _outcome(fn, *args):
+        try:
+            result = fn(*args)
+        except SeriesDivergenceError as exc:
+            return "cap", repr(exc.best), repr(exc.gap)
+        except (DomainError, ZeroDivisionError) as exc:
+            return "error", type(exc).__name__
+        return "value", repr(getattr(result, "value", result)), getattr(result, "terms", 0)
+
+    @staticmethod
+    def _beta_draws(seed, count):
+        # a, b log-uniform in [0.1, 10], x uniform in (0, 1): both sides of
+        # incomplete_beta's split (a+1)/(a+b+2)
+        rng = random.Random(seed)
+        for _ in range(count):
+            a, b = 0.1 * 100.0 ** rng.random(), 0.1 * 100.0 ** rng.random()
+            yield rng.uniform(1e-6, 1.0 - 1e-6), a, b
+
+    def test_beta_cf_same_bits(self):
+        sides = collections.Counter()
+        for x, a, b in self._beta_draws(34, 2000):
+            fast = self._outcome(special._beta_cf, x, a, b)
+            assert fast == self._outcome(_int_indexed_beta_cf, x, a, b), (x, a, b)
+            assert fast[0] == "value"
+            sides[x < (a + 1.0) / (a + b + 2.0)] += 1
+        assert min(sides[True], sides[False]) > 500
+
+    def test_beta_cf_term_cap_same_best(self, series_cap):
+        series_cap(3)
+        capped = 0
+        for x, a, b in self._beta_draws(35, 300):
+            fast = self._outcome(special._beta_cf, x, a, b)
+            assert fast == self._outcome(_int_indexed_beta_cf, x, a, b), (x, a, b)
+            capped += fast[0] == "cap"
+        assert capped > 100
+
+    @staticmethod
+    def _f1_draws(seed, count):
+        rng = random.Random(seed)
+
+        def param():
+            return rng.uniform(-3.0, 3.0)
+
+        def point(rho):
+            return cmath.rect(rng.uniform(0.0, rho), rng.uniform(-math.pi, math.pi))
+
+        for i in range(count):
+            a, b1, b2, c = param(), param(), param(), param()
+            rho = rng.uniform(0.05, 0.95)
+            kind = ("real", "conjugate", "complex", "polynomial")[i % 4]
+            if kind == "conjugate":   # runs in floats
+                b2, x = b1, point(rho)
+                y = x.conjugate()
+            elif kind == "complex":
+                x, y = point(rho), point(rho)
+            else:
+                x, y = rng.uniform(-rho, rho), rng.uniform(-rho, rho)
+            if kind == "polynomial":
+                a = float(-rng.randint(0, 8))
+            if kind in ("conjugate", "complex"):
+                a, b1, b2, c = map(complex, (a, b1, b2, c))
+            yield kind, (a, b1, b2, c, x, y)
+
+    def test_appell_f1_series_same_bits(self):
+        ctx = PrecisionContext()
+        kinds = collections.Counter()
+        for kind, args in self._f1_draws(34, 800):
+            fast = self._outcome(special._appell_f1_series, *args, ctx)
+            assert fast == self._outcome(_int_indexed_f1_series, *args, ctx), args
+            kinds[kind, fast[0]] += 1
+        assert all(kinds[kind, "value"] > 100
+                   for kind in ("real", "conjugate", "complex", "polynomial"))
+
+    def test_appell_f1_series_term_cap_same_best(self, series_cap):
+        series_cap(4)
+        ctx = PrecisionContext()
+        capped = 0
+        for _, args in self._f1_draws(35, 200):
+            fast = self._outcome(special._appell_f1_series, *args, ctx)
+            assert fast == self._outcome(_int_indexed_f1_series, *args, ctx), args
+            capped += fast[0] == "cap"
+        assert capped > 50
+
+
 # The kernels benchmark's 2F1 draws: a, b, c in [-3, 3], z real in
 # [-0.99, 0.99] or complex with |z| <= 0.99; c off the poles 0, -1, -2, -3,
 # where 2F1 is undefined.  Subnormal parameters are not drawn: the kernel
