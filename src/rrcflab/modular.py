@@ -427,7 +427,7 @@ def solve_sextic(inst: SexticInstance,
     argument (2F1) of t = _quarter_modulus(j), the quarter-modulus square at
     the index r >= 1: one eta-tail inversion and one eta quotient at that
     nome (G_of_x).  A relative residual above 1e-6 raises ConvergenceError
-    carrying X, and an X that overflows or underflows to 0 a DomainError.
+    carrying X, and an X that is not a normal double a DomainError.
     Real instances need j > 1728; below that the quarter-modulus square
     leaves (0, 1).  The registry checks X against the period-ratio route
     (routes.sextic_period_ratio_root).
@@ -447,8 +447,8 @@ def solve_sextic(inst: SexticInstance,
         x = math.ldexp(mb / (250.0 * ma) * g, eb - ea)
     except OverflowError:
         x = math.inf
-    if not 0.0 < abs(x) < math.inf:
-        raise DomainError(f"sextic root X = b/(250a) G is not a double for {inst}")
+    if not sys.float_info.min <= abs(x) < math.inf:
+        raise DomainError(f"sextic root X = b/(250a) G is not a normal double for {inst}")
     residual = inst.residual(x)
     if not residual <= 1e-6:
         raise ConvergenceError(f"sextic residual {residual:.3g} at X={x}", best=x)
@@ -672,17 +672,19 @@ def _eta_quotient_index(log_w: float) -> float:
     ln u(e^(-pi sigma)) - W in sigma >= 2/sqrt5, the fixed point of the
     Fricke involution u(s) u(4/(5s)) = 125: W = log_w and s = sigma at
     w >= sqrt125, and W = ln(125/w), s = 4/(5 sigma) below.  The slope is
-    pi (1 + 6 L(p) - 30 L(p^5)) at p = e^(-pi sigma) <= 0.06, with the
-    Lambert sum L, and there 6 (ln f(-p) - ln f(-p^5)) lies in (-0.42, 0),
-    so ln u lies within 0.42 below pi sigma: the bracket."""
+    pi (1 + 6 L(p) - 30 L(p^5)) at p = e^(-pi sigma) <= 0.06 by the Lambert
+    sum L, whose walks give ln u as well; there 6 (ln f(-p) - ln f(-p^5)) lies
+    in (-0.42, 0), so ln u lies within 0.42 below pi sigma: the bracket."""
     log_125 = 3.0 * math.log(5.0)
     mirrored = 2.0 * log_w < log_125
     target = log_125 - log_w if mirrored else log_w
 
     def fdf(sigma: float) -> tuple[float, float]:
-        p = math.exp(-math.pi * sigma)
-        rate = math.pi * (1.0 + 6.0 * lambert_sum(p) - 30.0 * lambert_sum(p ** 5))
-        return u_log_of_log_q(-math.pi * sigma) - target, rate
+        log_p = -math.pi * sigma
+        lambert, log_f = lambert_sum(math.exp(log_p))
+        lambert5, log_f5 = lambert_sum(math.exp(5.0 * log_p))
+        return (6.0 * (log_f - log_f5) - log_p - target,
+                math.pi * (1.0 + 6.0 * lambert - 30.0 * lambert5))
 
     # ln u = pi sigma - 6 p + O(p^2): one fixed-point step of that for the start
     lo, hi = max(target / math.pi, 2.0 / SQRT5), (target + 0.42) / math.pi

@@ -7,7 +7,9 @@ eta tail int_s^inf eta(i t/2)^4 dt summed term by term from its q-expansion.
 Products are evaluated as logs, so values near q -> 1 degrade gracefully
 instead of underflowing: ln f(-q) is the log1p of Euler's pentagonal series
 for q <= 0.2 and the eta inversion of it above.  A nome is a float q in
-(0, 1), and DomainError outside it.
+(0, 1), and DomainError outside it.  A nome integral's node makes one call,
+product_logs_of_log_q (cached; ln f(-q), ln f(-q^5), ln u at ln q) or
+lambert_sum (the Lambert sum and ln f(-q)); R(q)^5 is rrcf_of_kappa(u + 10).
 """
 
 from __future__ import annotations
@@ -67,19 +69,21 @@ def _log_qpochhammer_at(log_q: float) -> float:
     ln f(-e^(-2 pi y)) = pi y/12 - ln(y)/2 - pi/(12 y) + ln f(-e^(-2 pi/y)).
     There y <= ln(1/0.18)/(2 pi), so the image nome p = e^(-2 pi/y) is at
     most e^(-23) = 1e-10: the pentagonal series stops after its first pair,
-    p^2 < 1e-17, and ln f(-p) = log1p(-(p + p^2)) is added inline."""
+    p^2 < 1e-17, and ln f(-p) = log1p(-(p + p^2)) is added inline.  Below
+    0.18 the series runs uncached: product_logs_of_log_q caches its pairs."""
     if log_q < _LOG_INVERSION_MIN:
-        return _log_qpochhammer(math.exp(log_q))
+        return _log_qpochhammer.__wrapped__(math.exp(log_q))
     y = -log_q / (2.0 * math.pi)
     p = math.exp(-2.0 * math.pi / y)
     return (math.pi * y / 12.0 - 0.5 * math.log(y) - math.pi / (12.0 * y)
             + math.log1p(-(p + p * p)))
 
 
-def lambert_sum(q: float) -> float:
-    """sum_{n>=1} n q^n / (1 - q^n) = -d ln f(-q) / d ln q for 0 <= q <= 0.2,
-    from the pentagonal series of _log_qpochhammer and the same walk of its
-    powers: -(sum_k (-1)^k (g q^g + (g + k) q^(g + k))) / f(-q), g = k(3k-1)/2."""
+def lambert_sum(q: float) -> tuple[float, float]:
+    """(L, ln f(-q)) for 0 <= q <= 0.2, L = sum_{n>=1} n q^n / (1 - q^n) =
+    -d ln f(-q) / d ln q, from the pentagonal series of _log_qpochhammer (so
+    ln f(-q) is its value to the bit) and the same walk of its powers:
+    L = -(sum_k (-1)^k (g q^g + (g + k) q^(g + k))) / f(-q), g = k(3k-1)/2."""
     if not 0.0 <= q <= 0.2:
         raise DomainError(f"the Lambert sum is summed directly for 0 <= q <= 0.2, got {q}")
     series, weighted, sign, k, g, step, minus = 0.0, 0.0, 1.0, 1, 1, q, q
@@ -88,7 +92,7 @@ def lambert_sum(q: float) -> float:
         series -= sign * (minus + plus)
         weighted += sign * (g * minus + (g + k) * plus)
         if plus < 1e-17:
-            return weighted / (1.0 + series)
+            return weighted / (1.0 + series), math.log1p(series)
         sign = -sign
         g += 3 * k + 1
         minus = plus * step
@@ -187,14 +191,14 @@ def _rrcf_cached(q: float) -> float:
     # keeps the rounding of ln q^(1/5) out of kappa ~ q^(-1/5).
     fifth = q ** 0.2
     fifth -= (fifth - q / fifth ** 4) / 5.0
-    return _rrcf_of_kappa(
+    return rrcf_of_kappa(
         math.exp(_log_qpochhammer(fifth) - _log_qpochhammer(q ** 5)) / fifth)
 
 
-def _rrcf_of_kappa(kappa: float) -> float:
-    # Positive root of R^2 + (kappa + 1) R - 1 = 0; the conjugate root is
-    # negative, so this is the branch with R in (0, (sqrt(5)-1)/2).  At
-    # kappa = 0 it rounds to the float below GOLDEN_CONJUGATE.
+def rrcf_of_kappa(kappa: float) -> float:
+    """The positive root of R^2 + (kappa + 1) R - 1 = 0, 1/R - 1 - R = kappa;
+    at kappa = 0 the float below GOLDEN_CONJUGATE.  R(q)^5 is the root at
+    kappa = u(q) + 10, since 1/R^5 - 11 - R^5 = u."""
     s = kappa + 1.0
     return 2.0 / (s + math.hypot(s, 2.0))
 
@@ -217,7 +221,7 @@ def rrcf_of_log_q(log_q: float) -> float:
     fifth = 0.2 * log_q
     log_kappa = _log_qpochhammer_at(fifth) - _log_qpochhammer_at(5.0 * log_q) - fifth
     if log_kappa <= 0.0:
-        return _rrcf_of_kappa(math.exp(log_kappa))
+        return rrcf_of_kappa(math.exp(log_kappa))
     # the same root in r = 1/kappa, which cannot overflow past kappa = 1
     r = math.exp(-log_kappa)
     return 2.0 * r / (1.0 + r + math.hypot(1.0 + r, 2.0 * r))
@@ -239,12 +243,20 @@ def u_of_q_log(q: float) -> float:
     return 6.0 * _log_qpochhammer(qf) - math.log(qf) - 6.0 * _log_qpochhammer(qf ** 5)
 
 
-def u_log_of_log_q(log_q: float) -> float:
-    """ln u(q) = 6 ln f(-q) - ln q - 6 ln f(-q^5) at q = e^log_q, for
-    log_q <= -1e-300 (see rrcf_of_log_q)."""
+@lru_cache(maxsize=65536)
+def product_logs_of_log_q(log_q: float) -> tuple[float, float, float]:
+    """(ln f(-q), ln f(-q^5), ln u) at q = e^log_q, log_q <= -1e-300 (see
+    rrcf_of_log_q), each product evaluated once, ln u = 6 ln f(-q) - ln q -
+    6 ln f(-q^5).  Cached whole: a warm quadrature node is one lookup."""
     if not log_q <= -1e-300:
         raise DomainError(f"log nome must be <= -1e-300, got {log_q}")
-    return 6.0 * (_log_qpochhammer_at(log_q) - _log_qpochhammer_at(5.0 * log_q)) - log_q
+    log_f, log_f5 = _log_qpochhammer_at(log_q), _log_qpochhammer_at(5.0 * log_q)
+    return log_f, log_f5, 6.0 * (log_f - log_f5) - log_q
+
+
+def u_log_of_log_q(log_q: float) -> float:
+    """ln u(q) at q = e^log_q, for log_q <= -1e-300 (see rrcf_of_log_q)."""
+    return product_logs_of_log_q(log_q)[2]
 
 
 def rrcf_derivative(q: float) -> float:

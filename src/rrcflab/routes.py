@@ -18,8 +18,8 @@ import math
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
-from .qseries import (GOLDEN_CONJUGATE, lambert_sum, ramanujan_f_log, rrcf,
-                      u_log_of_log_q, u_of_q_log)
+from .qseries import (GOLDEN_CONJUGATE, lambert_sum, product_logs_of_log_q, rrcf,
+                      rrcf_of_kappa, u_of_q_log)
 from .modular import (SQRT5, SexticInstance, _eta_quotient_index,
                       _singular_modulus_pair, eta_quotient_nome_of, klein_j,
                       sextic_variable_of_index)
@@ -67,15 +67,16 @@ def tau_of_rrcf(x: float) -> float:
 
 def weighted_power_integral(exponent: float, ctx: PrecisionContext) -> float:
     """int_0^1 f(-q)^4 q^(-5/6) R(q)^(5 exponent) dq by direct tanh-sinh,
-    which absorbs the endpoint singularity.  The integrand vanishes
-    superexponentially as q -> 1, underflowing cleanly through the log form."""
+    which absorbs the endpoint singularity.  A node evaluates f(-q) and
+    f(-q^5) once, from ln q, and R^5 solves 1/R^5 - 11 - R^5 = u(q), their
+    quotient.  The integrand vanishes superexponentially as q -> 1,
+    underflowing cleanly through the log form."""
 
     def f(q: float) -> float:
-        log_f4 = 4.0 * ramanujan_f_log(q)
-        if log_f4 < -700.0:
-            return 0.0
-        return (math.exp(log_f4 - (5.0 / 6.0) * math.log(q))
-                * rrcf(q) ** (5.0 * exponent))
+        log_q = math.log(q)
+        log_f, _, log_u = product_logs_of_log_q(log_q)
+        return (math.exp(4.0 * log_f - (5.0 / 6.0) * log_q)
+                * rrcf_of_kappa(math.exp(log_u) + 10.0) ** exponent)
 
     return integrate_finite(f, 0.0, 1.0, ctx)
 
@@ -94,11 +95,13 @@ def weighted_power_rhs(exponent: float, ctx: PrecisionContext) -> float:
 
 
 def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
-    """int_0^1 u(q)^(nu-5/6) f(-q)^4 q^(-5/6) dq."""
+    """int_0^1 u(q)^(nu-5/6) f(-q)^4 q^(-5/6) dq; a node evaluates the
+    products f(-q) and f(-q^5) once, from ln q."""
 
     def f(q: float) -> float:
-        expo = ((nu - 5.0 / 6.0) * u_of_q_log(q)
-                + 4.0 * ramanujan_f_log(q) - (5.0 / 6.0) * math.log(q))
+        log_q = math.log(q)
+        log_f, _, log_u = product_logs_of_log_q(log_q)
+        expo = (nu - 5.0 / 6.0) * log_u + 4.0 * log_f - (5.0 / 6.0) * log_q
         return math.exp(expo) if expo > -700.0 else 0.0
 
     return integrate_finite(f, 0.0, 1.0, ctx)
@@ -122,11 +125,12 @@ def quintic_nome_integral(n: float, w_lo: float, w_hi: float,
                           ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """Theorem 2's nome side, int u(q)^n f(-q^5)^5 / f(-q) dq from the nome
     where u = w_hi up to the one where u = w_lo: t = u(q) carries it onto
-    quintic_surd_integral(n, w_lo, w_hi)."""
+    quintic_surd_integral(n, w_lo, w_hi).  A node evaluates the products
+    f(-q) and f(-q^5) once, from ln q."""
 
     def f(q: float) -> float:
-        return math.exp(n * u_of_q_log(q) + 5.0 * ramanujan_f_log(q ** 5)
-                        - ramanujan_f_log(q))
+        log_f, log_f5, log_u = product_logs_of_log_q(math.log(q))
+        return math.exp(n * log_u + 5.0 * log_f5 - log_f)
 
     return integrate_finite(f, eta_quotient_nome_of(w_hi), eta_quotient_nome_of(w_lo), ctx)
 
@@ -206,7 +210,8 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
     one inversion is P_x = eta_quotient_nome_of(125/x).  By the Fricke
     involution u(s) u(4/(5s)) = 125 (q = e^(-pi s)), w = 125/u(P), with
     dw/dP = 125 (1 + 6 L(P) - 30 L(P^5)) / (P u(P)) by the Lambert sum L
-    (P_x <= 0.06 for x <= 1), and the mirror nome of P has index
+    (P_x <= 0.06 for x <= 1), and 1/(P u(P)) = (f(-P^5)/f(-P))^6 from the
+    same two walks of the pentagonal series.  The mirror nome of P has index
     r = (2 pi/(5 ln P))^2, where klein_j takes max(r, 1/r): j at the nome
     P^5.  At the cusp, P < 1e-4, j^(-1/3) = P^(5/3) (1 - 248 P^5 + ...)
     stands in for j, a relative error below 2.5e-18.  The level-5 rational
@@ -216,11 +221,12 @@ def j_integral_quadrature(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> floa
         raise DomainError(f"needs 0 < x <= 1, got {x}")
 
     def integrand(p: float) -> float:
-        log_p = math.log(p)
-        slope = 125.0 * math.exp(-u_log_of_log_q(log_p) - log_p) * (
-            1.0 + 6.0 * lambert_sum(p) - 30.0 * lambert_sum(p ** 5))
+        lambert, log_f = lambert_sum(p)
+        lambert5, log_f5 = lambert_sum(p ** 5)
+        slope = 125.0 * math.exp(6.0 * (log_f5 - log_f)) * (
+            1.0 + 6.0 * lambert - 30.0 * lambert5)
         if p < 1e-4:
             return p ** (5.0 / 3.0) * slope
-        return klein_j((2.0 * math.pi / (5.0 * log_p)) ** 2) ** (-1.0 / 3.0) * slope
+        return klein_j((2.0 * math.pi / (5.0 * math.log(p))) ** 2) ** (-1.0 / 3.0) * slope
 
     return integrate_finite(integrand, 0.0, eta_quotient_nome_of(125.0 / x), ctx)

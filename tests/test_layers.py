@@ -65,6 +65,18 @@ def test_routes_import_only_kernels():
     assert imports <= set(KERNELS)
 
 
+def test_routes_take_only_public_qseries_names():
+    """The nome integrals evaluate their products through qseries' public
+    kernels (the product logs at ln q, the Lambert walk, the root at
+    kappa), never its private series."""
+    tree = ast.parse((PACKAGE / "routes.py").read_text())
+    imported = [alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "qseries"
+                for alias in node.names]
+    assert imported and not any(name.startswith("_") for name in imported)
+    assert "qseries._" not in ast.unparse(tree)
+
+
 def test_routes_run_no_root_search():
     """A second route solves no equation of its own: App 2's inverse of R
     is the eta-quotient nome inverse, a kernel."""

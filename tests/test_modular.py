@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -293,8 +294,11 @@ class TestSexticSolver:
             bound = (4.0 + 0.5 * abs(math.log(x))) * sys.float_info.epsilon
             assert abs(inst.residual(x) - old) <= bound
 
-    @pytest.mark.parametrize("a, b, j", [(1e-3, 1e3, 1e306), (1e150, 1e-300, 2000.0)],
-                             ids=["overflow", "underflow"])
+    # the subnormal root, X = 4.17e-310, kept the sextic's residual only to
+    # 1.3e-14: a root that is not a normal double is a DomainError
+    @pytest.mark.parametrize("a, b, j", [(1e-3, 1e3, 1e306), (1e150, 1e-300, 2000.0),
+                                         (1e10, 1e-300, 2000.0)],
+                             ids=["overflow", "underflow", "subnormal"])
     def test_root_not_a_double(self, a, b, j):
         with pytest.raises(DomainError):
             solve_sextic(SexticInstance(a, b, (j * a * a * b / 250.0) ** (1.0 / 3.0)))
@@ -555,6 +559,51 @@ class TestWorkCounts:
         routes.weighted_power_integral(0.5, DEFAULT_CTX)
         assert counts["calls"] == 1
         assert counts["evals"] <= 133
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        """Calls of the product kernels: the product logs at ln q and the
+        Lambert walk as routes calls them, ln f(-q) at ln q, and the cached
+        ln f(-q) at q, whose uncached body (__wrapped__) is not counted."""
+        tally = {"pairs": 0, "walks": 0, "at_log_q": 0, "at_q": 0}
+
+        def counted(module, name, key):
+            original = getattr(module, name)
+
+            @functools.wraps(original)
+            def counting(*args):
+                tally[key] += 1
+                return original(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        counted(routes, "product_logs_of_log_q", "pairs")
+        counted(routes, "lambert_sum", "walks")
+        counted(qseries, "_log_qpochhammer_at", "at_log_q")
+        counted(qseries, "_log_qpochhammer", "at_q")
+        # a warm cache would hide the products it saves
+        qseries.product_logs_of_log_q.cache_clear()
+        qseries._rrcf_cached.cache_clear()
+        return tally
+
+    @pytest.mark.parametrize("integral", [
+        lambda: routes.weighted_power_integral(0.5, DEFAULT_CTX),
+        lambda: routes.eta_quotient_power_integral(0.5, DEFAULT_CTX),
+        lambda: routes.quintic_nome_integral(1.0, 1.0, 5.0),
+    ], ids=["T1.nu=0.5", "Eq17_18.nu=0.5", "T2.n=1"])
+    def test_one_product_pair_per_node(self, counts, products, integral):
+        # a node reads ln f(-q) and ln f(-q^5) from one call, which
+        # evaluates each once (none where quadrature's edge test repeats a
+        # node), and takes no product at q, as rrcf(q) would
+        integral()
+        assert 0 < counts["evals"] == products["pairs"]
+        assert 0 < products["at_log_q"] <= 2 * products["pairs"]
+        assert products["walks"] == products["at_q"] == 0
+
+    def test_two_walks_per_j_integral_node(self, counts, products):
+        # the Lambert sums at P and P^5 bring ln f(-P) and ln f(-P^5) along
+        j_integral_quadrature(0.5)
+        assert 0 < 2 * counts["evals"] == products["walks"]
+        assert products["pairs"] == products["at_log_q"] == products["at_q"] == 0
 
 
 class TestGauss2F1WorkCounts:

@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,8 +13,9 @@ from rrcflab import qseries
 from rrcflab.numerics import DomainError, differentiate
 from rrcflab.qseries import (GOLDEN_CONJUGATE, dedekind_eta,
                              eta_quarter_integrand, eta_tail_log, lambert_sum,
-                             ramanujan_f, ramanujan_f_log, rrcf, rrcf_derivative,
-                             rrcf_of_log_q, u_log_of_log_q, u_of_q, u_of_q_log)
+                             product_logs_of_log_q, ramanujan_f, ramanujan_f_log,
+                             rrcf, rrcf_derivative, rrcf_of_kappa, rrcf_of_log_q,
+                             u_log_of_log_q, u_of_q, u_of_q_log)
 from rrcflab.routes import dq_dk, dr_dk
 from rrcflab.special import elliptic_k
 
@@ -231,8 +233,12 @@ class TestLogNome:
         mp = pytest.importorskip("mpmath")
         with mp.workdps(30):
             lq = mp.mpf(log_q)
-            ref = 6 * _mp_log_f(mp, mp.exp(lq)) - lq - 6 * _mp_log_f(mp, mp.exp(5 * lq))
+            products = (_mp_log_f(mp, mp.exp(lq)), _mp_log_f(mp, mp.exp(5 * lq)))
+            ref = 6 * products[0] - lq - 6 * products[1]
         assert abs(u_log_of_log_q(log_q) - ref) <= 4e-15 * max(1.0, abs(float(ref)))
+        # and the ln f(-q), ln f(-q^5) it is made of
+        for value, product in zip(product_logs_of_log_q(log_q), products):
+            assert abs(value - product) <= 4e-15 * max(1.0, abs(float(product)))
 
     @ORACLE_SETTINGS
     @given(st.floats(min_value=0.0, max_value=BRANCH_SWITCH))
@@ -248,7 +254,18 @@ class TestLogNome:
         with mp.workdps(30):
             qm = mp.mpf(q)
             ref = mp.nsum(lambda n: n * qm ** n / (1 - qm ** n), [1, mp.inf]) if q else 0
-        assert abs(lambert_sum(q) - ref) <= 9e-16 * ref
+        assert abs(lambert_sum(q)[0] - ref) <= 9e-16 * ref
+
+    def test_lambert_walk_gives_the_product(self):
+        # the walk of the Lambert sum is _log_qpochhammer's pentagonal
+        # series, so its ln f(-q) is that one to the bit
+        rng = random.Random(35)
+        nomes = [0.0, 5e-324, 3.6e-320, sys.float_info.min, 1e-300,
+                 math.nextafter(SERIES_CUT, 0.0), SERIES_CUT, BRANCH_SWITCH]
+        nomes += [rng.uniform(0.0, BRANCH_SWITCH) for _ in range(500)]
+        nomes += [10.0 ** rng.uniform(-323.0, math.log10(BRANCH_SWITCH)) for _ in range(500)]
+        for q in nomes:
+            assert lambert_sum(q)[1].hex() == qseries._log_qpochhammer(q).hex(), q
 
     @pytest.mark.parametrize("log_q", [0.0, -1e-310, 1.0, math.nan])
     def test_log_nome_domain(self, log_q):
@@ -256,6 +273,26 @@ class TestLogNome:
             rrcf_of_log_q(log_q)
         with pytest.raises(DomainError):
             u_log_of_log_q(log_q)
+        with pytest.raises(DomainError):
+            product_logs_of_log_q(log_q)
+
+    def test_rrcf_fifth_power_from_u(self):
+        # R^5 is the root of 1/R^5 - 11 - R^5 = u, rrcf_of_kappa at u + 10:
+        # exp carries the rounding of ln u into u, so the bound is
+        # 2 (1 + |ln u|) eps (0.70 measured; rrcf(q)^5 reads 3.2 there)
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(35)
+        nomes = [1e-100, 0.5, 1.0 - 1e-12]
+        for _ in range(60):
+            nomes.append(10.0 ** rng.uniform(-100.0, math.log10(0.5)))
+            nomes.append(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
+        for q in nomes:
+            log_u = u_log_of_log_q(math.log(q))
+            fifth = rrcf_of_kappa(math.exp(log_u) + 10.0)
+            with mp.workdps(30):
+                ref = _mp_rrcf(mp, mp.mpf(q)) ** 5
+            bound = 2.0 * (1.0 + abs(log_u)) * sys.float_info.epsilon
+            assert abs(fifth - ref) <= bound * ref, q
 
     @pytest.mark.parametrize("q", [-1e-300, math.nextafter(BRANCH_SWITCH, 1.0), 0.21,
                                    math.nan])
