@@ -6,18 +6,22 @@ trapezoid rule whose node offsets and weights are tabulated once per level,
 the first time an integral reaches that level.  Abscissas never include the
 endpoints: a node is x = a + d or b - d, d its offset from the nearer end.
 Only an end at 0 takes d exactly (t**(-5/6) on (0, b) keeps full precision);
-elsewhere x rounds, and a node that rounds onto its end contributes 0.
+elsewhere x rounds, and a node that rounds onto its end ends the walk there.
+
+Each end of each level is walked from the centre outwards, once per node,
+and stops where its terms fall below a small share of tol (Mori & Sugihara
+2001); finer levels walk no further out.
 
 Each level halves the step and, on an analytic integrand, about doubles the
 correct digits (Takahasi & Mori 1974).  A level is returned once its gap to
 the level before is within tol; that gap bounds the error of the level
 before, so the level returned is about tol**2/|I| accurate.  A level is
 also returned, about tol accurate, when the last gaps show the doubling
-and extrapolate an error within tol, and the terms at its outermost nodes
-inside the interval are within tol as well (after Bailey, Jeyabalan & Li
-2005); that saves the level that would only confirm it.  The test of the
-outermost terms keeps a sum that stalls, because nodes next to a singular
-end round onto it, from passing as converged.
+and extrapolate an error within tol, and the last terms of its two walks
+are within tol as well (after Bailey, Jeyabalan & Li 2005); that saves the
+level that would only confirm it.  The test of the last terms keeps a sum
+that stalls, because nodes next to a singular end round onto it, from
+passing as converged: its walk ends at a term that is not small.
 """
 
 from __future__ import annotations
@@ -28,9 +32,14 @@ from typing import Callable
 from .numerics import (DEFAULT_CTX, ConvergenceError, DomainError, KernelError,
                        PrecisionContext)
 
-# Beyond |t| = 5 the transformed weights are below 1e-100 even against a
-# (x-a)**(-5/6) endpoint blow-up, so nothing integrable contributes.
+# No walk goes past |t| = 5, where the weight is 2.7e-99: against a
+# (x-a)**(-5/6) blow-up at an end at 0 the term there is still 3.5e-15, and
+# a stronger blow-up leaves more beyond it.  Most ends stop well inside.
 _T_MAX = 5.0
+# An end of a level stops after two consecutive terms h|w f| within this
+# share of tol.  At 1/64 the algebraic tail from 1e60 moved by 4.3e-15
+# relative; 1/1024 keeps its bits, for ten more evaluations in the registry.
+_TAIL_SHARE = 1.0 / 1024
 
 
 class QuadratureError(ConvergenceError):
@@ -69,29 +78,6 @@ def _table(level: int) -> tuple[tuple[float, float], ...]:
     return table
 
 
-def _edge_term(f: Callable[[float], float | complex], a: float, b: float,
-               half: float, nodes: tuple[tuple[float, float], ...]) -> float:
-    """|w f| at the outermost node of one level's table that lies inside
-    (a, b), summed over both ends: the size of the terms the sum stops at.
-
-    Offsets fall along a table, so the last node that does not round onto
-    its end is found by bisection, and f is evaluated there once per end.
-    """
-    term = 0.0
-    for end, sign in ((b, -1.0), (a, 1.0)):
-        lo, hi = 0, len(nodes)   # nodes[:lo] are inside (a, b), nodes[hi:] are not
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if a < end + sign * (half * nodes[mid][0]) < b:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo:
-            off, w = nodes[lo - 1]
-            term += abs(w * f(end + sign * (half * off)))
-    return term
-
-
 def _doubled(gap: float, prev_gap: float, total: float | complex) -> bool:
     """The relative gap is at most the 3/2 power of the one before it:
     the correct digits about doubled from one level to the next."""
@@ -105,6 +91,14 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     scale of (-1, 1)).  f may be real or complex; a complex sum converges on
     the complex level gap.
 
+    Level L walks each end from the centre outwards, and stops that end
+    after two consecutive terms with h_L |w f| <= _TAIL_SHARE * tol(T), T
+    the total of level L-1 (at level 0, the centre term); finer levels take
+    only the nodes inside the one it stopped at.  Past it the terms of an
+    analytic f fall double exponentially, so the walk drops a small part of
+    tol; an f that vanishes on a stretch ends the walk there.  A node that
+    rounds onto its end ends the walk too, as all further out do.
+
     Level L >= 3 is returned when its gap g_L = |T_L - T_(L-1)| is within
     tol; each level about doubles the correct digits, so its own error is
     then about tol**2/|I|.  It is also returned, with an error of about
@@ -112,19 +106,17 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     gaps, g_L sqrt|T_L| <= g_(L-1)^(3/2), and from L = 4 on over the two
     before them too (T_0 is too coarse to compare, so g_1 is taken as
     infinite); the extrapolated error g_L^2 / g_(L-1) is within tol; and
-    h_L |w f| at the outermost nodes inside (a, b), the terms the sum stops
-    at, is within tol.  That saves the level that would only confirm it.
-    The second doubling test keeps one lucky drop of an integrand that is
-    not analytic inside (a, b), such as |t - 0.3|^2.5, whose gaps fall
+    h_L |w f| at the last node each end's walk evaluated, the terms the sum
+    stops at, is within tol.  That saves the level that would only confirm
+    it.  The second doubling test keeps one lucky drop of an integrand that
+    is not analytic inside (a, b), such as |t - 0.3|^2.5, whose gaps fall
     erratically, from passing as convergence; the doubling still presumes
     f analytic inside (a, b), as tanh-sinh itself does, and on an interior
-    kink the early return can be off by more than tol.  The last test
-    costs two evaluations and runs only when the others pass, so the
-    per-node loop carries no bookkeeping.
+    kink the early return can be off by more than tol.
 
     An integrable endpoint blow-up needs no declaration: the nodes never
-    reach the endpoints, and a node whose offset is lost to rounding
-    contributes 0.  Each level's sum is tested once: s - s is 0 for a
+    reach the endpoints, and the walk stops at a node whose offset is lost
+    to rounding.  Each level's sum is tested once: s - s is 0 for a
     finite sum, real or complex, and nan for one that met an inf or nan
     sample, which is a DomainError, as is a ZeroDivisionError,
     OverflowError or ValueError raised by f.  Level-cap exhaustion raises
@@ -139,35 +131,62 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
         # image and so is sampled once.
         v = 0.0 if x <= a or x >= b else f(x)
         (_, centre_weight), *nodes = _TABLES[0] or _table(0)
-        s = centre_weight * v
+        total = s = centre_weight * v
+        tol = ctx.tol(total)
+        stop_b, stop_a = b, a   # each end's walk stops at a node at or past these
+        h = 1.0
         prev = gap = prev_gap = math.inf
         for level in range(MAX_QUAD_LEVELS + 1):
             if level:
+                h *= 0.5
                 nodes = _TABLES[level] or _table(level)
                 s = 0.0
+            cut = _TAIL_SHARE * tol / h
+            term_b = term_a = 0.0
+            small = False
             for off, w in nodes:
-                d = half * off
-                x = b - d
-                vb = 0.0 if x <= a or x >= b else f(x)
-                x = a + d
-                va = 0.0 if x <= a or x >= b else f(x)
-                s += w * vb + w * va
+                x = b - half * off
+                if x <= a or x >= stop_b:
+                    break
+                term_b = w * f(x)
+                s += term_b
+                if abs(term_b) <= cut:
+                    if small:
+                        stop_b = x
+                        break
+                    small = True
+                else:
+                    small = False
+            small = False
+            for off, w in nodes:
+                x = a + half * off
+                if x <= stop_a or x >= b:
+                    break
+                term_a = w * f(x)
+                s += term_a
+                if abs(term_a) <= cut:
+                    if small:
+                        stop_a = x
+                        break
+                    small = True
+                else:
+                    small = False
             if s - s != 0:
                 raise DomainError(f"integrand not finite on [{a}, {b}]")
             if level == 0:
                 total = s
+                tol = ctx.tol(total)
                 continue
-            total = 0.5 * total + 0.5 ** level * s
+            total = 0.5 * total + h * s
             older, prev_gap, gap = prev_gap, gap, abs(total - prev)
             prev = total
-            if level >= 3:
-                tol = ctx.tol(total)
-                if gap <= tol or (
-                        gap * gap <= tol * prev_gap
-                        and _doubled(gap, prev_gap, total)
-                        and _doubled(prev_gap, older, total)
-                        and 0.5 ** level * _edge_term(f, a, b, half, nodes) <= tol):
-                    return half * total
+            tol = ctx.tol(total)
+            if level >= 3 and (gap <= tol or (
+                    gap * gap <= tol * prev_gap
+                    and _doubled(gap, prev_gap, total)
+                    and _doubled(prev_gap, older, total)
+                    and h * (abs(term_b) + abs(term_a)) <= tol)):
+                return half * total
     except KernelError:
         raise
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
@@ -183,9 +202,9 @@ def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
     f(t) ~ t**(-p) for large t, which needs p > 1 to converge.
 
     Map t = a + c(1-s)/s onto s in (0, 1] with c = max(|a|, 1); the image
-    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.  The scale c keeps the image smooth
-    however far out a is: with c = 1 a t**(-7/6) tail from a = 1e36 would
-    sit in s < 1e-36.
+    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.
+    The scale c keeps the image smooth however far out a is: with c = 1 a
+    t**(-7/6) tail from a = 1e36 would sit in s < 1e-36.
     """
     if p <= 1.0:
         raise DomainError(f"algebraic decay p={p} <= 1 diverges")

@@ -2,6 +2,7 @@ import dataclasses
 
 import pytest
 
+from rrcflab import modular, qseries, quadrature, routes, special
 from rrcflab.numerics import DEFAULT_CTX, DomainError
 from rrcflab.report import FAIL, FLAGGED, PASS, compare, residuals
 from rrcflab.verify import BUILDER_RAISED, CHECKS, Check, check_ids, run_all, run_check
@@ -182,3 +183,40 @@ class TestEpsSweep:
         results = run_all(ctx=DEFAULT_CTX.replace(eps_rel=eps)).results
         assert [r.id for r in results if r.notes.startswith(BUILDER_RAISED)] == []
         assert {r.id: r.status for r in results} == default_status
+
+
+class TestQuadratureWork:
+    """Integrand evaluations of a cold run_all, counted at every call of
+    integrate_finite.  The counts are deterministic.  Before each end of a
+    tanh-sinh level stopped where its terms fall below tol/1024 they were
+    2,024, 1,860 and 1,722 at eps 1e-12, 1e-8 and 1e-4; they are 1,681,
+    1,534 and 1,335.  The bound only tightens."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        tally = [0]
+        original = quadrature.integrate_finite
+
+        def counting(f, a, b, *args):
+            def counted(x):
+                tally[0] += 1
+                return f(x)
+            return original(counted, a, b, *args)
+
+        for module in (quadrature, routes, modular, special):
+            monkeypatch.setattr(module, "integrate_finite", counting)
+
+        def cold_run_all(eps):
+            for module in (qseries, modular, special):
+                for value in vars(module).values():
+                    if callable(getattr(value, "cache_clear", None)):
+                        value.cache_clear()
+            tally[0] = 0
+            run_all(ctx=DEFAULT_CTX.replace(eps_rel=eps))
+            return tally[0]
+        return cold_run_all
+
+    def test_registry_evaluations(self, evaluations):
+        counts = [evaluations(eps) for eps in (1e-12, 1e-8, 1e-4)]
+        assert counts[0] <= 1720
+        assert counts[0] > counts[1] > counts[2]
