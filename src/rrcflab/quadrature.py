@@ -7,10 +7,9 @@ the first time an integral reaches that level.  Abscissas never include the
 endpoints: a node is x = a + d or b - d, d its offset from the nearer end.
 Only an end at 0 takes d exactly (t**(-5/6) on (0, b) keeps full precision);
 elsewhere x rounds, and a node that rounds onto its end ends the walk there.
-
 Each end of each level is walked from the centre outwards, once per node,
-and stops where its terms fall below a small share of tol (Mori & Sugihara
-2001); finer levels walk no further out.
+and stops where its terms fall below a small share of tol past every larger
+one (Mori & Sugihara 2001); finer levels walk no further out.
 
 Each level halves the step and, on an analytic integrand, about doubles the
 correct digits (Takahasi & Mori 1974).  A level is returned once its gap to
@@ -33,12 +32,11 @@ from .numerics import (DEFAULT_CTX, ConvergenceError, DomainError, KernelError,
                        PrecisionContext)
 
 # No walk goes past |t| = 5, where the weight is 2.7e-99: against a
-# (x-a)**(-5/6) blow-up at an end at 0 the term there is still 3.5e-15, and
-# a stronger blow-up leaves more beyond it.  Most ends stop well inside.
+# (x-a)**(-5/6) blow-up at an end at 0 the term there is still 3.5e-15.
 _T_MAX = 5.0
 # An end of a level stops after two consecutive terms h|w f| within this
-# share of tol.  At 1/64 the algebraic tail from 1e60 moved by 4.3e-15
-# relative; 1/1024 keeps its bits, for ten more evaluations in the registry.
+# share of tol, past every larger one.  At 1/64 the tail from 1e60 moved
+# by 4.3e-15; 1/1024 keeps its bits, for ten more registry evaluations.
 _TAIL_SHARE = 1.0 / 1024
 
 
@@ -91,13 +89,14 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     scale of (-1, 1)).  f may be real or complex; a complex sum converges on
     the complex level gap.
 
-    Level L walks each end from the centre outwards, and stops that end
-    after two consecutive terms with h_L |w f| <= _TAIL_SHARE * tol(T), T
-    the total of level L-1 (at level 0, the centre term); finer levels take
-    only the nodes inside the one it stopped at.  Past it the terms of an
-    analytic f fall double exponentially, so the walk drops a small part of
-    tol; an f that vanishes on a stretch ends the walk there.  A node that
-    rounds onto its end ends the walk too, as all further out do.
+    Level L walks each end from the centre outwards, and stops that end at
+    the second of two consecutive terms with h_L |w f| <= _TAIL_SHARE *
+    tol(T), T the total of level L-1 (at level 0, the centre term), once
+    past every larger term any level met there; finer levels take only the
+    nodes inside it.  So small terms before a boundary layer, or before a
+    peak that a coarser level met, do not stop it; a spike past the stop
+    that no level met is lost.  A node that rounds onto its end ends the
+    walk too.
 
     Level L >= 3 is returned when its gap g_L = |T_L - T_(L-1)| is within
     tol; each level about doubles the correct digits, so its own error is
@@ -133,7 +132,8 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
         (_, centre_weight), *nodes = _TABLES[0] or _table(0)
         total = s = centre_weight * v
         tol = ctx.tol(total)
-        stop_b, stop_a = b, a   # each end's walk stops at a node at or past these
+        stop_b, stop_a = b, a   # each end's walk stops at or past these,
+        far_b = far_a = 2.0     # and past the least offset of a larger term
         h = 1.0
         prev = gap = prev_gap = math.inf
         for level in range(MAX_QUAD_LEVELS + 1):
@@ -143,34 +143,35 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
                 s = 0.0
             cut = _TAIL_SHARE * tol / h
             term_b = term_a = 0.0
-            small = False
+            near, small = 2.0, None   # a term above the cut arms the stop
             for off, w in nodes:
                 x = b - half * off
                 if x <= a or x >= stop_b:
                     break
                 term_b = w * f(x)
                 s += term_b
-                if abs(term_b) <= cut:
-                    if small:
-                        stop_b = x
-                        break
+                if abs(term_b) > cut:
+                    small, near = False, off
+                elif small and off < far_b:
+                    stop_b = x
+                    break
+                elif small is False:
                     small = True
-                else:
-                    small = False
-            small = False
+            far_b, near, small = near if near < far_b else far_b, 2.0, None
             for off, w in nodes:
                 x = a + half * off
                 if x <= stop_a or x >= b:
                     break
                 term_a = w * f(x)
                 s += term_a
-                if abs(term_a) <= cut:
-                    if small:
-                        stop_a = x
-                        break
+                if abs(term_a) > cut:
+                    small, near = False, off
+                elif small and off < far_a:
+                    stop_a = x
+                    break
+                elif small is False:
                     small = True
-                else:
-                    small = False
+            far_a = near if near < far_a else far_a
             if s - s != 0:
                 raise DomainError(f"integrand not finite on [{a}, {b}]")
             if level == 0:

@@ -189,8 +189,8 @@ class TestQuadratureWork:
     """Integrand evaluations of a cold run_all, counted at every call of
     integrate_finite.  The counts are deterministic.  Before each end of a
     tanh-sinh level stopped where its terms fall below tol/1024 they were
-    2,024, 1,860 and 1,722 at eps 1e-12, 1e-8 and 1e-4; they are 1,681,
-    1,534 and 1,335.  The bound only tightens."""
+    2,024, 1,860 and 1,722 at eps 1e-12, 1e-8 and 1e-4; they are 1,687,
+    1,540 and 1,341.  The bound only tightens."""
 
     @pytest.fixture
     def evaluations(self, monkeypatch):
