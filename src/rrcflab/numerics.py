@@ -2,6 +2,10 @@
 summation with tail control, bracketed root finding, and Richardson-refined
 central differences.
 
+The root finders stop on the bracket or the step: Brent when its bracket is
+within the tolerance, safeguarded Newton when a step is, or when its last
+two Newton steps predict an error within 1/1024 of it.
+
 A context holds only the tolerance; the iteration caps, which no caller
 varies, are the module constants MAX_SERIES_TERMS and MAX_ROOT_ITERS (and
 quadrature's MAX_QUAD_LEVELS).  All operations are pure; contexts are
@@ -23,6 +27,9 @@ LOG_FLOAT_MAX = math.log(sys.float_info.max)
 FD_STEP = MACHINE_EPS ** (1.0 / 5.0)
 # Evaluations allowed to find_root and newton_root before ConvergenceError.
 MAX_ROOT_ITERS = 200
+# newton_root also stops when the error that its last two Newton steps
+# predict is at most this share of the tolerance (quadrature's tail share).
+_PREDICTION_SHARE = 1.0 / 1024
 # Terms allowed to sum_series and 2F1's series, and steps to the incomplete
 # Beta's continued fraction, before SeriesDivergenceError.
 MAX_SERIES_TERMS = 2000
@@ -257,17 +264,32 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     known from analysis, so the bracket ends are never evaluated.  The start
     x0 is evaluated even when it sits on a bracket end.  Each evaluation
     narrows the bracket; a Newton step that would leave it, or that is not
-    at most half the step before it, becomes a bisection.  Stops when a step
-    is within xtol (default ctx.tol(x), the relative rule; a search in a log
-    coordinate passes an absolute one).  Closing on a bracket end that was
-    never evaluated costs one more evaluation, and a Newton estimate beyond
-    that end means the analysis was wrong: BracketError.  Raises
-    ConvergenceError after MAX_ROOT_ITERS evaluations.
+    at most half the step before it, becomes a bisection.
+
+    Stops when a step is within the tolerance tol = xtol (default
+    ctx.tol(x), the relative rule; a search in a log coordinate passes an
+    absolute one), or on the error that the last two steps predict, when
+    both were Newton steps: the step s just taken predicts |s| (s/s_prev)^2
+    for the new point, since each error is about the square of the one
+    before times a constant, which the last two steps estimate.  A
+    prediction within tol/1024 returns the new point without evaluating it,
+    where the step rule alone spent one more evaluation to confirm it.  The
+    share 1/1024, quadrature's tail share, leaves room for that constant to
+    grow a thousandfold from one step to the next.  A bisection clears the
+    history.  On linear convergence at a ratio rho the prediction is
+    rho^2 |s| against an error of about rho |s|/(1 - rho): from rho = 1/32
+    up (the guard caps rho at 1/2) the step rule stops first, and from
+    rho = 1/1023 up the error left is within tol whichever rule fires.
+
+    Closing on a bracket end that was never evaluated costs one more
+    evaluation, whichever rule stops, and a Newton estimate beyond that end
+    means the analysis was wrong: BracketError.  Raises ConvergenceError
+    after MAX_ROOT_ITERS evaluations.
     """
     lo, hi, x = float(lo), float(hi), float(x0)
     if not lo <= x <= hi:
         raise DomainError(f"start {x0} outside the bracket [{lo}, {hi}]")
-    lo_seen = hi_seen = False
+    lo_seen = hi_seen = newton_before = False
     step = hi - lo
     for _ in range(MAX_ROOT_ITERS):
         f, df = fdf(x)
@@ -286,13 +308,16 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
             # would take the step for one that leaves the bracket)
             return x
         if lo < x - newton < hi and 2.0 * abs(newton) <= abs(step):
-            step = newton
+            # 0 < |newton| <= |step|/2: nothing divides by 0 or overflows,
+            # and the prediction can only underflow to 0
+            predicted = abs(newton) * (newton / step) ** 2 if newton_before else math.inf
+            step, newton_before = newton, True
             x_new = x - step
         else:
-            step = 0.5 * (hi - lo)
+            step, newton_before, predicted = 0.5 * (hi - lo), False, math.inf
             x_new = lo + step
         tol = ctx.tol(x_new) if xtol is None else xtol
-        if abs(step) <= tol or x_new == x:
+        if abs(step) <= tol or predicted <= _PREDICTION_SHARE * tol or x_new == x:
             if (not lo_seen and x_new - lo <= tol) or (not hi_seen and hi - x_new <= tol):
                 # closing on an end that was never evaluated: one more
                 # Newton estimate tells a root next to it from one beyond it

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,63 @@ class TestFindRoot:
         assert abs(f(root)) <= 10.0 * tol * max(1.0, slope)
 
 
+def _newton_root_by_step(fdf, lo, hi, x0, ctx=DEFAULT_CTX, xtol=None):
+    """newton_root as it was before the stop on a predicted error, which
+    stopped only on a step within the tolerance: the reference that the
+    evaluation counts are held to.  Its error handling is left out."""
+    lo, hi, x = float(lo), float(hi), float(x0)
+    lo_seen = hi_seen = False
+    step = hi - lo
+    for _ in range(numerics.MAX_ROOT_ITERS):
+        f, df = fdf(x)
+        if f == 0.0:
+            return x
+        if f < 0.0:
+            lo, lo_seen = x, True
+        else:
+            hi, hi_seen = x, True
+        newton = f / df if 0.0 < df < math.inf else math.inf
+        if x - newton == x:
+            return x
+        if lo < x - newton < hi and 2.0 * abs(newton) <= abs(step):
+            step = newton
+            x_new = x - step
+        else:
+            step = 0.5 * (hi - lo)
+            x_new = lo + step
+        tol = ctx.tol(x_new) if xtol is None else xtol
+        if abs(step) <= tol or x_new == x:
+            if (not lo_seen and x_new - lo <= tol) or (not hi_seen and hi - x_new <= tol):
+                fdf(x_new)   # the evaluation that checks an unevaluated end
+            return x_new
+        x = x_new
+    raise AssertionError("the reference hit the iteration cap")
+
+
+# Seeded root families for newton_root: name -> (draw of c, bracket, fdf of
+# c, the root in mpmath).  The last has a root of slope 1e-9 inside a near
+# triple root, where Newton converges linearly for most of the way.
+_NEWTON_FAMILIES = {
+    "cube": (lambda rng: rng.uniform(0.5, 100.0), (0.0, 5.0),
+             lambda c: lambda x: (x ** 3 - c, 3.0 * x * x),
+             lambda mp, c: mp.cbrt(c)),
+    "exp": (lambda rng: 10.0 ** rng.uniform(-3.0, 3.0), (-10.0, 10.0),
+            lambda c: lambda x: (math.exp(x) - c, math.exp(x)),
+            lambda mp, c: mp.log(c)),
+    "atan": (lambda rng: rng.uniform(-5.0, 5.0), (-10.0, 10.0),
+             lambda c: lambda x: (math.atan(x - c), 1.0 / (1.0 + (x - c) ** 2)),
+             lambda mp, c: mp.mpf(c)),
+    "quintic": (lambda rng: rng.uniform(-50.0, 50.0), (-3.0, 3.0),
+                lambda c: lambda x: (x ** 5 + x - c, 5.0 * x ** 4 + 1.0),
+                lambda mp, c: mp.findroot(lambda x: x ** 5 + x - c, (-3, 3),
+                                          solver="anderson")),
+    "near_triple": (lambda rng: rng.uniform(-1.0, 1.0), (-2.0, 2.0),
+                    lambda c: lambda x: ((x - c) ** 3 + 1e-9 * (x - c),
+                                         3.0 * (x - c) ** 2 + 1e-9),
+                    lambda mp, c: mp.mpf(c)),
+}
+
+
 class TestNewtonRoot:
     @staticmethod
     def _recording(fdf):
@@ -227,19 +285,88 @@ class TestNewtonRoot:
             return fdf(x)
         return wrapped, seen
 
+    @staticmethod
+    def _scripted(*answers):
+        """fdf that gives the (f, f') pairs in turn and records where it was
+        asked; one call more is an error."""
+        seen, answers = [], list(answers)
+
+        def fdf(x):
+            seen.append(x)
+            return answers.pop(0)
+        return fdf, seen
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-8, 1e-4])
+    @pytest.mark.parametrize("family", sorted(_NEWTON_FAMILIES))
+    def test_predicted_stop_against_the_step_rule(self, family, eps):
+        # within 2 tol of the root, where the worst of either rule measured
+        # 1.95 tol (the near triple root at 1e-4), and from every start no
+        # more evaluations than the step rule alone
+        mp = pytest.importorskip("mpmath")
+        draw, (lo, hi), make, truth = _NEWTON_FAMILIES[family]
+        ctx = PrecisionContext(eps_rel=eps)
+        rng = random.Random(f"{family}:{eps}")
+        for _ in range(40):
+            c, x0 = draw(rng), rng.uniform(lo, hi)
+            fdf, seen = self._recording(make(c))
+            by_step, seen_by_step = self._recording(make(c))
+            x = newton_root(fdf, lo, hi, x0, ctx)
+            _newton_root_by_step(by_step, lo, hi, x0, ctx)
+            with mp.workdps(40):
+                root = truth(mp, c)
+                assert abs(x - root) <= 2.0 * ctx.tol(float(root))
+            assert len(seen) <= len(seen_by_step)
+
+    def test_two_newton_steps_predict_the_stop(self):
+        # steps of -0.1 and then 1e-6, above the tolerance of 6e-13, predict
+        # an error of 1e-6 (1e-6/0.1)^2 = 1e-16, within 6e-13/1024: the
+        # search ends without evaluating the point it returns
+        fdf, seen = self._scripted((-0.1, 1.0), (1e-6, 1.0))
+        assert newton_root(fdf, 0.0, 1.0, 0.5) == 0.6 - 1e-6
+        assert seen == [0.5, 0.6]
+
+    def test_a_bisection_does_not_arm_the_prediction(self):
+        # a Newton step of -0.1, a bisection (the slope 1e-3 sends Newton out
+        # of [0.5, 0.6]) and a Newton step of 1e-6: set against either step
+        # before it, the last would predict an error within the tolerance's
+        # share; after a bisection it must be evaluated
+        fdf, seen = self._scripted((-1.0, 10.0), (1.0, 1e-3), (-1e-6, 1.0), (0.0, 1.0))
+        x = newton_root(fdf, 0.0, 1.0, 0.5)
+        assert seen[:2] == [0.5, 0.6]
+        assert x == seen[3] == seen[2] + 1e-6
+
+    @pytest.mark.parametrize("xtol", [1e-300, 5e-324])
+    @pytest.mark.parametrize("family", sorted(_NEWTON_FAMILIES))
+    def test_a_tolerance_next_to_underflow(self, family, xtol):
+        # no step is within the tolerance and no prediction within its share,
+        # which underflows to 0 at 5e-324: the search ends on a step below
+        # half an ulp, a root or two equal points, and forming the
+        # prediction raises no ZeroDivisionError or OverflowError
+        mp = pytest.importorskip("mpmath")
+        draw, (lo, hi), make, truth = _NEWTON_FAMILIES[family]
+        rng = random.Random(f"{family}:tiny")
+        for _ in range(10):
+            c = draw(rng)
+            x = newton_root(make(c), lo, hi, rng.uniform(lo, hi), xtol=xtol)
+            with mp.workdps(40):
+                root = truth(mp, c)
+                assert abs(x - root) <= 2.0 * DEFAULT_CTX.tol(float(root))
+
     def test_sqrt2_in_few_evaluations(self):
         fdf, seen = self._recording(lambda x: (x * x - 2.0, 2.0 * x))
         assert newton_root(fdf, 0.0, 2.0, 1.5) == pytest.approx(math.sqrt(2.0), rel=1e-15)
         assert len(seen) <= 5
 
     def test_step_below_an_ulp_ends_the_search(self):
-        # from 4 the steps on x^3 - 10 fall from 2e-12 (above the tolerance)
-        # to below half an ulp: the last point is the root; taking that step
-        # for one that leaves the bracket bisected 40 more times and stopped
-        # 9e-13 away
+        # 2e-9 above the root of x^3 - 10, the first step (2e-9, above the
+        # tolerance, and with no step before it to predict from) lands
+        # within an ulp, where the next step is 1.3e-16, below half an ulp:
+        # that point is the root; taking the step for one that leaves the
+        # bracket would bisect on
         fdf, seen = self._recording(lambda x: (x ** 3 - 10.0, 3.0 * x * x))
-        assert newton_root(fdf, 0.0, 5.0, 4.0) == pytest.approx(10.0 ** (1 / 3), rel=1e-15)
-        assert len(seen) <= 8
+        root = 10.0 ** (1 / 3)
+        assert newton_root(fdf, 0.0, 5.0, root + 2e-9) == pytest.approx(root, rel=1e-15)
+        assert len(seen) == 2
 
     def test_bracket_ends_are_not_evaluated(self):
         def fdf(x):
