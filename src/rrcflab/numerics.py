@@ -3,8 +3,9 @@ summation with tail control, bracketed root finding, and Richardson-refined
 central differences.
 
 The root finders stop on the bracket or the step: Brent when its bracket is
-within the tolerance, safeguarded Newton when a step is, or when its last
-two Newton steps predict an error within 1/1024 of it.
+within the tolerance, safeguarded Newton when a step is, or when three
+Newton steps in a row agree on a quadratic model that predicts an error
+within 1/1024 of it.
 
 A context holds only the tolerance; the iteration caps, which no caller
 varies, are the module constants MAX_SERIES_TERMS and MAX_ROOT_ITERS (and
@@ -28,8 +29,11 @@ FD_STEP = MACHINE_EPS ** (1.0 / 5.0)
 # Evaluations allowed to find_root and newton_root before ConvergenceError.
 MAX_ROOT_ITERS = 200
 # newton_root also stops when the error that its last two Newton steps
-# predict is at most this share of the tolerance (quadrature's tail share).
+# predict is at most this share of the tolerance (quadrature's tail share),
+# once the Newton step before them came within this factor of what the two
+# steps before it predicted.
 _PREDICTION_SHARE = 1.0 / 1024
+_CONFIRM_FACTOR = 4.0
 # Terms allowed to sum_series and 2F1's series, and steps to the incomplete
 # Beta's continued fraction, before SeriesDivergenceError.
 MAX_SERIES_TERMS = 2000
@@ -268,18 +272,24 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
 
     Stops when a step is within the tolerance tol = xtol (default
     ctx.tol(x), the relative rule; a search in a log coordinate passes an
-    absolute one), or on the error that the last two steps predict, when
-    both were Newton steps: the step s just taken predicts |s| (s/s_prev)^2
-    for the new point, since each error is about the square of the one
-    before times a constant, which the last two steps estimate.  A
-    prediction within tol/1024 returns the new point without evaluating it,
-    where the step rule alone spent one more evaluation to confirm it.  The
-    share 1/1024, quadrature's tail share, leaves room for that constant to
-    grow a thousandfold from one step to the next.  A bisection clears the
-    history.  On linear convergence at a ratio rho the prediction is
-    rho^2 |s| against an error of about rho |s|/(1 - rho): from rho = 1/32
-    up (the guard caps rho at 1/2) the step rule stops first, and from
-    rho = 1/1023 up the error left is within tol whichever rule fires.
+    absolute one), or on an error that Newton steps predict and confirm.
+    Each error is about the square of the one before times a constant, and
+    a Newton step is about the error of the point it starts from, so two
+    Newton steps s_prev, s predict |s| (s/s_prev)^2 for the point s
+    reaches.  The Newton step from that point confirms the prediction when
+    it comes within a factor of 4 of it, above or below; then the new
+    prediction, if it is within tol/1024, returns the new point without
+    evaluating it, where the step rule alone spent one more evaluation.  So
+    the rule needs three Newton steps in a row, and a bisection clears
+    them.  Two steps are no evidence: a first step from where f is nearly
+    linear to where it curves sharply predicts far too small an error.  The
+    share 1/1024, quadrature's tail share, presumes that the constant, once
+    it held within 4 over one step, does not grow a thousandfold over the
+    next.  On linear convergence at a ratio rho each step is rho times the
+    one before, 1/rho times the error predicted for its start: below
+    rho = 1/4 nothing is confirmed, and from there up (the guard caps rho
+    at 1/2) a prediction within tol/1024 needs a step within 16 tol/1024,
+    where the step rule stops as well.
 
     Closing on a bracket end that was never evaluated costs one more
     evaluation, whichever rule stops, and a Newton estimate beyond that end
@@ -290,6 +300,10 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     if not lo <= x <= hi:
         raise DomainError(f"start {x0} outside the bracket [{lo}, {hi}]")
     lo_seen = hi_seen = newton_before = False
+    # the error that the last two Newton steps predict for x_new, and the one
+    # that the two before them predicted for x: math.inf until there are such
+    # steps since the start or the last bisection
+    predicted = expected = math.inf
     step = hi - lo
     for _ in range(MAX_ROOT_ITERS):
         f, df = fdf(x)
@@ -307,17 +321,27 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
             # the last bit (x is also a bracket end now, so the test below
             # would take the step for one that leaves the bracket)
             return x
-        if lo < x - newton < hi and 2.0 * abs(newton) <= abs(step):
-            # 0 < |newton| <= |step|/2: nothing divides by 0 or overflows,
-            # and the prediction can only underflow to 0
-            predicted = abs(newton) * (newton / step) ** 2 if newton_before else math.inf
-            step, newton_before = newton, True
+        size = abs(newton)
+        if lo < x - newton < hi and 2.0 * size <= abs(step):
+            if newton_before:
+                # 0 < size <= |step|/2: nothing divides by 0 or overflows,
+                # and a prediction can only underflow to 0
+                ratio = newton / step
+                expected, predicted = predicted, size * ratio * ratio
+            else:
+                newton_before = True
+            step = newton
             x_new = x - step
         else:
-            step, newton_before, predicted = 0.5 * (hi - lo), False, math.inf
+            step = 0.5 * (hi - lo)
             x_new = lo + step
+            newton_before, predicted = False, math.inf
         tol = ctx.tol(x_new) if xtol is None else xtol
-        if abs(step) <= tol or predicted <= _PREDICTION_SHARE * tol or x_new == x:
+        # the Newton step from x, about the error of x, confirms the error
+        # expected for x when it is within a factor of 4 of it
+        if (abs(step) <= tol or x_new == x
+                or (predicted <= _PREDICTION_SHARE * tol
+                    and expected <= _CONFIRM_FACTOR * size and size <= _CONFIRM_FACTOR * expected)):
             if (not lo_seen and x_new - lo <= tol) or (not hi_seen and hi - x_new <= tol):
                 # closing on an end that was never evaluated: one more
                 # Newton estimate tells a root next to it from one beyond it

@@ -353,6 +353,17 @@ class TestBetaRatioRoot:
             == pytest.approx(3.0, rel=1e-10)
 
 
+# Bases for theorem6_base_change, in floats and in mpmath: the complete
+# elliptic integral K, psi*, and the incomplete Beta's B16.
+_THEOREM6_BASES = {
+    "K": (lambda x: elliptic_k(math.sqrt(x)), lambda mp, x: mp.ellipk(x)),
+    "psi*": (lambda x: math.sqrt(math.asin(math.sqrt(x))),
+             lambda mp, x: mp.sqrt(mp.asin(mp.sqrt(x)))),
+    "B16": (lambda x: beta_sqrt(x, 1 / 6),
+            lambda mp, x: mp.sqrt(mp.betainc(mp.mpf(1) / 6, mp.mpf(1) / 6, 0, x))),
+}
+
+
 class TestTheorem6:
     def test_elliptic_base_is_self_consistent(self):
         alpha, r0, j0 = theorem6_base_change(
@@ -385,33 +396,41 @@ class TestTheorem6:
         alpha, _, _ = theorem6_base_change(lambda x: x ** power, r)
         assert alpha == pytest.approx(root, rel=1e-15)
 
-    @pytest.mark.oracle("theorem6_base_change")
-    @pytest.mark.parametrize("base, mp_base", [
-        (lambda x: elliptic_k(math.sqrt(x)), lambda mp, x: mp.ellipk(x)),
-        (lambda x: math.sqrt(math.asin(math.sqrt(x))),
-         lambda mp, x: mp.sqrt(mp.asin(mp.sqrt(x)))),
-        (lambda x: beta_sqrt(x, 1 / 6),
-         lambda mp, x: mp.sqrt(mp.betainc(mp.mpf(1) / 6, mp.mpf(1) / 6, 0, x))),
-    ], ids=["K", "psi*", "B16"])
-    def test_against_mpmath(self, base, mp_base):
-        # alpha against mp.findroot on the defining ratio f(1-x)/f(x) = sqrt r,
-        # in w = ln(alpha/(1-alpha)), where the search stops within eps_rel:
-        # within twice that (Brent's last bracket) plus two ulps of alpha in
-        # w (alpha's own rounding, and that of the x that the base is given,
-        # whose distance to 1 carries only ulp(1)).  The worst measured was
-        # 7e-12 at alpha = 1 - 2e-6 for B16, 2.1e-12 for K and 1.6e-13 for
-        # psi*, over r in [0.05, 20]
+    @staticmethod
+    def _gap_in_w(name, r):
+        """The alpha of theorem6_base_change against mp.findroot on the
+        defining ratio f(1-x)/f(x) = sqrt r, as a gap in w = ln(alpha/(1-alpha)),
+        where the search stops within eps_rel; and the bound it is held to,
+        twice that (Brent's last bracket) plus half an ulp of alpha in w,
+        alpha's own rounding."""
         mp = pytest.importorskip("mpmath")
+        base, mp_base = _THEOREM6_BASES[name]
+        alpha, _, _ = theorem6_base_change(base, r)
+        with mp.workdps(40):
+            ref = mp.findroot(lambda x: mp_base(mp, 1 - x) / mp_base(mp, x) - mp.sqrt(r),
+                              (mp.mpf("1e-30"), 1 - mp.mpf("1e-30")), solver="anderson")
+            gap = abs(mp.log(alpha / (1 - mp.mpf(alpha))) - mp.log(ref / (1 - ref)))
+        return float(gap), 2.0 * DEFAULT_CTX.eps_rel + 0.5 * math.ulp(alpha) / (alpha * (1.0 - alpha))
+
+    @pytest.mark.oracle("theorem6_base_change")
+    @pytest.mark.parametrize("name", sorted(_THEOREM6_BASES))
+    def test_against_mpmath(self, name):
+        # over r in [0.05, 20]; at alpha = 1 - 1e-6 the rounding of alpha
+        # alone is 5.5e-11 in w
         rng = random.Random(7)
         for _ in range(8):
             r = 10.0 ** rng.uniform(-1.3, 1.3)
-            alpha, _, _ = theorem6_base_change(base, r)
-            with mp.workdps(40):
-                ref = mp.findroot(lambda x: mp_base(mp, 1 - x) / mp_base(mp, x) - mp.sqrt(r),
-                                  (mp.mpf("1e-30"), 1 - mp.mpf("1e-30")), solver="anderson")
-                gap = abs(mp.log(alpha / (1 - mp.mpf(alpha))) - mp.log(ref / (1 - ref)))
-            tol = 2.0 * DEFAULT_CTX.eps_rel + 2.0 * math.ulp(alpha) / (alpha * (1.0 - alpha))
-            assert gap <= tol, (r, alpha)
+            gap, bound = self._gap_in_w(name, r)
+            assert gap <= bound, r
+
+    @pytest.mark.oracle("theorem6_base_change")
+    @pytest.mark.xfail(strict=True, reason=(
+        "the base is given 1 - alpha as a float next to 1, which carries a small "
+        "alpha only to ulp(1), so the gap is searched off: 3.2, 54 and 1.6 times "
+        "the bound in w (FOUND in CHANGES.md)"))
+    def test_small_alpha_against_mpmath(self):
+        gaps = [self._gap_in_w(name, r) for name, r in [("K", 20.0), ("K", 30.0), ("B16", 20.0)]]
+        assert all(gap <= bound for gap, bound in gaps)
 
     @pytest.mark.parametrize("power, r", [(0.25, 1e2), (0.25, 1e4), (-0.25, 1e4)])
     def test_period_ratio_next_to_the_ends(self, power, r):
@@ -851,9 +870,8 @@ class TestRootSearchWorkCounts:
     count measured unless it says otherwise.  Searched in x, the base
     changes at K, psi* and B16 took 11, 13 and 19 Brent evaluations (now 7,
     7 and 8).  App 2's five inversions of R took 81 Brent evaluations in q,
-    then 44 in ln q, then 15 Newton steps of the eta-quotient nome inverse,
-    and take 10 since Newton stops on the error its last two steps
-    predict."""
+    then 44 in ln q, and now take 15 Newton steps of the eta-quotient nome
+    inverse."""
 
     @pytest.fixture
     def evals(self, monkeypatch):
@@ -895,7 +913,7 @@ class TestRootSearchWorkCounts:
         # the measured count: tau(R) is the nome inverse at u = R^-5 - 11 - R^5
         assert run_check("App2.eq25").status == "pass"
         assert evals["find_root"] == 0
-        assert 0 < evals["newton_root"] <= 10
+        assert 0 < evals["newton_root"] <= 15
 
     @pytest.mark.parametrize("alpha, r", [
         (1 / 6, 2.0), (1 / 6, 5.0), (0.25, 3.0), (1 / 6, 0.2), (2.5, 1e-3),
@@ -917,12 +935,12 @@ class TestRootSearchWorkCounts:
         assert 0 < evals["find_root"] <= max_evals
 
     def test_general_bases(self, evals):
-        # two fractions a step; at most the 51 evaluations measured from the
+        # two fractions a step; at most the 53 evaluations measured from the
         # small-side start (63 when Newton stopped only on a step within the
         # tolerance, 67 from x = 1/2)
         for a, b, r in _INVERSIONS_BETA_DRAWS:
             beta_ratio_root(BetaBase(a, b), r)
-        assert 0 < evals["newton_root"] <= 51
+        assert 0 < evals["newton_root"] <= 53
         assert evals["beta_cf"] == 2 * evals["newton_root"]
 
     def test_theta(self, evals):
@@ -931,18 +949,18 @@ class TestRootSearchWorkCounts:
         for big_x in _INVERSIONS_THETA_DRAWS:
             theta_of_X(big_x)
         assert evals["find_root"] == 0
-        assert 0 < evals["newton_root"] <= 41
+        assert 0 < evals["newton_root"] <= 48
 
     @pytest.mark.parametrize("inverse, draws, max_evals", [
-        (F_of_x, _INVERSIONS_DRAWS["F"], 32),
-        (m_of_x, _INVERSIONS_DRAWS["m"], 32),
-        (G_of_x, _INVERSIONS_DRAWS["G"], 32),
-        (lambda inst: solve_sextic(SexticInstance(*inst)), _INVERSIONS_DRAWS["sextic"], 32),
+        (F_of_x, _INVERSIONS_DRAWS["F"], 38),
+        (m_of_x, _INVERSIONS_DRAWS["m"], 39),
+        (G_of_x, _INVERSIONS_DRAWS["G"], 39),
+        (lambda inst: solve_sextic(SexticInstance(*inst)), _INVERSIONS_DRAWS["sextic"], 42),
     ], ids=["F", "m", "G", "sextic"])
     def test_eta_tail(self, evals, inverse, draws, max_evals):
-        # the measured counts, 38, 39, 39 and 42 when Newton stopped only on
-        # a step within the tolerance; the sextic's quarter modulus is a
-        # Brent search of its own
+        # the measured counts: these searches take two or three Newton
+        # steps, too few to confirm a predicted error; the sextic's quarter
+        # modulus is a Brent search of its own
         for arg in draws:
             inverse(arg)
         assert 0 < evals["newton_root"] <= max_evals

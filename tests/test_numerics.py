@@ -252,8 +252,11 @@ def _newton_root_by_step(fdf, lo, hi, x0, ctx=DEFAULT_CTX, xtol=None):
 
 
 # Seeded root families for newton_root: name -> (draw of c, bracket, fdf of
-# c, the root in mpmath).  The last has a root of slope 1e-9 inside a near
-# triple root, where Newton converges linearly for most of the way.
+# c, the root in mpmath).  near_triple has a root of slope 1e-9 inside a near
+# triple root, where Newton converges linearly for most of the way.  In
+# exp_kink and tanh_step the curvature is all in a stretch of width 1/k next
+# to the root: a step from the flat part lands next to it, and the two steps
+# there say little of the next.
 _NEWTON_FAMILIES = {
     "cube": (lambda rng: rng.uniform(0.5, 100.0), (0.0, 5.0),
              lambda c: lambda x: (x ** 3 - c, 3.0 * x * x),
@@ -272,7 +275,25 @@ _NEWTON_FAMILIES = {
                     lambda c: lambda x: ((x - c) ** 3 + 1e-9 * (x - c),
                                          3.0 * (x - c) ** 2 + 1e-9),
                     lambda mp, c: mp.mpf(c)),
+    # x - 1 + e^(k(x-1))/k: the root is 1 - W(1)/k
+    "exp_kink": (lambda rng: 10.0 ** rng.uniform(2.0, 5.0), (0.0, 1.001),
+                 lambda k: lambda x: (x - 1.0 + math.exp(k * (x - 1.0)) / k,
+                                      1.0 + math.exp(k * (x - 1.0))),
+                 lambda mp, k: 1 - mp.lambertw(1).real / k),
+    # x - 1 + a tanh(k(x - 1) - u), within a of 1
+    "tanh_step": (lambda rng: (10.0 ** rng.uniform(2.0, 5.0), 10.0 ** rng.uniform(-3.0, -1.0),
+                               rng.uniform(-3.0, 3.0)), (-10.0, 10.0),
+                  lambda c: lambda x: _tanh_step(x, *c),
+                  lambda mp, c: mp.findroot(
+                      lambda x: x - 1 + c[1] * mp.tanh(c[0] * (x - 1) - c[2]),
+                      (1 - 2 * c[1], 1 + 2 * c[1]), solver="bisect")),
 }
+
+
+def _tanh_step(x, k, a, u):
+    t = k * (x - 1.0) - u
+    # past |t| = 300 the slope is 1 to the last bit, and cosh^2 would overflow
+    return x - 1.0 + a * math.tanh(t), 1.0 + a * k / math.cosh(min(abs(t), 300.0)) ** 2
 
 
 class TestNewtonRoot:
@@ -300,8 +321,9 @@ class TestNewtonRoot:
     @pytest.mark.parametrize("family", sorted(_NEWTON_FAMILIES))
     def test_predicted_stop_against_the_step_rule(self, family, eps):
         # within 2 tol of the root, where the worst of either rule measured
-        # 1.95 tol (the near triple root at 1e-4), and from every start no
-        # more evaluations than the step rule alone
+        # 1.69 tol (the near triple root at 1e-4, where the step rule stops;
+        # no search stopped on a prediction ends 1e-3 tol off), and from
+        # every start no more evaluations than the step rule alone
         mp = pytest.importorskip("mpmath")
         draw, (lo, hi), make, truth = _NEWTON_FAMILIES[family]
         ctx = PrecisionContext(eps_rel=eps)
@@ -317,23 +339,41 @@ class TestNewtonRoot:
                 assert abs(x - root) <= 2.0 * ctx.tol(float(root))
             assert len(seen) <= len(seen_by_step)
 
-    def test_two_newton_steps_predict_the_stop(self):
-        # steps of -0.1 and then 1e-6, above the tolerance of 6e-13, predict
-        # an error of 1e-6 (1e-6/0.1)^2 = 1e-16, within 6e-13/1024: the
-        # search ends without evaluating the point it returns
-        fdf, seen = self._scripted((-0.1, 1.0), (1e-6, 1.0))
-        assert newton_root(fdf, 0.0, 1.0, 0.5) == 0.6 - 1e-6
-        assert seen == [0.5, 0.6]
-
-    def test_a_bisection_does_not_arm_the_prediction(self):
-        # a Newton step of -0.1, a bisection (the slope 1e-3 sends Newton out
-        # of [0.5, 0.6]) and a Newton step of 1e-6: set against either step
-        # before it, the last would predict an error within the tolerance's
-        # share; after a bisection it must be evaluated
-        fdf, seen = self._scripted((-1.0, 10.0), (1.0, 1e-3), (-1e-6, 1.0), (0.0, 1.0))
+    @pytest.mark.parametrize("last, stops", [(1e-10, True), (1e-9, False), (1e-11, False)])
+    def test_a_confirmed_prediction_stops(self, last, stops):
+        # steps of -0.1 and 1e-4 predict an error of 1e-4 (1e-4/0.1)^2 =
+        # 1e-10 for the point they reach.  A third step within a factor of 4
+        # of that confirms them, and its own prediction, within 6e-13/1024,
+        # ends the search without evaluating the point it returns; a third
+        # step 10 times larger or smaller than predicted does not, although
+        # it predicts less still
+        fdf, seen = self._scripted((-0.1, 1.0), (1e-4, 1.0), (last, 1.0), (0.0, 1.0))
         x = newton_root(fdf, 0.0, 1.0, 0.5)
-        assert seen[:2] == [0.5, 0.6]
-        assert x == seen[3] == seen[2] + 1e-6
+        assert seen[:3] == [0.5, 0.6, 0.6 - 1e-4]
+        assert x == seen[2] - last
+        assert len(seen) == (3 if stops else 4)
+
+    def test_two_newton_steps_do_not_stop(self):
+        # steps of -0.1 and 1e-6 predict an error of 1e-16 for the point
+        # they reach, within the tolerance's share, but nothing has
+        # confirmed the prediction: that point is evaluated
+        fdf, seen = self._scripted((-0.1, 1.0), (1e-6, 1.0), (0.0, 1.0))
+        assert newton_root(fdf, 0.0, 1.0, 0.5) == 0.6 - 1e-6
+        assert seen == [0.5, 0.6, 0.6 - 1e-6]
+
+    def test_a_bisection_clears_the_prediction(self):
+        # Newton steps of -0.1 and 1e-4 predict an error of 1e-10; then the
+        # slope 1e-3 sends Newton out of [0.5, 0.5999], and a bisection
+        # follows.  The Newton step of 1e-10 after it would confirm the
+        # prediction and, set against the bisection, predict an error far
+        # within the tolerance's share; the bisection cleared both, so the
+        # point it reaches is evaluated
+        fdf, seen = self._scripted((-1.0, 10.0), (1e-4, 1.0), (1.0, 1e-3),
+                                   (-1e-10, 1.0), (0.0, 1.0))
+        x = newton_root(fdf, 0.0, 1.0, 0.5)
+        assert seen[:3] == [0.5, 0.6, 0.6 - 1e-4]
+        assert seen[3] == 0.5 + 0.5 * (seen[2] - 0.5)
+        assert x == seen[4] == seen[3] + 1e-10
 
     @pytest.mark.parametrize("xtol", [1e-300, 5e-324])
     @pytest.mark.parametrize("family", sorted(_NEWTON_FAMILIES))
@@ -359,7 +399,7 @@ class TestNewtonRoot:
 
     def test_step_below_an_ulp_ends_the_search(self):
         # 2e-9 above the root of x^3 - 10, the first step (2e-9, above the
-        # tolerance, and with no step before it to predict from) lands
+        # tolerance, and with no steps before it to predict from) lands
         # within an ulp, where the next step is 1.3e-16, below half an ulp:
         # that point is the root; taking the step for one that leaves the
         # bracket would bisect on
@@ -367,6 +407,11 @@ class TestNewtonRoot:
         root = 10.0 ** (1 / 3)
         assert newton_root(fdf, 0.0, 5.0, root + 2e-9) == pytest.approx(root, rel=1e-15)
         assert len(seen) == 2
+
+    def test_root_of_a_cubic_from_far(self):
+        fdf, seen = self._recording(lambda x: (x ** 3 - 10.0, 3.0 * x * x))
+        assert newton_root(fdf, 0.0, 5.0, 4.0) == pytest.approx(10.0 ** (1 / 3), rel=1e-15)
+        assert len(seen) <= 8
 
     def test_bracket_ends_are_not_evaluated(self):
         def fdf(x):
