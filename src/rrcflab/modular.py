@@ -27,8 +27,8 @@ from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, ConvergenceError
 from .quadrature import integrate_finite
 from .special import (BetaBase, _beta_cf, _incomplete_beta_log, appell_f1,
                       complete_beta, elliptic_k_complementary, gauss_2f1)
-from .qseries import (eta_tail_log, lambert_sum, rrcf_of_log_q, u_log_of_log_q,
-                      u_of_q)
+from .qseries import (eta_tail_log, lambert_sum, product_logs_of_log_q,
+                      rrcf_of_log_q, u_of_q)
 
 
 # The quarter-modulus branch point: j as a function of t = k^2 attains its
@@ -283,7 +283,7 @@ def G_of_x(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     overflows a float: DomainError.  The registry checks G against the
     surd-tail integral it inverts.
     """
-    log_g = u_log_of_log_q(-math.pi * _fifth_tail_index(x, ctx))
+    log_g = product_logs_of_log_q(-math.pi * _fifth_tail_index(x, ctx))[2]
     if log_g >= LOG_FLOAT_MAX:
         raise DomainError(f"G({x}) overflows a float")
     return math.exp(log_g)
@@ -540,24 +540,23 @@ def theorem6_base_change(fbase, r: float,
     find_root (fbase has no known derivative) on the gap ln ratio - (ln r)/2
     in w = ln(x/(1-x)), where the paper's base ratios, powers of x near the
     ends, are nearly linear, and stops within eps_rel in w, which is
-    eps_rel relative in alpha and in 1-alpha.  Both x and 1-x are formed
-    from w by _logistic_pair.  The gap is first taken at the logits of the
-    grid x = 0.1, ..., 0.9, where it must be monotone; the search runs in
-    the grid cell where it changes sign, or in an end cell out to 1e-12 or
-    1 - 1e-12.  alpha maps to r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and
-    to the lambda-line j0.  Returns (alpha, r0, j0); the J.invert.* checks
-    of the registry test the inversion of j.
+    eps_rel relative in alpha and in 1-alpha, plus about ulp(1)/alpha in w
+    at small alpha, since fbase takes 1-x as a float next to 1 (x and 1-x
+    are both formed from w by _logistic_pair).  The gap is first taken at
+    the logits of the grid x = 0.1, ..., 0.9, where it must be monotone;
+    the search runs in the grid cell where it changes sign, or in an end
+    cell out to 1e-12 or 1 - 1e-12.  alpha maps to
+    r0 = (K(sqrt(1-alpha))/K(sqrt(alpha)))^2 and to the lambda-line j0.
+    Returns (alpha, r0, j0); the J.invert.* checks of the registry test the
+    inversion of j.
 
     Theorem 6 divides by the base, so fbase must be positive and finite on
-    (0, 1); a base that vanishes, or is not finite, on the grid or in the
-    search is the caller's error: DomainError, as is r outside (0, inf).
+    (0, 1); a base that vanishes, is not finite, or raises ZeroDivisionError,
+    ValueError or OverflowError, on the grid or in the search, is the
+    caller's error: DomainError, as is r outside (0, inf).
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"need 0 < r < inf, got {r}")
-    values = [fbase(x) for x in _MONOTONE_GRID]
-    if not all(0.0 < v < math.inf for v in values):
-        raise DomainError(f"base must be positive and finite on (0, 1), got "
-                          f"{values} on the grid {_MONOTONE_GRID}")
     half_log_r = 0.5 * math.log(r)
 
     def gap(w: float) -> float:
@@ -565,6 +564,10 @@ def theorem6_base_change(fbase, r: float,
         return math.log(fbase(y) / fbase(x)) - half_log_r
 
     try:
+        values = [fbase(x) for x in _MONOTONE_GRID]
+        if not all(0.0 < v < math.inf for v in values):
+            raise DomainError(f"base must be positive and finite on (0, 1), got "
+                              f"{values} on the grid {_MONOTONE_GRID}")
         # the gap at each grid logit, as the search evaluates it: fbase(1 - x_i)
         # is the sample at x_(8-i)
         gaps = [math.log(v / u) - half_log_r for u, v in zip(values, reversed(values))]
@@ -579,7 +582,7 @@ def theorem6_base_change(fbase, r: float,
     except KernelError:
         raise
     except (ZeroDivisionError, OverflowError, ValueError) as exc:
-        raise DomainError(f"base is not positive and finite in the search: "
+        raise DomainError(f"base is not positive and finite on (0, 1): "
                           f"{exc!r}") from exc
     alpha, complement = _logistic_pair(w)
     # K(sqrt(1-alpha)) = K'(sqrt(alpha)) and K(sqrt(alpha)) =

@@ -7,8 +7,9 @@ eta tail int_s^inf eta(i t/2)^4 dt summed term by term from its q-expansion.
 Products are evaluated as logs, so values near q -> 1 degrade gracefully
 instead of underflowing: ln f(-q) is the log1p of Euler's pentagonal series
 for q <= 0.2 and the eta inversion of it above.  A nome is a float q in
-(0, 1), and DomainError outside it.  A nome integral's node makes one call,
-product_logs_of_log_q (cached; ln f(-q), ln f(-q^5), ln u at ln q) or
+(0, 1), and DomainError outside it.  ln u is formed in one place,
+product_logs_of_log_q (cached; ln f(-q), ln f(-q^5), ln u at ln q): u and R'
+read it at ln q, and a nome integral's node makes one call, to it or to
 lambert_sum (the Lambert sum and ln f(-q)); R(q)^5 is rrcf_of_kappa(u + 10).
 """
 
@@ -228,19 +229,15 @@ def rrcf_of_log_q(log_q: float) -> float:
 
 
 def u_of_q(q: float) -> float:
-    """u(q) = f(-q)^6 / (q f(-q^5)^6) = 1/R^5 - 11 - R^5.
+    """u(q) = f(-q)^6 / (q f(-q^5)^6) = 1/R^5 - 11 - R^5, with ln u from
+    product_logs_of_log_q at ln q.
 
     Strictly decreasing; blows up like 1/q near 0 and vanishes as q -> 1.
     """
     try:
-        return math.exp(u_of_q_log(q))   # which checks the nome
+        return math.exp(product_logs_of_log_q(math.log(_as_q(q)))[2])
     except OverflowError:
         raise DomainError(f"u({q}) overflows a float") from None
-
-
-def u_of_q_log(q: float) -> float:
-    qf = _as_q(q)
-    return 6.0 * _log_qpochhammer(qf) - math.log(qf) - 6.0 * _log_qpochhammer(qf ** 5)
 
 
 @lru_cache(maxsize=65536)
@@ -254,16 +251,14 @@ def product_logs_of_log_q(log_q: float) -> tuple[float, float, float]:
     return log_f, log_f5, 6.0 * (log_f - log_f5) - log_q
 
 
-def u_log_of_log_q(log_q: float) -> float:
-    """ln u(q) at q = e^log_q, for log_q <= -1e-300 (see rrcf_of_log_q)."""
-    return product_logs_of_log_q(log_q)[2]
-
-
 def rrcf_derivative(q: float) -> float:
-    """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1).
+    """R'(q) = q^(-5/6) f(-q)^4 R(q) u(q)^(1/6) / 5; positive on (0, 1),
+    with ln f(-q) and ln u from product_logs_of_log_q at ln q.
     R'(q) ~ q^(-4/5)/5 as q -> 0 is finite for every float q, but
     q^(-5/6) u^(1/6) alone overflows below q ~ 1e-308, so ln R joins the
     exponent."""
     qf = _as_q(q)
-    return 0.2 * math.exp((-5.0 / 6.0) * math.log(qf) + 4.0 * _log_qpochhammer(qf)
-                          + u_of_q_log(qf) / 6.0 + math.log(_rrcf_cached(qf)))
+    log_q = math.log(qf)
+    log_f, _, log_u = product_logs_of_log_q(log_q)
+    return 0.2 * math.exp((-5.0 / 6.0) * log_q + 4.0 * log_f
+                          + log_u / 6.0 + math.log(_rrcf_cached(qf)))

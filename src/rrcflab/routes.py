@@ -19,7 +19,7 @@ from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
 from .qseries import (GOLDEN_CONJUGATE, lambert_sum, product_logs_of_log_q, rrcf,
-                      rrcf_of_kappa, u_of_q_log)
+                      rrcf_of_kappa)
 from .modular import (SQRT5, SexticInstance, _eta_quotient_index,
                       _singular_modulus_pair, eta_quotient_nome_of, klein_j,
                       sextic_variable_of_index)
@@ -183,8 +183,9 @@ def dr_dk(k: float) -> float:
     R'(q) dq/dk = dR/dk closes."""
     q = modulus_nome(k)
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    u6 = math.exp(u_of_q_log(q) / 6.0)
-    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * rrcf(q) * u6
+    r = rrcf(q)   # before ln q: a nome that underflows to 0 is its DomainError
+    u6 = math.exp(product_logs_of_log_q(math.log(q))[2] / 6.0)
+    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * r * u6
 
 
 def sextic_period_ratio_root(inst: SexticInstance, t: float) -> tuple[float, float]:

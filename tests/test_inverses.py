@@ -125,6 +125,7 @@ def _m_check(x):
 
 
 class TestF:
+    @pytest.mark.oracle("F_of_x")
     @ORACLE
     @given(st.floats(min_value=1e-250, max_value=1.0, exclude_max=True))
     @example(1e-9)                # a bracket judged on an absolute step in u was 1.9e-5 off
@@ -161,6 +162,8 @@ class TestBelowTheTop:
             assert 0.0 < F_of_x(x) < GOLDEN_CONJUGATE, x
             assert G_of_x(x) > 0.0, x
 
+    @pytest.mark.oracle("F_of_x")
+    @pytest.mark.oracle("G_of_x")
     @pytest.mark.parametrize("x", [*BAND[::200], 0.8413092631952175])
     def test_defining_equations(self, x):
         _f_check(x)
@@ -168,6 +171,7 @@ class TestBelowTheTop:
 
 
 class TestG:
+    @pytest.mark.oracle("G_of_x")
     @ORACLE
     @given(st.floats(min_value=1e-45, max_value=1.0, exclude_max=True))
     @example(1e-6)
@@ -176,6 +180,7 @@ class TestG:
     def test_defining_equation(self, share):
         _g_check(F_ARGUMENT_MAX * share)
 
+    @pytest.mark.oracle("G_of_x")
     @pytest.mark.parametrize("x", [8e-4, 5e-4, 1e-5])
     def test_small_arguments(self, x):
         # an upward-doubling bracket that stops at 9.2e18 misses these roots
@@ -187,6 +192,7 @@ class TestG:
 
 
 class TestM:
+    @pytest.mark.oracle("m_of_x")
     @ORACLE
     @given(st.floats(min_value=1e-250, max_value=1.0, exclude_max=True))
     @example(1e-12)
@@ -200,6 +206,7 @@ class TestEtaQuotientNome:
     """q with u(q) = w against u = f(-q)^6 / (q f(-q^5)^6) in mpmath, to
     1e-13 relative plus the change one ulp of q makes in u."""
 
+    @pytest.mark.oracle("eta_quotient_nome_of")
     @ORACLE
     @given(st.floats(min_value=-6.0, max_value=12.0))
     @example(9.0)                 # w = 1e9: no sign change on a fixed bracket
@@ -285,6 +292,7 @@ class TestSurdTail:
     smooth integrand on either side of 1, and below 1 the closed-form total
     less a head of at most 0.11."""
 
+    @pytest.mark.oracle("surd_tail_integral")
     @ORACLE
     @given(st.floats(min_value=-12.0, max_value=12.0).map(lambda e: 10.0 ** e))
     @example(2.0239101052319723e-07)    # 2.4e-12 off with the head over [X, 1]
@@ -299,6 +307,7 @@ class TestSurdTail:
 
 
 class TestTheta:
+    @pytest.mark.oracle("theta_of_X")
     @ORACLE
     @given(st.floats(min_value=-10.0, max_value=300.0))
     @example(-10.0)
@@ -349,6 +358,7 @@ class TestBetaRatioRoot:
 
     # Bases and ratios as the paper's singular values and the benchmark draw
     # them; outside, a root may lie closer to 1 than the last float below it.
+    @pytest.mark.oracle("beta_ratio_root")
     @ORACLE
     @given(st.floats(min_value=0.15, max_value=3.0), st.floats(min_value=0.15, max_value=3.0),
            st.floats(min_value=-1.0, max_value=1.0))
@@ -358,6 +368,7 @@ class TestBetaRatioRoot:
     def test_defining_equation(self, a, b, log10_r):
         self._check(a, b, 10.0 ** log10_r)
 
+    @pytest.mark.oracle("beta_ratio_root")
     @pytest.mark.parametrize("a, b, r", [
         # a search in x judged on an absolute step missed these by 6.3 and
         # 3.0 tolerances (1 - x ~ 1e-4)
@@ -372,6 +383,7 @@ class TestBetaRatioRoot:
     # within 1e-16 of 1 lies past the search's last float, 1 - 2.2e-16:
     # BracketError.  Roots from 1 - 1e-15 to 1 - 1e-16, next to that float,
     # are left out.
+    @pytest.mark.oracle("beta_ratio_root")
     @settings(max_examples=60, deadline=None)
     @seed(101)
     @given(st.floats(min_value=-2.0, max_value=math.log10(3.0)),

@@ -987,6 +987,11 @@ class TestEntryContracts:
         (lambda: theorem6_base_change(lambda x: 0.0, 2.0), DomainError),
         (lambda: theorem6_base_change(lambda x: x, math.inf), DomainError),
         (lambda: theorem6_base_change(lambda x: x, math.nan), DomainError),
+        # bases that raise on the grid: they raised ZeroDivisionError,
+        # ValueError and OverflowError
+        (lambda: theorem6_base_change(lambda x: 1.0 / (x - 0.5), 2.0), DomainError),
+        (lambda: theorem6_base_change(lambda x: math.log(x - 0.45), 2.0), DomainError),
+        (lambda: theorem6_base_change(lambda x: math.exp(1e4 * x), 2.0), DomainError),
         (lambda: m_of_x(5e-324), _M_AT_SUBNORMAL),
         (lambda: SexticInstance(5e-324, 5e-324, 12.0), DomainError),
         (lambda: SexticInstance(1e300, 5e-324, 12.0), DomainError),
@@ -994,7 +999,9 @@ class TestEntryContracts:
             "beta_ratio_root(r=inf)", "beta_ratio_root(r=nan)",
             "beta_ratio_root(0.5,1e-300;2)",
             "theorem6_base_change(0)", "theorem6_base_change(r=inf)",
-            "theorem6_base_change(r=nan)", "m_of_x(5e-324)",
+            "theorem6_base_change(r=nan)", "theorem6_base_change(1/(x-0.5))",
+            "theorem6_base_change(log(x-0.45))", "theorem6_base_change(exp(1e4x))",
+            "m_of_x(5e-324)",
             "SexticInstance(5e-324,5e-324,12)", "SexticInstance(1e300,5e-324,12)"])
     def test_value_or_domain_error(self, call, outcome):
         if isinstance(outcome, float):

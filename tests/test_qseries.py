@@ -15,8 +15,8 @@ from rrcflab.qseries import (GOLDEN_CONJUGATE, dedekind_eta,
                              eta_quarter_integrand, eta_tail_log, lambert_sum,
                              product_logs_of_log_q, ramanujan_f, ramanujan_f_log,
                              rrcf, rrcf_derivative, rrcf_of_kappa, rrcf_of_log_q,
-                             u_log_of_log_q, u_of_q, u_of_q_log)
-from rrcflab.routes import dq_dk, dr_dk
+                             u_of_q)
+from rrcflab.routes import dq_dk, dr_dk, modulus_nome
 from rrcflab.special import elliptic_k
 
 Q_GRID = (0.05, 0.1, 0.2, 0.3, 0.5)
@@ -92,6 +92,7 @@ class TestAgainstMpmath:
     pentagonal branch ln f(-q) was measured within 3.7e-16 of mpmath over
     15,000 draws of q in (1e-300, 0.2), so its bound is 8e-16."""
 
+    @pytest.mark.oracle("ramanujan_f_log")
     @ORACLE_SETTINGS
     @given(NOMES)
     @example(math.nextafter(SERIES_CUT, 0.0))
@@ -110,6 +111,7 @@ class TestAgainstMpmath:
                 ref = _mp_log_f(mp, mp.mpf(q))
                 assert abs(ramanujan_f_log(q) - ref) <= bound * abs(ref)
 
+    @pytest.mark.oracle("rrcf")
     @ORACLE_SETTINGS
     @given(NOMES)
     @example(SERIES_CUT)
@@ -123,6 +125,7 @@ class TestAgainstMpmath:
                 ref = _mp_rrcf(mp, mp.mpf(q))
                 assert abs(rrcf(q) - ref) <= 4e-15 * ref
 
+    @pytest.mark.oracle("dedekind_eta")
     @ORACLE_SETTINGS
     @given(st.floats(min_value=0.0, max_value=0.997, exclude_min=True))
     @example(1e-300)
@@ -168,6 +171,7 @@ class TestEtaTail:
     The log carries the rounding of pi s/6 in its argument, so its bound is
     4 eps per unit of max(1, pi s/6); the worst seen is 1.6."""
 
+    @pytest.mark.oracle("eta_tail_log")
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(st.floats(min_value=0.0, max_value=4.0),
                      st.floats(min_value=0.0, max_value=2000.0)))
@@ -209,6 +213,7 @@ class TestLogNome:
     within 4.1e-16 of mpmath over 15,000 draws of q in (1e-300, 0.2), so
     its bound is 9e-16."""
 
+    @pytest.mark.oracle("rrcf_of_log_q")
     @ORACLE_SETTINGS
     @given(st.one_of(st.floats(min_value=-3400.0, max_value=-1e-3),
                      st.floats(min_value=-1.0, max_value=-1e-3)))
@@ -223,6 +228,7 @@ class TestLogNome:
             bound = 4e-15 * max(1.0, abs(float(mp.log(ref))))
         assert abs(rrcf_of_log_q(log_q) - ref) <= bound * ref
 
+    @pytest.mark.oracle("product_logs_of_log_q")
     @ORACLE_SETTINGS
     @given(st.one_of(st.floats(min_value=-3400.0, max_value=-1e-3),
                      st.floats(min_value=-1.0, max_value=-1e-3)))
@@ -235,11 +241,12 @@ class TestLogNome:
             lq = mp.mpf(log_q)
             products = (_mp_log_f(mp, mp.exp(lq)), _mp_log_f(mp, mp.exp(5 * lq)))
             ref = 6 * products[0] - lq - 6 * products[1]
-        assert abs(u_log_of_log_q(log_q) - ref) <= 4e-15 * max(1.0, abs(float(ref)))
+        assert abs(product_logs_of_log_q(log_q)[2] - ref) <= 4e-15 * max(1.0, abs(float(ref)))
         # and the ln f(-q), ln f(-q^5) it is made of
         for value, product in zip(product_logs_of_log_q(log_q), products):
             assert abs(value - product) <= 4e-15 * max(1.0, abs(float(product)))
 
+    @pytest.mark.oracle("lambert_sum")
     @ORACLE_SETTINGS
     @given(st.floats(min_value=0.0, max_value=BRANCH_SWITCH))
     @example(0.0)
@@ -272,10 +279,9 @@ class TestLogNome:
         with pytest.raises(DomainError):
             rrcf_of_log_q(log_q)
         with pytest.raises(DomainError):
-            u_log_of_log_q(log_q)
-        with pytest.raises(DomainError):
             product_logs_of_log_q(log_q)
 
+    @pytest.mark.oracle("rrcf_of_kappa")
     def test_rrcf_fifth_power_from_u(self):
         # R^5 is the root of 1/R^5 - 11 - R^5 = u, rrcf_of_kappa at u + 10:
         # exp carries the rounding of ln u into u, so the bound is
@@ -287,7 +293,7 @@ class TestLogNome:
             nomes.append(10.0 ** rng.uniform(-100.0, math.log10(0.5)))
             nomes.append(1.0 - 10.0 ** rng.uniform(-12.0, math.log10(0.5)))
         for q in nomes:
-            log_u = u_log_of_log_q(math.log(q))
+            log_u = product_logs_of_log_q(math.log(q))[2]
             fifth = rrcf_of_kappa(math.exp(log_u) + 10.0)
             with mp.workdps(30):
                 ref = _mp_rrcf(mp, mp.mpf(q)) ** 5
@@ -339,8 +345,7 @@ class TestFloatNomes:
     """A nome is a float in (0, 1): every entry that takes one raises
     DomainError outside it."""
 
-    ENTRIES = (ramanujan_f, ramanujan_f_log, rrcf, u_of_q, u_of_q_log,
-               rrcf_derivative)
+    ENTRIES = (ramanujan_f, ramanujan_f_log, rrcf, u_of_q, rrcf_derivative)
 
     @pytest.mark.parametrize("q", [0.0, -0.0, 1.0, -0.5, 1.5, -1e-300,
                                    math.nextafter(1.0, 2.0), math.inf, math.nan])
@@ -465,7 +470,7 @@ class TestEtaQuotientPower:
         assert values == sorted(values, reverse=True)
 
     def test_log_form_reaches_extreme_nomes(self):
-        assert u_of_q_log(0.999999) < -1e5
+        assert product_logs_of_log_q(math.log(0.999999))[2] < -1e5
 
     def test_past_the_doubles_is_a_domain_error(self):
         # u ~ 1/q: finite at q = 1e-300, 1e320 at q = 1e-320 (it raised
@@ -475,12 +480,29 @@ class TestEtaQuotientPower:
             u_of_q(1e-320)
 
 
+class TestOneLogOfU:
+    """u and R' read ln u, and R' also ln f(-q), from the one cached
+    product_logs_of_log_q call at ln q."""
+
+    @pytest.mark.parametrize("q", [1e-300, Q_E2PI, 0.2, 0.5, 0.999])
+    @pytest.mark.parametrize("entry", [u_of_q, rrcf_derivative], ids=lambda f: f.__name__)
+    def test_warm_call_is_one_product_logs_hit(self, entry, q):
+        entry(q)
+        logs, products = product_logs_of_log_q.cache_info(), qseries._log_qpochhammer.cache_info()
+        entry(q)
+        warm_logs = product_logs_of_log_q.cache_info()
+        warm_products = qseries._log_qpochhammer.cache_info()
+        assert (warm_logs.hits - logs.hits, warm_logs.misses - logs.misses) == (1, 0)
+        assert (warm_products.hits, warm_products.misses) == (products.hits, products.misses)
+
+
 class TestDerivative:
     @pytest.mark.parametrize("q", (0.05, 0.2))
     def test_against_finite_differences(self, q):
         fd = differentiate(rrcf, q)
         assert rrcf_derivative(q) == pytest.approx(fd.value, rel=1e-6)
 
+    @pytest.mark.oracle("rrcf_derivative")
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=math.log(1e-8), max_value=math.log(0.95)))
     @example(math.log(1e-8))
@@ -503,6 +525,7 @@ class TestDerivative:
         for q in (0.01, 0.1, 0.2, 0.4, 0.6):
             assert rrcf_derivative(q) > 0.0
 
+    @pytest.mark.oracle("rrcf_derivative")
     @pytest.mark.parametrize("q", [5e-324, 1e-320, 1e-310, 1e-305, 1e-300, 1e-250])
     def test_finite_next_to_zero(self, q):
         # R(q) = q^(1/5) (1 + O(q)), so R'(q) = q^(-4/5)/5 to all digits
@@ -515,6 +538,7 @@ class TestDerivative:
             ref = mp.mpf(q) ** (mp.mpf(-4) / 5) / 5
         assert abs(rrcf_derivative(q) - ref) <= 4.0 * -math.log(q) * sys.float_info.epsilon * ref
 
+    @pytest.mark.oracle("rrcf_derivative")
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=math.log(1e-250), max_value=math.log(1e-8)))
     @example(math.log(1e-250))
@@ -548,6 +572,12 @@ class TestModulusDerivatives:
         # the map k -> q is increasing; the stated form carries a minus sign
         assert fd.value > 0.0 > stated
         assert abs(fd.value) == pytest.approx(abs(stated), rel=1e-6)
+
+    def test_nome_underflow_is_a_domain_error(self):
+        # at k = 1e-200 the nome e^(-pi K'/K) underflows to 0
+        assert modulus_nome(1e-200) == 0.0
+        with pytest.raises(DomainError):
+            dr_dk(1e-200)
 
     def test_modulus_outside_unit_interval_rejected(self):
         for k in (0.0, 1.0, -0.5, 1.5, math.nan):

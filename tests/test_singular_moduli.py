@@ -44,6 +44,7 @@ def _j(r):
         return (1728 * mp.kleinj(mp.mpc(0, mp.sqrt(r)))).real
 
 
+@pytest.mark.oracle("singular_modulus")
 @ORACLE
 @given(LOG_INDEX)
 @_index_examples
@@ -54,6 +55,7 @@ def test_singular_modulus_against_jtheta(log_r):
     assert abs(singular_modulus(r) - expected) <= bound * expected
 
 
+@pytest.mark.oracle("klein_j")
 @ORACLE
 @given(LOG_INDEX)
 @_index_examples
@@ -123,6 +125,7 @@ def _lambda_reference(j, lam):
         return mp.exp(mp.findroot(gap, mp.log(lam)))
 
 
+@pytest.mark.oracle("invert_lambda_j")
 @ORACLE
 @given(st.floats(-1.0, 300.0))
 @example(-1.0)

@@ -64,6 +64,7 @@ class TestGamma:
         # a pole is judged within a few ulps of the integer, not within 1e-12
         assert gamma(z) == pytest.approx(1.0 / z - 0.5772156649015329, rel=1e-15)
 
+    @pytest.mark.oracle("gamma")
     @pytest.mark.parametrize("z", [
         -3.0 + 1e-12, -2.0 - 1e-10, -10.000001, -1e-8, -7.3, -20.5,
         complex(-3.0 + 1e-12, 1e-9), complex(-2.0 - 1e-10, 1e-12),
@@ -95,6 +96,7 @@ class TestGamma:
         # a real x takes math.gamma, which stays finite up to 171.6
         assert gamma(x) == pytest.approx(math.gamma(x), rel=3e-13)
 
+    @pytest.mark.oracle("gamma")
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=-172.6, max_value=172.6),
            st.floats(min_value=-20.0, max_value=20.0))
@@ -127,6 +129,7 @@ class TestGamma:
             assume(size >= sys.float_info.min)
             assert abs(gamma(z) - complex(exact)) <= 5e-13 * size
 
+    @pytest.mark.oracle("gamma")
     @settings(max_examples=100, deadline=None)
     @given(st.floats(min_value=-20.0, max_value=0.5, exclude_max=True),
            st.floats(min_value=200.0, max_value=500.0), st.booleans())
@@ -151,6 +154,7 @@ class TestGamma:
         else:
             assert abs(gamma(z) - ref) <= 1e-15 * y * math.log(y) * size
 
+    @pytest.mark.oracle("gamma")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=-172.6, max_value=171.6))
     @example(-170.9994)
@@ -178,6 +182,7 @@ class TestGamma:
             assert isinstance(val, float)
             assert abs(val - ref) <= 2e-15 * size
 
+    @pytest.mark.oracle("log_gamma_real")
     @settings(max_examples=300, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1e6, exclude_min=True))
     @example(5e-324)
@@ -248,6 +253,7 @@ class TestGauss2F1:
         with pytest.raises(KernelError, match="overflows"):
             gauss_2f1(a, b, c, z)
 
+    @pytest.mark.oracle("gauss_2f1")
     def test_euler_power_past_the_doubles_takes_the_series_at_z(self):
         # the Euler transform's (1-z)^(c-a-b) = 0.3^-1501 overflows while
         # the value, 0.99997, is a double: judged by the log of the power's
@@ -263,6 +269,7 @@ class TestGauss2F1:
         assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(
             -math.log(1.0 - z) / z, rel=1e-11)
 
+    @pytest.mark.oracle("gauss_2f1")
     def test_quintic_argument_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         z = (11.0 - 5.0 * math.sqrt(5.0)) / (11.0 + 5.0 * math.sqrt(5.0))
@@ -270,6 +277,7 @@ class TestGauss2F1:
             ref = float(mp.hyp2f1(1 / 6, 7 / 6, 2.0, z))
         assert gauss_2f1(1 / 6, 7 / 6, 2.0, z) == pytest.approx(ref, rel=1e-10)
 
+    @pytest.mark.oracle("gauss_2f1")
     def test_connection_formula_window(self):
         # z = 0.9 is summed at 1 - z = 0.1 by the connection formula
         mp = pytest.importorskip("mpmath")
@@ -293,6 +301,7 @@ class TestGauss2F1:
                                  complex(z), 0j, PrecisionContext())
         assert abs(val - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.oracle("gauss_2f1")
     def test_complex_b_outside_the_disk_against_mpmath(self):
         # the Euler integral took t^(Re b - 1) and came out 52% off
         mpmath = pytest.importorskip("mpmath")
@@ -301,6 +310,7 @@ class TestGauss2F1:
             ref = complex(mpmath.hyp2f1(*args))
         assert abs(gauss_2f1(*args) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.oracle("gauss_2f1")
     @pytest.mark.parametrize("a, b, c, z", [
         (-5.0, -1.0, -3.0, 0.5),   # 1/6: b ends it before c + 3 vanishes
         (-1.0, -5.0, -3.0, 0.5),
@@ -750,6 +760,7 @@ class TestGauss2F1AgainstMpmath:
     """The unit disk in auto mode, except the two known gaps, which are left
     out by the kernel's own predicate and pinned below as strict xfails."""
 
+    @pytest.mark.oracle("gauss_2f1")
     @H_SETTINGS
     @given(H_PARAMS, H_PARAMS, H_LOWER, H_REAL_ARG)
     @example(0.5, 0.25, 1.5, 0.99)
@@ -764,6 +775,7 @@ class TestGauss2F1AgainstMpmath:
         assume(ref is not None)
         _assert_2f1_matches(a, b, c, z, ref)
 
+    @pytest.mark.oracle("gauss_2f1")
     @H_SETTINGS
     @given(H_PARAMS, H_PARAMS, H_LOWER, H_COMPLEX_ARG)
     @example(0.5, 0.25, 1.5, 0.99j)
@@ -773,6 +785,7 @@ class TestGauss2F1AgainstMpmath:
         assume(ref is not None)
         _assert_2f1_matches(a, b, c, z, ref)
 
+    @pytest.mark.oracle("gauss_2f1")
     @pytest.mark.parametrize("a, b, c, z", [
         (0.18741107186997752, 2.969406144143246, 2.149132102013721,
          0.9530406638473026),
@@ -786,6 +799,7 @@ class TestGauss2F1AgainstMpmath:
         # past _SLOW_RADIUS, where the property tests do not draw.
         _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
 
+    @pytest.mark.oracle("gauss_2f1")
     @pytest.mark.parametrize("a, b, c, z", KNOWN_GAPS)
     def test_known_gaps(self, a, b, c, z):
         _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
@@ -810,6 +824,7 @@ class TestAppellF1:
         b = appell_f1(0.9, 1.0, 1.0, 2.0, 0.2j, 0.3)
         assert abs(a - b) < 1e-12 * abs(a)
 
+    @pytest.mark.oracle("appell_f1")
     def test_complex_point_against_mpmath(self):
         mp = pytest.importorskip("mpmath")
         args = (0.9, 1.0, 1.0, 2.0, 0.3, 0.2j)
@@ -817,6 +832,7 @@ class TestAppellF1:
             ref = complex(mp.appellf1(*args))
         assert abs(appell_f1(*args) - ref) < 1e-9 * abs(ref)
 
+    @pytest.mark.oracle("appell_f1")
     @pytest.mark.parametrize("x", [-1.5, 2.0 + 1.0j])
     def test_integral_beyond_the_bidisk_against_mpmath(self, x):
         mp = pytest.importorskip("mpmath")
@@ -825,6 +841,7 @@ class TestAppellF1:
             ref = complex(mp.appellf1(*args))
         assert abs(appell_f1(*args) - ref) <= 1e-12 * abs(ref)
 
+    @pytest.mark.oracle("appell_f1")
     def test_complex_a_beyond_the_bidisk_against_mpmath(self):
         # t^(Re a - 1) came out 62% off
         mp = pytest.importorskip("mpmath")
@@ -854,6 +871,7 @@ class TestAppellF1:
             appell_f1(*args)
         assert abs(err.value.best - value) <= 1e-5 * abs(value)
 
+    @pytest.mark.oracle("appell_f1")
     def test_reduces_to_2f1_on_the_whole_disk(self):
         # the series is summed to the tolerance at its rate: measured, at
         # most 0.70 tol, at |x| = 0.94 (a stop on two small terms alone
@@ -865,6 +883,7 @@ class TestAppellF1:
                 rhs = complex(mp.hyp2f1(1.3, -0.7, 2.6, x))
             assert abs(lhs - rhs) <= PrecisionContext().tol(abs(rhs))
 
+    @pytest.mark.oracle("appell_f1")
     def test_series_past_170_terms_against_mpmath(self, series_cap):
         # |x| = 0.95 needs hundreds of terms; a factorial-based series
         # overflows at term 170
@@ -892,6 +911,7 @@ class TestAppellF1:
         # 1e-12 took for c = 0
         assert appell_f1(0.0, 0.0, 0.0, 1e-320, 0.0, 0.0) == 1.0
 
+    @pytest.mark.oracle("gauss_2f1")
     def test_gauss_2f1_at_tiny_c(self):
         mp = pytest.importorskip("mpmath")
         ref = mp.hyp2f1(0.5, 0.5, 1e-13, 0.3)
@@ -1009,10 +1029,12 @@ class TestAppellF1AgainstMpmath:
          1.8781418189675403, -0.4470491400211802, -0.7985978247650019),
     ]
 
+    @pytest.mark.oracle("appell_f1")
     @pytest.mark.parametrize("args", PANEL)
     def test_panel_points(self, args):
         _assert_f1_matches_mpmath(*args)
 
+    @pytest.mark.oracle("appell_f1")
     def test_transformed_point_meets_relative_bound(self):
         # the direct series' rounding alone would miss by ~76 x 1e-11
         mp = pytest.importorskip("mpmath")
@@ -1021,6 +1043,7 @@ class TestAppellF1AgainstMpmath:
             ref = float(_mp_appell_f1(mp, *args))
         assert abs(appell_f1(*args) - ref) <= 1e-11 * abs(ref)
 
+    @pytest.mark.oracle("appell_f1")
     @F1_SETTINGS
     @given(F1_PARAMS, F1_PARAMS, F1_PARAMS, F1_LOWER, F1_REAL_ARG, F1_REAL_ARG)
     @example(0.9, 1.0, 1.5, 2.0, 0.95, 0.3)
@@ -1028,6 +1051,7 @@ class TestAppellF1AgainstMpmath:
     def test_real(self, a, b1, b2, c, x, y):
         _assert_f1_matches_mpmath(a, b1, b2, c, x, y)
 
+    @pytest.mark.oracle("appell_f1")
     @F1_SETTINGS
     @given(F1_PARAMS, F1_PARAMS, F1_PARAMS, F1_LOWER, F1_COMPLEX_ARG,
            F1_COMPLEX_ARG)
@@ -1037,6 +1061,7 @@ class TestAppellF1AgainstMpmath:
     # zeta = w/(w - 1) at w = e^(-2 pi i/3): 1/2 + i/(2 sqrt 3), |zeta| = 1/sqrt 3
     ZETA = cmath.exp(-2j * math.pi / 3) / (cmath.exp(-2j * math.pi / 3) - 1)
 
+    @pytest.mark.oracle("appell_f1")
     @pytest.mark.parametrize("args", [
         (1.0, 0.5, 0.5, 2.0, ZETA, ZETA.conjugate()),   # 1.86 tol off at a two-term stop
         (1.0, 0.5, 0.5, 2.0, 0.9, -0.9),                 # 3.8 tol
@@ -1124,6 +1149,7 @@ class TestIncompleteBeta:
         with pytest.raises(SeriesDivergenceError):
             incomplete_beta(0.3, BetaBase(2.0, 3.0))
 
+    @pytest.mark.oracle("incomplete_beta")
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
            st.floats(min_value=0.1, max_value=10.0),
@@ -1165,6 +1191,7 @@ class TestIncompleteBeta:
         with pytest.raises(DomainError, match="cancels"):
             log_beta(0.9, 0.1, math.log(0.9), math.log(0.1))
 
+    @pytest.mark.oracle("incomplete_beta")
     @pytest.mark.xfail(strict=True, reason="the complement B(1, a, b) - "
                        "B(1-x, b, a) cancels for a small b: both are about 1/b")
     def test_complement_for_a_small_exponent(self):
@@ -1198,6 +1225,7 @@ class TestCompleteBeta:
     with one exponent large, where three log-Gammas cancel: taken as
     ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), B(1e17, 1/2) = 5.6e-9 is 1.0."""
 
+    @pytest.mark.oracle("complete_beta")
     @pytest.mark.parametrize("a, b", [
         (1e17, 0.5), (1e8, 0.5), (1e4, 3.0), (1e300, 0.5), (0.5, 1e300),
         (150.0, 250.0), (300.0, 100.0), (8.0, 8.0), (7.99, 8.0), (0.5, 8.0),
@@ -1208,6 +1236,7 @@ class TestCompleteBeta:
         assert complete_beta(BetaBase(b, a)) == value
         assert abs(value - ref) <= 5e-13 * ref
 
+    @pytest.mark.oracle("complete_beta")
     def test_seeded_sample_against_mpmath(self):
         errors = [abs(complete_beta(BetaBase(a, b)) / _mp_beta(a, b) - 1)
                   for a, b in _complete_beta_draws(300)]
@@ -1239,6 +1268,7 @@ class TestEllipticK:
         with pytest.raises(DomainError):
             elliptic_k(1.0)
 
+    @pytest.mark.oracle("elliptic_k")
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=0.0, max_value=1.0 - 1e-12))
     @example(0.0)
@@ -1251,6 +1281,7 @@ class TestEllipticK:
             ref = mp.ellipk(mp.mpf(k) ** 2)
         assert abs(elliptic_k(k) - ref) <= 2e-15 * ref
 
+    @pytest.mark.oracle("elliptic_k_complementary")
     @settings(max_examples=200, deadline=None)
     @given(st.floats(min_value=1e-300, max_value=1.0))
     @example(1e-300)
@@ -1309,6 +1340,7 @@ class TestSinSextuple:
         assert sin_multiple_p6(y) == pytest.approx(
             math.sin(6.0 * math.asin(y)), abs=1e-13)
 
+    @pytest.mark.oracle("sin_multiple_p6")
     @given(st.floats(min_value=-1.0, max_value=1.0))
     @settings(max_examples=300, deadline=None)
     @example(-0.7974930555309918)   # the worst point measured
@@ -1324,6 +1356,7 @@ class TestSinSextuple:
 
 
 class TestQuadraticRoots:
+    @pytest.mark.oracle("quadratic_roots")
     def test_against_mpmath(self):
         # b up to 1e8 in magnitude: -b + sqrt(b^2 - 4ac) cancelled, and put
         # the small root of t^2 + 1e8 t + 1 at -7.45e-9 for -1e-8
@@ -1342,6 +1375,7 @@ class TestQuadraticRoots:
                 err = min(abs(root - ref) / abs(ref) for ref in exact)
                 assert err <= 4 * sys.float_info.epsilon, (a, b, c)
 
+    @pytest.mark.oracle("quadratic_power_series")
     def test_no_cancellation_in_the_series(self):
         # the small root, c/q, sets the F1 arguments: with it cancelled, these
         # were 3.1e-11 and 2.8e-10 off
