@@ -158,7 +158,8 @@ def sum_series(term: Callable[[int], complex | float], rate: float,
     Stops once three consecutive terms satisfy |t_n| <= eps_rel*|S| + eps_abs,
     with (eps_rel, eps_abs) from series_tolerance(rate, ctx): three, so that
     series with interleaved zero terms, or terms that are sums passing
-    through 0, are not cut early.  A rate outside [0, 1) is a DomainError.
+    through 0, are not cut early.  A rate outside [0, 1) is a DomainError,
+    as is a ZeroDivisionError, OverflowError or ValueError raised by term.
     Raises SeriesDivergenceError, carrying the partial sum, after
     MAX_SERIES_TERMS terms.  Real terms are summed as floats, complex ones
     as complex.
@@ -169,7 +170,12 @@ def sum_series(term: Callable[[int], complex | float], rate: float,
     total = 0.0
     small_run = 0
     for n in range(MAX_SERIES_TERMS):
-        t = term(n)
+        try:
+            t = term(n)
+        except KernelError:
+            raise
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise DomainError(f"series term {n} raised {exc!r}") from exc
         try:
             size = abs(t)   # inf or nan for a term that is not finite
         except OverflowError:   # finite parts, a modulus past the doubles
@@ -199,10 +205,16 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     ends are evaluated; a bracket without a sign change is a BracketError.
     Stops when the bracket around the returned estimate x is at most xtol
     wide, plus 4 eps |x| (default ctx.tol(x), the relative rule; a search
-    in a log coordinate passes an absolute one).
+    in a log coordinate passes an absolute one).  A ZeroDivisionError,
+    OverflowError or ValueError raised by f is a DomainError.
     """
     a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
+    try:
+        fa, fb = f(a), f(b)
+    except KernelError:
+        raise
+    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        raise DomainError(f"f raised {exc!r} on the bracket [{lo}, {hi}]") from exc
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError(f"f not finite on bracket endpoints [{lo}, {hi}]")
     if fa == 0.0:
@@ -252,7 +264,12 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
             e = d
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
-        fb = f(b)
+        try:
+            fb = f(b)
+        except KernelError:
+            raise
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise DomainError(f"f raised {exc!r} at x={b}") from exc
     raise ConvergenceError(
         f"root finder hit iteration cap ({MAX_ROOT_ITERS})",
         best=b, gap=abs(c - b))
@@ -294,7 +311,8 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     Closing on a bracket end that was never evaluated costs one more
     evaluation, whichever rule stops, and a Newton estimate beyond that end
     means the analysis was wrong: BracketError.  Raises ConvergenceError
-    after MAX_ROOT_ITERS evaluations.
+    after MAX_ROOT_ITERS evaluations.  A ZeroDivisionError, OverflowError or
+    ValueError raised by fdf is a DomainError.
     """
     lo, hi, x = float(lo), float(hi), float(x0)
     if not lo <= x <= hi:
@@ -306,7 +324,12 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     predicted = expected = math.inf
     step = hi - lo
     for _ in range(MAX_ROOT_ITERS):
-        f, df = fdf(x)
+        try:
+            f, df = fdf(x)
+        except KernelError:
+            raise
+        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+            raise DomainError(f"fdf raised {exc!r} at x={x}") from exc
         if not math.isfinite(f):
             raise DomainError(f"f not finite at x={x}")
         if f == 0.0:
@@ -345,7 +368,12 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
             if (not lo_seen and x_new - lo <= tol) or (not hi_seen and hi - x_new <= tol):
                 # closing on an end that was never evaluated: one more
                 # Newton estimate tells a root next to it from one beyond it
-                f, df = fdf(x_new)
+                try:
+                    f, df = fdf(x_new)
+                except KernelError:
+                    raise
+                except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                    raise DomainError(f"fdf raised {exc!r} at x={x_new}") from exc
                 if 0.0 < df < math.inf:
                     guess = x_new - f / df
                 else:

@@ -18,8 +18,8 @@ import math
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
 from .quadrature import integrate_finite, integrate_to_infinity
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
-from .qseries import (GOLDEN_CONJUGATE, lambert_sum, product_logs_of_log_q, rrcf,
-                      rrcf_of_kappa)
+from .qseries import (GOLDEN_CONJUGATE, lambert_sum, product_logs_of_log_q,
+                      rrcf_of_kappa, rrcf_of_log_q)
 from .modular import (SQRT5, SexticInstance, _eta_quotient_index,
                       _singular_modulus_pair, eta_quotient_nome_of, klein_j,
                       sextic_variable_of_index)
@@ -155,37 +155,42 @@ def modulus_product_formula(r: float) -> float:
             * k ** (1.0 / 12.0) * kp ** (1.0 / 3.0) * math.sqrt(elliptic_k(k)))
 
 
-def nome_of_modulus(k: float) -> tuple[float, float]:
-    """(q, K(k)): the nome q = e^(-pi K'(k)/K(k)) of the modulus 0 < k < 1."""
+def log_nome_of_modulus(k: float) -> tuple[float, float]:
+    """(ln q, K(k)): the log of the nome q = e^(-pi K'(k)/K(k)) of the
+    modulus 0 < k < 1, which stays finite where q ~ k^2/16 underflows
+    (below k ~ 1e-162)."""
     if not (0.0 < k < 1.0):
         raise DomainError(f"modulus must lie in (0, 1), got {k}")
     kk = elliptic_k(k)
-    return math.exp(-math.pi * elliptic_k_complementary(k) / kk), kk
+    return -math.pi * elliptic_k_complementary(k) / kk, kk
 
 
 def modulus_nome(k: float) -> float:
     """The nome q = e^(-pi K'(k)/K(k)) of the modulus 0 < k < 1."""
-    return nome_of_modulus(k)[0]
+    return math.exp(log_nome_of_modulus(k)[0])
 
 
 def dq_dk(k: float) -> float:
     """-q pi^2 / (2 k k'^2 K(k)^2) at the nome q of k, as stated; the map
     k -> q is in fact increasing, so the sign convention is recorded by the
-    harness rather than silently corrected here."""
-    q, kk = nome_of_modulus(k)
+    harness rather than silently corrected here.  Formed in logs from ln q,
+    so it stays normal where q underflows."""
+    log_q, kk = log_nome_of_modulus(k)
     kp2 = (1.0 - k) * (1.0 + k)
-    return -q * math.pi ** 2 / (2.0 * k * kp2 * kk ** 2)
+    return -0.5 * math.pi ** 2 * math.exp(log_q - math.log(k * kp2 * kk * kk))
 
 
 def dr_dk(k: float) -> float:
     """-(1/5) 2^(1/3) (k k')^(-2/3) R(q) u(q)^(1/6) at the nome q of k:
     carries the same sign convention as dq_dk, so the chain rule
-    R'(q) dq/dk = dR/dk closes."""
-    q = modulus_nome(k)
+    R'(q) dq/dk = dR/dk closes.  R and ln u are taken at ln q
+    (rrcf_of_log_q, product_logs_of_log_q), so a nome that underflows
+    leaves them normal."""
+    log_q = log_nome_of_modulus(k)[0]
     kprime = math.sqrt((1.0 - k) * (1.0 + k))
-    r = rrcf(q)   # before ln q: a nome that underflows to 0 is its DomainError
-    u6 = math.exp(product_logs_of_log_q(math.log(q))[2] / 6.0)
-    return -0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0) * r * u6
+    u6 = math.exp(product_logs_of_log_q(log_q)[2] / 6.0)
+    return (-0.2 * 2.0 ** (1.0 / 3.0) * (k * kprime) ** (-2.0 / 3.0)
+            * rrcf_of_log_q(log_q) * u6)
 
 
 def sextic_period_ratio_root(inst: SexticInstance, t: float) -> tuple[float, float]:

@@ -10,6 +10,13 @@ loops run in float arithmetic, and only complex inputs and the Euler
 integral take complex arithmetic.  2F1's parameters keep their kind apart
 from z: real a, b and c stay floats with a complex z, so each term's ratio
 and the connection formula's Gamma factors are taken in floats.
+
+2F1's cost is its terms times the work per term.  Its series tests the stop
+only on the first term of each pair, since a stop on two small terms in a
+row needs that term small, and judges the terms around a small one exactly;
+the pole test rejects a real part far from every integer before it forms
+an ulp.  Each keeps every value, error and term count of testing every
+term and of the ulp test alone.
 """
 
 from __future__ import annotations
@@ -47,12 +54,20 @@ class PoleError(DomainError):
 
 def _is_nonpositive_int(z: complex | float) -> bool:
     """z is a pole 0, -1, -2, ... to within a few ulps of that integer (an
-    absolute tolerance would also swallow small positive z such as 1e-13)."""
-    if z.real > 0.5:
+    absolute tolerance would also swallow small positive z such as 1e-13).
+
+    A real part more than 1e-9 (1 + |n|) from its nearest integer n is
+    rejected before ulp(n) is formed.  The reject is exact: 4 ulp(n) is at
+    most 8.9e-16 |n| (2e-323 at n = 0), so such a z fails the ulp test too.
+    """
+    x = z.real
+    if x > 0.5:
         return False
-    n = round(z.real)
+    n = float(round(x))   # n <= 0, so 1 - n is 1 + |n|
+    if abs(x - n) > 1e-9 * (1.0 - n):
+        return False
     tol = 4.0 * math.ulp(n)
-    return abs(z.imag) <= tol and abs(z.real - n) <= tol
+    return abs(z.imag) <= tol and abs(x - n) <= tol
 
 
 def gamma(z: complex | float) -> complex | float:
@@ -249,20 +264,17 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     if plan is not None:
         route, _, poles = plan
         try:
-            return _finite(_ROUTES[route](a, b, c, z, ctx, poles))
+            val = _ROUTES[route](a, b, c, z, ctx, poles)
         except OverflowError:   # float ** past the doubles, in a transform's power
             raise DomainError(f"2F1 {route} route overflows a double at "
                               f"a={a}, b={b}, c={c}, z={z}") from None
+        if not cmath.isfinite(val):
+            raise DomainError(f"2F1 value overflows a double: {val!r}")
+        return val
     if not (c.real > b.real > 0.0):
         a, b = b, a  # 2F1 is symmetric in a, b
     val = _euler_integral_f1(complex(b), complex(a), 0j, complex(c), complex(z), 0j, ctx)
     return val if isinstance(z, complex) else val.real
-
-
-def _finite(val: complex | float) -> complex | float:
-    if not cmath.isfinite(val):
-        raise DomainError(f"2F1 value overflows a double: {val!r}")
-    return val
 
 
 # Within this distance of a pole a Gamma factor is taken as at the pole: the
@@ -278,6 +290,11 @@ _CONNECTION_PARAMETER_MAX = 25.0
 # MAX_SERIES_TERMS (its terms may first grow like n^5); below it every
 # route met 1e-11 relative against mpmath over parameters in [-3, 3].
 _SLOW_RADIUS = 0.95
+# 2F1's series leaves the second term of a pair untested only while
+# |t_k| + |S_k| stays below this quarter of the largest double: the term
+# t_(k-1) and the sum at it are then each at most |S_k| + |t_k| + |S_(k-2)|,
+# half the largest double, and finite.
+_PAIR_BOUND = sys.float_info.max / 4.0
 
 
 def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
@@ -298,6 +315,17 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     formed in the parameters' kind before t and z multiply it.  No
     PrecisionContext is built.  The index n is counted as a float, which
     is exact below 2^53 and keeps int operands out of every step.
+
+    The stop is tested only where a stop can begin.  A stop at t_j needs
+    t_(j-1) and t_j small, so in each pair (t_k, t_(k+1)), k even, a stop at
+    either term needs t_k small; until it is, t_(k+1) is only added.  Once
+    it is, t_(k-1), kept with the sum before it, and t_(k+1) are judged
+    exactly, so the stop, the sum's bits and the term count are those of
+    testing every term.  An untested term still raises the same error: an
+    inf or nan part passes on to every later term, and a term or sum whose
+    modulus passes the largest double takes |t_k| + |S_k| past
+    ``_PAIR_BOUND``.  Either of these, and the cap, hand the series from the
+    last untested term to a loop that tests every term.
     """
     a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
     # a polynomial ends at its first vanishing numerator: a is made the
@@ -337,8 +365,39 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
             term += t
             t = t * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
             n += 1.0
-    total, small_run, inf = 0.0, 0, math.inf
-    for k in range(MAX_SERIES_TERMS):
+    # Pairs (t_k, t_(k+1)), k even: last is t_(k-1) and before the sum
+    # ahead of it, so before + last is the sum at t_(k-1) to the bit.
+    total, before, inf = 0.0, 0.0, math.inf
+    for k in range(0, MAX_SERIES_TERMS - 1, 2):
+        total += term
+        try:
+            size, total_size = abs(term), abs(total)
+        except OverflowError:   # finite parts, a modulus past the doubles
+            break
+        if not size + total_size <= _PAIR_BOUND:   # nan fails too
+            break
+        if size <= eps_rel * total_size + eps_abs:
+            if k and abs(last) <= eps_rel * abs(before + last) + eps_abs:
+                return SeriesSum(total, k + 1)
+            try:   # an inf, nan or overflowing t_(k+1) or sum: the next pass breaks
+                if abs(t) < inf and abs(t) <= eps_rel * abs(total + t) + eps_abs:
+                    return SeriesSum(total + t, k + 2)
+            except OverflowError:
+                pass
+        before, last = total, t
+        total += t
+        m = n + 1.0
+        term = t * ((a + n) * (b + n) / ((c + n) * m)) * z
+        n = m + 1.0
+        t = term * ((a + m) * (b + m) / ((c + m) * n)) * z
+    else:
+        k = MAX_SERIES_TERMS - MAX_SERIES_TERMS % 2
+    # From the last untested term on (past a large or non-finite term, and
+    # at the cap), every term is tested.
+    total, small_run = before, 0
+    if k:
+        term, t, n, k = last, term, n - 1.0, k - 1
+    for k in range(k, MAX_SERIES_TERMS):
         try:
             size = abs(term)
         except OverflowError:   # finite parts, a modulus past the doubles
@@ -446,7 +505,7 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
     # [0, 1], its terms cancel, and the other pair is summed.
     shorter, other = ("series", "euler") if s.real >= 0.0 else ("euler", "series")
     ends = (c - a, c - b) if s.real >= 0.0 else (a, b)
-    route = other if z.real > r * r and any(_near_pole(e) for e in ends) else shorter
+    route = other if z.real > r * r and (_near_pole(ends[0]) or _near_pole(ends[1])) else shorter
     if route == "euler":
         # |(1-z)^s| = e^(Re s ln|1-z| - Im s arg(1-z)); past the largest
         # double the series at z is summed instead

@@ -12,7 +12,7 @@ from rrcflab import modular, routes
 from rrcflab.cli import main
 from rrcflab.modular import TAIL_TOTAL
 from rrcflab.numerics import (DEFAULT_CTX, DomainError, PrecisionContext,
-                              differentiate, find_root)
+                              differentiate, find_root, newton_root, sum_series)
 from rrcflab.qseries import dedekind_eta
 from rrcflab.special import (BetaBase, PoleError, complete_beta, gauss_2f1,
                              incomplete_beta, log_gamma_real, pochhammer_negative)
@@ -44,6 +44,11 @@ def _cli(*argv):
      DomainError),
     (lambda: find_root(lambda x: x, -1.0, math.inf), DomainError),
     (lambda: differentiate(lambda x: math.inf, 1.0), DomainError),
+    # a callback's raw error: ValueError, OverflowError, ZeroDivisionError
+    (lambda: find_root(lambda x: math.log(x), -1.0, 2.0), DomainError),
+    (lambda: newton_root(lambda x: (math.log(x), 1.0 / x), -1.0, 2.0, -1.0), DomainError),
+    (lambda: sum_series(lambda n: 10.0 ** (400 * n), 0.5), DomainError),
+    (lambda: sum_series(lambda n: 1.0 / (n - 3), 0.5), DomainError),
     (lambda: modular.surd_tail_integral(0.0), TAIL_TOTAL),
     (lambda: modular.surd_tail_integral(-1.0), DomainError),
     (lambda: modular.theta_of_X(0.0), DomainError),
@@ -60,6 +65,8 @@ def _cli(*argv):
 ], ids=["BetaBase(0,1)", "BetaBase(nan,1)", "incomplete_beta(1)",
         "log_gamma_real(0)", "pochhammer_negative(2,3)", "gauss_2f1(tiny c)",
         "gauss_2f1(eps=5e-324)", "find_root(inf end)", "differentiate(inf)",
+        "find_root(log)", "newton_root(log)", "sum_series(overflow)",
+        "sum_series(1/0)",
         "surd_tail_integral(0)", "surd_tail_integral(-1)", "theta_of_X(0)",
         "invert_lambda_j(1000)", "pi_formula_partial_sum(terms=0)",
         "klein_j_from_quarter_modulus(0)", "klein_j_from_lambda(0)",

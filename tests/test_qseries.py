@@ -573,11 +573,30 @@ class TestModulusDerivatives:
         assert fd.value > 0.0 > stated
         assert abs(fd.value) == pytest.approx(abs(stated), rel=1e-6)
 
-    def test_nome_underflow_is_a_domain_error(self):
-        # at k = 1e-200 the nome e^(-pi K'/K) underflows to 0
-        assert modulus_nome(1e-200) == 0.0
-        with pytest.raises(DomainError):
-            dr_dk(1e-200)
+    @pytest.mark.parametrize("k", [1e-200, 1e-100])
+    def test_small_moduli_against_mpmath(self, k):
+        # The nome e^(-pi K'/K) ~ k^2/16 underflows to 0 at k = 1e-200, where
+        # dq_dk returned -0.0 and dr_dk raised DomainError; both are taken
+        # from ln q now.  ln q near -920 carries about 1e-13 relative into
+        # every power of q, on either side.
+        mpmath = pytest.importorskip("mpmath")
+        assert (modulus_nome(k) == 0.0) is (k < 1e-162)
+        with mpmath.workdps(40):
+            km = mpmath.mpf(k)
+            kp = mpmath.sqrt(1 - km ** 2)
+            kk = mpmath.ellipk(km ** 2)
+            # K'(k) = pi / (2 AGM(1, k)): 1 - k^2 rounds to 1 at 40 digits
+            q = mpmath.exp(-mpmath.pi ** 2 / (2 * mpmath.agm(1, km) * kk))
+            dq = -q * mpmath.pi ** 2 / (2 * km * kp ** 2 * kk ** 2)
+            acc = mpmath.mpf(1)   # the continued fraction, exact at this q
+            for n in range(4, 0, -1):
+                acc = 1 + q ** n / acc
+            r = q ** (mpmath.mpf(1) / 5) / acc
+            u = 1 / r ** 5 - 11 - r ** 5
+            dr = (-mpmath.cbrt(2) / 5 * (km * kp) ** (-mpmath.mpf(2) / 3) * r
+                  * u ** (mpmath.mpf(1) / 6))
+        assert dq_dk(k) == pytest.approx(float(dq), rel=1e-12)
+        assert dr_dk(k) == pytest.approx(float(dr), rel=1e-12)
 
     def test_modulus_outside_unit_interval_rejected(self):
         for k in (0.0, 1.0, -0.5, 1.5, math.nan):

@@ -475,7 +475,34 @@ class TestInline2F1Series:
             return "cap", repr(exc.best), exc.gap
         except DomainError as exc:   # also |t| of a term past the doubles
             return "domain", str(exc)
+        except OverflowError:   # |S| of a sum past the doubles
+            return ("overflow",)
         return "value", repr(result.value), result.terms
+
+    @staticmethod
+    def _overflow_draws(seed, count):
+        """Draws whose terms grow past the doubles.  Large a and b make the
+        terms overflow.  Real a, b and a c below 1e-300, with z at about
+        45 degrees off an axis, put |t_1| = |a b z / c| past the largest
+        double with both parts finite; for a < -1/2 and b < 1, |t_2| is
+        back below it."""
+        rng = random.Random(seed)
+        for i in range(count):
+            if i % 3 == 2:
+                a = rng.uniform(-0.9, -0.5) if i % 2 else rng.uniform(1.0, 3.0)
+                b = rng.uniform(0.5, 1.0) if i % 2 else rng.uniform(1.0, 3.0)
+                z = cmath.rect(0.9, rng.choice((1, 3, -1, -3)) * math.pi / 4
+                               + rng.uniform(-0.15, 0.15))
+                c = abs(a * b * z) / rng.uniform(1.0, 1.3) / sys.float_info.max
+            else:
+                a = complex(rng.uniform(20.0, 400.0), rng.uniform(-5.0, 5.0) if i % 3 else 0.0)
+                b, c = complex(rng.uniform(20.0, 400.0)), complex(rng.uniform(0.5, 3.0))
+                radius = rng.uniform(0.5, 0.97)
+                z = cmath.rect(radius, rng.uniform(-math.pi, math.pi)) if i % 3 \
+                    else complex(rng.choice((-radius, radius)))
+                if i % 4 == 3:
+                    a, b, c = a.real, b.real, c.real       # floats, with a complex z
+            yield a, b, c, z
 
     def test_same_bits_as_sum_series(self):
         ctx = PrecisionContext()
@@ -496,8 +523,11 @@ class TestInline2F1Series:
         assert kinds >= {"terminating", "tiny c", "head", "complex z, real parameters",
                          "complex", "real"}
 
-    def test_term_cap_raises_with_the_same_best(self, series_cap):
-        series_cap(5)
+    @pytest.mark.parametrize("cap", [4, 5, 6])
+    def test_term_cap_raises_with_the_same_best(self, series_cap, cap):
+        # the stop is tested on every second term: an even cap ends on a
+        # term that the pairs leave untested, an odd one on a tested term
+        series_cap(cap)
         ctx = PrecisionContext()
         raised = 0
         for a, b, c, z, scale in self._draws(1305, 200):
@@ -508,6 +538,22 @@ class TestInline2F1Series:
             assert inline == closure, (a, b, c, z, scale)
             raised += inline[0] == "cap"
         assert raised > 50
+
+    def test_untested_terms_raise_as_if_tested(self):
+        # the series tests every second term; the first term that is not
+        # finite, or whose modulus passes the largest double, is named the
+        # same wherever it falls
+        ctx = PrecisionContext()
+        first_bad = collections.Counter()
+        for a, b, c, z in self._overflow_draws(1306, 300):
+            inline = self._outcome(_series_2f1, a, b, c, z, ctx, 1.0)
+            closure = self._outcome(_closure_series_2f1, a, b, c, z, ctx, 1.0)
+            assert inline == closure, (a, b, c, z)
+            if closure[0] == "domain":
+                index, term = closure[1].split()[2], closure[1].split(": ", 1)[1]
+                first_bad[int(index) % 2, cmath.isfinite(complex(term))] += 1
+        # (odd index, finite parts): an untested term whose modulus overflows
+        assert min(first_bad[1, True], first_bad[1, False], first_bad[0, False]) > 20, first_bad
 
     def test_gauss_2f1_builds_no_context(self, monkeypatch):
         built = []
@@ -548,6 +594,97 @@ class TestInline2F1Series:
         calls.clear()
         gauss_2f1(0.5, 0.25, 1.5, z)
         assert len(calls) <= bound
+
+
+class TestSeriesWork:
+    """A work count of 2F1: the series and terms that _series_2f1 sums over
+    a seeded sample drawn as perfbench's kernels workload draws its 2F1
+    calls (a, b, c in [-3, 3], c off the poles, real z in [-0.99, 0.99] and
+    complex z uniform on the disk |z| <= 0.99).  Unlike a time it is exact:
+    a change that moves it records the new count and why."""
+
+    # (series summed, their terms, calls that raised)
+    PINNED = (477, 12310, 0)
+
+    @staticmethod
+    def _sample(seed, count):
+        rng = random.Random(seed)
+        for i in range(count):
+            a, b, c = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            while not (c > 0.0 or abs(c - round(c)) > 1e-9):
+                c = rng.uniform(-3.0, 3.0)
+            u = rng.random()
+            z = 0.99 * (2.0 * u - 1.0) if i % 2 else \
+                cmath.rect(0.99 * math.sqrt(u), rng.uniform(-math.pi, math.pi))
+            yield a, b, c, z
+
+    def test_terms_of_a_kernels_sample(self, monkeypatch):
+        terms = []
+        original = special._series_2f1
+
+        def counted(*args):
+            result = original(*args)
+            terms.append(result.terms)
+            return result
+
+        monkeypatch.setattr(special, "_series_2f1", counted)
+        raised = 0
+        for args in self._sample(1308, 400):
+            try:
+                gauss_2f1(*args)
+            except KernelError:
+                raised += 1
+        assert (len(terms), sum(terms), raised) == self.PINNED
+
+
+def _ulp_only_pole_test(z):
+    """_is_nonpositive_int with no early reject: within 4 ulps of n <= 0."""
+    if z.real > 0.5:
+        return False
+    n = round(z.real)
+    tol = 4.0 * math.ulp(n)
+    return abs(z.imag) <= tol and abs(z.real - n) <= tol
+
+
+def _floats_around(x, count):
+    """x and the count floats on each side of it."""
+    out, up, down = [x], x, x
+    for _ in range(count):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+class TestPoleTest:
+    """_is_nonpositive_int rejects a real part more than 1e-9 (1 + |n|)
+    from its nearest integer n before it forms ulp(n); the reject is exact,
+    so it agrees with the ulp test alone."""
+
+    @staticmethod
+    def _values(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            n = float(rng.randint(-10 ** 6, 0))
+            yield from _floats_around(n, 8)
+            for side in (-1.0, 1.0):   # both sides of the reject bound
+                yield from _floats_around(n + side * 1e-9 * (1.0 - n), 2)
+        for sign in (-1.0, 1.0):
+            yield from _floats_around(sign * 1e15, 6)
+        yield from (sign * k * 5e-324 for k in range(10) for sign in (-1.0, 1.0))
+        for _ in range(300):
+            n = float(rng.randint(-1000, 0))
+            ulp = math.ulp(n)
+            yield complex(rng.choice(_floats_around(n, 8)),
+                          rng.choice((0.0, -0.0, 5e-324, ulp, -3.0 * ulp, 4.0 * ulp,
+                                      5.0 * ulp, 1e-300, 1e-9)))
+
+    def test_same_as_the_ulp_test_alone(self):
+        outcomes = collections.Counter()
+        for z in self._values(1307):
+            pole = _is_nonpositive_int(z)
+            assert pole is _ulp_only_pole_test(z), z
+            outcomes[pole, type(z)] += 1
+        assert min(outcomes.values()) > 100 and len(outcomes) == 4, outcomes
 
 
 def _int_indexed_beta_cf(x, a, b):
