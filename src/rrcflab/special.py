@@ -760,9 +760,15 @@ def _beta_cf(x: float, a: float, b: float) -> float:
         f"{MAX_SERIES_TERMS} steps", best=h, gap=abs(d * c - 1.0))
 
 
+@lru_cache(maxsize=256)
+def _symmetric_base(alpha: float) -> BetaBase:
+    # a root search calls beta_sqrt at one alpha many times
+    return BetaBase(alpha, alpha)
+
+
 def beta_sqrt(x: float, alpha: float) -> float:
     """sqrt(B(x, alpha, alpha)), the symmetric-Beta candidate modular base."""
-    return math.sqrt(incomplete_beta(x, BetaBase(alpha, alpha)))
+    return math.sqrt(incomplete_beta(x, _symmetric_base(alpha)))
 
 
 def elliptic_k(k: float) -> float:

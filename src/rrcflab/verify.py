@@ -657,9 +657,11 @@ def check_ids() -> list[str]:
 
 def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult:
     """Execute one registered check; unknown ids raise DomainError.  A
-    KernelError from its sides is a failed result (never a pass or a flag)
-    whose notes begin with BUILDER_RAISED and name the exception.  The
-    result's seconds time the sides alone: the clock stops before judging."""
+    KernelError, or a raw ZeroDivisionError, OverflowError or ValueError,
+    from its sides is a failed result (never a pass or a flag) whose notes
+    begin with BUILDER_RAISED and name the exception, so one check cannot
+    stop a run.  The result's seconds time the sides alone: the clock stops
+    before judging."""
     try:
         check, args = _REGISTRY[check_id]
     except KeyError:
@@ -668,7 +670,7 @@ def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult
     flagged = check.flagged
     try:
         lhs, rhs, notes = check.sides(ctx, *args)
-    except KernelError as exc:
+    except (KernelError, ZeroDivisionError, OverflowError, ValueError) as exc:
         lhs = rhs = math.nan
         notes, flagged = f"{BUILDER_RAISED}{type(exc).__name__}: {exc}", False
     seconds = time.perf_counter() - start

@@ -1280,6 +1280,26 @@ class TestIncompleteBeta:
         assert beta_sqrt(0.3, 0.5) == pytest.approx(
             math.sqrt(2.0 * math.asin(math.sqrt(0.3))), rel=1e-12)
 
+    def test_beta_sqrt_keeps_the_bits_of_a_fresh_base(self):
+        # the symmetric base is cached per alpha; cold and warm calls alike
+        # return sqrt(B(x, alpha, alpha)) from a base built on the spot
+        rng = random.Random(40)
+        alphas = [10.0 ** rng.uniform(-3, 1) for _ in range(20)] + [1 / 6, 0.25]
+        for alpha in alphas:
+            special._symmetric_base.cache_clear()
+            for _ in range(10):
+                x = rng.random()
+                fresh = math.sqrt(incomplete_beta(x, BetaBase(alpha, alpha)))
+                assert float.hex(beta_sqrt(x, alpha)) == float.hex(fresh)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.0, -1 / 6, -math.inf, math.nan])
+    def test_beta_sqrt_rejects_a_nonpositive_alpha(self, alpha):
+        rng = random.Random(41)
+        for _ in range(3):
+            beta_sqrt(rng.random(), 1 / 6)
+            with pytest.raises(DomainError):
+                beta_sqrt(rng.random(), alpha)
+
     def test_term_cap(self, series_cap):
         # the continued fraction needs about 8 steps here
         series_cap(2)

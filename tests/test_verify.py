@@ -1,10 +1,12 @@
 import dataclasses
+import math
+import random
 
 import pytest
 
 from rrcflab import modular, qseries, quadrature, routes, special
 from rrcflab.numerics import DEFAULT_CTX, DomainError
-from rrcflab.report import FAIL, FLAGGED, PASS, compare, residuals
+from rrcflab.report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from rrcflab.verify import BUILDER_RAISED, CHECKS, Check, check_ids, run_all, run_check
 
 
@@ -26,6 +28,79 @@ class TestCheckResult:
         res_abs, res_rel = residuals(2.0, 1.0)
         assert res_abs == 1.0
         assert res_rel == 0.5
+
+    def test_record_behaves_as_the_generated_dataclass(self):
+        @dataclasses.dataclass(frozen=True)
+        class Reference:
+            id: str
+            paper_ref: str
+            lhs: complex | float
+            rhs: complex | float
+            residual_abs: float
+            residual_rel: float
+            judged: str
+            tolerance: float
+            status: str
+            notes: str
+            seconds: float = 0.0
+
+        records = list(run_all().results) + [
+            compare("nan", "ref", math.nan, 1.0, 1e-9, notes="n"),
+            compare("complex", "ref", 1j, -0.0, 1e-9, relative=False),
+            CheckResult("default", "ref", 1.0, 1.0, 0.0, 0.0, "rel", 1e-9, PASS, "")]
+        names = [f.name for f in dataclasses.fields(Reference)]
+        assert [f.name for f in dataclasses.fields(CheckResult)] == names
+        for rec in records:
+            values = dataclasses.astuple(rec)
+            ref = Reference(*values)
+            assert values == dataclasses.astuple(ref)
+            assert dataclasses.asdict(rec) == dataclasses.asdict(ref)
+            assert repr(rec) == repr(ref).replace(Reference.__qualname__,
+                                                  "CheckResult", 1)
+            assert hash(rec) == hash(ref)
+            assert rec == CheckResult(**dataclasses.asdict(rec))
+            assert rec != dataclasses.replace(rec, status="other")
+            zeroed = dataclasses.replace(rec, seconds=0.0)
+            assert dataclasses.astuple(zeroed) == \
+                dataclasses.astuple(dataclasses.replace(ref, seconds=0.0))
+            assert type(zeroed) is CheckResult
+            for name in names:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(rec, name, None)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(rec, name)
+        assert records[-1].seconds == 0.0
+
+    def test_residuals_keep_the_bits_of_the_complex_formula(self):
+        def old(lhs, rhs):
+            diff = abs(complex(lhs) - complex(rhs))
+            scale = max(abs(complex(lhs)), abs(complex(rhs)))
+            return diff, diff / scale if scale > 0.0 else diff
+
+        def outcome(formula, lhs, rhs):
+            try:
+                return tuple(float.hex(v) for v in formula(lhs, rhs))
+            except OverflowError:   # |z| past the doubles, both ways
+                return "OverflowError"
+
+        special_values = (0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308,
+                          math.inf, -math.inf, math.nan, 1.5e308, -1.5e308)
+        rng = random.Random(40)
+
+        def real():
+            if rng.random() < 0.3:
+                return rng.choice(special_values)
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308)
+
+        overflowing = [(1.5e308, -1.5e308), (complex(1e308, 1e308), 0.0),
+                       (complex(1.5e308, 0.0), complex(-1.5e308, 1.0))]
+        pairs = overflowing + [(real(), real()) for _ in range(800)]
+        pairs += [(complex(real(), real()), complex(real(), real()))
+                  for _ in range(800)]
+        pairs += [(real(), complex(real(), real())) for _ in range(800)]
+        pairs += [(complex(real(), real()), real()) for _ in range(800)]
+        for lhs, rhs in pairs:
+            assert outcome(residuals, lhs, rhs) == outcome(old, lhs, rhs), (lhs, rhs)
 
 
 class TestRegistry:
@@ -123,8 +198,9 @@ class TestFlaggedLedger:
 
 
 class TestBuilderErrors:
-    """A KernelError raised inside a check is a failed check that names the
-    exception, never a crash, a pass or a flag."""
+    """A KernelError, ZeroDivisionError, OverflowError or ValueError raised
+    inside a check is a failed check that names the exception, never a
+    crash, a pass or a flag."""
 
     def test_series_cap_is_a_failed_check(self, series_cap):
         series_cap(5)
@@ -138,6 +214,22 @@ class TestBuilderErrors:
         assert run_check("Eq51.phi.x=0.5").status == FLAGGED
         series_cap(5)
         assert run_check("Eq51.phi.x=0.5").status == FAIL
+
+    @pytest.mark.parametrize("error, sides", [
+        ("ZeroDivisionError", lambda ctx: (1.0 / 0.0, 1.0, "")),
+        ("OverflowError", lambda ctx: (math.exp(1e3), 1.0, "")),
+        ("ValueError", lambda ctx: (math.log(-1.0), 1.0, ""))])
+    def test_raw_arithmetic_errors_are_failed_checks(self, monkeypatch, error, sides):
+        from rrcflab import verify
+
+        record = Check("raw", "a record whose sides raise", sides, 1e-9, flagged=True)
+        monkeypatch.setitem(verify._REGISTRY, "raw", (record, ()))
+        rec = run_check("raw")
+        assert rec.status == FAIL
+        assert rec.notes.startswith(BUILDER_RAISED + error)
+        report = run_all()
+        assert len(report.results) == len(check_ids())
+        assert [r.id for r in report.results if r.status == FAIL] == ["raw"]
 
     def test_other_exceptions_propagate(self, monkeypatch):
         from rrcflab import verify
