@@ -21,8 +21,8 @@ import math
 import sys
 from functools import lru_cache
 
-from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, ConvergenceError,
-                       DomainError, Frozen, KernelError, PrecisionContext,
+from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, RAW_ERRORS,
+                       ConvergenceError, DomainError, Frozen, PrecisionContext,
                        find_root, newton_root)
 from .quadrature import integrate_finite
 from .special import (BetaBase, _beta_cf, _incomplete_beta_log, appell_f1,
@@ -579,9 +579,7 @@ def theorem6_base_change(fbase, r: float,
         before = sum(g < 0.0 if increasing else g > 0.0 for g in gaps)
         ends = (-_BASE_LOGIT_END, *_GRID_LOGITS, _BASE_LOGIT_END)
         w = find_root(gap, ends[before], ends[before + 1], ctx, xtol=ctx.eps_rel)
-    except KernelError:
-        raise
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except RAW_ERRORS as exc:
         raise DomainError(f"base is not positive and finite on (0, 1): "
                           f"{exc!r}") from exc
     alpha, complement = _logistic_pair(w)

@@ -11,6 +11,14 @@ A context holds only the tolerance; the iteration caps, which no caller
 varies, are the module constants MAX_SERIES_TERMS and MAX_ROOT_ITERS (and
 quadrature's MAX_QUAD_LEVELS).  All operations are pure; contexts are
 immutable and freely shareable.
+
+The library's errors are KernelErrors and never ValueErrors, so the two
+hierarchies are disjoint.  Each boundary that runs a caller's function
+(sum_series, find_root, newton_root, differentiate, quadrature's
+integrate_finite, modular's theorem6_base_change) translates the raw
+errors RAW_ERRORS of that function into a DomainError, and lets every
+KernelError through as it is; the registry's runner catches
+(KernelError, *RAW_ERRORS) into a failed check.
 """
 
 from __future__ import annotations
@@ -43,8 +51,13 @@ class KernelError(Exception):
     """Base class for numerical-kernel failures."""
 
 
-class DomainError(KernelError, ValueError):
-    """Argument outside the domain an operation supports."""
+class DomainError(KernelError):
+    """Argument outside the domain an operation supports.  A KernelError
+    only, never a ValueError: a handler of RAW_ERRORS does not catch it."""
+
+
+# The raw arithmetic errors that a boundary translates into a DomainError.
+RAW_ERRORS = (ZeroDivisionError, OverflowError, ValueError)
 
 
 class BracketError(KernelError):
@@ -172,9 +185,7 @@ def sum_series(term: Callable[[int], complex | float], rate: float,
     for n in range(MAX_SERIES_TERMS):
         try:
             t = term(n)
-        except KernelError:
-            raise
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        except RAW_ERRORS as exc:
             raise DomainError(f"series term {n} raised {exc!r}") from exc
         try:
             size = abs(t)   # inf or nan for a term that is not finite
@@ -211,9 +222,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
     a, b = float(lo), float(hi)
     try:
         fa, fb = f(a), f(b)
-    except KernelError:
-        raise
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except RAW_ERRORS as exc:
         raise DomainError(f"f raised {exc!r} on the bracket [{lo}, {hi}]") from exc
     if not (math.isfinite(fa) and math.isfinite(fb)):
         raise DomainError(f"f not finite on bracket endpoints [{lo}, {hi}]")
@@ -266,9 +275,7 @@ def find_root(f: Callable[[float], float], lo: float, hi: float,
         b += d if abs(d) > tol1 else math.copysign(tol1, xm)
         try:
             fb = f(b)
-        except KernelError:
-            raise
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        except RAW_ERRORS as exc:
             raise DomainError(f"f raised {exc!r} at x={b}") from exc
     raise ConvergenceError(
         f"root finder hit iteration cap ({MAX_ROOT_ITERS})",
@@ -326,9 +333,7 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
     for _ in range(MAX_ROOT_ITERS):
         try:
             f, df = fdf(x)
-        except KernelError:
-            raise
-        except (ZeroDivisionError, OverflowError, ValueError) as exc:
+        except RAW_ERRORS as exc:
             raise DomainError(f"fdf raised {exc!r} at x={x}") from exc
         if not math.isfinite(f):
             raise DomainError(f"f not finite at x={x}")
@@ -370,9 +375,7 @@ def newton_root(fdf: Callable[[float], tuple[float, float]], lo: float, hi: floa
                 # Newton estimate tells a root next to it from one beyond it
                 try:
                     f, df = fdf(x_new)
-                except KernelError:
-                    raise
-                except (ZeroDivisionError, OverflowError, ValueError) as exc:
+                except RAW_ERRORS as exc:
                     raise DomainError(f"fdf raised {exc!r} at x={x_new}") from exc
                 if 0.0 < df < math.inf:
                     guess = x_new - f / df
@@ -421,9 +424,7 @@ def differentiate(f: Callable[[float], float], x: float) -> Derivative:
     h = FD_STEP * max(1.0, abs(x))
     try:
         samples = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]
-    except KernelError:
-        raise
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except RAW_ERRORS as exc:
         raise DomainError(f"f raised {exc!r} while differentiating near x={x}") from exc
     if not all(math.isfinite(v) for v in samples):
         raise DomainError(f"non-finite sample while differentiating near x={x}")

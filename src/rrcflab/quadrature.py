@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .numerics import (DEFAULT_CTX, ConvergenceError, DomainError, KernelError,
+from .numerics import (DEFAULT_CTX, RAW_ERRORS, ConvergenceError, DomainError,
                        PrecisionContext)
 
 # No walk goes past |t| = 5, where the weight is 2.7e-99: against a
@@ -118,11 +118,12 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     to rounding.  Each level's sum is tested once: s - s is 0 for a
     finite sum, real or complex, and nan for one that met an inf or nan
     sample, which is a DomainError, as is a ZeroDivisionError,
-    OverflowError or ValueError raised by f.  Level-cap exhaustion raises
+    OverflowError or ValueError raised by f, and so are limits without
+    a < b and a finite b - a.  Level-cap exhaustion raises
     QuadratureError carrying the best estimate and gap.
     """
-    if not (a < b):
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    if not (a < b and b - a < math.inf):   # nan fails too
+        raise DomainError(f"need a < b with b - a finite, got [{a}, {b}]")
     half = 0.5 * (b - a)
     x = b - half
     try:
@@ -188,9 +189,7 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
                     and _doubled(prev_gap, older, total)
                     and h * (abs(term_b) + abs(term_a)) <= tol)):
                 return half * total
-    except KernelError:
-        raise
-    except (ZeroDivisionError, OverflowError, ValueError) as exc:
+    except RAW_ERRORS as exc:
         raise DomainError(f"integrand raised {exc!r} at x={x!r}") from exc
     raise QuadratureError(
         f"quadrature level cap ({MAX_QUAD_LEVELS}) reached on [{a}, {b}]",
@@ -207,8 +206,8 @@ def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
     The scale c keeps the image smooth however far out a is: with c = 1 a
     t**(-7/6) tail from a = 1e36 would sit in s < 1e-36.
     """
-    if p <= 1.0:
-        raise DomainError(f"algebraic decay p={p} <= 1 diverges")
+    if not p > 1.0:   # nan fails too
+        raise DomainError(f"need algebraic decay p > 1, got p={p}")
 
     c = max(abs(a), 1.0)
 

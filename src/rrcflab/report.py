@@ -77,9 +77,14 @@ def compare(check_id: str, paper_ref: str, lhs: complex | float,
     seconds is the time that computing the two values took.
     The registry's runner passes every check the same rule: the tolerance
     max(tol, ctx.eps_rel), and relative unless rhs is the constant 0 (an
-    identity anchored at zero).
+    identity anchored at zero).  A side whose modulus passes the largest
+    double, where residuals raises OverflowError, is judged with both
+    residuals inf: a fail, or a flag for a flagged record.
     """
-    res_abs, res_rel = residuals(lhs, rhs)
+    try:
+        res_abs, res_rel = residuals(lhs, rhs)
+    except OverflowError:
+        res_abs = res_rel = math.inf
     measured = res_rel if relative else res_abs
     within = math.isfinite(measured) and measured <= tolerance
     status = PASS if within else (FLAGGED if flagged else FAIL)

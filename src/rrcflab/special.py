@@ -531,11 +531,17 @@ def appell_f1(a, b1, b2, c, x, y,
     Beyond that bidisk the Euler integral (``_euler_integral_f1``), which
     needs Re c > Re a > 0.  Real inputs are summed in float arithmetic and
     give a float; complex ones give a complex, and the integral runs in
-    complex.
+    complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and with b1 = 0 it is
+    2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal recurrence loses
+    a solution that has none of the other argument's mode.
     """
     a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
     if not all(map(cmath.isfinite, (a, b1, b2, c, x, y))):
         raise DomainError(f"F1 needs finite arguments, got {(a, b1, b2, c, x, y)}")
+    if b2 == 0:
+        return gauss_2f1(a, b1, c, x, ctx)
+    if b1 == 0:
+        return gauss_2f1(a, b2, c, y, ctx)
     if max(abs(x), abs(y)) >= 1.0:
         val = _euler_integral_f1(*map(complex, (a, b1, b2, c, x, y)), ctx)
         return val if isinstance(x, complex) else val.real

@@ -37,8 +37,8 @@ from typing import Callable
 
 from . import modular, qseries, routes, special
 from .modular import SQRT5
-from .numerics import (DEFAULT_CTX, DomainError, KernelError, PrecisionContext,
-                       differentiate)
+from .numerics import (DEFAULT_CTX, RAW_ERRORS, DomainError, KernelError,
+                       PrecisionContext, differentiate)
 from .report import FAIL, FLAGGED, PASS, CheckResult, compare, residuals
 from .special import BetaBase, beta_sqrt, elliptic_k, gamma, gauss_2f1, incomplete_beta
 
@@ -670,7 +670,7 @@ def run_check(check_id: str, ctx: PrecisionContext = DEFAULT_CTX) -> CheckResult
     flagged = check.flagged
     try:
         lhs, rhs, notes = check.sides(ctx, *args)
-    except (KernelError, ZeroDivisionError, OverflowError, ValueError) as exc:
+    except (KernelError, *RAW_ERRORS) as exc:
         lhs = rhs = math.nan
         notes, flagged = f"{BUILDER_RAISED}{type(exc).__name__}: {exc}", False
     seconds = time.perf_counter() - start

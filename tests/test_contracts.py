@@ -11,9 +11,11 @@ import pytest
 from rrcflab import modular, routes
 from rrcflab.cli import main
 from rrcflab.modular import TAIL_TOTAL
-from rrcflab.numerics import (DEFAULT_CTX, DomainError, PrecisionContext,
-                              differentiate, find_root, newton_root, sum_series)
+from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
+                              PrecisionContext, differentiate, find_root,
+                              newton_root, sum_series)
 from rrcflab.qseries import dedekind_eta
+from rrcflab.quadrature import integrate_finite, integrate_to_infinity
 from rrcflab.special import (BetaBase, PoleError, complete_beta, gauss_2f1,
                              incomplete_beta, log_gamma_real, pochhammer_negative)
 
@@ -44,6 +46,14 @@ def _cli(*argv):
      DomainError),
     (lambda: find_root(lambda x: x, -1.0, math.inf), DomainError),
     (lambda: differentiate(lambda x: math.inf, 1.0), DomainError),
+    # limits whose b - a is not finite, where the half-width is inf: the
+    # nodes were nan, and the levels ran to the cap or, 2e308 apart, nan
+    # came back with no error
+    (lambda: integrate_finite(lambda t: 1.0, -math.inf, 1.0), DomainError),
+    (lambda: integrate_finite(lambda t: 1.0, 0.0, math.inf), DomainError),
+    (lambda: integrate_finite(lambda t: 1.0, -1e308, 1e308), DomainError),
+    # a nan decay passed the p <= 1 test and returned 0.9999999999999999
+    (lambda: integrate_to_infinity(lambda t: t ** -2, 1.0, math.nan), DomainError),
     # a callback's raw error: ValueError, OverflowError, ZeroDivisionError
     (lambda: find_root(lambda x: math.log(x), -1.0, 2.0), DomainError),
     (lambda: newton_root(lambda x: (math.log(x), 1.0 / x), -1.0, 2.0, -1.0), DomainError),
@@ -65,6 +75,8 @@ def _cli(*argv):
 ], ids=["BetaBase(0,1)", "BetaBase(nan,1)", "incomplete_beta(1)",
         "log_gamma_real(0)", "pochhammer_negative(2,3)", "gauss_2f1(tiny c)",
         "gauss_2f1(eps=5e-324)", "find_root(inf end)", "differentiate(inf)",
+        "integrate_finite(-inf,1)", "integrate_finite(0,inf)",
+        "integrate_finite(-1e308,1e308)", "integrate_to_infinity(p=nan)",
         "find_root(log)", "newton_root(log)", "sum_series(overflow)",
         "sum_series(1/0)",
         "surd_tail_integral(0)", "surd_tail_integral(-1)", "theta_of_X(0)",
@@ -102,6 +114,45 @@ def test_entry_contract(call, outcome):
 def test_registry_helpers_raise_domain_errors(call):
     with pytest.raises(DomainError):
         call()
+
+
+# Each engine that runs a caller's function, by a hook that the test makes
+# raise at one place: hook(raises, value) returns value unless raises holds.
+_ENGINES = {
+    "sum_series": lambda hook: sum_series(lambda n: hook(n == 2, 0.5 ** n), 0.5),
+    "find_root(bracket end)":
+        lambda hook: find_root(lambda x: hook(True, x - 0.3), 0.0, 1.0),
+    "find_root(iterate)":
+        lambda hook: find_root(lambda x: hook(0.0 < x < 1.0, x - 0.3), 0.0, 1.0),
+    "newton_root(x0)":
+        lambda hook: newton_root(lambda x: hook(True, (x - 0.3, 1.0)), 0.0, 1.0, 0.5),
+    # it evaluates 0.5, 0.125, ..., 5.4e-16, then closes on the end 0, which
+    # it never evaluated, with one more evaluation at 3.0e-31
+    "newton_root(closing)": lambda hook: newton_root(
+        lambda x: hook(x < 1e-20, (x + x * x, 1.0 + 2.0 * x)), 0.0, 1.0, 0.5),
+    "differentiate": lambda hook: differentiate(lambda x: hook(True, x * x), 1.0),
+    "theorem6_base_change(grid)":
+        lambda hook: modular.theorem6_base_change(lambda x: hook(True, x), 2.0),
+    # the search evaluates the grid values again at its bracket ends
+    "theorem6_base_change(search)": lambda hook: modular.theorem6_base_change(
+        lambda x: hook(x not in modular._MONOTONE_GRID, x), 2.0),
+}
+
+
+@pytest.mark.parametrize("engine", _ENGINES)
+@pytest.mark.parametrize("error", [DomainError("own"), PoleError("pole"),
+                                   ConvergenceError("inner")],
+                         ids=["DomainError", "PoleError", "ConvergenceError"])
+def test_kernel_errors_from_a_callback_pass_through(engine, error):
+    """A KernelError that a callback raises leaves the engine as the same
+    object: only the raw errors of RAW_ERRORS become a DomainError."""
+    def hook(raises, value):
+        if raises:
+            raise error
+        return value
+    with pytest.raises(type(error)) as err:
+        _ENGINES[engine](hook)
+    assert err.value is error
 
 
 @pytest.mark.xfail(strict=True, reason="c - a = -1500 takes the Euler polynomial, "

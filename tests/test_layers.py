@@ -196,3 +196,39 @@ def test_modular_takes_its_log_betas_from_special():
     B(1-x), and calls no incomplete_beta."""
     assert _callers("modular", "_beta_cf") == ["beta_ratio_root"]
     assert _callers("modular", "incomplete_beta") == []
+
+
+_RAW = {"ZeroDivisionError", "OverflowError", "ValueError"}
+
+
+def _handled(node: ast.AST) -> set[str]:
+    """The names that the except clauses inside one node catch."""
+    return {name.id for handler in ast.walk(node)
+            if isinstance(handler, ast.ExceptHandler) and handler.type
+            for name in ast.walk(handler.type) if isinstance(name, ast.Name)}
+
+
+def test_one_raw_error_contract():
+    """DomainError is no ValueError, so no handler re-raises a KernelError
+    ahead of a raw-error handler, and the raw errors are spelled out in one
+    tuple, numerics.RAW_ERRORS, which every boundary that translates them
+    names."""
+    boundaries = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        definition = [node.value for node in tree.body if isinstance(node, ast.Assign)
+                      and ast.unparse(node.targets[0]) == "RAW_ERRORS"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                assert not (ast.unparse(node.type) == "KernelError"
+                            and ast.unparse(node.body[0]) == "raise"), path.stem
+            elif isinstance(node, ast.Tuple) and node not in definition:
+                names = {getattr(element, "id", None) for element in node.elts}
+                assert not _RAW <= names, f"{path.stem}: {ast.unparse(node)}"
+        boundaries.update((path.stem, top.name) for top in tree.body
+                          if isinstance(top, ast.FunctionDef)
+                          and "RAW_ERRORS" in _handled(top))
+    assert boundaries == {("numerics", "sum_series"), ("numerics", "find_root"),
+                          ("numerics", "newton_root"), ("numerics", "differentiate"),
+                          ("quadrature", "integrate_finite"),
+                          ("modular", "theorem6_base_change"), ("verify", "run_check")}

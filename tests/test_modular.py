@@ -18,7 +18,6 @@ from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
                              theorem6_base_change, theta_of_X, trig_modular)
 from rrcflab.numerics import DEFAULT_CTX, ConvergenceError, DomainError, PrecisionContext
 from rrcflab.qseries import u_of_q
-from rrcflab.quadrature import integrate_finite
 from rrcflab.special import (BetaBase, beta_sqrt, elliptic_k, gamma,
                              incomplete_beta, pochhammer, pochhammer_negative)
 from rrcflab.routes import (j_integral_quadrature, quintic_surd_integral,

@@ -16,7 +16,7 @@ from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
 from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, QuadratureError,
                                 _level_table, _table, integrate_complex,
                                 integrate_finite, integrate_to_infinity)
-from rrcflab.special import appell_f1, gauss_2f1
+from rrcflab.special import PoleError, appell_f1, gauss_2f1
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
 # confirmed by direct quadrature of the defining Gamma integral.
@@ -234,7 +234,8 @@ class TestFinite:
             integrate_finite(f, 0.0, 1.0)
         assert isinstance(err.value.__cause__, error)
 
-    @pytest.mark.parametrize("error", [DomainError("own"), ConvergenceError("inner")])
+    @pytest.mark.parametrize("error", [DomainError("own"), ConvergenceError("inner"),
+                                       PoleError("pole")])
     def test_kernel_errors_pass_through_unchanged(self, error):
         def f(t):
             raise error

@@ -24,6 +24,14 @@ class TestCheckResult:
         assert rec.status == FLAGGED
         assert rec.ok()
 
+    @pytest.mark.parametrize("flagged, status", [(False, FAIL), (True, FLAGGED)])
+    def test_side_past_the_largest_double(self, flagged, status):
+        # |lhs| is 2.1e308: residuals raises OverflowError, and compare
+        # judges the pair with both residuals inf
+        rec = compare("x", "r", complex(1.5e308, 1.5e308), 0.0, 1e-9, flagged=flagged)
+        assert (rec.residual_abs, rec.residual_rel, rec.status) == \
+            (math.inf, math.inf, status)
+
     def test_residual_scaling(self):
         res_abs, res_rel = residuals(2.0, 1.0)
         assert res_abs == 1.0
@@ -230,6 +238,17 @@ class TestBuilderErrors:
         report = run_all()
         assert len(report.results) == len(check_ids())
         assert [r.id for r in report.results if r.status == FAIL] == ["raw"]
+
+    def test_side_past_the_largest_double_is_a_failed_check(self, monkeypatch):
+        from rrcflab import verify
+
+        record = Check("huge", "a record whose side passes the largest double",
+                       lambda ctx: (complex(1.5e308, 1.5e308), 1.0, ""), 1e-9)
+        monkeypatch.setitem(verify._REGISTRY, "huge", (record, ()))
+        assert run_check("huge").status == FAIL
+        report = run_all()
+        assert len(report.results) == len(check_ids())
+        assert [r.id for r in report.results if r.status == FAIL] == ["huge"]
 
     def test_other_exceptions_propagate(self, monkeypatch):
         from rrcflab import verify
