@@ -1,13 +1,14 @@
 """Singular moduli, the Klein j-invariant, the inverses of the eta-tail,
 continued-fraction and surd integrals (m, F and G: one Newton search on the
-eta tail, then q-products at that nome) and of the surd tail (theta, by
-quadrature), the eta-quotient nome inverse (and its index, which App 2's
-inverse of the continued fraction returns), Beta-ratio singular-value
-solvers, the sextic solver (the hypergeometric/eta-tail route; the
-period-ratio cross-check is in routes), the change-of-base procedure, and
-the trigonometric modular family with Example 4's unit-circle root.  The
-integrals that only the registry evaluates, the continued-fraction integral
-that F inverts among them, are in routes.
+eta tail, then q-products at that nome) and of the surd tail (theta, from
+its Legendre series, by quadrature only where neither converges fast), the
+eta-quotient nome inverse (and its index, which App 2's inverse of the
+continued fraction returns), Beta-ratio singular-value solvers, the sextic
+solver (the hypergeometric/eta-tail route; the period-ratio cross-check is
+in routes), the change-of-base procedure, and the trigonometric modular
+family with Example 4's unit-circle root.  The integrals that only the
+registry evaluates, the continued-fraction integral that F inverts among
+them, are in routes.
 
 Nome conventions are the single largest source of silent error in this
 area, so every operation states which one it uses: q = exp(-pi sqrt(r)) for
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 from .numerics import (DEFAULT_CTX, LOG_FLOAT_MAX, MACHINE_EPS, RAW_ERRORS,
                        ConvergenceError, DomainError, Frozen, PrecisionContext,
-                       find_root, newton_root)
+                       SeriesSum, find_root, newton_root)
 from .quadrature import integrate_finite
 from .special import (BetaBase, _beta_cf, _incomplete_beta_log, appell_f1,
                       complete_beta, elliptic_k_complementary, gauss_2f1)
@@ -175,30 +176,68 @@ def klein_j(r: float) -> float:
 # The integrals inverted by F, m, G, theta
 
 def surd_tail_integral(lower: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """int_lower^inf t^(-1/6) (125 + 22 t + t^2)^(-1/2) dt, by one quadrature
-    of a smooth integrand.  From lower = 1 on, t = w^-6 turns the tail into
-    int_0^(lower^(-1/6)) 6 (1 + 22 w^6 + 125 w^12)^(-1/2) dw, finite and free
-    of overflow however large lower is.  Below 1 it is TAIL_TOTAL less the
-    head, which t = v^6 turns into
-    int_0^(lower^(1/6)) 6 v^4 (125 + 22 v^6 + v^12)^(-1/2) dv, with its poles
-    at |v| ~ 1.495; the head is below 0.11, so the difference loses no
-    digits, and at lower = 0 the tail is TAIL_TOTAL itself."""
-    if lower < 0.0:
-        raise DomainError(f"lower limit must be >= 0, got {lower}")
+    """int_lower^inf t^(-1/6) (125 + 22 t + t^2)^(-1/2) dt for finite
+    lower >= 0, in three regions.  With a = sqrt(125) and mu = -11/a,
+    125 + 22 t + t^2 is t^2 (1 - 2 mu r + r^2) at r = a/t and
+    125 (1 - 2 mu r + r^2) at r = t/a, Legendre generating functions
+    (DLMF 18.12.11), so termwise integration gives
+    - lower >= 2a: the far series lower^(-1/6) sum P_n(mu) rho^n / (n + 1/6)
+      at rho = a/lower;
+    - lower <= a/2: TAIL_TOTAL less the head
+      lower^(5/6)/a sum P_n(mu) rho^n / (n + 5/6) at rho = lower/a, at
+      most 0.38 against a tail of at least 3.8, so the difference loses
+      no digits;
+    - between them, where neither rate is at most 1/2, one quadrature of
+      int_0^(lower^(-1/6)) 6 (1 + 22 w^6 + 125 w^12)^(-1/2) dw (t = w^-6),
+      a smooth integrand, to ctx.
+    The edges lie where the rate is 1/2, so a series takes at most about
+    50 terms.  Both series are summed to full double precision whatever ctx
+    (_surd_legendre_sum), and lower = 0 gives TAIL_TOTAL itself."""
+    if not 0.0 <= lower < math.inf:   # nan fails too
+        raise DomainError(f"lower limit must be finite and >= 0, got {lower}")
+    if lower >= 2.0 * _SURD_ROOT:
+        # lower ** (-1/6) carries the rounding of the exponent 1/6 times
+        # ln lower (6e-15 relative at 1e300); one Newton step on
+        # y^6 lower = 1 removes it
+        y = lower ** (-1.0 / 6.0)
+        y -= y * (y ** 3 * lower * y ** 3 - 1.0) / 6.0
+        return y * _surd_legendre_sum(_SURD_ROOT / lower, 1.0 / 6.0).value
+    if lower <= 0.5 * _SURD_ROOT:
+        head = _surd_legendre_sum(lower / _SURD_ROOT, 5.0 / 6.0).value
+        return TAIL_TOTAL - lower ** (5.0 / 6.0) / _SURD_ROOT * head
 
     def far(w: float) -> float:
         w6 = w ** 6
         return 6.0 * (1.0 + (22.0 + 125.0 * w6) * w6) ** -0.5
 
-    def head(v: float) -> float:
-        v6 = v ** 6
-        return 6.0 * v ** 4 * (125.0 + (22.0 + v6) * v6) ** -0.5
+    return integrate_finite(far, 0.0, lower ** (-1.0 / 6.0), ctx)
 
-    if lower >= 1.0:
-        return integrate_finite(far, 0.0, lower ** (-1.0 / 6.0), ctx)
-    if lower == 0.0:
-        return TAIL_TOTAL
-    return TAIL_TOTAL - integrate_finite(head, 0.0, lower ** (1.0 / 6.0), ctx)
+
+# The surd quadratic's Legendre form: a = sqrt(125) and mu = -11/a.
+_SURD_ROOT = math.sqrt(125.0)
+_SURD_MU = -11.0 / _SURD_ROOT
+# _surd_legendre_sum stops once its tail is below a quarter ulp of the sum.
+_LEGENDRE_CUT = MACHINE_EPS / 4.0
+
+
+def _surd_legendre_sum(rho: float, c: float) -> SeriesSum:
+    """sum_n P_n(mu) rho^n / (n + c) for 0 <= rho <= 1/2 and c > 0, with
+    the Legendre polynomials at mu = _SURD_MU by Bonnet's recurrence
+    (n + 1) P_(n+1) = (2n + 1) mu P_n - n P_(n-1) (DLMF 18.9.1).
+    |P_n| <= 1 on [-1, 1] (DLMF 18.14.1) bounds the tail past term n by
+    rho^(n+1) / ((n + 1 + c)(1 - rho)), and the sum stops once that bound
+    is below _LEGENDRE_CUT of it: no small-term heuristic, and at most
+    about 50 terms at rho = 1/2.  There the terms' magnitudes sum to at
+    most 1.7 times the value, so rounding stays within a few ulps.  n is
+    counted as a float, as in special._beta_cf."""
+    total, power, p_prev, p, n = 1.0 / c, 1.0, 1.0, _SURD_MU, 1.0
+    while True:
+        power *= rho
+        total += p * power / (n + c)
+        if power * rho <= _LEGENDRE_CUT * total * (n + 1.0 + c) * (1.0 - rho):
+            return SeriesSum(total, int(n) + 1)
+        p_prev, p = p, ((2.0 * n + 1.0) * _SURD_MU * p - n * p_prev) / (n + 1.0)
+        n += 1.0
 
 
 def eta_tail_integral(lower: float) -> float:
@@ -293,6 +332,10 @@ def theta_of_X(X: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     """b in (0, 1) with 4^(-1/3) B(b, 1/6, 2/3) equal to the surd tail from
     X; only the defining equation is used, no algebraicity is assumed.
 
+    The target is surd_tail_integral(X): a Legendre series summed to full
+    double precision up to X = sqrt(125)/2 and from X = 2 sqrt(125) on,
+    where the series' rate is at most 1/2, and one quadrature to ctx
+    between them.  X must be positive and finite (DomainError).
     Newton on ln B(b) in w = ln(b/(1-b)) by special._incomplete_beta_log.
     B(b) >= 6 b^(1/6) puts (target/6)^6 above the root; when that is not
     below 1/2 the start comes from B(1) - B(b) ~ 1.5 (1-b)^(2/3).

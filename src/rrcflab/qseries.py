@@ -189,11 +189,12 @@ def _rrcf_cached(q: float) -> float:
     # The float 0.2 exceeds 1/5 by 1.1e-17, so q ** 0.2 is |ln q| * 1.1e-17
     # off in relative terms (8e-15 at q = 1e-300): one Newton step on
     # x^5 = q removes that.  Dividing by q^(1/5), not subtracting its log,
-    # keeps the rounding of ln q^(1/5) out of kappa ~ q^(-1/5).
+    # keeps the rounding of ln q^(1/5) out of kappa ~ q^(-1/5).  The
+    # products run uncached: only this cache would ever look them up again.
     fifth = q ** 0.2
     fifth -= (fifth - q / fifth ** 4) / 5.0
-    return rrcf_of_kappa(
-        math.exp(_log_qpochhammer(fifth) - _log_qpochhammer(q ** 5)) / fifth)
+    log_f = _log_qpochhammer.__wrapped__
+    return rrcf_of_kappa(math.exp(log_f(fifth) - log_f(q ** 5)) / fifth)
 
 
 def rrcf_of_kappa(kappa: float) -> float:

@@ -96,7 +96,10 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     nodes inside it.  So small terms before a boundary layer, or before a
     peak that a coarser level met, do not stop it; a spike past the stop
     that no level met is lost.  A node that rounds onto its end ends the
-    walk too.
+    walk too.  More generally, a narrow feature that no node of the
+    returned levels meets, inside (a, b) or past a stop, is lost with no
+    error raised, since the levels agree without it: a Gaussian of width
+    0.009 came back as 3.5e-24 for 0.0156.
 
     Level L >= 3 is returned when its gap g_L = |T_L - T_(L-1)| is within
     tol; each level about doubles the correct digits, so its own error is

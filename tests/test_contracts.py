@@ -62,6 +62,11 @@ def _cli(*argv):
     (lambda: modular.surd_tail_integral(0.0), TAIL_TOTAL),
     (lambda: modular.surd_tail_integral(-1.0), DomainError),
     (lambda: modular.theta_of_X(0.0), DomainError),
+    # a far series at inf would be 0, and theta's log of it a raw ValueError
+    (lambda: modular.surd_tail_integral(math.inf), DomainError),
+    (lambda: modular.surd_tail_integral(math.nan), DomainError),
+    (lambda: modular.theta_of_X(math.inf), DomainError),
+    (lambda: modular.theta_of_X(math.nan), DomainError),
     (lambda: modular.invert_lambda_j(1000.0), DomainError),
     (lambda: modular.pi_formula_partial_sum(1.0, 0), DomainError),
     (lambda: modular.klein_j_from_quarter_modulus(0.0, 1.0), DomainError),
@@ -80,6 +85,8 @@ def _cli(*argv):
         "find_root(log)", "newton_root(log)", "sum_series(overflow)",
         "sum_series(1/0)",
         "surd_tail_integral(0)", "surd_tail_integral(-1)", "theta_of_X(0)",
+        "surd_tail_integral(inf)", "surd_tail_integral(nan)", "theta_of_X(inf)",
+        "theta_of_X(nan)",
         "invert_lambda_j(1000)", "pi_formula_partial_sum(terms=0)",
         "klein_j_from_quarter_modulus(0)", "klein_j_from_lambda(0)",
         "rr_integral(0)", "j_integral_quadrature(1.5)", "dedekind_eta(1e-18)",

@@ -19,9 +19,10 @@ from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from rrcflab.modular import (F_ARGUMENT_MAX, TAIL_TOTAL, F_of_x, G_of_x,
-                             beta_ratio_root, eta_quotient_nome_of, m_of_x,
-                             surd_tail_integral, theta_of_X)
-from rrcflab.numerics import BracketError, DomainError
+                             _surd_legendre_sum, beta_ratio_root,
+                             eta_quotient_nome_of, m_of_x, surd_tail_integral,
+                             theta_of_X)
+from rrcflab.numerics import DEFAULT_CTX, BracketError, DomainError
 from rrcflab.qseries import GOLDEN_CONJUGATE
 from rrcflab.routes import tau_of_rrcf
 from rrcflab.special import BetaBase
@@ -287,10 +288,13 @@ class TestTauOfRrcf:
             tau_of_rrcf(x)
 
 
+_SURD_EDGES = (math.sqrt(125.0) / 2, 2 * math.sqrt(125.0))
+
+
 class TestSurdTail:
-    """theta's target, the surd tail, to 2e-15 relative: one quadrature of a
-    smooth integrand on either side of 1, and below 1 the closed-form total
-    less a head of at most 0.11."""
+    """theta's target, the surd tail, to 2e-15 relative: the closed-form
+    total less a head series up to sqrt(125)/2, a far series from
+    2 sqrt(125), and one quadrature of a smooth integrand between them."""
 
     @pytest.mark.oracle("surd_tail_integral")
     @ORACLE
@@ -299,11 +303,51 @@ class TestSurdTail:
     @example(1.0)
     @example(1e-12)
     @example(1e12)
+    # the series' edges at rate 1/2, and their neighbours in the band
+    @example(_SURD_EDGES[0])
+    @example(math.nextafter(_SURD_EDGES[0], math.inf))
+    @example(_SURD_EDGES[1])
+    @example(math.nextafter(_SURD_EDGES[1], 0.0))
     def test_against_mpmath(self, big_x):
         value = surd_tail_integral(big_x)
         with mp.workdps(30):
             target = surd_tail(big_x)
         assert abs(value - target) <= 2e-15 * target, (big_x, value)
+
+    @pytest.mark.oracle("surd_tail_integral")
+    @pytest.mark.parametrize("lo, hi", [(-12.0, math.log10(_SURD_EDGES[0])),
+                                        (math.log10(_SURD_EDGES[1]), 12.0)],
+                             ids=["head series", "far series"])
+    def test_series_against_mpmath(self, lo, hi):
+        # seeded X log-uniform over each series region
+        rng = random.Random(42)
+        for big_x in [10.0 ** rng.uniform(lo, hi) for _ in range(40)]:
+            value = surd_tail_integral(big_x)
+            with mp.workdps(30):
+                target = surd_tail(big_x)
+            assert abs(value - target) <= 2e-15 * target, (big_x, value)
+
+    @pytest.mark.parametrize("edge, inward", [(_SURD_EDGES[0], math.inf),
+                                              (_SURD_EDGES[1], 0.0)],
+                             ids=["sqrt(125)/2", "2 sqrt(125)"])
+    def test_series_meet_the_quadrature_at_the_edges(self, edge, inward):
+        # one ulp of X moves the tail by less than 1e-16 of it
+        series = surd_tail_integral(edge)
+        quadrature = surd_tail_integral(math.nextafter(edge, inward))
+        assert abs(series - quadrature) <= DEFAULT_CTX.tol(series)
+
+    @pytest.mark.parametrize("c", [1.0 / 6.0, 5.0 / 6.0], ids=["far", "head"])
+    def test_terms_at_rate_one_half(self, c):
+        # the tail bound rho^(n+1) / ((n+1+c)(1-rho)) stops the sum
+        assert _surd_legendre_sum(0.5, c).terms <= 50
+
+    @pytest.mark.oracle("surd_tail_integral")
+    def test_far_series_at_the_top_of_the_floats(self):
+        # lower ** (-1/6) alone is 6.4e-15 off at 1e300, and so was the
+        # quadrature that took it as its upper limit
+        with mp.workdps(30):
+            target = 6 * mp.mpf(1e300) ** (-mp.mpf(1) / 6)
+        assert abs(surd_tail_integral(1e300) - target) <= 2e-15 * target
 
 
 class TestTheta:

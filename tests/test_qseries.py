@@ -496,6 +496,16 @@ class TestOneLogOfU:
         assert (warm_products.hits, warm_products.misses) == (products.hits, products.misses)
 
 
+class TestRrcfCache:
+    @pytest.mark.parametrize("q", [1e-300, Q_E2PI, 0.2, 0.5, 0.999])
+    def test_products_stay_out_of_the_product_cache(self, q):
+        # only rrcf's own cache would ever look them up again
+        qseries._rrcf_cached.cache_clear()
+        before = qseries._log_qpochhammer.cache_info()
+        rrcf(q)
+        assert qseries._log_qpochhammer.cache_info() == before
+
+
 class TestDerivative:
     @pytest.mark.parametrize("q", (0.05, 0.2))
     def test_against_finite_differences(self, q):
