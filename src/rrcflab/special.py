@@ -1,9 +1,9 @@
 """Classical special functions built on the series/quadrature kernels:
 Gamma (the C library's on the real axis, Lanczos off it); Gauss 2F1, summed
-on the unit disk at z, z/(z-1) or 1-z, whichever takes the fewest terms;
-Appell F1, summed on the bidisk and beyond it by its Euler integral, which
-is also 2F1's outside the disk; the incomplete Beta function from its
-continued fraction; the complete elliptic integral K via AGM; the
+at z, z/(z-1) or 1-z, whichever takes the fewest terms; Appell F1, summed at
+x, y or their DLMF 16.16.1 image; both by their Euler integral only where no
+series runs at a rate within _SLOW_RADIUS; the incomplete Beta function from
+its continued fraction; the complete elliptic integral K via AGM; the
 sine-sextuple polynomial; and the quadratic-surd integral series, an F1
 series.  Real inputs stay real: the same series
 loops run in float arithmetic, and only complex inputs and the Euler
@@ -193,8 +193,9 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     """Gauss hypergeometric 2F1(a, b; c; z), by region:
 
     - |z| <= 1/2, or a or b a non-positive integer: the series at z.
-    - 1/2 < |z| < 1: one series routine, ``_series_2f1``, summed at the
-      argument that needs the fewest terms (``_route_2f1``):
+    - |z| > 1/2, on the unit disk and off it: one series routine,
+      ``_series_2f1``, summed at the argument that needs the fewest terms
+      (``_route_2f1``):
 
       * 1-z, by the connection formula (A&S 15.3.6).  It sums two series,
         so it counts at the radius sqrt|1-z|.  It is barred when c-a-b lies
@@ -205,13 +206,20 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
       * z itself, or its Euler transform (1-z)^(c-a-b) F(c-a, c-b; c; z),
         whichever has the faster-falling terms, unless that one cancels;
         the series at z where the Euler power would pass the largest double.
+        Off the disk these serve only as polynomials (c-a or c-b a
+        non-positive integer), at any z off the cut [1, inf).
 
       Each series is summed to ``numerics.series_tolerance`` at its radius,
       which past 1/2 scales the tolerance by (1-r)/r, so that the stop
       leaves no more than the tolerance behind.  No quadrature runs.
-    - |z| >= 1: F1(b; a, 0; c; z, 0) by ``_euler_integral_f1`` (the 1/z
-      map is not implemented), with a and b ordered so that Re c > Re b > 0
-      where either order allows it; z must lie off the cut [1, inf).
+    - |z| >= 1 where no series runs at a radius within ``_SLOW_RADIUS``,
+      and the cut [1, inf): F1(b; a, 0; c; z, 0) by ``_euler_integral_f1``
+      (the ``"integral"`` route; the 1/z map is not implemented), with a
+      and b ordered so that Re c > Re b > 0 where either order allows it.
+      On the cut, or where neither order does, it raises DomainError.
+      Pfaff serves Re z < 1/2 out to |z/(z-1)| = 0.95 (z = -19 on the
+      negative axis), and the connection formula |1-z| <= 0.9025 where it
+      is not barred; the integral takes what lies outside both.
 
     Every series is summed inline by ``_series_2f1``, with no call per
     term; no PrecisionContext is built.  Each call classifies its
@@ -226,16 +234,17 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     a complex z enters each term only as t * ratio * z.  z is complex
     where it or a parameter is, and so is the value (also at z = 0).  Real
     a, b, c and z give a float: on z < 1 every power in the routes has a
-    positive base.  Only the Euler integral at |z| >= 1 runs in complex.
+    positive base.  Only the Euler integral runs in complex.
     An inf or nan parameter or z is a DomainError.
 
-    Known gaps (``_is_slow_2f1``), where every route runs at a radius above
-    ``_SLOW_RADIUS`` and the series can reach MAX_SERIES_TERMS: z next to 1
-    with c-a-b within ``_POLE_GAP`` of an integer (the limit forms of A&S
-    15.3.10-15.3.14 are not implemented), and the band around exp(+-i pi/3)
-    near |z| = 1, where |z|, |z/(z-1)| and |1-z| are all near 1.  Elsewhere
-    on |z| <= 0.99 it meets 1e-11 relative (1e-14 absolute next to a zero)
-    against mpmath for a, b, c in [-3, 3].
+    Known gaps on the unit disk (``_is_slow_2f1``), where every route runs
+    at a radius above ``_SLOW_RADIUS`` and the series can reach
+    MAX_SERIES_TERMS: z next to 1 with c-a-b within ``_POLE_GAP`` of an
+    integer (the limit forms of A&S 15.3.10-15.3.14 are not implemented),
+    and the band around exp(+-i pi/3) near |z| = 1, where |z|, |z/(z-1)|
+    and |1-z| are all near 1.  Elsewhere on |z| <= 0.99, and off the disk
+    wherever a series serves, it meets 1e-11 relative (1e-14 absolute next
+    to a zero) against mpmath for a, b, c in [-3, 3].
     """
     if not (type(a) is type(b) is type(c) is float):
         a, b, c = _same_kind(a, b, c)
@@ -251,8 +260,7 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     try:
         a_pole, b_pole, c_pole = (_is_nonpositive_int(a), _is_nonpositive_int(b),
                                   _is_nonpositive_int(c))
-        plan = _route_2f1(a, b, c, z, (a_pole, b_pole)) \
-            if r < 1.0 or a_pole or b_pole else None
+        route, _, poles = _route_2f1(a, b, c, z, (a_pole, b_pole))
     except (OverflowError, ValueError):   # round() of an inf or nan parameter
         raise DomainError(f"2F1 needs finite parameters, got {(a, b, c, z)}") from None
     # c = -m is no pole where a or b is -k, k <= m (DLMF 15.2(ii), mpmath)
@@ -261,20 +269,14 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
         raise DomainError(f"2F1 undefined: c={c} is a non-positive integer")
     if z == 0:
         return type(z)(1.0)
-    if plan is not None:
-        route, _, poles = plan
-        try:
-            val = _ROUTES[route](a, b, c, z, ctx, poles)
-        except OverflowError:   # float ** past the doubles, in a transform's power
-            raise DomainError(f"2F1 {route} route overflows a double at "
-                              f"a={a}, b={b}, c={c}, z={z}") from None
-        if not cmath.isfinite(val):
-            raise DomainError(f"2F1 value overflows a double: {val!r}")
-        return val
-    if not (c.real > b.real > 0.0):
-        a, b = b, a  # 2F1 is symmetric in a, b
-    val = _euler_integral_f1(complex(b), complex(a), 0j, complex(c), complex(z), 0j, ctx)
-    return val if isinstance(z, complex) else val.real
+    try:
+        val = _ROUTES[route](a, b, c, z, ctx, poles)
+    except OverflowError:   # float ** past the doubles, in a transform's power
+        raise DomainError(f"2F1 {route} route overflows a double at "
+                          f"a={a}, b={b}, c={c}, z={z}") from None
+    if not cmath.isfinite(val):
+        raise DomainError(f"2F1 value overflows a double: {val!r}")
+    return val
 
 
 # Within this distance of a pole a Gamma factor is taken as at the pole: the
@@ -456,8 +458,17 @@ def _connection_2f1(a, b, c, z, ctx, poles):
     return gamma(c) * (near + far)
 
 
+def _integral_2f1(a, b, c, z, ctx, poles):
+    # F1(b; a, 0; c; z, 0), with a and b ordered so that Re c > Re b > 0
+    # where either order allows it (2F1 is symmetric in a, b)
+    if not (c.real > b.real > 0.0):
+        a, b = b, a
+    val = _euler_integral_f1(complex(b), complex(a), 0j, complex(c), complex(z), 0j, ctx)
+    return val if isinstance(z, complex) else val.real
+
+
 _ROUTES = {"series": _direct_2f1, "euler": _euler_2f1, "pfaff": _pfaff_2f1,
-           "connection": _connection_2f1}
+           "connection": _connection_2f1, "integral": _integral_2f1}
 
 
 def _near_pole(x: complex, any_integer: bool = False) -> bool:
@@ -469,10 +480,17 @@ def _near_pole(x: complex, any_integer: bool = False) -> bool:
 
 def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
                ) -> tuple[str, float, tuple[bool, bool]]:
-    """The route gauss_2f1 takes at |z| < 1, the radius its series is
-    summed at, and the pole tests of that series' a and b; the connection
-    formula sums two series at |1-z|, as many terms as one at sqrt|1-z|.
-    ``poles`` are the pole tests of a and b where the caller has made them.
+    """The route gauss_2f1 takes at z, the radius its series is summed at,
+    and the pole tests of that series' a and b; the connection formula sums
+    two series at |1-z|, as many terms as one at sqrt|1-z|.  ``poles`` are
+    the pole tests of a and b where the caller has made them.
+
+    One rule holds on the unit disk and off it: the route with the smallest
+    radius.  Off the disk, where the series at z diverges, that route is
+    ``"integral"`` where no radius is within ``_SLOW_RADIUS`` (with the
+    smallest radius), and on the cut [1, inf) (with radius inf), which is
+    tested before z/(z-1) is formed.  Inside the disk no route is the
+    integral.
     """
     a_pole, b_pole = poles or (_is_nonpositive_int(a), _is_nonpositive_int(b))
     if a_pole or b_pole:
@@ -480,6 +498,9 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
     r = abs(z)
     if r <= 0.5:
         return "series", r, _NO_POLES
+    # the cut [1, inf), as the integral reads it
+    if z.real >= 1.0 and abs(z.imag) < 1e-300:
+        return "integral", math.inf, _NO_POLES
     euler_poles = _is_nonpositive_int(c - a), _is_nonpositive_int(c - b)
     if euler_poles[0] or euler_poles[1]:
         return "euler", 0.0, euler_poles  # a polynomial
@@ -495,6 +516,8 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
         connection = math.sqrt(abs(1.0 - z))
         if connection < radius:
             route, radius = "connection", connection
+    if radius > _SLOW_RADIUS and r >= 1.0:
+        return "integral", radius, _NO_POLES
     if route != "direct":
         return route, radius, _NO_POLES
     # The terms of F(A, B; c; z), (A, B) = (a, b) or the Euler pair
@@ -516,8 +539,9 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
 
 
 def _is_slow_2f1(a, b, c, z) -> bool:
-    """True in the known gaps of gauss_2f1 at |z| < 1: the route it takes
-    runs at a radius above _SLOW_RADIUS."""
+    """True where the route gauss_2f1 takes runs at a radius above
+    _SLOW_RADIUS: its known gaps on the unit disk, where the series can
+    reach MAX_SERIES_TERMS, and off the disk the Euler integral."""
     return _route_2f1(complex(a), complex(b), complex(c), complex(z))[1] > _SLOW_RADIUS
 
 
@@ -525,11 +549,14 @@ def appell_f1(a, b1, b2, c, x, y,
               ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
     """Appell F1(a; b1, b2; c; x, y).
 
-    For |x|, |y| < 1 the double series by ``_appell_f1_series``, summed
-    along anti-diagonals after DLMF 16.16.1 where that moves x, y closer
-    to 0, to the tolerance of ``numerics.series_tolerance`` at its rate.
-    Beyond that bidisk the Euler integral (``_euler_integral_f1``), which
-    needs Re c > Re a > 0.  Real inputs are summed in float arithmetic and
+    The double series by ``_appell_f1_series``, summed along
+    anti-diagonals after DLMF 16.16.1 where that moves x, y closer to 0, to
+    the tolerance of ``numerics.series_tolerance`` at its rate: on the
+    bidisk |x|, |y| < 1, and beyond it wherever the 16.16.1 image
+    x/(x-1), y/(y-1) lies within ``_SLOW_RADIUS``: x and y in the disk
+    that spans [-19, 0.487] on the real axis.  Elsewhere the Euler
+    integral (``_euler_integral_f1``), which needs Re c > Re a > 0 and x, y
+    off the cut [1, inf).  Real inputs are summed in float arithmetic and
     give a float; complex ones give a complex, and the integral runs in
     complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and with b1 = 0 it is
     2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal recurrence loses
@@ -542,7 +569,8 @@ def appell_f1(a, b1, b2, c, x, y,
         return gauss_2f1(a, b1, c, x, ctx)
     if b1 == 0:
         return gauss_2f1(a, b2, c, y, ctx)
-    if max(abs(x), abs(y)) >= 1.0:
+    if max(abs(x), abs(y)) >= 1.0 and (1.0 in (x, y) or max(
+            abs(x / (x - 1.0)), abs(y / (y - 1.0))) > _SLOW_RADIUS):
         val = _euler_integral_f1(*map(complex, (a, b1, b2, c, x, y)), ctx)
         return val if isinstance(x, complex) else val.real
     return type(x)(_appell_f1_series(a, b1, b2, c, x, y, ctx).value)
@@ -577,10 +605,10 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     Where it makes max(|x|, |y|) smaller, the series is summed after DLMF
     16.16.1, F1(a; b1, b2; c; x, y) = (1-x)^(-b1) (1-y)^(-b2)
     F1(c-a; b1, b2; c; x/(x-1), y/(y-1)): fewer terms, no cancellation
-    between huge terms for x or y near -1, and convergence on the arc of
-    |x| = 1 where |1-x| > 1.  A polynomial (a a non-positive integer) is
-    summed as it stands.  For a conjugate pair with b1 = b2 the prefactor
-    is |1-x|^(-2 b1), formed as a float.
+    between huge terms for x or y near -1, and convergence beyond the
+    bidisk.  A polynomial (a a non-positive integer) is summed as it stands
+    on the bidisk, and beyond it only where c is no pole.  For a conjugate
+    pair with b1 = b2 the prefactor is |1-x|^(-2 b1), formed as a float.
 
     The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
     are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
@@ -593,12 +621,14 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     The term closure counts its own s as a float, which is exact below 2^53
     and keeps int operands out of every step.
     """
-    terminating = _is_nonpositive_int(a)
-    if _is_nonpositive_int(c) and not (
-            terminating and round(a.real) > round(c.real)):
+    terminating, c_pole = _is_nonpositive_int(a), _is_nonpositive_int(c)
+    if c_pole and not (terminating and round(a.real) > round(c.real)):
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
     rate = max(abs(x), abs(y))
-    if not terminating and 1.0 not in (x, y):   # 1 has no image under 16.16.1
+    # a polynomial is summed as it stands on the bidisk, and wherever c is a
+    # non-positive integer, since 16.16.1 holds only where (c)_s has no
+    # zero; 1 has no image under 16.16.1
+    if not (terminating and (rate < 1.0 or c_pole)) and 1.0 not in (x, y):
         xt, yt = x / (x - 1.0), y / (y - 1.0)
         if max(abs(xt), abs(yt)) < rate:
             if b1 == b2 and y == x.conjugate():

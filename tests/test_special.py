@@ -264,6 +264,14 @@ class TestGauss2F1:
         assert _route_2f1(0.3, 0.2, -1500.5, 0.7)[0] == "series"
         assert abs(gauss_2f1(0.3, 0.2, -1500.5, 0.7) - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("z", [1.0, 1.5, 1.5 + 0j, 3.0])
+    def test_on_the_cut_is_a_domain_error(self, z):
+        # the router tests the cut before it forms z/(z-1), which divides by
+        # 0 at z = 1, and before it rates the connection formula, whose
+        # sqrt|1-z| is 0.71 at z = 1.5
+        with pytest.raises(DomainError, match="cut"):
+            gauss_2f1(0.5, 0.25, 1.5, z)
+
     def test_log_closed_form(self):
         z = 0.3
         assert gauss_2f1(1.0, 1.0, 2.0, z) == pytest.approx(
@@ -945,6 +953,50 @@ class TestGauss2F1AgainstMpmath:
     def test_known_gaps_are_the_predicate(self, a, b, c, z):
         assert _is_slow_2f1(a, b, c, z)
 
+    @pytest.mark.oracle("gauss_2f1")
+    def test_real_below_minus_one(self):
+        # Pfaff's z/(z-1) lies in [0.51, 0.94], and its (1-z)^(-a) has a
+        # positive base, so the value stays a float
+        rng = random.Random(43)
+        for _ in range(60):
+            a, b, c = _draw_2f1_parameters(rng)
+            z = rng.uniform(-15.0, -1.05)
+            val = gauss_2f1(a, b, c, z)
+            assert type(val) is float, (a, b, c, z)
+            _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
+
+    @pytest.mark.oracle("gauss_2f1")
+    def test_complex_off_the_disk(self):
+        # 1.05 <= |z| <= 3 wherever Pfaff or the connection formula runs
+        # within _SLOW_RADIUS; elsewhere the Euler integral serves
+        rng = random.Random(44)
+        served = 0
+        while served < 60:
+            a, b, c = _draw_2f1_parameters(rng)
+            z = cmath.rect(rng.uniform(1.05, 3.0), rng.uniform(-math.pi, math.pi))
+            if _route_2f1(a, b, c, z)[0] == "integral":
+                continue
+            served += 1
+            _assert_2f1_matches(a, b, c, z, _mpmath_2f1(a, b, c, z))
+
+    def test_no_integral_inside_the_disk(self):
+        # parameters up to 40 also meet the connection formula's bar
+        rng = random.Random(45)
+        for size in [3.0] * 2000 + [40.0] * 500:
+            a, b, c = (rng.uniform(-size, size) for _ in range(3))
+            z = cmath.rect(rng.uniform(0.0, 1.0), rng.uniform(-math.pi, math.pi))
+            if abs(z) < 1.0:
+                assert _route_2f1(complex(a), complex(b), complex(c), z)[0] != "integral"
+                assert _route_2f1(a, b, c, z.real)[0] != "integral"
+
+
+def _draw_2f1_parameters(rng):
+    """a, b and c uniform in [-3, 3], c off the poles 0, -1, -2, -3."""
+    while True:
+        a, b, c = (rng.uniform(-3.0, 3.0) for _ in range(3))
+        if c > 0.0 or abs(c - round(c)) > 1e-9:
+            return a, b, c
+
 
 class TestAppellF1:
     def test_non_finite_argument_is_a_domain_error(self):
@@ -986,6 +1038,23 @@ class TestAppellF1:
         with mp.workdps(30):
             ref = complex(mp.appellf1(*args))
         assert abs(appell_f1(*args) - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.oracle("appell_f1")
+    @pytest.mark.parametrize("args", [(-2.0, 0.5, 1.5, 2.5, -2.0, -1.5),
+                                      (-3.0, 0.5, -1.25, -1.5, -2.5, 0.3)])
+    def test_polynomial_past_the_bidisk_against_mpmath(self, args):
+        # a polynomial in x and y, summed after DLMF 16.16.1 at its image
+        # (the Euler integral raised: it needs Re a > 0)
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(30):
+            ref = mp.appellf1(*args)
+        _assert_f1_matches_mpmath(*args, ref)
+
+    def test_polynomial_past_the_bidisk_with_c_at_a_pole(self):
+        # (c)_s has a zero, where 16.16.1 does not hold: summed at the image,
+        # F1(-1; 0.5, 3; -2; -0.9, -4) = -5.225 came out 0.013
+        with pytest.raises(DomainError):
+            appell_f1(-1.0, 0.5, 3.0, -2.0, -0.9, -4.0)
 
     @pytest.mark.parametrize("x, y", [(1.5, 0.3), (0.3, 1.0), (1.0, 2.5)])
     def test_argument_on_the_cut(self, x, y):
@@ -1125,8 +1194,9 @@ def _mp_appell_f1(mp, a, b1, b2, c, x, y):
     return pref * _mp_single_sum(mp, *args)
 
 
-def _assert_f1_matches_mpmath(a, b1, b2, c, x, y):
-    """appell_f1 against the single-sum F1 (_mp_appell_f1) at 30 digits.
+def _assert_f1_matches_mpmath(a, b1, b2, c, x, y, ref=None):
+    """appell_f1 against ref, by default the single-sum F1 (_mp_appell_f1) at
+    30 digits.
 
     Bound: 4 tol(|ref|) + 4 eps S, tol the default context's
     1e-12 |ref| + 1e-15.  S is sum |terms| of the better-conditioned of the
@@ -1142,7 +1212,7 @@ def _assert_f1_matches_mpmath(a, b1, b2, c, x, y):
     mp = pytest.importorskip("mpmath")
     val = complex(appell_f1(a, b1, b2, c, x, y))
     with mp.workdps(30):
-        ref = complex(_mp_appell_f1(mp, a, b1, b2, c, x, y))
+        ref = complex(_mp_appell_f1(mp, a, b1, b2, c, x, y) if ref is None else ref)
         xm, ym = mp.mpmathify(x), mp.mpmathify(y)
         pfaff = abs((1 - xm) ** (-b1) * (1 - ym) ** (-b2)) * _mp_abs_terms(
             mp, c - a, b1, b2, c, xm / (xm - 1), ym / (ym - 1))
@@ -1207,6 +1277,45 @@ class TestAppellF1AgainstMpmath:
            F1_COMPLEX_ARG)
     def test_complex(self, a, b1, b2, c, x, y):
         _assert_f1_matches_mpmath(a, b1, b2, c, x, y)
+
+    @pytest.mark.oracle("appell_f1")
+    @pytest.mark.parametrize("seed, draw, count", [
+        (46, lambda rng: rng.uniform(-3.0, 0.45), 14),
+        (47, lambda rng: cmath.rect(rng.uniform(0.2, 3.0),
+                                    rng.uniform(-math.pi, math.pi)), 10),
+    ], ids=["real", "complex"])
+    def test_past_the_bidisk(self, seed, draw, count):
+        # max(|x|, |y|) >= 1 with the DLMF 16.16.1 image within _SLOW_RADIUS,
+        # where appell_f1 sums its series.  mpmath.appellf1 at the arguments
+        # as drawn shares no transformation with the kernel.  It sums over
+        # the smaller argument, and where that is past 0.99 it raises unless
+        # (x-y)/(x-1) is within 0.99: such draws are left out
+        mp = pytest.importorskip("mpmath")
+        rng, judged = random.Random(seed), 0
+        while judged < count:
+            a, b1, b2, c = (rng.uniform(-3.0, 3.0) for _ in range(4))
+            x, y = draw(rng), draw(rng)
+            if not (max(abs(x), abs(y)) >= 1.0 and (c > 0.5 or abs(c - round(c)) > 1e-3)
+                    and max(abs(x / (x - 1.0)), abs(y / (y - 1.0))) <= special._SLOW_RADIUS):
+                continue
+            try:
+                with mp.workdps(30):
+                    ref = mp.appellf1(a, b1, b2, c, x, y)
+            except (ValueError, mp.libmp.NoConvergence):
+                continue
+            judged += 1
+            _assert_f1_matches_mpmath(a, b1, b2, c, x, y, ref)
+
+    @pytest.mark.oracle("appell_f1")
+    @pytest.mark.xfail(strict=True, reason="more than the bound off at eps 1e-12 "
+                       "and at 1e-15 alike, with b1 and b2 nonzero (ROADMAP item 19)")
+    @pytest.mark.parametrize("args", [
+        # 2.66e-10 relative, 15 bounds; mpmath.appellf1 agrees with the oracle
+        (2.125, 2.625, -1.4375, -2.5, -0.625, 0.4375),
+        (1.0, -2.5, -3.0, -2.5, 0.837890625, 0.875),   # 5.1e-12, 1.24 bounds
+    ], ids=["dyadic-probe", "hypothesis-draw"])
+    def test_known_misses(self, args):
+        _assert_f1_matches_mpmath(*args)
 
     # zeta = w/(w - 1) at w = e^(-2 pi i/3): 1/2 + i/(2 sqrt 3), |zeta| = 1/sqrt 3
     ZETA = cmath.exp(-2j * math.pi / 3) / (cmath.exp(-2j * math.pi / 3) - 1)
