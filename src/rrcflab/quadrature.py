@@ -136,8 +136,10 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
         (_, centre_weight), *nodes = _TABLES[0] or _table(0)
         total = s = centre_weight * v
         tol = ctx.tol(total)
-        stop_b, stop_a = b, a   # each end's walk stops at or past these,
-        far_b = far_a = 2.0     # and past the least offset of a larger term
+        # Each end's walk, b's first: its end, its step, the abscissa it
+        # stops at or past, the least offset of a term above the cut and
+        # its last term.
+        walks = [[b, -half, b, 2.0, 0.0], [a, half, a, 2.0, 0.0]]
         h = 1.0
         prev = gap = prev_gap = math.inf
         for level in range(MAX_QUAD_LEVELS + 1):
@@ -146,36 +148,26 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
                 nodes = _TABLES[level] or _table(level)
                 s = 0.0
             cut = _TAIL_SHARE * tol / h
-            term_b = term_a = 0.0
-            near, small = 2.0, None   # a term above the cut arms the stop
-            for off, w in nodes:
-                x = b - half * off
-                if x <= a or x >= stop_b:
-                    break
-                term_b = w * f(x)
-                s += term_b
-                if abs(term_b) > cut:
-                    small, near = False, off
-                elif small and off < far_b:
-                    stop_b = x
-                    break
-                elif small is False:
-                    small = True
-            far_b, near, small = near if near < far_b else far_b, 2.0, None
-            for off, w in nodes:
-                x = a + half * off
-                if x <= stop_a or x >= b:
-                    break
-                term_a = w * f(x)
-                s += term_a
-                if abs(term_a) > cut:
-                    small, near = False, off
-                elif small and off < far_a:
-                    stop_a = x
-                    break
-                elif small is False:
-                    small = True
-            far_a = near if near < far_a else far_a
+            for walk in walks:
+                end, step, stop, far, _ = walk
+                lo, hi = (a, stop) if step < 0.0 else (stop, b)
+                term, near, small = 0.0, 2.0, None   # a term above the cut arms the stop
+                for off, w in nodes:
+                    x = end + step * off
+                    if x <= lo or x >= hi:
+                        break
+                    term = w * f(x)
+                    s += term
+                    if abs(term) > cut:
+                        small, near = False, off
+                    elif small and off < far:
+                        walk[2] = x
+                        break
+                    elif small is False:
+                        small = True
+                if near < far:
+                    walk[3] = near
+                walk[4] = term
             if s - s != 0:
                 raise DomainError(f"integrand not finite on [{a}, {b}]")
             if level == 0:
@@ -190,7 +182,7 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
                     gap * gap <= tol * prev_gap
                     and _doubled(gap, prev_gap, total)
                     and _doubled(prev_gap, older, total)
-                    and h * (abs(term_b) + abs(term_a)) <= tol)):
+                    and h * (abs(walks[0][4]) + abs(walks[1][4])) <= tol)):
                 return half * total
     except RAW_ERRORS as exc:
         raise DomainError(f"integrand raised {exc!r} at x={x!r}") from exc

@@ -237,7 +237,7 @@ def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | floa
     positive base.  Only the Euler integral runs in complex.
     An inf or nan parameter or z is a DomainError.
 
-    Known gaps on the unit disk (``_is_slow_2f1``), where every route runs
+    Known gaps on the unit disk, where every route runs
     at a radius above ``_SLOW_RADIUS`` and the series can reach
     MAX_SERIES_TERMS: z next to 1 with c-a-b within ``_POLE_GAP`` of an
     integer (the limit forms of A&S 15.3.10-15.3.14 are not implemented),
@@ -538,13 +538,6 @@ def _route_2f1(a, b, c, z, poles: tuple[bool, bool] | None = None
     return route, r, _NO_POLES
 
 
-def _is_slow_2f1(a, b, c, z) -> bool:
-    """True where the route gauss_2f1 takes runs at a radius above
-    _SLOW_RADIUS: its known gaps on the unit disk, where the series can
-    reach MAX_SERIES_TERMS, and off the disk the Euler integral."""
-    return _route_2f1(complex(a), complex(b), complex(c), complex(z))[1] > _SLOW_RADIUS
-
-
 def appell_f1(a, b1, b2, c, x, y,
               ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
     """Appell F1(a; b1, b2; c; x, y).
@@ -554,13 +547,14 @@ def appell_f1(a, b1, b2, c, x, y,
     the tolerance of ``numerics.series_tolerance`` at its rate: on the
     bidisk |x|, |y| < 1, and beyond it wherever the 16.16.1 image
     x/(x-1), y/(y-1) lies within ``_SLOW_RADIUS``: x and y in the disk
-    that spans [-19, 0.487] on the real axis.  Elsewhere the Euler
-    integral (``_euler_integral_f1``), which needs Re c > Re a > 0 and x, y
-    off the cut [1, inf).  Real inputs are summed in float arithmetic and
-    give a float; complex ones give a complex, and the integral runs in
-    complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and with b1 = 0 it is
-    2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal recurrence loses
-    a solution that has none of the other argument's mode.
+    that spans [-19, 0.487] on the real axis.  A polynomial (a a
+    non-positive integer) is summed to its last anti-diagonal at any x and
+    y.  Elsewhere the Euler integral (``_euler_integral_f1``), which needs
+    Re c > Re a > 0 and x, y off the cut [1, inf).  Real inputs are summed
+    in float arithmetic and give a float; complex ones give a complex, and
+    the integral runs in complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and
+    with b1 = 0 it is 2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal
+    recurrence loses a solution that has none of the other argument's mode.
     """
     a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
     if not all(map(cmath.isfinite, (a, b1, b2, c, x, y))):
@@ -569,8 +563,9 @@ def appell_f1(a, b1, b2, c, x, y,
         return gauss_2f1(a, b1, c, x, ctx)
     if b1 == 0:
         return gauss_2f1(a, b2, c, y, ctx)
-    if max(abs(x), abs(y)) >= 1.0 and (1.0 in (x, y) or max(
-            abs(x / (x - 1.0)), abs(y / (y - 1.0))) > _SLOW_RADIUS):
+    if (max(abs(x), abs(y)) >= 1.0 and not _is_nonpositive_int(a)
+            and (1.0 in (x, y)
+                 or max(abs(x / (x - 1.0)), abs(y / (y - 1.0))) > _SLOW_RADIUS)):
         val = _euler_integral_f1(*map(complex, (a, b1, b2, c, x, y)), ctx)
         return val if isinstance(x, complex) else val.real
     return type(x)(_appell_f1_series(a, b1, b2, c, x, y, ctx).value)
@@ -606,9 +601,11 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     16.16.1, F1(a; b1, b2; c; x, y) = (1-x)^(-b1) (1-y)^(-b2)
     F1(c-a; b1, b2; c; x/(x-1), y/(y-1)): fewer terms, no cancellation
     between huge terms for x or y near -1, and convergence beyond the
-    bidisk.  A polynomial (a a non-positive integer) is summed as it stands
-    on the bidisk, and beyond it only where c is no pole.  For a conjugate
-    pair with b1 = b2 the prefactor is |1-x|^(-2 b1), formed as a float.
+    bidisk.  A polynomial (a a non-positive integer, c no pole below its
+    degree -a) is summed as it stands, to its last anti-diagonal s = -a, at
+    any x and y, as -a + 1 polynomial 2F1s in y (``_series_2f1``); an inf
+    or nan value is a DomainError.  For a conjugate pair with b1 = b2 the
+    prefactor is |1-x|^(-2 b1), formed as a float.
 
     The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
     are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
@@ -624,11 +621,22 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     terminating, c_pole = _is_nonpositive_int(a), _is_nonpositive_int(c)
     if c_pole and not (terminating and round(a.real) > round(c.real)):
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
+    if terminating:
+        # sum_m (a)_m (b1)_m x^m / ((c)_m m!) 2F1(a+m, b2; c+m; y), each
+        # 2F1 a polynomial: the anti-diagonal recurrence's rounding grows
+        # with |x| and |y| (10 bounds off at |x|, |y| = 45, degree 10)
+        total, t, terms = 0.0, pref, 0
+        for m in range(1 - round(a.real)):
+            inner = _series_2f1(a + m, b2, c + m, y, ctx)
+            total += t * inner.value
+            terms += inner.terms
+            t = t * (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
+        if not cmath.isfinite(total):
+            raise DomainError(f"F1 polynomial is not finite at x={x}, y={y}")
+        return SeriesSum(total, terms)
     rate = max(abs(x), abs(y))
-    # a polynomial is summed as it stands on the bidisk, and wherever c is a
-    # non-positive integer, since 16.16.1 holds only where (c)_s has no
-    # zero; 1 has no image under 16.16.1
-    if not (terminating and (rate < 1.0 or c_pole)) and 1.0 not in (x, y):
+    # 1 has no image under 16.16.1
+    if 1.0 not in (x, y):
         xt, yt = x / (x - 1.0), y / (y - 1.0)
         if max(abs(xt), abs(yt)) < rate:
             if b1 == b2 and y == x.conjugate():
@@ -647,9 +655,7 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
         nonlocal g, g_prev, r, s
         val = r * g
         g_prev, g = g, ((xsum * s + lin) * g - xy * (s + bsum) * g_prev) / (s + 1.0)
-        if r:
-            # a terminating series stops before (c)_s reaches a pole
-            r = r * (a + s) / (c + s)
+        r = r * (a + s) / (c + s)
         s += 1.0
         return val
 

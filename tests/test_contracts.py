@@ -16,8 +16,10 @@ from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               newton_root, sum_series)
 from rrcflab.qseries import dedekind_eta
 from rrcflab.quadrature import integrate_finite, integrate_to_infinity
-from rrcflab.special import (BetaBase, PoleError, complete_beta, gauss_2f1,
-                             incomplete_beta, log_gamma_real, pochhammer_negative)
+from rrcflab.special import (BetaBase, PoleError, complete_beta,
+                             elliptic_k_complementary, gauss_2f1, incomplete_beta,
+                             log_gamma_real, pochhammer_negative,
+                             quadratic_power_series, quadratic_roots)
 
 _BASE = BetaBase(0.3, 2.5)
 
@@ -73,6 +75,15 @@ def _cli(*argv):
     (lambda: modular.klein_j_from_lambda(0.0, 1.0), DomainError),
     (lambda: routes.rr_integral(0.0), DomainError),
     (lambda: routes.j_integral_quadrature(1.5), DomainError),
+    (lambda: elliptic_k_complementary(0.0), DomainError),
+    (lambda: elliptic_k_complementary(1.5), DomainError),
+    (lambda: quadratic_roots(0.0, 1.0, 1.0), DomainError),
+    # a t^2 + b t + c with c = 0 has a root at 0
+    (lambda: quadratic_power_series(0.0, 0.5, 1.0, 1.0, 0.0, 0.5), DomainError),
+    (lambda: modular.arcsin_ratio_root(0.0), DomainError),
+    (lambda: modular.arcsin_ratio_root(math.inf), DomainError),
+    (lambda: routes.rr_integrand(0.0), DomainError),
+    (lambda: routes.rr_integrand(0.7), DomainError),
     # the nome e^(-2 pi t) rounds to 1, where the product f(-q) is 0
     (lambda: dedekind_eta(1e-18), 0.0),
     (lambda: _cli("eval", "K", "1"), (1, "error")),
@@ -89,7 +100,11 @@ def _cli(*argv):
         "theta_of_X(nan)",
         "invert_lambda_j(1000)", "pi_formula_partial_sum(terms=0)",
         "klein_j_from_quarter_modulus(0)", "klein_j_from_lambda(0)",
-        "rr_integral(0)", "j_integral_quadrature(1.5)", "dedekind_eta(1e-18)",
+        "rr_integral(0)", "j_integral_quadrature(1.5)",
+        "elliptic_k_complementary(0)", "elliptic_k_complementary(1.5)",
+        "quadratic_roots(a=0)", "quadratic_power_series(root at 0)",
+        "arcsin_ratio_root(0)", "arcsin_ratio_root(inf)", "rr_integrand(0)",
+        "rr_integrand(0.7)", "dedekind_eta(1e-18)",
         "cli eval K 1", "cli eval 2f1 complex-typed real"])
 def test_entry_contract(call, outcome):
     if isinstance(outcome, type):

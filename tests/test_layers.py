@@ -6,7 +6,8 @@ its records (report) and the CLI sit above them, so no kernel imports
 routes or any of them.  In the registry, only the runner judges a check,
 and no record builds its own result, integrates or searches for a root.
 In special, one function calls each generic engine of the layers below,
-and modular takes its incomplete-Beta logs from special."""
+and modular takes its incomplete-Beta logs from special.  The quadrature
+walks both ends of a level with one loop."""
 
 import ast
 from pathlib import Path
@@ -130,8 +131,6 @@ ORPHANS = {
     # go with their hooks when the benchmark is next refreshed
     "numerics.expand_bracket", "quadrature.integrate_complex",
     "qseries.eta_quarter_integrand",
-    # the tests' statement of where 2F1 is slow, kept next to the router
-    "special._is_slow_2f1",
 }
 
 
@@ -187,6 +186,18 @@ def test_one_special_function_per_engine(engine):
     anti-diagonal series (the quadratic-surd series is an F1 series)."""
     callers = _callers("special", engine)
     assert len(callers) == 1, callers
+
+
+def test_one_walk_for_both_ends_of_a_level():
+    """integrate_finite samples its integrand at two sites: the centre node
+    and the one walk that serves both ends of every level."""
+    tree = ast.parse((PACKAGE / "quadrature.py").read_text())
+    engine = next(top for top in tree.body if isinstance(top, ast.FunctionDef)
+                  and top.name == "integrate_finite")
+    integrand = engine.args.args[0].arg
+    sites = [ast.unparse(node) for node in ast.walk(engine) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == integrand]
+    assert len(sites) == 2, sites
 
 
 def test_modular_takes_its_log_betas_from_special():

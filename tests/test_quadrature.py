@@ -130,7 +130,23 @@ REFERENCE_PANEL = [
                  id="log-sqrt"),
     pytest.param(lambda t: 1.0 / (1.0 + t * t), -3.0, 7.0, id="lorentzian"),
     pytest.param(routes.rr_integrand, 0.0, 0.5, id="rr_integrand"),
+    # cases where the two ends of a level walk differently
+    pytest.param(lambda t: (1.0 - t) ** (-5 / 6), 0.0, 1.0, id="power-5/6-at-b"),
+    pytest.param(lambda t: (t - 2.0) ** -0.5, 2.0, 3.0, id="power-1/2-at-a"),
+    pytest.param(lambda t: math.exp(-((t - 0.97) / 0.01) ** 2), 0.0, 1.0,
+                 id="peak-next-to-b"),
+    pytest.param(lambda t: math.exp(-((t - 0.03) / 0.01) ** 2), 0.0, 1.0,
+                 id="peak-next-to-a"),
+    pytest.param(lambda t: cmath.exp(3j * t) * t ** -0.5, 0.0, 1.0, id="complex"),
+    pytest.param(lambda t: t ** (-1 / 6) * (125.0 + 22.0 * t + t * t) ** -0.5,
+                 0.9999999978442541, 1.0, id="surd-narrow"),
+    pytest.param(lambda w: 6.0 * (1.0 + (22.0 + 125.0 * w ** 6) * w ** 6) ** -0.5,
+                 0.0, 7.07 ** (-1 / 6), id="surd-far"),
 ]
+# the panel at the default eps_rel, 1e-12, under its own ids, and looser
+REFERENCE_RUNS = [pytest.param(*case.values, eps,
+                               id=case.id if eps == 1e-12 else f"{case.id}-{eps:g}")
+                  for eps in (1e-12, 1e-8, 1e-4) for case in REFERENCE_PANEL]
 
 
 # In a fresh interpreter: which levels have a node table after importing
@@ -164,9 +180,18 @@ class TestNodeTables:
         expected = tuple((off, w) for _, off, w in _nodes(0.5 ** level, level > 0))
         assert table == expected
 
-    @pytest.mark.parametrize("f, a, b", REFERENCE_PANEL)
-    def test_integrals_bitwise_equal_to_reference(self, f, a, b):
-        assert integrate_finite(f, a, b) == _reference_integrate(f, a, b)
+    @pytest.mark.parametrize("f, a, b, eps", REFERENCE_RUNS)
+    def test_integrals_bitwise_equal_to_reference(self, f, a, b, eps):
+        # a singular end whose nodes round onto it can hold the levels apart
+        # to the cap: then the best estimate and gap are compared
+        def outcome(integrate):
+            try:
+                return integrate(f, a, b, ctx)
+            except QuadratureError as exc:
+                return "level cap", exc.best, exc.gap
+
+        ctx = PrecisionContext(eps_rel=eps)
+        assert outcome(integrate_finite) == outcome(_reference_integrate)
 
     def test_tables_are_built_on_first_use(self):
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
