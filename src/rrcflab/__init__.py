@@ -21,8 +21,7 @@ _LAZY = {
         "KernelError", "PrecisionContext", "SeriesDivergenceError",
         "differentiate", "find_root", "newton_root", "sum_series"), "numerics"),
     **dict.fromkeys((
-        "QuadratureError", "integrate_finite", "integrate_to_infinity"),
-        "quadrature"),
+        "QuadratureError", "integrate_finite"), "quadrature"),
     **dict.fromkeys((
         "BetaBase", "appell_f1", "beta_sqrt", "complete_beta", "elliptic_k",
         "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",

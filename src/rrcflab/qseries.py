@@ -106,7 +106,7 @@ def ramanujan_f(q: float) -> float:
     """f(-q) = prod_{n>=1} (1 - q^n); lies in (0, 1) for q in (0, 1).
 
     Underflows to 0.0 for q beyond ~0.998 (the log of the product passes
-    -745); integrand wrappers that drive q -> 1 use ramanujan_f_log.
+    -745).
     """
     return math.exp(ramanujan_f_log(q))
 

@@ -1,9 +1,10 @@
-"""Numerical integration robust to algebraic endpoint singularities and to
-semi-infinite domains with declared algebraic decay.
+"""Numerical integration over finite intervals, robust to algebraic
+endpoint singularities.  An integral over (0, inf) is carried onto finite
+ranges by its caller (routes.quintic_surd_integral by t -> 125/t).
 
-The finite-interval engine is a tanh-sinh (double-exponential) transformed
-trapezoid rule whose node offsets and weights are tabulated once per level,
-the first time an integral reaches that level.  Abscissas never include the
+The engine is a tanh-sinh (double-exponential) transformed trapezoid
+rule whose node offsets and weights are tabulated once per level, the
+first time an integral reaches that level.  Abscissas never include the
 endpoints: a node is x = a + d or b - d, d its offset from the nearer end.
 Only an end at 0 takes d exactly (t**(-5/6) on (0, b) keeps full precision);
 elsewhere x rounds, and a node that rounds onto its end ends the walk there.
@@ -189,27 +190,6 @@ def integrate_finite(f: Callable[[float], float | complex], a: float, b: float,
     raise QuadratureError(
         f"quadrature level cap ({MAX_QUAD_LEVELS}) reached on [{a}, {b}]",
         best=half * total, gap=half * gap)
-
-
-def integrate_to_infinity(f: Callable[[float], float], a: float, p: float,
-                          ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """Integrate f over (a, inf) given its declared algebraic decay
-    f(t) ~ t**(-p) for large t, which needs p > 1 to converge.
-
-    Map t = a + c(1-s)/s onto s in (0, 1] with c = max(|a|, 1); the image
-    integrand has an s**(p-2) endpoint singularity which tanh-sinh absorbs.
-    The scale c keeps the image smooth however far out a is: with c = 1 a
-    t**(-7/6) tail from a = 1e36 would sit in s < 1e-36.
-    """
-    if not p > 1.0:   # nan fails too
-        raise DomainError(f"need algebraic decay p > 1, got p={p}")
-
-    c = max(abs(a), 1.0)
-
-    def mapped(s: float) -> float:
-        return c * f(a + c * (1.0 - s) / s) / (s * s)
-
-    return integrate_finite(mapped, 0.0, 1.0, ctx)
 
 
 def integrate_complex(f: Callable[[float], complex], a: float, b: float,

@@ -16,11 +16,11 @@ from __future__ import annotations
 import math
 
 from .numerics import DEFAULT_CTX, DomainError, PrecisionContext
-from .quadrature import integrate_finite, integrate_to_infinity
+from .quadrature import integrate_finite
 from .special import elliptic_k, elliptic_k_complementary, gamma, gauss_2f1
 from .qseries import (GOLDEN_CONJUGATE, lambert_sum, product_logs_of_log_q,
                       rrcf_of_kappa, rrcf_of_log_q)
-from .modular import (SQRT5, SexticInstance, _eta_quotient_index,
+from .modular import (SQRT5, _SURD_ROOT, SexticInstance, _eta_quotient_index,
                       _singular_modulus_pair, eta_quotient_nome_of, klein_j,
                       sextic_variable_of_index)
 
@@ -109,16 +109,24 @@ def eta_quotient_power_integral(nu: float, ctx: PrecisionContext) -> float:
 
 def quintic_surd_integral(n: float, lo: float, hi: float,
                           ctx: PrecisionContext = DEFAULT_CTX) -> float:
-    """int_lo^hi t^(n-1) (125 + 22 t + t^2)^(-1/2) dt by tanh-sinh; for
-    hi = inf (lo < 50), over [lo, 50] and then the tail, falling like t^(n-2)."""
+    """int_lo^hi t^(n-1) (125 + 22 t + t^2)^(-1/2) dt by tanh-sinh.
 
-    def f(t: float) -> float:
-        return t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5
-
-    if hi < math.inf:
-        return integrate_finite(f, lo, hi, ctx)
-    head = integrate_finite(f, lo, 50.0, ctx)
-    return head + integrate_to_infinity(f, 50.0, 2.0 - n, ctx)
+    For hi = inf, t^2 Q(125/t) = 125 Q(t) with Q(t) = 125 + 22 t + t^2,
+    the Fricke involution u -> 125/u of _eta_quotient_index: t = 125/s
+    carries the part past max(lo, sqrt 125) onto (0, min(sqrt 125, 125/lo))
+    as 125^(n-1/2) int s^(-n) Q(s)^(-1/2) ds, and any part of
+    (lo, sqrt 125) is integrated as it stands.  At lo = 0 and n = 1/2 the
+    two pieces are one integral, taken once.  The tail falls like t^(n-2),
+    so hi = inf needs n < 1 (a DomainError otherwise)."""
+    if hi != math.inf:   # a nan hi too, which integrate_finite rejects
+        return integrate_finite(lambda t: t ** (n - 1.0) * (125.0 + 22.0 * t + t * t) ** -0.5,
+                                lo, hi, ctx)
+    if not n < 1.0:   # nan fails too
+        raise DomainError(f"the integral to inf needs n < 1, got n={n}")
+    if not lo < _SURD_ROOT:   # nan fails too
+        return 125.0 ** (n - 0.5) * quintic_surd_integral(1.0 - n, 0.0, 125.0 / lo, ctx)
+    far = 125.0 ** (n - 0.5) * quintic_surd_integral(1.0 - n, 0.0, _SURD_ROOT, ctx)
+    return far + (far if (lo, n) == (0.0, 0.5) else quintic_surd_integral(n, lo, _SURD_ROOT, ctx))
 
 
 def quintic_nome_integral(n: float, w_lo: float, w_hi: float,

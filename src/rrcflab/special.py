@@ -192,7 +192,9 @@ def _same_kind(*vals) -> list:
 def gauss_2f1(a, b, c, z, ctx: PrecisionContext = DEFAULT_CTX) -> complex | float:
     """Gauss hypergeometric 2F1(a, b; c; z), by region:
 
-    - |z| <= 1/2, or a or b a non-positive integer: the series at z.
+    - |z| <= 1/2, or a or b a non-positive integer: the series at z.  A
+      polynomial, here or in the Euler transform, is a DomainError where
+      4 eps times the sum of its terms' moduli is not below its value.
     - |z| > 1/2, on the unit disk and off it: one series routine,
       ``_series_2f1``, summed at the argument that needs the fewest terms
       (``_route_2f1``):
@@ -302,10 +304,13 @@ _PAIR_BOUND = sys.float_info.max / 4.0
 def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
                 poles: tuple[bool, bool] | None = None) -> SeriesSum:
     """The power series of 2F1 at z (DLMF 15.2.1), the one summation every
-    route calls; a polynomial when a or b is a non-positive integer.  a, b
-    and c are all floats or all complex; z is complex where they are, and
-    the sum is of z's kind.  ``poles`` are the pole tests of a and b where
-    the caller has made them; without them the series makes its own.
+    route calls; a polynomial when a or b is a non-positive integer, summed
+    to its degree.  A polynomial whose value is not above 4 eps S, S the
+    sum of its terms' moduli, may have lost every digit to rounding, and
+    is a DomainError.  a, b and c are all floats or all complex; z is
+    complex where they are, and the sum is of z's kind.  ``poles`` are the
+    pole tests of a and b where the caller has made them; without them the
+    series makes its own.
 
     The terms t_0 = 1, t_(n+1) = t_n (a+n)(b+n) / ((c+n)(n+1)) z are summed
     in one inline loop, with (eps_rel, eps_abs) from
@@ -342,6 +347,7 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
     one = type(z)(1.0)
     if terminating:
         total = t = one
+        size = 1.0
         degree = int(round(-a.real))
         for k in range(degree):
             if k == 0 and t1 is not None:
@@ -349,6 +355,11 @@ def _series_2f1(a, b, c, z, ctx: PrecisionContext, scale: float = 1.0,
             else:
                 t *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
             total += t
+            size += abs(t)
+        if not 4.0 * MACHINE_EPS * size < abs(total):   # nan fails too
+            raise DomainError(f"2F1 polynomial of degree {degree} is lost to rounding "
+                              f"or overflow: {total!r} from terms of moduli summing "
+                              f"to {size!r}")
         return SeriesSum(total, degree + 1)
 
     eps_rel, eps_abs = series_tolerance(abs(z), ctx, scale)
@@ -549,8 +560,10 @@ def appell_f1(a, b1, b2, c, x, y,
     x/(x-1), y/(y-1) lies within ``_SLOW_RADIUS``: x and y in the disk
     that spans [-19, 0.487] on the real axis.  A polynomial (a a
     non-positive integer) is summed to its last anti-diagonal at any x and
-    y.  Elsewhere the Euler integral (``_euler_integral_f1``), which needs
-    Re c > Re a > 0 and x, y off the cut [1, inf).  Real inputs are summed
+    y, and is a DomainError where 4 eps times the sum of its terms' moduli
+    is not below its value.  Elsewhere the Euler integral
+    (``_euler_integral_f1``), which needs Re c > Re a > 0 and x, y off the
+    cut [1, inf).  Real inputs are summed
     in float arithmetic and give a float; complex ones give a complex, and
     the integral runs in complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and
     with b1 = 0 it is 2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal
@@ -603,9 +616,12 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     between huge terms for x or y near -1, and convergence beyond the
     bidisk.  A polynomial (a a non-positive integer, c no pole below its
     degree -a) is summed as it stands, to its last anti-diagonal s = -a, at
-    any x and y, as -a + 1 polynomial 2F1s in y (``_series_2f1``); an inf
-    or nan value is a DomainError.  For a conjugate pair with b1 = b2 the
-    prefactor is |1-x|^(-2 b1), formed as a float.
+    any x and y, as -a + 1 polynomial 2F1s in y, each summed as
+    ``_series_2f1`` sums it.  Where its value is not above 4 eps S, S the
+    sum of the moduli of all its terms, it may have lost every digit to
+    rounding, and it is a DomainError (an inf or nan value too).  For a
+    conjugate pair with b1 = b2 the prefactor is |1-x|^(-2 b1), formed as
+    a float.
 
     The anti-diagonal sums g_s = sum_{m+n=s} (b1)_m (b2)_n x^m y^n/(m! n!)
     are the coefficients of (1-xt)^(-b1) (1-yt)^(-b2), whose log-derivative
@@ -623,17 +639,30 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
         raise DomainError(f"F1 undefined: c={c} is a non-positive integer")
     if terminating:
         # sum_m (a)_m (b1)_m x^m / ((c)_m m!) 2F1(a+m, b2; c+m; y), each
-        # 2F1 a polynomial: the anti-diagonal recurrence's rounding grows
-        # with |x| and |y| (10 bounds off at |x|, |y| = 45, degree 10)
-        total, t, terms = 0.0, pref, 0
-        for m in range(1 - round(a.real)):
-            inner = _series_2f1(a + m, b2, c + m, y, ctx)
-            total += t * inner.value
-            terms += inner.terms
-            t = t * (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
-        if not cmath.isfinite(total):
-            raise DomainError(f"F1 polynomial is not finite at x={x}, y={y}")
-        return SeriesSum(total, terms)
+        # 2F1 a polynomial summed as _series_2f1 sums it: the anti-diagonal
+        # recurrence's rounding grows with |x| and |y| (10 bounds off at
+        # |x|, |y| = 45, degree 10).  size is S, the sum of the moduli of
+        # all (degree+1)(degree+2)/2 terms.
+        degree = round(-a.real)
+        total, size, t, one = 0.0, 0.0, pref, type(y)(1.0)
+        try:
+            for m in range(degree + 1):
+                inner, inner_size, u = one, 1.0, one
+                for k in range(degree - m):
+                    u *= (a + m + k) * (b2 + k) / ((c + m + k) * (k + 1)) * y
+                    inner += u
+                    inner_size += abs(u)
+                total += t * inner
+                size += abs(t) * inner_size
+                t = t * (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
+            lost = not 4.0 * MACHINE_EPS * size < abs(total)   # nan fails too
+        except OverflowError:   # a complex modulus past the doubles
+            lost = True
+        if lost:
+            raise DomainError(f"F1 polynomial of degree {degree} at x={x}, y={y} is lost "
+                              f"to rounding or overflow: {total!r} from terms of "
+                              f"moduli summing to {size!r}")
+        return SeriesSum(total, (degree + 1) * (degree + 2) // 2)
     rate = max(abs(x), abs(y))
     # 1 has no image under 16.16.1
     if 1.0 not in (x, y):
@@ -722,6 +751,14 @@ def incomplete_beta(x: float, base: BetaBase) -> float:
     DLMF 8.17.22, for x below the integrand's (a+1)/(a+b+2); beyond it the
     complement B(1, a, b) - B(1-x, b, a), which cancels for a small b, where
     both are about 1/b (1e-11 relative lost at a = 0.5, x = 0.9, b = 1e-5).
+    B(1, a, b) is the exp of its log L, summed from log-Gammas each within
+    about an ulp, so it is within about eps (|L| + 4) relative; B(1-x, b, a),
+    two powers, a product, a quotient and the fraction's 2 eps stop, within
+    about 4 eps.  So the complement is off by at most about
+    eps ((|L| + 4) B(1, a, b) + 4 B(1-x, b, a)) <= eps (|L| + 8) B(1, a, b),
+    8 eps B(1, a, b) where L is small.  A complement not above that bound
+    keeps no correct digit, and is a DomainError (as is a B(1, a, b) that
+    underflows to 0).
 
     The fraction is run to full double precision, so it takes no context
     (about 8 steps, at most 24 for a, b in [0.1, 10]); MAX_SERIES_TERMS caps
@@ -740,7 +777,12 @@ def incomplete_beta(x: float, base: BetaBase) -> float:
             raise DomainError(f"incomplete Beta at x={x}, {base} overflows a float")
         return val
     y = 1.0 - x
-    return complete_beta(base) - y ** b * x ** a / b * _beta_cf(y, b, a)
+    total = complete_beta(base)
+    rest = y ** b * x ** a / b * _beta_cf(y, b, a)
+    bound = MACHINE_EPS * ((abs(math.log(total or 1.0)) + 4.0) * total + 4.0 * rest)
+    if not total - rest > bound:   # nan fails too
+        raise DomainError(f"B(1, a, b) - B({y}, b, a) keeps no correct digit for {base}")
+    return total - rest
 
 
 def _incomplete_beta_log(base: BetaBase

@@ -267,14 +267,10 @@ def _eq46_roundtrip(ctx: PrecisionContext):
 
 
 def _eq46_limit(ctx: PrecisionContext):
-    # the complete Beta is the only constant: one quadrature up to 50 and the
-    # far series from there (below about 5.59 the surd tail is TAIL_TOTAL
-    # less a series, which would compare the constant with itself)
-    lhs = (routes.quintic_surd_integral(5.0 / 6.0, 0.0, 50.0, ctx)
-           + modular.surd_tail_integral(50.0, ctx))
+    lhs = routes.quintic_surd_integral(5.0 / 6.0, 0.0, math.inf, ctx)
     rhs = 4.0 ** (-1.0 / 3.0) * special.complete_beta(BetaBase(1.0 / 6.0, 2.0 / 3.0))
-    return lhs, rhs, ("full surd tail, quadrature over [0, 50] plus the tail "
-                      "from 50, vs complete Beta closed form")
+    return lhs, rhs, ("full surd tail, quadrature over [0, sqrt 125] and its image "
+                      "under t -> 125/t, vs complete Beta closed form")
 
 
 def _eq46_prop1(ctx: PrecisionContext):

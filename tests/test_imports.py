@@ -22,7 +22,7 @@ PUBLIC = (
     "BracketError", "ConvergenceError", "DEFAULT_CTX", "DomainError",
     "KernelError", "PrecisionContext", "SeriesDivergenceError",
     "differentiate", "find_root", "newton_root", "sum_series",
-    "QuadratureError", "integrate_finite", "integrate_to_infinity",
+    "QuadratureError", "integrate_finite",
     "BetaBase", "appell_f1", "beta_sqrt", "complete_beta", "elliptic_k",
     "elliptic_k_complementary", "gamma", "gauss_2f1", "incomplete_beta",
     "sin_multiple_p6", "dedekind_eta", "ramanujan_f",
@@ -41,12 +41,10 @@ REGISTRY = ("rrcflab.verify", "rrcflab.report")
 # (dataclasses loads inspect); only the registry may load them.
 HEAVY = ("dataclasses", "inspect")
 
-# Lines that `rrcflab solve-sextic 1 250 12` and `rrcflab verify --filter
-# 'T3*'` printed before the registry became lazy, with T3's residuals those
-# of the worst of its three pairs, its 2F1 member taken as
-# 5 hypergeometric_g_argument(k^2), and the sextic residual that of the
-# equation divided through by a X^2; the timings are cut from the verify
-# table.
+# Lines that `rrcflab solve-sextic 1 250 12` printed before the registry
+# became lazy, its residual that of the equation divided through by a X^2.
+# Of `rrcflab verify --filter 'T3*'` only the statuses, ids and summary are
+# pinned: its residuals move with the last bit of any kernel T3 calls.
 SEXTIC_OUT = """\
 X        = 529.508497187475
 t        = 0.0294372515228594
@@ -56,11 +54,8 @@ X_alt    = 529.508497187473  (eta-quotient path)
 residual = 1.49698215744685e-16
 delta    = 1.47792889038101e-12  (cross-path)
 """
-T3_OUT = """\
-pass     T3.r=1                     residual_rel=3.66138520854035e-13 tol=   1e-07
-pass     T3.r=4                     residual_rel=4.22283913207775e-16 tol=   1e-07
-# 2 checks: 2 pass, 0 fail, 0 flagged
-"""
+T3_ROWS = [["pass", "T3.r=1"], ["pass", "T3.r=4"]]
+T3_SUMMARY = "# 2 checks: 2 pass, 0 fail, 0 flagged"
 
 
 def _fresh(*args: str) -> str:
@@ -113,10 +108,9 @@ class TestImportCost:
         assert _fresh("-m", "rrcflab.cli", "solve-sextic", "1", "250", "12") == SEXTIC_OUT
 
     def test_verify_output_is_unchanged(self):
-        out = _fresh("-m", "rrcflab.cli", "verify", "--filter", "T3*")
-        lines = [line.rsplit(" [", 1)[0].rsplit(" (", 1)[0]
-                 for line in out.splitlines()]
-        assert "\n".join(lines) + "\n" == T3_OUT
+        *rows, summary = _fresh("-m", "rrcflab.cli", "verify", "--filter", "T3*").splitlines()
+        assert [row.split()[:2] for row in rows] == T3_ROWS
+        assert summary.rsplit(" (", 1)[0] == T3_SUMMARY
 
 
 def _top_level_names(module: str) -> set[str]:

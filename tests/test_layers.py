@@ -64,6 +64,12 @@ def test_routes_import_only_kernels():
     imports = _package_imports(PACKAGE / "routes.py")
     assert "modular" in imports
     assert imports <= set(KERNELS)
+    # every route integrates over a finite range: the surd integral to inf
+    # is carried there by t -> 125/t
+    tree = ast.parse((PACKAGE / "routes.py").read_text())
+    assert [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
+            for alias in node.names] == ["integrate_finite"]
 
 
 def test_routes_take_only_public_qseries_names():

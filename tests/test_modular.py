@@ -137,6 +137,42 @@ class TestInverseIntegrals:
             assert TAIL_TOTAL == float(total)
             assert F_ARGUMENT_MAX == float(total / 5)
 
+    def test_quintic_surd_tail_full_range(self):
+        # the X -> 0 limit of the surd tail, 4^(-1/3) B(1/6, 2/3), as
+        # Eq46.limit takes it: over (0, sqrt 125) and its image under
+        # t -> 125/t
+        assert quintic_surd_integral(5 / 6, 0.0, math.inf) == pytest.approx(
+            TAIL_TOTAL, rel=1e-15)
+
+    def test_surd_integral_to_inf_against_the_closed_form(self):
+        # M(n) = pi/sin(n pi) 11^(n-1) 2F1((1-n)/2, (2-n)/2; 1; -4/121), the
+        # image-variable integral of Eq17_18; measured within 3.7e-16
+        mp = pytest.importorskip("mpmath")
+        rng = random.Random(45)
+        for n in [0.5, 5 / 6, *(rng.uniform(0.15, 0.85) for _ in range(20))]:
+            with mp.workdps(30):
+                m = mp.mpf(n)
+                ref = float(mp.pi / mp.sin(m * mp.pi) * mp.mpf(11) ** (m - 1)
+                            * mp.hyp2f1((1 - m) / 2, (2 - m) / 2, 1, mp.mpf(-4) / 121))
+            assert abs(quintic_surd_integral(n, 0.0, math.inf) - ref) <= 1e-15 * ref, n
+
+    @pytest.mark.parametrize("lo", [1e-3, 3.0, 11.0, 11.5, 40.0, 1e4])
+    def test_surd_integral_to_inf_from_a_lower_limit(self, lo):
+        # below sqrt 125 = 11.18 two pieces, above it the image alone,
+        # each against mpmath on the same finite range
+        mp = pytest.importorskip("mpmath")
+        n = 0.3
+        with mp.workdps(30):
+            root, m = mp.sqrt(125), mp.mpf(n)
+            ref = mp.mpf(125) ** (m - mp.mpf(1) / 2) * mp.quad(
+                lambda s: s ** -m * (125 + 22 * s + s * s) ** -0.5,
+                [0, min(root, 125 / mp.mpf(lo))])
+            if lo < root:
+                ref += mp.quad(lambda t: t ** (m - 1) * (125 + 22 * t + t * t) ** -0.5,
+                               [lo, root])
+        val = quintic_surd_integral(n, lo, math.inf)
+        assert abs(val - float(ref)) <= 1e-14 * float(ref)
+
     def test_f_at_zero(self):
         assert F_of_x(0.0) == 0.0
 
@@ -620,6 +656,15 @@ class TestWorkCounts:
         theta_of_X(0.14)
         theta_of_X(50.0)
         assert counts == {"calls": 0, "evals": 0}
+
+    @pytest.mark.parametrize("n, calls, evals", [(0.5, 1, 63), (5 / 6, 2, 126)],
+                             ids=["Eq17_18.image", "Eq46.limit"])
+    def test_surd_integral_to_inf_evaluations(self, counts, n, calls, evals):
+        # (0, sqrt 125) and its image under t -> 125/t, one integral where
+        # the two are the same; a head over [0, 50] and a mapped tail took
+        # 126 evaluations at n = 1/2
+        quintic_surd_integral(n, 0.0, math.inf, PrecisionContext(eps_rel=1e-12))
+        assert counts == {"calls": calls, "evals": evals}
 
     def test_weighted_power_integral_evaluations(self, counts):
         routes.weighted_power_integral(0.5, DEFAULT_CTX)

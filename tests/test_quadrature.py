@@ -15,7 +15,7 @@ from rrcflab.numerics import (DEFAULT_CTX, ConvergenceError, DomainError,
                               PrecisionContext)
 from rrcflab.quadrature import (_TABLES, MAX_QUAD_LEVELS, QuadratureError,
                                 _level_table, _table, integrate_complex,
-                                integrate_finite, integrate_to_infinity)
+                                integrate_finite)
 from rrcflab.special import PoleError, appell_f1, gauss_2f1
 
 # Gamma(1/6) Gamma(2/3) / Gamma(5/6), frozen from the Lanczos evaluation and
@@ -607,38 +607,6 @@ class TestComplex:
         for integrate in (integrate_finite, integrate_complex):
             with pytest.raises(DomainError, match=r"not finite on \[0.0, 1.0\]"):
                 integrate(lambda t: bad if t > 0.3 else t, 0.0, 1.0)
-
-
-class TestToInfinity:
-    def test_algebraic(self):
-        val = integrate_to_infinity(lambda t: t ** -2.0, 1.0, 2.0)
-        assert val == pytest.approx(1.0, rel=1e-12)
-
-    def test_quintic_surd_tail_full_range(self):
-        # X -> 0+ limit of the tail integral equals 4^(-1/3) B(1, 1/6, 2/3)
-        f = lambda t: t ** (-1 / 6) * (125.0 + 22.0 * t + t * t) ** -0.5
-        head = integrate_finite(f, 0.0, 500.0)
-        tail = integrate_to_infinity(f, 500.0, 7.0 / 6.0)
-        assert head + tail == pytest.approx(4.0 ** (-1 / 3) * BETA_16_23, rel=1e-9)
-
-    @pytest.mark.oracle("integrate_to_infinity")
-    @pytest.mark.parametrize("a", [500.0, 1e36, 1e60])
-    def test_algebraic_tail_far_out(self, a):
-        # the map t = a + c(1-s)/s with c = max(|a|, 1) keeps the image
-        # integrand on the scale of a; with c = 1 the tail from 1e60 was
-        # 1.2e-7 off
-        mp = pytest.importorskip("mpmath")
-        f = lambda t: t ** (-1 / 6) * (125.0 + 22.0 * t + t * t) ** -0.5
-        val = integrate_to_infinity(f, a, 7.0 / 6.0)
-        with mp.workdps(30):
-            w = mp.root(1 / mp.mpf(a), 6)
-            ref = 6 * w * mp.quad(lambda s: (1 + 22 * (w * s) ** 6
-                                             + 125 * (w * s) ** 12) ** -0.5, [0, 1])
-        assert abs(val - ref) <= 4e-15 * ref
-
-    def test_divergent_declaration(self):
-        with pytest.raises(DomainError):
-            integrate_to_infinity(lambda t: 1.0 / t, 1.0, 1.0)
 
 
 class TestEtaTailEquality:
