@@ -668,7 +668,7 @@ def j_integral_f1_form(x: float, ctx: PrecisionContext = DEFAULT_CTX) -> float:
     scale = _j50_numerator(x) / 25000.0
     val = appell_f1(8.0 / 3.0, 1.0, 1.0, 11.0 / 3.0,
                     _J50_ARG_1 * x, _J50_ARG_2 * x, ctx)
-    return scale * complex(val).real
+    return scale * val.real
 
 
 def _phi(z: float, ctx: PrecisionContext) -> float:

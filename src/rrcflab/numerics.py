@@ -182,6 +182,7 @@ def sum_series(term: Callable[[int], complex | float], rate: float,
     eps_rel, eps_abs = series_tolerance(rate, ctx)
     total = 0.0
     small_run = 0
+    inf = math.inf   # a local: the test below runs on every term
     for n in range(MAX_SERIES_TERMS):
         try:
             t = term(n)
@@ -190,8 +191,8 @@ def sum_series(term: Callable[[int], complex | float], rate: float,
         try:
             size = abs(t)   # inf or nan for a term that is not finite
         except OverflowError:   # finite parts, a modulus past the doubles
-            size = math.inf
-        if not size < math.inf:
+            size = inf
+        if not size < inf:
             raise DomainError(f"series term {n} is not finite: {t!r}")
         total += t
         if size <= eps_rel * abs(total) + eps_abs:
@@ -423,14 +424,15 @@ def differentiate(f: Callable[[float], float], x: float) -> Derivative:
     """
     h = FD_STEP * max(1.0, abs(x))
     try:
-        samples = [f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)]
+        up, down, half_up, half_down = f(x + h), f(x - h), f(x + 0.5 * h), f(x - 0.5 * h)
     except RAW_ERRORS as exc:
         raise DomainError(f"f raised {exc!r} while differentiating near x={x}") from exc
-    if not all(math.isfinite(v) for v in samples):
+    # v - v is nan for an inf or nan sample and 0 for a finite one
+    if (up - up) + (down - down) + (half_up - half_up) + (half_down - half_down) != 0:
         raise DomainError(f"non-finite sample while differentiating near x={x}")
-    d1 = (samples[0] - samples[1]) / (2.0 * h)
-    d2 = (samples[2] - samples[3]) / h
+    d1 = (up - down) / (2.0 * h)
+    d2 = (half_up - half_down) / h
     value = (4.0 * d2 - d1) / 3.0
-    scale = max(abs(v) for v in samples)
+    scale = max(abs(up), abs(down), abs(half_up), abs(half_down))
     error = abs(d2 - d1) / 3.0 + 4.0 * MACHINE_EPS * scale / h
     return Derivative(value, error)

@@ -565,12 +565,18 @@ def appell_f1(a, b1, b2, c, x, y,
     (``_euler_integral_f1``), which needs Re c > Re a > 0 and x, y off the
     cut [1, inf).  Real inputs are summed
     in float arithmetic and give a float; complex ones give a complex, and
-    the integral runs in complex.  With b2 = 0, F1 is 2F1(a, b1; c; x), and
-    with b1 = 0 it is 2F1(a, b2; c; y): gauss_2f1, since the anti-diagonal
-    recurrence loses a solution that has none of the other argument's mode.
+    the integral runs in complex.  Six float arguments are classified
+    without conversion: only other kinds go through ``_same_kind``.  One
+    sum of the differences v - v, nan for any inf or nan part, tests all
+    six for finiteness; an inf or nan is a DomainError.  With b2 = 0, F1 is
+    2F1(a, b1; c; x), and with b1 = 0 it is 2F1(a, b2; c; y): gauss_2f1,
+    since the anti-diagonal recurrence loses a solution that has none of
+    the other argument's mode.
     """
-    a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
-    if not all(map(cmath.isfinite, (a, b1, b2, c, x, y))):
+    if not (type(a) is type(b1) is type(b2) is type(c) is type(x) is type(y) is float):
+        a, b1, b2, c, x, y = _same_kind(a, b1, b2, c, x, y)
+    # v - v is nan for an inf or nan part and 0 for a finite float or complex
+    if (a - a) + (b1 - b1) + (b2 - b2) + (c - c) + (x - x) + (y - y) != 0:
         raise DomainError(f"F1 needs finite arguments, got {(a, b1, b2, c, x, y)}")
     if b2 == 0:
         return gauss_2f1(a, b1, c, x, ctx)
@@ -628,7 +634,10 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
     gives a three-term recurrence (g_0 = 1, g_(-1) = 0); the anti-diagonal
     then carries (a)_s/(c)_s.  O(1) per term.  It takes x and y only as
     x+y, xy and b1 x + b2 y: where these, a and c are real (real x and y,
-    or a conjugate pair with b1 = b2) it runs in floats.  sum_series sums
+    or a conjugate pair with b1 = b2) it runs in floats.  Float x and y
+    (whose a, b1, b2 and c are floats) give float coefficients as they
+    stand; for complex x and y the six imaginary parts are tested, and
+    where all are 0 the real parts are taken.  sum_series sums
     the terms at the rate max(|x|, |y|), which must be below 1; a
     SeriesDivergenceError reports its best and gap on the value's scale.
     The term closure counts its own s as a float, which is exact below 2^53
@@ -674,10 +683,10 @@ def _appell_f1_series(a, b1, b2, c, x, y, ctx: PrecisionContext,
                 pref *= (1.0 - x) ** (-b1) * (1.0 - y) ** (-b2)
             a, x, y, rate = c - a, xt, yt, max(abs(xt), abs(yt))
 
-    coeffs = (x + y, x * y, b1 * x + b2 * y, b1 + b2 - 1.0, a, c)
-    if not any(v.imag for v in coeffs):
-        coeffs = tuple(v.real for v in coeffs)
-    xsum, xy, lin, bsum, a, c = coeffs
+    xsum, xy, lin, bsum = x + y, x * y, b1 * x + b2 * y, b1 + b2 - 1.0
+    if isinstance(x, complex) and not (xsum.imag or xy.imag or lin.imag or bsum.imag
+                                       or a.imag or c.imag):
+        xsum, xy, lin, bsum, a, c = xsum.real, xy.real, lin.real, bsum.real, a.real, c.real
     g, g_prev, r, s = 1.0, 0.0, 1.0, 0.0
 
     def term(_: int) -> complex | float:

@@ -3,9 +3,10 @@ import math
 
 import pytest
 
+from rrcflab import modular
 from rrcflab.cli import main
 from rrcflab.modular import m_of_x
-from rrcflab.numerics import DEFAULT_CTX
+from rrcflab.numerics import DEFAULT_CTX, ConvergenceError
 from rrcflab.verify import check_ids
 
 
@@ -170,3 +171,15 @@ class TestSolveSextic:
     def test_low_j_is_domain_error(self, capsys):
         assert main(["solve-sextic", "1", "3", "1"]) == 1
         assert "(36)" in capsys.readouterr().err
+
+    def test_kernel_error_that_is_not_a_domain_error(self, capsys, monkeypatch):
+        # only a DomainError names equation (36); any other KernelError is
+        # printed as it is
+        def capped(inst, ctx):
+            raise ConvergenceError("root finder hit iteration cap (200)")
+
+        monkeypatch.setattr(modular, "solve_sextic", capped)
+        assert main(["solve-sextic", "1", "250", "12"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: root finder hit iteration cap (200)\n"
+        assert "(36)" not in err

@@ -440,6 +440,16 @@ class TestNewtonRoot:
         newton_root(fdf, -10.0, 20.0, 15.0)
         assert seen[2] == -3.75
 
+    @pytest.mark.parametrize("slope", [0.0, -1.0, math.inf, math.nan])
+    def test_bisection_when_the_slope_is_not_positive_and_finite(self, slope):
+        # no Newton step is taken from such a slope: every new point is the
+        # midpoint of the bracket, which still closes on the root
+        fdf, seen = self._recording(lambda x: (x - 0.3, slope))
+        x = newton_root(fdf, 0.0, 1.0, 0.9)
+        assert abs(x - 0.3) <= DEFAULT_CTX.tol(0.3)
+        assert seen[:3] == [0.9, 0.45, 0.225]
+        assert all(0.0 < v < 1.0 for v in seen)
+
     def test_convergence_error_at_the_cap(self, monkeypatch):
         monkeypatch.setattr(numerics, "MAX_ROOT_ITERS", 3)
         with pytest.raises(ConvergenceError) as err:

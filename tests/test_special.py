@@ -1024,6 +1024,35 @@ class TestAppellF1:
         with pytest.raises(DomainError, match="finite arguments"):
             appell_f1(1e-300, 1e-300, -2.5, 1e300, math.nan, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)],
+                             ids=["inf", "-inf", "nan", "1+infj"])
+    @pytest.mark.parametrize("position", range(6))
+    def test_non_finite_argument_in_each_position(self, position, bad):
+        # one sum of the differences v - v tests all six arguments, floats
+        # and complex alike
+        args = [0.9, 1.0, 1.0, 2.0, 0.3, 0.2]
+        args[position] = bad
+        with pytest.raises(DomainError, match="finite arguments"):
+            appell_f1(*args)
+
+    @pytest.mark.parametrize("args", [
+        (8.0 / 3.0, 1.0, 1.0, 11.0 / 3.0, -0.0861, -0.0023),   # Eq 50's series
+        (0.9, 1.0, 0.5, 2.0, -0.9, -0.6),                       # after 16.16.1
+        (0.9, 1.0, 0.5, 2.0, 0.5, -30.0),                       # the Euler integral
+        (0.9, 1.0, 0.0, 2.0, 0.3, 0.7),                         # 2F1 in x
+    ], ids=["series", "16.16.1", "integral", "2F1"])
+    def test_float_arguments_are_not_converted(self, monkeypatch, args):
+        # six floats are classified as they stand, on every route, and give a
+        # float; any other kind still goes through _same_kind
+        def refused(*vals):
+            raise AssertionError(f"_same_kind{vals}")
+
+        monkeypatch.setattr(special, "_same_kind", refused)
+        assert type(appell_f1(*args)) is float
+        for converted in ([*args[:4], complex(args[4]), args[5]], [*args[:3], 2, *args[4:]]):
+            with pytest.raises(AssertionError, match="_same_kind"):
+                appell_f1(*converted)
+
     def test_reduces_to_2f1_at_zero_second_argument(self):
         lhs = appell_f1(0.9, 1.0, 1.0, 2.0, 0.3, 0.0)
         assert lhs == pytest.approx(gauss_2f1(0.9, 1.0, 2.0, 0.3), rel=1e-11)
